@@ -33,7 +33,7 @@ import numpy as np
 from . import stats
 from . import words as W
 from .cremona import CremonaModel, dynamical_degree_estimate
-from .errors import InputError, ResourceError
+from .errors import BadPrimeSignal, InputError, ResourceError
 from .freegroup import (
     SemidirectOracle,
     exact_shadow_measure,
@@ -1238,11 +1238,25 @@ def degree_growth_experiment(
                     and final_degree**iterate_budget <= model.degree_cap
                 )
                 if iterable and path.final is not None:
-                    est = dynamical_degree_estimate(model, path.final, iterate_budget)
-                    lambda_rate = (
-                        math.log(est.value) / n_max if est.value > 0 else None
-                    )
-                    lambda_skipped = None
+                    # a retried trial lives over the fresh primes it was
+                    # respawned at; iterating it over the base primes would
+                    # recompose its word at the primes that failed it
+                    trial_model = model
+                    if path.prime_retries > 0:
+                        trial_model = model.respawn(
+                            tuple(p for p, _ in path.final.tracks)
+                        )
+                    try:
+                        est = dynamical_degree_estimate(
+                            trial_model, path.final, iterate_budget
+                        )
+                    except BadPrimeSignal:
+                        lambda_skipped = "bad_prime"
+                    else:
+                        lambda_rate = (
+                            math.log(est.value) / n_max if est.value > 0 else None
+                        )
+                        lambda_skipped = None
                 else:
                     lambda_skipped = "cap"
         for n in marks:

@@ -6,13 +6,22 @@ keeps an explicit degree tag so that homogeneity bookkeeping survives sums.
 
 Products dispatch between a literal dict loop (small operands) and a dense
 bivariate convolution in int64 numpy (large operands); both are exact and
-produce identical polynomials.  GCDs run a cheap certified pipeline first
-(monomial content, then restriction to fixed affine lines: a nonconstant
-common factor survives restriction to any line it does not contain, so a
-trivial univariate gcd on one line proves coprimality) and fall back to a
-content/primitive-part pseudo-remainder sequence on the dehomogenized
-bivariate forms.  Every gcd is verified by trial division before it is
-returned.
+produce identical polynomials.  Exact division is one dense routine on the
+bivariate forms (Z set to 1), with a shortcut that scales by the inverse of
+a constant divisor.  The division, gcd and line-restriction kernels reduce
+their int64 convolutions and matrix products through :func:`_convolve_mod`
+and :func:`_matmul_mod`, which stay exact for every prime p < 2^31, so the
+31-bit primes drawn by the bad-prime retry policy are as safe as the
+default ones.
+
+GCDs run a cheap certified pipeline first (monomial content, then
+restriction to fixed affine lines: a nonconstant common factor survives
+restriction to any line it does not contain, so a trivial univariate gcd on
+one line proves coprimality), then a modular evaluation/interpolation gcd,
+and fall back to a content/primitive-part pseudo-remainder sequence on the
+dehomogenized bivariate forms.  Every gcd is verified by trial division
+before it is returned; a gcd that fails the check raises
+:class:`~hypwalk.errors.BadPrimeSignal`.
 """
 
 from __future__ import annotations
@@ -32,6 +41,28 @@ _CERT_LINES = ((1, 2, 3), (5, 7, 11), (13, 17, 19), (23, 29, 31))
 
 def _inv_mod(a: int, p: int) -> int:
     return pow(a, p - 2, p)
+
+
+# Products of residues mod p < 2^31 are below 2^62, so an int64 sum of n of
+# them stays exact while n * (p - 1)^2 < 2^63.  Past that bound one operand
+# is split into 16-bit halves: each half-product sum is then below n * 2^47,
+# exact for any operand shorter than 2^15.
+
+
+def _convolve_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """np.convolve(a, b) % p for residue vectors, exact for every p < 2^31."""
+    if min(a.size, b.size) * (p - 1) ** 2 < 2**63:
+        return np.convolve(a, b) % p
+    high = np.convolve(a >> 16, b) % p
+    return (high * 65536 + np.convolve(a & 0xFFFF, b)) % p
+
+
+def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b % p for residue matrices, exact for every p < 2^31."""
+    if a.shape[-1] * (p - 1) ** 2 < 2**63:
+        return a @ b % p
+    high = (a >> 16) @ b % p
+    return (high * 65536 + (a & 0xFFFF) @ b) % p
 
 
 class HomPoly3:
@@ -257,8 +288,9 @@ def _power_ladder(base: HomPoly3, top: int) -> list[HomPoly3]:
 def divexact(f: HomPoly3, g: HomPoly3):
     """f / g when the division is exact, else None.
 
-    Small operands run a graded-lex long division on the sparse form; large
-    ones go through the dense bivariate routine (identical results).
+    A constant divisor is a scaling.  Every other divisor goes through the
+    dense bivariate routine :func:`_divexact_dense`, which is exact for every
+    prime p < 2^31.
     """
     if g.is_zero():
         raise InputError("division by the zero polynomial")
@@ -266,34 +298,13 @@ def divexact(f: HomPoly3, g: HomPoly3):
         return HomPoly3.zero(max(f.degree - g.degree, 0), f.p)
     if f.degree < g.degree:
         return None
-    if f.num_terms() * g.num_terms() > 20_000:
-        q = _divexact_dense(f._to_array(), g._to_array(), f.p)
-        if q is None:
-            return None
-        return _array_to_hompoly(q, f.p, degree=f.degree - g.degree)
-    p = f.p
-    g_terms = g.terms()
-    (gi, gj, gl), gc = g_terms[0]
-    gc_inv = _inv_mod(gc, p)
-    remaining = dict(f.coeffs)
-    quotient: dict = {}
-    out_degree = f.degree - g.degree
-    while remaining:
-        (fi, fj, fl) = max(remaining)
-        fc = remaining[fi, fj, fl]
-        qi, qj, ql = fi - gi, fj - gj, fl - gl
-        if qi < 0 or qj < 0 or ql < 0:
-            return None
-        qc = (fc * gc_inv) % p
-        quotient[(qi, qj, ql)] = qc
-        for (ti, tj, tl), tc in g_terms:
-            key = (ti + qi, tj + qj, tl + ql)
-            s = (remaining.get(key, 0) - qc * tc) % p
-            if s:
-                remaining[key] = s
-            else:
-                remaining.pop(key, None)
-    return HomPoly3(out_degree, quotient, p)
+    if g.degree == 0:
+        return f.scale(_inv_mod(g.coeffs[0, 0, 0], f.p))
+    degree = f.degree - g.degree
+    q = _divexact_dense(f._to_array(), g._to_array(), f.p, degree)
+    if q is None:
+        return None
+    return _array_to_hompoly(q, f.p, degree=degree)
 
 
 def _monomial_content(polys) -> tuple[int, int, int]:
@@ -317,7 +328,7 @@ def _shift_exponents(poly: HomPoly3, shift: tuple[int, int, int]) -> HomPoly3:
 
 
 def _restrict_to_line(poly: HomPoly3, line: tuple[int, int, int]) -> np.ndarray:
-    """Coefficients of poly(t + a, b t + c, 1) as an int64 vector.
+    """Coefficients of poly(t + a, b t + c, 1) as an int64 residue vector.
 
     Dense two-stage evaluation: first collapse the Y-exponent against powers
     of (b t + c) with one matrix product, then fold in powers of (t + a) row
@@ -337,7 +348,7 @@ def _restrict_to_line(poly: HomPoly3, line: tuple[int, int, int]) -> np.ndarray:
         cur = (prev * c) % p
         cur[1:] = (cur[1:] + prev[:-1] * b) % p
         V[j] = cur
-    W = arr @ V % p  # row i: sum_j arr[i, j] (b t + c)^j
+    W = _matmul_mod(arr, V, p)  # row i: sum_j arr[i, j] (b t + c)^j
     # U[i] = coefficients of (t + a)^i
     out = np.zeros(2 * d + 1, dtype=np.int64)
     u = np.zeros(d + 1, dtype=np.int64)
@@ -345,7 +356,7 @@ def _restrict_to_line(poly: HomPoly3, line: tuple[int, int, int]) -> np.ndarray:
     top = 0
     for i in range(d + 1):
         if W[i].any():
-            conv = np.convolve(u[: i + 1], W[i]) % p
+            conv = _convolve_mod(u[: i + 1], W[i], p)
             out[: conv.shape[0]] += conv
             top = max(top, conv.shape[0])
         nxt = (u * a) % p
@@ -413,7 +424,9 @@ def gcd3(p1: HomPoly3, p2: HomPoly3, p3: HomPoly3) -> HomPoly3:
     line restriction when possible; otherwise compute the gcd of the
     dehomogenized bivariate forms, pairwise then with the third, by
     evaluation/interpolation with a pseudo-remainder-sequence fallback.
-    The result always passes trial division against all three inputs.
+    The result is verified by trial division against all three inputs; a
+    failed check raises :class:`~hypwalk.errors.BadPrimeSignal`, which sends
+    the caller to the bad-prime retry policy.
     """
     polys = [q for q in (p1, p2, p3) if not q.is_zero()]
     if not polys:
@@ -454,7 +467,7 @@ def gcd3(p1: HomPoly3, p2: HomPoly3, p3: HomPoly3) -> HomPoly3:
             if lead != 1:
                 gcd_poly = gcd_poly.scale(_inv_mod(lead, p))
         if not _divides_all(gcd_poly, (p1, p2, p3)):
-            raise AssertionError("gcd verification by trial division failed")
+            raise BadPrimeSignal("gcd verification by trial division failed", p)
     return gcd_poly
 
 
@@ -613,7 +626,7 @@ def _modular_bivariate_gcd(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray |
         for i in range(poly.shape[0]):
             row = _utrim(poly[i])
             if row.size:
-                conv = np.convolve(row, content) % p
+                conv = _convolve_mod(row, content, p)
                 out[i, : conv.size] = conv
         poly = out
     return poly
@@ -648,8 +661,17 @@ def _newton_interpolate(nodes: np.ndarray, table: np.ndarray, p: int) -> np.ndar
     return out % p
 
 
-def _divexact_dense(F: np.ndarray, G: np.ndarray, p: int) -> np.ndarray | None:
-    """Exact division of dense bivariate polynomials in F_p[y][x]."""
+def _divexact_dense(
+    F: np.ndarray, G: np.ndarray, p: int, degree: int
+) -> np.ndarray | None:
+    """Exact division of dense bivariate polynomials in F_p[y][x].
+
+    F and G are homogeneous polynomials with Z set to 1, and ``degree`` is
+    the degree of their homogeneous quotient.  A quotient term of total
+    degree above ``degree`` means G carries a power of Z that F lacks, so
+    the division is rejected there; that bound also keeps every product row
+    inside F's columns.
+    """
     if not G.any():
         raise InputError("division by zero polynomial")
     dxF = int(np.nonzero(F.any(axis=1))[0][-1]) if F.any() else -1
@@ -657,25 +679,24 @@ def _divexact_dense(F: np.ndarray, G: np.ndarray, p: int) -> np.ndarray | None:
     if dxF < dxG:
         return None
     lcG = _utrim(G[dxG])
+    rows_G = [(r, row) for r in range(dxG + 1) if (row := _utrim(G[r])).size]
     rem = F.copy()
     q = np.zeros((dxF - dxG + 1, F.shape[1]), dtype=np.int64)
     for i in range(dxF - dxG, -1, -1):
         top = _utrim(rem[i + dxG])
         if top.size == 0:
             continue
-        if top.size < lcG.size:
+        if top.size < lcG.size or top.size - lcG.size > degree - i:
             return None
         try:
             qi = _udivexact(top, lcG, p)
         except AssertionError:
             return None
         q[i, : qi.size] = qi
-        for r in range(dxG + 1):
-            row = _utrim(G[r])
-            if row.size:
-                conv = np.convolve(qi, row) % p
-                seg = rem[i + r]
-                seg[: conv.size] = (seg[: conv.size] - conv) % p
+        for r, row in rows_G:
+            conv = _convolve_mod(qi, row, p)
+            seg = rem[i + r]
+            seg[: conv.size] = (seg[: conv.size] - conv) % p
     if rem.any():
         return None
     return q
@@ -768,7 +789,7 @@ def _bprimitive(biv: dict, p: int) -> dict:
 
 
 def _bscale(biv: dict, u: np.ndarray, p: int) -> dict:
-    return {i: np.convolve(v, u) % p for i, v in biv.items()}
+    return {i: _convolve_mod(v, u, p) for i, v in biv.items()}
 
 
 def _bsub(a: dict, b: dict, p: int) -> dict:

@@ -260,7 +260,7 @@ def _accumulator(oracle):
 
 @dataclass(frozen=True)
 class SamplePath:
-    """One trial's record: increments, displacement track,端 products.
+    """One trial's record: increments, displacement track, products.
 
     ``products`` holds every partial product for the tree models (cheap
     words); the Cremona model keeps only the final map and its inverse, per

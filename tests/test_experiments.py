@@ -6,10 +6,12 @@ import pytest
 from hypwalk import experiments as E
 from hypwalk import stats
 from hypwalk import words as W
+from hypwalk.config import run_config
 from hypwalk.cremona import CremonaModel
 from hypwalk.errors import InputError
 from hypwalk.finitegroups import Automorphism, FiniteGroup, cyclic_automorphism
 from hypwalk.freegroup import FreeGroupOracle, SemidirectOracle
+from hypwalk.presets import preset_config
 from hypwalk.walk import FiniteMeasure
 
 
@@ -246,6 +248,32 @@ def test_degree_growth_point_mass_exact():
     for n in (1, 2, 3, 4):
         agg = result.aggregates["per_n"][str(n)]
         assert agg["mean_log_deg_rate"] == pytest.approx(math.log(2), abs=1e-12)
+
+
+def test_degree_growth_retries_bad_primes():
+    # at the tiny primes 3 and 5 some compositions disagree in degree, so
+    # trials are respawned at fresh primes; the dynamical-degree subsample
+    # must follow a retried trial to its primes instead of aborting the run
+    def run(primes):
+        config = preset_config("degree-growth-cremona")
+        config["params"].update({"n_grid": [2, 4], "trials": 6, "iterate_budget": 2})
+        if primes is not None:
+            config["model"]["primes"] = primes
+        return run_config(config)
+
+    tiny = run([3, 5])
+    good = run(None)
+    top = [r for r in tiny.records if r["n"] == 4]
+    assert len(top) == 6 and not any(r["truncated"] for r in top)
+    retried = {r["trial"] for r in tiny.records if r.get("prime_retries", 0) >= 1}
+    assert retried
+    assert tiny.aggregates["retried_trials"] == len(retried)
+    reference = {(r["trial"], r["n"]): r["degree"] for r in good.records}
+    for r in tiny.records:
+        if r["trial"] in retried:
+            assert r["degree"] == reference[r["trial"], r["n"]]
+    for r in top:
+        assert "lambda_rate" in r or r["lambda_skipped"] == "bad_prime"
 
 
 def test_reproducibility_and_aggregate_audit():

@@ -1,11 +1,17 @@
+import functools
 import random
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hypwalk import polynomials
 from hypwalk.errors import BadPrimeSignal, InputError
 from hypwalk.polynomials import (
     DEFAULT_PRIME,
     HomPoly3,
+    _restrict_to_line,
     divexact,
     fresh_prime,
     gcd3,
@@ -13,6 +19,10 @@ from hypwalk.polynomials import (
     normalize_triple,
     substitute,
 )
+
+# A prime from the 31-bit range the bad-prime retry policy draws from; int64
+# sums of (p - 1)^2 products overflow here after a single term.
+P31 = 2083116181
 
 X = HomPoly3.variable(0)
 Y = HomPoly3.variable(1)
@@ -191,3 +201,135 @@ def test_prime_utilities():
 
     # 2^30 + 3 is prime (2^30 + 1 is not); the helper must skip composites
     assert fresh_prime(FakeRng()) == 2**30 + 3
+
+
+def test_divexact_z_power_in_divisor():
+    # setting Z = 1 divides these exactly; the homogeneous quotient does not exist
+    assert divexact(X, Z) is None
+    assert divexact(X.mul(Y), Z.mul(Y)) is None
+    assert divexact(X.mul(Z), Z.mul(Z)) is None
+    rng = random.Random(23)
+    h = _random_poly(rng, 12, density=1.0)
+    a = _random_poly(rng, 12, density=1.0)
+    assert divexact(a.mul(h), Z.mul(h)) is None
+    assert divexact(a.mul(h).mul(Z), Z.mul(h)) == a
+
+
+def test_divexact_exact_at_31_bit_prime():
+    rng = random.Random(29)
+    a = _random_poly(rng, 20, density=0.9, p=P31)
+    g = _random_poly(rng, 20, density=0.9, p=P31)
+    assert divexact(a.mul(g), g) == a
+
+
+def test_gcd3_finds_degree_20_factor_at_31_bit_prime():
+    rng = random.Random(31)
+    common = _random_poly(rng, 20, density=0.9, p=P31)
+    polys = [common.mul(_random_poly(rng, d, density=0.9, p=P31)) for d in (3, 3, 4)]
+    g = gcd3(*polys)
+    assert g.degree == 20
+    assert g == common.scale(pow(common.terms()[0][1], P31 - 2, P31))
+
+
+def _restrict_reference(poly, line):
+    """poly(t + a, b t + c, 1) by Python-integer polynomial products."""
+    a, b, c = line
+    p = poly.p
+
+    def times(u, v):
+        out = [0] * (len(u) + len(v) - 1)
+        for i, x in enumerate(u):
+            for j, y in enumerate(v):
+                out[i + j] = (out[i + j] + x * y) % p
+        return out
+
+    acc = [0] * (2 * poly.degree + 1)
+    for (i, j, _), coeff in poly.coeffs.items():
+        term = [coeff]
+        for _ in range(i):
+            term = times(term, [a, 1])
+        for _ in range(j):
+            term = times(term, [c, b])
+        for k, v in enumerate(term):
+            acc[k] = (acc[k] + v) % p
+    while acc and acc[-1] == 0:
+        acc.pop()
+    return acc
+
+
+def test_restrict_to_line_exact_at_31_bit_prime():
+    rng = random.Random(37)
+    poly = _random_poly(rng, 40, density=0.9, p=P31)
+    for line in ((1, 2, 3), (5, 7, 11)):
+        assert _restrict_to_line(poly, line).tolist() == _restrict_reference(poly, line)
+
+
+def test_gcd_verification_failure_is_a_bad_prime(monkeypatch):
+    monkeypatch.setattr(polynomials, "_divides_all", lambda g, polys: False)
+    with pytest.raises(BadPrimeSignal):
+        gcd3(X.mul(Y), X.mul(Z), X.mul(Y.add(Z)))
+
+
+# ---------------------------------------------------------------------------
+# Oracle properties against sympy's polynomials over GF(p).
+
+_ORACLE_PRIMES = (DEFAULT_PRIME, P31, 2, 3, 5)
+_x, _y, _z = sympy.symbols("x y z")
+
+
+@st.composite
+def _hompolys(draw, p, max_degree):
+    degree = draw(st.integers(0, max_degree))
+    coeffs = {}
+    for i in range(degree + 1):
+        for j in range(degree + 1 - i):
+            coeffs[(i, j, degree - i - j)] = draw(
+                st.sampled_from((0, 1, p - 1)) | st.integers(0, p - 1)
+            )
+    return HomPoly3(degree, coeffs, p)
+
+
+def _to_sympy(poly):
+    return sympy.Poly.from_dict(
+        dict(poly.coeffs) or {(0, 0, 0): 0}, _x, _y, _z, modulus=poly.p
+    )
+
+
+def _from_sympy(poly, degree, p):
+    return HomPoly3(degree, {m: int(c) % p for m, c in poly.terms() if c}, p)
+
+
+@pytest.mark.parametrize("p", _ORACLE_PRIMES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_divexact_matches_sympy(p, data):
+    a = data.draw(_hompolys(p, 3))
+    g = data.draw(_hompolys(p, 3))
+    e = data.draw(_hompolys(p, 6))
+    if g.is_zero():
+        return
+    f = a.mul(g)
+    assert divexact(f, g) == a
+    if e.degree == f.degree and data.draw(st.booleans()):
+        f = f.add(e)
+    quotient, remainder = _to_sympy(f).div(_to_sympy(g))
+    expected = (
+        _from_sympy(quotient, f.degree - g.degree, p)
+        if remainder.is_zero
+        else None
+    )
+    assert divexact(f, g) == expected
+
+
+@pytest.mark.parametrize("p", _ORACLE_PRIMES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_gcd3_matches_sympy(p, data):
+    common = data.draw(_hompolys(p, 2))
+    polys = [common.mul(data.draw(_hompolys(p, 3))) for _ in range(3)]
+    nonzero = [_to_sympy(q) for q in polys if not q.is_zero()]
+    if not nonzero:
+        return
+    expected = functools.reduce(sympy.Poly.gcd, nonzero).monic()
+    g = gcd3(*polys)
+    assert g == _from_sympy(expected, expected.total_degree(), p)
