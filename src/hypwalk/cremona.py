@@ -427,9 +427,6 @@ class CremonaModel(ActionOracle):
     def displacement(self, g: CremonaElement) -> float:
         return math.acosh(g.degree)
 
-    def orbit_distance(self, g: CremonaElement) -> float:
-        return math.acosh(g.degree)
-
     def power(self, g: CremonaElement, m: int) -> CremonaElement:
         """g^m, composed letter by letter along the reduced power word.
 

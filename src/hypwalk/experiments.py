@@ -24,9 +24,11 @@ through :meth:`ExperimentResult.recompute_aggregates`).
 from __future__ import annotations
 
 import math
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -40,7 +42,7 @@ from .freegroup import (
     fellow_traveling_delta,
     stab_census,
 )
-from .walk import FiniteMeasure, trial_rng
+from .walk import FiniteMeasure, fold_words, trial_rng
 
 DRIFT_MIN_TRIALS = 30
 MAX_TRUNCATED_FRACTION = 0.10
@@ -125,62 +127,52 @@ def _aggregator(name):
 
 
 # ---------------------------------------------------------------------------
-# The shared tree-walk fold: one pass per trial, observables at marks.
+# Tree experiments: trials fold in blocks through walk.fold_words, and each
+# observable reads the reduced word w_n at its marks.
 
 
-def _tree_trial_rows(args) -> list:
-    """Worker: fold one trial's reduced word, evaluating observables at marks.
+def _tree_trial_rows(measure, marks, seed, first, stop, observables) -> list:
+    """Fold trials first..stop-1 together, evaluating observables at marks.
 
-    Top-level (picklable) so trials can fan out to worker processes; records
-    come back in trial order regardless of scheduling.
+    Top-level (picklable) so blocks can fan out to worker processes.  Every
+    trial draws from its own stream, so a block's rows do not depend on how
+    the trials were split; rows come back trial-major.
     """
-    measure, marks, seed, trial, observables = args
-    oracle = measure.oracle
-    semidirect = isinstance(oracle, SemidirectOracle)
-    n_max = marks[-1]
-    indices = measure.increment_indices(n_max, seed, trial)
-    atom_words = [
-        (a.element.word if semidirect else a.element) for a in measure.atoms
-    ]
-    letters: list[int] = []
+    indices = np.empty(
+        (stop - first, marks[-1]), dtype=np.min_scalar_type(len(measure.atoms) - 1)
+    )
+    for row, trial in enumerate(range(first, stop)):
+        indices[row] = measure.increment_indices(marks[-1], seed, trial)
+    folded = fold_words(measure, indices, marks)
+    del indices  # the rows below need only the folded words
     rows = []
-    mark_set = set(marks)
-    step = 0
-    for index in indices:
-        for letter in atom_words[index]:
-            if letters and letters[-1] == -letter:
-                letters.pop()
-            else:
-                letters.append(letter)
-        step += 1
-        if step in mark_set:
-            word = tuple(letters)
-            row = {"trial": trial, "n": step}
+    for row, trial in enumerate(range(first, stop)):
+        for n, (stack, length) in zip(marks, folded):
+            word = tuple(stack[row, : length[row]].tolist())
+            record = {"trial": trial, "n": n}
             for name, evaluate in observables:
-                row[name] = evaluate(word, step)
-            rows.append(row)
+                record[name] = evaluate(word, n)
+            rows.append(record)
     return rows
 
 
 def _run_tree_trials(measure, marks, seed, trials, observables, jobs=1) -> list:
+    """Rows of every trial in trial order.  With ``jobs`` > 1 the trials are
+    split into ``jobs`` contiguous blocks, one per worker process."""
     if any(m < 1 for m in marks):
         raise InputError("observation marks must be >= 1")
-    args = [(measure, marks, seed, t, observables) for t in range(trials)]
+    marks = sorted(set(marks))
     if jobs <= 1:
-        chunks = [_tree_trial_rows(a) for a in args]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_tree_trial_rows, args, chunksize=8))
-    return [row for chunk in chunks for row in chunk]
-
-
-def _sym_gp_of_word(word) -> int:
-    """Common prefix length of w and w^-1: compare w[i] against -w[-1-i]."""
-    n = len(word)
-    i = 0
-    while i < n and word[i] == -word[n - 1 - i]:
-        i += 1
-    return i
+        return _tree_trial_rows(measure, marks, seed, 0, trials, observables)
+    cuts = [trials * b // jobs for b in range(jobs + 1)]
+    with ProcessPoolExecutor(
+        max_workers=jobs, mp_context=multiprocessing.get_context("spawn")
+    ) as pool:
+        blocks = [
+            pool.submit(_tree_trial_rows, measure, marks, seed, lo, hi, observables)
+            for lo, hi in zip(cuts, cuts[1:])
+        ]
+        return [row for block in blocks for row in block.result()]
 
 
 def _obs_displacement(word, n):
@@ -191,8 +183,13 @@ def _obs_tau(word, n):
     return W.translation_length(word)
 
 
-def _obs_sym_gp(word, n):
-    return _sym_gp_of_word(word)
+def _sym_gp_of_word(word, n) -> int:
+    """Common prefix length of w and w^-1: compare w[i] against -w[-1-i]."""
+    size = len(word)
+    i = 0
+    while i < size and word[i] == -word[size - 1 - i]:
+        i += 1
+    return i
 
 
 def _is_tree(measure: FiniteMeasure) -> bool:
@@ -382,7 +379,7 @@ def translation_growth(
             marks,
             seed,
             trials,
-            [("d", _obs_displacement), ("tau", _obs_tau), ("sym_gp", _obs_sym_gp)],
+            [("d", _obs_displacement), ("tau", _obs_tau), ("sym_gp", _sym_gp_of_word)],
             jobs,
         )
     else:
@@ -457,7 +454,7 @@ def gromov_tail(
     }
     if _is_tree(measure):
         records = _run_tree_trials(
-            measure, marks, seed, trials, [("sym_gp", _obs_sym_gp)], jobs
+            measure, marks, seed, trials, [("sym_gp", _sym_gp_of_word)], jobs
         )
     else:
         records = _generic_observable_rows(measure, marks, seed, trials)
@@ -539,10 +536,9 @@ def shadow_decay(
     # Fixed target prefix: alternating generators 1, 2, 1, 2, ...  Samples
     # are drawn in chunks, one Philox stream per (m, chunk) with the chunk
     # index as the trial key; this scheme is part of the declared parameters.
-    single_letter = all(len(a.element) == 1 for a in measure.atoms)
     records = []
     for mark, m in enumerate(m_grid):
-        target = tuple((1, 2)[i % 2] for i in range(m))
+        target = np.array([(1, 2)[i % 2] for i in range(m)])
         n_steps = m + settle_steps
         done = 0
         chunk_id = 0
@@ -552,10 +548,13 @@ def shadow_decay(
             indices = measure.increment_indices(
                 n_steps * batch, seed, stream_trial
             ).reshape(batch, n_steps)
-            if single_letter:
-                hits = _prefix_hits_vectorized(measure, indices, target)
-            else:
-                hits = _prefix_hits_scalar(measure, indices, target)
+            ((stack, length),) = fold_words(measure, indices, [n_steps])
+            reached = length >= m
+            hits = (
+                int((stack[reached, :m] == target).all(axis=1).sum())
+                if reached.any()
+                else 0
+            )
             records.append(
                 {"trial": chunk_id, "n": m, "hits": hits, "samples": batch}
             )
@@ -590,47 +589,6 @@ def shadow_decay(
         result.failures = failures
         result.passed = not failures
     return result
-
-
-def _prefix_hits_vectorized(measure, indices, target) -> int:
-    """Count rows whose reduced word starts with ``target`` (single-letter
-    atoms only): a stack fold ran across all rows at once."""
-    letters = np.array([a.element[0] for a in measure.atoms], dtype=np.int64)
-    inc = letters[indices]
-    rows, steps = inc.shape
-    stack = np.zeros((rows, steps + 1), dtype=np.int64)
-    ptr = np.zeros(rows, dtype=np.int64)
-    row_ids = np.arange(rows)
-    for t in range(steps):
-        cur = inc[:, t]
-        top = stack[row_ids, np.maximum(ptr - 1, 0)]
-        cancel = (ptr > 0) & (top == -cur)
-        ptr = np.where(cancel, ptr - 1, ptr + 1)
-        keep = ~cancel
-        stack[row_ids[keep], ptr[keep] - 1] = cur[keep]
-    m = len(target)
-    if m == 0:
-        return rows
-    good = ptr >= m
-    prefix = stack[:, :m]
-    good &= (prefix == np.array(target, dtype=np.int64)).all(axis=1)
-    return int(good.sum())
-
-
-def _prefix_hits_scalar(measure, indices, target) -> int:
-    hits = 0
-    m = len(target)
-    for row in indices:
-        word: list[int] = []
-        for index in row:
-            for letter in measure.atoms[index].element:
-                if word and word[-1] == -letter:
-                    word.pop()
-                else:
-                    word.append(letter)
-        if tuple(word[:m]) == target:
-            hits += 1
-    return hits
 
 
 def _is_uniform_letter_measure(measure: FiniteMeasure) -> bool:
@@ -703,9 +661,7 @@ def match_census(
         if axis_core is None or n is None:
             raise InputError("axis matching needs axis_core and n")
         core = tuple(axis_core)
-        observables = [
-            ("match", lambda word, step: int(W.match_detect(word, core, L)))
-        ]
+        observables = [("match", partial(_obs_axis_match, core, L))]
         marks = [n]
         params = {
             "kind": kind,
@@ -722,12 +678,7 @@ def match_census(
         pattern = _fixed_test_pattern(measure, pattern_length, seed)
         s_grid = sorted(s_grid)
         observables = [
-            (
-                f"pattern_s{s}",
-                (lambda s_: lambda word, step: int(
-                    _contains_translate(word, pattern[:s_])
-                ))(s),
-            )
+            (f"pattern_s{s}", partial(_obs_contains_translate, pattern[:s]))
             for s in s_grid
         ]
         marks = [n]
@@ -744,14 +695,7 @@ def match_census(
         if n_grid is None:
             raise InputError("self matching needs n_grid")
         marks = sorted(n_grid)
-        observables = [
-            (
-                "self_match",
-                lambda word, step: int(
-                    W.self_match_detect(word, max(1, int(self_match_fraction * step)))
-                ),
-            )
-        ]
+        observables = [("self_match", partial(_obs_self_match, self_match_fraction))]
         params = {
             "kind": kind,
             "n_grid": marks,
@@ -814,17 +758,25 @@ def _fixed_test_pattern(measure, length: int, seed: int) -> tuple:
     return tuple(letters)
 
 
-def _contains_translate(word, pattern) -> bool:
+def _obs_axis_match(core, L, word, step) -> int:
+    return int(W.match_detect(word, core, L))
+
+
+def _obs_contains_translate(pattern, word, step) -> int:
     """Does the geodesic word contain the pattern or its reversal-inverse?"""
     n, s = len(word), len(pattern)
     if s == 0 or n < s:
-        return False
+        return 0
     mirrored = W.invert(pattern)
     for i in range(n - s + 1):
         window = word[i : i + s]
         if window == pattern or window == mirrored:
-            return True
-    return False
+            return 1
+    return 0
+
+
+def _obs_self_match(fraction, word, step) -> int:
+    return int(W.self_match_detect(word, max(1, int(fraction * step))))
 
 
 @_aggregator("match_census_axis")
@@ -891,13 +843,8 @@ def stab_acylindricity(
         "torsion_order": torsion_order,
         "measure": describe_measure(measure),
     }
-
-    def census_obs(word, step):
-        return stab_census(word, K, rank, torsion_order, cap=census_cap)
-
-    records = _run_tree_trials(
-        measure, marks, seed, trials, [("census", census_obs)], jobs
-    )
+    census = partial(_obs_census, K, rank, torsion_order, census_cap)
+    records = _run_tree_trials(measure, marks, seed, trials, [("census", census)], jobs)
     result = ExperimentResult("stab_acylindricity", params, seed, records)
     result.aggregates = result.recompute_aggregates()
     quantiles = [
@@ -910,6 +857,10 @@ def stab_acylindricity(
     )
     result.passed = not result.failures
     return result
+
+
+def _obs_census(K, rank, torsion_order, cap, word, step) -> int:
+    return stab_census(word, K, rank, torsion_order, cap=cap)
 
 
 @_aggregator("stab_acylindricity")
@@ -987,22 +938,8 @@ def small_cancellation_experiment(
         "A": A,
         "measure": describe_measure(measure),
     }
-
-    def certificate_obs(word, step):
-        tau = W.translation_length(word)
-        if tau == 0:
-            return {"tau": 0, "delta": -1, "pass": 0, "loxodromic": 0}
-        cert = small_cancellation_certificate(word, A, epsilon)
-        return {
-            "tau": cert.tau,
-            "delta": cert.delta,
-            "pass": int(cert.passed),
-            "loxodromic": 1,
-        }
-
-    raw = _run_tree_trials(
-        measure, [n], seed, trials, [("cert", certificate_obs)], jobs
-    )
+    certificate = partial(_obs_certificate, A, epsilon)
+    raw = _run_tree_trials(measure, [n], seed, trials, [("cert", certificate)], jobs)
     records = []
     for row in raw:
         cert = row.pop("cert")
@@ -1024,6 +961,19 @@ def small_cancellation_experiment(
     )
     result.passed = not result.failures
     return result
+
+
+def _obs_certificate(A, epsilon, word, step) -> dict:
+    tau = W.translation_length(word)
+    if tau == 0:
+        return {"tau": 0, "delta": -1, "pass": 0, "loxodromic": 0}
+    cert = small_cancellation_certificate(word, A, epsilon)
+    return {
+        "tau": cert.tau,
+        "delta": cert.delta,
+        "pass": int(cert.passed),
+        "loxodromic": 1,
+    }
 
 
 @_aggregator("small_cancellation")

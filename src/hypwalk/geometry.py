@@ -145,10 +145,6 @@ class Shadow:
             raise InputError("shadow slack must be >= 0")
 
 
-def shadow_distance_parameter(oracle: ActionOracle, shadow: Shadow) -> float:
-    return oracle.pairwise_distance(shadow.source, shadow.target) - shadow.slack
-
-
 def shadow_contains(oracle: ActionOracle, shadow: Shadow, z) -> bool:
     """Membership test <z, target>_source >= d(source, target) - slack."""
     d_st = oracle.pairwise_distance(shadow.source, shadow.target)
@@ -187,14 +183,3 @@ def four_point_delta(oracle: ActionOracle, quadruples) -> float:
         a, b, _ = sorted((s01, s02, s03), reverse=True)
         worst = max(worst, (a - b) / 2.0)
     return worst
-
-
-def translation_residual(oracle: ActionOracle, g, budget: int = 8) -> float:
-    """Diagnostic residual d(x,gx) - 2<gx, g^-1 x>_x - tau(g).
-
-    In a delta-hyperbolic space the residual is O(delta); it is reported,
-    never asserted, since the implied constant is not pinned down.
-    """
-    tau = oracle.translation_length_estimate(g, budget)
-    product = orbit_gromov_product(oracle, g, oracle.inverse(g))
-    return oracle.displacement(g) - 2.0 * product - tau

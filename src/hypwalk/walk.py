@@ -8,8 +8,10 @@ how trials are scheduled.  Sampling from the finite measure goes through an
 alias table built from the exact rational weights; the acceptance draw
 compares integers, never floats.
 
-Increment draws consume the stream as one vectorized block, so fast
-experiment loops and full path construction see the same increments.
+Increment draws consume the stream as one vectorized block, so the batched
+tree fold (:func:`fold_words`, which reduces many walks' words together) and
+full path construction (:func:`sample_path`, which multiplies through the
+oracle) see the same increments.
 
 Bad coefficient primes in the Cremona model (zero collapse or cross-prime
 degree disagreement) trigger a deterministic retry: fresh 31-bit primes are
@@ -25,10 +27,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import words as W
 from .cremona import CremonaModel
 from .errors import BadPrimeSignal, InputError, ResourceError
-from .freegroup import FreeGroupOracle, SemidirectOracle
+from .freegroup import SemidirectOracle
 from .geometry import ActionOracle, gromov_product
 from .polynomials import fresh_prime
 
@@ -165,58 +166,54 @@ def _build_alias(weights: list[Fraction]) -> _AliasTable:
 
 
 # ---------------------------------------------------------------------------
-# Path accumulators (model-specific fast inner loops).
+# The batched tree fold.
 
 
-class _GenericAccumulator:
-    def __init__(self, oracle):
-        self.oracle = oracle
-        self.current = oracle.identity()
+def fold_words(measure: FiniteMeasure, indices: np.ndarray, marks) -> list:
+    """Freely reduce many tree walks at once, with snapshots at marks.
 
-    def push(self, atom: MeasureAtom):
-        self.current = self.oracle.multiply(self.current, atom.element)
+    ``indices`` is a (walks x steps) array of atom indices.  Returns one
+    ``(stack, length)`` pair per mark: walk r's reduced word after ``mark``
+    increments is ``stack[r, :length[r]]``.  Every walk advances one letter
+    column at a time, cancelling where its top letter is the inverse of the
+    new one and pushing otherwise; atoms shorter than the longest are padded
+    with the no-op letter 0.  The semidirect model folds its word coordinate.
+    """
+    semidirect = isinstance(measure.oracle, SemidirectOracle)
+    words = [a.element.word if semidirect else a.element for a in measure.atoms]
+    walks, steps = indices.shape
+    if any(not 1 <= mark <= steps for mark in marks):
+        raise InputError(f"fold marks must lie in 1..{steps}")
+    width = max(len(w) for w in words)
+    largest = max((abs(letter) for w in words for letter in w), default=0)
+    # the smallest signed dtype in which every letter can also be negated
+    dtype = np.min_scalar_type(-largest - 1)
+    table = np.zeros((len(words), width), dtype=dtype)
+    for row, w in enumerate(words):
+        table[row, : len(w)] = w
+    stack = np.zeros((walks, steps * width), dtype=dtype)
+    length = np.zeros(walks, dtype=np.intp)
+    rows = np.arange(walks)
+    wanted = set(marks)
+    snapshots = {}
+    for step in range(steps):
+        for letter in table[indices[:, step]].T:
+            cancel = (length > 0) & (stack[rows, length - 1] == -letter)
+            # a write at `length` lands above the top, so cancels and the
+            # padding letter leave the word unchanged
+            stack[rows, length] = letter
+            length += (letter != 0) & ~cancel
+            length -= cancel
+        if step + 1 in wanted:
+            kept = stack[:, : length.max(initial=0)]
+            if step + 1 < steps:  # later steps overwrite the stack
+                kept = kept.copy()
+            snapshots[step + 1] = (kept, length.copy())
+    return [snapshots[mark] for mark in marks]
 
-    def displacement(self) -> float:
-        return self.oracle.displacement(self.current)
 
-    def element(self):
-        return self.current
-
-
-class _WordAccumulator:
-    """Free and semidirect models: an append/cancel letter stack."""
-
-    def __init__(self, oracle):
-        self.oracle = oracle
-        self.letters: list[int] = []
-        self.semidirect = isinstance(oracle, SemidirectOracle)
-        self.torsion = 0
-
-    def push(self, atom: MeasureAtom):
-        element = atom.element
-        word = element.word if self.semidirect else element
-        letters = self.letters
-        if self.semidirect:
-            twist = self.oracle.word_action(word).inverse()
-            self.torsion = self.oracle.torsion_group.mul(
-                twist(self.torsion), element.torsion
-            )
-        for letter in word:
-            if letters and letters[-1] == -letter:
-                letters.pop()
-            else:
-                letters.append(letter)
-
-    def displacement(self) -> float:
-        return float(len(self.letters))
-
-    def element(self):
-        word = tuple(self.letters)
-        if self.semidirect:
-            from .freegroup import ExtendedElement
-
-            return ExtendedElement(word, self.torsion)
-        return word
+# ---------------------------------------------------------------------------
+# Sample paths.
 
 
 class _CremonaAccumulator:
@@ -244,18 +241,6 @@ class _CremonaAccumulator:
 
     def inverse_element(self):
         return self.inverse_current
-
-
-def _accumulator(oracle):
-    if isinstance(oracle, (FreeGroupOracle, SemidirectOracle)):
-        return _WordAccumulator(oracle)
-    if isinstance(oracle, CremonaModel):
-        return _CremonaAccumulator(oracle)
-    return _GenericAccumulator(oracle)
-
-
-# ---------------------------------------------------------------------------
-# Sample paths.
 
 
 @dataclass(frozen=True)
@@ -293,7 +278,6 @@ def sample_path(
     seed: int,
     trial: int,
     reflected: bool = False,
-    keep_products: bool | None = None,
 ) -> SamplePath:
     """Run one trial of n i.i.d. increments; deterministic in (seed, trial)."""
     if n < 0:
@@ -302,21 +286,15 @@ def sample_path(
     indices = measure.increment_indices(n, seed, trial)
     if isinstance(oracle, CremonaModel):
         return _cremona_path(measure, indices, seed, trial, reflected)
-    if keep_products is None:
-        keep_products = True
 
-    acc = _accumulator(oracle)
+    current = oracle.identity()
     displacements = [0.0]
-    products = [acc.element()] if keep_products else None
+    products = [current]
     for index in indices:
         atom = measure.atoms[index]
-        if reflected:
-            atom = MeasureAtom(atom.tag, atom.inverse, atom.weight, atom.element)
-        acc.push(atom)
-        displacements.append(acc.displacement())
-        if keep_products:
-            products.append(acc.element())
-    final = acc.element()
+        current = oracle.multiply(current, atom.inverse if reflected else atom.element)
+        displacements.append(oracle.displacement(current))
+        products.append(current)
     return SamplePath(
         seed=seed,
         trial=trial,
@@ -324,9 +302,9 @@ def sample_path(
         reflected=reflected,
         increment_indices=tuple(int(i) for i in indices),
         displacements=tuple(displacements),
-        products=tuple(products) if keep_products else None,
-        final=final,
-        final_inverse=oracle.inverse(final),
+        products=tuple(products),
+        final=current,
+        final_inverse=oracle.inverse(current),
     )
 
 

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hypwalk import experiments as E
@@ -12,7 +13,7 @@ from hypwalk.errors import InputError
 from hypwalk.finitegroups import Automorphism, FiniteGroup, cyclic_automorphism
 from hypwalk.freegroup import FreeGroupOracle, SemidirectOracle
 from hypwalk.presets import preset_config
-from hypwalk.walk import FiniteMeasure
+from hypwalk.walk import FiniteMeasure, fold_words
 
 
 def uniform_free(rank=2):
@@ -131,15 +132,65 @@ def test_shadow_decay_small():
     assert agg["exact"] == 0.25
 
 
-def test_shadow_decay_vectorized_matches_scalar():
-    from hypwalk.experiments import _prefix_hits_scalar, _prefix_hits_vectorized
+def multi_letter_f3():
+    oracle = FreeGroupOracle(3)
+    atoms = [(w, W.str_to_word(w), Fraction(1, 4)) for w in ("ab", "BA", "c", "C")]
+    return FiniteMeasure(oracle, atoms, attest_non_elementary=True)
 
-    measure = uniform_free()
-    indices = measure.increment_indices(40 * 64, seed=9, trial=123).reshape(64, 40)
-    target = (1, 2, 1)
-    assert _prefix_hits_vectorized(measure, indices, target) == _prefix_hits_scalar(
-        measure, indices, target
+
+def atom_letters(measure, index):
+    element = measure.atoms[index].element
+    return element.word if isinstance(measure.oracle, SemidirectOracle) else element
+
+
+@pytest.mark.parametrize("make", [uniform_free, multi_letter_f3, z3_semidirect])
+def test_fold_words_matches_reduce_letters(make):
+    measure = make()
+    steps, marks = 60, [1, 2, 17, 60]
+    indices = np.vstack([measure.increment_indices(steps, 9, t) for t in range(48)])
+    folded = fold_words(measure, indices, marks)
+    for mark, (stack, length) in zip(marks, folded):
+        assert stack.shape[1] == length.max()
+        for row in range(len(indices)):
+            letters = [
+                letter
+                for index in indices[row, :mark]
+                for letter in atom_letters(measure, index)
+            ]
+            got = tuple(stack[row, : length[row]].tolist())
+            assert got == W.reduce_letters(letters)
+
+
+@pytest.mark.parametrize("make", [multi_letter_f3, z3_semidirect])
+def test_shadow_decay_matches_prefix_check(make):
+    # no preset runs shadow decay on multi-letter atoms or on the semidirect
+    # model: check its hit counts against a letter-by-letter reduction of the
+    # same streams
+    measure = make()
+    settle, samples, chunk = 8, 300, 128
+    result = E.shadow_decay(
+        measure, [1, 2, 3], samples, seed=21, settle_steps=settle, chunk=chunk
     )
+    assert result.passed is None  # not the uniform measure: no exact law
+    expected = []
+    for mark, m in enumerate([1, 2, 3]):
+        target = tuple((1, 2)[i % 2] for i in range(m))
+        for chunk_id, start in enumerate(range(0, samples, chunk)):
+            batch = min(chunk, samples - start)
+            indices = measure.increment_indices(
+                (m + settle) * batch, 21, (mark << 32) | chunk_id
+            ).reshape(batch, m + settle)
+            hits = sum(
+                W.reduce_letters(
+                    [letter for i in row for letter in atom_letters(measure, i)]
+                )[:m]
+                == target
+                for row in indices
+            )
+            expected.append((m, chunk_id, hits))
+    got = [(r["n"], r["trial"], r["hits"]) for r in result.records]
+    assert got == expected
+    assert sum(hits for _, _, hits in got) > 0
 
 
 def test_match_census_kinds():
@@ -290,10 +341,27 @@ def test_reproducibility_and_aggregate_audit():
 
 def test_parallel_serial_equivalence():
     measure = uniform_free()
-    serial = E.translation_growth(measure, [50, 100], 24, seed=79, jobs=1)
-    parallel = E.translation_growth(measure, [50, 100], 24, seed=79, jobs=2)
-    assert serial.records == parallel.records
-    assert serial.aggregates == parallel.aggregates
+    runs = [
+        lambda jobs: E.translation_growth(measure, [50, 100], 24, seed=79, jobs=jobs),
+        lambda jobs: E.match_census(
+            "axis", measure, seed=81, trials=7, n=60,
+            axis_core=W.str_to_word("ab"), L=4, jobs=jobs,
+        ),
+        lambda jobs: E.match_census("non", measure, seed=82, trials=7, n=60, jobs=jobs),
+        lambda jobs: E.match_census(
+            "self", measure, seed=83, trials=7, n_grid=[20, 40], jobs=jobs
+        ),
+        lambda jobs: E.stab_acylindricity(
+            z3_semidirect(), 1, [10, 30], 7, seed=84, jobs=jobs
+        ),
+        lambda jobs: E.small_cancellation_experiment(
+            measure, 60, 7, seed=85, jobs=jobs
+        ),
+    ]
+    for run in runs:
+        serial, parallel = run(1), run(2)
+        assert serial.records == parallel.records
+        assert serial.aggregates == parallel.aggregates
 
 
 def test_csv_tracks_sorted():

@@ -7,7 +7,8 @@ import pytest
 from hypwalk import words as W
 from hypwalk.cremona import CremonaModel
 from hypwalk.errors import InputError
-from hypwalk.freegroup import FreeGroupOracle
+from hypwalk.finitegroups import Automorphism, FiniteGroup, cyclic_automorphism
+from hypwalk.freegroup import FreeGroupOracle, SemidirectOracle
 from hypwalk.walk import (
     FiniteMeasure,
     _build_alias,
@@ -126,6 +127,39 @@ def test_reflected_paths():
     )
     refl = reflected_path(halfhalf, 30, seed=9, trial=1)
     assert all(letter in (-1, -2) for letter in refl.final)
+
+
+def test_semidirect_path_products():
+    z3 = FiniteGroup.cyclic(3)
+    model = SemidirectOracle(2, z3, [cyclic_automorphism(3, 2), Automorphism.identity(z3)])
+    measure = FiniteMeasure(
+        model,
+        [
+            (tag, model.element(W.str_to_word(tag), torsion), Fraction(1, 4))
+            for tag, torsion in (("a", 1), ("A", 2), ("b", 1), ("B", 0))
+        ],
+    )
+
+    def product(elements):
+        out = model.identity()
+        for g in elements:
+            out = model.multiply(out, g)
+        return out
+
+    path = sample_path(measure, 41, seed=13, trial=4)
+    assert path.products[-1] == path.final
+    increments = [measure.atoms[i].element for i in path.increment_indices]
+    half = len(increments) // 2
+    assert path.final == model.multiply(
+        product(increments[:half]), product(increments[half:])
+    )
+    assert path.displacements == tuple(float(len(g.word)) for g in path.products)
+    assert path.final_inverse == model.inverse(path.final)
+
+    refl = reflected_path(measure, 41, seed=13, trial=4)
+    assert refl.final == product(
+        measure.atoms[i].inverse for i in refl.increment_indices
+    )
 
 
 def test_path_observable_examples():
