@@ -29,6 +29,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -42,7 +43,13 @@ from .freegroup import (
     fellow_traveling_delta,
     stab_census,
 )
-from .walk import FiniteMeasure, fold_words, trial_rng
+from .walk import (
+    MAX_BAD_PRIME_ATTEMPTS,
+    FiniteMeasure,
+    fold_words,
+    retry_primes,
+    trial_rng,
+)
 
 DRIFT_MIN_TRIALS = 30
 MAX_TRUNCATED_FRACTION = 0.10
@@ -1188,19 +1195,8 @@ def degree_growth_experiment(
                     and final_degree**iterate_budget <= model.degree_cap
                 )
                 if iterable and path.final is not None:
-                    # a retried trial lives over the fresh primes it was
-                    # respawned at; iterating it over the base primes would
-                    # recompose its word at the primes that failed it
-                    trial_model = model
-                    if path.prime_retries > 0:
-                        trial_model = model.respawn(
-                            tuple(p for p, _ in path.final.tracks)
-                        )
-                    try:
-                        est = dynamical_degree_estimate(
-                            trial_model, path.final, iterate_budget
-                        )
-                    except BadPrimeSignal:
+                    est = _dynamical_degree_with_retries(model, path, iterate_budget)
+                    if est is None:
                         lambda_skipped = "bad_prime"
                     else:
                         lambda_rate = (
@@ -1260,6 +1256,31 @@ def degree_growth_experiment(
     result.failures = failures
     result.passed = not failures
     return result
+
+
+def _dynamical_degree_with_retries(model: CremonaModel, path, budget: int):
+    """The dynamical-degree estimate of ``path.final``, or None when every
+    attempt meets a bad prime.
+
+    The first attempt runs over the primes the walk ended on: a retried
+    trial lives over the fresh primes it was respawned at, and iterating it
+    over the base primes would recompose its word at the primes that failed
+    it.  Each failure respawns at the next pair of the trial's retry stream
+    past those the walk used, up to ``MAX_BAD_PRIME_ATTEMPTS`` attempts.
+    """
+    trial_model, element = model, path.final
+    if path.prime_retries > 0:
+        trial_model = model.respawn(tuple(p for p, _ in element.tracks))
+    fresh = islice(retry_primes(path.seed, path.trial), path.prime_retries, None)
+    for attempt in range(MAX_BAD_PRIME_ATTEMPTS):
+        try:
+            if attempt > 0:
+                trial_model = model.respawn(next(fresh))
+                element = trial_model.rebuild(path.final)
+            return dynamical_degree_estimate(trial_model, element, budget)
+        except BadPrimeSignal:
+            pass
+    return None
 
 
 @_aggregator("degree_growth")

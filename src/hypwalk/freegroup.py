@@ -13,15 +13,23 @@ Two exact models live here:
 
 The fellow-travelling constant of a loxodromic word (the largest overlap
 between its axis and a translate by an element outside the axis stabilizer)
-is computed two ways: a literal search over conjugators in a ball, and an
-exact computation from the periodic structure of the core; on a tree the two
-agree whenever the search radius certifies the ball result.
+is computed two ways: a literal search over conjugators in a ball
+(:func:`axis_overlap_delta`), and an exact value from the periodic structure
+of the core (:func:`fellow_traveling_delta`); on a tree the two agree
+whenever the search radius certifies the ball result.  The exact value is
+one vectorized circular-agreement scan of the primitive root against its
+shifts and against the shifts of its inverse, which covers both
+orientations of the translate.  The scan is exact because both readings of
+the axis are periodic with the root's length and no shift agrees for a
+whole period, so every overlap is a run shorter than one period.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from . import words as W
 from .errors import InputError, ResourceError, UnsupportedError
@@ -309,89 +317,65 @@ def axis_overlap_delta(w: W.Word, search_radius: int, rank: int = 2) -> OverlapB
 def fellow_traveling_delta(w: W.Word) -> int:
     """Exact fellow-travelling constant of a loxodromic word on the tree.
 
-    Any overlap between the axis line and a translate is carried by either
+    The largest overlap between the axis line and a translate by an element
+    outside the axis stabilizer.  Reading the line from one of its vertices
+    gives the bi-infinite word ``root^inf`` of the primitive root (length
+    d); a translate reads either the same word at another phase
+    (orientation-preserving conjugators) or the word of the inverted line
+    (orientation-reversing ones).  An overlap is a run of positions where
+    the two readings agree, so both cases are one circular-agreement scan of
+    the root against a shifted copy of itself or of its inverse:
 
-    * an orientation-preserving conjugator: a factor of the periodic core
-      word occurring at two phases not congruent modulo the primitive period
-      (congruent shifts come from powers of the root, which stabilize the
-      axis and are excluded), or
-    * an orientation-reversing conjugator: a common factor of the periodic
-      word and its formal inverse (never the whole line: a reduced word is
-      never conjugate to its inverse in a free group).
+    * preserving: shifts 1..d-1 of ``root`` (shift 0 is a power of the
+      root, which stabilizes the axis and is excluded);
+    * reversing: shifts 0..d-1 of ``invert(root)``.
 
-    Both contributions are bounded by twice the primitive period, so a
-    bounded window of the periodic word decides the supremum over the whole
-    group.  Conjugacy-invariant: only the core matters.
+    Both readings are d-periodic, and no shift agrees for a whole period:
+    the root is primitive, and a reduced word is never conjugate to its
+    inverse.  Every run is therefore shorter than d, so the longest run in
+    one doubled period is the supremum over the whole group.
+    Conjugacy-invariant: only the core matters.
+
+    >>> fellow_traveling_delta(W.str_to_word("aab"))
+    1
+    >>> fellow_traveling_delta(W.power(W.str_to_word("ab"), 10))
+    0
     """
     _, core = W.cyclic_reduce(w)
     if len(core) == 0:
         raise InputError("fellow-travelling constant needs a loxodromic word")
     root = W.primitive_root(core)
     d = len(root)
-
-    best = 0
-    # Orientation-preserving: longest run of agreements at each phase shift.
-    for shift in range(1, d):
-        bits = [1 if root[t % d] == root[(t + shift) % d] else 0 for t in range(d)]
-        if all(bits):
-            raise AssertionError("primitive root cannot have a smaller period")
-        doubled = bits + bits
-        run = longest = 0
-        for b in doubled:
-            run = run + 1 if b else 0
-            longest = max(longest, run)
-        best = max(best, min(longest, 2 * d - 1))
-
-    # Orientation-reversing: longest common factor with the inverted line.
-    window = root * 3
-    inverted = W.invert(root) * 3
-    best = max(best, _longest_common_factor(window, inverted))
-    return best
+    dtype = np.min_scalar_type(-max(abs(letter) for letter in root))
+    line = np.array(root, dtype=dtype)
+    inverted = np.array(W.invert(root), dtype=dtype)
+    preserving = _longest_circular_agreement(line, line, np.arange(1, d))
+    reversing = _longest_circular_agreement(line, inverted, np.arange(d))
+    return int(max(preserving.max(initial=0), reversing.max()))
 
 
-def _longest_common_factor(u: W.Word, v: W.Word) -> int:
-    """Longest common contiguous factor length (suffix automaton of u)."""
-    if not u or not v:
-        return 0
-    # states: (length, suffix link, transitions)
-    length = [0]
-    link = [-1]
-    trans: list[dict[int, int]] = [{}]
-    last = 0
-    for ch in u:
-        cur = len(length)
-        length.append(length[last] + 1)
-        link.append(0)
-        trans.append({})
-        p = last
-        while p != -1 and ch not in trans[p]:
-            trans[p][ch] = cur
-            p = link[p]
-        if p != -1:
-            q = trans[p][ch]
-            if length[q] == length[p] + 1:
-                link[cur] = q
-            else:
-                clone = len(length)
-                length.append(length[p] + 1)
-                link.append(link[q])
-                trans.append(dict(trans[q]))
-                while p != -1 and trans[p].get(ch) == q:
-                    trans[p][ch] = clone
-                    p = link[p]
-                link[q] = clone
-                link[cur] = clone
-        last = cur
-    state, current, best = 0, 0, 0
-    for ch in v:
-        while state and ch not in trans[state]:
-            state = link[state]
-            current = length[state]
-        if ch in trans[state]:
-            state = trans[state][ch]
-            current += 1
-        best = max(best, current)
-    return best
+#: Shifts compared per block: bounds the (shifts x 2d) temporaries.
+_SHIFT_BLOCK = 64
+
+
+def _longest_circular_agreement(u: np.ndarray, v: np.ndarray, shifts) -> np.ndarray:
+    """For each shift s, the longest circular run of t with u[t] == v[(t+s) % d].
+
+    Scans two periods, which holds every circular run as a plain run as long
+    as no shift agrees for a whole period; such a shift raises.
+    """
+    d = len(u)
+    doubled = np.concatenate([u, u])
+    t = np.arange(2 * d, dtype=np.int32)
+    rows = np.lib.stride_tricks.sliding_window_view(np.concatenate([v, v, v]), 2 * d)
+    out = np.zeros(len(shifts), dtype=np.int64)
+    for lo in range(0, len(shifts), _SHIFT_BLOCK):
+        bits = rows[shifts[lo : lo + _SHIFT_BLOCK]] == doubled
+        if bits[:, :d].all(axis=1).any():
+            raise AssertionError("full-period agreement: the root is not primitive")
+        last_mismatch = np.maximum.accumulate(np.where(bits, -1, t), axis=1)
+        out[lo : lo + _SHIFT_BLOCK] = (t - last_mismatch).max(axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -46,8 +46,15 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, trial]))
 
 
-def _retry_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed ^ RETRY_SALT, trial]))
+def retry_primes(seed: int, trial: int):
+    """The fresh prime pairs of a trial's retry stream, in draw order.
+
+    The walk respawns at the first pairs; the dynamical-degree estimate of
+    :func:`~hypwalk.experiments.degree_growth_experiment` continues past them.
+    """
+    stream = np.random.Generator(np.random.Philox(key=[seed ^ RETRY_SALT, trial]))
+    while True:
+        yield fresh_prime(stream), fresh_prime(stream)
 
 
 # ---------------------------------------------------------------------------
@@ -315,16 +322,31 @@ def reflected_path(measure: FiniteMeasure, n: int, seed: int, trial: int) -> Sam
 
 def _cremona_path(measure, indices, seed, trial, reflected) -> SamplePath:
     base_model: CremonaModel = measure.oracle
-    retry_stream = None
+    fresh = retry_primes(seed, trial)
     retries = 0
     model = base_model
     atoms = measure.atoms
     while True:
-        acc = _CremonaAccumulator(model)
         displacements = [0.0]
         truncated_at = None
         reason = None
+        final = None
+        final_inverse = None
+        # rebuilding the atoms and inverting the endpoint compose at the
+        # trial's primes too, so a bad prime there counts as an attempt
         try:
+            if retries > 0:
+                model = base_model.respawn(next(fresh))
+                atoms = tuple(
+                    MeasureAtom(
+                        a.tag,
+                        model.rebuild(a.element),
+                        a.weight,
+                        model.rebuild(a.inverse),
+                    )
+                    for a in measure.atoms
+                )
+            acc = _CremonaAccumulator(model)
             for step, index in enumerate(indices):
                 atom = atoms[index]
                 if reflected:
@@ -336,46 +358,31 @@ def _cremona_path(measure, indices, seed, trial, reflected) -> SamplePath:
                     reason = str(err)
                     break
                 displacements.append(acc.displacement())
+            if truncated_at is None:
+                final_inverse = acc.inverse_element()
+                try:
+                    final = model.inverse(final_inverse)
+                except ResourceError:
+                    final = None  # suffix products can exceed the cap; keep inverse
         except BadPrimeSignal:
             retries += 1
-            if retries >= MAX_BAD_PRIME_ATTEMPTS:
-                return SamplePath(
-                    seed=seed,
-                    trial=trial,
-                    n=len(indices),
-                    reflected=reflected,
-                    increment_indices=tuple(int(i) for i in indices),
-                    displacements=(0.0,),
-                    products=None,
-                    final=None,
-                    final_inverse=None,
-                    truncated_at=0,
-                    truncation_reason="bad primes exhausted retries",
-                    prime_retries=retries,
-                    discarded=True,
-                )
-            if retry_stream is None:
-                retry_stream = _retry_rng(seed, trial)
-            primes = (fresh_prime(retry_stream), fresh_prime(retry_stream))
-            model = base_model.respawn(primes)
-            atoms = tuple(
-                MeasureAtom(
-                    a.tag,
-                    model.rebuild(a.element),
-                    a.weight,
-                    model.rebuild(a.inverse),
-                )
-                for a in measure.atoms
+            if retries < MAX_BAD_PRIME_ATTEMPTS:
+                continue
+            return SamplePath(
+                seed=seed,
+                trial=trial,
+                n=len(indices),
+                reflected=reflected,
+                increment_indices=tuple(int(i) for i in indices),
+                displacements=(0.0,),
+                products=None,
+                final=None,
+                final_inverse=None,
+                truncated_at=0,
+                truncation_reason="bad primes exhausted retries",
+                prime_retries=retries,
+                discarded=True,
             )
-            continue
-        final = None
-        final_inverse = None
-        if truncated_at is None:
-            final_inverse = acc.inverse_element()
-            try:
-                final = model.inverse(final_inverse)
-            except ResourceError:
-                final = None  # suffix products can exceed the cap; keep inverse
         return SamplePath(
             seed=seed,
             trial=trial,

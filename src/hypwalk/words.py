@@ -11,6 +11,8 @@ inverse as ``A``, generator ``2`` as ``b``/``B``, and so on.
 
 from __future__ import annotations
 
+from array import array
+
 from .errors import InputError
 
 Word = tuple[int, ...]
@@ -226,10 +228,15 @@ def self_match_detect(path_word: Word, L: int) -> bool:
     if n < 2 * L:
         return False
 
-    first: dict[Word, int] = {}
-    last: dict[Word, int] = {}
+    # Windows are compared as byte slices of a fixed-width letter encoding,
+    # which hash and compare far faster than tuple slices.
+    typecode = "b" if max(abs(letter) for letter in path_word) <= 127 else "q"
+    width = array(typecode).itemsize
+    data = array(typecode, path_word).tobytes()
+    first: dict[bytes, int] = {}
+    last: dict[bytes, int] = {}
     for i in range(n - L + 1):
-        window = path_word[i : i + L]
+        window = data[i * width : (i + L) * width]
         if window not in first:
             first[window] = i
         last[window] = i
@@ -239,11 +246,11 @@ def self_match_detect(path_word: Word, L: int) -> bool:
 
     # Orientation-reversing pairs: window(j) == reverse-invert(window(i)),
     # realised as a window of the reversed-inverted path at t = n - L - i.
-    rword = invert(path_word)
-    rfirst: dict[Word, int] = {}
-    rlast: dict[Word, int] = {}
+    rdata = array(typecode, invert(path_word)).tobytes()
+    rfirst: dict[bytes, int] = {}
+    rlast: dict[bytes, int] = {}
     for t in range(n - L + 1):
-        window = rword[t : t + L]
+        window = rdata[t * width : (t + L) * width]
         if window not in rfirst:
             rfirst[window] = t
         rlast[window] = t

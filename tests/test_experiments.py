@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -5,15 +6,16 @@ import numpy as np
 import pytest
 
 from hypwalk import experiments as E
-from hypwalk import stats
+from hypwalk import polynomials, stats
 from hypwalk import words as W
-from hypwalk.config import run_config
+from hypwalk.cli import write_outputs
+from hypwalk.config import build_measure, build_model, run_config
 from hypwalk.cremona import CremonaModel
-from hypwalk.errors import InputError
+from hypwalk.errors import BadPrimeSignal, InputError
 from hypwalk.finitegroups import Automorphism, FiniteGroup, cyclic_automorphism
 from hypwalk.freegroup import FreeGroupOracle, SemidirectOracle
 from hypwalk.presets import preset_config
-from hypwalk.walk import FiniteMeasure, fold_words
+from hypwalk.walk import MAX_BAD_PRIME_ATTEMPTS, FiniteMeasure, fold_words, sample_path
 
 
 def uniform_free(rank=2):
@@ -304,7 +306,9 @@ def test_degree_growth_point_mass_exact():
 def test_degree_growth_retries_bad_primes():
     # at the tiny primes 3 and 5 some compositions disagree in degree, so
     # trials are respawned at fresh primes; the dynamical-degree subsample
-    # must follow a retried trial to its primes instead of aborting the run
+    # follows a retried trial to its primes, and an estimate that meets a
+    # bad prime is retried at fresh primes too, so every trial gets the
+    # lambda rate the default primes give
     def run(primes):
         config = preset_config("degree-growth-cremona")
         config["params"].update({"n_grid": [2, 4], "trials": 6, "iterate_budget": 2})
@@ -319,12 +323,55 @@ def test_degree_growth_retries_bad_primes():
     retried = {r["trial"] for r in tiny.records if r.get("prime_retries", 0) >= 1}
     assert retried
     assert tiny.aggregates["retried_trials"] == len(retried)
-    reference = {(r["trial"], r["n"]): r["degree"] for r in good.records}
+    reference = {(r["trial"], r["n"]): r for r in good.records}
     for r in tiny.records:
         if r["trial"] in retried:
-            assert r["degree"] == reference[r["trial"], r["n"]]
+            assert r["degree"] == reference[r["trial"], r["n"]]["degree"]
     for r in top:
-        assert "lambda_rate" in r or r["lambda_skipped"] == "bad_prime"
+        assert r["lambda_rate"] == reference[r["trial"], 4]["lambda_rate"]
+    assert tiny.aggregates["lambda_track"] == good.aggregates["lambda_track"]
+
+
+def _cremona_measure():
+    config = preset_config("degree-growth-cremona")
+    model = build_model(config["model"])
+    return build_measure(model, config["measure"])
+
+
+def test_degree_growth_lambda_gives_up_after_retries(monkeypatch):
+    calls = []
+
+    def always_bad(model, f, budget):
+        calls.append(model.primes)
+        raise BadPrimeSignal("injected")
+
+    measure = _cremona_measure()
+    monkeypatch.setattr(E, "dynamical_degree_estimate", always_bad)
+    result = E.degree_growth_experiment(measure, [2], trials=2, seed=5)
+    for r in result.records:
+        assert r["lambda_skipped"] == "bad_prime"
+    # each trial tries the base primes, then fresh pairs of its own retry
+    # stream; no fresh pair repeats
+    assert len(calls) == 2 * MAX_BAD_PRIME_ATTEMPTS
+    assert len(set(calls)) == 1 + 2 * (MAX_BAD_PRIME_ATTEMPTS - 1)
+
+
+def test_degree_growth_discard_reaches_report(monkeypatch, tmp_path):
+    # every gcd check fails, so every attempt of every trial meets a bad
+    # prime and the walk discards the trial after MAX_BAD_PRIME_ATTEMPTS
+    measure = _cremona_measure()
+    monkeypatch.setattr(polynomials, "_divides_all", lambda g, polys: False)
+    path = sample_path(measure, 3, 5, 0)
+    assert path.discarded and path.prime_retries == MAX_BAD_PRIME_ATTEMPTS
+    result = E.degree_growth_experiment(measure, [2, 3], trials=2, seed=5)
+    assert not result.passed
+    assert any(f.startswith("resource:") for f in result.failures)
+    write_outputs(result, {"experiment": "degree_growth"}, tmp_path)
+    report = json.loads((tmp_path / "report.json").read_text())["result"]
+    assert report["records"] == [
+        {"trial": t, "n": n, "truncated": True} for t in (0, 1) for n in (2, 3)
+    ]
+    assert report["aggregates"]["truncated_fraction"] == 1.0
 
 
 def test_reproducibility_and_aggregate_audit():

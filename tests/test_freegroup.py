@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hypwalk import words as W
 from hypwalk.errors import InputError, ResourceError, UnsupportedError
@@ -184,6 +186,99 @@ def test_fellow_traveling_examples():
     assert fellow_traveling_delta(W.str_to_word("aab")) == 1
     assert fellow_traveling_delta(W.power(W.str_to_word("ab"), 10)) == 0
     assert fellow_traveling_delta(W.str_to_word("aa")) == 0
+
+
+def _longest_common_factor(u, v):
+    """Longest common contiguous factor length (suffix automaton of u)."""
+    if not u or not v:
+        return 0
+    # states: (length, suffix link, transitions)
+    length = [0]
+    link = [-1]
+    trans = [{}]
+    last = 0
+    for ch in u:
+        cur = len(length)
+        length.append(length[last] + 1)
+        link.append(0)
+        trans.append({})
+        p = last
+        while p != -1 and ch not in trans[p]:
+            trans[p][ch] = cur
+            p = link[p]
+        if p != -1:
+            q = trans[p][ch]
+            if length[q] == length[p] + 1:
+                link[cur] = q
+            else:
+                clone = len(length)
+                length.append(length[p] + 1)
+                link.append(link[q])
+                trans.append(dict(trans[q]))
+                while p != -1 and trans[p].get(ch) == q:
+                    trans[p][ch] = clone
+                    p = link[p]
+                link[q] = clone
+                link[cur] = clone
+        last = cur
+    state, current, best = 0, 0, 0
+    for ch in v:
+        while state and ch not in trans[state]:
+            state = link[state]
+            current = length[state]
+        if ch in trans[state]:
+            state = trans[state][ch]
+            current += 1
+        best = max(best, current)
+    return best
+
+
+def _fellow_traveling_reference(w):
+    """Pure-Python reference: a run scan per phase shift of the root for
+    orientation-preserving overlaps, and the longest common factor of three
+    periods of the root and of its inverse for orientation-reversing ones."""
+    _, core = W.cyclic_reduce(w)
+    root = W.primitive_root(core)
+    d = len(root)
+    best = 0
+    for shift in range(1, d):
+        bits = [1 if root[t % d] == root[(t + shift) % d] else 0 for t in range(d)]
+        assert not all(bits)
+        run = longest = 0
+        for b in bits + bits:
+            run = run + 1 if b else 0
+            longest = max(longest, run)
+        best = max(best, longest)
+    return max(best, _longest_common_factor(root * 3, W.invert(root) * 3))
+
+
+@st.composite
+def _loxodromic_words(draw):
+    """Reduced words over ranks 1-3 with nontrivial core, up to 120 letters:
+    a near-periodic base (a repeated block and a tail, so that agreement
+    runs are long and often wrap around the period), possibly raised to a
+    proper power and conjugated."""
+    rank = draw(st.integers(1, 3))
+    letters = st.sampled_from([s * g for g in range(1, rank + 1) for s in (1, -1)])
+    block = draw(st.lists(letters, min_size=1, max_size=5))
+    tail = draw(st.lists(letters, max_size=6))
+    base = W.reduce_letters(block * draw(st.integers(1, 6)) + tail)
+    if W.translation_length(base) == 0:
+        base = (block[0],)
+    conjugator = W.reduce_letters(draw(st.lists(letters, max_size=6)))
+    w = W.power(base, draw(st.integers(1, 3)))
+    return W.multiply(W.multiply(conjugator, w), W.invert(conjugator))
+
+
+@settings(max_examples=300, deadline=None)
+@given(w=_loxodromic_words())
+@example(w=(1,))
+@example(w=(1, 1, 1))
+@example(w=(2, 1, -2))
+@example(w=W.power(W.str_to_word("abAB"), 3))
+@example(w=W.str_to_word("aaaabaaaaa"))  # runs wrap around the period
+def test_fellow_traveling_matches_reference(w):
+    assert fellow_traveling_delta(w) == _fellow_traveling_reference(w)
 
 
 def _overlap_oracle(w, h, radius):

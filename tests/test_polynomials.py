@@ -278,8 +278,8 @@ _x, _y, _z = sympy.symbols("x y z")
 
 
 @st.composite
-def _hompolys(draw, p, max_degree):
-    degree = draw(st.integers(0, max_degree))
+def _hompolys(draw, p, max_degree, min_degree=0):
+    degree = draw(st.integers(min_degree, max_degree))
     coeffs = {}
     for i in range(degree + 1):
         for j in range(degree + 1 - i):
@@ -333,3 +333,37 @@ def test_gcd3_matches_sympy(p, data):
     expected = functools.reduce(sympy.Poly.gcd, nonzero).monic()
     g = gcd3(*polys)
     assert g == _from_sympy(expected, expected.total_degree(), p)
+
+
+@pytest.mark.parametrize("p", (DEFAULT_PRIME, P31))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_substitute_matches_sympy(p, data):
+    poly = data.draw(_hompolys(p, 3))
+    e = data.draw(st.integers(0, 3))
+    triple = [data.draw(_hompolys(p, e, min_degree=e)) for _ in range(3)]
+    images = dict(zip((_x, _y, _z), (_to_sympy(q).as_expr() for q in triple)))
+    expr = _to_sympy(poly).as_expr().subs(images, simultaneous=True)
+    expected = sympy.Poly(expr, _x, _y, _z, modulus=p)
+    assert substitute(poly, triple) == _from_sympy(expected, poly.degree * e, p)
+
+
+@pytest.mark.parametrize("p", (DEFAULT_PRIME, P31))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_normalize_triple_matches_sympy(p, data):
+    common = data.draw(_hompolys(p, 2))
+    e = data.draw(st.integers(0, 3))
+    triple = [common.mul(data.draw(_hompolys(p, e, min_degree=e))) for _ in range(3)]
+    nonzero = [_to_sympy(q) for q in triple if not q.is_zero()]
+    if not nonzero:
+        return  # the zero triple is test_normalize_triple_rejects_zero
+    g = functools.reduce(sympy.Poly.gcd, nonzero)
+    quotients = [_to_sympy(q).exquo(g) for q in triple]
+    lead = next(q.LC() for q in quotients if not q.is_zero)
+    scale = pow(int(lead) % p, -1, p)
+    expected = tuple(
+        _from_sympy(q * scale, q_in.degree - g.total_degree(), p)
+        for q, q_in in zip(quotients, triple)
+    )
+    assert normalize_triple(*triple) == (expected, g.total_degree())

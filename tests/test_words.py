@@ -108,6 +108,10 @@ def test_self_match_examples():
     assert W.self_match_detect(W.str_to_word("abab"), 2) is True
     assert W.self_match_detect(W.str_to_word("ab"), 2) is False
     assert W.self_match_detect(W.str_to_word("abAb"), 2) is False
+    # letters past one byte take the wide window encoding
+    assert W.self_match_detect((200, 300, 200, 300), 2) is True
+    assert W.self_match_detect((200, 300, 200, -300), 2) is False
+    assert W.self_match_detect((200, 300, 5, -300, -200), 2) is True
 
 
 def _self_match_naive(path, L):
@@ -125,15 +129,17 @@ def _self_match_naive(path, L):
 
 def test_self_match_oracle_and_monotone():
     rng = random.Random(23)
-    for _ in range(300):
-        path = W.reduce_letters(
-            [rng.choice([1, -1, 2, -2]) for _ in range(rng.randrange(0, 26))]
-        )
-        results = {}
-        for L in range(1, 9):
-            got = W.self_match_detect(path, L)
-            assert got is _self_match_naive(path, L)
-            results[L] = got
-        for L in range(1, 8):
-            if results[L + 1]:
-                assert results[L]  # monotone in L
+    for rank in (2, 3):
+        alphabet = [s * g for g in range(1, rank + 1) for s in (1, -1)]
+        for _ in range(150):
+            path = W.reduce_letters(
+                [rng.choice(alphabet) for _ in range(rng.randrange(0, 61))]
+            )
+            results = {}
+            for L in range(1, 9):
+                got = W.self_match_detect(path, L)
+                assert got is _self_match_naive(path, L)
+                results[L] = got
+            for L in range(1, 8):
+                if results[L + 1]:
+                    assert results[L]  # monotone in L
