@@ -17,7 +17,10 @@ from that action reduces to exact degree bookkeeping:
 Elements remember the generator word that built them, stored freely reduced
 (a map composed with its inverse generator cancels symbolically before any
 polynomial work happens; the resulting map is identical, since the
-normalized coprime triple of a map is unique).  An unlucky coefficient prime
+normalized coprime triple of a map is unique).  An inverse is its reversed
+word and the degree of the map it inverts (a plane Cremona map and its
+inverse have the same degree); its coordinates are composed from the word
+the first time something reads them.  An unlucky coefficient prime
 announces itself either as a composed triple collapsing to zero or as a
 degree disagreement between the tracked primes; both raise
 :class:`~hypwalk.errors.BadPrimeSignal` so that trial runners can retry at
@@ -204,11 +207,31 @@ class CremonaElement:
     (positive letter = atom, negative = its inverse), enough to rebuild the
     inverse map in closed form.  Equality compares the maps themselves (the
     normalized coordinate triples), not the words that built them.
+
+    An element built without coordinates (``_tracks`` is None, as
+    :meth:`CremonaModel.inverse` builds them) holds its model and composes
+    ``tracks`` from ``word`` on first read.  That composition must give the
+    recorded degree; a disagreement raises
+    :class:`~hypwalk.errors.BadPrimeSignal`, and the cap can raise
+    :class:`~hypwalk.errors.ResourceError`.
     """
 
     word: tuple[int, ...]
     degree: int
-    tracks: tuple[tuple[int, Triple], ...]
+    _tracks: "tuple[tuple[int, Triple], ...] | None"
+    _model: "CremonaModel | None" = None
+
+    @property
+    def tracks(self) -> tuple[tuple[int, Triple], ...]:
+        if self._tracks is None:
+            composed = self._model._compose_word(self.word)
+            if composed.degree != self.degree:
+                raise BadPrimeSignal(
+                    f"composed degree {composed.degree} differs from the "
+                    f"recorded degree {self.degree}"
+                )
+            object.__setattr__(self, "_tracks", composed.tracks)
+        return self._tracks
 
     def triple(self, prime: int) -> Triple:
         for p, t in self.tracks:
@@ -419,8 +442,13 @@ class CremonaModel(ActionOracle):
         return result
 
     def inverse(self, g: CremonaElement) -> CremonaElement:
+        """g^-1 as its reduced word and g's degree, in O(len(word)).
+
+        A plane Cremona map and its inverse have the same degree, so nothing
+        polynomial is needed until the coordinates are read: ``tracks``
+        composes them from the word then, and checks the degree."""
         word = tuple(-letter for letter in reversed(g.word))
-        return self._compose_word(self._reduce_word(word))
+        return CremonaElement(self._reduce_word(word), g.degree, None, self)
 
     # -- the isometric action --------------------------------------------------
 

@@ -1194,23 +1194,37 @@ def degree_growth_experiment(
                     final_degree <= lambda_degree_bound
                     and final_degree**iterate_budget <= model.degree_cap
                 )
-                if iterable and path.final is not None:
-                    est = _dynamical_degree_with_retries(model, path, iterate_budget)
-                    if est is None:
-                        lambda_skipped = "bad_prime"
-                    else:
-                        lambda_rate = (
-                            math.log(est.value) / n_max if est.value > 0 else None
+                lambda_skipped = "cap"
+                if iterable:
+                    try:
+                        est = _dynamical_degree_with_retries(
+                            model, path, iterate_budget
                         )
-                        lambda_skipped = None
-                else:
-                    lambda_skipped = "cap"
+                    except ResourceError:
+                        # a suffix product of a power can pass the cap even
+                        # when final_degree ** iterate_budget does not
+                        pass
+                    else:
+                        if est is None:
+                            lambda_skipped = "bad_prime"
+                        else:
+                            lambda_rate = (
+                                math.log(est.value) / n_max if est.value > 0 else None
+                            )
+                            lambda_skipped = None
         for n in marks:
             if path.discarded or (
                 path.truncated_at is not None and n > path.truncated_at
             ):
                 records.append(
-                    {"trial": trial, "n": n, "truncated": True}
+                    {
+                        "trial": trial,
+                        "n": n,
+                        "truncated": True,
+                        "truncation_reason": (
+                            "discarded" if path.discarded else "degree_cap"
+                        ),
+                    }
                 )
                 continue
             degree = int(round(math.cosh(path.displacements[n])))
@@ -1270,7 +1284,9 @@ def _dynamical_degree_with_retries(model: CremonaModel, path, budget: int):
     """
     trial_model, element = model, path.final
     if path.prime_retries > 0:
-        trial_model = model.respawn(tuple(p for p, _ in element.tracks))
+        # the walk's own primes; reading element.tracks would compose the
+        # endpoint here, outside the retries below
+        trial_model = model.respawn(tuple(p for p, _ in path.final_inverse.tracks))
     fresh = islice(retry_primes(path.seed, path.trial), path.prime_retries, None)
     for attempt in range(MAX_BAD_PRIME_ATTEMPTS):
         try:

@@ -13,10 +13,11 @@ tree fold (:func:`fold_words`, which reduces many walks' words together) and
 full path construction (:func:`sample_path`, which multiplies through the
 oracle) see the same increments.
 
-Bad coefficient primes in the Cremona model (zero collapse or cross-prime
-degree disagreement) trigger a deterministic retry: fresh 31-bit primes are
-drawn from a salted stream keyed by the same ``(seed, trial)``; after three
-failed attempts the trial is recorded as discarded.
+Bad coefficient primes met by the walk's own Cremona compositions (zero
+collapse or cross-prime degree disagreement) trigger a deterministic retry:
+fresh 31-bit primes are drawn from a salted stream keyed by the same
+``(seed, trial)``; after three failed attempts the trial is recorded as
+discarded.
 """
 
 from __future__ import annotations
@@ -224,13 +225,14 @@ def fold_words(measure: FiniteMeasure, indices: np.ndarray, marks) -> list:
 
 
 class _CremonaAccumulator:
-    """Tracks the inverse map, which composes small-into-big cheaply.
+    """Tracks only the inverse map, which composes small-into-big cheaply.
 
     ``w_j = w_{j-1} g_j`` turns into ``w_j^-1 = g_j^-1 o w_{j-1}^-1`` where
     the outer factor is a generator: exactly the fast direction for
     coordinate substitution.  Degrees of a map and its inverse agree (the
     displacement d(x, w x) = d(x, w^-1 x) is an isometry identity), so the
-    displacement track needs nothing else.
+    displacement track needs nothing else, and the forward endpoint
+    ``model.inverse(inverse_element())`` is composed only if it is read.
     """
 
     def __init__(self, oracle: CremonaModel):
@@ -243,9 +245,6 @@ class _CremonaAccumulator:
     def displacement(self) -> float:
         return math.acosh(self.inverse_current.degree)
 
-    def element(self):
-        return self.oracle.inverse(self.inverse_current)
-
     def inverse_element(self):
         return self.inverse_current
 
@@ -256,8 +255,12 @@ class SamplePath:
 
     ``products`` holds every partial product for the tree models (cheap
     words); the Cremona model keeps only the final map and its inverse, per
-    the memory policy for large elements.  ``truncated_at`` is the step at
-    which a resource cap aborted the trial, if any.
+    the memory policy for large elements.  The Cremona walk composes only
+    ``final_inverse``; ``final`` is its reversed word and its degree, and
+    its coordinates are composed from the word on first read (a bad prime
+    met then raises at the read and is not a retry of the walk).
+    ``truncated_at`` is the step at which a resource cap aborted the trial,
+    if any.
     """
 
     seed: int
@@ -332,8 +335,8 @@ def _cremona_path(measure, indices, seed, trial, reflected) -> SamplePath:
         reason = None
         final = None
         final_inverse = None
-        # rebuilding the atoms and inverting the endpoint compose at the
-        # trial's primes too, so a bad prime there counts as an attempt
+        # rebuilding the atoms composes at the trial's primes too, so a bad
+        # prime there counts as an attempt
         try:
             if retries > 0:
                 model = base_model.respawn(next(fresh))
@@ -360,10 +363,7 @@ def _cremona_path(measure, indices, seed, trial, reflected) -> SamplePath:
                 displacements.append(acc.displacement())
             if truncated_at is None:
                 final_inverse = acc.inverse_element()
-                try:
-                    final = model.inverse(final_inverse)
-                except ResourceError:
-                    final = None  # suffix products can exceed the cap; keep inverse
+                final = model.inverse(final_inverse)
         except BadPrimeSignal:
             retries += 1
             if retries < MAX_BAD_PRIME_ATTEMPTS:

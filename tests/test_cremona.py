@@ -1,9 +1,11 @@
 import math
+import pickle
 import random
 
 import pytest
 
 from hypwalk.cremona import (
+    CremonaElement,
     CremonaModel,
     DynamicalDegreeEstimate,
     MonomialMap,
@@ -11,7 +13,7 @@ from hypwalk.cremona import (
     dynamical_degree_estimate,
     monomial_dynamical_degree,
 )
-from hypwalk.errors import InputError, ResourceError
+from hypwalk.errors import BadPrimeSignal, InputError, ResourceError
 from hypwalk.geometry import IsometryClass
 from hypwalk.polynomials import HomPoly3
 
@@ -213,3 +215,33 @@ def test_degree_cap_resource_error():
     with pytest.raises(ResourceError) as info:
         model.degree_sequence(h, 6)
     assert info.value.payload["degree_sequence"] == [2, 4, 8]
+
+
+def _sample_word(model):
+    h, sigma = model.henon(2), model.sigma()
+    lin = model.linear([1, 2, 0, 0, 1, 3, 1, 0, 1])
+    g = model.identity()
+    for factor in (h, sigma, lin, h, sigma):
+        g = model.multiply(g, factor)
+    return g
+
+
+def test_lazy_inverse_checks_degree_on_read():
+    model = CremonaModel()
+    g = _sample_word(model)
+    inverse = model.inverse(g)
+    assert inverse.degree == g.degree and inverse._tracks is None
+    assert model.multiply(g, inverse) == model.identity()
+    wrong = CremonaElement(inverse.word, g.degree + 1, None, model)
+    with pytest.raises(BadPrimeSignal):
+        wrong.tracks
+
+
+def test_lazy_inverse_pickles():
+    model = CremonaModel()
+    g = _sample_word(model)
+    inverse = model.inverse(g)
+    clone = pickle.loads(pickle.dumps(inverse))
+    assert clone._tracks is None and clone.word == inverse.word
+    assert clone == inverse
+    assert clone == model._compose_word(inverse.word)

@@ -332,8 +332,10 @@ def test_degree_growth_retries_bad_primes():
     assert tiny.aggregates["lambda_track"] == good.aggregates["lambda_track"]
 
 
-def _cremona_measure():
+def _cremona_measure(degree_cap=None):
     config = preset_config("degree-growth-cremona")
+    if degree_cap is not None:
+        config["model"]["degree_cap"] = degree_cap
     model = build_model(config["model"])
     return build_measure(model, config["measure"])
 
@@ -369,9 +371,40 @@ def test_degree_growth_discard_reaches_report(monkeypatch, tmp_path):
     write_outputs(result, {"experiment": "degree_growth"}, tmp_path)
     report = json.loads((tmp_path / "report.json").read_text())["result"]
     assert report["records"] == [
-        {"trial": t, "n": n, "truncated": True} for t in (0, 1) for n in (2, 3)
+        {"trial": t, "n": n, "truncated": True, "truncation_reason": "discarded"}
+        for t in (0, 1)
+        for n in (2, 3)
     ]
     assert report["aggregates"]["truncated_fraction"] == 1.0
+
+
+def test_degree_growth_cap_truncation_reaches_report(tmp_path):
+    # at degree cap 8, trials 0-2 of seed 1 pass the cap between n = 2 and
+    # n = 6; their rows say so, unlike the rows of a discarded trial
+    measure = _cremona_measure(degree_cap=8)
+    result = E.degree_growth_experiment(measure, [2, 6], trials=4, seed=1)
+    write_outputs(result, {"experiment": "degree_growth"}, tmp_path)
+    report = json.loads((tmp_path / "report.json").read_text())["result"]
+    top = [r for r in report["records"] if r["n"] == 6]
+    assert top[:3] == [
+        {"trial": t, "n": 6, "truncated": True, "truncation_reason": "degree_cap"}
+        for t in (0, 1, 2)
+    ]
+    assert not top[3]["truncated"] and "truncation_reason" not in top[3]
+    assert all(not r["truncated"] for r in report["records"] if r["n"] == 2)
+    assert report["aggregates"]["truncated_fraction"] == 0.75
+
+
+def test_degree_growth_lambda_at_degree_cap():
+    # trial 8 of seed 3 ends at degree 4 (so 4^2 <= 16 and it is iterable),
+    # but a suffix product of its square passes the cap: the estimate is
+    # skipped as "cap" instead of aborting the run
+    measure = _cremona_measure(degree_cap=16)
+    result = E.degree_growth_experiment(measure, [2, 4], trials=9, seed=3)
+    row = next(r for r in result.records if r["trial"] == 8 and r["n"] == 4)
+    assert not row["truncated"] and row["degree"] == 4
+    assert row["lambda_skipped"] == "cap"
+    assert result.aggregates["lambda_track"]["subsample"] > 0
 
 
 def test_reproducibility_and_aggregate_audit():

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from hypwalk.freegroup import (
     stab_census,
 )
 from hypwalk.geometry import IsometryClass
+from hypwalk.walk import FiniteMeasure, fold_words
 
 
 def _z3_model():
@@ -281,23 +283,59 @@ def test_fellow_traveling_matches_reference(w):
     assert fellow_traveling_delta(w) == _fellow_traveling_reference(w)
 
 
+_F2_LETTERS = (0, 1, -1, 2, -2)
+
+
+def _ball_array(radius):
+    """The words of ``W.ball_words(2, radius)``, one per row, padded with
+    the no-op letter 0."""
+    letters = np.array(_F2_LETTERS[1:], dtype=np.int8)
+    shell = np.zeros((1, radius), dtype=np.int8)
+    shells = [shell]
+    for r in range(radius):
+        grown = np.repeat(shell, len(letters), axis=0)
+        grown[:, r] = np.tile(letters, len(shell))
+        if r:
+            grown = grown[grown[:, r] != -grown[:, r - 1]]
+        shell = grown
+        shells.append(shell)
+    return np.concatenate(shells)
+
+
+def _conjugate_lengths(w, ball):
+    """|v^-1 w v| for every row v of the ball, in one batched fold."""
+    measure = FiniteMeasure(
+        FreeGroupOracle(2),
+        [(str(x), (x,) if x else (), Fraction(1, 5)) for x in _F2_LETTERS],
+    )
+    atom_of = np.zeros(5, dtype=np.uint8)
+    atom_of[np.array(_F2_LETTERS) + 2] = np.arange(5)
+    middle = np.broadcast_to(np.array(w, dtype=np.int8), (len(ball), len(w)))
+    letters = np.concatenate([-ball[:, ::-1], middle, ball], axis=1)
+    ((_, length),) = fold_words(measure, atom_of[letters + 2], [letters.shape[1]])
+    return length
+
+
 def _overlap_oracle(w, h, radius):
     """Independent overlap oracle: the axis is the min-displacement set."""
     tau = W.translation_length(w)
     conj = W.multiply(W.multiply(h, w), W.invert(h))
-    ours, theirs = [], []
-    for v in W.ball_words(2, radius):
-        vinv = W.invert(v)
-        if len(W.multiply(W.multiply(vinv, w), v)) == tau:
-            ours.append(v)
-        if len(W.multiply(W.multiply(vinv, conj), v)) == tau:
-            theirs.append(v)
-    shared = set(ours) & set(theirs)
+    ball = _ball_array(radius)
+    assert len(ball) == W.ball_size(2, radius)
+    on_both = (_conjugate_lengths(w, ball) == tau) & (
+        _conjugate_lengths(conj, ball) == tau
+    )
+    shared = [tuple(int(x) for x in row if x) for row in ball[on_both]]
     if not shared:
         return 0
     return max(
         len(W.multiply(W.invert(v1), v2)) for v1 in shared for v2 in shared
     )
+
+
+def test_ball_array_matches_ball_words():
+    words = {tuple(int(x) for x in row if x) for row in _ball_array(5)}
+    assert words == set(W.ball_words(2, 5))
 
 
 def test_line_overlap_against_min_displacement_oracle():

@@ -4,9 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hypwalk import polynomials
 from hypwalk import words as W
 from hypwalk.cremona import CremonaModel
-from hypwalk.errors import InputError
+from hypwalk.errors import BadPrimeSignal, InputError
 from hypwalk.finitegroups import Automorphism, FiniteGroup, cyclic_automorphism
 from hypwalk.freegroup import FreeGroupOracle, SemidirectOracle
 from hypwalk.walk import (
@@ -227,6 +228,54 @@ def test_cremona_walk_degree_track():
     assert math.isclose(path.final_displacement, math.acosh(w.degree))
     assert path.final == w
     assert path.final_inverse == model.inverse(w)
+
+
+def test_cremona_path_composes_no_endpoint(monkeypatch):
+    model, measure = cremona_mixed_measure()
+    for atom in measure.atoms:
+        atom.inverse.tracks  # the atoms' own inverses, composed on first use
+    calls = []
+    compose = CremonaModel._compose_tracks
+
+    def counting(self, *args):
+        calls.append(args[0])
+        return compose(self, *args)
+
+    monkeypatch.setattr(CremonaModel, "_compose_tracks", counting)
+    path = sample_path(measure, 6, seed=42, trial=0)
+    # one composition per push (no push of this trial cancels), and none
+    # for the forward endpoint until it is read
+    walked = len(calls)
+    assert walked == len(path.increment_indices) == 6
+    inverse = model.identity()
+    for index in path.increment_indices:
+        inverse = model.multiply(measure.atoms[index].inverse, inverse)
+    assert len(calls) == 2 * walked
+    assert inverse == path.final_inverse
+    path.final.tracks
+    assert len(calls) == 2 * walked + len(path.final.word)
+
+
+def test_cremona_lazy_final_matches_composed_word():
+    model, measure = cremona_mixed_measure()
+    path = sample_path(measure, 6, seed=42, trial=1)
+    word = model._reduce_word(tuple(-x for x in reversed(path.final_inverse.word)))
+    expected = model._compose_word(word)
+    for p in model.primes:
+        assert path.final.triple(p) == expected.triple(p)
+    assert path.final == expected
+
+
+def test_cremona_bad_prime_at_endpoint_read_is_not_a_retry(monkeypatch):
+    _, measure = cremona_mixed_measure()
+    path = sample_path(measure, 6, seed=42, trial=0)
+    # the gcd check fails only from here on, while the endpoint is composed
+    monkeypatch.setattr(polynomials, "_divides_all", lambda g, polys: False)
+    with pytest.raises(BadPrimeSignal):
+        path.final.tracks
+    assert path.prime_retries == 0 and not path.discarded
+    monkeypatch.undo()
+    assert path.final.tracks
 
 
 def test_cremona_walk_determinism():
