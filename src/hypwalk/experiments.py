@@ -210,12 +210,33 @@ def _generic_observable_rows(measure, marks, seed, trials, tau_budget=None) -> l
 
     Each mark replays the walk's prefix (same increment stream), so the
     endpoint observables (symmetric Gromov product, budgeted translation
-    length) are available at every grid point.
+    length) are available at every grid point.  On the Cremona model they
+    compose maps outside the walk, so they run under the bad-prime retry
+    policy; a row whose every attempt meets a bad prime is recorded as
+    truncated with reason ``"bad_prime"``.
     """
     from .geometry import gromov_product
     from .walk import sample_path
 
     oracle = measure.oracle
+
+    def observe(model, rebuild, *, path):
+        w, winv = rebuild(path.final), rebuild(path.final_inverse)
+        row = {
+            "trial": path.trial,
+            "n": path.n,
+            "d": path.final_displacement,
+            "sym_gp": gromov_product(
+                path.final_displacement,
+                model.displacement(winv),
+                model.pairwise_distance(w, winv),
+            ),
+            "truncated": False,
+        }
+        if tau_budget is not None:
+            row["tau"] = model.translation_length_estimate(w, tau_budget)
+        return row
+
     rows = []
     for trial in range(trials):
         for n in marks:
@@ -223,24 +244,20 @@ def _generic_observable_rows(measure, marks, seed, trials, tau_budget=None) -> l
             if path.truncated_at is not None or path.final is None:
                 rows.append({"trial": trial, "n": n, "truncated": True})
                 continue
-            w, winv = path.final, path.final_inverse
             try:
-                gp = gromov_product(
-                    path.final_displacement,
-                    oracle.displacement(winv),
-                    oracle.pairwise_distance(w, winv),
-                )
+                if isinstance(oracle, CremonaModel):
+                    row = _at_trial_primes(oracle, path, partial(observe, path=path))
+                else:
+                    row = observe(oracle, lambda g: g, path=path)
+            except ResourceError:
+                row = {"trial": trial, "n": n, "truncated": True}
+            if row is None:
                 row = {
                     "trial": trial,
                     "n": n,
-                    "d": path.final_displacement,
-                    "sym_gp": gp,
-                    "truncated": False,
+                    "truncated": True,
+                    "truncation_reason": "bad_prime",
                 }
-                if tau_budget is not None:
-                    row["tau"] = oracle.translation_length_estimate(w, tau_budget)
-            except ResourceError:
-                row = {"trial": trial, "n": n, "truncated": True}
             rows.append(row)
     return rows
 
@@ -1274,26 +1291,39 @@ def degree_growth_experiment(
 
 def _dynamical_degree_with_retries(model: CremonaModel, path, budget: int):
     """The dynamical-degree estimate of ``path.final``, or None when every
-    attempt meets a bad prime.
+    attempt meets a bad prime."""
+    return _at_trial_primes(
+        model,
+        path,
+        lambda trial_model, rebuild: dynamical_degree_estimate(
+            trial_model, rebuild(path.final), budget
+        ),
+    )
 
-    The first attempt runs over the primes the walk ended on: a retried
-    trial lives over the fresh primes it was respawned at, and iterating it
-    over the base primes would recompose its word at the primes that failed
-    it.  Each failure respawns at the next pair of the trial's retry stream
-    past those the walk used, up to ``MAX_BAD_PRIME_ATTEMPTS`` attempts.
+
+def _at_trial_primes(model: CremonaModel, path, compute):
+    """``compute(trial_model, rebuild)`` under the bad-prime retry policy,
+    or None when every attempt meets a bad prime.
+
+    ``rebuild`` maps an element of the path to the attempt's primes.  The
+    first attempt runs over the primes the walk ended on: a retried trial
+    lives over the fresh primes it was respawned at, and composing over the
+    base primes would recompose its word at the primes that failed it.  Each
+    failure respawns at the next pair of the trial's retry stream past those
+    the walk used, up to ``MAX_BAD_PRIME_ATTEMPTS`` attempts.
     """
-    trial_model, element = model, path.final
+    trial_model = model
     if path.prime_retries > 0:
-        # the walk's own primes; reading element.tracks would compose the
-        # endpoint here, outside the retries below
+        # the walk's own primes; reading path.final.tracks would compose
+        # the endpoint here, outside the retries below
         trial_model = model.respawn(tuple(p for p, _ in path.final_inverse.tracks))
     fresh = islice(retry_primes(path.seed, path.trial), path.prime_retries, None)
     for attempt in range(MAX_BAD_PRIME_ATTEMPTS):
         try:
-            if attempt > 0:
-                trial_model = model.respawn(next(fresh))
-                element = trial_model.rebuild(path.final)
-            return dynamical_degree_estimate(trial_model, element, budget)
+            if attempt == 0:
+                return compute(trial_model, lambda g: g)
+            trial_model = model.respawn(next(fresh))
+            return compute(trial_model, trial_model.rebuild)
         except BadPrimeSignal:
             pass
     return None

@@ -14,14 +14,23 @@ and :func:`_matmul_mod`, which stay exact for every prime p < 2^31, so the
 31-bit primes drawn by the bad-prime retry policy are as safe as the
 default ones.
 
-GCDs run a cheap certified pipeline first (monomial content, then
-restriction to fixed affine lines: a nonconstant common factor survives
-restriction to any line it does not contain, so a trivial univariate gcd on
-one line proves coprimality), then a modular evaluation/interpolation gcd,
-and fall back to a content/primitive-part pseudo-remainder sequence on the
-dehomogenized bivariate forms.  Every gcd is verified by trial division
-before it is returned; a gcd that fails the check raises
-:class:`~hypwalk.errors.BadPrimeSignal`.
+:func:`gcd3` runs three stages, cheapest first:
+
+1. the joint monomial content is divided out;
+2. a coprimality certificate restricts the polynomials to fixed affine
+   lines: a nonconstant common factor survives restriction to any line it
+   does not contain, so a trivial univariate gcd on one line proves
+   coprimality.  A restriction is two matrix products against power tables
+   cached per (line, prime);
+3. otherwise Brown's modular gcd evaluates the dense bivariate forms at a
+   block of points with one matrix product, takes univariate gcds point by
+   point and interpolates; a pseudo-remainder sequence is the fallback when
+   the prime runs out of points.
+
+Every gcd is verified by trial division before it is returned, and the
+quotients of that division are handed to :func:`normalize_triple`, so a
+composition divides each coordinate once.  A gcd that fails the check
+raises :class:`~hypwalk.errors.BadPrimeSignal`.
 """
 
 from __future__ import annotations
@@ -35,7 +44,8 @@ SECOND_PRIME = 1000033
 
 _DICT_MUL_CUTOFF = 4096
 # Fixed affine lines (X, Y, Z) = (t + a, b t + c, 1) used for the coprimality
-# certificate; a handful suffices since failure just falls through to the PRS.
+# certificate; a handful suffices since failure just falls through to the
+# modular gcd.
 _CERT_LINES = ((1, 2, 3), (5, 7, 11), (13, 17, 19), (23, 29, 31))
 
 
@@ -327,43 +337,64 @@ def _shift_exponents(poly: HomPoly3, shift: tuple[int, int, int]) -> HomPoly3:
     return HomPoly3(poly.degree - si - sj - sl, out, poly.p)
 
 
+def _power_table(root: int, lead: int, size: int, p: int) -> np.ndarray:
+    """Row k holds the coefficients of (lead t + root)^k, for k < size."""
+    table = np.zeros((size, size), dtype=np.int64)
+    table[0, 0] = 1
+    for k in range(1, size):
+        prev = table[k - 1]
+        table[k] = (prev * root) % p
+        table[k, 1:] = (table[k, 1:] + prev[:-1] * lead) % p
+    table.flags.writeable = False  # cached and shared by every restriction
+    return table
+
+
+# prime -> {line: (U, V)}, most recently used prime last.  The power table
+# of degree d is the top-left block of any larger one, so each table grows
+# on demand; the retry primes are drawn fresh, so only a few primes are kept.
+_LINE_TABLES: dict[int, dict] = {}
+_LINE_TABLE_PRIMES = 4
+
+
+def _line_tables(line: tuple[int, int, int], p: int, d: int):
+    """Power tables of (t + a) and (b t + c) for degrees up to d."""
+    tables = _LINE_TABLES.pop(p, None)
+    if tables is None:
+        tables = {}
+        while len(_LINE_TABLES) >= _LINE_TABLE_PRIMES:
+            del _LINE_TABLES[next(iter(_LINE_TABLES))]
+    _LINE_TABLES[p] = tables
+    cached = tables.get(line)
+    if cached is None or cached[0].shape[0] <= d:
+        size = max(d + 1, 2 * cached[0].shape[0]) if cached else d + 1
+        a, b, c = line
+        cached = tables[line] = (_power_table(a, 1, size, p), _power_table(c, b, size, p))
+    U, V = cached
+    return U[: d + 1, : d + 1], V[: d + 1, : d + 1]
+
+
 def _restrict_to_line(poly: HomPoly3, line: tuple[int, int, int]) -> np.ndarray:
     """Coefficients of poly(t + a, b t + c, 1) as an int64 residue vector.
 
-    Dense two-stage evaluation: first collapse the Y-exponent against powers
-    of (b t + c) with one matrix product, then fold in powers of (t + a) row
-    by row.
+    Two matrix products against the cached power tables: ``W = arr @ V``
+    collapses the Y-exponent against the powers of (b t + c), ``R = U^T W``
+    the X-exponent against the powers of (t + a), so R[m, k] is the part of
+    the t^(m+k) coefficient that comes from t^m of the first power.  The
+    antidiagonal sums of R are the coefficients; a row-skewed reshape lines
+    each antidiagonal up as a column.
     """
-    a, b, c = line
-    p = poly.p
-    d = poly.degree
     if poly.is_zero():
         return np.zeros(0, dtype=np.int64)
-    arr = poly._to_array()
-    # V[j] = coefficients of (b t + c)^j, padded to degree d
-    V = np.zeros((d + 1, d + 1), dtype=np.int64)
-    V[0, 0] = 1
-    for j in range(1, d + 1):
-        prev = V[j - 1]
-        cur = (prev * c) % p
-        cur[1:] = (cur[1:] + prev[:-1] * b) % p
-        V[j] = cur
-    W = _matmul_mod(arr, V, p)  # row i: sum_j arr[i, j] (b t + c)^j
-    # U[i] = coefficients of (t + a)^i
-    out = np.zeros(2 * d + 1, dtype=np.int64)
-    u = np.zeros(d + 1, dtype=np.int64)
-    u[0] = 1
-    top = 0
-    for i in range(d + 1):
-        if W[i].any():
-            conv = _convolve_mod(u[: i + 1], W[i], p)
-            out[: conv.shape[0]] += conv
-            top = max(top, conv.shape[0])
-        nxt = (u * a) % p
-        nxt[1:] = (nxt[1:] + u[:-1]) % p
-        u = nxt
-    out %= p
-    return _utrim(out[: max(top, 1)])
+    p = poly.p
+    n = poly.degree + 1
+    U, V = _line_tables(line, p, poly.degree)
+    R = _matmul_mod(U.T, _matmul_mod(poly._to_array(), V, p), p)
+    # row m of the padded (n, 2n) matrix, read with row length 2n - 1,
+    # starts m places further right: entry (m, k) lands in column m + k
+    skewed = np.zeros((n, 2 * n), dtype=np.int64)
+    skewed[:, :n] = R
+    sums = skewed.ravel()[: n * (2 * n - 1)].reshape(n, 2 * n - 1).sum(axis=0) % p
+    return _utrim(sums)
 
 
 def _utrim(vec: np.ndarray) -> np.ndarray:
@@ -375,15 +406,21 @@ def _utrim(vec: np.ndarray) -> np.ndarray:
 
 def _ugcd(u: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
     """Monic gcd of univariate polynomials over GF(p) (coefficient vectors)."""
-    u, v = _utrim(u.copy()), _utrim(v.copy())
+    u, v = _utrim(u), _utrim(v)
     while v.size:
-        # u mod v
-        lc_inv = _inv_mod(int(v[-1]), p)
-        while u.size >= v.size and u.size:
-            factor = (int(u[-1]) * lc_inv) % p
-            if factor:
-                u[u.size - v.size :] = (u[u.size - v.size :] - factor * v) % p
-            u = _utrim(u)
+        n = v.size
+        if u.size >= n:
+            # u mod v: each step clears the top coefficient exactly, so the
+            # remainder is trimmed once, below the degree of v
+            lc_inv = _inv_mod(int(v[-1]), p)
+            u = u.copy()
+            for top in range(u.size - 1, n - 2, -1):
+                factor = int(u[top]) * lc_inv % p
+                if factor:
+                    seg = u[top - n + 1 : top + 1]
+                    seg -= factor * v
+                    seg %= p
+            u = _utrim(u[: n - 1])
         u, v = v, u
     if u.size:
         u = (u * _inv_mod(int(u[-1]), p)) % p
@@ -417,16 +454,21 @@ def coprimality_certificate(polys, p: int) -> bool:
     return False
 
 
-def gcd3(p1: HomPoly3, p2: HomPoly3, p3: HomPoly3) -> HomPoly3:
+def gcd3(
+    p1: HomPoly3, p2: HomPoly3, p3: HomPoly3, quotients: list | None = None
+) -> HomPoly3:
     """A gcd of the three polynomials, monic under graded-lex.
 
     Pipeline: extract the joint monomial content; certify coprimality by
-    line restriction when possible; otherwise compute the gcd of the
-    dehomogenized bivariate forms, pairwise then with the third, by
-    evaluation/interpolation with a pseudo-remainder-sequence fallback.
-    The result is verified by trial division against all three inputs; a
-    failed check raises :class:`~hypwalk.errors.BadPrimeSignal`, which sends
-    the caller to the bad-prime retry policy.
+    line restriction when possible; otherwise compute the gcd of the dense
+    dehomogenized forms, pairwise then with the third, by the modular
+    evaluation/interpolation gcd, with a pseudo-remainder-sequence fallback
+    when that runs out of points.  The result is verified by trial division
+    against all three inputs; a failed check (after one retry through the
+    PRS when the modular gcd produced the candidate) raises
+    :class:`~hypwalk.errors.BadPrimeSignal`, which sends the caller to the
+    bad-prime retry policy.  When ``quotients`` is a list it is filled with
+    the three exact quotients the verification computed.
     """
     polys = [q for q in (p1, p2, p3) if not q.is_zero()]
     if not polys:
@@ -458,7 +500,8 @@ def gcd3(p1: HomPoly3, p2: HomPoly3, p3: HomPoly3) -> HomPoly3:
     if lead != 1:
         gcd_poly = gcd_poly.scale(_inv_mod(lead, p))
 
-    if not _divides_all(gcd_poly, (p1, p2, p3)):
+    exact = _divides_all(gcd_poly, (p1, p2, p3))
+    if not exact:
         if used_modular:
             # unlucky evaluation points: redo with the exact fallback
             prs = _bivariate_gcd_list([_dehomogenize(q) for q in reduced], p)
@@ -466,15 +509,29 @@ def gcd3(p1: HomPoly3, p2: HomPoly3, p3: HomPoly3) -> HomPoly3:
             lead = gcd_poly.terms()[0][1]
             if lead != 1:
                 gcd_poly = gcd_poly.scale(_inv_mod(lead, p))
-        if not _divides_all(gcd_poly, (p1, p2, p3)):
+            exact = _divides_all(gcd_poly, (p1, p2, p3))
+        if not exact:
             raise BadPrimeSignal("gcd verification by trial division failed", p)
+    if quotients is not None:
+        quotients[:] = exact
     return gcd_poly
 
 
-def _divides_all(gcd_poly: HomPoly3, polys) -> bool:
-    return all(
-        q.is_zero() or divexact(q, gcd_poly) is not None for q in polys
-    )
+def _divides_all(gcd_poly: HomPoly3, polys) -> list[HomPoly3] | None:
+    """The exact quotients of polys by gcd_poly, or None when one is inexact.
+
+    A zero polynomial's quotient is the zero polynomial, without a division.
+    """
+    quotients = []
+    for q in polys:
+        if q.is_zero():
+            quotient = HomPoly3.zero(max(q.degree - gcd_poly.degree, 0), q.p)
+        else:
+            quotient = divexact(q, gcd_poly)
+            if quotient is None:
+                return None
+        quotients.append(quotient)
+    return quotients
 
 
 def _dense_gcd_list(arrays, p: int) -> np.ndarray | None:
@@ -492,25 +549,18 @@ def normalize_triple(p1: HomPoly3, p2: HomPoly3, p3: HomPoly3):
     """Divide out gcd3 and rescale so the first nonzero coefficient (scanning
     the triple in order, each in graded-lex order) equals 1.
 
-    Returns ``(triple, gcd_degree)``.  An all-zero triple signals a
-    degenerate composition, typically an unlucky coefficient prime.
+    The quotients are the ones gcd3's trial division computed, so each
+    component is divided once.  Returns ``(triple, gcd_degree)``.  An
+    all-zero triple signals a degenerate composition, typically an unlucky
+    coefficient prime.
     """
     if p1.is_zero() and p2.is_zero() and p3.is_zero():
         raise BadPrimeSignal("composition collapsed to the zero triple", p1.p)
-    g = gcd3(p1, p2, p3)
-    parts = []
-    for q in (p1, p2, p3):
-        if q.is_zero():
-            parts.append(HomPoly3.zero(q.degree - g.degree, q.p))
-        else:
-            parts.append(divexact(q, g))
-    scale = None
-    for q in parts:
-        if not q.is_zero():
-            scale = _inv_mod(q.terms()[0][1], q.p)
-            break
-    parts = [q.scale(scale) for q in parts]
-    return tuple(parts), g.degree
+    parts: list[HomPoly3] = []
+    g = gcd3(p1, p2, p3, parts)
+    lead = next(q.terms()[0][1] for q in parts if not q.is_zero())
+    scale = _inv_mod(lead, g.p)
+    return tuple(q.scale(scale) for q in parts), g.degree
 
 
 # ---------------------------------------------------------------------------
@@ -518,12 +568,13 @@ def normalize_triple(p1: HomPoly3, p2: HomPoly3, p3: HomPoly3):
 # Z = 1 in a homogeneous polynomial gives exactly its exponent array).
 
 
-def _upolyval_many(rows: np.ndarray, points: np.ndarray, p: int) -> np.ndarray:
-    """Evaluate every row polynomial (in y) at every point: result[i, t]."""
-    out = np.zeros((rows.shape[0], points.shape[0]), dtype=np.int64)
-    for j in range(rows.shape[1] - 1, -1, -1):
-        out = (out * points[None, :] + rows[:, j][:, None]) % p
-    return out
+def _vandermonde(points: np.ndarray, width: int, p: int) -> np.ndarray:
+    """result[j, t] = points[t]^j mod p, for j < width."""
+    table = np.empty((width, points.size), dtype=np.int64)
+    table[0] = 1
+    for j in range(1, width):
+        table[j] = table[j - 1] * points % p
+    return table
 
 
 def _udeg(vec: np.ndarray) -> int:
@@ -564,12 +615,17 @@ def _rows_divexact_content(arr: np.ndarray, cont: np.ndarray, p: int) -> np.ndar
 def _modular_bivariate_gcd(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray | None:
     """gcd of two dense bivariate polynomials by evaluation/interpolation.
 
-    Specialize y at distinct points avoiding roots of both leading
-    coefficients, take monic univariate gcds, rescale by the gcd of the
-    leading coefficients, and interpolate back (Newton differences).
-    Returns None when the prime runs out of usable points; the caller keeps
-    the pseudo-remainder fallback.  Results are verified by trial division
-    downstream, so an unlucky specialization cannot corrupt a composition.
+    Brown's modular gcd with y as the evaluation variable: specialize y at
+    the points 1, 2, 3, ... avoiding roots of both leading coefficients,
+    take monic univariate gcds, rescale by the gcd of the leading
+    coefficients, and interpolate back (Newton differences).  The points
+    come in blocks: one matrix product against a Vandermonde table
+    evaluates every row of A and B, and the leading-coefficient gcd, at a
+    whole block; only the univariate gcd runs per point.  Returns None when
+    the prime runs out of usable points (past ``8 * needed + 64`` points or
+    p); the caller keeps the pseudo-remainder fallback.  Results are
+    verified by trial division downstream, so an unlucky specialization
+    cannot corrupt a composition.
     """
     contA, contB = _content_y(A, p), _content_y(B, p)
     content = _ugcd(contA, contB, p)
@@ -577,40 +633,47 @@ def _modular_bivariate_gcd(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray |
     B = _rows_divexact_content(B, contB, p)
     dxA = int(np.nonzero(A.any(axis=1))[0][-1])
     dxB = int(np.nonzero(B.any(axis=1))[0][-1])
-    lcA, lcB = _utrim(A[dxA]), _utrim(B[dxB])
-    gamma = _ugcd(lcA, lcB, p)
+    gamma = _ugcd(_utrim(A[dxA]), _utrim(B[dxB]), p)
     needed = (gamma.size - 1) + min(_ydeg_rows(A), _ydeg_rows(B)) + 1
+    last_point = min(8 * needed + 64, p - 1)
+
+    # rows 0..dxA are A, the next dxB + 1 are B, the last is gamma
+    ywidth = max(A.shape[1], B.shape[1], gamma.size)
+    stacked = np.zeros((dxA + dxB + 3, ywidth), dtype=np.int64)
+    stacked[: dxA + 1, : A.shape[1]] = A[: dxA + 1]
+    stacked[dxA + 1 : -1, : B.shape[1]] = B[: dxB + 1]
+    stacked[-1, : gamma.size] = gamma
+    block = needed + 8
 
     best_deg = None
     nodes: list[int] = []
     values: list[np.ndarray] = []
-    point = 0
-    attempts = 0
+    start = 1
     while len(nodes) < needed:
-        point += 1
-        attempts += 1
-        if attempts > 8 * needed + 64 or point >= p:
+        if start > last_point:
             return None
-        y = point % p
-        if _upolyval_many(lcA[None, :], np.array([y]), p)[0, 0] == 0:
-            continue
-        if _upolyval_many(lcB[None, :], np.array([y]), p)[0, 0] == 0:
-            continue
-        a_spec = _utrim(_upolyval_many(A, np.array([y]), p)[:, 0])
-        b_spec = _utrim(_upolyval_many(B, np.array([y]), p)[:, 0])
-        g_spec = _ugcd(a_spec, b_spec, p)
-        deg = g_spec.size - 1
-        if best_deg is None or deg < best_deg:
-            best_deg = deg
-            nodes, values = [], []
-        if deg == best_deg:
-            if best_deg == 0:
-                out = np.zeros((1, max(content.size, 1)), dtype=np.int64)
-                out[0, : content.size] = content
-                return out
-            scale = int(_upolyval_many(gamma[None, :], np.array([y]), p)[0, 0])
-            nodes.append(y)
-            values.append((g_spec * scale) % p)
+        points = np.arange(start, min(start + block, last_point + 1), dtype=np.int64)
+        start += points.size
+        evaluated = _matmul_mod(stacked, _vandermonde(points, ywidth, p), p).T
+        for y, column in zip(points.tolist(), evaluated):
+            if column[dxA] == 0 or column[dxA + 1 + dxB] == 0:
+                continue  # y is a root of a leading coefficient
+            a_spec = _utrim(column[: dxA + 1])
+            b_spec = _utrim(column[dxA + 1 : -1])
+            g_spec = _ugcd(a_spec, b_spec, p)
+            deg = g_spec.size - 1
+            if best_deg is None or deg < best_deg:
+                best_deg = deg
+                nodes, values = [], []
+            if deg == best_deg:
+                if best_deg == 0:
+                    out = np.zeros((1, max(content.size, 1)), dtype=np.int64)
+                    out[0, : content.size] = content
+                    return out
+                nodes.append(y)
+                values.append((g_spec * int(column[-1])) % p)
+                if len(nodes) == needed:
+                    break
 
     width = best_deg + 1
     table = np.zeros((len(nodes), width), dtype=np.int64)

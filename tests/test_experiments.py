@@ -332,10 +332,12 @@ def test_degree_growth_retries_bad_primes():
     assert tiny.aggregates["lambda_track"] == good.aggregates["lambda_track"]
 
 
-def _cremona_measure(degree_cap=None):
+def _cremona_measure(degree_cap=None, primes=None):
     config = preset_config("degree-growth-cremona")
     if degree_cap is not None:
         config["model"]["degree_cap"] = degree_cap
+    if primes is not None:
+        config["model"]["primes"] = primes
     model = build_model(config["model"])
     return build_measure(model, config["measure"])
 
@@ -405,6 +407,34 @@ def test_degree_growth_lambda_at_degree_cap():
     assert not row["truncated"] and row["degree"] == 4
     assert row["lambda_skipped"] == "cap"
     assert result.aggregates["lambda_track"]["subsample"] > 0
+
+
+def test_gromov_tail_retries_bad_primes():
+    # at the primes 3 and 5, composing w^-1 w^-1 for the symmetric Gromov
+    # product of trial 0 meets a degree disagreement; the row is retried at
+    # fresh primes instead of aborting the run, and gives the default
+    # primes' value
+    tiny = E.gromov_tail(_cremona_measure(primes=[3, 5]), [2, 4], 2, seed=1)
+    good = E.gromov_tail(_cremona_measure(), [2, 4], 2, seed=1)
+    assert not any(r["truncated"] for r in tiny.records)
+    assert tiny.records == good.records
+
+
+def test_gromov_tail_gives_up_after_retries(monkeypatch):
+    calls = []
+
+    def always_bad(self, g, h):
+        calls.append(self.primes)
+        raise BadPrimeSignal("injected")
+
+    monkeypatch.setattr(CremonaModel, "pairwise_distance", always_bad)
+    rows = E._generic_observable_rows(_cremona_measure(), [2], 5, 2)
+    assert rows == [
+        {"trial": t, "n": 2, "truncated": True, "truncation_reason": "bad_prime"}
+        for t in (0, 1)
+    ]
+    assert len(calls) == 2 * MAX_BAD_PRIME_ATTEMPTS
+    assert len(set(calls)) == 1 + 2 * (MAX_BAD_PRIME_ATTEMPTS - 1)
 
 
 def test_reproducibility_and_aggregate_audit():

@@ -1,6 +1,7 @@
 import functools
 import random
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -367,3 +368,152 @@ def test_normalize_triple_matches_sympy(p, data):
         for q, q_in in zip(quotients, triple)
     )
     assert normalize_triple(*triple) == (expected, g.total_degree())
+
+
+# ---------------------------------------------------------------------------
+# The gcd kernels against their straightforward versions.
+
+
+@pytest.mark.parametrize("p", _ORACLE_PRIMES)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_restrict_to_line_matches_reference(p, data):
+    line = data.draw(
+        st.sampled_from(polynomials._CERT_LINES)
+        | st.tuples(*[st.integers(0, p - 1)] * 3)
+    )
+    big = data.draw(_hompolys(p, 9, min_degree=5))
+    small = data.draw(_hompolys(p, 4))
+    other_p = data.draw(st.sampled_from([q for q in _ORACLE_PRIMES if q != p]))
+    elsewhere = data.draw(_hompolys(other_p, 6))
+    polynomials._LINE_TABLES.clear()
+    # the small restriction reads a prefix of the table the big one grew,
+    # and the same line at a second prime keeps a table of its own
+    for poly in (big, small, elsewhere, big):
+        assert _restrict_to_line(poly, line).tolist() == _restrict_reference(poly, line)
+
+
+def test_line_tables_keep_a_few_primes():
+    polynomials._LINE_TABLES.clear()
+    primes = (DEFAULT_PRIME, P31, 2, 3, 5, 7)
+    for p in primes:
+        _restrict_to_line(HomPoly3(3, {(1, 1, 1): 1}, p), (1, 2, 3))
+    assert list(polynomials._LINE_TABLES) == list(primes[-polynomials._LINE_TABLE_PRIMES :])
+
+
+def _upolyval_many(rows, points, p):
+    out = np.zeros((rows.shape[0], points.shape[0]), dtype=np.int64)
+    for j in range(rows.shape[1] - 1, -1, -1):
+        out = (out * points[None, :] + rows[:, j][:, None]) % p
+    return out
+
+
+def _modular_gcd_per_point(A, B, p):
+    """The evaluation/interpolation gcd evaluating one point at a time."""
+    ugcd, utrim = polynomials._ugcd, polynomials._utrim
+    contA, contB = polynomials._content_y(A, p), polynomials._content_y(B, p)
+    content = ugcd(contA, contB, p)
+    A = polynomials._rows_divexact_content(A, contA, p)
+    B = polynomials._rows_divexact_content(B, contB, p)
+    dxA = int(np.nonzero(A.any(axis=1))[0][-1])
+    dxB = int(np.nonzero(B.any(axis=1))[0][-1])
+    lcA, lcB = utrim(A[dxA]), utrim(B[dxB])
+    gamma = ugcd(lcA, lcB, p)
+    needed = (gamma.size - 1) + min(
+        polynomials._ydeg_rows(A), polynomials._ydeg_rows(B)
+    ) + 1
+    best_deg = None
+    nodes, values = [], []
+    point = 0
+    while len(nodes) < needed:
+        point += 1
+        if point > 8 * needed + 64 or point >= p:
+            return None
+        y = np.array([point])
+        if _upolyval_many(lcA[None, :], y, p)[0, 0] == 0:
+            continue
+        if _upolyval_many(lcB[None, :], y, p)[0, 0] == 0:
+            continue
+        a_spec = utrim(_upolyval_many(A, y, p)[:, 0])
+        b_spec = utrim(_upolyval_many(B, y, p)[:, 0])
+        g_spec = ugcd(a_spec, b_spec, p)
+        deg = g_spec.size - 1
+        if best_deg is None or deg < best_deg:
+            best_deg = deg
+            nodes, values = [], []
+        if deg == best_deg:
+            if best_deg == 0:
+                out = np.zeros((1, max(content.size, 1)), dtype=np.int64)
+                out[0, : content.size] = content
+                return out
+            scale = int(_upolyval_many(gamma[None, :], y, p)[0, 0])
+            nodes.append(point)
+            values.append((g_spec * scale) % p)
+    table = np.zeros((len(nodes), best_deg + 1), dtype=np.int64)
+    for t, vec in enumerate(values):
+        table[t, : vec.size] = vec
+    poly = polynomials._newton_interpolate(np.array(nodes, dtype=np.int64), table, p)
+    ycont = polynomials._content_y(poly.T, p)
+    poly = polynomials._rows_divexact_content(poly.T, ycont, p)
+    if content.size > 1 or content[0] != 1:
+        out = np.zeros((poly.shape[0], poly.shape[1] + content.size - 1), dtype=np.int64)
+        for i in range(poly.shape[0]):
+            row = utrim(poly[i])
+            if row.size:
+                conv = polynomials._convolve_mod(row, content, p)
+                out[i, : conv.size] = conv
+        poly = out
+    return poly
+
+
+def _same_gcd(A, B, p):
+    got = polynomials._modular_bivariate_gcd(A, B, p)
+    expected = _modular_gcd_per_point(A, B, p)
+    if expected is None:
+        return got is None
+    return got is not None and np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("p", _ORACLE_PRIMES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_modular_gcd_matches_per_point_loop(p, data):
+    common = data.draw(_hompolys(p, 3))
+    a = common.mul(data.draw(_hompolys(p, 4)))
+    b = common.mul(data.draw(_hompolys(p, 4)))
+    if a.is_zero() or b.is_zero():
+        return
+    assert _same_gcd(a._to_array(), b._to_array(), p)
+
+
+def test_modular_gcd_runs_out_of_points_at_5():
+    # at p = 5 the points are 1..4, fewer than the 5 that a gcd of
+    # y-degree 4 needs
+    p = 5
+    g = HomPoly3(4, {(1, 3, 0): 1, (0, 4, 0): 2, (0, 0, 4): 1}, p)
+    a = g.mul(HomPoly3(1, {(1, 0, 0): 1, (0, 1, 0): 1}, p))
+    b = g.mul(HomPoly3(1, {(1, 0, 0): 1, (0, 0, 1): 3}, p))
+    A, B = a._to_array(), b._to_array()
+    assert polynomials._modular_bivariate_gcd(A, B, p) is None
+    assert _same_gcd(A, B, p)
+    assert gcd3(a, b, a) == g  # through the PRS fallback
+
+
+def test_normalize_triple_divides_each_component_once(monkeypatch):
+    common = X.add(Y.scale(3)).mul(Z.add(Y))
+    triple = [common.mul(q) for q in (X.mul(Y), Y.mul(Z).add(X.mul(X)), Z.mul(Z))]
+    expected = normalize_triple(*triple)
+    quotients = []
+    g = gcd3(*triple, quotients)
+    assert g == gcd3(*triple) and g.degree == 2
+    assert quotients == [divexact(q, g) for q in triple]
+    calls = []
+    original = polynomials.divexact
+
+    def counting(f, h):
+        calls.append(f)
+        return original(f, h)
+
+    monkeypatch.setattr(polynomials, "divexact", counting)
+    assert normalize_triple(*triple) == expected
+    assert len(calls) == 3
