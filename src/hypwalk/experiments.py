@@ -213,7 +213,9 @@ def _generic_observable_rows(measure, marks, seed, trials, tau_budget=None) -> l
     length) are available at every grid point.  On the Cremona model they
     compose maps outside the walk, so they run under the bad-prime retry
     policy; a row whose every attempt meets a bad prime is recorded as
-    truncated with reason ``"bad_prime"``.
+    truncated with reason ``"bad_prime"``.  A row whose walk was discarded,
+    or whose walk or observable passed the degree cap, is truncated with
+    reason ``"discarded"`` or ``"degree_cap"``, as in ``degree_growth``.
     """
     from .geometry import gromov_product
     from .walk import sample_path
@@ -237,12 +239,16 @@ def _generic_observable_rows(measure, marks, seed, trials, tau_budget=None) -> l
             row["tau"] = model.translation_length_estimate(w, tau_budget)
         return row
 
+    def truncated(trial, n, reason):
+        return {"trial": trial, "n": n, "truncated": True, "truncation_reason": reason}
+
     rows = []
     for trial in range(trials):
         for n in marks:
             path = sample_path(measure, n, seed, trial)
             if path.truncated_at is not None or path.final is None:
-                rows.append({"trial": trial, "n": n, "truncated": True})
+                reason = "discarded" if path.discarded else "degree_cap"
+                rows.append(truncated(trial, n, reason))
                 continue
             try:
                 if isinstance(oracle, CremonaModel):
@@ -250,16 +256,15 @@ def _generic_observable_rows(measure, marks, seed, trials, tau_budget=None) -> l
                 else:
                     row = observe(oracle, lambda g: g, path=path)
             except ResourceError:
-                row = {"trial": trial, "n": n, "truncated": True}
-            if row is None:
-                row = {
-                    "trial": trial,
-                    "n": n,
-                    "truncated": True,
-                    "truncation_reason": "bad_prime",
-                }
-            rows.append(row)
+                row = truncated(trial, n, "degree_cap")
+            rows.append(row if row is not None else truncated(trial, n, "bad_prime"))
     return rows
+
+
+def _untruncated(records, n) -> list:
+    """The rows at n that were not truncated; an aggregator reports null
+    statistics at an n without any, and its gate fails there."""
+    return [r for r in records if r["n"] == n and not r.get("truncated", False)]
 
 
 # ---------------------------------------------------------------------------
@@ -419,12 +424,15 @@ def translation_growth(
         tolerances={"drift_gap": drift_tolerance},
     )
     result.aggregates = result.recompute_aggregates()
-    gap = result.aggregates["per_n"][str(marks[-1])]["drift_gap"]
-    result.failures = (
-        []
-        if gap <= drift_tolerance
-        else [f"|mean tau/n - mean d/n| = {gap:.4f} exceeds {drift_tolerance}"]
-    )
+    per_n = result.aggregates["per_n"]
+    result.failures = [
+        f"no untruncated trials at n={n}" for n in marks if per_n[str(n)]["drift_gap"] is None
+    ]
+    gap = per_n[str(marks[-1])]["drift_gap"]
+    if gap is not None and gap > drift_tolerance:
+        result.failures.append(
+            f"|mean tau/n - mean d/n| = {gap:.4f} exceeds {drift_tolerance}"
+        )
     result.passed = not result.failures
     return result
 
@@ -433,9 +441,12 @@ def translation_growth(
 def _aggregate_translation(records, params):
     per_n = {}
     for n in params["n_grid"]:
-        rows = [
-            r for r in records if r["n"] == n and not r.get("truncated", False)
-        ]
+        rows = _untruncated(records, n)
+        if not rows:
+            per_n[str(n)] = dict.fromkeys(
+                ("mean_tau_over_n", "tau_se", "mean_speed", "drift_gap", "max_abs_residual")
+            )
+            continue
         taus = [r["tau"] / n for r in rows]
         speeds = [r["d"] / n for r in rows]
         residuals = [r["d"] - 2 * r["sym_gp"] - r["tau"] for r in rows]
@@ -489,7 +500,9 @@ def gromov_tail(
     failures = []
     for n in marks:
         freq = result.aggregates["per_n"][str(n)]["tail_frequency"]
-        if freq > threshold:
+        if freq is None:
+            failures.append(f"no untruncated trials at n={n}")
+        elif freq > threshold:
             failures.append(f"tail frequency {freq:.4f} at n={n} exceeds {threshold}")
     result.failures = failures
     result.passed = not failures
@@ -502,9 +515,10 @@ def _aggregate_gromov_tail(records, params):
     per_n = {}
     log_points = []
     for n in params["n_grid"]:
-        rows = [
-            r for r in records if r["n"] == n and not r.get("truncated", False)
-        ]
+        rows = _untruncated(records, n)
+        if not rows:
+            per_n[str(n)] = dict.fromkeys(("tail_frequency", "tail_wilson95", "median_sym_gp"))
+            continue
         hits = sum(1 for r in rows if r["sym_gp"] >= epsilon * n)
         freq = hits / len(rows)
         per_n[str(n)] = {

@@ -4,15 +4,16 @@ A :class:`HomPoly3` is a sparse map from exponent triples ``(i, j, l)`` with
 ``i + j + l = degree`` to nonzero residues mod a prime.  The zero polynomial
 keeps an explicit degree tag so that homogeneity bookkeeping survives sums.
 
-Products dispatch between a literal dict loop (small operands) and a dense
-bivariate convolution in int64 numpy (large operands); both are exact and
-produce identical polynomials.  Exact division is one dense routine on the
-bivariate forms (Z set to 1), with a shortcut that scales by the inverse of
-a constant divisor.  The division, gcd and line-restriction kernels reduce
-their int64 convolutions and matrix products through :func:`_convolve_mod`
-and :func:`_matmul_mod`, which stay exact for every prime p < 2^31, so the
-31-bit primes drawn by the bad-prime retry policy are as safe as the
-default ones.
+The kernels work on dense bivariate forms (Z set to 1).  Every polynomial
+product -- :meth:`HomPoly3.mul`, the power ladders and terms of
+:func:`substitute`, the quotient rows of exact division -- is one 2-D
+convolution, :func:`_conv2d_mod`, of arrays cut to their nonzero bounding
+boxes: a float64 BLAS product per row of the operand with fewer rows,
+reduced mod p.  It and :func:`_matmul_mod` (line restriction, evaluation at
+many points) follow one exact-product rule, stated next to them, that holds
+for every prime p < 2^31: the 31-bit primes drawn by the bad-prime retry
+policy are as safe as the default ones.  Exact division by a constant is a
+scaling by its inverse.
 
 :func:`gcd3` runs three stages, cheapest first:
 
@@ -35,6 +36,9 @@ raises :class:`~hypwalk.errors.BadPrimeSignal`.
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import chain
+
 import numpy as np
 
 from .errors import BadPrimeSignal, InputError
@@ -42,7 +46,6 @@ from .errors import BadPrimeSignal, InputError
 DEFAULT_PRIME = 1000003
 SECOND_PRIME = 1000033
 
-_DICT_MUL_CUTOFF = 4096
 # Fixed affine lines (X, Y, Z) = (t + a, b t + c, 1) used for the coprimality
 # certificate; a handful suffices since failure just falls through to the
 # modular gcd.
@@ -53,26 +56,88 @@ def _inv_mod(a: int, p: int) -> int:
     return pow(a, p - 2, p)
 
 
-# Products of residues mod p < 2^31 are below 2^62, so an int64 sum of n of
-# them stays exact while n * (p - 1)^2 < 2^63.  Past that bound one operand
-# is split into 16-bit halves: each half-product sum is then below n * 2^47,
-# exact for any operand shorter than 2^15.
+# The exact-product rule.  Every product of residue arrays is a float64 BLAS
+# product reduced mod p afterwards.  Residues are nonnegative, so every
+# partial sum BLAS forms, in any order and with or without FMA, is an
+# integer no larger than the finished sum; a sum of K products of integers
+# in [0, t], on top of one residue below p, is exact while K t^2 + p <= 2^53.
+# With t = p - 1 that allows K up to 9007 at the default primes and no K
+# once p > 2^26.5, as at the 31-bit retry primes.  Past the bound both
+# operands are split into 16-bit halves (t = 2^16 - 1, exact for K < 2^21),
+# recombined mod p in int64 below 2^48.  K is the inner dimension of a
+# matrix product; a 2-D convolution puts at most min(cols) products on an
+# entry per row product and reduces mod p every floor(9007 / min(cols))
+# rows at the default primes.  Up to DEFAULT_DEGREE_CAP = 512 (cols <= 513)
+# every product is exact for every p < 2^31.
 
 
-def _convolve_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """np.convolve(a, b) % p for residue vectors, exact for every p < 2^31."""
-    if min(a.size, b.size) * (p - 1) ** 2 < 2**63:
-        return np.convolve(a, b) % p
-    high = np.convolve(a >> 16, b) % p
-    return (high * 65536 + np.convolve(a & 0xFFFF, b)) % p
+def _exact_terms(top: int, p: int) -> int:
+    """How many products of integers in [0, top] a float64 sum holds exactly
+    on top of one residue below p."""
+    return (2**53 - p) // (top * top)
+
+
+def _residues(values: np.ndarray, p: int) -> np.ndarray:
+    """Exact float64 integers reduced mod p, as int64 (np.fmod is far slower)."""
+    return values.astype(np.int64) % p
+
+
+def _exact_mod(product, a: np.ndarray, b: np.ndarray, terms: int, p: int) -> np.ndarray:
+    """product(a, b, top) for residue operands, where ``product`` reduces mod
+    p a float64 product whose entries each sum at most ``terms`` products of
+    entries in [0, top]: in one pass when that is exact for top = p - 1,
+    else from the 16-bit halves of both operands."""
+    if terms <= _exact_terms(p - 1, p):
+        return product(a, b, p - 1)
+
+    def half(u, v):
+        return product(u, v, 0xFFFF)
+
+    a1, a0, b1, b0 = a >> 16, a & 0xFFFF, b >> 16, b & 0xFFFF
+    mid = half(a1, b0) + half(a0, b1)
+    return ((half(a1, b1) * 65536 + mid) % p * 65536 + half(a0, b0)) % p
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b % p for residue matrices, exact for every p < 2^31."""
-    if a.shape[-1] * (p - 1) ** 2 < 2**63:
-        return a @ b % p
-    high = (a >> 16) @ b % p
-    return (high * 65536 + (a & 0xFFFF) @ b) % p
+
+    def product(u, v, top):
+        return _residues(u.astype(np.float64) @ v.astype(np.float64), p)
+
+    return _exact_mod(product, a, b, a.shape[-1], p)
+
+
+def _conv2d_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """The 2-D convolution of residue arrays mod p, exact for every p < 2^31:
+    entry [i, j] is the x^i y^j coefficient of the bivariate product."""
+    if a.shape[0] > b.shape[0]:
+        a, b = b, a  # loop over the rows of the operand with fewer
+    terms = min(a.shape[1], b.shape[1])
+    return _exact_mod(partial(_conv2d_float, p=p), a, b, terms, p)
+
+
+def _conv2d_float(a: np.ndarray, b: np.ndarray, top: int, p: int) -> np.ndarray:
+    """2-D convolution mod p of arrays with entries in [0, top]: one float64
+    product of b against the Toeplitz matrix of each nonzero row of a."""
+    rows_b, cols_b = b.shape
+    cols_a = a.shape[1]
+    width = cols_a + cols_b - 1
+    block = _exact_terms(top, p) // min(cols_a, cols_b)  # rows between reductions
+    out = np.zeros((a.shape[0] + rows_b - 1, width))
+    fb = b.astype(np.float64)
+    # row k of the (cols_b, width + 1) buffer, read with row length width,
+    # starts k places further right: entry (k, m) lands in column k + m
+    buf = np.zeros((cols_b, width + 1))
+    toeplitz = buf.ravel()[: cols_b * width].reshape(cols_b, width)
+    pending = 0
+    for i in np.flatnonzero(a.any(axis=1)).tolist():
+        if pending == block:
+            out[:] = _residues(out, p)
+            pending = 0
+        buf[:, :cols_a] = a[i]
+        out[i : i + rows_b] += fb @ toeplitz
+        pending += 1
+    return _residues(out, p)
 
 
 class HomPoly3:
@@ -185,56 +250,37 @@ class HomPoly3:
         )
 
     def mul(self, other: "HomPoly3") -> "HomPoly3":
+        """The product: one exact 2-D convolution (:func:`_conv2d_mod`) of
+        the two coefficient arrays, each cut to its bounding box."""
         self._check_partner(other)
         degree = self.degree + other.degree
         if self.is_zero() or other.is_zero():
             return HomPoly3.zero(degree, self.p)
-        if self.num_terms() * other.num_terms() <= _DICT_MUL_CUTOFF:
-            return self._mul_dict(other, degree)
-        return self._mul_dense(other, degree)
+        arr, corner = _box_product(self._box(), other._box(), self.p)
+        return _array_to_hompoly(arr, self.p, degree, corner)
 
-    def _mul_dict(self, other: "HomPoly3", degree: int) -> "HomPoly3":
-        p = self.p
-        out: dict = {}
-        for (i1, j1, l1), c1 in self.coeffs.items():
-            for (i2, j2, l2), c2 in other.coeffs.items():
-                key = (i1 + i2, j1 + j2, l1 + l2)
-                s = (out.get(key, 0) + c1 * c2) % p
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return HomPoly3(degree, out, p)
-
-    def _mul_dense(self, other: "HomPoly3", degree: int) -> "HomPoly3":
-        p = self.p
-        small = min(self.degree, other.degree)
-        if (p - 1) ** 2 * (small + 1) ** 2 >= 2**63:
-            # int64 accumulation would overflow; fall back to exact dict loop
-            return self._mul_dict(other, degree)
-        a = self._to_array()
-        b = other._to_array()
-        rows_a = [i for i in range(a.shape[0]) if a[i].any()]
-        rows_b = [i for i in range(b.shape[0]) if b[i].any()]
-        out = np.zeros((degree + 1, 2 * degree + 1), dtype=np.int64)
-        for i in rows_a:
-            ai = a[i]
-            for j in rows_b:
-                conv = np.convolve(ai, b[j])
-                out[i + j, : conv.shape[0]] += conv
-        out %= p
-        coeffs = {}
-        for i, j in zip(*np.nonzero(out)):
-            coeffs[(int(i), int(j), degree - int(i) - int(j))] = int(out[i, j])
-        return HomPoly3(degree, coeffs, p)
+    def _exponents(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        n = len(self.coeffs)
+        keys = np.fromiter(chain.from_iterable(self.coeffs), np.int64, 3 * n).reshape(n, 3)
+        values = np.fromiter(self.coeffs.values(), np.int64, n)
+        return keys[:, 0], keys[:, 1], values
 
     def _to_array(self) -> np.ndarray:
         """Dense bivariate form: entry [i, j] is the coefficient of
         X^i Y^j Z^(degree-i-j)."""
         arr = np.zeros((self.degree + 1, self.degree + 1), dtype=np.int64)
-        for (i, j, _), c in self.coeffs.items():
-            arr[i, j] = c
+        i, j, values = self._exponents()
+        arr[i, j] = values
         return arr
+
+    def _box(self) -> tuple[np.ndarray, tuple[int, int]]:
+        """The dense bivariate form cut to its nonzero bounding box, and the
+        box's corner; a power of Z costs nothing.  Nonzero polynomials only."""
+        i, j, values = self._exponents()
+        i0, j0 = int(i.min()), int(j.min())
+        arr = np.zeros((int(i.max()) - i0 + 1, int(j.max()) - j0 + 1), dtype=np.int64)
+        arr[i - i0, j - j0] = values
+        return arr, (i0, j0)
 
     def pow(self, n: int) -> "HomPoly3":
         if n < 0:
@@ -249,6 +295,13 @@ class HomPoly3:
         return result
 
 
+def _box_product(u, v, p: int):
+    """The product of two (box, corner) pairs of :meth:`HomPoly3._box`: the
+    box of a product is the product of the boxes, as GF(p)[y] is a domain."""
+    (a, (ai, aj)), (b, (bi, bj)) = u, v
+    return _conv2d_mod(a, b, p), (ai + bi, aj + bj)
+
+
 # ---------------------------------------------------------------------------
 # Substitution (coordinate-level composition).
 
@@ -256,39 +309,43 @@ class HomPoly3:
 def substitute(poly: HomPoly3, triple) -> HomPoly3:
     """poly(A, B, C) for three homogeneous polys A, B, C of one degree e.
 
-    The result is homogeneous of degree ``poly.degree * e``.  Powers of the
-    substituted coordinates are cached, so the cost is dominated by products
-    of the cached powers, one or two per monomial of ``poly``.
+    The result is homogeneous of degree ``poly.degree * e``.  The powers of
+    A, B and C that poly's monomials use, then each monomial's product of
+    them, are bounding-box arrays multiplied by :func:`_conv2d_mod`; the
+    scaled terms are summed into one array, converted to a HomPoly3 once.
     """
     a, b, c = triple
     if not (a.degree == b.degree == c.degree):
         raise InputError("substituted coordinates must share one degree")
-    if not (poly.p == a.p == b.p == c.p):
+    p = poly.p
+    if not (p == a.p == b.p == c.p):
         raise InputError("substitution operands live over different primes")
-    e = a.degree
-    out_degree = poly.degree * e
+    out_degree = poly.degree * a.degree
     if poly.is_zero():
-        return HomPoly3.zero(out_degree, poly.p)
+        return HomPoly3.zero(out_degree, p)
 
-    max_i = max(k[0] for k in poly.coeffs)
-    max_j = max(k[1] for k in poly.coeffs)
-    max_l = max(k[2] for k in poly.coeffs)
-    pow_a = _power_ladder(a, max_i)
-    pow_b = _power_ladder(b, max_j)
-    pow_c = _power_ladder(c, max_l)
+    # ladders[v][k - 1] is the box of triple[v]^k
+    ladders = []
+    for v, base in enumerate(triple):
+        top = max(key[v] for key in poly.coeffs)
+        ladder = [] if base.is_zero() or top == 0 else [base._box()]
+        while 0 < len(ladder) < top:
+            ladder.append(_box_product(ladder[-1], ladder[0], p))
+        ladders.append(ladder)
 
-    acc = HomPoly3.zero(out_degree, poly.p)
-    for (i, j, l), coeff in poly.terms():
-        term = pow_a[i].mul(pow_b[j]).mul(pow_c[l]).scale(coeff)
-        acc = acc.add(term)
-    return acc
-
-
-def _power_ladder(base: HomPoly3, top: int) -> list[HomPoly3]:
-    ladder = [HomPoly3.monomial(0, 0, 0, 1, base.p)]
-    for _ in range(top):
-        ladder.append(ladder[-1].mul(base))
-    return ladder
+    out = np.zeros((out_degree + 1, out_degree + 1), dtype=np.int64)
+    for key, coeff in poly.coeffs.items():
+        if any(e > len(ladder) for e, ladder in zip(key, ladders)):
+            continue  # a positive power of a zero coordinate
+        factors = [ladder[e - 1] for e, ladder in zip(key, ladders) if e]
+        term = factors[0] if factors else (np.ones((1, 1), dtype=np.int64), (0, 0))
+        for factor in factors[1:]:
+            term = _box_product(term, factor, p)
+        arr, (i0, j0) = term
+        block = out[i0 : i0 + arr.shape[0], j0 : j0 + arr.shape[1]]
+        block += coeff * arr
+        block %= p
+    return _array_to_hompoly(out, p, out_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -318,13 +375,9 @@ def divexact(f: HomPoly3, g: HomPoly3):
 
 
 def _monomial_content(polys) -> tuple[int, int, int]:
-    mins = [None, None, None]
-    for poly in polys:
-        for key in poly.coeffs:
-            for v in range(3):
-                if mins[v] is None or key[v] < mins[v]:
-                    mins[v] = key[v]
-    return tuple(m or 0 for m in mins)
+    """The exponents of the largest monomial dividing every (nonzero) poly."""
+    keys = chain.from_iterable(chain.from_iterable(poly.coeffs for poly in polys))
+    return tuple(int(m) for m in np.fromiter(keys, np.int64).reshape(-1, 3).min(axis=0))
 
 
 def _shift_exponents(poly: HomPoly3, shift: tuple[int, int, int]) -> HomPoly3:
@@ -481,37 +534,27 @@ def gcd3(
     reduced = [_shift_exponents(q, shift) for q in polys]
     monomial_gcd = HomPoly3.monomial(*shift, 1, p)
 
-    gcd_poly = monomial_gcd
-    nontrivial = all(q.num_terms() > 1 for q in reduced) and not (
-        coprimality_certificate(reduced, p)
-    )
-    used_modular = False
-    if nontrivial:
-        rest = _dense_gcd_list([q._to_array() for q in reduced], p)
-        if rest is not None:
-            gcd_poly = monomial_gcd.mul(_array_to_hompoly(rest, p))
-            used_modular = True
-        else:
-            prs = _bivariate_gcd_list([_dehomogenize(q) for q in reduced], p)
-            gcd_poly = monomial_gcd.mul(_rehomogenize(prs, p))
+    def monic(rest: np.ndarray) -> HomPoly3:
+        """monomial_gcd * rest with graded-lex leading coefficient 1."""
+        gcd_poly = monomial_gcd.mul(_array_to_hompoly(rest, p))
+        return gcd_poly.scale(_inv_mod(gcd_poly.terms()[0][1], p))
 
-    # make the graded-lex leading coefficient 1
-    lead = gcd_poly.terms()[0][1]
-    if lead != 1:
-        gcd_poly = gcd_poly.scale(_inv_mod(lead, p))
+    gcd_poly = monomial_gcd
+    rest = None
+    if all(q.num_terms() > 1 for q in reduced) and not (
+        coprimality_certificate(reduced, p)
+    ):
+        arrays = [q._to_array() for q in reduced]
+        rest = _dense_gcd_list(arrays, p)
+        gcd_poly = monic(_bivariate_gcd_list(arrays, p) if rest is None else rest)
 
     exact = _divides_all(gcd_poly, (p1, p2, p3))
+    if not exact and rest is not None:
+        # unlucky evaluation points: redo with the exact fallback
+        gcd_poly = monic(_bivariate_gcd_list(arrays, p))
+        exact = _divides_all(gcd_poly, (p1, p2, p3))
     if not exact:
-        if used_modular:
-            # unlucky evaluation points: redo with the exact fallback
-            prs = _bivariate_gcd_list([_dehomogenize(q) for q in reduced], p)
-            gcd_poly = monomial_gcd.mul(_rehomogenize(prs, p))
-            lead = gcd_poly.terms()[0][1]
-            if lead != 1:
-                gcd_poly = gcd_poly.scale(_inv_mod(lead, p))
-            exact = _divides_all(gcd_poly, (p1, p2, p3))
-        if not exact:
-            raise BadPrimeSignal("gcd verification by trial division failed", p)
+        raise BadPrimeSignal("gcd verification by trial division failed", p)
     if quotients is not None:
         quotients[:] = exact
     return gcd_poly
@@ -577,20 +620,15 @@ def _vandermonde(points: np.ndarray, width: int, p: int) -> np.ndarray:
     return table
 
 
-def _udeg(vec: np.ndarray) -> int:
-    nz = np.nonzero(vec)[0]
-    return int(nz[-1]) if nz.size else -1
-
-
 def _ydeg_rows(arr: np.ndarray) -> int:
     nz = np.nonzero(arr)[1]
     return int(nz.max()) if nz.size else -1
 
 
-def _content_y(arr: np.ndarray, p: int) -> np.ndarray:
+def _content_y(rows, p: int) -> np.ndarray:
     """gcd in F_p[y] of all row polynomials (the content w.r.t. x)."""
     g = np.zeros(0, dtype=np.int64)
-    for row in arr:
+    for row in rows:
         row = _utrim(row)
         if row.size:
             g = row if g.size == 0 else _ugcd(g, row, p)
@@ -683,15 +721,7 @@ def _modular_bivariate_gcd(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray |
     ycont = _content_y(poly.T, p)  # rows of poly.T are x-coefficients in y
     poly = _rows_divexact_content(poly.T, ycont, p)  # primitive in y
     if content.size > 1 or content[0] != 1:
-        out = np.zeros(
-            (poly.shape[0], poly.shape[1] + content.size - 1), dtype=np.int64
-        )
-        for i in range(poly.shape[0]):
-            row = _utrim(poly[i])
-            if row.size:
-                conv = _convolve_mod(row, content, p)
-                out[i, : conv.size] = conv
-        poly = out
+        poly = _conv2d_mod(poly, content[None, :], p)
     return poly
 
 
@@ -742,7 +772,7 @@ def _divexact_dense(
     if dxF < dxG:
         return None
     lcG = _utrim(G[dxG])
-    rows_G = [(r, row) for r in range(dxG + 1) if (row := _utrim(G[r])).size]
+    G = G[: dxG + 1, : _ydeg_rows(G) + 1]
     rem = F.copy()
     q = np.zeros((dxF - dxG + 1, F.shape[1]), dtype=np.int64)
     for i in range(dxF - dxG, -1, -1):
@@ -756,75 +786,45 @@ def _divexact_dense(
         except AssertionError:
             return None
         q[i, : qi.size] = qi
-        for r, row in rows_G:
-            conv = _convolve_mod(qi, row, p)
-            seg = rem[i + r]
-            seg[: conv.size] = (seg[: conv.size] - conv) % p
+        product = _conv2d_mod(qi[None, :], G, p)
+        seg = rem[i : i + dxG + 1, : product.shape[1]]
+        seg -= product
+        seg %= p
     if rem.any():
         return None
     return q
 
 
-def _array_to_hompoly(arr: np.ndarray, p: int, degree: int | None = None) -> HomPoly3:
-    """Rehomogenize a dense bivariate array.
+def _array_to_hompoly(
+    arr: np.ndarray, p: int, degree: int | None = None, corner=(0, 0)
+) -> HomPoly3:
+    """Rehomogenize a dense bivariate residue array whose entry [0, 0] is
+    the coefficient of x^corner[0] y^corner[1].
 
     Without an explicit degree the total degree of the array is used (right
     for gcds once the joint monomial content is out); quotients pass the
-    known degree so that a power of Z dividing them is restored.
+    known degree so that a power of Z dividing them is restored.  The keys
+    are valid by construction, so HomPoly3's checks are skipped.
     """
-    nz = np.nonzero(arr)
-    if nz[0].size == 0:
+    i, j = np.nonzero(arr)
+    if i.size == 0:
         return HomPoly3.zero(degree or 0, p)
-    total = int((nz[0] + nz[1]).max()) if degree is None else degree
-    coeffs = {}
-    for i, j in zip(*nz):
-        coeffs[(int(i), int(j), total - int(i) - int(j))] = int(arr[i, j])
-    return HomPoly3(total, coeffs, p)
+    values = arr[i, j].tolist()
+    i += corner[0]
+    j += corner[1]
+    total = int((i + j).max()) if degree is None else degree
+    keys = zip(i.tolist(), j.tolist(), (total - i - j).tolist())
+    poly = object.__new__(HomPoly3)
+    poly.degree, poly.p, poly.coeffs = total, p, dict(zip(keys, values))
+    return poly
 
 
 # ---------------------------------------------------------------------------
 # Bivariate PRS gcd on dehomogenized forms (the rare fallback path).
 
 
-def _dehomogenize(poly: HomPoly3) -> dict:
-    """HomPoly3 -> {x_exponent: y-coefficient-vector} with Z set to 1."""
-    out: dict[int, np.ndarray] = {}
-    max_j: dict[int, int] = {}
-    for (i, j, _), _c in poly.coeffs.items():
-        max_j[i] = max(max_j.get(i, 0), j)
-    for i, mj in max_j.items():
-        out[i] = np.zeros(mj + 1, dtype=np.int64)
-    for (i, j, _), c in poly.coeffs.items():
-        out[i][j] = c
-    return {i: _utrim(v) for i, v in out.items() if _utrim(v).size}
-
-
-def _rehomogenize(biv: dict, p: int) -> HomPoly3:
-    total = 0
-    coeffs = {}
-    for i, vec in biv.items():
-        for j, c in enumerate(vec.tolist()):
-            if c:
-                total = max(total, i + j)
-    for i, vec in biv.items():
-        for j, c in enumerate(vec.tolist()):
-            if c:
-                coeffs[(i, j, total - i - j)] = int(c)
-    return HomPoly3(total, coeffs, p)
-
-
 def _bdeg(biv: dict) -> int:
     return max(biv) if biv else -1
-
-
-def _bcontent(biv: dict, p: int) -> np.ndarray:
-    vals = list(biv.values())
-    g = vals[0]
-    for v in vals[1:]:
-        g = _ugcd(g, v, p)
-        if g.size == 1:
-            break
-    return g
 
 
 def _udivexact(u: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
@@ -845,37 +845,27 @@ def _udivexact(u: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
 
 
 def _bprimitive(biv: dict, p: int) -> dict:
-    cont = _bcontent(biv, p)
+    cont = _content_y(biv.values(), p)
     if cont.size == 1 and cont[0] == 1:
         return biv
     return {i: _udivexact(v, cont, p) for i, v in biv.items()}
 
 
 def _bscale(biv: dict, u: np.ndarray, p: int) -> dict:
-    return {i: _convolve_mod(v, u, p) for i, v in biv.items()}
+    return {i: _conv2d_mod(v[None, :], u[None, :], p)[0] for i, v in biv.items()}
 
 
 def _bsub(a: dict, b: dict, p: int) -> dict:
     out = dict(a)
     for i, v in b.items():
-        if i in out:
-            n = max(out[i].size, v.size)
-            s = np.zeros(n, dtype=np.int64)
-            s[: out[i].size] += out[i]
-            s[: v.size] -= v
-            s %= p
-            s = _utrim(s)
-            if s.size:
-                out[i] = s
-            else:
-                del out[i]
-        else:
-            out[i] = (-v) % p
+        u = out.pop(i, v[:0])
+        s = np.zeros(max(u.size, v.size), dtype=np.int64)
+        s[: u.size] += u
+        s[: v.size] -= v
+        s = _utrim(s % p)
+        if s.size:
+            out[i] = s
     return out
-
-
-def _bshift_x(biv: dict, k: int) -> dict:
-    return {i + k: v for i, v in biv.items()}
 
 
 def _pseudo_rem(a: dict, b: dict, p: int) -> dict:
@@ -886,7 +876,8 @@ def _pseudo_rem(a: dict, b: dict, p: int) -> dict:
     while _bdeg(r) >= db and r:
         dr = _bdeg(r)
         lr = r[dr]
-        r = _bsub(_bscale(r, lb, p), _bshift_x(_bscale(b, lr, p), dr - db), p)
+        shifted = {i + dr - db: v for i, v in _bscale(b, lr, p).items()}
+        r = _bsub(_bscale(r, lb, p), shifted, p)
         r.pop(dr, None)
     return r
 
@@ -896,7 +887,7 @@ def _bivariate_gcd(a: dict, b: dict, p: int) -> dict:
         return b
     if not b:
         return a
-    ca, cb = _bcontent(a, p), _bcontent(b, p)
+    ca, cb = _content_y(a.values(), p), _content_y(b.values(), p)
     content = _ugcd(ca, cb, p)
     a, b = _bprimitive(a, p), _bprimitive(b, p)
     if _bdeg(a) < _bdeg(b):
@@ -910,13 +901,18 @@ def _bivariate_gcd(a: dict, b: dict, p: int) -> dict:
     return a
 
 
-def _bivariate_gcd_list(polys: list[dict], p: int) -> dict:
+def _bivariate_gcd_list(arrays, p: int) -> np.ndarray:
+    """The PRS gcd of dense bivariate arrays, on {x exponent: y vector} dicts."""
+    polys = [{i: _utrim(row) for i, row in enumerate(a) if row.any()} for a in arrays]
     g = polys[0]
     for q in polys[1:]:
         g = _bivariate_gcd(g, q, p)
         if _bdeg(g) == 0 and g[0].size == 1:
             break
-    return g
+    out = np.zeros((max(g) + 1, max(v.size for v in g.values())), dtype=np.int64)
+    for i, vec in g.items():
+        out[i, : vec.size] = vec
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import pickle
 import random
 
 import pytest
+import sympy
 
 from hypwalk.cremona import (
     CremonaElement,
@@ -245,3 +246,26 @@ def test_lazy_inverse_pickles():
     assert clone._tracks is None and clone.word == inverse.word
     assert clone == inverse
     assert clone == model._compose_word(inverse.word)
+
+
+def test_henon_power_at_a_31_bit_prime_matches_sympy():
+    # every product of this composition lies past the float64 bound at a
+    # 31-bit retry prime, so the kernel runs on 16-bit halves throughout
+    p = 2083116181
+    model = CremonaModel(primes=(p,))
+    h64 = model.power(model.henon(2), 6)
+    assert h64.degree == 64
+    x, y, z = sympy.symbols("x y z")
+    u, v = sympy.Poly(x, x, y, modulus=p), sympy.Poly(y, x, y, modulus=p)
+    for _ in range(6):
+        u, v = v, v**2 - u
+    coords = [
+        q.homogenize(z) * sympy.Poly(z ** (64 - q.total_degree()), x, y, z, modulus=p)
+        for q in (u, v)
+    ]
+    coords.append(sympy.Poly(z**64, x, y, z, modulus=p))
+    lead = int(coords[0].LC()) % p  # normalization makes this coefficient 1
+    scale = pow(lead, -1, p)
+    for got, want in zip(h64.triple(p), coords):
+        expected = {m: int(c) * scale % p for m, c in want.terms() if int(c) % p}
+        assert got.coeffs == expected

@@ -11,7 +11,7 @@ from hypwalk import words as W
 from hypwalk.cli import write_outputs
 from hypwalk.config import build_measure, build_model, run_config
 from hypwalk.cremona import CremonaModel
-from hypwalk.errors import BadPrimeSignal, InputError
+from hypwalk.errors import BadPrimeSignal, InputError, ResourceError
 from hypwalk.finitegroups import Automorphism, FiniteGroup, cyclic_automorphism
 from hypwalk.freegroup import FreeGroupOracle, SemidirectOracle
 from hypwalk.presets import preset_config
@@ -435,6 +435,47 @@ def test_gromov_tail_gives_up_after_retries(monkeypatch):
     ]
     assert len(calls) == 2 * MAX_BAD_PRIME_ATTEMPTS
     assert len(set(calls)) == 1 + 2 * (MAX_BAD_PRIME_ATTEMPTS - 1)
+
+
+@pytest.mark.parametrize("experiment", [E.gromov_tail, E.translation_growth])
+def test_all_truncated_mark_reports_null_statistics(experiment, monkeypatch, tmp_path):
+    def always_bad(self, g, h):
+        raise BadPrimeSignal("injected")
+
+    monkeypatch.setattr(CremonaModel, "pairwise_distance", always_bad)
+    result = experiment(_cremona_measure(), [2], 2, seed=5)
+    assert all(r["truncation_reason"] == "bad_prime" for r in result.records)
+    assert set(result.aggregates["per_n"]["2"].values()) == {None}
+    assert result.failures == ["no untruncated trials at n=2"] and not result.passed
+    assert result.recompute_aggregates() == result.aggregates
+    write_outputs(result, {"experiment": result.name}, tmp_path)
+    report = json.loads((tmp_path / "report.json").read_text())["result"]
+    assert set(report["aggregates"]["per_n"]["2"].values()) == {None}
+
+
+def test_generic_rows_name_their_truncation_reason(monkeypatch):
+    def reason(rows):
+        return {r["truncation_reason"] for r in rows}
+
+    # the walk itself passes the degree cap
+    capped = _cremona_measure(degree_cap=4)
+    assert sample_path(capped, 4, 5, 0).truncated_at is not None
+    assert reason(E._generic_observable_rows(capped, [4], 5, 1)) == {"degree_cap"}
+
+    # the observable passes the cap after the walk succeeded
+    def over_cap(self, g, h):
+        raise ResourceError("injected")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(CremonaModel, "pairwise_distance", over_cap)
+        assert reason(E._generic_observable_rows(_cremona_measure(), [2], 5, 1)) == {
+            "degree_cap"
+        }
+
+    # every gcd check fails, so the walk discards the trial
+    measure = _cremona_measure()
+    monkeypatch.setattr(polynomials, "_divides_all", lambda g, polys: False)
+    assert reason(E._generic_observable_rows(measure, [3], 5, 1)) == {"discarded"}
 
 
 def test_reproducibility_and_aggregate_audit():

@@ -64,16 +64,6 @@ def test_mul_commutative_associative_random():
         assert a.mul(b).mul(c) == a.mul(b.mul(c))
 
 
-def test_dense_and_dict_products_agree():
-    rng = random.Random(5)
-    for _ in range(5):
-        a = _random_poly(rng, 12, density=0.9)
-        b = _random_poly(rng, 11, density=0.9)
-        via_dict = a._mul_dict(b, a.degree + b.degree)
-        via_dense = a._mul_dense(b, a.degree + b.degree)
-        assert via_dict == via_dense
-
-
 def test_substitute_examples():
     sigma = (Y.mul(Z), X.mul(Z), X.mul(Y))
     assert substitute(X, sigma) == Y.mul(Z)
@@ -336,6 +326,119 @@ def test_gcd3_matches_sympy(p, data):
     assert g == _from_sympy(expected, expected.total_degree(), p)
 
 
+def _conv2d_reference(a, b, p):
+    """The 2-D convolution of two integer arrays mod p, by one Python-integer
+    product (Kronecker substitution): x^i y^j becomes 2^(128 (i W + j)) for
+    the output width W, and no output entry reaches 2^128 before the mod."""
+    width = len(a[0]) + len(b[0]) - 1
+    rows = len(a) + len(b) - 1
+
+    def pack(arr):
+        slots = [0] * (rows * width)
+        for i, row in enumerate(arr):
+            slots[i * width : i * width + len(row)] = row
+        return int.from_bytes(b"".join(v.to_bytes(16, "little") for v in slots), "little")
+
+    raw = (pack(a) * pack(b)).to_bytes(16 * rows * width, "little")
+    flat = [int.from_bytes(raw[16 * k : 16 * k + 16], "little") % p for k in range(rows * width)]
+    return [flat[i * width : (i + 1) * width] for i in range(rows)]
+
+
+@st.composite
+def _residue_arrays(draw, p, max_rows, max_cols):
+    rows = draw(st.integers(1, max_rows))
+    cols = draw(st.integers(1, max_cols))
+    entry = st.sampled_from((0, 1, p - 1)) | st.integers(0, p - 1)
+    arr = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    # whole zero rows and columns, which the kernel skips or keeps
+    for i in draw(st.lists(st.integers(0, rows - 1), max_size=2)):
+        arr[i] = [0] * cols
+    for j in draw(st.lists(st.integers(0, cols - 1), max_size=2)):
+        for row in arr:
+            row[j] = 0
+    return arr
+
+
+@pytest.mark.parametrize("p", _ORACLE_PRIMES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_conv2d_mod_matches_integer_convolution(p, data):
+    a = data.draw(_residue_arrays(p, 5, 9))
+    b = data.draw(_residue_arrays(p, 5, 9))
+    got = polynomials._conv2d_mod(np.array(a), np.array(b), p)
+    assert got.dtype == np.int64 and got.tolist() == _conv2d_reference(a, b, p)
+
+
+def _full_array(rows, cols, p, rng):
+    """A residue array of entries near p - 1, the worst case for the bound."""
+    return [[rng.randrange(p - 3, p) for _ in range(cols)] for _ in range(rows)]
+
+
+@pytest.fixture
+def reductions(monkeypatch):
+    """The shapes of the arrays reduced mod p, one per reduction."""
+    seen = []
+    residues = polynomials._residues
+    monkeypatch.setattr(
+        polynomials, "_residues", lambda v, q: seen.append(v.shape) or residues(v, q)
+    )
+    return seen
+
+
+@pytest.mark.parametrize("p", (DEFAULT_PRIME, P31))
+def test_conv2d_mod_on_both_sides_of_the_float_bound(p, reductions):
+    # at 1000003 one row product holds (2^53 - p) // (p - 1)^2 = 9007 terms
+    # exactly: 95 x 95 operands (95^2 = 9025 terms on an entry) need one
+    # reduction between row products and 94 x 94 (8836) none; at 2083116181
+    # every product is split into 16-bit halves
+    rng = random.Random(41)
+    shapes = [((1, 1), (1, 1)), ((2, 3), (3, 2)), ((94, 94), (94, 94)), ((95, 95), (95, 95))]
+    for sa, sb in shapes:
+        a, b = _full_array(*sa, p, rng), _full_array(*sb, p, rng)
+        reductions.clear()
+        got = polynomials._conv2d_mod(np.array(a), np.array(b), p)
+        assert got.tolist() == _conv2d_reference(a, b, p)
+        if p == P31:
+            assert len(reductions) == 4  # one per 16-bit half product
+        elif sa == (95, 95):
+            assert len(reductions) == 2  # one between row products, one at the end
+        else:
+            assert len(reductions) == 1
+
+
+@pytest.mark.parametrize("p", (DEFAULT_PRIME, P31))
+def test_matmul_mod_on_both_sides_of_the_float_bound(p, reductions):
+    # at 1000003 an inner dimension of 9007 is the longest summed in one
+    # float64 pass and 9008 is split into 16-bit halves, as every product
+    # is at 2083116181
+    rng = random.Random(43)
+    for n in (1, 9007, 9008):
+        a, b = _full_array(2, n, p, rng), _full_array(n, 3, p, rng)
+        expected = [
+            [sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(3)] for i in range(2)
+        ]
+        reductions.clear()
+        assert polynomials._matmul_mod(np.array(a), np.array(b), p).tolist() == expected
+        assert len(reductions) == (1 if p == DEFAULT_PRIME and n < 9008 else 4)
+
+
+@pytest.mark.parametrize("p", _ORACLE_PRIMES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_mul_matches_integer_convolution(p, data):
+    a = data.draw(_hompolys(p, 6))
+    b = data.draw(_hompolys(p, 6))
+    degree = a.degree + b.degree
+    expected = _conv2d_reference(a._to_array().tolist(), b._to_array().tolist(), p)
+    coeffs = {
+        (i, j, degree - i - j): c
+        for i, row in enumerate(expected)
+        for j, c in enumerate(row)
+        if c
+    }
+    assert a.mul(b) == HomPoly3(degree, coeffs, p)
+
+
 @pytest.mark.parametrize("p", (DEFAULT_PRIME, P31))
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
@@ -460,8 +563,8 @@ def _modular_gcd_per_point(A, B, p):
         for i in range(poly.shape[0]):
             row = utrim(poly[i])
             if row.size:
-                conv = polynomials._convolve_mod(row, content, p)
-                out[i, : conv.size] = conv
+                conv = _conv2d_reference([row.tolist()], [content.tolist()], p)[0]
+                out[i, : len(conv)] = conv
         poly = out
     return poly
 
