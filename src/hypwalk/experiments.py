@@ -138,28 +138,37 @@ def _aggregator(name):
 # observable reads the reduced word w_n at its marks.
 
 
+# Trials folded as one block.  fold_words holds a (block x n) index array and
+# the block's stacks at once, so a run's fold memory stops growing with its
+# trial count past this many trials.
+_FOLD_TRIALS = 2000
+
+
 def _tree_trial_rows(measure, marks, seed, first, stop, observables) -> list:
-    """Fold trials first..stop-1 together, evaluating observables at marks.
+    """Fold trials first..stop-1, at most ``_FOLD_TRIALS`` together,
+    evaluating observables at marks.
 
     Top-level (picklable) so blocks can fan out to worker processes.  Every
     trial draws from its own stream, so a block's rows do not depend on how
     the trials were split; rows come back trial-major.
     """
-    indices = np.empty(
-        (stop - first, marks[-1]), dtype=np.min_scalar_type(len(measure.atoms) - 1)
-    )
-    for row, trial in enumerate(range(first, stop)):
-        indices[row] = measure.increment_indices(marks[-1], seed, trial)
-    folded = fold_words(measure, indices, marks)
-    del indices  # the rows below need only the folded words
     rows = []
-    for row, trial in enumerate(range(first, stop)):
-        for n, (stack, length) in zip(marks, folded):
-            word = tuple(stack[row, : length[row]].tolist())
-            record = {"trial": trial, "n": n}
-            for name, evaluate in observables:
-                record[name] = evaluate(word, n)
-            rows.append(record)
+    for lo in range(first, stop, _FOLD_TRIALS):
+        trials = range(lo, min(lo + _FOLD_TRIALS, stop))
+        indices = np.empty(
+            (len(trials), marks[-1]), dtype=np.min_scalar_type(len(measure.atoms) - 1)
+        )
+        for row, trial in enumerate(trials):
+            indices[row] = measure.increment_indices(marks[-1], seed, trial)
+        folded = fold_words(measure, indices, marks)
+        del indices  # the rows below need only the folded words
+        for row, trial in enumerate(trials):
+            for n, (stack, length) in zip(marks, folded):
+                word = tuple(stack[row, : length[row]].tolist())
+                record = {"trial": trial, "n": n}
+                for name, evaluate in observables:
+                    record[name] = evaluate(word, n)
+                rows.append(record)
     return rows
 
 

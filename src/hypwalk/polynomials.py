@@ -1,19 +1,21 @@
 """Exact homogeneous polynomial arithmetic in three variables over GF(p).
 
-A :class:`HomPoly3` is a sparse map from exponent triples ``(i, j, l)`` with
-``i + j + l = degree`` to nonzero residues mod a prime.  The zero polynomial
-keeps an explicit degree tag so that homogeneity bookkeeping survives sums.
+A :class:`HomPoly3` of degree d is one read-only int64 array of residues mod
+a prime: its coefficients cut to their nonzero bounding box in (X-exponent,
+Y-exponent), with the box's corner.  Entry [a, b] of the box is the
+coefficient of X^i Y^j Z^(d-i-j) for (i, j) = corner + (a, b); the
+Z-exponent follows from the degree.  The zero polynomial is an empty box
+that keeps its degree tag, so homogeneity bookkeeping survives sums.
 
-The kernels work on dense bivariate forms (Z set to 1).  Every polynomial
-product -- :meth:`HomPoly3.mul`, the power ladders and terms of
-:func:`substitute`, the quotient rows of exact division -- is one 2-D
-convolution, :func:`_conv2d_mod`, of arrays cut to their nonzero bounding
-boxes: a float64 BLAS product per row of the operand with fewer rows,
-reduced mod p.  It and :func:`_matmul_mod` (line restriction, evaluation at
-many points) follow one exact-product rule, stated next to them, that holds
-for every prime p < 2^31: the 31-bit primes drawn by the bad-prime retry
-policy are as safe as the default ones.  Exact division by a constant is a
-scaling by its inverse.
+Every polynomial product -- :meth:`HomPoly3.mul`, the power ladders and
+terms of :func:`substitute`, the quotient rows of exact division -- is one
+2-D convolution, :func:`_conv2d_mod`, of two boxes: a float64 BLAS product
+per row of the operand with fewer rows, reduced mod p.  It and
+:func:`_matmul_mod` (line restriction, evaluation at many points) follow one
+exact-product rule, stated next to them, that holds for every prime
+p < 2^31: the 31-bit primes drawn by the bad-prime retry policy are as safe
+as the default ones.  Exact division by a constant is a scaling by its
+inverse.
 
 :func:`gcd3` runs three stages, cheapest first:
 
@@ -25,8 +27,8 @@ scaling by its inverse.
    cached per (line, prime);
 3. otherwise Brown's modular gcd evaluates the dense bivariate forms at a
    block of points with one matrix product, takes univariate gcds point by
-   point and interpolates; a pseudo-remainder sequence is the fallback when
-   the prime runs out of points.
+   point and interpolates; a pseudo-remainder sequence on the same arrays
+   is the fallback when the prime runs out of points.
 
 Every gcd is verified by trial division before it is returned, and the
 quotients of that division are handed to :func:`normalize_triple`, so a
@@ -36,8 +38,7 @@ raises :class:`~hypwalk.errors.BadPrimeSignal`.
 
 from __future__ import annotations
 
-from functools import partial
-from itertools import chain
+from functools import partial, reduce
 
 import numpy as np
 
@@ -140,32 +141,72 @@ def _conv2d_float(a: np.ndarray, b: np.ndarray, top: int, p: int) -> np.ndarray:
     return _residues(out, p)
 
 
-class HomPoly3:
-    """Homogeneous polynomial in X, Y, Z over GF(p)."""
+# The box of the zero polynomial.
+_EMPTY = np.zeros((0, 0), dtype=np.int64)
+_EMPTY.flags.writeable = False
 
-    __slots__ = ("degree", "p", "coeffs")
+
+class HomPoly3:
+    """Homogeneous polynomial in X, Y, Z over GF(p), stored as the residue
+    array ``box`` of its nonzero bounding box and the box's ``corner``.
+
+    >>> f = HomPoly3(2, {(0, 2, 0): -1, (1, 0, 1): 3, (0, 0, 2): 0}, p=7)
+    >>> f.terms()
+    [((1, 0, 1), 3), ((0, 2, 0), 6)]
+    >>> f.corner, f.box.tolist()
+    ((0, 0), [[0, 0, 6], [3, 0, 0]])
+    """
+
+    __slots__ = ("degree", "p", "box", "corner")
 
     def __init__(self, degree: int, coeffs: dict, p: int = DEFAULT_PRIME):
         if degree < 0:
             raise InputError("degree must be >= 0")
-        clean = {}
-        for (i, j, l), c in coeffs.items():
+        for i, j, l in coeffs:
             if i < 0 or j < 0 or l < 0 or i + j + l != degree:
                 raise InputError(
                     f"exponent triple {(i, j, l)} does not match degree {degree}"
                 )
-            c %= p
-            if c:
-                clean[(i, j, l)] = c
-        self.degree = degree
-        self.p = p
-        self.coeffs = clean
+        arr, corner = _EMPTY, (0, 0)
+        if coeffs:
+            # only the keys' box is allocated: a sparse generator of a degree
+            # far past the composition cap stays cheap to build
+            keys = np.array([key[:2] for key in coeffs], dtype=np.int64)
+            low = keys.min(axis=0)
+            arr = np.zeros(keys.max(axis=0) - low + 1, dtype=np.int64)
+            arr[tuple((keys - low).T)] = [c % p for c in coeffs.values()]
+            corner = tuple(low.tolist())
+        self._store(degree, arr, p, corner)
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
+    def _from_array(degree: int, arr: np.ndarray, p: int, corner=(0, 0)) -> "HomPoly3":
+        """The polynomial whose X^(i0+a) Y^(j0+b) coefficient is the residue
+        arr[a, b], for corner (i0, j0).  ``arr`` is made read-only and kept
+        when it is its own box, so the caller must not write to it again."""
+        poly = object.__new__(HomPoly3)
+        poly._store(degree, arr, p, corner)
+        return poly
+
+    def _store(self, degree: int, arr: np.ndarray, p: int, corner) -> None:
+        """Set the slots, cutting arr to its nonzero bounding box."""
+        self.degree, self.p = degree, p
+        rows = arr.any(axis=1).nonzero()[0].tolist()
+        if not rows:
+            self.box, self.corner = _EMPTY, (0, 0)
+            return
+        cols = arr.any(axis=0).nonzero()[0].tolist()
+        r0, c0 = rows[0], cols[0]
+        box = arr[r0 : rows[-1] + 1, c0 : cols[-1] + 1]
+        if box.shape != arr.shape:
+            box = box.copy()  # do not keep the whole of arr alive
+        box.flags.writeable = False
+        self.box, self.corner = box, (corner[0] + r0, corner[1] + c0)
+
+    @staticmethod
     def zero(degree: int, p: int = DEFAULT_PRIME) -> "HomPoly3":
-        return HomPoly3(degree, {}, p)
+        return HomPoly3._from_array(degree, _EMPTY, p)
 
     @staticmethod
     def monomial(i: int, j: int, l: int, c: int = 1, p: int = DEFAULT_PRIME) -> "HomPoly3":
@@ -180,21 +221,39 @@ class HomPoly3:
     # -- basics ---------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return self.box.size == 0
 
     def terms(self):
-        """Terms in graded-lex order (X > Y > Z), largest first."""
-        return sorted(self.coeffs.items(), reverse=True)
+        """Terms ``((i, j, l), c)`` in graded-lex order (X > Y > Z), largest
+        first: the box's nonzero entries read from its last row and column."""
+        flipped = self.box[::-1, ::-1]
+        rows, cols = np.nonzero(flipped)
+        i = self.corner[0] + self.box.shape[0] - 1 - rows
+        j = self.corner[1] + self.box.shape[1] - 1 - cols
+        keys = zip(i.tolist(), j.tolist(), (self.degree - i - j).tolist())
+        return list(zip(keys, flipped[rows, cols].tolist()))
+
+    @property
+    def coeffs(self) -> dict:
+        """The nonzero coefficients as ``{(i, j, l): c}``."""
+        return dict(self.terms())
 
     def num_terms(self) -> int:
-        return len(self.coeffs)
+        return int(np.count_nonzero(self.box))
+
+    def _leading_coefficient(self) -> int:
+        """The graded-lex leading coefficient: the last nonzero entry of the
+        box's last row.  Nonzero polynomials only."""
+        last = self.box[-1]
+        return int(last[np.flatnonzero(last)[-1]])
 
     def __eq__(self, other):
         return (
             isinstance(other, HomPoly3)
             and self.p == other.p
             and self.degree == other.degree
-            and self.coeffs == other.coeffs
+            and self.corner == other.corner
+            and np.array_equal(self.box, other.box)
         )
 
     def __hash__(self):
@@ -226,61 +285,38 @@ class HomPoly3:
             raise InputError(
                 f"cannot add degrees {self.degree} and {other.degree}"
             )
-        out = dict(self.coeffs)
-        p = self.p
-        for key, c in other.coeffs.items():
-            s = (out.get(key, 0) + c) % p
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return HomPoly3(self.degree, out, p)
+        out = (self._to_array() + other._to_array()) % self.p
+        return HomPoly3._from_array(self.degree, out, self.p)
 
     def neg(self) -> "HomPoly3":
-        p = self.p
-        return HomPoly3(self.degree, {k: p - c for k, c in self.coeffs.items()}, p)
+        return self.scale(-1)
 
     def sub(self, other: "HomPoly3") -> "HomPoly3":
         return self.add(other.neg())
 
     def scale(self, c: int) -> "HomPoly3":
         c %= self.p
-        return HomPoly3(
-            self.degree, {k: (v * c) % self.p for k, v in self.coeffs.items()}, self.p
-        )
+        return HomPoly3._from_array(self.degree, self.box * c % self.p, self.p, self.corner)
 
     def mul(self, other: "HomPoly3") -> "HomPoly3":
         """The product: one exact 2-D convolution (:func:`_conv2d_mod`) of
-        the two coefficient arrays, each cut to its bounding box."""
+        the two boxes, at the sum of the corners.  The product of the boxes
+        is the product's box, as GF(p)[y] is a domain."""
         self._check_partner(other)
         degree = self.degree + other.degree
         if self.is_zero() or other.is_zero():
             return HomPoly3.zero(degree, self.p)
-        arr, corner = _box_product(self._box(), other._box(), self.p)
-        return _array_to_hompoly(arr, self.p, degree, corner)
-
-    def _exponents(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        n = len(self.coeffs)
-        keys = np.fromiter(chain.from_iterable(self.coeffs), np.int64, 3 * n).reshape(n, 3)
-        values = np.fromiter(self.coeffs.values(), np.int64, n)
-        return keys[:, 0], keys[:, 1], values
+        (ai, aj), (bi, bj) = self.corner, other.corner
+        arr = _conv2d_mod(self.box, other.box, self.p)
+        return HomPoly3._from_array(degree, arr, self.p, (ai + bi, aj + bj))
 
     def _to_array(self) -> np.ndarray:
         """Dense bivariate form: entry [i, j] is the coefficient of
         X^i Y^j Z^(degree-i-j)."""
         arr = np.zeros((self.degree + 1, self.degree + 1), dtype=np.int64)
-        i, j, values = self._exponents()
-        arr[i, j] = values
+        (i0, j0), (rows, cols) = self.corner, self.box.shape
+        arr[i0 : i0 + rows, j0 : j0 + cols] = self.box
         return arr
-
-    def _box(self) -> tuple[np.ndarray, tuple[int, int]]:
-        """The dense bivariate form cut to its nonzero bounding box, and the
-        box's corner; a power of Z costs nothing.  Nonzero polynomials only."""
-        i, j, values = self._exponents()
-        i0, j0 = int(i.min()), int(j.min())
-        arr = np.zeros((int(i.max()) - i0 + 1, int(j.max()) - j0 + 1), dtype=np.int64)
-        arr[i - i0, j - j0] = values
-        return arr, (i0, j0)
 
     def pow(self, n: int) -> "HomPoly3":
         if n < 0:
@@ -295,13 +331,6 @@ class HomPoly3:
         return result
 
 
-def _box_product(u, v, p: int):
-    """The product of two (box, corner) pairs of :meth:`HomPoly3._box`: the
-    box of a product is the product of the boxes, as GF(p)[y] is a domain."""
-    (a, (ai, aj)), (b, (bi, bj)) = u, v
-    return _conv2d_mod(a, b, p), (ai + bi, aj + bj)
-
-
 # ---------------------------------------------------------------------------
 # Substitution (coordinate-level composition).
 
@@ -311,8 +340,8 @@ def substitute(poly: HomPoly3, triple) -> HomPoly3:
 
     The result is homogeneous of degree ``poly.degree * e``.  The powers of
     A, B and C that poly's monomials use, then each monomial's product of
-    them, are bounding-box arrays multiplied by :func:`_conv2d_mod`; the
-    scaled terms are summed into one array, converted to a HomPoly3 once.
+    them, are :meth:`HomPoly3.mul` products; the scaled terms are summed
+    into one array, cut to its box once.
     """
     a, b, c = triple
     if not (a.degree == b.degree == c.degree):
@@ -324,28 +353,29 @@ def substitute(poly: HomPoly3, triple) -> HomPoly3:
     if poly.is_zero():
         return HomPoly3.zero(out_degree, p)
 
-    # ladders[v][k - 1] is the box of triple[v]^k
+    rows, cols = np.nonzero(poly.box)
+    i = rows + poly.corner[0]
+    j = cols + poly.corner[1]
+    exponents = np.stack([i, j, poly.degree - i - j], axis=1)
+    # ladders[v][k - 1] is triple[v]^k
     ladders = []
-    for v, base in enumerate(triple):
-        top = max(key[v] for key in poly.coeffs)
-        ladder = [] if base.is_zero() or top == 0 else [base._box()]
+    for top, base in zip(exponents.max(axis=0).tolist(), triple):
+        ladder = [] if base.is_zero() or top == 0 else [base]
         while 0 < len(ladder) < top:
-            ladder.append(_box_product(ladder[-1], ladder[0], p))
+            ladder.append(ladder[-1].mul(base))
         ladders.append(ladder)
 
     out = np.zeros((out_degree + 1, out_degree + 1), dtype=np.int64)
-    for key, coeff in poly.coeffs.items():
+    for key, coeff in zip(exponents.tolist(), poly.box[rows, cols].tolist()):
         if any(e > len(ladder) for e, ladder in zip(key, ladders)):
             continue  # a positive power of a zero coordinate
         factors = [ladder[e - 1] for e, ladder in zip(key, ladders) if e]
-        term = factors[0] if factors else (np.ones((1, 1), dtype=np.int64), (0, 0))
-        for factor in factors[1:]:
-            term = _box_product(term, factor, p)
-        arr, (i0, j0) = term
-        block = out[i0 : i0 + arr.shape[0], j0 : j0 + arr.shape[1]]
-        block += coeff * arr
+        term = reduce(HomPoly3.mul, factors) if factors else HomPoly3.monomial(0, 0, 0, 1, p)
+        (i0, j0), (height, width) = term.corner, term.box.shape
+        block = out[i0 : i0 + height, j0 : j0 + width]
+        block += coeff * term.box
         block %= p
-    return _array_to_hompoly(out, p, out_degree)
+    return HomPoly3._from_array(out_degree, out, p)
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +386,9 @@ def divexact(f: HomPoly3, g: HomPoly3):
     """f / g when the division is exact, else None.
 
     A constant divisor is a scaling.  Every other divisor goes through the
-    dense bivariate routine :func:`_divexact_dense`, which is exact for every
-    prime p < 2^31.
+    dense bivariate routine :func:`_divexact_dense` on the two boxes, which
+    is exact for every prime p < 2^31: the quotient's box has its corner at
+    the difference of the corners, as the corners of a product add.
     """
     if g.is_zero():
         raise InputError("division by the zero polynomial")
@@ -366,28 +397,39 @@ def divexact(f: HomPoly3, g: HomPoly3):
     if f.degree < g.degree:
         return None
     if g.degree == 0:
-        return f.scale(_inv_mod(g.coeffs[0, 0, 0], f.p))
+        return f.scale(_inv_mod(int(g.box[0, 0]), f.p))
     degree = f.degree - g.degree
-    q = _divexact_dense(f._to_array(), g._to_array(), f.p, degree)
+    corner = (f.corner[0] - g.corner[0], f.corner[1] - g.corner[1])
+    if min(corner) < 0:
+        return None
+    q = _divexact_dense(f.box, g.box, f.p, degree - sum(corner))
     if q is None:
         return None
-    return _array_to_hompoly(q, f.p, degree=degree)
+    return HomPoly3._from_array(degree, q, f.p, corner)
+
+
+def _max_ij(arr: np.ndarray) -> int:
+    """The largest i + j over the nonzero entries arr[i, j]."""
+    rows, cols = np.nonzero(arr)
+    return int((rows + cols).max())
 
 
 def _monomial_content(polys) -> tuple[int, int, int]:
-    """The exponents of the largest monomial dividing every (nonzero) poly."""
-    keys = chain.from_iterable(chain.from_iterable(poly.coeffs for poly in polys))
-    return tuple(int(m) for m in np.fromiter(keys, np.int64).reshape(-1, 3).min(axis=0))
+    """The exponents of the largest monomial dividing every (nonzero) poly:
+    the least corner entries, and the least Z-exponent, which is the degree
+    less the largest i + j in the box."""
+    return (
+        min(q.corner[0] for q in polys),
+        min(q.corner[1] for q in polys),
+        min(q.degree - sum(q.corner) - _max_ij(q.box) for q in polys),
+    )
 
 
 def _shift_exponents(poly: HomPoly3, shift: tuple[int, int, int]) -> HomPoly3:
+    """poly divided by the monomial X^si Y^sj Z^sl: the same box, moved."""
     si, sj, sl = shift
-    if si == sj == sl == 0:
-        return poly
-    out = {
-        (i - si, j - sj, l - sl): c for (i, j, l), c in poly.coeffs.items()
-    }
-    return HomPoly3(poly.degree - si - sj - sl, out, poly.p)
+    corner = (poly.corner[0] - si, poly.corner[1] - sj)
+    return HomPoly3._from_array(poly.degree - si - sj - sl, poly.box, poly.p, corner)
 
 
 def _power_table(root: int, lead: int, size: int, p: int) -> np.ndarray:
@@ -429,9 +471,10 @@ def _line_tables(line: tuple[int, int, int], p: int, d: int):
 def _restrict_to_line(poly: HomPoly3, line: tuple[int, int, int]) -> np.ndarray:
     """Coefficients of poly(t + a, b t + c, 1) as an int64 residue vector.
 
-    Two matrix products against the cached power tables: ``W = arr @ V``
-    collapses the Y-exponent against the powers of (b t + c), ``R = U^T W``
-    the X-exponent against the powers of (t + a), so R[m, k] is the part of
+    Two matrix products of the box against the rows of the cached power
+    tables that its exponents cover: ``W = box @ V`` collapses the
+    Y-exponent against the powers of (b t + c), ``R = U^T W`` the
+    X-exponent against the powers of (t + a), so R[m, k] is the part of
     the t^(m+k) coefficient that comes from t^m of the first power.  The
     antidiagonal sums of R are the coefficients; a row-skewed reshape lines
     each antidiagonal up as a column.
@@ -441,7 +484,9 @@ def _restrict_to_line(poly: HomPoly3, line: tuple[int, int, int]) -> np.ndarray:
     p = poly.p
     n = poly.degree + 1
     U, V = _line_tables(line, p, poly.degree)
-    R = _matmul_mod(U.T, _matmul_mod(poly._to_array(), V, p), p)
+    (i0, j0), (rows, cols) = poly.corner, poly.box.shape
+    W = _matmul_mod(poly.box, V[j0 : j0 + cols], p)
+    R = _matmul_mod(U[i0 : i0 + rows].T, W, p)
     # row m of the padded (n, 2n) matrix, read with row length 2n - 1,
     # starts m places further right: entry (m, k) lands in column m + k
     skewed = np.zeros((n, 2 * n), dtype=np.int64)
@@ -536,8 +581,8 @@ def gcd3(
 
     def monic(rest: np.ndarray) -> HomPoly3:
         """monomial_gcd * rest with graded-lex leading coefficient 1."""
-        gcd_poly = monomial_gcd.mul(_array_to_hompoly(rest, p))
-        return gcd_poly.scale(_inv_mod(gcd_poly.terms()[0][1], p))
+        gcd_poly = monomial_gcd.mul(HomPoly3._from_array(_max_ij(rest), rest, p))
+        return gcd_poly.scale(_inv_mod(gcd_poly._leading_coefficient(), p))
 
     gcd_poly = monomial_gcd
     rest = None
@@ -561,26 +606,15 @@ def gcd3(
 
 
 def _divides_all(gcd_poly: HomPoly3, polys) -> list[HomPoly3] | None:
-    """The exact quotients of polys by gcd_poly, or None when one is inexact.
-
-    A zero polynomial's quotient is the zero polynomial, without a division.
-    """
-    quotients = []
-    for q in polys:
-        if q.is_zero():
-            quotient = HomPoly3.zero(max(q.degree - gcd_poly.degree, 0), q.p)
-        else:
-            quotient = divexact(q, gcd_poly)
-            if quotient is None:
-                return None
-        quotients.append(quotient)
-    return quotients
+    """The exact quotients of polys by gcd_poly, or None when one is inexact."""
+    quotients = [divexact(q, gcd_poly) for q in polys]
+    return None if any(q is None for q in quotients) else quotients
 
 
 def _dense_gcd_list(arrays, p: int) -> np.ndarray | None:
     g = arrays[0]
     for arr in arrays[1:]:
-        if _ydeg_rows(g) <= 0 and int(np.nonzero(g.any(axis=1))[0][-1]) == 0:
+        if _ydeg_rows(g) <= 0 and _xdeg(g) == 0:
             break  # already constant
         g = _modular_bivariate_gcd(g, arr, p)
         if g is None:
@@ -601,7 +635,7 @@ def normalize_triple(p1: HomPoly3, p2: HomPoly3, p3: HomPoly3):
         raise BadPrimeSignal("composition collapsed to the zero triple", p1.p)
     parts: list[HomPoly3] = []
     g = gcd3(p1, p2, p3, parts)
-    lead = next(q.terms()[0][1] for q in parts if not q.is_zero())
+    lead = next(q._leading_coefficient() for q in parts if not q.is_zero())
     scale = _inv_mod(lead, g.p)
     return tuple(q.scale(scale) for q in parts), g.degree
 
@@ -620,9 +654,16 @@ def _vandermonde(points: np.ndarray, width: int, p: int) -> np.ndarray:
     return table
 
 
+def _xdeg(arr: np.ndarray) -> int:
+    """The last nonzero row of arr, or -1."""
+    rows = np.flatnonzero(arr.any(axis=1))
+    return int(rows[-1]) if rows.size else -1
+
+
 def _ydeg_rows(arr: np.ndarray) -> int:
-    nz = np.nonzero(arr)[1]
-    return int(nz.max()) if nz.size else -1
+    """The last nonzero column of arr, or -1."""
+    cols = np.flatnonzero(arr.any(axis=0))
+    return int(cols[-1]) if cols.size else -1
 
 
 def _content_y(rows, p: int) -> np.ndarray:
@@ -669,8 +710,7 @@ def _modular_bivariate_gcd(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray |
     content = _ugcd(contA, contB, p)
     A = _rows_divexact_content(A, contA, p)
     B = _rows_divexact_content(B, contB, p)
-    dxA = int(np.nonzero(A.any(axis=1))[0][-1])
-    dxB = int(np.nonzero(B.any(axis=1))[0][-1])
+    dxA, dxB = _xdeg(A), _xdeg(B)
     gamma = _ugcd(_utrim(A[dxA]), _utrim(B[dxB]), p)
     needed = (gamma.size - 1) + min(_ydeg_rows(A), _ydeg_rows(B)) + 1
     last_point = min(8 * needed + 64, p - 1)
@@ -759,20 +799,16 @@ def _divexact_dense(
 ) -> np.ndarray | None:
     """Exact division of dense bivariate polynomials in F_p[y][x].
 
-    F and G are homogeneous polynomials with Z set to 1, and ``degree`` is
-    the degree of their homogeneous quotient.  A quotient term of total
-    degree above ``degree`` means G carries a power of Z that F lacks, so
-    the division is rejected there; that bound also keeps every product row
-    inside F's columns.
+    F and G are boxes: nonzero arrays without zero outer rows or columns.
+    A quotient entry [i, j] with i + j above ``degree`` is rejected: ``divexact``
+    passes the bound that keeps the homogeneous quotient's Z-exponent
+    nonnegative, as G may carry a power of Z that F lacks.  A product row
+    wider than F lands outside F's box, so the division is inexact there.
     """
-    if not G.any():
-        raise InputError("division by zero polynomial")
-    dxF = int(np.nonzero(F.any(axis=1))[0][-1]) if F.any() else -1
-    dxG = int(np.nonzero(G.any(axis=1))[0][-1])
+    dxF, dxG = F.shape[0] - 1, G.shape[0] - 1
     if dxF < dxG:
         return None
     lcG = _utrim(G[dxG])
-    G = G[: dxG + 1, : _ydeg_rows(G) + 1]
     rem = F.copy()
     q = np.zeros((dxF - dxG + 1, F.shape[1]), dtype=np.int64)
     for i in range(dxF - dxG, -1, -1):
@@ -781,12 +817,13 @@ def _divexact_dense(
             continue
         if top.size < lcG.size or top.size - lcG.size > degree - i:
             return None
-        try:
-            qi = _udivexact(top, lcG, p)
-        except AssertionError:
+        qi = _udivexact(top, lcG, p)
+        if qi is None:
             return None
         q[i, : qi.size] = qi
         product = _conv2d_mod(qi[None, :], G, p)
+        if product.shape[1] > rem.shape[1]:
+            return None
         seg = rem[i : i + dxG + 1, : product.shape[1]]
         seg -= product
         seg %= p
@@ -795,40 +832,8 @@ def _divexact_dense(
     return q
 
 
-def _array_to_hompoly(
-    arr: np.ndarray, p: int, degree: int | None = None, corner=(0, 0)
-) -> HomPoly3:
-    """Rehomogenize a dense bivariate residue array whose entry [0, 0] is
-    the coefficient of x^corner[0] y^corner[1].
-
-    Without an explicit degree the total degree of the array is used (right
-    for gcds once the joint monomial content is out); quotients pass the
-    known degree so that a power of Z dividing them is restored.  The keys
-    are valid by construction, so HomPoly3's checks are skipped.
-    """
-    i, j = np.nonzero(arr)
-    if i.size == 0:
-        return HomPoly3.zero(degree or 0, p)
-    values = arr[i, j].tolist()
-    i += corner[0]
-    j += corner[1]
-    total = int((i + j).max()) if degree is None else degree
-    keys = zip(i.tolist(), j.tolist(), (total - i - j).tolist())
-    poly = object.__new__(HomPoly3)
-    poly.degree, poly.p, poly.coeffs = total, p, dict(zip(keys, values))
-    return poly
-
-
-# ---------------------------------------------------------------------------
-# Bivariate PRS gcd on dehomogenized forms (the rare fallback path).
-
-
-def _bdeg(biv: dict) -> int:
-    return max(biv) if biv else -1
-
-
-def _udivexact(u: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
-    """u / g for univariate polys when exact."""
+def _udivexact(u: np.ndarray, g: np.ndarray, p: int) -> np.ndarray | None:
+    """u / g for univariate polys when exact, else None."""
     if g.size == 1:
         return (u * _inv_mod(int(g[0]), p)) % p
     u = u.copy()
@@ -839,80 +844,70 @@ def _udivexact(u: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
         q[k] = c
         if c:
             u[k : k + g.size] = (u[k : k + g.size] - c * g) % p
-    if _utrim(u).size:
-        raise AssertionError("inexact univariate division in PRS")
+    if u.any():
+        return None
     return q
 
 
-def _bprimitive(biv: dict, p: int) -> dict:
-    cont = _content_y(biv.values(), p)
-    if cont.size == 1 and cont[0] == 1:
-        return biv
-    return {i: _udivexact(v, cont, p) for i, v in biv.items()}
+# ---------------------------------------------------------------------------
+# Bivariate PRS gcd on the same dense arrays, cut to their last nonzero row
+# and column (the fallback when the modular gcd runs out of points).
 
 
-def _bscale(biv: dict, u: np.ndarray, p: int) -> dict:
-    return {i: _conv2d_mod(v[None, :], u[None, :], p)[0] for i, v in biv.items()}
+def _cut(arr: np.ndarray) -> np.ndarray:
+    """arr without trailing zero rows and columns."""
+    return arr[: _xdeg(arr) + 1, : _ydeg_rows(arr) + 1]
 
 
-def _bsub(a: dict, b: dict, p: int) -> dict:
-    out = dict(a)
-    for i, v in b.items():
-        u = out.pop(i, v[:0])
-        s = np.zeros(max(u.size, v.size), dtype=np.int64)
-        s[: u.size] += u
-        s[: v.size] -= v
-        s = _utrim(s % p)
-        if s.size:
-            out[i] = s
-    return out
+def _primitive(arr: np.ndarray, p: int) -> np.ndarray:
+    """arr divided by its content in GF(p)[y], cut."""
+    return _cut(_rows_divexact_content(arr, _content_y(arr, p), p))
 
 
-def _pseudo_rem(a: dict, b: dict, p: int) -> dict:
-    """Pseudo-remainder of a by b as polynomials in x over GF(p)[y]."""
-    db = _bdeg(b)
-    lb = b[db]
-    r = dict(a)
-    while _bdeg(r) >= db and r:
-        dr = _bdeg(r)
-        lr = r[dr]
-        shifted = {i + dr - db: v for i, v in _bscale(b, lr, p).items()}
-        r = _bsub(_bscale(r, lb, p), shifted, p)
-        r.pop(dr, None)
+def _pseudo_rem(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Pseudo-remainder of a by b as polynomials in x over GF(p)[y]: while
+    deg r >= deg b, r becomes lc(b) r - lc(r) x^(deg r - deg b) b, whose
+    top row cancels."""
+    db = b.shape[0] - 1
+    lb = b[db:]
+    r = a
+    while r.shape[0] > db:
+        dr = r.shape[0] - 1
+        left = _conv2d_mod(r[:dr], lb, p)
+        right = _conv2d_mod(b[:db], r[dr:], p)
+        out = np.zeros((dr, max(left.shape[1], right.shape[1])), dtype=np.int64)
+        out[:, : left.shape[1]] = left
+        out[dr - db :, : right.shape[1]] -= right
+        r = _cut(out % p)
     return r
 
 
-def _bivariate_gcd(a: dict, b: dict, p: int) -> dict:
-    if not a:
+def _bivariate_gcd(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    if not a.size:
         return b
-    if not b:
+    if not b.size:
         return a
-    ca, cb = _content_y(a.values(), p), _content_y(b.values(), p)
-    content = _ugcd(ca, cb, p)
-    a, b = _bprimitive(a, p), _bprimitive(b, p)
-    if _bdeg(a) < _bdeg(b):
+    content = _ugcd(_content_y(a, p), _content_y(b, p), p)
+    a, b = _primitive(a, p), _primitive(b, p)
+    if a.shape[0] < b.shape[0]:
         a, b = b, a
-    while b:
+    while b.size:
         r = _pseudo_rem(a, b, p)
-        a, b = b, (_bprimitive(r, p) if r else {})
-    a = _bprimitive(a, p)
+        a, b = b, (_primitive(r, p) if r.size else r)
+    a = _primitive(a, p)
     if content.size > 1 or content[0] != 1:
-        a = _bscale(a, content, p)
+        a = _conv2d_mod(a, content[None, :], p)
     return a
 
 
 def _bivariate_gcd_list(arrays, p: int) -> np.ndarray:
-    """The PRS gcd of dense bivariate arrays, on {x exponent: y vector} dicts."""
-    polys = [{i: _utrim(row) for i, row in enumerate(a) if row.any()} for a in arrays]
-    g = polys[0]
-    for q in polys[1:]:
-        g = _bivariate_gcd(g, q, p)
-        if _bdeg(g) == 0 and g[0].size == 1:
+    """The PRS gcd of dense bivariate arrays."""
+    g = _cut(arrays[0])
+    for arr in arrays[1:]:
+        g = _bivariate_gcd(g, _cut(arr), p)
+        if g.shape == (1, 1):
             break
-    out = np.zeros((max(g) + 1, max(v.size for v in g.values())), dtype=np.int64)
-    for i, vec in g.items():
-        out[i, : vec.size] = vec
-    return out
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -515,6 +515,18 @@ def test_parallel_serial_equivalence():
         assert serial.aggregates == parallel.aggregates
 
 
+def test_tree_fold_in_blocks_matches_one_block(monkeypatch):
+    measure = uniform_free()
+    observables = [("d", E._obs_displacement), ("tau", E._obs_tau)]
+    one_block = E._tree_trial_rows(measure, [5, 30], 3, 2, 19, observables)
+    monkeypatch.setattr(E, "_FOLD_TRIALS", 4)
+    assert E._tree_trial_rows(measure, [5, 30], 3, 2, 19, observables) == one_block
+    assert [row["trial"] for row in one_block] == [t for t in range(2, 19) for _ in (5, 30)]
+    blocked = E.translation_growth(measure, [20, 40], 10, seed=80).records
+    monkeypatch.undo()
+    assert E.translation_growth(measure, [20, 40], 10, seed=80).records == blocked
+
+
 def test_csv_tracks_sorted():
     measure = uniform_free()
     result = E.translation_growth(measure, [20, 40], 10, seed=80)

@@ -1,5 +1,6 @@
 import functools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,6 +48,20 @@ def test_ring_op_examples():
     zero = HomPoly3.zero(3)
     prod = zero.mul(X.mul(Y))
     assert prod.is_zero() and prod.degree == 5
+
+
+def test_constructor_allocates_only_the_box():
+    # a Henon-type generator of degree n is an (n + 1) x 2 box; its dense
+    # (n + 1)^2 form would take 32 MB here
+    n = 2000
+    tracemalloc.start()
+    try:
+        poly = HomPoly3(n, {(n, 0, 0): 1, (0, 1, n - 1): -1}, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert poly.box.shape == (n + 1, 2) and poly.corner == (0, 0)
+    assert peak < 2**20
 
 
 def test_add_requires_equal_degrees():
@@ -324,6 +339,79 @@ def test_gcd3_matches_sympy(p, data):
     expected = functools.reduce(sympy.Poly.gcd, nonzero).monic()
     g = gcd3(*polys)
     assert g == _from_sympy(expected, expected.total_degree(), p)
+
+
+def _dict_add(a, b, p):
+    """The sum of two {exponent triple: residue} dicts, zeros dropped."""
+    out = dict(a)
+    for key, c in b.items():
+        out[key] = (out.get(key, 0) + c) % p
+    return {key: c for key, c in out.items() if c}
+
+
+def _dict_scale(a, c, p):
+    return {key: v * c % p for key, v in a.items() if v * c % p}
+
+
+@st.composite
+def _raw_coeffs(draw, p, degree):
+    """A coefficient dict on some of degree's exponent triples, with zero,
+    negative and >= p values."""
+    keys = [(i, j, degree - i - j) for i in range(degree + 1) for j in range(degree + 1 - i)]
+    value = st.sampled_from((0, p, -1, -p, 2 * p + 1)) | st.integers(-3 * p, 3 * p)
+    return {key: draw(value) for key in draw(st.lists(st.sampled_from(keys), unique=True))}
+
+
+@pytest.mark.parametrize("p", _ORACLE_PRIMES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_array_representation_matches_dict_reference(p, data):
+    degree = data.draw(st.integers(0, 5))
+    raw = [data.draw(_raw_coeffs(p, degree)) for _ in range(2)]
+    a, b = (HomPoly3(degree, r, p) for r in raw)
+    clean_a, clean_b = ({key: c % p for key, c in r.items() if c % p} for r in raw)
+    for poly, clean in ((a, clean_a), (b, clean_b)):
+        assert poly.coeffs == clean
+        assert poly.terms() == sorted(clean.items(), reverse=True)
+        assert poly.num_terms() == len(clean) and poly.is_zero() == (not clean)
+        if clean:
+            assert poly._leading_coefficient() == poly.terms()[0][1]
+
+    c = data.draw(st.integers(-2 * p, 2 * p))
+    for got, expected in (
+        (a.add(b), _dict_add(clean_a, clean_b, p)),
+        (a.neg(), _dict_scale(clean_a, -1, p)),
+        (a.sub(b), _dict_add(clean_a, _dict_scale(clean_b, -1, p), p)),
+        (a.scale(c), _dict_scale(clean_a, c, p)),
+        (a.scale(0), {}),
+        (a.sub(a), {}),
+    ):
+        assert got.coeffs == expected and got.degree == degree  # a zero keeps it
+        assert got == HomPoly3(degree, expected, p)
+
+    e = data.draw(st.integers(0, 2))
+    triple = [HomPoly3(e, data.draw(_raw_coeffs(p, e)), p) for _ in range(3)]
+    for got in (a.mul(b), substitute(a, triple)):
+        rebuilt = HomPoly3(got.degree, got.coeffs, p)
+        assert got == rebuilt and hash(got) == hash(rebuilt)
+
+    nonzero = [(q, clean) for q, clean in ((a, clean_a), (b, clean_b)) if clean]
+    if nonzero:
+        shift = polynomials._monomial_content([q for q, _ in nonzero])
+        keys = [key for _, clean in nonzero for key in clean]
+        assert shift == tuple(min(key[v] for key in keys) for v in range(3))
+        for q, clean in nonzero:
+            expected = {tuple(np.subtract(key, shift).tolist()): c for key, c in clean.items()}
+            shifted = polynomials._shift_exponents(q, shift)
+            assert shifted == HomPoly3(degree - sum(shift), expected, p)
+            assert shifted.coeffs == expected
+
+
+@pytest.mark.parametrize("p", (DEFAULT_PRIME, P31, 5))
+def test_udivexact_returns_none_for_a_non_multiple(p):
+    # y^2 + 2 is 3 at the root y = -1 of y + 1, and 3 is no multiple of p
+    assert polynomials._udivexact(np.array([2, 0, 1]), np.array([1, 1]), p) is None
+    assert polynomials._udivexact(np.array([2, 3, 1]), np.array([1, 1]), p).tolist() == [2, 1]
 
 
 def _conv2d_reference(a, b, p):
