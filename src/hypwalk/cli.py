@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import ConfigError, run_config, validate_config
+from .config import run_config
 from .errors import InputError, ResourceError
 from .experiments import ExperimentResult
 from .presets import list_presets, preset_config
@@ -60,19 +60,11 @@ def write_outputs(result: ExperimentResult, config: dict, out_dir: Path) -> None
 
 def _execute(config: dict, out_dir: Path, jobs: int) -> int:
     try:
-        validate_config(config)
-    except ConfigError as err:
-        print(f"invalid config: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         result = run_config(config, jobs=jobs)
-    except ConfigError as err:
-        print(f"invalid config: {err}", file=sys.stderr)
-        return EXIT_CONFIG
     except ResourceError as err:
         print(f"resource failure: {err}", file=sys.stderr)
         return EXIT_RESOURCE
-    except InputError as err:
+    except InputError as err:  # ConfigError included
         print(f"invalid config: {err}", file=sys.stderr)
         return EXIT_CONFIG
     write_outputs(result, config, out_dir)

@@ -9,6 +9,7 @@ generator specs, grids, caps, the master seed) lives in the document.
 
 from __future__ import annotations
 
+import inspect
 from fractions import Fraction
 
 from .cremona import CremonaModel, MonomialMap, MonomialModel
@@ -23,11 +24,25 @@ class ConfigError(InputError):
     """Invalid configuration; the message names the offending field."""
 
 
-#: Human-readable schema contract, also embedded in reports.
+#: Config ``experiment`` name -> the name of its entry point in
+#: :mod:`hypwalk.experiments`.  The entry's keyword parameters, less those
+#: the runner supplies (``_SUPPLIED``), are the allowed ``params`` keys.
+_ENTRY_POINTS = {
+    "drift": "estimate_drift",
+    "translation_growth": "translation_growth",
+    "gromov_tail": "gromov_tail",
+    "shadow_decay": "shadow_decay",
+    "match_census": "match_census",
+    "stab_acylindricity": "stab_acylindricity",
+    "small_cancellation": "small_cancellation_experiment",
+    "characteristic_index": "characteristic_index_experiment",
+    "degree_growth": "degree_growth_experiment",
+    "cremona_exactness": "cremona_exactness",
+}
+
+#: Human-readable schema contract (documentation; reports do not embed it).
 SCHEMA = {
-    "experiment": "one of: drift, translation_growth, gromov_tail, "
-    "shadow_decay, match_census, stab_acylindricity, small_cancellation, "
-    "characteristic_index, degree_growth, cremona_exactness",
+    "experiment": "one of: " + ", ".join(_ENTRY_POINTS),
     "seed": "unsigned 64-bit integer",
     "model": {
         "type": "free | semidirect | cremona | monomial",
@@ -56,7 +71,8 @@ SCHEMA = {
         "attest_non_elementary": "bool (user attestation)",
         "attest_wpd": "bool (user attestation)",
     },
-    "params": "experiment-specific keyword arguments",
+    "params": "keyword arguments of the experiment's entry point in "
+    "hypwalk.experiments, less measure, seed and jobs",
 }
 
 _MODEL_KEYS = {
@@ -66,56 +82,13 @@ _MODEL_KEYS = {
     "monomial": {"type"},
 }
 
-_EXPERIMENTS = (
-    "drift",
-    "translation_growth",
-    "gromov_tail",
-    "shadow_decay",
-    "match_census",
-    "stab_acylindricity",
-    "small_cancellation",
-    "characteristic_index",
-    "degree_growth",
-    "cremona_exactness",
-)
+#: Entry-point arguments the runner supplies itself, never from ``params``.
+_SUPPLIED = ("measure", "seed", "jobs")
 
-_PARAM_KEYS = {
-    "drift": {"n", "trials", "expected", "tolerance"},
-    "translation_growth": {"n_grid", "trials", "drift_tolerance", "tau_budget"},
-    "gromov_tail": {"n_grid", "trials", "epsilon", "threshold"},
-    "shadow_decay": {
-        "m_grid",
-        "samples",
-        "wilson_z",
-        "slope_rtol",
-        "settle_steps",
-        "chunk",
-    },
-    "match_census": {
-        "kind",
-        "trials",
-        "n",
-        "n_grid",
-        "axis_core",
-        "L",
-        "pattern_length",
-        "s_grid",
-        "self_match_fraction",
-        "axis_threshold",
-        "non_match_threshold",
-    },
-    "stab_acylindricity": {"K", "n_grid", "trials", "quantile", "census_cap"},
-    "small_cancellation": {"n", "trials", "epsilon", "A", "pass_threshold"},
-    "characteristic_index": {"n_grid", "trials", "frequency_tolerance"},
-    "degree_growth": {
-        "n_grid",
-        "trials",
-        "iterate_budget",
-        "gap_tolerance",
-        "lambda_degree_bound",
-    },
-    "cremona_exactness": {"henon_power_budget"},
-}
+#: Params that count trials, samples or steps, and grids of them: each must
+#: be at least 1, and a grid must be nonempty.
+_COUNTS = ("trials", "samples", "chunk", "n")
+_GRIDS = ("n_grid", "m_grid", "s_grid")
 
 
 def _require(condition: bool, path: str, message: str):
@@ -134,18 +107,20 @@ def validate_config(config: dict) -> None:
     _check_keys(config, {"experiment", "seed", "model", "measure", "params"}, "$")
     for key in ("experiment", "seed", "model", "params"):
         _require(key in config, "$", f"missing required key '{key}'")
+    name = config["experiment"]
     _require(
-        config["experiment"] in _EXPERIMENTS,
+        isinstance(name, str) and name in _ENTRY_POINTS,
         "$.experiment",
-        f"must be one of {_EXPERIMENTS}",
+        f"must be one of {tuple(_ENTRY_POINTS)}",
     )
+    parameters = inspect.signature(_entry_point(name)).parameters
     seed = config["seed"]
     _require(
         isinstance(seed, int) and 0 <= seed < 2**64,
         "$.seed",
         "must be an unsigned 64-bit integer",
     )
-    needs_measure = config["experiment"] != "cremona_exactness"
+    needs_measure = "measure" in parameters
     if needs_measure:
         _require("measure" in config, "$", "missing required key 'measure'")
 
@@ -219,10 +194,37 @@ def validate_config(config: dict) -> None:
     if needs_measure:
         _validate_measure(config["measure"], mtype)
 
-    params = config["params"]
+    _validate_params(config["params"], parameters)
+
+
+def _validate_params(params, parameters):
+    """``params`` against the entry point's ``inspect`` parameters."""
     _require(isinstance(params, dict), "$.params", "must be an object")
-    allowed = _PARAM_KEYS[config["experiment"]]
-    _check_keys(params, allowed, "$.params")
+    keys = {k: p for k, p in parameters.items() if k not in _SUPPLIED}
+    _check_keys(params, set(keys), "$.params")
+    for key, parameter in keys.items():
+        _require(
+            key in params or parameter.default is not parameter.empty,
+            "$.params",
+            f"missing required key '{key}'",
+        )
+    for key in _COUNTS:
+        if key in params:
+            _require(
+                isinstance(params[key], int) and params[key] >= 1,
+                f"$.params.{key}",
+                "must be an integer >= 1",
+            )
+    for key in _GRIDS:
+        if key in params:
+            grid = params[key]
+            _require(
+                isinstance(grid, list)
+                and grid
+                and all(isinstance(v, int) and v >= 1 for v in grid),
+                f"$.params.{key}",
+                "must be a nonempty list of integers >= 1",
+            )
 
 
 def _validate_measure(measure, mtype: str):
@@ -415,36 +417,25 @@ def build_measure(oracle, measure_spec: dict) -> FiniteMeasure:
     )
 
 
+def _entry_point(name: str):
+    """The entry point of experiment ``name``, looked up on the module at
+    call time, so that a wrapper installed there is the one called."""
+    from . import experiments
+
+    return getattr(experiments, _ENTRY_POINTS[name])
+
+
 def run_config(config: dict, jobs: int = 1):
     """Validate, compile, and execute a configuration document."""
-    from . import experiments as E
-
     validate_config(config)
-    name = config["experiment"]
-    seed = config["seed"]
+    entry = _entry_point(config["experiment"])
+    parameters = inspect.signature(entry).parameters
     params = dict(config["params"])
-    if name == "cremona_exactness":
-        return E.cremona_exactness(**params)
-    oracle = build_model(config["model"])
-    measure = build_measure(oracle, config["measure"])
-    if name == "drift":
-        return E.estimate_drift(measure, seed=seed, jobs=jobs, **params)
-    if name == "translation_growth":
-        return E.translation_growth(measure, seed=seed, jobs=jobs, **params)
-    if name == "gromov_tail":
-        return E.gromov_tail(measure, seed=seed, jobs=jobs, **params)
-    if name == "shadow_decay":
-        return E.shadow_decay(measure, seed=seed, **params)
-    if name == "match_census":
-        params["axis_core"] = (
-            W.str_to_word(params["axis_core"]) if "axis_core" in params else None
-        )
-        kind = params.pop("kind")
-        return E.match_census(kind, measure, seed=seed, jobs=jobs, **params)
-    if name == "stab_acylindricity":
-        return E.stab_acylindricity(measure, seed=seed, jobs=jobs, **params)
-    if name == "small_cancellation":
-        return E.small_cancellation_experiment(measure, seed=seed, jobs=jobs, **params)
-    if name == "characteristic_index":
-        return E.characteristic_index_experiment(measure, seed=seed, **params)
-    return E.degree_growth_experiment(measure, seed=seed, **params)
+    if "axis_core" in params:
+        params["axis_core"] = W.str_to_word(params["axis_core"])
+    supplied = {"seed": config["seed"], "jobs": jobs}
+    if "measure" in parameters:
+        oracle = build_model(config["model"])
+        supplied["measure"] = build_measure(oracle, config["measure"])
+    params.update((k, v) for k, v in supplied.items() if k in parameters)
+    return entry(**params)

@@ -48,6 +48,7 @@ from .walk import (
     FiniteMeasure,
     fold_words,
     retry_primes,
+    sample_path,
     trial_rng,
 )
 
@@ -72,7 +73,8 @@ class ExperimentResult:
 
     def recompute_aggregates(self) -> dict:
         """Re-derive the aggregates from the stored per-trial records."""
-        return _AGGREGATORS[self.name](self.records, self.params)
+        aggregate, _ = REPORTS[self.name]
+        return aggregate(self.records, self.params)
 
     def to_json_dict(self) -> dict:
         from . import __version__
@@ -122,15 +124,69 @@ def _plain(value):
     return value
 
 
-_AGGREGATORS: dict = {}
+# ---------------------------------------------------------------------------
+# The runner: trials in blocks, then aggregation and gates.
 
 
-def _aggregator(name):
-    def register(fn):
-        _AGGREGATORS[name] = fn
-        return fn
+def _run_trials(block, trials: int, jobs: int = 1) -> list:
+    """Rows of trials 0..trials-1 in trial order, from ``block(first, stop)``.
 
-    return register
+    ``block`` is a module-level function, or a partial of one, so that it
+    pickles.  With ``jobs`` > 1 the trials are split into ``jobs`` contiguous
+    blocks, one per spawned worker process; every trial draws from its own
+    stream, so the rows do not depend on the split.  With ``jobs`` <= 1 the
+    block runs in this process and no pool starts.
+    """
+    if jobs <= 1:
+        return block(0, trials)
+    cuts = [trials * b // jobs for b in range(jobs + 1)]
+    with ProcessPoolExecutor(
+        max_workers=jobs, mp_context=multiprocessing.get_context("spawn")
+    ) as pool:
+        blocks = [pool.submit(block, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+        return [row for future in blocks for row in future.result()]
+
+
+def _result(name, params, seed, records, tolerances=None, failures=()):
+    """The result of a run: its records aggregated, then gated.
+
+    The gate of ``REPORTS[name]`` adds its failures to ``failures`` (those
+    met while running) and sets ``passed``; a gate that returns None gives
+    no verdict, and ``passed`` stays None.
+    """
+    aggregate, gate = REPORTS[name]
+    result = ExperimentResult(
+        name, params, seed, records, aggregate(records, params), tolerances or {}
+    )
+    verdict = gate(result)
+    if verdict is not None:
+        result.failures = [*failures, *verdict]
+        result.passed = not result.failures
+    return result
+
+
+def _truncated(path, n, reason=None) -> dict:
+    """The row of trial ``path.trial`` cut short at n.  The reason defaults
+    to the walk's own: ``"discarded"`` or ``"degree_cap"``."""
+    if reason is None:
+        reason = "discarded" if path.discarded else "degree_cap"
+    return {"trial": path.trial, "n": n, "truncated": True, "truncation_reason": reason}
+
+
+def _untruncated(records, n) -> list:
+    """The rows at n that were not truncated; an aggregator reports null
+    statistics at an n without any, and its gate fails there."""
+    return [r for r in records if r["n"] == n and not r.get("truncated", False)]
+
+
+def _truncation_failures(aggregates) -> list:
+    fraction = aggregates["truncated_fraction"]
+    if fraction > MAX_TRUNCATED_FRACTION:
+        return [
+            f"resource: truncated fraction {fraction:.3f} "
+            f"exceeds {MAX_TRUNCATED_FRACTION}"
+        ]
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +202,8 @@ _FOLD_TRIALS = 2000
 
 def _tree_trial_rows(measure, marks, seed, first, stop, observables) -> list:
     """Fold trials first..stop-1, at most ``_FOLD_TRIALS`` together,
-    evaluating observables at marks.
-
-    Top-level (picklable) so blocks can fan out to worker processes.  Every
-    trial draws from its own stream, so a block's rows do not depend on how
-    the trials were split; rows come back trial-major.
-    """
+    evaluating observables at marks; rows come back trial-major."""
+    marks = sorted(set(marks))
     rows = []
     for lo in range(first, stop, _FOLD_TRIALS):
         trials = range(lo, min(lo + _FOLD_TRIALS, stop))
@@ -170,25 +222,6 @@ def _tree_trial_rows(measure, marks, seed, first, stop, observables) -> list:
                     record[name] = evaluate(word, n)
                 rows.append(record)
     return rows
-
-
-def _run_tree_trials(measure, marks, seed, trials, observables, jobs=1) -> list:
-    """Rows of every trial in trial order.  With ``jobs`` > 1 the trials are
-    split into ``jobs`` contiguous blocks, one per worker process."""
-    if any(m < 1 for m in marks):
-        raise InputError("observation marks must be >= 1")
-    marks = sorted(set(marks))
-    if jobs <= 1:
-        return _tree_trial_rows(measure, marks, seed, 0, trials, observables)
-    cuts = [trials * b // jobs for b in range(jobs + 1)]
-    with ProcessPoolExecutor(
-        max_workers=jobs, mp_context=multiprocessing.get_context("spawn")
-    ) as pool:
-        blocks = [
-            pool.submit(_tree_trial_rows, measure, marks, seed, lo, hi, observables)
-            for lo, hi in zip(cuts, cuts[1:])
-        ]
-        return [row for block in blocks for row in block.result()]
 
 
 def _obs_displacement(word, n):
@@ -214,7 +247,9 @@ def _is_tree(measure: FiniteMeasure) -> bool:
     return isinstance(measure.oracle, (FreeGroupOracle, SemidirectOracle))
 
 
-def _generic_observable_rows(measure, marks, seed, trials, tau_budget=None) -> list:
+def _generic_observable_rows(
+    measure, marks, seed, first, stop, tau_budget=None
+) -> list:
     """Slow path for non-tree oracles: prefix snapshots through sample_path.
 
     Each mark replays the walk's prefix (same increment stream), so the
@@ -227,7 +262,6 @@ def _generic_observable_rows(measure, marks, seed, trials, tau_budget=None) -> l
     reason ``"discarded"`` or ``"degree_cap"``, as in ``degree_growth``.
     """
     from .geometry import gromov_product
-    from .walk import sample_path
 
     oracle = measure.oracle
 
@@ -248,16 +282,12 @@ def _generic_observable_rows(measure, marks, seed, trials, tau_budget=None) -> l
             row["tau"] = model.translation_length_estimate(w, tau_budget)
         return row
 
-    def truncated(trial, n, reason):
-        return {"trial": trial, "n": n, "truncated": True, "truncation_reason": reason}
-
     rows = []
-    for trial in range(trials):
+    for trial in range(first, stop):
         for n in marks:
             path = sample_path(measure, n, seed, trial)
             if path.truncated_at is not None or path.final is None:
-                reason = "discarded" if path.discarded else "degree_cap"
-                rows.append(truncated(trial, n, reason))
+                rows.append(_truncated(path, n))
                 continue
             try:
                 if isinstance(oracle, CremonaModel):
@@ -265,15 +295,9 @@ def _generic_observable_rows(measure, marks, seed, trials, tau_budget=None) -> l
                 else:
                     row = observe(oracle, lambda g: g, path=path)
             except ResourceError:
-                row = truncated(trial, n, "degree_cap")
-            rows.append(row if row is not None else truncated(trial, n, "bad_prime"))
+                row = _truncated(path, n, "degree_cap")
+            rows.append(row if row is not None else _truncated(path, n, "bad_prime"))
     return rows
-
-
-def _untruncated(records, n) -> list:
-    """The rows at n that were not truncated; an aggregator reports null
-    statistics at an n without any, and its gate fails there."""
-    return [r for r in records if r["n"] == n and not r.get("truncated", False)]
 
 
 # ---------------------------------------------------------------------------
@@ -304,34 +328,15 @@ def estimate_drift(
         "measure": describe_measure(measure),
     }
     if isinstance(measure.oracle, CremonaModel):
-        records = _cremona_drift_records(measure, [n], seed, trials)
+        block = partial(_cremona_drift_rows, measure, n, seed)
     else:
-        records = _run_tree_trials(
-            measure, [n], seed, trials, [("d", _obs_displacement)], jobs
+        block = partial(
+            _tree_trial_rows, measure, [n], seed, observables=[("d", _obs_displacement)]
         )
-    result = ExperimentResult(
-        "drift", params, seed, records, tolerances={"mean_abs_error": tolerance}
-    )
-    result.aggregates = result.recompute_aggregates()
-    failures = []
-    if result.aggregates["truncated_fraction"] > MAX_TRUNCATED_FRACTION:
-        failures.append(
-            f"resource: truncated fraction "
-            f"{result.aggregates['truncated_fraction']:.3f} "
-            f"exceeds {MAX_TRUNCATED_FRACTION}"
-        )
-    if expected is not None:
-        err = abs(result.aggregates["mean_speed"] - expected)
-        if err > tolerance:
-            failures.append(
-                f"|mean speed - {expected}| = {err:.4f} exceeds {tolerance}"
-            )
-    result.failures = failures
-    result.passed = not failures
-    return result
+    records = _run_trials(block, trials, jobs)
+    return _result("drift", params, seed, records, {"mean_abs_error": tolerance})
 
 
-@_aggregator("drift")
 def _aggregate_drift(records, params):
     n = params["n"]
     complete = [r for r in records if not r.get("truncated", False)]
@@ -350,24 +355,25 @@ def _aggregate_drift(records, params):
     return out
 
 
-def _cremona_drift_records(measure, marks, seed, trials) -> list:
-    records = []
-    for trial in range(trials):
-        records.extend(_cremona_trial_rows(measure, marks, seed, trial))
-    return records
-
-
-def _cremona_trial_rows(measure, marks, seed, trial):
-    from .walk import sample_path
-
-    n_max = marks[-1]
-    path = sample_path(measure, n_max, seed, trial)
-    rows = []
-    for n in marks:
-        if path.truncated_at is not None and n > path.truncated_at:
-            rows.append(
-                {"trial": trial, "n": n, "truncated": True, "d": float("nan")}
+def _gate_drift(result):
+    failures = _truncation_failures(result.aggregates)
+    expected = result.params["expected"]
+    tolerance = result.tolerances["mean_abs_error"]
+    if expected is not None:
+        err = abs(result.aggregates["mean_speed"] - expected)
+        if err > tolerance:
+            failures.append(
+                f"|mean speed - {expected}| = {err:.4f} exceeds {tolerance}"
             )
+    return failures
+
+
+def _cremona_drift_rows(measure, n, seed, first, stop) -> list:
+    rows = []
+    for trial in range(first, stop):
+        path = sample_path(measure, n, seed, trial)
+        if path.truncated_at is not None:
+            rows.append(_truncated(path, n))
             continue
         d = path.displacements[n]
         rows.append(
@@ -412,41 +418,21 @@ def translation_growth(
         "measure": describe_measure(measure),
     }
     if _is_tree(measure):
-        records = _run_tree_trials(
-            measure,
-            marks,
-            seed,
-            trials,
-            [("d", _obs_displacement), ("tau", _obs_tau), ("sym_gp", _sym_gp_of_word)],
-            jobs,
-        )
+        observables = [
+            ("d", _obs_displacement), ("tau", _obs_tau), ("sym_gp", _sym_gp_of_word)
+        ]
+        block = partial(_tree_trial_rows, measure, marks, seed, observables=observables)
     else:
         params["tau_budget"] = tau_budget
-        records = _generic_observable_rows(
-            measure, marks, seed, trials, tau_budget=tau_budget
+        block = partial(
+            _generic_observable_rows, measure, marks, seed, tau_budget=tau_budget
         )
-    result = ExperimentResult(
-        "translation_growth",
-        params,
-        seed,
-        records,
-        tolerances={"drift_gap": drift_tolerance},
+    records = _run_trials(block, trials, jobs)
+    return _result(
+        "translation_growth", params, seed, records, {"drift_gap": drift_tolerance}
     )
-    result.aggregates = result.recompute_aggregates()
-    per_n = result.aggregates["per_n"]
-    result.failures = [
-        f"no untruncated trials at n={n}" for n in marks if per_n[str(n)]["drift_gap"] is None
-    ]
-    gap = per_n[str(marks[-1])]["drift_gap"]
-    if gap is not None and gap > drift_tolerance:
-        result.failures.append(
-            f"|mean tau/n - mean d/n| = {gap:.4f} exceeds {drift_tolerance}"
-        )
-    result.passed = not result.failures
-    return result
 
 
-@_aggregator("translation_growth")
 def _aggregate_translation(records, params):
     per_n = {}
     for n in params["n_grid"]:
@@ -467,6 +453,21 @@ def _aggregate_translation(records, params):
             "max_abs_residual": max(abs(r) for r in residuals),
         }
     return {"per_n": per_n}
+
+
+def _gate_translation(result):
+    marks = result.params["n_grid"]
+    per_n = result.aggregates["per_n"]
+    tolerance = result.tolerances["drift_gap"]
+    failures = [
+        f"no untruncated trials at n={n}"
+        for n in marks
+        if per_n[str(n)]["drift_gap"] is None
+    ]
+    gap = per_n[str(marks[-1])]["drift_gap"]
+    if gap is not None and gap > tolerance:
+        failures.append(f"|mean tau/n - mean d/n| = {gap:.4f} exceeds {tolerance}")
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -497,28 +498,14 @@ def gromov_tail(
         "measure": describe_measure(measure),
     }
     if _is_tree(measure):
-        records = _run_tree_trials(
-            measure, marks, seed, trials, [("sym_gp", _sym_gp_of_word)], jobs
-        )
+        observables = [("sym_gp", _sym_gp_of_word)]
+        block = partial(_tree_trial_rows, measure, marks, seed, observables=observables)
     else:
-        records = _generic_observable_rows(measure, marks, seed, trials)
-    result = ExperimentResult(
-        "gromov_tail", params, seed, records, tolerances={"tail_threshold": threshold}
-    )
-    result.aggregates = result.recompute_aggregates()
-    failures = []
-    for n in marks:
-        freq = result.aggregates["per_n"][str(n)]["tail_frequency"]
-        if freq is None:
-            failures.append(f"no untruncated trials at n={n}")
-        elif freq > threshold:
-            failures.append(f"tail frequency {freq:.4f} at n={n} exceeds {threshold}")
-    result.failures = failures
-    result.passed = not failures
-    return result
+        block = partial(_generic_observable_rows, measure, marks, seed)
+    records = _run_trials(block, trials, jobs)
+    return _result("gromov_tail", params, seed, records, {"tail_threshold": threshold})
 
 
-@_aggregator("gromov_tail")
 def _aggregate_gromov_tail(records, params):
     epsilon = params["epsilon"]
     per_n = {}
@@ -541,6 +528,18 @@ def _aggregate_gromov_tail(records, params):
         stats.least_squares_slope(*zip(*log_points)) if len(log_points) >= 2 else None
     )
     return {"per_n": per_n, "log_frequency_slope": slope}
+
+
+def _gate_gromov_tail(result):
+    threshold = result.tolerances["tail_threshold"]
+    failures = []
+    for n in result.params["n_grid"]:
+        freq = result.aggregates["per_n"][str(n)]["tail_frequency"]
+        if freq is None:
+            failures.append(f"no untruncated trials at n={n}")
+        elif freq > threshold:
+            failures.append(f"tail frequency {freq:.4f} at n={n} exceeds {threshold}")
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -607,35 +606,13 @@ def shadow_decay(
             )
             done += batch
             chunk_id += 1
-    result = ExperimentResult(
+    return _result(
         "shadow_decay",
         params,
         seed,
         records,
-        tolerances={"wilson_z": wilson_z, "slope_rtol": slope_rtol},
+        {"wilson_z": wilson_z, "slope_rtol": slope_rtol},
     )
-    result.aggregates = result.recompute_aggregates()
-    failures = []
-    if uniform:
-        for m in m_grid:
-            agg = result.aggregates["per_m"][str(m)]
-            lo, hi = agg["wilson_band"]
-            exact = agg["exact"]
-            if not (lo <= exact <= hi):
-                failures.append(
-                    f"m={m}: exact measure {exact:.6f} outside the "
-                    f"{wilson_z}-sigma Wilson band ({lo:.6f}, {hi:.6f})"
-                )
-        slope = result.aggregates["decay_slope"]
-        target_slope = -math.log(2 * rank - 1)
-        if slope is None or abs(slope - target_slope) > slope_rtol * abs(target_slope):
-            failures.append(
-                f"fitted decay slope {slope} deviates more than {slope_rtol:.0%} "
-                f"from {target_slope:.4f}"
-            )
-        result.failures = failures
-        result.passed = not failures
-    return result
 
 
 def _is_uniform_letter_measure(measure: FiniteMeasure) -> bool:
@@ -650,7 +627,6 @@ def _is_uniform_letter_measure(measure: FiniteMeasure) -> bool:
     return support == expected and weights == {Fraction(1, 2 * rank)}
 
 
-@_aggregator("shadow_decay")
 def _aggregate_shadow(records, params):
     rank = params["rank"]
     z = params["wilson_z"]
@@ -674,6 +650,33 @@ def _aggregate_shadow(records, params):
             points.append((m, math.log(freq)))
     slope = stats.least_squares_slope(*zip(*points)) if len(points) >= 2 else None
     return {"per_m": per_m, "decay_slope": slope}
+
+
+def _gate_shadow(result):
+    """Only the uniform measure has an exact harmonic measure to test
+    against; any other measure gets no verdict."""
+    params, tolerances = result.params, result.tolerances
+    if not params["uniform"]:
+        return None
+    failures = []
+    for m in params["m_grid"]:
+        agg = result.aggregates["per_m"][str(m)]
+        lo, hi = agg["wilson_band"]
+        exact = agg["exact"]
+        if not (lo <= exact <= hi):
+            failures.append(
+                f"m={m}: exact measure {exact:.6f} outside the "
+                f"{tolerances['wilson_z']}-sigma Wilson band ({lo:.6f}, {hi:.6f})"
+            )
+    slope = result.aggregates["decay_slope"]
+    slope_rtol = tolerances["slope_rtol"]
+    target_slope = -math.log(2 * params["rank"] - 1)
+    if slope is None or abs(slope - target_slope) > slope_rtol * abs(target_slope):
+        failures.append(
+            f"fitted decay slope {slope} deviates more than {slope_rtol:.0%} "
+            f"from {target_slope:.4f}"
+        )
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -754,38 +757,9 @@ def match_census(
     else:
         raise InputError(f"unknown matching census kind {kind!r}")
 
-    records = _run_tree_trials(measure, marks, seed, trials, observables, jobs)
-    result = ExperimentResult(
-        f"match_census_{kind}", params, seed, records, tolerances=tolerances
-    )
-    result.aggregates = result.recompute_aggregates()
-    failures = []
-    if kind == "axis":
-        freq = result.aggregates["frequency"]
-        if freq < axis_threshold:
-            failures.append(
-                f"axis match frequency {freq:.4f} below {axis_threshold}"
-            )
-    elif kind == "non":
-        freqs = result.aggregates["per_s"]
-        last = freqs[str(s_grid[-1])]["frequency"]
-        if last > non_match_threshold:
-            failures.append(
-                f"non-match frequency {last:.4f} at s={s_grid[-1]} exceeds "
-                f"{non_match_threshold}"
-            )
-        series = [freqs[str(s)]["frequency"] for s in s_grid]
-        if any(b > a for a, b in zip(series, series[1:])):
-            failures.append(f"non-match frequencies {series} not non-increasing in s")
-    elif kind == "self":
-        series = [
-            result.aggregates["per_n"][str(n_)]["frequency"] for n_ in marks
-        ]
-        if any(b > a for a, b in zip(series, series[1:])):
-            failures.append(f"self-match frequencies {series} not non-increasing in n")
-    result.failures = failures
-    result.passed = not failures
-    return result
+    block = partial(_tree_trial_rows, measure, marks, seed, observables=observables)
+    records = _run_trials(block, trials, jobs)
+    return _result(f"match_census_{kind}", params, seed, records, tolerances)
 
 
 def _fixed_test_pattern(measure, length: int, seed: int) -> tuple:
@@ -826,38 +800,63 @@ def _obs_self_match(fraction, word, step) -> int:
     return int(W.self_match_detect(word, max(1, int(fraction * step))))
 
 
-@_aggregator("match_census_axis")
-def _aggregate_match_axis(records, params):
-    hits = sum(r["match"] for r in records)
+def _frequency(hits, total) -> dict:
     return {
-        "frequency": hits / len(records),
-        "wilson95": stats.wilson_interval(hits, len(records), 1.96),
+        "frequency": hits / total,
+        "wilson95": stats.wilson_interval(hits, total, 1.96),
     }
 
 
-@_aggregator("match_census_non")
+def _aggregate_match_axis(records, params):
+    return _frequency(sum(r["match"] for r in records), len(records))
+
+
 def _aggregate_match_non(records, params):
     per_s = {}
     for s in params["s_grid"]:
         hits = sum(r[f"pattern_s{s}"] for r in records)
-        per_s[str(s)] = {
-            "frequency": hits / len(records),
-            "wilson95": stats.wilson_interval(hits, len(records), 1.96),
-        }
+        per_s[str(s)] = _frequency(hits, len(records))
     return {"per_s": per_s}
 
 
-@_aggregator("match_census_self")
 def _aggregate_match_self(records, params):
     per_n = {}
     for n in params["n_grid"]:
         rows = [r for r in records if r["n"] == n]
-        hits = sum(r["self_match"] for r in rows)
-        per_n[str(n)] = {
-            "frequency": hits / len(rows),
-            "wilson95": stats.wilson_interval(hits, len(rows), 1.96),
-        }
+        per_n[str(n)] = _frequency(sum(r["self_match"] for r in rows), len(rows))
     return {"per_n": per_n}
+
+
+def _gate_match_axis(result):
+    freq = result.aggregates["frequency"]
+    threshold = result.tolerances["axis_threshold"]
+    if freq < threshold:
+        return [f"axis match frequency {freq:.4f} below {threshold}"]
+    return []
+
+
+def _gate_match_non(result):
+    s_grid = result.params["s_grid"]
+    threshold = result.tolerances["non_match_threshold"]
+    freqs = result.aggregates["per_s"]
+    failures = []
+    last = freqs[str(s_grid[-1])]["frequency"]
+    if last > threshold:
+        failures.append(
+            f"non-match frequency {last:.4f} at s={s_grid[-1]} exceeds {threshold}"
+        )
+    series = [freqs[str(s)]["frequency"] for s in s_grid]
+    if any(b > a for a, b in zip(series, series[1:])):
+        failures.append(f"non-match frequencies {series} not non-increasing in s")
+    return failures
+
+
+def _gate_match_self(result):
+    per_n = result.aggregates["per_n"]
+    series = [per_n[str(n)]["frequency"] for n in result.params["n_grid"]]
+    if any(b > a for a, b in zip(series, series[1:])):
+        return [f"self-match frequencies {series} not non-increasing in n"]
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -891,26 +890,16 @@ def stab_acylindricity(
         "measure": describe_measure(measure),
     }
     census = partial(_obs_census, K, rank, torsion_order, census_cap)
-    records = _run_tree_trials(measure, marks, seed, trials, [("census", census)], jobs)
-    result = ExperimentResult("stab_acylindricity", params, seed, records)
-    result.aggregates = result.recompute_aggregates()
-    quantiles = [
-        result.aggregates["per_n"][str(n)]["quantile_count"] for n in marks
-    ]
-    result.failures = (
-        []
-        if len(set(quantiles)) == 1
-        else [f"{quantile:.0%}-quantile census counts {quantiles} vary across n"]
-    )
-    result.passed = not result.failures
-    return result
+    observables = [("census", census)]
+    block = partial(_tree_trial_rows, measure, marks, seed, observables=observables)
+    records = _run_trials(block, trials, jobs)
+    return _result("stab_acylindricity", params, seed, records)
 
 
 def _obs_census(K, rank, torsion_order, cap, word, step) -> int:
     return stab_census(word, K, rank, torsion_order, cap=cap)
 
 
-@_aggregator("stab_acylindricity")
 def _aggregate_stab(records, params):
     per_n = {}
     for n in params["n_grid"]:
@@ -921,6 +910,15 @@ def _aggregate_stab(records, params):
             "mean_count": stats.mean(counts),
         }
     return {"per_n": per_n}
+
+
+def _gate_stab(result):
+    quantile = result.params["quantile"]
+    per_n = result.aggregates["per_n"]
+    quantiles = [per_n[str(n)]["quantile_count"] for n in result.params["n_grid"]]
+    if len(set(quantiles)) == 1:
+        return []
+    return [f"{quantile:.0%}-quantile census counts {quantiles} vary across n"]
 
 
 # ---------------------------------------------------------------------------
@@ -986,28 +984,14 @@ def small_cancellation_experiment(
         "measure": describe_measure(measure),
     }
     certificate = partial(_obs_certificate, A, epsilon)
-    raw = _run_tree_trials(measure, [n], seed, trials, [("cert", certificate)], jobs)
-    records = []
-    for row in raw:
-        cert = row.pop("cert")
-        row.update(cert)
-        records.append(row)
-    result = ExperimentResult(
-        "small_cancellation",
-        params,
-        seed,
-        records,
-        tolerances={"pass_threshold": pass_threshold},
+    observables = [("cert", certificate)]
+    block = partial(_tree_trial_rows, measure, [n], seed, observables=observables)
+    records = _run_trials(block, trials, jobs)
+    for row in records:
+        row.update(row.pop("cert"))
+    return _result(
+        "small_cancellation", params, seed, records, {"pass_threshold": pass_threshold}
     )
-    result.aggregates = result.recompute_aggregates()
-    freq = result.aggregates["pass_frequency"]
-    result.failures = (
-        []
-        if freq >= pass_threshold
-        else [f"certificate pass frequency {freq:.4f} below {pass_threshold}"]
-    )
-    result.passed = not result.failures
-    return result
 
 
 def _obs_certificate(A, epsilon, word, step) -> dict:
@@ -1023,7 +1007,6 @@ def _obs_certificate(A, epsilon, word, step) -> dict:
     }
 
 
-@_aggregator("small_cancellation")
 def _aggregate_small_cancellation(records, params):
     passes = sum(r["pass"] for r in records)
     return {
@@ -1032,6 +1015,14 @@ def _aggregate_small_cancellation(records, params):
         "max_delta": max(r["delta"] for r in records),
         "mean_tau": stats.mean([r["tau"] for r in records]),
     }
+
+
+def _gate_small_cancellation(result):
+    freq = result.aggregates["pass_frequency"]
+    threshold = result.tolerances["pass_threshold"]
+    if freq >= threshold:
+        return []
+    return [f"certificate pass frequency {freq:.4f} below {threshold}"]
 
 
 # ---------------------------------------------------------------------------
@@ -1079,9 +1070,6 @@ def characteristic_index_experiment(
                     new_frontier.append(composed)
         frontier = new_frontier
     k = len(elements)
-    atom_to_image = np.array(
-        [index_of[tuple(phi.images)] for phi in atom_images], dtype=np.int64
-    )
     # table[state, image] = index of composition state . image
     table = np.zeros((k, len(measure.atoms)), dtype=np.int64)
     for s, phi in enumerate(elements):
@@ -1132,31 +1120,13 @@ def characteristic_index_experiment(
         "expected_trivial_frequency": 1.0 / k,
         "measure": describe_measure(measure),
     }
-    result = ExperimentResult(
+    return _result(
         "characteristic_index",
         params,
         seed,
         records,
-        tolerances={"frequency_tolerance": frequency_tolerance},
+        {"frequency_tolerance": frequency_tolerance},
     )
-    result.aggregates = result.recompute_aggregates()
-    failures = []
-    for n in marks:
-        agg = result.aggregates["per_n"][str(n)]
-        if abs(agg["trivial_frequency"] - 1.0 / k) > frequency_tolerance:
-            failures.append(
-                f"trivial-image frequency {agg['trivial_frequency']:.4f} at "
-                f"n={n} outside {frequency_tolerance} of {1.0 / k:.4f}"
-            )
-        if agg["kth_power_frequency"] != 1.0:
-            failures.append(f"phi(w_n^k) not identically trivial at n={n}")
-    if (k == 1) != kernel_central:
-        failures.append(
-            "characteristic index 1 must coincide with a central kernel"
-        )
-    result.failures = failures
-    result.passed = not failures
-    return result
 
 
 def _automorphism_order(phi, elements, index_of) -> int:
@@ -1169,7 +1139,6 @@ def _automorphism_order(phi, elements, index_of) -> int:
     return order
 
 
-@_aggregator("characteristic_index")
 def _aggregate_char_index(records, params):
     per_n = {}
     for n in params["n_grid"]:
@@ -1181,6 +1150,26 @@ def _aggregate_char_index(records, params):
             ),
         }
     return {"per_n": per_n, "characteristic_index": params["characteristic_index"]}
+
+
+def _gate_char_index(result):
+    k = result.params["characteristic_index"]
+    tolerance = result.tolerances["frequency_tolerance"]
+    failures = []
+    for n in result.params["n_grid"]:
+        agg = result.aggregates["per_n"][str(n)]
+        if abs(agg["trivial_frequency"] - 1.0 / k) > tolerance:
+            failures.append(
+                f"trivial-image frequency {agg['trivial_frequency']:.4f} at "
+                f"n={n} outside {tolerance} of {1.0 / k:.4f}"
+            )
+        if agg["kth_power_frequency"] != 1.0:
+            failures.append(f"phi(w_n^k) not identically trivial at n={n}")
+    if (k == 1) != result.params["kernel_central"]:
+        failures.append(
+            "characteristic index 1 must coincide with a central kernel"
+        )
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -1195,6 +1184,7 @@ def degree_growth_experiment(
     iterate_budget: int = 2,
     gap_tolerance: float = 0.2,
     lambda_degree_bound: int = 12,
+    jobs: int = 1,
 ) -> ExperimentResult:
     """Exponential degree growth of random Cremona words.
 
@@ -1217,55 +1207,28 @@ def degree_growth_experiment(
         "lambda_degree_bound": lambda_degree_bound,
         "measure": describe_measure(measure),
     }
-    from .walk import sample_path
+    block = partial(
+        _degree_growth_rows, measure, marks, seed, iterate_budget, lambda_degree_bound
+    )
+    records = _run_trials(block, trials, jobs)
+    return _result(
+        "degree_growth", params, seed, records, {"gap_tolerance": gap_tolerance}
+    )
 
+
+def _degree_growth_rows(
+    measure, marks, seed, iterate_budget, lambda_degree_bound, first, stop
+) -> list:
     records = []
     n_max = marks[-1]
-    for trial in range(trials):
+    for trial in range(first, stop):
         path = sample_path(measure, n_max, seed, trial)
-        lambda_rate = None
-        lambda_skipped = "truncated"
-        if path.truncated_at is None and not path.discarded:
-            if iterate_budget is None:
-                lambda_skipped = "disabled"
-            else:
-                final_degree = int(round(math.cosh(path.displacements[-1])))
-                iterable = (
-                    final_degree <= lambda_degree_bound
-                    and final_degree**iterate_budget <= model.degree_cap
-                )
-                lambda_skipped = "cap"
-                if iterable:
-                    try:
-                        est = _dynamical_degree_with_retries(
-                            model, path, iterate_budget
-                        )
-                    except ResourceError:
-                        # a suffix product of a power can pass the cap even
-                        # when final_degree ** iterate_budget does not
-                        pass
-                    else:
-                        if est is None:
-                            lambda_skipped = "bad_prime"
-                        else:
-                            lambda_rate = (
-                                math.log(est.value) / n_max if est.value > 0 else None
-                            )
-                            lambda_skipped = None
+        lambda_rate, lambda_skipped = _lambda_rate(
+            measure.oracle, path, iterate_budget, lambda_degree_bound
+        )
         for n in marks:
-            if path.discarded or (
-                path.truncated_at is not None and n > path.truncated_at
-            ):
-                records.append(
-                    {
-                        "trial": trial,
-                        "n": n,
-                        "truncated": True,
-                        "truncation_reason": (
-                            "discarded" if path.discarded else "degree_cap"
-                        ),
-                    }
-                )
+            if path.truncated_at is not None and n > path.truncated_at:
+                records.append(_truncated(path, n))
                 continue
             degree = int(round(math.cosh(path.displacements[n])))
             row = {
@@ -1281,20 +1244,17 @@ def degree_growth_experiment(
             elif n == n_max:
                 row["lambda_skipped"] = lambda_skipped
             records.append(row)
-    result = ExperimentResult(
-        "degree_growth",
-        params,
-        seed,
-        records,
-        tolerances={"gap_tolerance": gap_tolerance},
-    )
-    result.aggregates = result.recompute_aggregates()
-    failures = []
+    return records
+
+
+def _gate_degree_growth(result):
     agg = result.aggregates
-    for n in marks:
+    gap_tolerance = result.tolerances["gap_tolerance"]
+    failures = []
+    for n in result.params["n_grid"]:
         if agg["per_n"][str(n)]["mean_log_deg_rate"] <= 0:
             failures.append(f"mean log-degree rate not positive at n={n}")
-    if iterate_budget is not None:
+    if result.params["iterate_budget"] is not None:
         if agg["lambda_track"]["subsample"] == 0:
             failures.append("resource: dynamical-degree subsample is empty")
         elif agg["lambda_track"]["gap"] > gap_tolerance:
@@ -1302,26 +1262,35 @@ def degree_growth_experiment(
                 f"gap {agg['lambda_track']['gap']:.4f} between degree and "
                 f"dynamical-degree tracks exceeds {gap_tolerance}"
             )
-    if agg["truncated_fraction"] > MAX_TRUNCATED_FRACTION:
-        failures.append(
-            f"resource: truncated fraction {agg['truncated_fraction']:.3f} "
-            f"exceeds {MAX_TRUNCATED_FRACTION}"
+    return failures + _truncation_failures(agg)
+
+
+def _lambda_rate(model: CremonaModel, path, budget, degree_bound):
+    """``(rate, None)``, the rate (1/n) log of the budgeted dynamical-degree
+    estimate of ``path.final``, or ``(None, reason)`` for a trial outside the
+    subsample.  An estimate of 0 gives ``(None, None)``."""
+    if path.truncated_at is not None:
+        return None, "truncated"
+    if budget is None:
+        return None, "disabled"
+    final_degree = int(round(math.cosh(path.displacements[-1])))
+    if final_degree > degree_bound or final_degree**budget > model.degree_cap:
+        return None, "cap"
+    try:
+        est = _at_trial_primes(
+            model,
+            path,
+            lambda trial_model, rebuild: dynamical_degree_estimate(
+                trial_model, rebuild(path.final), budget
+            ),
         )
-    result.failures = failures
-    result.passed = not failures
-    return result
-
-
-def _dynamical_degree_with_retries(model: CremonaModel, path, budget: int):
-    """The dynamical-degree estimate of ``path.final``, or None when every
-    attempt meets a bad prime."""
-    return _at_trial_primes(
-        model,
-        path,
-        lambda trial_model, rebuild: dynamical_degree_estimate(
-            trial_model, rebuild(path.final), budget
-        ),
-    )
+    except ResourceError:
+        # a suffix product of a power can pass the cap even when
+        # final_degree ** budget does not
+        return None, "cap"
+    if est is None:
+        return None, "bad_prime"
+    return (math.log(est.value) / path.n if est.value > 0 else None), None
 
 
 def _at_trial_primes(model: CremonaModel, path, compute):
@@ -1352,20 +1321,19 @@ def _at_trial_primes(model: CremonaModel, path, compute):
     return None
 
 
-@_aggregator("degree_growth")
 def _aggregate_degree_growth(records, params):
     marks = params["n_grid"]
     n_max = marks[-1]
     per_n = {}
     for n in marks:
-        rows = [r for r in records if r["n"] == n and not r["truncated"]]
+        rows = _untruncated(records, n)
         rates = [r["log_deg_rate"] for r in rows]
         per_n[str(n)] = {
             "mean_log_deg_rate": stats.mean(rates) if rates else float("nan"),
             "rate_se": stats.standard_error(rates),
             "trials_used": len(rows),
         }
-    top_rows = [r for r in records if r["n"] == n_max and not r["truncated"]]
+    top_rows = _untruncated(records, n_max)
     matched = [r for r in top_rows if "lambda_rate" in r]
     lambda_track = {"subsample": len(matched)}
     if matched:
@@ -1420,19 +1388,15 @@ def cremona_exactness(henon_power_budget: int = 6) -> ExperimentResult:
         records.append({"trial": 1, "n": n, "henon_degree": power.degree})
         if power.degree != 2**n:
             failures.append(f"deg(henon^{n}) = {power.degree} != {2**n}")
-    result = ExperimentResult(
+    return _result(
         "cremona_exactness",
         {"henon_power_budget": henon_power_budget},
         0,
         records,
         failures=failures,
     )
-    result.aggregates = result.recompute_aggregates()
-    result.passed = not failures
-    return result
 
 
-@_aggregator("cremona_exactness")
 def _aggregate_exactness(records, params):
     henon_rows = [r for r in records if "henon_degree" in r]
     return {
@@ -1456,3 +1420,26 @@ def describe_measure(measure: FiniteMeasure) -> dict:
         "attested_non_elementary": measure.attest_non_elementary,
         "attested_wpd": measure.attest_wpd,
     }
+
+
+# ---------------------------------------------------------------------------
+# Report name -> (aggregator, gate).  An aggregator maps (records, params) to
+# the aggregates; a gate maps the aggregated result to its failures, or to
+# None when the run gives no verdict.
+
+
+REPORTS = {
+    "drift": (_aggregate_drift, _gate_drift),
+    "translation_growth": (_aggregate_translation, _gate_translation),
+    "gromov_tail": (_aggregate_gromov_tail, _gate_gromov_tail),
+    "shadow_decay": (_aggregate_shadow, _gate_shadow),
+    "match_census_axis": (_aggregate_match_axis, _gate_match_axis),
+    "match_census_non": (_aggregate_match_non, _gate_match_non),
+    "match_census_self": (_aggregate_match_self, _gate_match_self),
+    "stab_acylindricity": (_aggregate_stab, _gate_stab),
+    "small_cancellation": (_aggregate_small_cancellation, _gate_small_cancellation),
+    "characteristic_index": (_aggregate_char_index, _gate_char_index),
+    "degree_growth": (_aggregate_degree_growth, _gate_degree_growth),
+    # the identities are checked while composing; nothing is left to gate
+    "cremona_exactness": (_aggregate_exactness, lambda result: []),
+}

@@ -76,6 +76,47 @@ def test_unknown_key_exit_one(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "preset, params, message",
+    [
+        ("match-non-f2", {"trials": 0}, "$.params.trials: must be an integer >= 1"),
+        ("small-cancellation-f2", {"trials": 0}, "$.params.trials:"),
+        ("degree-growth-henon", {"trials": 0}, "$.params.trials:"),
+        ("char-index-z3", {"trials": 0}, "$.params.trials:"),
+        ("gromov-sublinearity-f2", {"trials": 0}, "$.params.trials:"),
+        ("shadow-decay-f2", {"samples": 0}, "$.params.samples:"),
+        ("shadow-decay-f2", {"chunk": 0}, "$.params.chunk:"),
+        ("gromov-sublinearity-f2", {"n_grid": []}, "$.params.n_grid: must be"),
+        ("degree-growth-henon", {"n_grid": [0, 2]}, "$.params.n_grid:"),
+        ("drift-f2", {"trials": None}, "$.params: missing required key 'trials'"),
+    ],
+)
+def test_bad_counts_and_grids_exit_one(tmp_path, capsys, preset, params, message):
+    # rejected before any walk; a None value drops the key
+    config = preset_config(preset)
+    for key, value in params.items():
+        config["params"][key] = value
+        if value is None:
+            del config["params"][key]
+    out = tmp_path / "o"
+    assert main(["run", str(_write(tmp_path, config)), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"invalid config: {message}")
+    assert not out.exists()
+
+
+def test_jobs_two_writes_the_serial_bytes_on_cremona(tmp_path):
+    config = preset_config("degree-growth-henon")
+    config["params"].update(n_grid=[1, 2, 3, 4], trials=3)
+    path = _write(tmp_path, config)
+    outputs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["run", str(path), "--out", str(out), "--jobs", jobs]) == 0
+        outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert outputs[0] == outputs[1]
+    assert "report.json" in outputs[0]
+
+
 def test_tolerance_failure_exit_two(tmp_path):
     config = copy.deepcopy(SMALL_DRIFT)
     config["params"]["expected"] = 0.9

@@ -428,7 +428,7 @@ def test_gromov_tail_gives_up_after_retries(monkeypatch):
         raise BadPrimeSignal("injected")
 
     monkeypatch.setattr(CremonaModel, "pairwise_distance", always_bad)
-    rows = E._generic_observable_rows(_cremona_measure(), [2], 5, 2)
+    rows = E._generic_observable_rows(_cremona_measure(), [2], 5, 0, 2)
     assert rows == [
         {"trial": t, "n": 2, "truncated": True, "truncation_reason": "bad_prime"}
         for t in (0, 1)
@@ -460,7 +460,7 @@ def test_generic_rows_name_their_truncation_reason(monkeypatch):
     # the walk itself passes the degree cap
     capped = _cremona_measure(degree_cap=4)
     assert sample_path(capped, 4, 5, 0).truncated_at is not None
-    assert reason(E._generic_observable_rows(capped, [4], 5, 1)) == {"degree_cap"}
+    assert reason(E._generic_observable_rows(capped, [4], 5, 0, 1)) == {"degree_cap"}
 
     # the observable passes the cap after the walk succeeded
     def over_cap(self, g, h):
@@ -468,14 +468,36 @@ def test_generic_rows_name_their_truncation_reason(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(CremonaModel, "pairwise_distance", over_cap)
-        assert reason(E._generic_observable_rows(_cremona_measure(), [2], 5, 1)) == {
+        assert reason(E._generic_observable_rows(_cremona_measure(), [2], 5, 0, 1)) == {
             "degree_cap"
         }
 
     # every gcd check fails, so the walk discards the trial
     measure = _cremona_measure()
     monkeypatch.setattr(polynomials, "_divides_all", lambda g, polys: False)
-    assert reason(E._generic_observable_rows(measure, [3], 5, 1)) == {"discarded"}
+    assert reason(E._generic_observable_rows(measure, [3], 5, 0, 1)) == {"discarded"}
+
+
+def test_cremona_drift_rows_name_their_truncation_reason(monkeypatch):
+    # at degree cap 4, 14 of the 30 walks of seed 1 pass the cap before n = 4
+    result = E.estimate_drift(_cremona_measure(degree_cap=4), 4, 30, seed=1)
+    cut = [r for r in result.records if r["truncated"]]
+    assert len(cut) == 14
+    assert cut == [
+        {"trial": r["trial"], "n": 4, "truncated": True, "truncation_reason": "degree_cap"}
+        for r in cut
+    ]
+    assert result.failures == ["resource: truncated fraction 0.467 exceeds 0.1"]
+
+    # every gcd check fails, so the walk discards every trial
+    measure = _cremona_measure()
+    monkeypatch.setattr(polynomials, "_divides_all", lambda g, polys: False)
+    result = E.estimate_drift(measure, 3, 30, seed=5)
+    assert result.records == [
+        {"trial": t, "n": 3, "truncated": True, "truncation_reason": "discarded"}
+        for t in range(30)
+    ]
+    assert result.aggregates["truncated_fraction"] == 1.0
 
 
 def test_reproducibility_and_aggregate_audit():
@@ -508,6 +530,10 @@ def test_parallel_serial_equivalence():
         lambda jobs: E.small_cancellation_experiment(
             measure, 60, 7, seed=85, jobs=jobs
         ),
+        lambda jobs: E.degree_growth_experiment(
+            _cremona_measure(), [1, 3], 3, seed=86, jobs=jobs
+        ),
+        lambda jobs: E.gromov_tail(_cremona_measure(), [2, 3], 3, seed=87, jobs=jobs),
     ]
     for run in runs:
         serial, parallel = run(1), run(2)
