@@ -91,6 +91,24 @@ _COUNTS = ("trials", "samples", "chunk", "n")
 _GRIDS = ("n_grid", "m_grid", "s_grid")
 
 
+def check_counts(params: dict, path: str = "", error=InputError) -> None:
+    """Raise ``error``, naming ``path`` and the key, unless every count in
+    ``params`` is an integer >= 1 and every grid a nonempty list (or tuple)
+    of them.  ``validate_config`` runs it on a config's ``params``, and the
+    entry points of :mod:`hypwalk.experiments` on the arguments of a call."""
+    for key in _COUNTS:
+        if key in params and not (isinstance(params[key], int) and params[key] >= 1):
+            raise error(f"{path}{key}: must be an integer >= 1")
+    for key in _GRIDS:
+        grid = params.get(key)
+        if key in params and not (
+            isinstance(grid, (list, tuple))
+            and grid
+            and all(isinstance(v, int) and v >= 1 for v in grid)
+        ):
+            raise error(f"{path}{key}: must be a nonempty list of integers >= 1")
+
+
 def _require(condition: bool, path: str, message: str):
     if not condition:
         raise ConfigError(f"{path}: {message}")
@@ -208,23 +226,7 @@ def _validate_params(params, parameters):
             "$.params",
             f"missing required key '{key}'",
         )
-    for key in _COUNTS:
-        if key in params:
-            _require(
-                isinstance(params[key], int) and params[key] >= 1,
-                f"$.params.{key}",
-                "must be an integer >= 1",
-            )
-    for key in _GRIDS:
-        if key in params:
-            grid = params[key]
-            _require(
-                isinstance(grid, list)
-                and grid
-                and all(isinstance(v, int) and v >= 1 for v in grid),
-                f"$.params.{key}",
-                "must be a nonempty list of integers >= 1",
-            )
+    check_counts(params, "$.params.", ConfigError)
 
 
 def _validate_measure(measure, mtype: str):

@@ -7,7 +7,8 @@ infinite-dimensional hyperboloid in which the displacement of the basepoint
 from that action reduces to exact degree bookkeeping:
 
 * composition is coordinate substitution followed by cancelling the common
-  factor, computed over one or more prime fields in lockstep;
+  factor, computed over one or more prime fields in lockstep (the
+  base-point rule below says where that factor can come from);
 * the dynamical degree is the limit of ``deg(f^n)^(1/n)``, approached from
   above along the submultiplicative degree sequence;
 * monomial maps (the loxodromics that fail weak proper discontinuity) are
@@ -25,6 +26,34 @@ announces itself either as a composed triple collapsing to zero or as a
 degree disagreement between the tracked primes; both raise
 :class:`~hypwalk.errors.BadPrimeSignal` so that trial runners can retry at
 fresh primes.
+
+The base-point rule.  A common factor of f o g, for a coprime triple
+g = (g1, g2, g3), can only come from curves that g contracts to a base point
+of f, a point where every coordinate of f vanishes (Alberich-Carraminana,
+*Geometry of the Plane Cremona Maps*, 2002; Blanc-Deserti, "Degree growth
+of birational maps of the plane", 2015).  So a composition f o g whose word's
+letter degrees multiply to deg f composes f's letters onto g one at a time,
+and each letter finds its cancellation from gcds of pairs of g's degree-d
+coordinates, never from ``gcd3`` on the degree-2d composed triple:
+
+* a linear letter has no base point: L o g is coprime and is only rescaled;
+* sigma has the three coordinate points as base points, and the gcd of
+  sigma o g = (g2 g3, g1 g3, g1 g2) is gcd(g2, g3) gcd(g1, g3) gcd(g1, g2),
+  so sigma o g is a product of quotients of g's coordinates, with no
+  substitution at all;
+* a Henon letter h has the one base point [1:0:0] (h^-1 has [0:1:0]): h o g
+  is coprime when the pair (g2, g3) (for h^-1, (g1, g3)) is, and otherwise
+  the pair's gcd a divides out as a^(n-1), leaving a triple whose common
+  factor divides gcd(a, g3 / a).
+
+``gcd3`` runs on a composed triple only in that last case when
+gcd(a, g3 / a) is nontrivial, for a monomial letter, and for an outer word
+whose letter degrees do not multiply to its degree (its polynomial
+cancellation would let a letter-by-letter composition pass the raw degree
+the cap checks).  Every pairwise gcd goes through ``gcd3`` with a zero third
+argument, and every quotient through ``divexact``; an inexact one raises
+:class:`~hypwalk.errors.BadPrimeSignal`.  The normalized coprime triple of a
+map is unique, so the rule changes no result, only the work.
 """
 
 from __future__ import annotations
@@ -38,6 +67,8 @@ from .polynomials import (
     DEFAULT_PRIME,
     SECOND_PRIME,
     HomPoly3,
+    divexact,
+    gcd3,
     normalize_triple,
     substitute,
 )
@@ -113,6 +144,70 @@ def _det3(m, p: int) -> int:
         - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
         + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
     ) % p
+
+
+# ---------------------------------------------------------------------------
+# The base-point rule: sigma and Henon letters composed onto a coprime triple.
+
+
+def _pair_gcd(u: HomPoly3, v: HomPoly3) -> tuple[HomPoly3, HomPoly3, HomPoly3]:
+    """gcd(u, v) through :func:`gcd3` with a zero third argument, and the
+    exact quotients u / gcd and v / gcd."""
+    quotients: list[HomPoly3] = []
+    common = gcd3(u, v, HomPoly3.zero(u.degree, u.p), quotients)
+    return common, quotients[0], quotients[1]
+
+
+def _quotient(f: HomPoly3, g: HomPoly3) -> HomPoly3:
+    q = divexact(f, g)
+    if q is None:
+        raise BadPrimeSignal("inexact quotient in the base-point rule", f.p)
+    return q
+
+
+def _sigma_onto(g: Triple) -> Triple:
+    """The normalized triple of sigma o g for a coprime triple g.
+
+    With a = gcd(g2, g3), b = gcd(g1, g3) and c = gcd(g1, g2), the gcd of
+    (g2 g3, g1 g3, g1 g2) is exactly abc, so sigma o g is
+    (a g2' g3', b g1' g3', c g1' g2') for g1' = g1/(bc), g2' = g2/(ac) and
+    g3' = g3/(ab), a coprime triple that needs only the rescaling."""
+    g1, g2, g3 = g
+    a, g2_a, g3_a = _pair_gcd(g2, g3)
+    b, g1_b, _ = _pair_gcd(g1, g3)
+    c, _, _ = _pair_gcd(g1, g2)
+    g1_bc = _quotient(g1_b, c)
+    g2_ac = _quotient(g2_a, c)
+    g3_ab = _quotient(g3_a, b)
+    return normalize_triple(
+        a.mul(g2_ac).mul(g3_ab),
+        b.mul(g1_bc).mul(g3_ab),
+        c.mul(g1_bc).mul(g2_ac),
+        coprime=True,
+    )[0]
+
+
+def _henon_cancel(
+    n: int, inverse: bool, a: HomPoly3, u: HomPoly3, v: HomPoly3, w: HomPoly3
+) -> Triple:
+    """The normalized triple of h o g, or of h^-1 o g when ``inverse``, for
+    a coprime triple g whose base-point pair has the gcd a of degree > 0.
+
+    h o g is (U W^(n-1), U^n - V W^(n-1), W^n) for (U, V, W) = (g2, g1, g3),
+    and h^-1 o g is the same with its first two coordinates swapped, for
+    (U, V, W) = (g1, g2, g3).  With U = a u, W = a w and V = v it is
+    a^(n-1) T for T = (a u w^(n-1), a u^n - v w^(n-1), a w^n).  As
+    gcd(a, v) = 1, the common factor of T divides gcd(a, w); only when that
+    is nontrivial does ``gcd3`` run, on T."""
+    w_power = w.pow(n - 1)
+    t = [
+        a.mul(u).mul(w_power),
+        a.mul(u.pow(n)).sub(v.mul(w_power)),
+        a.mul(w_power).mul(w),
+    ]
+    if inverse:
+        t[0], t[1] = t[1], t[0]
+    return normalize_triple(*t, coprime=_pair_gcd(a, w)[0].degree == 0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -387,24 +482,55 @@ class CremonaModel(ActionOracle):
                 out.append(letter)
         return tuple(out)
 
-    def _atom_triple(self, letter: int, prime_slot: int) -> Triple:
+    def _letter_element(self, letter: int) -> CremonaElement:
         atom = self._atoms[abs(letter) - 1]
-        source = atom.triples if letter > 0 else atom.inverse_triples
-        return source[prime_slot][1]
+        tracks = atom.triples if letter > 0 else atom.inverse_triples
+        return CremonaElement((letter,), atom.degree, tracks)
 
-    def _compose_tracks(self, outer_word, outer_tracks, inner_tracks, raw_degree):
-        """Substitute the inner map into the outer one, prime by prime."""
+    def _compose_letter(self, letter: int, prime_slot: int, g: Triple) -> Triple:
+        """The normalized triple of ``letter o g`` for a coprime triple g,
+        cancelling by the base-point rule (see the module docstring)."""
+        spec = self._atoms[abs(letter) - 1].spec
+        if spec[0] == "sigma":
+            return _sigma_onto(g)
+        if spec[0] == "henon":
+            # the base point is [1:0:0] for h and [0:1:0] for h^-1, so the
+            # base-point pair is (g2, g3) for h and (g1, g3) for h^-1
+            u, v = (g[1], g[0]) if letter > 0 else (g[0], g[1])
+            a, u, w = _pair_gcd(u, g[2])
+            if a.degree:
+                return _henon_cancel(spec[1], letter < 0, a, u, v, w)
+        outer = self._letter_element(letter).tracks[prime_slot][1]
+        composed = [substitute(q, g) for q in outer]
+        coprime = spec[0] in ("linear", "henon")
+        return normalize_triple(*composed, coprime=coprime)[0]
+
+    def _compose_tracks(self, outer: CremonaElement, inner_tracks, raw_degree):
+        """Compose the outer map onto the inner one, prime by prime.
+
+        When the degrees of the outer word's letters multiply to its degree,
+        its letters are composed onto the inner triple one at a time, last
+        letter first, and no intermediate degree exceeds ``raw_degree``.
+        Otherwise the outer triple is substituted and ``gcd3`` cancels."""
         if raw_degree > self.degree_cap:
             raise ResourceError(
                 f"composition degree {raw_degree} above cap {self.degree_cap}",
                 payload={"raw_degree": raw_degree},
             )
+        letters = outer.word[::-1]
+        letterwise = bool(letters) and outer.degree == math.prod(
+            self._atoms[abs(letter) - 1].degree for letter in letters
+        )
         new_tracks = []
         degrees = set()
-        for slot, (prime, outer) in enumerate(outer_tracks):
-            inner = inner_tracks[slot][1]
-            composed = tuple(substitute(q, inner) for q in outer)
-            normalized, _dropped = normalize_triple(*composed)
+        for slot, (prime, inner) in enumerate(inner_tracks):
+            if letterwise:
+                normalized = inner
+                for letter in letters:
+                    normalized = self._compose_letter(letter, slot, normalized)
+            else:
+                composed = (substitute(q, inner) for q in outer.tracks[slot][1])
+                normalized = normalize_triple(*composed)[0]
             new_tracks.append((prime, normalized))
             degrees.add(normalized[0].degree)
         if len(degrees) != 1:
@@ -414,29 +540,24 @@ class CremonaModel(ActionOracle):
         return tuple(new_tracks), degrees.pop()
 
     def multiply(self, g: CremonaElement, h: CremonaElement) -> CremonaElement:
-        """g o h (apply h first).  Substitutes h's coordinates into g's
-        polynomials, so the cost scales with the size of the *left* factor;
-        walk accumulators exploit this by keeping the big factor on the right.
-        Cancellation in the generator word is simplified symbolically before
-        any polynomial work."""
+        """g o h (apply h first).  Composes g's letters (or, failing the
+        rule of :meth:`_compose_tracks`, g's coordinates) onto h's, so the
+        cost scales with the size of the *left* factor; walk accumulators
+        exploit this by keeping the big factor on the right.  Cancellation
+        in the generator word is simplified symbolically before any
+        polynomial work."""
         word = self._reduce_word(g.word + h.word)
         if word == g.word + h.word:
-            tracks, degree = self._compose_tracks(
-                g.word, g.tracks, h.tracks, g.degree * h.degree
-            )
+            tracks, degree = self._compose_tracks(g, h.tracks, g.degree * h.degree)
             return CremonaElement(word, degree, tracks)
         return self._compose_word(word)
 
     def _compose_word(self, word: tuple[int, ...]) -> CremonaElement:
         result = self.identity()
         for letter in reversed(word):
-            atom = self._atoms[abs(letter) - 1]
-            outer_tracks = tuple(
-                (p, self._atom_triple(letter, slot))
-                for slot, p in enumerate(self.primes)
-            )
+            outer = self._letter_element(letter)
             tracks, degree = self._compose_tracks(
-                (letter,), outer_tracks, result.tracks, atom.degree * result.degree
+                outer, result.tracks, outer.degree * result.degree
             )
             result = CremonaElement((letter,) + result.word, degree, tracks)
         return result

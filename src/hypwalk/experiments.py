@@ -23,18 +23,20 @@ through :meth:`ExperimentResult.recompute_aggregates`).
 
 from __future__ import annotations
 
+import inspect
 import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import partial, wraps
 from itertools import islice
 
 import numpy as np
 
 from . import stats
 from . import words as W
+from .config import check_counts
 from .cremona import CremonaModel, dynamical_degree_estimate
 from .errors import BadPrimeSignal, InputError, ResourceError
 from .freegroup import (
@@ -122,6 +124,25 @@ def _plain(value):
     if isinstance(value, float) and (math.isnan(value) or math.isinf(value)):
         return repr(value)
     return value
+
+
+# ---------------------------------------------------------------------------
+# Bounds on counts and grids: a direct call is checked as a config is.
+
+
+def _counts_checked(entry):
+    """The entry point ``entry``, running :func:`check_counts` on the counts
+    and grids of each call before any walk; an optional one passed as None
+    is not checked."""
+    signature = inspect.signature(entry)
+
+    @wraps(entry)
+    def checked(*args, **kwargs):
+        arguments = signature.bind(*args, **kwargs).arguments
+        check_counts({k: v for k, v in arguments.items() if v is not None})
+        return entry(*args, **kwargs)
+
+    return checked
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +325,7 @@ def _generic_observable_rows(
 # Drift.
 
 
+@_counts_checked
 def estimate_drift(
     measure: FiniteMeasure,
     n: int,
@@ -394,6 +416,7 @@ def _cremona_drift_rows(measure, n, seed, first, stop) -> list:
 # Translation length growth.
 
 
+@_counts_checked
 def translation_growth(
     measure: FiniteMeasure,
     n_grid,
@@ -474,6 +497,7 @@ def _gate_translation(result):
 # Sublinearity of the symmetric Gromov product.
 
 
+@_counts_checked
 def gromov_tail(
     measure: FiniteMeasure,
     n_grid,
@@ -546,6 +570,7 @@ def _gate_gromov_tail(result):
 # Shadow decay.
 
 
+@_counts_checked
 def shadow_decay(
     measure: FiniteMeasure,
     m_grid,
@@ -683,6 +708,7 @@ def _gate_shadow(result):
 # Matching census (axis matches, non-matches, self matches).
 
 
+@_counts_checked
 def match_census(
     kind: str,
     measure: FiniteMeasure,
@@ -863,6 +889,7 @@ def _gate_match_self(result):
 # Asymptotic acylindricality: joint coarse stabilizer census.
 
 
+@_counts_checked
 def stab_acylindricity(
     measure: FiniteMeasure,
     K: int,
@@ -964,6 +991,7 @@ def small_cancellation_certificate(
     )
 
 
+@_counts_checked
 def small_cancellation_experiment(
     measure: FiniteMeasure,
     n: int,
@@ -1029,6 +1057,7 @@ def _gate_small_cancellation(result):
 # Characteristic index.
 
 
+@_counts_checked
 def characteristic_index_experiment(
     measure: FiniteMeasure,
     n_grid,
@@ -1176,6 +1205,7 @@ def _gate_char_index(result):
 # Cremona degree growth.
 
 
+@_counts_checked
 def degree_growth_experiment(
     measure: FiniteMeasure,
     n_grid,
@@ -1353,12 +1383,19 @@ def _aggregate_degree_growth(records, params):
         for r in records
         if r["n"] == n_max and not r["truncated"] and r.get("prime_retries", 0) > 0
     )
+    # the primes must agree on every composition, and a trial whose every
+    # attempt met a disagreement (or another bad prime) is discarded
+    discarded = sum(
+        1
+        for r in records
+        if r["n"] == n_max and r.get("truncation_reason") == "discarded"
+    )
     return {
         "per_n": per_n,
         "lambda_track": lambda_track,
         "truncated_fraction": truncated / total,
         "retried_trials": retried,
-        "two_prime_agreement": 1.0,  # enforced per composition; disagreements retry
+        "two_prime_agreement": (total - discarded) / total,
     }
 
 

@@ -32,8 +32,12 @@ inverse.
 
 Every gcd is verified by trial division before it is returned, and the
 quotients of that division are handed to :func:`normalize_triple`, so a
-composition divides each coordinate once.  A gcd that fails the check
-raises :class:`~hypwalk.errors.BadPrimeSignal`.
+triple it normalizes has each coordinate divided once.  A gcd that fails
+the check raises :class:`~hypwalk.errors.BadPrimeSignal`.  Most Cremona
+compositions never run :func:`gcd3` on the composed triple: the base-point
+rule of :mod:`hypwalk.cremona` finds their cancellation from gcds of pairs
+of the inner map's coordinates, and ``normalize_triple(..., coprime=True)``
+only rescales.
 """
 
 from __future__ import annotations
@@ -622,22 +626,28 @@ def _dense_gcd_list(arrays, p: int) -> np.ndarray | None:
     return g
 
 
-def normalize_triple(p1: HomPoly3, p2: HomPoly3, p3: HomPoly3):
+def normalize_triple(p1: HomPoly3, p2: HomPoly3, p3: HomPoly3, coprime: bool = False):
     """Divide out gcd3 and rescale so the first nonzero coefficient (scanning
     the triple in order, each in graded-lex order) equals 1.
 
     The quotients are the ones gcd3's trial division computed, so each
-    component is divided once.  Returns ``(triple, gcd_degree)``.  An
+    component is divided once.  With ``coprime`` the caller vouches that the
+    triple has no common factor (a composition whose cancellation the
+    base-point rule of :mod:`hypwalk.cremona` already divided out), and
+    only the rescaling is done.  Returns ``(triple, gcd_degree)``.  An
     all-zero triple signals a degenerate composition, typically an unlucky
     coefficient prime.
     """
     if p1.is_zero() and p2.is_zero() and p3.is_zero():
         raise BadPrimeSignal("composition collapsed to the zero triple", p1.p)
-    parts: list[HomPoly3] = []
-    g = gcd3(p1, p2, p3, parts)
+    if coprime:
+        parts, gcd_degree = [p1, p2, p3], 0
+    else:
+        parts = []
+        gcd_degree = gcd3(p1, p2, p3, parts).degree
     lead = next(q._leading_coefficient() for q in parts if not q.is_zero())
-    scale = _inv_mod(lead, g.p)
-    return tuple(q.scale(scale) for q in parts), g.degree
+    scale = _inv_mod(lead, p1.p)
+    return tuple(q.scale(scale) for q in parts), gcd_degree
 
 
 # ---------------------------------------------------------------------------

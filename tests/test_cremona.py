@@ -1,10 +1,14 @@
 import math
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from hypwalk import cremona
 from hypwalk.cremona import (
     CremonaElement,
     CremonaModel,
@@ -16,7 +20,8 @@ from hypwalk.cremona import (
 )
 from hypwalk.errors import BadPrimeSignal, InputError, ResourceError
 from hypwalk.geometry import IsometryClass
-from hypwalk.polynomials import HomPoly3
+from hypwalk.polynomials import HomPoly3, normalize_triple, substitute
+from hypwalk.walk import FiniteMeasure, sample_path
 
 
 GOLDEN3 = (3 + math.sqrt(5)) / 2  # spectral radius of [[2,1],[1,1]]
@@ -269,3 +274,90 @@ def test_henon_power_at_a_31_bit_prime_matches_sympy():
     for got, want in zip(h64.triple(p), coords):
         expected = {m: int(c) * scale % p for m, c in want.terms() if int(c) % p}
         assert got.coeffs == expected
+
+
+# -- the base-point rule --------------------------------------------------------
+
+_ORACLE_PRIMES = (1000003, 2083116181, 2, 3, 5)
+
+
+def _compose_against_oracle(model, letters, max_degree):
+    """Compose ``letters`` onto the identity at the model's one prime, last
+    letter first, checking each step against substitution and gcd3 on the
+    composed triple; returns the oracle's gcd degree of each step."""
+    prime = model.primes[0]
+    g = model.identity().triple(prime)
+    dropped = []
+    for letter in reversed(letters):
+        outer = model._letter_element(letter).triple(prime)
+        expected, gcd_degree = normalize_triple(*(substitute(q, g) for q in outer))
+        assert model._compose_letter(letter, 0, g) == expected
+        dropped.append(gcd_degree)
+        g = expected
+        if g[0].degree > max_degree:
+            break
+    return dropped
+
+
+@pytest.mark.parametrize("p", _ORACLE_PRIMES)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_letter_step_matches_gcd3_on_the_composed_triple(p, data):
+    entries = data.draw(st.lists(st.integers(-3, 3), min_size=9, max_size=9))
+    model = CremonaModel(primes=(p,))
+    try:
+        linear = model.linear(entries).word[0]
+    except InputError:
+        assume(False)  # singular mod p
+    sigma, h2, h3 = model.sigma().word[0], model.henon(2).word[0], model.henon(3).word[0]
+    shear = model.monomial([1, 1, 0, 1]).word[0]
+    # sigma-heavy words, so cancellation goes deep; (sigma, linear) is the
+    # compose atom sigma o L, and the shear takes the plain gcd3 route
+    steps = st.sampled_from(
+        [(sigma,), (sigma,), (sigma, linear), (sigma, linear)]
+        + [(h2,), (-h2,), (h3,), (linear,), (shear,)]
+    )
+    drawn = data.draw(st.lists(steps, min_size=1, max_size=8))
+    word = [letter for step in drawn for letter in step]
+    _compose_against_oracle(model, word, max_degree=24 if p < 10 else 48)
+
+
+def test_letter_step_takes_the_henon_gcd_route(monkeypatch):
+    # the last h of h o sigma o h o sigma o h meets a base-point pair
+    # gcd a with gcd(a, g3 / a) != 1, the one case that runs gcd3 on a
+    # composed triple
+    model = CremonaModel(primes=(1000003,))
+    sigma, h = model.sigma().word[0], model.henon(2).word[0]
+    flags = []
+    normalize = cremona.normalize_triple
+
+    def recording(*triple, coprime=False):
+        flags.append(coprime)
+        return normalize(*triple, coprime=coprime)
+
+    monkeypatch.setattr(cremona, "normalize_triple", recording)
+    dropped = _compose_against_oracle(model, [h, sigma, h, sigma, h], max_degree=64)
+    assert flags[-1] is False and flags.count(False) == 1
+    assert all(dropped[1:])  # every step after the first cancels
+    assert model._compose_word((h, sigma, h, sigma, h)).degree == 9
+
+
+def test_inexact_sigma_quotient_retries_at_fresh_primes(monkeypatch):
+    model = CremonaModel()
+    sigma = model.sigma()
+    h = model.henon(2)
+    atoms = [("sigma", sigma, Fraction(1, 2)), ("h", h, Fraction(1, 4))]
+    measure = FiniteMeasure(model, [*atoms, ("H", model.inverse(h), Fraction(1, 4))])
+    clean = sample_path(measure, 6, seed=3, trial=0)
+    divexact = cremona.divexact
+
+    def inexact_at_default_primes(f, g):
+        return None if f.p in model.primes else divexact(f, g)
+
+    monkeypatch.setattr(cremona, "divexact", inexact_at_default_primes)
+    # sigma o sigma cancels only in the word; the letter step divides
+    with pytest.raises(BadPrimeSignal):
+        model._compose_letter(sigma.word[0], 0, sigma.triple(model.primes[0]))
+    path = sample_path(measure, 6, seed=3, trial=0)
+    assert path.prime_retries > 0 and not path.discarded
+    assert path.displacements == clean.displacements

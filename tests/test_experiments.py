@@ -217,6 +217,24 @@ def test_match_census_validation():
         E.match_census("bogus", uniform_free(), seed=1, trials=10, n=50)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda m: E.gromov_tail(m, [], 10, seed=1), "n_grid: must be a nonempty list"),
+        (lambda m: E.match_census("non", m, seed=1, trials=0, n=10), "trials: must be"),
+        (lambda m: E.estimate_drift(m, 0, 40, seed=1), "n: must be an integer >= 1"),
+        (lambda m: E.shadow_decay(m, [1, 0], 100, seed=1), "m_grid: must be"),
+        (lambda m: E.match_census("self", m, seed=1, trials=5, n_grid=()), "n_grid:"),
+    ],
+)
+def test_direct_calls_check_counts_and_grids(call, message):
+    # the bounds a config is validated against hold for a call from Python;
+    # at the parent the first two crashed with IndexError and ZeroDivisionError
+    with pytest.raises(InputError) as info:
+        call(uniform_free())
+    assert str(info.value).startswith(message)
+
+
 def test_stab_acylindricity_tree_and_kernel():
     measure = uniform_free()
     result = E.stab_acylindricity(measure, 0, [40, 120], 60, seed=1011)
@@ -378,6 +396,26 @@ def test_degree_growth_discard_reaches_report(monkeypatch, tmp_path):
         for n in (2, 3)
     ]
     assert report["aggregates"]["truncated_fraction"] == 1.0
+
+
+def test_two_prime_agreement_counts_discarded_trials(monkeypatch):
+    # trial 1 alone meets a failing gcd check at every attempt and is
+    # discarded; the other three agree across primes
+    measure = _cremona_measure()
+    walk = E.sample_path
+
+    def discard_trial_one(measure, n, seed, trial):
+        if trial != 1:
+            return walk(measure, n, seed, trial)
+        with monkeypatch.context() as patch:
+            patch.setattr(polynomials, "_divides_all", lambda g, polys: False)
+            return walk(measure, n, seed, trial)
+
+    monkeypatch.setattr(E, "sample_path", discard_trial_one)
+    result = E.degree_growth_experiment(measure, [2, 3], trials=4, seed=5)
+    discarded = [r for r in result.records if r.get("truncation_reason") == "discarded"]
+    assert {(r["trial"], r["n"]) for r in discarded} == {(1, 2), (1, 3)}
+    assert result.aggregates["two_prime_agreement"] == 0.75
 
 
 def test_degree_growth_cap_truncation_reaches_report(tmp_path):
