@@ -31,10 +31,10 @@ The base-point rule.  A common factor of f o g, for a coprime triple
 g = (g1, g2, g3), can only come from curves that g contracts to a base point
 of f, a point where every coordinate of f vanishes (Alberich-Carraminana,
 *Geometry of the Plane Cremona Maps*, 2002; Blanc-Deserti, "Degree growth
-of birational maps of the plane", 2015).  So a composition f o g whose word's
-letter degrees multiply to deg f composes f's letters onto g one at a time,
-and each letter finds its cancellation from gcds of pairs of g's degree-d
-coordinates, never from ``gcd3`` on the degree-2d composed triple:
+of birational maps of the plane", 2015).  So a composition f o g composes
+the letters of f's word onto g one at a time, and each letter finds its
+cancellation from gcds of pairs of g's degree-d coordinates, never from
+``gcd3`` on the degree-2d composed triple:
 
 * a linear letter has no base point: L o g is coprime and is only rescaled;
 * sigma has the three coordinate points as base points, and the gcd of
@@ -46,14 +46,15 @@ coordinates, never from ``gcd3`` on the degree-2d composed triple:
   the pair's gcd a divides out as a^(n-1), leaving a triple whose common
   factor divides gcd(a, g3 / a).
 
-``gcd3`` runs on a composed triple only in that last case when
-gcd(a, g3 / a) is nontrivial, for a monomial letter, and for an outer word
-whose letter degrees do not multiply to its degree (its polynomial
-cancellation would let a letter-by-letter composition pass the raw degree
-the cap checks).  Every pairwise gcd goes through ``gcd3`` with a zero third
-argument, and every quotient through ``divexact``; an inexact one raises
-:class:`~hypwalk.errors.BadPrimeSignal`.  The normalized coprime triple of a
-map is unique, so the rule changes no result, only the work.
+``gcd3`` runs on a composed triple only for a monomial letter and in that
+last Henon case when gcd(a, g3 / a) is nontrivial.  Every composition, of a
+generator letter, a whole word or a walk's running map, composes the outer
+word onto the inner triple one letter at a time, last letter first, and
+checks the degree cap on each letter's raw degree (the letter's degree
+times the running degree).  Every pairwise gcd goes through ``gcd3`` with a
+zero third argument, and every quotient through ``divexact``; an inexact one
+raises :class:`~hypwalk.errors.BadPrimeSignal`.  The normalized coprime
+triple of a map is unique, so the rule changes no result, only the work.
 """
 
 from __future__ import annotations
@@ -369,8 +370,15 @@ class CremonaModel(ActionOracle):
         self, tag, spec, builder, inverse_builder, self_inverse, monomial=None
     ) -> CremonaElement:
         if tag not in self._atom_index:
-            triples = tuple((p, builder(p)) for p in self.primes)
-            inverses = tuple((p, inverse_builder(p)) for p in self.primes)
+            # normalized like every composed triple, so that a map equals
+            # itself however it was built
+            triples, inverses = (
+                tuple(
+                    (p, normalize_triple(*build(p), coprime=True)[0])
+                    for p in self.primes
+                )
+                for build in (builder, inverse_builder)
+            )
             degrees = {t[0].degree for _, t in triples}
             if len(degrees) != 1:
                 raise AssertionError("generator degree differs across primes")
@@ -505,62 +513,47 @@ class CremonaModel(ActionOracle):
         coprime = spec[0] in ("linear", "henon")
         return normalize_triple(*composed, coprime=coprime)[0]
 
-    def _compose_tracks(self, outer: CremonaElement, inner_tracks, raw_degree):
-        """Compose the outer map onto the inner one, prime by prime.
+    def _compose_tracks(self, letters, tracks, degree):
+        """Compose the word ``letters`` onto a map of ``degree`` with
+        ``tracks``, one letter at a time, last letter first.
 
-        When the degrees of the outer word's letters multiply to its degree,
-        its letters are composed onto the inner triple one at a time, last
-        letter first, and no intermediate degree exceeds ``raw_degree``.
-        Otherwise the outer triple is substituted and ``gcd3`` cancels."""
-        if raw_degree > self.degree_cap:
-            raise ResourceError(
-                f"composition degree {raw_degree} above cap {self.degree_cap}",
-                payload={"raw_degree": raw_degree},
+        Each letter step checks the cap on its raw degree (the letter's
+        degree times the running degree) and that the primes agree on the
+        composed degree.  Returns the composed tracks and degree."""
+        for letter in reversed(letters):
+            raw_degree = self._atoms[abs(letter) - 1].degree * degree
+            if raw_degree > self.degree_cap:
+                raise ResourceError(
+                    f"composition degree {raw_degree} above cap {self.degree_cap}",
+                    payload={"raw_degree": raw_degree},
+                )
+            tracks = tuple(
+                (prime, self._compose_letter(letter, slot, inner))
+                for slot, (prime, inner) in enumerate(tracks)
             )
-        letters = outer.word[::-1]
-        letterwise = bool(letters) and outer.degree == math.prod(
-            self._atoms[abs(letter) - 1].degree for letter in letters
-        )
-        new_tracks = []
-        degrees = set()
-        for slot, (prime, inner) in enumerate(inner_tracks):
-            if letterwise:
-                normalized = inner
-                for letter in letters:
-                    normalized = self._compose_letter(letter, slot, normalized)
-            else:
-                composed = (substitute(q, inner) for q in outer.tracks[slot][1])
-                normalized = normalize_triple(*composed)[0]
-            new_tracks.append((prime, normalized))
-            degrees.add(normalized[0].degree)
-        if len(degrees) != 1:
-            raise BadPrimeSignal(
-                f"degree disagreement across primes: {sorted(degrees)}"
-            )
-        return tuple(new_tracks), degrees.pop()
+            degrees = {triple[0].degree for _, triple in tracks}
+            if len(degrees) != 1:
+                raise BadPrimeSignal(
+                    f"degree disagreement across primes: {sorted(degrees)}"
+                )
+            degree = degrees.pop()
+        return tracks, degree
 
     def multiply(self, g: CremonaElement, h: CremonaElement) -> CremonaElement:
-        """g o h (apply h first).  Composes g's letters (or, failing the
-        rule of :meth:`_compose_tracks`, g's coordinates) onto h's, so the
-        cost scales with the size of the *left* factor; walk accumulators
-        exploit this by keeping the big factor on the right.  Cancellation
-        in the generator word is simplified symbolically before any
-        polynomial work."""
+        """g o h (apply h first).  Composes g's letters onto h's coordinates,
+        so the cost scales with the size of the *left* factor; the walk
+        exploits this by keeping the big factor on the right.
+        Cancellation in the generator word is simplified symbolically before
+        any polynomial work."""
         word = self._reduce_word(g.word + h.word)
         if word == g.word + h.word:
-            tracks, degree = self._compose_tracks(g, h.tracks, g.degree * h.degree)
+            tracks, degree = self._compose_tracks(g.word, h.tracks, h.degree)
             return CremonaElement(word, degree, tracks)
         return self._compose_word(word)
 
     def _compose_word(self, word: tuple[int, ...]) -> CremonaElement:
-        result = self.identity()
-        for letter in reversed(word):
-            outer = self._letter_element(letter)
-            tracks, degree = self._compose_tracks(
-                outer, result.tracks, outer.degree * result.degree
-            )
-            result = CremonaElement((letter,) + result.word, degree, tracks)
-        return result
+        tracks, degree = self._compose_tracks(word, self.identity().tracks, 1)
+        return CremonaElement(word, degree, tracks)
 
     def inverse(self, g: CremonaElement) -> CremonaElement:
         """g^-1 as its reduced word and g's degree, in O(len(word)).
@@ -577,12 +570,7 @@ class CremonaModel(ActionOracle):
         return math.acosh(g.degree)
 
     def power(self, g: CremonaElement, m: int) -> CremonaElement:
-        """g^m, composed letter by letter along the reduced power word.
-
-        Composing through the word keeps every substitution in the cheap
-        direction (the big running map slots into a small generator), which
-        beats repeated ``multiply(g, power)`` once g itself is large.
-        """
+        """g^m, composed letter by letter along the reduced power word."""
         if m < 0:
             return self.power(self.inverse(g), -m)
         return self._compose_word(self._reduce_word(g.word * m))

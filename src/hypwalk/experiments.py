@@ -40,11 +40,13 @@ from .config import check_counts
 from .cremona import CremonaModel, dynamical_degree_estimate
 from .errors import BadPrimeSignal, InputError, ResourceError
 from .freegroup import (
+    FreeGroupOracle,
     SemidirectOracle,
     exact_shadow_measure,
     fellow_traveling_delta,
     stab_census,
 )
+from .geometry import gromov_product
 from .walk import (
     MAX_BAD_PRIME_ATTEMPTS,
     FiniteMeasure,
@@ -263,39 +265,55 @@ def _sym_gp_of_word(word, n) -> int:
 
 
 def _is_tree(measure: FiniteMeasure) -> bool:
-    from .freegroup import FreeGroupOracle
-
     return isinstance(measure.oracle, (FreeGroupOracle, SemidirectOracle))
 
 
-def _generic_observable_rows(
-    measure, marks, seed, first, stop, tau_budget=None
-) -> list:
-    """Slow path for non-tree oracles: prefix snapshots through sample_path.
+def _require_tree(measure: FiniteMeasure, experiment: str) -> None:
+    """Reject, before any walk, a measure on a model other than the trees."""
+    if not _is_tree(measure):
+        raise InputError(f"{experiment} runs on the tree models")
 
-    Each mark replays the walk's prefix (same increment stream), so the
-    endpoint observables (symmetric Gromov product, budgeted translation
-    length) are available at every grid point.  On the Cremona model they
-    compose maps outside the walk, so they run under the bad-prime retry
-    policy; a row whose every attempt meets a bad prime is recorded as
-    truncated with reason ``"bad_prime"``.  A row whose walk was discarded,
-    or whose walk or observable passed the degree cap, is truncated with
-    reason ``"discarded"`` or ``"degree_cap"``, as in ``degree_growth``.
+
+# ---------------------------------------------------------------------------
+# Other models (Cremona and monomial maps): each trial walks once through
+# walk.sample_path, and an observer reads the path at each mark.
+
+
+def _walk_trial_rows(measure, marks, seed, first, stop, observe) -> list:
+    """Walk trials first..stop-1 once each, to the last of the sorted
+    ``marks``, keeping the endpoints at every mark.  The row at mark n is
+    ``observe(path, n)``, or a truncated row when the walk was cut before
+    step n (every mark of a discarded trial); rows come back trial-major."""
+    rows = []
+    for trial in range(first, stop):
+        path = sample_path(measure, marks[-1], seed, trial, marks=marks)
+        for n in marks:
+            if path.truncated_at is not None and n > path.truncated_at:
+                rows.append(_truncated(path, n))
+            else:
+                rows.append(observe(path, n))
+    return rows
+
+
+def _obs_endpoint(tau_budget, path, n) -> dict:
+    """d(x, w_n x), the symmetric Gromov product of w_n and, with a
+    ``tau_budget``, the budgeted translation length of w_n.
+
+    These compose maps outside the walk, so they run under the bad-prime
+    retry policy; a row whose every attempt meets a bad prime is truncated
+    with reason ``"bad_prime"``, and one whose observable passes the degree
+    cap with reason ``"degree_cap"``.
     """
-    from .geometry import gromov_product
 
-    oracle = measure.oracle
-
-    def observe(model, rebuild, *, path):
-        w, winv = rebuild(path.final), rebuild(path.final_inverse)
+    def observe(model, rebuild):
+        w, winv = (rebuild(g) for g in path.endpoints[n])
+        d = path.displacements[n]
         row = {
             "trial": path.trial,
-            "n": path.n,
-            "d": path.final_displacement,
+            "n": n,
+            "d": d,
             "sym_gp": gromov_product(
-                path.final_displacement,
-                model.displacement(winv),
-                model.pairwise_distance(w, winv),
+                d, model.displacement(winv), model.pairwise_distance(w, winv)
             ),
             "truncated": False,
         }
@@ -303,22 +321,38 @@ def _generic_observable_rows(
             row["tau"] = model.translation_length_estimate(w, tau_budget)
         return row
 
-    rows = []
-    for trial in range(first, stop):
-        for n in marks:
-            path = sample_path(measure, n, seed, trial)
-            if path.truncated_at is not None or path.final is None:
-                rows.append(_truncated(path, n))
-                continue
-            try:
-                if isinstance(oracle, CremonaModel):
-                    row = _at_trial_primes(oracle, path, partial(observe, path=path))
-                else:
-                    row = observe(oracle, lambda g: g, path=path)
-            except ResourceError:
-                row = _truncated(path, n, "degree_cap")
-            rows.append(row if row is not None else _truncated(path, n, "bad_prime"))
-    return rows
+    try:
+        row = _at_trial_primes(path, observe)
+    except ResourceError:
+        return _truncated(path, n, "degree_cap")
+    return row if row is not None else _truncated(path, n, "bad_prime")
+
+
+def _at_trial_primes(path, compute):
+    """``compute(model, rebuild)`` under the bad-prime retry policy, or None
+    when every attempt meets a bad prime.
+
+    ``rebuild`` maps an element of the path to the attempt's model.  The
+    first attempt runs on the model the walk ended on: a retried trial lives
+    over the fresh primes it was respawned at, and composing over the base
+    primes would recompose its word at the primes that failed it.  Each
+    failure respawns at the next pair of the trial's retry stream past those
+    the walk used, up to ``MAX_BAD_PRIME_ATTEMPTS`` attempts.  A model
+    without coefficient primes never meets a bad prime.
+    """
+    try:
+        return compute(path.oracle, lambda g: g)
+    except BadPrimeSignal:
+        pass
+    first = path.prime_retries
+    fresh = retry_primes(path.seed, path.trial)
+    for primes in islice(fresh, first, first + MAX_BAD_PRIME_ATTEMPTS - 1):
+        model = path.oracle.respawn(primes)
+        try:
+            return compute(model, model.rebuild)
+        except BadPrimeSignal:
+            pass
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +371,10 @@ def estimate_drift(
 ) -> ExperimentResult:
     """Mean of d(x, w_n x)/n with a normal confidence interval.
 
-    For Cremona measures the record also carries log(deg w_n)/n, the
-    exponential-growth version of the same limit, and trials cut short by
-    the degree cap are reported (the run fails if more than 10% truncate).
+    For Cremona and monomial measures the record also carries
+    log(deg w_n)/n, the exponential-growth version of the same limit, and
+    trials cut short by the degree cap are reported (the run fails if more
+    than 10% truncate).
     """
     if trials < DRIFT_MIN_TRIALS:
         raise InputError(f"drift estimation needs at least {DRIFT_MIN_TRIALS} trials")
@@ -349,23 +384,23 @@ def estimate_drift(
         "expected": expected,
         "measure": describe_measure(measure),
     }
-    if isinstance(measure.oracle, CremonaModel):
-        block = partial(_cremona_drift_rows, measure, n, seed)
-    else:
+    if _is_tree(measure):
         block = partial(
             _tree_trial_rows, measure, [n], seed, observables=[("d", _obs_displacement)]
         )
+    else:
+        block = partial(_walk_trial_rows, measure, [n], seed, observe=_obs_degree)
     records = _run_trials(block, trials, jobs)
     return _result("drift", params, seed, records, {"mean_abs_error": tolerance})
 
 
 def _aggregate_drift(records, params):
     n = params["n"]
-    complete = [r for r in records if not r.get("truncated", False)]
+    complete = _untruncated(records, n)
     speeds = [r["d"] / n for r in complete]
     out = {
-        "mean_speed": stats.mean(speeds) if speeds else float("nan"),
-        "speed_se": stats.standard_error(speeds),
+        "mean_speed": stats.mean(speeds) if speeds else None,
+        "speed_se": stats.standard_error(speeds) if speeds else None,
         "speed_ci95": stats.normal_ci(speeds) if speeds else None,
         "truncated_fraction": 1.0 - len(complete) / len(records),
         "trials_used": len(complete),
@@ -381,8 +416,11 @@ def _gate_drift(result):
     failures = _truncation_failures(result.aggregates)
     expected = result.params["expected"]
     tolerance = result.tolerances["mean_abs_error"]
-    if expected is not None:
-        err = abs(result.aggregates["mean_speed"] - expected)
+    mean_speed = result.aggregates["mean_speed"]
+    if mean_speed is None:
+        failures.append(f"no untruncated trials at n={result.params['n']}")
+    elif expected is not None:
+        err = abs(mean_speed - expected)
         if err > tolerance:
             failures.append(
                 f"|mean speed - {expected}| = {err:.4f} exceeds {tolerance}"
@@ -390,26 +428,18 @@ def _gate_drift(result):
     return failures
 
 
-def _cremona_drift_rows(measure, n, seed, first, stop) -> list:
-    rows = []
-    for trial in range(first, stop):
-        path = sample_path(measure, n, seed, trial)
-        if path.truncated_at is not None:
-            rows.append(_truncated(path, n))
-            continue
-        d = path.displacements[n]
-        rows.append(
-            {
-                "trial": trial,
-                "n": n,
-                "truncated": False,
-                "d": d,
-                "log_deg": math.log(round(math.cosh(d))),
-                "degree": int(round(math.cosh(d))),
-                "prime_retries": path.prime_retries,
-            }
-        )
-    return rows
+def _obs_degree(path, n) -> dict:
+    d = path.displacements[n]
+    degree = round(math.cosh(d))
+    return {
+        "trial": path.trial,
+        "n": n,
+        "truncated": False,
+        "d": d,
+        "log_deg": math.log(degree),
+        "degree": degree,
+        "prime_retries": path.prime_retries,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -447,9 +477,8 @@ def translation_growth(
         block = partial(_tree_trial_rows, measure, marks, seed, observables=observables)
     else:
         params["tau_budget"] = tau_budget
-        block = partial(
-            _generic_observable_rows, measure, marks, seed, tau_budget=tau_budget
-        )
+        observe = partial(_obs_endpoint, tau_budget)
+        block = partial(_walk_trial_rows, measure, marks, seed, observe=observe)
     records = _run_trials(block, trials, jobs)
     return _result(
         "translation_growth", params, seed, records, {"drift_gap": drift_tolerance}
@@ -525,7 +554,8 @@ def gromov_tail(
         observables = [("sym_gp", _sym_gp_of_word)]
         block = partial(_tree_trial_rows, measure, marks, seed, observables=observables)
     else:
-        block = partial(_generic_observable_rows, measure, marks, seed)
+        observe = partial(_obs_endpoint, None)
+        block = partial(_walk_trial_rows, measure, marks, seed, observe=observe)
     records = _run_trials(block, trials, jobs)
     return _result("gromov_tail", params, seed, records, {"tail_threshold": threshold})
 
@@ -589,10 +619,8 @@ def shadow_decay(
     negligible against the Monte-Carlo error.  Exact comparison requires the
     uniform measure; other measures get an empirical-only report.
     """
-    oracle = measure.oracle
-    rank = getattr(oracle, "rank", None)
-    if rank is None:
-        raise InputError("shadow decay runs on the tree models")
+    _require_tree(measure, "shadow decay")
+    rank = measure.oracle.rank
     m_grid = sorted(m_grid)
     uniform = _is_uniform_letter_measure(measure)
     params = {
@@ -733,6 +761,7 @@ def match_census(
     occurring inside the geodesic.  kind "self": two disjoint subsegments of
     length ``self_match_fraction * n`` equal up to a group translate.
     """
+    _require_tree(measure, "matching census")
     if kind == "axis":
         if axis_core is None or n is None:
             raise InputError("axis matching needs axis_core and n")
@@ -902,6 +931,7 @@ def stab_acylindricity(
 ) -> ExperimentResult:
     """Distribution of |Stab_K(x, w_n x)| per n; the minimal count covering
     a ``quantile`` fraction of trials must not depend on n."""
+    _require_tree(measure, "stabilizer census")
     oracle = measure.oracle
     rank = oracle.rank
     torsion_order = (
@@ -1004,6 +1034,7 @@ def small_cancellation_experiment(
 ) -> ExperimentResult:
     """Frequency of random words whose conjugacy family satisfies the
     axis-overlap half of the small-cancellation condition at ratio epsilon."""
+    _require_tree(measure, "small cancellation")
     params = {
         "n": n,
         "trials": trials,
@@ -1237,44 +1268,31 @@ def degree_growth_experiment(
         "lambda_degree_bound": lambda_degree_bound,
         "measure": describe_measure(measure),
     }
-    block = partial(
-        _degree_growth_rows, measure, marks, seed, iterate_budget, lambda_degree_bound
-    )
+    observe = partial(_obs_degree_growth, iterate_budget, lambda_degree_bound)
+    block = partial(_walk_trial_rows, measure, marks, seed, observe=observe)
     records = _run_trials(block, trials, jobs)
     return _result(
         "degree_growth", params, seed, records, {"gap_tolerance": gap_tolerance}
     )
 
 
-def _degree_growth_rows(
-    measure, marks, seed, iterate_budget, lambda_degree_bound, first, stop
-) -> list:
-    records = []
-    n_max = marks[-1]
-    for trial in range(first, stop):
-        path = sample_path(measure, n_max, seed, trial)
-        lambda_rate, lambda_skipped = _lambda_rate(
-            measure.oracle, path, iterate_budget, lambda_degree_bound
-        )
-        for n in marks:
-            if path.truncated_at is not None and n > path.truncated_at:
-                records.append(_truncated(path, n))
-                continue
-            degree = int(round(math.cosh(path.displacements[n])))
-            row = {
-                "trial": trial,
-                "n": n,
-                "truncated": False,
-                "degree": degree,
-                "log_deg_rate": math.log(degree) / n if degree >= 1 else 0.0,
-                "prime_retries": path.prime_retries,
-            }
-            if n == n_max and lambda_rate is not None:
-                row["lambda_rate"] = lambda_rate
-            elif n == n_max:
-                row["lambda_skipped"] = lambda_skipped
-            records.append(row)
-    return records
+def _obs_degree_growth(iterate_budget, lambda_degree_bound, path, n) -> dict:
+    degree = int(round(math.cosh(path.displacements[n])))
+    row = {
+        "trial": path.trial,
+        "n": n,
+        "truncated": False,
+        "degree": degree,
+        "log_deg_rate": math.log(degree) / n if degree >= 1 else 0.0,
+        "prime_retries": path.prime_retries,
+    }
+    if n == path.n:
+        rate, skipped = _lambda_rate(path, iterate_budget, lambda_degree_bound)
+        if rate is not None:
+            row["lambda_rate"] = rate
+        else:
+            row["lambda_skipped"] = skipped
+    return row
 
 
 def _gate_degree_growth(result):
@@ -1282,7 +1300,10 @@ def _gate_degree_growth(result):
     gap_tolerance = result.tolerances["gap_tolerance"]
     failures = []
     for n in result.params["n_grid"]:
-        if agg["per_n"][str(n)]["mean_log_deg_rate"] <= 0:
+        rate = agg["per_n"][str(n)]["mean_log_deg_rate"]
+        if rate is None:
+            failures.append(f"no untruncated trials at n={n}")
+        elif rate <= 0:
             failures.append(f"mean log-degree rate not positive at n={n}")
     if result.params["iterate_budget"] is not None:
         if agg["lambda_track"]["subsample"] == 0:
@@ -1295,20 +1316,18 @@ def _gate_degree_growth(result):
     return failures + _truncation_failures(agg)
 
 
-def _lambda_rate(model: CremonaModel, path, budget, degree_bound):
+def _lambda_rate(path, budget, degree_bound):
     """``(rate, None)``, the rate (1/n) log of the budgeted dynamical-degree
     estimate of ``path.final``, or ``(None, reason)`` for a trial outside the
     subsample.  An estimate of 0 gives ``(None, None)``."""
-    if path.truncated_at is not None:
-        return None, "truncated"
     if budget is None:
         return None, "disabled"
     final_degree = int(round(math.cosh(path.displacements[-1])))
-    if final_degree > degree_bound or final_degree**budget > model.degree_cap:
+    cap = path.oracle.degree_cap
+    if final_degree > degree_bound or final_degree**budget > cap:
         return None, "cap"
     try:
         est = _at_trial_primes(
-            model,
             path,
             lambda trial_model, rebuild: dynamical_degree_estimate(
                 trial_model, rebuild(path.final), budget
@@ -1323,34 +1342,6 @@ def _lambda_rate(model: CremonaModel, path, budget, degree_bound):
     return (math.log(est.value) / path.n if est.value > 0 else None), None
 
 
-def _at_trial_primes(model: CremonaModel, path, compute):
-    """``compute(trial_model, rebuild)`` under the bad-prime retry policy,
-    or None when every attempt meets a bad prime.
-
-    ``rebuild`` maps an element of the path to the attempt's primes.  The
-    first attempt runs over the primes the walk ended on: a retried trial
-    lives over the fresh primes it was respawned at, and composing over the
-    base primes would recompose its word at the primes that failed it.  Each
-    failure respawns at the next pair of the trial's retry stream past those
-    the walk used, up to ``MAX_BAD_PRIME_ATTEMPTS`` attempts.
-    """
-    trial_model = model
-    if path.prime_retries > 0:
-        # the walk's own primes; reading path.final.tracks would compose
-        # the endpoint here, outside the retries below
-        trial_model = model.respawn(tuple(p for p, _ in path.final_inverse.tracks))
-    fresh = islice(retry_primes(path.seed, path.trial), path.prime_retries, None)
-    for attempt in range(MAX_BAD_PRIME_ATTEMPTS):
-        try:
-            if attempt == 0:
-                return compute(trial_model, lambda g: g)
-            trial_model = model.respawn(next(fresh))
-            return compute(trial_model, trial_model.rebuild)
-        except BadPrimeSignal:
-            pass
-    return None
-
-
 def _aggregate_degree_growth(records, params):
     marks = params["n_grid"]
     n_max = marks[-1]
@@ -1359,8 +1350,8 @@ def _aggregate_degree_growth(records, params):
         rows = _untruncated(records, n)
         rates = [r["log_deg_rate"] for r in rows]
         per_n[str(n)] = {
-            "mean_log_deg_rate": stats.mean(rates) if rates else float("nan"),
-            "rate_se": stats.standard_error(rates),
+            "mean_log_deg_rate": stats.mean(rates) if rates else None,
+            "rate_se": stats.standard_error(rates) if rates else None,
             "trials_used": len(rows),
         }
     top_rows = _untruncated(records, n_max)

@@ -33,11 +33,13 @@ inverse.
 Every gcd is verified by trial division before it is returned, and the
 quotients of that division are handed to :func:`normalize_triple`, so a
 triple it normalizes has each coordinate divided once.  A gcd that fails
-the check raises :class:`~hypwalk.errors.BadPrimeSignal`.  Most Cremona
-compositions never run :func:`gcd3` on the composed triple: the base-point
-rule of :mod:`hypwalk.cremona` finds their cancellation from gcds of pairs
-of the inner map's coordinates, and ``normalize_triple(..., coprime=True)``
-only rescales.
+the check raises :class:`~hypwalk.errors.BadPrimeSignal`.  A Cremona
+composition is a fold of generator letters, and a letter step runs
+:func:`gcd3` on its composed triple only for a monomial letter and for a
+Henon letter whose base-point gcd a has gcd(a, g3 / a) != 1; every other
+step finds its cancellation from gcds of pairs of the inner map's
+coordinates (the base-point rule of :mod:`hypwalk.cremona`), and
+``normalize_triple(..., coprime=True)`` only rescales.
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -224,41 +225,19 @@ def fold_words(measure: FiniteMeasure, indices: np.ndarray, marks) -> list:
 # Sample paths.
 
 
-class _CremonaAccumulator:
-    """Tracks only the inverse map, which composes small-into-big cheaply.
-
-    ``w_j = w_{j-1} g_j`` turns into ``w_j^-1 = g_j^-1 o w_{j-1}^-1`` where
-    the outer factor is a generator: exactly the fast direction for
-    coordinate substitution.  Degrees of a map and its inverse agree (the
-    displacement d(x, w x) = d(x, w^-1 x) is an isometry identity), so the
-    displacement track needs nothing else, and the forward endpoint
-    ``model.inverse(inverse_element())`` is composed only if it is read.
-    """
-
-    def __init__(self, oracle: CremonaModel):
-        self.oracle = oracle
-        self.inverse_current = oracle.identity()
-
-    def push(self, atom: MeasureAtom):
-        self.inverse_current = self.oracle.multiply(atom.inverse, self.inverse_current)
-
-    def displacement(self) -> float:
-        return math.acosh(self.inverse_current.degree)
-
-    def inverse_element(self):
-        return self.inverse_current
-
-
 @dataclass(frozen=True)
 class SamplePath:
-    """One trial's record: increments, displacement track, products.
+    """One trial's record: increments, displacement track, endpoints.
 
-    ``products`` holds every partial product for the tree models (cheap
-    words); the Cremona model keeps only the final map and its inverse, per
-    the memory policy for large elements.  The Cremona walk composes only
-    ``final_inverse``; ``final`` is its reversed word and its degree, and
-    its coordinates are composed from the word on first read (a bad prime
-    met then raises at the read and is not a retry of the walk).
+    ``endpoints`` maps each mark m (the last step is always one) to the pair
+    (w_m, w_m^-1); a mark past a truncation has none.  ``products`` holds
+    every partial product for the tree models (cheap words); the Cremona
+    model keeps only its running inverse at each mark, per the memory policy
+    for large elements.  The Cremona walk composes only the inverse; w_m is
+    its reversed word and its degree, and its coordinates are composed from
+    the word on first read (a bad prime met then raises at the read and is
+    not a retry of the walk).  ``oracle`` is the oracle the walk ran on: a
+    retried Cremona trial's model respawned at its fresh primes.
     ``truncated_at`` is the step at which a resource cap aborted the trial,
     if any.
     """
@@ -270,12 +249,20 @@ class SamplePath:
     increment_indices: tuple[int, ...]
     displacements: tuple[float, ...]
     products: tuple | None
-    final: object | None
-    final_inverse: object | None
+    endpoints: dict
+    oracle: object
     truncated_at: int | None = None
     truncation_reason: str | None = None
     prime_retries: int = 0
     discarded: bool = False
+
+    @property
+    def final(self):
+        return self.endpoints.get(self.n, (None, None))[0]
+
+    @property
+    def final_inverse(self):
+        return self.endpoints.get(self.n, (None, None))[1]
 
     @property
     def final_displacement(self) -> float:
@@ -288,14 +275,20 @@ def sample_path(
     seed: int,
     trial: int,
     reflected: bool = False,
+    marks=(),
 ) -> SamplePath:
-    """Run one trial of n i.i.d. increments; deterministic in (seed, trial)."""
+    """Run one trial of n i.i.d. increments; deterministic in (seed, trial).
+
+    The endpoints are kept at step n and at every step in ``marks``."""
     if n < 0:
         raise InputError("path length must be >= 0")
+    marks = {*marks, n}
+    if any(not 0 <= mark <= n for mark in marks):
+        raise InputError(f"path marks must lie in 0..{n}")
     oracle = measure.oracle
     indices = measure.increment_indices(n, seed, trial)
     if isinstance(oracle, CremonaModel):
-        return _cremona_path(measure, indices, seed, trial, reflected)
+        return _cremona_path(measure, indices, seed, trial, reflected, marks)
 
     current = oracle.identity()
     displacements = [0.0]
@@ -313,8 +306,8 @@ def sample_path(
         increment_indices=tuple(int(i) for i in indices),
         displacements=tuple(displacements),
         products=tuple(products),
-        final=current,
-        final_inverse=oracle.inverse(current),
+        endpoints={m: (products[m], oracle.inverse(products[m])) for m in marks},
+        oracle=oracle,
     )
 
 
@@ -323,18 +316,30 @@ def reflected_path(measure: FiniteMeasure, n: int, seed: int, trial: int) -> Sam
     return sample_path(measure, n, seed, trial, reflected=True)
 
 
-def _cremona_path(measure, indices, seed, trial, reflected) -> SamplePath:
+def _cremona_path(measure, indices, seed, trial, reflected, marks) -> SamplePath:
+    """The walk tracks only the inverse map, which composes small-into-big
+    cheaply: ``w_j = w_{j-1} g_j`` turns into ``w_j^-1 = g_j^-1 o w_{j-1}^-1``,
+    whose outer factor is a generator.  A map and its inverse have the same
+    degree, so the displacement track needs nothing else.  A bad prime at
+    any step re-walks the whole trial at the next fresh primes."""
     base_model: CremonaModel = measure.oracle
     fresh = retry_primes(seed, trial)
-    retries = 0
+    record = partial(
+        SamplePath,
+        seed=seed,
+        trial=trial,
+        n=len(indices),
+        reflected=reflected,
+        increment_indices=tuple(int(i) for i in indices),
+        products=None,
+    )
     model = base_model
     atoms = measure.atoms
-    while True:
+    for retries in range(MAX_BAD_PRIME_ATTEMPTS):
         displacements = [0.0]
+        endpoints = {}
         truncated_at = None
         reason = None
-        final = None
-        final_inverse = None
         # rebuilding the atoms composes at the trial's primes too, so a bad
         # prime there counts as an attempt
         try:
@@ -349,54 +354,41 @@ def _cremona_path(measure, indices, seed, trial, reflected) -> SamplePath:
                     )
                     for a in measure.atoms
                 )
-            acc = _CremonaAccumulator(model)
+            inverse = model.identity()
             for step, index in enumerate(indices):
+                if step in marks:
+                    endpoints[step] = (model.inverse(inverse), inverse)
                 atom = atoms[index]
-                if reflected:
-                    atom = MeasureAtom(atom.tag, atom.inverse, atom.weight, atom.element)
                 try:
-                    acc.push(atom)
+                    inverse = model.multiply(
+                        atom.element if reflected else atom.inverse, inverse
+                    )
                 except ResourceError as err:
                     truncated_at = step
                     reason = str(err)
                     break
-                displacements.append(acc.displacement())
-            if truncated_at is None:
-                final_inverse = acc.inverse_element()
-                final = model.inverse(final_inverse)
+                displacements.append(math.acosh(inverse.degree))
+            else:
+                endpoints[len(indices)] = (model.inverse(inverse), inverse)
         except BadPrimeSignal:
-            retries += 1
-            if retries < MAX_BAD_PRIME_ATTEMPTS:
-                continue
-            return SamplePath(
-                seed=seed,
-                trial=trial,
-                n=len(indices),
-                reflected=reflected,
-                increment_indices=tuple(int(i) for i in indices),
-                displacements=(0.0,),
-                products=None,
-                final=None,
-                final_inverse=None,
-                truncated_at=0,
-                truncation_reason="bad primes exhausted retries",
-                prime_retries=retries,
-                discarded=True,
-            )
-        return SamplePath(
-            seed=seed,
-            trial=trial,
-            n=len(indices),
-            reflected=reflected,
-            increment_indices=tuple(int(i) for i in indices),
+            continue
+        return record(
             displacements=tuple(displacements),
-            products=None,
-            final=final,
-            final_inverse=final_inverse,
+            endpoints=endpoints,
+            oracle=model,
             truncated_at=truncated_at,
             truncation_reason=reason,
             prime_retries=retries,
         )
+    return record(
+        displacements=(0.0,),
+        endpoints={},
+        oracle=model,
+        truncated_at=0,
+        truncation_reason="bad primes exhausted retries",
+        prime_retries=MAX_BAD_PRIME_ATTEMPTS,
+        discarded=True,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -116,12 +116,12 @@ def test_criterion_6a_axis_match():
         "criterion 6a (axis matching, L = 10, n = 500)",
         ok,
         f"frequency {freq:.4f} vs threshold 0.95 "
-        "(see the decisions ledger: unattainable at these parameters; a "
-        "(10, 0)-match needs roughly n >= 10^5 on the rank-2 tree)",
+        "(see README's \"Known red check\" paragraph: unattainable at these "
+        "parameters; a (10, 0)-match needs roughly n >= 10^5 on the rank-2 tree)",
     )
     assert ok, (
         f"axis-match frequency {freq:.4f} < 0.95 at L=10, n=500; "
-        "the stated calibration is unattainable (ledgered)"
+        "the stated calibration is unattainable (README, \"Known red check\")"
     )
 
 

@@ -104,6 +104,18 @@ def test_bad_counts_and_grids_exit_one(tmp_path, capsys, preset, params, message
     assert not out.exists()
 
 
+def test_tree_only_experiment_on_cremona_exits_one(tmp_path, capsys):
+    config = preset_config("small-cancellation-f2")
+    cremona = preset_config("degree-growth-cremona")
+    config["model"], config["measure"] = cremona["model"], cremona["measure"]
+    out = tmp_path / "o"
+    assert main(["run", str(_write(tmp_path, config)), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "invalid config: small cancellation runs on the tree models\n"
+    )
+    assert not out.exists()
+
+
 def test_jobs_two_writes_the_serial_bytes_on_cremona(tmp_path):
     config = preset_config("degree-growth-henon")
     config["params"].update(n_grid=[1, 2, 3, 4], trials=3)

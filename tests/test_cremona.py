@@ -62,6 +62,18 @@ def test_linear_identity_and_inverse():
         model.linear([1, 0, 0, 2, 0, 0, 3, 0, 0])
 
 
+def test_generators_are_normalized_like_compositions():
+    model = CremonaModel()
+    lin = model.linear([2, 0, 0, 0, 1, 0, 0, 0, 1])
+    assert lin == model.multiply(lin, model.identity())
+    assert lin == model.multiply(model.identity(), lin)
+    assert lin == model.inverse(model.inverse(lin))
+    assert hash(lin) == hash(model.inverse(model.inverse(lin)))
+    inverse = model.linear([1, 0, 0, 0, 2, 0, 0, 0, 2])
+    assert inverse == model.inverse(lin)
+    assert model.multiply(inverse, lin) == model.identity()
+
+
 def test_henon_degree_doubling():
     model = CremonaModel()
     h = model.henon(2)
@@ -320,6 +332,43 @@ def test_letter_step_matches_gcd3_on_the_composed_triple(p, data):
     drawn = data.draw(st.lists(steps, min_size=1, max_size=8))
     word = [letter for step in drawn for letter in step]
     _compose_against_oracle(model, word, max_degree=24 if p < 10 else 48)
+
+
+def _walk_word(model, draw, length):
+    """A product of up to ``length`` walk atoms (sigma, sigma o L, h2, h2^-1)."""
+    sigma, h2 = model.sigma(), model.henon(2)
+    lin = model.linear([1, 2, 0, 0, 1, 3, 1, 0, 1])
+    atoms = [sigma, model.multiply(sigma, lin), h2, model.inverse(h2)]
+    g = model.identity()
+    for index in draw(st.lists(st.integers(0, 3), max_size=length)):
+        g = model.multiply(g, atoms[index])
+    return g
+
+
+@pytest.mark.parametrize("p", _ORACLE_PRIMES)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_multiply_matches_substitution_into_the_inner_triple(p, data):
+    # the outer words drop degree (their letter degrees multiply to more
+    # than their degree), so the letter-by-letter fold of multiply is
+    # checked against substituting the whole outer triple and gcd3
+    model = CremonaModel(primes=(p,))
+    sigma, h2 = model.sigma(), model.henon(2)
+    order = data.draw(st.permutations(range(3)))
+    swap = model.linear([int(order[r] == c) for r in range(3) for c in range(3)])
+    kind = data.draw(st.sampled_from(["sigma.h", "sigma.P.sigma", "atoms"]))
+    if kind == "sigma.h":
+        g = model.multiply(sigma, h2)
+    elif kind == "sigma.P.sigma":
+        g = model.multiply(model.multiply(sigma, swap), sigma)
+    else:
+        g = _walk_word(model, data.draw, 4)
+    letter_degrees = (model._atoms[abs(letter) - 1].degree for letter in g.word)
+    assume(g.degree < math.prod(letter_degrees))
+    h = _walk_word(model, data.draw, 3)
+    outer, inner = g.triple(p), h.triple(p)
+    expected = normalize_triple(*(substitute(q, inner) for q in outer))[0]
+    assert model.multiply(g, h).triple(p) == expected
 
 
 def test_letter_step_takes_the_henon_gcd_route(monkeypatch):

@@ -10,12 +10,18 @@ from hypwalk import polynomials, stats
 from hypwalk import words as W
 from hypwalk.cli import write_outputs
 from hypwalk.config import build_measure, build_model, run_config
-from hypwalk.cremona import CremonaModel
+from hypwalk.cremona import CremonaModel, MonomialMap, MonomialModel
 from hypwalk.errors import BadPrimeSignal, InputError, ResourceError
 from hypwalk.finitegroups import Automorphism, FiniteGroup, cyclic_automorphism
 from hypwalk.freegroup import FreeGroupOracle, SemidirectOracle
 from hypwalk.presets import preset_config
-from hypwalk.walk import MAX_BAD_PRIME_ATTEMPTS, FiniteMeasure, fold_words, sample_path
+from hypwalk.walk import (
+    MAX_BAD_PRIME_ATTEMPTS,
+    FiniteMeasure,
+    fold_words,
+    retry_primes,
+    sample_path,
+)
 
 
 def uniform_free(rank=2):
@@ -396,6 +402,14 @@ def test_degree_growth_discard_reaches_report(monkeypatch, tmp_path):
         for n in (2, 3)
     ]
     assert report["aggregates"]["truncated_fraction"] == 1.0
+    for n in ("2", "3"):
+        assert report["aggregates"]["per_n"][n] == {
+            "mean_log_deg_rate": None,
+            "rate_se": None,
+            "trials_used": 0,
+        }
+    assert "no untruncated trials at n=2" in result.failures
+    assert "no untruncated trials at n=3" in result.failures
 
 
 def test_two_prime_agreement_counts_discarded_trials(monkeypatch):
@@ -404,12 +418,12 @@ def test_two_prime_agreement_counts_discarded_trials(monkeypatch):
     measure = _cremona_measure()
     walk = E.sample_path
 
-    def discard_trial_one(measure, n, seed, trial):
+    def discard_trial_one(measure, n, seed, trial, **options):
         if trial != 1:
-            return walk(measure, n, seed, trial)
+            return walk(measure, n, seed, trial, **options)
         with monkeypatch.context() as patch:
             patch.setattr(polynomials, "_divides_all", lambda g, polys: False)
-            return walk(measure, n, seed, trial)
+            return walk(measure, n, seed, trial, **options)
 
     monkeypatch.setattr(E, "sample_path", discard_trial_one)
     result = E.degree_growth_experiment(measure, [2, 3], trials=4, seed=5)
@@ -466,7 +480,7 @@ def test_gromov_tail_gives_up_after_retries(monkeypatch):
         raise BadPrimeSignal("injected")
 
     monkeypatch.setattr(CremonaModel, "pairwise_distance", always_bad)
-    rows = E._generic_observable_rows(_cremona_measure(), [2], 5, 0, 2)
+    rows = E.gromov_tail(_cremona_measure(), [2], 2, seed=5).records
     assert rows == [
         {"trial": t, "n": 2, "truncated": True, "truncation_reason": "bad_prime"}
         for t in (0, 1)
@@ -498,7 +512,7 @@ def test_generic_rows_name_their_truncation_reason(monkeypatch):
     # the walk itself passes the degree cap
     capped = _cremona_measure(degree_cap=4)
     assert sample_path(capped, 4, 5, 0).truncated_at is not None
-    assert reason(E._generic_observable_rows(capped, [4], 5, 0, 1)) == {"degree_cap"}
+    assert reason(E.gromov_tail(capped, [4], 1, seed=5).records) == {"degree_cap"}
 
     # the observable passes the cap after the walk succeeded
     def over_cap(self, g, h):
@@ -506,14 +520,117 @@ def test_generic_rows_name_their_truncation_reason(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(CremonaModel, "pairwise_distance", over_cap)
-        assert reason(E._generic_observable_rows(_cremona_measure(), [2], 5, 0, 1)) == {
+        assert reason(E.gromov_tail(_cremona_measure(), [2], 1, seed=5).records) == {
             "degree_cap"
         }
 
     # every gcd check fails, so the walk discards the trial
     measure = _cremona_measure()
     monkeypatch.setattr(polynomials, "_divides_all", lambda g, polys: False)
-    assert reason(E._generic_observable_rows(measure, [3], 5, 0, 1)) == {"discarded"}
+    assert reason(E.gromov_tail(measure, [3], 1, seed=5).records) == {"discarded"}
+
+
+def test_cremona_gromov_tail_walks_each_trial_once(monkeypatch):
+    # n_grid [2, 4, 6, 8] walks each trial once, 8 steps, where a walk per
+    # mark would take 2 + 4 + 6 + 8 = 20
+    draws = []
+    increments = FiniteMeasure.increment_indices
+
+    def recording(self, n, seed, trial):
+        draws.append((trial, n))
+        return increments(self, n, seed, trial)
+
+    measure = _cremona_measure()
+    monkeypatch.setattr(FiniteMeasure, "increment_indices", recording)
+    result = E.gromov_tail(measure, [2, 4, 6, 8], 2, seed=20260810)
+    assert draws == [(0, 8), (1, 8)]
+    assert [(r["trial"], r["n"]) for r in result.records] == [
+        (t, n) for t in (0, 1) for n in (2, 4, 6, 8)
+    ]
+
+
+def test_generic_rows_come_from_the_rewalk_after_a_late_bad_prime(monkeypatch):
+    # the third step of trial 0 meets a bad prime at the base primes, so the
+    # whole trial is walked again at the first fresh pair of its retry
+    # stream; the row at mark 2, reached before the bad prime, comes from
+    # that re-walk too
+    measure = _cremona_measure()
+    clean = E.gromov_tail(measure, [2, 4], 1, seed=5).records
+    base = measure.oracle.primes
+    multiply = CremonaModel.multiply
+    pushes = []
+
+    def bad_third_push(self, g, h):
+        if self.primes == base:
+            pushes.append(g)
+            if len(pushes) == 3:
+                raise BadPrimeSignal("injected")
+        return multiply(self, g, h)
+
+    observed = []
+    distance = CremonaModel.pairwise_distance
+
+    def recording(self, g, h):
+        observed.append(self.primes)
+        return distance(self, g, h)
+
+    monkeypatch.setattr(CremonaModel, "multiply", bad_third_push)
+    monkeypatch.setattr(CremonaModel, "pairwise_distance", recording)
+    assert E.gromov_tail(measure, [2, 4], 1, seed=5).records == clean
+    assert len(pushes) == 3
+    assert observed == [next(retry_primes(5, 0))] * 2
+
+
+def test_drift_runs_on_the_monomial_model():
+    model = MonomialModel()
+    cat = MonomialMap(2, 1, 1, 1)
+    measure = FiniteMeasure(
+        model,
+        [("cat", cat, Fraction(1, 2)), ("cat^-1", cat.inverse(), Fraction(1, 2))],
+    )
+    result = E.estimate_drift(measure, 6, 30, seed=3)
+    assert result.passed and result.aggregates["trials_used"] == 30
+    for row in result.records:
+        degree = sample_path(measure, 6, 3, row["trial"]).final.degree()
+        assert row["degree"] == degree and row["log_deg"] == math.log(degree)
+
+
+_TREE_ONLY_PRESETS = [
+    "small-cancellation-f2",
+    "match-axis-f2",
+    "match-non-f2",
+    "match-self-f2",
+    "acylindricity-f2",
+    "shadow-decay-f2",
+]
+_NON_TREE_MODELS = {
+    "cremona": (
+        preset_config("degree-growth-cremona")["model"],
+        preset_config("degree-growth-cremona")["measure"],
+    ),
+    "monomial": (
+        {"type": "monomial"},
+        {
+            "atoms": [
+                {"matrix": [2, 1, 1, 1], "weight": "1/2"},
+                {"matrix": [1, -1, -1, 2], "weight": "1/2"},
+            ]
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("model", sorted(_NON_TREE_MODELS))
+@pytest.mark.parametrize("preset", _TREE_ONLY_PRESETS)
+def test_tree_only_experiments_reject_other_models(preset, model, monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("walked before rejecting the model")
+
+    config = preset_config(preset)
+    config["model"], config["measure"] = _NON_TREE_MODELS[model]
+    monkeypatch.setattr(FiniteMeasure, "increment_indices", no_walk)
+    with pytest.raises(InputError, match="runs on the tree models"):
+        run_config(config)
 
 
 def test_cremona_drift_rows_name_their_truncation_reason(monkeypatch):
@@ -536,6 +653,13 @@ def test_cremona_drift_rows_name_their_truncation_reason(monkeypatch):
         for t in range(30)
     ]
     assert result.aggregates["truncated_fraction"] == 1.0
+    assert result.aggregates["mean_speed"] is None
+    assert result.aggregates["speed_se"] is None
+    assert result.aggregates["speed_ci95"] is None
+    assert result.failures == [
+        "resource: truncated fraction 1.000 exceeds 0.1",
+        "no untruncated trials at n=3",
+    ]
 
 
 def test_reproducibility_and_aggregate_audit():
