@@ -51,9 +51,12 @@ last Henon case when gcd(a, g3 / a) is nontrivial.  Every composition, of a
 generator letter, a whole word or a walk's running map, composes the outer
 word onto the inner triple one letter at a time, last letter first, and
 checks the degree cap on each letter's raw degree (the letter's degree
-times the running degree).  Every pairwise gcd goes through ``gcd3`` with a
-zero third argument, and every quotient through ``divexact``; an inexact one
-raises :class:`~hypwalk.errors.BadPrimeSignal`.  The normalized coprime
+times the running degree).  A letter step takes all its pairwise gcds from
+one ``pair_gcds`` pass, which certifies pairs of non-monomial coordinates
+by line restriction and sends the others (a pair with a monomial
+coordinate, or one the certificate does not prove) through ``gcd3``; every
+other quotient goes through ``divexact`` (a shift for a monomial divisor),
+and an inexact one raises :class:`~hypwalk.errors.BadPrimeSignal`.  The normalized coprime
 triple of a map is unique, so the rule changes no result, only the work.
 """
 
@@ -69,8 +72,8 @@ from .polynomials import (
     SECOND_PRIME,
     HomPoly3,
     divexact,
-    gcd3,
     normalize_triple,
+    pair_gcds,
     substitute,
 )
 
@@ -151,14 +154,6 @@ def _det3(m, p: int) -> int:
 # The base-point rule: sigma and Henon letters composed onto a coprime triple.
 
 
-def _pair_gcd(u: HomPoly3, v: HomPoly3) -> tuple[HomPoly3, HomPoly3, HomPoly3]:
-    """gcd(u, v) through :func:`gcd3` with a zero third argument, and the
-    exact quotients u / gcd and v / gcd."""
-    quotients: list[HomPoly3] = []
-    common = gcd3(u, v, HomPoly3.zero(u.degree, u.p), quotients)
-    return common, quotients[0], quotients[1]
-
-
 def _quotient(f: HomPoly3, g: HomPoly3) -> HomPoly3:
     q = divexact(f, g)
     if q is None:
@@ -173,10 +168,7 @@ def _sigma_onto(g: Triple) -> Triple:
     (g2 g3, g1 g3, g1 g2) is exactly abc, so sigma o g is
     (a g2' g3', b g1' g3', c g1' g2') for g1' = g1/(bc), g2' = g2/(ac) and
     g3' = g3/(ab), a coprime triple that needs only the rescaling."""
-    g1, g2, g3 = g
-    a, g2_a, g3_a = _pair_gcd(g2, g3)
-    b, g1_b, _ = _pair_gcd(g1, g3)
-    c, _, _ = _pair_gcd(g1, g2)
+    (a, g2_a, g3_a), (b, g1_b, _), (c, _, _) = pair_gcds(g, ((1, 2), (0, 2), (0, 1)))
     g1_bc = _quotient(g1_b, c)
     g2_ac = _quotient(g2_a, c)
     g3_ab = _quotient(g3_a, b)
@@ -208,7 +200,8 @@ def _henon_cancel(
     ]
     if inverse:
         t[0], t[1] = t[1], t[0]
-    return normalize_triple(*t, coprime=_pair_gcd(a, w)[0].degree == 0)[0]
+    ((common, _, _),) = pair_gcds((a, w), ((0, 1),))
+    return normalize_triple(*t, coprime=common.degree == 0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +498,7 @@ class CremonaModel(ActionOracle):
             # the base point is [1:0:0] for h and [0:1:0] for h^-1, so the
             # base-point pair is (g2, g3) for h and (g1, g3) for h^-1
             u, v = (g[1], g[0]) if letter > 0 else (g[0], g[1])
-            a, u, w = _pair_gcd(u, g[2])
+            ((a, u, w),) = pair_gcds((u, g[2]), ((0, 1),))
             if a.degree:
                 return _henon_cancel(spec[1], letter < 0, a, u, v, w)
         outer = self._letter_element(letter).tracks[prime_slot][1]

@@ -14,8 +14,8 @@ per row of the operand with fewer rows, reduced mod p.  It and
 :func:`_matmul_mod` (line restriction, evaluation at many points) follow one
 exact-product rule, stated next to them, that holds for every prime
 p < 2^31: the 31-bit primes drawn by the bad-prime retry policy are as safe
-as the default ones.  Exact division by a constant is a scaling by its
-inverse.
+as the default ones.  Exact division by a one-term divisor is a shift of
+the box, scaled by the inverse of the divisor's coefficient.
 
 :func:`gcd3` runs three stages, cheapest first:
 
@@ -33,13 +33,21 @@ inverse.
 Every gcd is verified by trial division before it is returned, and the
 quotients of that division are handed to :func:`normalize_triple`, so a
 triple it normalizes has each coordinate divided once.  A gcd that fails
-the check raises :class:`~hypwalk.errors.BadPrimeSignal`.  A Cremona
-composition is a fold of generator letters, and a letter step runs
-:func:`gcd3` on its composed triple only for a monomial letter and for a
-Henon letter whose base-point gcd a has gcd(a, g3 / a) != 1; every other
+the check raises :class:`~hypwalk.errors.BadPrimeSignal`.  A monomial gcd
+is checked by shifts, with no trial division.  Short univariate
+gcds (the certificate's, and the modular gcd's per point) run on Python
+ints, long ones on numpy rows.
+
+A Cremona composition is a fold of generator letters, and a letter step
+runs :func:`gcd3` on its composed triple only for a monomial letter and for
+a Henon letter whose base-point gcd a has gcd(a, g3 / a) != 1; every other
 step finds its cancellation from gcds of pairs of the inner map's
-coordinates (the base-point rule of :mod:`hypwalk.cremona`), and
-``normalize_triple(..., coprime=True)`` only rescales.
+coordinates (the base-point rule of :mod:`hypwalk.cremona`), all of a step's
+pairs in one :func:`pair_gcds` pass: each coordinate's monomial content is
+split off once, each rest is restricted at most once per certificate line,
+a certified pair's gcd is a monomial and its quotients are shifts, and a
+pair with a monomial coordinate or an uncertified pair goes to
+:func:`gcd3`.  ``normalize_triple(..., coprime=True)`` then only rescales.
 """
 
 from __future__ import annotations
@@ -391,10 +399,13 @@ def substitute(poly: HomPoly3, triple) -> HomPoly3:
 def divexact(f: HomPoly3, g: HomPoly3):
     """f / g when the division is exact, else None.
 
-    A constant divisor is a scaling.  Every other divisor goes through the
-    dense bivariate routine :func:`_divexact_dense` on the two boxes, which
-    is exact for every prime p < 2^31: the quotient's box has its corner at
-    the difference of the corners, as the corners of a product add.
+    The quotient's box has its corner at the difference of the corners, as
+    the corners of a product add.  A one-term divisor c X^i Y^j Z^l (a
+    constant included) is a shift: the quotient is f's box at that corner,
+    scaled by 1/c unless c is 1, and exact when the corner is nonnegative
+    and every term of f has Z-exponent at least l.  Every other divisor goes
+    through the dense bivariate routine :func:`_divexact_dense` on the two
+    boxes, which is exact for every prime p < 2^31.
     """
     if g.is_zero():
         raise InputError("division by the zero polynomial")
@@ -402,12 +413,17 @@ def divexact(f: HomPoly3, g: HomPoly3):
         return HomPoly3.zero(max(f.degree - g.degree, 0), f.p)
     if f.degree < g.degree:
         return None
-    if g.degree == 0:
-        return f.scale(_inv_mod(int(g.box[0, 0]), f.p))
     degree = f.degree - g.degree
     corner = (f.corner[0] - g.corner[0], f.corner[1] - g.corner[1])
     if min(corner) < 0:
         return None
+    if g.box.size == 1:
+        z = g.degree - sum(g.corner)
+        if z and sum(corner) + _max_ij(f.box) > degree:
+            return None  # some term of f has fewer Z than g
+        q = _shift_exponents(f, (*g.corner, z))
+        c = int(g.box[0, 0])
+        return q if c == 1 else q.scale(_inv_mod(c, f.p))
     q = _divexact_dense(f.box, g.box, f.p, degree - sum(corner))
     if q is None:
         return None
@@ -433,6 +449,8 @@ def _monomial_content(polys) -> tuple[int, int, int]:
 
 def _shift_exponents(poly: HomPoly3, shift: tuple[int, int, int]) -> HomPoly3:
     """poly divided by the monomial X^si Y^sj Z^sl: the same box, moved."""
+    if not any(shift):
+        return poly  # polys are immutable
     si, sj, sl = shift
     corner = (poly.corner[0] - si, poly.corner[1] - sj)
     return HomPoly3._from_array(poly.degree - si - sj - sl, poly.box, poly.p, corner)
@@ -508,9 +526,60 @@ def _utrim(vec: np.ndarray) -> np.ndarray:
     return vec[: nz[-1] + 1]
 
 
+# Univariate gcds of inputs shorter than this many coefficients run on
+# Python ints (_ugcd_ints), longer ones on numpy rows (_ugcd_rows): below
+# it the fixed cost of a numpy call per Euclid step dominates.  Measured on
+# the full remainder sequence of a random coprime pair (n and n - 1
+# coefficients; x86-64 Xeon, numpy 2.4), rows against ints, in us:
+#   n            4       20       40       60      100
+#   p = 1000003  45/14   249/155  480/492  544/678  839/1842
+#   p ~ 2^31     51/24   277/241  519/705  780/1335 1295/3243
+# The crossover is near 40 at the default primes, where nearly every gcd
+# runs; the 31-bit retry primes cross over near 25.  The rows earn their
+# place on the larger degrees of the ``degree-growth-cremona`` preset: 438
+# of its 12,742 calls have 40 or more coefficients, and running those on
+# ints too made the preset about 7% slower (median of six alternating
+# runs, 2.39 s against 2.22 s).  The bench's Cremona workloads stay below
+# 40 (at most 25 coefficients on ``cremona-mixed``; ``cremona-henon``
+# makes no call).
+_SHORT_UGCD = 40
+
+
 def _ugcd(u: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
     """Monic gcd of univariate polynomials over GF(p) (coefficient vectors)."""
     u, v = _utrim(u), _utrim(v)
+    if max(u.size, v.size) < _SHORT_UGCD:
+        return np.array(_ugcd_ints(u.tolist(), v.tolist(), p), dtype=np.int64)
+    return _ugcd_rows(u, v, p)
+
+
+def _ugcd_ints(u: list, v: list, p: int) -> list:
+    """:func:`_ugcd` on lists of Python ints (exact for every p), low
+    coefficient first, without trailing zeros."""
+    while v:
+        inv = _inv_mod(v[-1], p)
+        v = [c * inv % p for c in v]  # monic, so each step clears exactly
+        n = len(v) - 1
+        r = list(u)
+        for top in range(len(r) - 1, n - 1, -1):
+            factor = r[top]
+            if factor:
+                base = top - n
+                for k in range(n):
+                    r[base + k] = (r[base + k] - factor * v[k]) % p
+        del r[n:]  # the remainder, below the degree of v
+        while r and not r[-1]:
+            r.pop()
+        u, v = v, r
+    if u and u[-1] != 1:
+        inv = _inv_mod(u[-1], p)
+        u = [c * inv % p for c in u]
+    return u
+
+
+def _ugcd_rows(u: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
+    """:func:`_ugcd` on trimmed int64 residue vectors, one numpy row
+    operation per Euclid step."""
     while v.size:
         n = v.size
         if u.size >= n:
@@ -531,35 +600,91 @@ def _ugcd(u: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
     return u
 
 
-def coprimality_certificate(polys, p: int) -> bool:
-    """True when restriction to some fixed line proves the gcd is constant.
+def coprimality_certificate(polys, p: int, groups=None) -> set:
+    """The groups of ``polys`` whose gcd restriction to a fixed line proves
+    constant: a group is a tuple of indices into ``polys`` (a list, or a
+    dict keyed by index), by default one group of all the polys, and the
+    result is the set of groups proved coprime (empty when none is).
 
     Sound provided no restriction drops degree: when
-    ``deg poly(L(t)) == deg poly`` for each input, every factorization
-    ``poly = G * cofactor`` restricts with full degrees on both sides, so a
-    common factor of positive degree restricts to a nonconstant common
-    divisor of the univariate restrictions.  A constant univariate gcd then
-    certifies coprimality.  Lines with a degree drop (the line meets some
-    polynomial at its point at infinity) are skipped.
+    ``deg poly(L(t)) == deg poly`` for each poly of a group, every
+    factorization ``poly = G * cofactor`` restricts with full degrees on
+    both sides, so a common factor of positive degree restricts to a
+    nonconstant common divisor of the univariate restrictions.  A constant
+    univariate gcd then certifies coprimality.  A line on which some poly of
+    a group drops degree (the line meets it at its point at infinity) is
+    skipped for that group.  Each poly is restricted at most once per line,
+    and only while a group holding it is unproved.
     """
+    if groups is None:
+        groups = [tuple(range(len(polys)))]
+    proved: set = set()
     for line in _CERT_LINES:
-        restricted = [_restrict_to_line(poly, line) for poly in polys]
-        if any(
-            r.size != poly.degree + 1 for r, poly in zip(restricted, polys)
-        ):
-            continue  # degree drop: certificate not sound on this line
-        g = restricted[0]
-        for r in restricted[1:]:
-            g = _ugcd(g, r, p)
+        restricted: dict = {}  # index -> restriction, None on a degree drop
+        for group in groups:
+            if group in proved:
+                continue
+            for k in group:
+                if k not in restricted:
+                    r = _restrict_to_line(polys[k], line)
+                    restricted[k] = r if r.size == polys[k].degree + 1 else None
+            vectors = [restricted[k] for k in group]
+            if any(r is None for r in vectors):
+                continue  # degree drop: certificate not sound on this line
+            g = vectors[0]
+            for r in vectors[1:]:
+                g = _ugcd(g, r, p)
+                if g.size == 1:
+                    break
             if g.size == 1:
-                return True
-        if g.size == 1:
-            return True
-    return False
+                proved.add(group)
+        if len(proved) == len(groups):
+            break
+    return proved
+
+
+def pair_gcds(polys, pairs) -> list[tuple[HomPoly3, HomPoly3, HomPoly3]]:
+    """``(gcd(f, g), f / gcd, g / gcd)`` for each index pair (i, j) of
+    ``polys``, f = polys[i] and g = polys[j]: the same gcd, monic under
+    graded-lex, and quotients as ``gcd3(f, g, 0)`` gives.
+
+    One pass serves the pairs of two polys of two or more terms.  Each such
+    poly is split once into its own monomial content m and the rest r, and
+    gcd(m r, m' r') is gcd(m, m') gcd(r, r'), as X, Y and Z are primes that
+    divide no r.  One :func:`coprimality_certificate` call, restricting
+    each r at most once per line, tries every such pair; a pair it proves
+    has the monomial gcd(m, m') as its gcd, and its quotients are f and g
+    moved by that monomial, with no division.  Every other pair goes to
+    :func:`gcd3` without the certificate: a pair with a zero or one-term
+    poly (whose gcd ``gcd3`` takes as a monomial, checked by shifts), and an
+    unproved pair (the modular gcd, its PRS fallback and trial division).
+    """
+    pending = [(i, j) for i, j in pairs if min(polys[i].num_terms(), polys[j].num_terms()) > 1]
+    contents, rests = {}, {}  # index -> m and r of each poly to certify
+    for k in {k for pair in pending for k in pair}:
+        contents[k] = _monomial_content([polys[k]])
+        rests[k] = _shift_exponents(polys[k], contents[k])
+    proved = coprimality_certificate(rests, polys[0].p, pending) if pending else set()
+    out = []
+    for i, j in pairs:
+        f, g = polys[i], polys[j]
+        if (i, j) in proved:
+            shift = tuple(map(min, contents[i], contents[j]))
+            common = HomPoly3.monomial(*shift, 1, f.p)
+            out.append((common, _shift_exponents(f, shift), _shift_exponents(g, shift)))
+        else:
+            quotients: list = []
+            common = gcd3(f, g, HomPoly3.zero(f.degree, f.p), quotients, certify=False)
+            out.append((common, quotients[0], quotients[1]))
+    return out
 
 
 def gcd3(
-    p1: HomPoly3, p2: HomPoly3, p3: HomPoly3, quotients: list | None = None
+    p1: HomPoly3,
+    p2: HomPoly3,
+    p3: HomPoly3,
+    quotients: list | None = None,
+    certify: bool = True,
 ) -> HomPoly3:
     """A gcd of the three polynomials, monic under graded-lex.
 
@@ -572,7 +697,9 @@ def gcd3(
     PRS when the modular gcd produced the candidate) raises
     :class:`~hypwalk.errors.BadPrimeSignal`, which sends the caller to the
     bad-prime retry policy.  When ``quotients`` is a list it is filled with
-    the three exact quotients the verification computed.
+    the three exact quotients the verification computed.  ``certify=False``
+    skips the certificate: :func:`pair_gcds` passes it for the pairs that
+    its own certificate pass did not prove, or could not try.
     """
     polys = [q for q in (p1, p2, p3) if not q.is_zero()]
     if not polys:
@@ -593,7 +720,7 @@ def gcd3(
     gcd_poly = monomial_gcd
     rest = None
     if all(q.num_terms() > 1 for q in reduced) and not (
-        coprimality_certificate(reduced, p)
+        certify and coprimality_certificate(reduced, p)
     ):
         arrays = [q._to_array() for q in reduced]
         rest = _dense_gcd_list(arrays, p)

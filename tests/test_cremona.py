@@ -8,7 +8,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hypwalk import cremona
+from hypwalk import cremona, polynomials
 from hypwalk.cremona import (
     CremonaElement,
     CremonaModel,
@@ -410,3 +410,47 @@ def test_inexact_sigma_quotient_retries_at_fresh_primes(monkeypatch):
     path = sample_path(measure, 6, seed=3, trial=0)
     assert path.prime_retries > 0 and not path.discarded
     assert path.displacements == clean.displacements
+
+
+def test_sigma_step_restricts_each_coordinate_once_per_line(monkeypatch):
+    # g = h o L o h has one pair, (g1, g3), with a common factor of degree 2;
+    # the other two pairs are proved coprime by the certificate
+    p = 1000003
+    model = CremonaModel(primes=(p,))
+    h, lin = model.henon(2).word[0], model.linear([1, 2, 0, 0, 1, 3, 1, 0, 1]).word[0]
+    sigma = model.sigma().word[0]
+    g = model._compose_word((h, lin, h)).triple(p)
+    outer = model._letter_element(sigma).triple(p)
+    expected = normalize_triple(*(substitute(q, g) for q in outer))[0]
+    common = polynomials.gcd3(g[0], g[2], HomPoly3.zero(g[0].degree, p))
+
+    restricted, gcd_calls, divisors = [], [], []
+    restrict, gcd3, divexact = (
+        getattr(polynomials, name) for name in ("_restrict_to_line", "gcd3", "divexact")
+    )
+
+    def recording_restrict(poly, line):
+        restricted.append((line, poly.degree, poly.corner, poly.box.tobytes()))
+        return restrict(poly, line)
+
+    def recording_gcd3(*args, **kwargs):
+        gcd_calls.append(args[:2])
+        return gcd3(*args, **kwargs)
+
+    def recording_divexact(f, d):
+        divisors.append(d)
+        return divexact(f, d)
+
+    monkeypatch.setattr(polynomials, "_restrict_to_line", recording_restrict)
+    monkeypatch.setattr(polynomials, "gcd3", recording_gcd3)
+    monkeypatch.setattr(polynomials, "divexact", recording_divexact)
+    assert model._compose_letter(sigma, 0, g) == expected
+
+    assert restricted and len(set(restricted)) == len(restricted)
+    # the uncertified pair is tried on every line, each rest at most once
+    lines = [key[0] for key in restricted]
+    assert set(lines) == set(polynomials._CERT_LINES)
+    assert max(lines.count(line) for line in lines) == 3
+    assert gcd_calls == [(g[0], g[2])]
+    assert common.degree == 2 and divisors == [common] * 3  # that gcd3's check only
+

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hypwalk import experiments as E
-from hypwalk import polynomials, stats
+from hypwalk import cremona, polynomials, stats
 from hypwalk import words as W
 from hypwalk.cli import write_outputs
 from hypwalk.config import build_measure, build_model, run_config
@@ -14,6 +14,7 @@ from hypwalk.cremona import CremonaModel, MonomialMap, MonomialModel
 from hypwalk.errors import BadPrimeSignal, InputError, ResourceError
 from hypwalk.finitegroups import Automorphism, FiniteGroup, cyclic_automorphism
 from hypwalk.freegroup import FreeGroupOracle, SemidirectOracle
+from hypwalk.polynomials import HomPoly3
 from hypwalk.presets import preset_config
 from hypwalk.walk import (
     MAX_BAD_PRIME_ATTEMPTS,
@@ -366,6 +367,24 @@ def _cremona_measure(degree_cap=None, primes=None):
     return build_measure(model, config["measure"])
 
 
+def _fail_every_gcd_check(patch):
+    """Every gcd check fails.  gcd3's trial division rejects every gcd, and
+    every pair gcd of a letter step goes through gcd3, so the check is met
+    also by the pairs that pair_gcds proves coprime without it."""
+
+    def through_gcd3(polys, pairs):
+        out = []
+        for i, j in pairs:
+            quotients = []
+            zero = HomPoly3.zero(polys[i].degree, polys[i].p)
+            common = polynomials.gcd3(polys[i], polys[j], zero, quotients)
+            out.append((common, *quotients[:2]))
+        return out
+
+    patch.setattr(cremona, "pair_gcds", through_gcd3)
+    patch.setattr(polynomials, "_divides_all", lambda g, polys: False)
+
+
 def test_degree_growth_lambda_gives_up_after_retries(monkeypatch):
     calls = []
 
@@ -388,7 +407,7 @@ def test_degree_growth_discard_reaches_report(monkeypatch, tmp_path):
     # every gcd check fails, so every attempt of every trial meets a bad
     # prime and the walk discards the trial after MAX_BAD_PRIME_ATTEMPTS
     measure = _cremona_measure()
-    monkeypatch.setattr(polynomials, "_divides_all", lambda g, polys: False)
+    _fail_every_gcd_check(monkeypatch)
     path = sample_path(measure, 3, 5, 0)
     assert path.discarded and path.prime_retries == MAX_BAD_PRIME_ATTEMPTS
     result = E.degree_growth_experiment(measure, [2, 3], trials=2, seed=5)
@@ -422,7 +441,7 @@ def test_two_prime_agreement_counts_discarded_trials(monkeypatch):
         if trial != 1:
             return walk(measure, n, seed, trial, **options)
         with monkeypatch.context() as patch:
-            patch.setattr(polynomials, "_divides_all", lambda g, polys: False)
+            _fail_every_gcd_check(patch)
             return walk(measure, n, seed, trial, **options)
 
     monkeypatch.setattr(E, "sample_path", discard_trial_one)
@@ -526,7 +545,7 @@ def test_generic_rows_name_their_truncation_reason(monkeypatch):
 
     # every gcd check fails, so the walk discards the trial
     measure = _cremona_measure()
-    monkeypatch.setattr(polynomials, "_divides_all", lambda g, polys: False)
+    _fail_every_gcd_check(monkeypatch)
     assert reason(E.gromov_tail(measure, [3], 1, seed=5).records) == {"discarded"}
 
 
@@ -646,7 +665,7 @@ def test_cremona_drift_rows_name_their_truncation_reason(monkeypatch):
 
     # every gcd check fails, so the walk discards every trial
     measure = _cremona_measure()
-    monkeypatch.setattr(polynomials, "_divides_all", lambda g, polys: False)
+    _fail_every_gcd_check(monkeypatch)
     result = E.estimate_drift(measure, 3, 30, seed=5)
     assert result.records == [
         {"trial": t, "n": 3, "truncated": True, "truncation_reason": "discarded"}

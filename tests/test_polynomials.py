@@ -708,3 +708,119 @@ def test_normalize_triple_divides_each_component_once(monkeypatch):
     monkeypatch.setattr(polynomials, "divexact", counting)
     assert normalize_triple(*triple) == expected
     assert len(calls) == 3
+
+
+# ---------------------------------------------------------------------------
+# The one-pass pair gcds, division by a monomial and the short Euclid.
+
+
+@st.composite
+def _pair_gcd_inputs(draw, p):
+    """Four polys for pair gcds: some share a factor, some are a monomial
+    times a constant, the rest are free; each carries monomial content, and
+    one may be zero."""
+    common = draw(_hompolys(p, 2, min_degree=1))
+    polys = []
+    for _ in range(4):
+        exps = [draw(st.integers(0, 2)) for _ in range(3)]
+        mono = HomPoly3.monomial(*exps, draw(st.integers(1, p - 1)), p)
+        kind = draw(st.sampled_from(["shared", "shared", "monomial", "free", "zero"]))
+        if kind == "shared":
+            polys.append(common.mul(draw(_hompolys(p, 2))).mul(mono))
+        elif kind == "monomial":
+            polys.append(mono)
+        elif kind == "free":
+            polys.append(draw(_hompolys(p, 3)).mul(mono))
+        else:
+            polys.append(HomPoly3.zero(draw(st.integers(0, 4)), p))
+    return polys
+
+
+@pytest.mark.parametrize("p", _ORACLE_PRIMES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_pair_gcds_match_gcd3_pair_by_pair(p, data):
+    polys = data.draw(_pair_gcd_inputs(p))
+    pairs = [
+        pair
+        for pair in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 0))
+        if not (polys[pair[0]].is_zero() and polys[pair[1]].is_zero())
+    ]
+    if not pairs:
+        return
+    for (i, j), got in zip(pairs, polynomials.pair_gcds(polys, pairs)):
+        quotients = []
+        zero = HomPoly3.zero(polys[i].degree, p)
+        common = gcd3(polys[i], polys[j], zero, quotients)
+        assert got == (common, quotients[0], quotients[1])
+
+
+def _divexact_dense_path(f, g):
+    """f / g for a nonzero f through :func:`_divexact_dense`, whatever g."""
+    degree = f.degree - g.degree
+    corner = (f.corner[0] - g.corner[0], f.corner[1] - g.corner[1])
+    if degree < 0 or min(corner) < 0:
+        return None
+    q = polynomials._divexact_dense(f.box, g.box, f.p, degree - sum(corner))
+    return None if q is None else HomPoly3._from_array(degree, q, f.p, corner)
+
+
+@pytest.mark.parametrize("p", _ORACLE_PRIMES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_divexact_by_a_monomial_matches_the_dense_path(p, data):
+    c = data.draw(st.sampled_from((1, p - 1)) | st.integers(1, p - 1))
+    g = HomPoly3.monomial(*[data.draw(st.integers(0, 2)) for _ in range(3)], c, p)
+    cofactor = data.draw(_hompolys(p, 3))
+    f = cofactor.mul(g) if data.draw(st.booleans()) else data.draw(_hompolys(p, 5))
+    if f.is_zero():
+        return
+    got = divexact(f, g)
+    assert got == _divexact_dense_path(f, g)
+    if f.degree >= g.degree and f == cofactor.mul(g):
+        assert got == cofactor
+
+
+@pytest.mark.parametrize("p", _ORACLE_PRIMES)
+def test_divexact_by_a_monomial_rejects_each_inexact_case(p):
+    c = p - 1  # a coefficient other than 1, for p > 2
+    f = HomPoly3(3, {(2, 1, 0): 1, (1, 1, 1): 1}, p)  # X^2 Y + X Y Z
+    for g in (
+        HomPoly3.monomial(0, 2, 0, c, p),  # Y^2: a negative Y corner
+        HomPoly3.monomial(2, 0, 0, 1, p),  # X^2: a negative X corner
+        HomPoly3.monomial(0, 0, 1, c, p),  # Z: the X^2 Y term has no Z
+    ):
+        assert divexact(f, g) is None and _divexact_dense_path(f, g) is None
+    g = HomPoly3.monomial(1, 1, 0, c, p)
+    inverse = pow(c, p - 2, p)
+    expected = HomPoly3(1, {(1, 0, 0): inverse, (0, 0, 1): inverse}, p)
+    assert divexact(f, g) == _divexact_dense_path(f, g) == expected
+
+
+def _umul_ints(a, b, p):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+@pytest.mark.parametrize("p", _ORACLE_PRIMES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_short_ugcd_matches_the_numpy_rows(p, data):
+    coeff = st.sampled_from((0, 1, p - 1)) | st.integers(0, p - 1)
+    common = data.draw(st.lists(coeff, max_size=6))
+    v = _umul_ints(common, data.draw(st.lists(coeff, min_size=1, max_size=12)), p)
+    # u = v q + r with r of degree deg v - 2 or less, so the first
+    # remainder drops more than one degree
+    q = data.draw(st.lists(coeff, min_size=1, max_size=8))
+    r = data.draw(st.lists(coeff, max_size=max(len(v) - 2, 0)))
+    vq = _umul_ints(v, q, p)
+    u = [(x + (r[k] if k < len(r) else 0)) % p for k, x in enumerate(vq)] or list(r)
+    for a, b in ((u, v), (v, u), (u, common), (r, v)):
+        a = polynomials._utrim(np.array(a, dtype=np.int64))
+        b = polynomials._utrim(np.array(b, dtype=np.int64))
+        expected = polynomials._ugcd_rows(a, b, p).tolist()
+        assert polynomials._ugcd_ints(a.tolist(), b.tolist(), p) == expected
+        assert polynomials._ugcd(a, b, p).tolist() == expected
