@@ -12,7 +12,7 @@ from __future__ import annotations
 import inspect
 from fractions import Fraction
 
-from .cremona import CremonaModel, MonomialMap, MonomialModel
+from .cremona import CremonaModel, MonomialMap, MonomialModel, valid_primes
 from .errors import InputError
 from .finitegroups import Automorphism, FiniteGroup, cyclic_automorphism
 from .freegroup import FreeGroupOracle, SemidirectOracle
@@ -50,7 +50,7 @@ SCHEMA = {
         "torsion": {"type": "cyclic", "order": "int >= 1"},
         "actions": "semidirect: one action per generator: "
         '{"type": "identity"} or {"type": "multiplier", "value": int}',
-        "primes": "cremona: list of coefficient primes",
+        "primes": "cremona: nonempty list of coefficient primes below 2^31",
         "degree_cap": "cremona: composition degree cap",
     },
     "measure": {
@@ -91,20 +91,26 @@ _COUNTS = ("trials", "samples", "chunk", "n")
 _GRIDS = ("n_grid", "m_grid", "s_grid")
 
 
+def _is_int(value) -> bool:
+    """An ``int`` that is not a ``bool``: JSON ``true`` and ``false`` load as
+    bools, which ``isinstance(value, int)`` would take for 1 and 0."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def check_counts(params: dict, path: str = "", error=InputError) -> None:
     """Raise ``error``, naming ``path`` and the key, unless every count in
     ``params`` is an integer >= 1 and every grid a nonempty list (or tuple)
     of them.  ``validate_config`` runs it on a config's ``params``, and the
     entry points of :mod:`hypwalk.experiments` on the arguments of a call."""
     for key in _COUNTS:
-        if key in params and not (isinstance(params[key], int) and params[key] >= 1):
+        if key in params and not (_is_int(params[key]) and params[key] >= 1):
             raise error(f"{path}{key}: must be an integer >= 1")
     for key in _GRIDS:
         grid = params.get(key)
         if key in params and not (
             isinstance(grid, (list, tuple))
             and grid
-            and all(isinstance(v, int) and v >= 1 for v in grid)
+            and all(_is_int(v) and v >= 1 for v in grid)
         ):
             raise error(f"{path}{key}: must be a nonempty list of integers >= 1")
 
@@ -134,7 +140,7 @@ def validate_config(config: dict) -> None:
     parameters = inspect.signature(_entry_point(name)).parameters
     seed = config["seed"]
     _require(
-        isinstance(seed, int) and 0 <= seed < 2**64,
+        _is_int(seed) and 0 <= seed < 2**64,
         "$.seed",
         "must be an unsigned 64-bit integer",
     )
@@ -152,7 +158,7 @@ def validate_config(config: dict) -> None:
     _check_keys(model, _MODEL_KEYS[mtype], "$.model")
     if mtype in ("free", "semidirect"):
         _require(
-            isinstance(model.get("rank"), int) and model.get("rank", 0) >= 2,
+            _is_int(model.get("rank")) and model["rank"] >= 2,
             "$.model.rank",
             "must be an integer >= 2",
         )
@@ -166,7 +172,7 @@ def validate_config(config: dict) -> None:
             "only 'cyclic' torsion groups are configurable",
         )
         _require(
-            isinstance(torsion.get("order"), int) and torsion["order"] >= 1,
+            _is_int(torsion.get("order")) and torsion["order"] >= 1,
             "$.model.torsion.order",
             "must be an integer >= 1",
         )
@@ -187,7 +193,7 @@ def validate_config(config: dict) -> None:
             )
             if action["type"] == "multiplier":
                 _require(
-                    isinstance(action.get("value"), int),
+                    _is_int(action.get("value")),
                     f"{path}.value",
                     "must be an integer",
                 )
@@ -195,16 +201,14 @@ def validate_config(config: dict) -> None:
         primes = model.get("primes")
         if primes is not None:
             _require(
-                isinstance(primes, list)
-                and primes
-                and all(isinstance(p, int) for p in primes),
+                isinstance(primes, list) and valid_primes(primes),
                 "$.model.primes",
-                "must be a nonempty list of integers",
+                "must be a nonempty list of primes below 2^31",
             )
         cap = model.get("degree_cap")
         if cap is not None:
             _require(
-                isinstance(cap, int) and cap >= 2,
+                _is_int(cap) and cap >= 2,
                 "$.model.degree_cap",
                 "must be an integer >= 2",
             )
@@ -257,7 +261,7 @@ def _validate_measure(measure, mtype: str):
             _require(
                 isinstance(matrix, list)
                 and len(matrix) == 4
-                and all(isinstance(v, int) for v in matrix),
+                and all(_is_int(v) for v in matrix),
                 f"{path}.matrix",
                 "must be four integers",
             )
@@ -284,7 +288,7 @@ def _validate_genspec(spec, path: str):
     elif name == "henon":
         _check_keys(spec, {"name", "n"}, path)
         _require(
-            isinstance(spec.get("n"), int) and spec["n"] >= 2,
+            _is_int(spec.get("n")) and spec["n"] >= 2,
             f"{path}.n",
             "must be an integer >= 2",
         )
@@ -294,7 +298,7 @@ def _validate_genspec(spec, path: str):
         _require(
             isinstance(entries, list)
             and len(entries) == 9
-            and all(isinstance(v, int) for v in entries),
+            and all(_is_int(v) for v in entries),
             f"{path}.entries",
             "must be nine integers",
         )
@@ -304,7 +308,7 @@ def _validate_genspec(spec, path: str):
         _require(
             isinstance(matrix, list)
             and len(matrix) == 4
-            and all(isinstance(v, int) for v in matrix),
+            and all(_is_int(v) for v in matrix),
             f"{path}.matrix",
             "must be four integers",
         )

@@ -46,17 +46,20 @@ cancellation from gcds of pairs of g's degree-d coordinates, never from
   the pair's gcd a divides out as a^(n-1), leaving a triple whose common
   factor divides gcd(a, g3 / a).
 
-``gcd3`` runs on a composed triple only for a monomial letter and in that
-last Henon case when gcd(a, g3 / a) is nontrivial.  Every composition, of a
-generator letter, a whole word or a walk's running map, composes the outer
-word onto the inner triple one letter at a time, last letter first, and
-checks the degree cap on each letter's raw degree (the letter's degree
-times the running degree).  A letter step takes all its pairwise gcds from
-one ``pair_gcds`` pass, which certifies pairs of non-monomial coordinates
-by line restriction and sends the others (a pair with a monomial
-coordinate, or one the certificate does not prove) through ``gcd3``; every
-other quotient goes through ``divexact`` (a shift for a monomial divisor),
-and an inexact one raises :class:`~hypwalk.errors.BadPrimeSignal`.  The normalized coprime
+The gcd of a whole composed triple is taken only for a monomial letter
+and in that last Henon case when gcd(a, g3 / a) is nontrivial.  Every
+composition, of a generator letter, a whole word or a walk's running map,
+composes the outer word onto the inner triple one letter at a time, last
+letter first, and checks the degree cap on each letter's raw degree (the
+letter's degree times the running degree).  A letter step takes all its
+pairwise gcds from one call to ``polynomials.group_gcds``, the front of the
+gcd layer, and a composed triple's gcd from another (in
+``normalize_triple``).  The front proves groups of non-monomial
+coordinates coprime by line restriction and sends the others (a group with
+a monomial coordinate, or one the certificate does not prove) through
+``gcd3``.  Every other quotient goes through ``divexact`` (a shift for a
+monomial divisor), and an inexact one raises
+:class:`~hypwalk.errors.BadPrimeSignal`.  The normalized coprime
 triple of a map is unique, so the rule changes no result, only the work.
 """
 
@@ -72,14 +75,25 @@ from .polynomials import (
     SECOND_PRIME,
     HomPoly3,
     divexact,
+    group_gcds,
+    is_prime,
     normalize_triple,
-    pair_gcds,
     substitute,
 )
 
 DEFAULT_DEGREE_CAP = 512
 
 Triple = tuple[HomPoly3, HomPoly3, HomPoly3]
+
+
+def valid_primes(primes) -> bool:
+    """Whether ``primes`` is a nonempty sequence of coefficient primes: ints
+    (not bools) that are prime and below 2^31, the bound of the exact-product
+    rule of :mod:`hypwalk.polynomials`."""
+    return bool(primes) and all(
+        isinstance(p, int) and not isinstance(p, bool) and p < 2**31 and is_prime(p)
+        for p in primes
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +182,7 @@ def _sigma_onto(g: Triple) -> Triple:
     (g2 g3, g1 g3, g1 g2) is exactly abc, so sigma o g is
     (a g2' g3', b g1' g3', c g1' g2') for g1' = g1/(bc), g2' = g2/(ac) and
     g3' = g3/(ab), a coprime triple that needs only the rescaling."""
-    (a, g2_a, g3_a), (b, g1_b, _), (c, _, _) = pair_gcds(g, ((1, 2), (0, 2), (0, 1)))
+    (a, g2_a, g3_a), (b, g1_b, _), (c, _, _) = group_gcds(g, ((1, 2), (0, 2), (0, 1)))
     g1_bc = _quotient(g1_b, c)
     g2_ac = _quotient(g2_a, c)
     g3_ab = _quotient(g3_a, b)
@@ -191,7 +205,7 @@ def _henon_cancel(
     (U, V, W) = (g1, g2, g3).  With U = a u, W = a w and V = v it is
     a^(n-1) T for T = (a u w^(n-1), a u^n - v w^(n-1), a w^n).  As
     gcd(a, v) = 1, the common factor of T divides gcd(a, w); only when that
-    is nontrivial does ``gcd3`` run, on T."""
+    is nontrivial is the gcd of T taken."""
     w_power = w.pow(n - 1)
     t = [
         a.mul(u).mul(w_power),
@@ -200,7 +214,7 @@ def _henon_cancel(
     ]
     if inverse:
         t[0], t[1] = t[1], t[0]
-    ((common, _, _),) = pair_gcds((a, w), ((0, 1),))
+    ((common, _, _),) = group_gcds((a, w), ((0, 1),))
     return normalize_triple(*t, coprime=common.degree == 0)[0]
 
 
@@ -350,8 +364,8 @@ class CremonaModel(ActionOracle):
         primes: tuple[int, ...] = (DEFAULT_PRIME, SECOND_PRIME),
         degree_cap: int = DEFAULT_DEGREE_CAP,
     ):
-        if not primes:
-            raise InputError("need at least one coefficient prime")
+        if not valid_primes(primes):
+            raise InputError("primes must be a nonempty list of primes below 2^31")
         self.primes = tuple(primes)
         self.degree_cap = degree_cap
         self._atoms: list[GeneratorAtom] = []
@@ -498,7 +512,7 @@ class CremonaModel(ActionOracle):
             # the base point is [1:0:0] for h and [0:1:0] for h^-1, so the
             # base-point pair is (g2, g3) for h and (g1, g3) for h^-1
             u, v = (g[1], g[0]) if letter > 0 else (g[0], g[1])
-            ((a, u, w),) = pair_gcds((u, g[2]), ((0, 1),))
+            ((a, u, w),) = group_gcds((u, g[2]), ((0, 1),))
             if a.degree:
                 return _henon_cancel(spec[1], letter < 0, a, u, v, w)
         outer = self._letter_element(letter).tracks[prime_slot][1]

@@ -17,37 +17,32 @@ p < 2^31: the 31-bit primes drawn by the bad-prime retry policy are as safe
 as the default ones.  Exact division by a one-term divisor is a shift of
 the box, scaled by the inverse of the divisor's coefficient.
 
-:func:`gcd3` runs three stages, cheapest first:
+The gcd layer has a front and a core.  The front, :func:`group_gcds`,
+takes groups of polys by index: the pairs of a Cremona letter step (see
+:mod:`hypwalk.cremona`) or the triple that :func:`normalize_triple`
+cancels.  It splits each poly's monomial content off once and tries every
+group whose rests have two or more terms with one coprimality
+certificate: a nonconstant common factor survives restriction to any
+fixed affine line it does not contain, so a trivial univariate gcd on one
+line proves coprimality.  A restriction is two matrix products against
+power tables cached per (line, prime).  A proved group's gcd is a
+monomial, and its quotients are shifts.  Every other group goes to the
+core, :func:`gcd3`: the least monomial content times the gcd of the rests,
+whose boxes are their dense bivariate forms.  Each step of the fold over
+the boxes splits off the y-contents once, runs Brown's modular gcd on the
+primitive parts (a block of evaluation points with one matrix product,
+univariate gcds point by point, then interpolation), falls back to a
+pseudo-remainder sequence when the prime runs out of points, and
+multiplies the gcd of the contents back in.
 
-1. the joint monomial content is divided out;
-2. a coprimality certificate restricts the polynomials to fixed affine
-   lines: a nonconstant common factor survives restriction to any line it
-   does not contain, so a trivial univariate gcd on one line proves
-   coprimality.  A restriction is two matrix products against power tables
-   cached per (line, prime);
-3. otherwise Brown's modular gcd evaluates the dense bivariate forms at a
-   block of points with one matrix product, takes univariate gcds point by
-   point and interpolates; a pseudo-remainder sequence on the same arrays
-   is the fallback when the prime runs out of points.
-
-Every gcd is verified by trial division before it is returned, and the
-quotients of that division are handed to :func:`normalize_triple`, so a
-triple it normalizes has each coordinate divided once.  A gcd that fails
-the check raises :class:`~hypwalk.errors.BadPrimeSignal`.  A monomial gcd
-is checked by shifts, with no trial division.  Short univariate
-gcds (the certificate's, and the modular gcd's per point) run on Python
-ints, long ones on numpy rows.
-
-A Cremona composition is a fold of generator letters, and a letter step
-runs :func:`gcd3` on its composed triple only for a monomial letter and for
-a Henon letter whose base-point gcd a has gcd(a, g3 / a) != 1; every other
-step finds its cancellation from gcds of pairs of the inner map's
-coordinates (the base-point rule of :mod:`hypwalk.cremona`), all of a step's
-pairs in one :func:`pair_gcds` pass: each coordinate's monomial content is
-split off once, each rest is restricted at most once per certificate line,
-a certified pair's gcd is a monomial and its quotients are shifts, and a
-pair with a monomial coordinate or an uncertified pair goes to
-:func:`gcd3`.  ``normalize_triple(..., coprime=True)`` then only rescales.
+Every gcd of the core is verified by trial division before it is
+returned, and the quotients of that division are handed back, so a triple
+:func:`normalize_triple` cancels has each coordinate divided at most once.
+A gcd that fails the check, after one retry through the PRS, raises
+:class:`~hypwalk.errors.BadPrimeSignal`.  A monomial gcd is checked by
+shifts, with no trial division.  Short univariate gcds (the certificate's,
+and the modular gcd's per point) run on Python ints, long ones on numpy
+rows.
 """
 
 from __future__ import annotations
@@ -600,11 +595,11 @@ def _ugcd_rows(u: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
     return u
 
 
-def coprimality_certificate(polys, p: int, groups=None) -> set:
+def coprimality_certificate(polys, p: int, groups) -> set:
     """The groups of ``polys`` whose gcd restriction to a fixed line proves
     constant: a group is a tuple of indices into ``polys`` (a list, or a
-    dict keyed by index), by default one group of all the polys, and the
-    result is the set of groups proved coprime (empty when none is).
+    dict keyed by index), and the result is the set of groups proved
+    coprime (empty when none is).
 
     Sound provided no restriction drops degree: when
     ``deg poly(L(t)) == deg poly`` for each poly of a group, every
@@ -616,8 +611,6 @@ def coprimality_certificate(polys, p: int, groups=None) -> set:
     skipped for that group.  Each poly is restricted at most once per line,
     and only while a group holding it is unproved.
     """
-    if groups is None:
-        groups = [tuple(range(len(polys)))]
     proved: set = set()
     for line in _CERT_LINES:
         restricted: dict = {}  # index -> restriction, None on a degree drop
@@ -643,63 +636,60 @@ def coprimality_certificate(polys, p: int, groups=None) -> set:
     return proved
 
 
-def pair_gcds(polys, pairs) -> list[tuple[HomPoly3, HomPoly3, HomPoly3]]:
-    """``(gcd(f, g), f / gcd, g / gcd)`` for each index pair (i, j) of
-    ``polys``, f = polys[i] and g = polys[j]: the same gcd, monic under
-    graded-lex, and quotients as ``gcd3(f, g, 0)`` gives.
+def group_gcds(polys, groups) -> list[tuple[HomPoly3, ...]]:
+    """``(gcd, *quotients)`` for each group of two or three indices into
+    ``polys``: the gcd of the group's polys, monic under graded-lex, and
+    each of them divided by it, as :func:`gcd3` of the group (a pair's
+    third operand zero) gives them.
 
-    One pass serves the pairs of two polys of two or more terms.  Each such
-    poly is split once into its own monomial content m and the rest r, and
-    gcd(m r, m' r') is gcd(m, m') gcd(r, r'), as X, Y and Z are primes that
-    divide no r.  One :func:`coprimality_certificate` call, restricting
-    each r at most once per line, tries every such pair; a pair it proves
-    has the monomial gcd(m, m') as its gcd, and its quotients are f and g
-    moved by that monomial, with no division.  Every other pair goes to
-    :func:`gcd3` without the certificate: a pair with a zero or one-term
-    poly (whose gcd ``gcd3`` takes as a monomial, checked by shifts), and an
-    unproved pair (the modular gcd, its PRS fallback and trial division).
+    The front of the gcd layer, and the one caller of
+    :func:`coprimality_certificate`.  Each poly of a group whose polys all
+    have two or more terms is split once into its own monomial content m
+    and the rest r; gcd(m r, m' r') is gcd(m, m') gcd(r, r'), as X, Y and Z
+    are primes that divide no r.  One certificate call, restricting each r
+    at most once per line, tries every such group.  A proved group's gcd
+    is the least of its contents m, and its quotients are its polys moved
+    by that monomial, with no division.  Every other group goes to
+    :func:`gcd3`: a group with a zero poly or a unit rest (one term), whose
+    gcd is a monomial, and an unproved group.
     """
-    pending = [(i, j) for i, j in pairs if min(polys[i].num_terms(), polys[j].num_terms()) > 1]
-    contents, rests = {}, {}  # index -> m and r of each poly to certify
-    for k in {k for pair in pending for k in pair}:
+    tried = [group for group in groups if all(polys[k].num_terms() > 1 for k in group)]
+    contents, rests = {}, {}  # index -> m and r of each poly the certificate tries
+    for k in {k for group in tried for k in group}:
         contents[k] = _monomial_content([polys[k]])
         rests[k] = _shift_exponents(polys[k], contents[k])
-    proved = coprimality_certificate(rests, polys[0].p, pending) if pending else set()
+    proved = coprimality_certificate(rests, polys[0].p, tried) if tried else set()
     out = []
-    for i, j in pairs:
-        f, g = polys[i], polys[j]
-        if (i, j) in proved:
-            shift = tuple(map(min, contents[i], contents[j]))
-            common = HomPoly3.monomial(*shift, 1, f.p)
-            out.append((common, _shift_exponents(f, shift), _shift_exponents(g, shift)))
+    for group in groups:
+        members = [polys[k] for k in group]
+        p = members[0].p
+        if group in proved:
+            shift = tuple(map(min, *(contents[k] for k in group)))
+            common = HomPoly3.monomial(*shift, 1, p)
+            out.append((common, *(_shift_exponents(f, shift) for f in members)))
         else:
             quotients: list = []
-            common = gcd3(f, g, HomPoly3.zero(f.degree, f.p), quotients, certify=False)
-            out.append((common, quotients[0], quotients[1]))
+            zeros = [HomPoly3.zero(members[0].degree, p)] * (3 - len(members))
+            common = gcd3(*members, *zeros, quotients)
+            out.append((common, *quotients[: len(members)]))
     return out
 
 
-def gcd3(
-    p1: HomPoly3,
-    p2: HomPoly3,
-    p3: HomPoly3,
-    quotients: list | None = None,
-    certify: bool = True,
-) -> HomPoly3:
-    """A gcd of the three polynomials, monic under graded-lex.
+def gcd3(p1: HomPoly3, p2: HomPoly3, p3: HomPoly3, quotients: list | None = None) -> HomPoly3:
+    """A gcd of the three polynomials, monic under graded-lex: the core of
+    the gcd layer, with no certificate (that is :func:`group_gcds`'s).
 
-    Pipeline: extract the joint monomial content; certify coprimality by
-    line restriction when possible; otherwise compute the gcd of the dense
-    dehomogenized forms, pairwise then with the third, by the modular
-    evaluation/interpolation gcd, with a pseudo-remainder-sequence fallback
-    when that runs out of points.  The result is verified by trial division
-    against all three inputs; a failed check (after one retry through the
-    PRS when the modular gcd produced the candidate) raises
-    :class:`~hypwalk.errors.BadPrimeSignal`, which sends the caller to the
-    bad-prime retry policy.  When ``quotients`` is a list it is filled with
-    the three exact quotients the verification computed.  ``certify=False``
-    skips the certificate: :func:`pair_gcds` passes it for the pairs that
-    its own certificate pass did not prove, or could not try.
+    The gcd of the nonzero polys is the least of their monomial contents
+    times the gcd of their rests.  When a rest is one term, that gcd is 1.
+    Otherwise each poly's box, with its corner at (0, 0), is its rest's
+    dense dehomogenized form, and :func:`_bivariate_gcd_list` folds the
+    boxes by the modular gcd on their primitive parts.  The result is
+    verified by trial division against all three inputs.  A gcd of the
+    rests that fails the check (unlucky evaluation points) is computed
+    once more by the pseudo-remainder sequence alone; a failed check then
+    raises :class:`~hypwalk.errors.BadPrimeSignal`, which sends the caller
+    to the bad-prime retry policy.  When ``quotients`` is a list it is
+    filled with the three exact quotients the verification computed.
     """
     polys = [q for q in (p1, p2, p3) if not q.is_zero()]
     if not polys:
@@ -707,29 +697,20 @@ def gcd3(
     p = polys[0].p
     if any(q.p != p for q in polys):
         raise InputError("gcd3 operands live over different primes")
-
     shift = _monomial_content(polys)
-    reduced = [_shift_exponents(q, shift) for q in polys]
-    monomial_gcd = HomPoly3.monomial(*shift, 1, p)
 
     def monic(rest: np.ndarray) -> HomPoly3:
-        """monomial_gcd * rest with graded-lex leading coefficient 1."""
-        gcd_poly = monomial_gcd.mul(HomPoly3._from_array(_max_ij(rest), rest, p))
+        """X^si Y^sj Z^sl times rest, with graded-lex leading coefficient 1."""
+        gcd_poly = HomPoly3._from_array(_max_ij(rest) + sum(shift), rest, p, shift[:2])
         return gcd_poly.scale(_inv_mod(gcd_poly._leading_coefficient(), p))
 
-    gcd_poly = monomial_gcd
-    rest = None
-    if all(q.num_terms() > 1 for q in reduced) and not (
-        certify and coprimality_certificate(reduced, p)
-    ):
-        arrays = [q._to_array() for q in reduced]
-        rest = _dense_gcd_list(arrays, p)
-        gcd_poly = monic(_bivariate_gcd_list(arrays, p) if rest is None else rest)
-
+    gcd_poly = HomPoly3.monomial(*shift, 1, p)
+    boxes = [q.box for q in polys] if all(q.num_terms() > 1 for q in polys) else None
+    if boxes:
+        gcd_poly = monic(_bivariate_gcd_list(boxes, p, _modular_bivariate_gcd))
     exact = _divides_all(gcd_poly, (p1, p2, p3))
-    if not exact and rest is not None:
-        # unlucky evaluation points: redo with the exact fallback
-        gcd_poly = monic(_bivariate_gcd_list(arrays, p))
+    if not exact and boxes:
+        gcd_poly = monic(_bivariate_gcd_list(boxes, p, _prs_gcd))
         exact = _divides_all(gcd_poly, (p1, p2, p3))
     if not exact:
         raise BadPrimeSignal("gcd verification by trial division failed", p)
@@ -744,25 +725,15 @@ def _divides_all(gcd_poly: HomPoly3, polys) -> list[HomPoly3] | None:
     return None if any(q is None for q in quotients) else quotients
 
 
-def _dense_gcd_list(arrays, p: int) -> np.ndarray | None:
-    g = arrays[0]
-    for arr in arrays[1:]:
-        if _ydeg_rows(g) <= 0 and _xdeg(g) == 0:
-            break  # already constant
-        g = _modular_bivariate_gcd(g, arr, p)
-        if g is None:
-            return None
-    return g
-
-
 def normalize_triple(p1: HomPoly3, p2: HomPoly3, p3: HomPoly3, coprime: bool = False):
-    """Divide out gcd3 and rescale so the first nonzero coefficient (scanning
-    the triple in order, each in graded-lex order) equals 1.
+    """Divide out the gcd and rescale so the first nonzero coefficient
+    (scanning the triple in order, each in graded-lex order) equals 1.
 
-    The quotients are the ones gcd3's trial division computed, so each
-    component is divided once.  With ``coprime`` the caller vouches that the
-    triple has no common factor (a composition whose cancellation the
-    base-point rule of :mod:`hypwalk.cremona` already divided out), and
+    The gcd and quotients come from :func:`group_gcds` of the triple, so
+    each component is divided at most once (not at all when the
+    certificate proves the triple).  With ``coprime`` the caller vouches
+    that the triple has no common factor (a composition whose cancellation
+    the base-point rule of :mod:`hypwalk.cremona` already divided out), and
     only the rescaling is done.  Returns ``(triple, gcd_degree)``.  An
     all-zero triple signals a degenerate composition, typically an unlucky
     coefficient prime.
@@ -772,8 +743,8 @@ def normalize_triple(p1: HomPoly3, p2: HomPoly3, p3: HomPoly3, coprime: bool = F
     if coprime:
         parts, gcd_degree = [p1, p2, p3], 0
     else:
-        parts = []
-        gcd_degree = gcd3(p1, p2, p3, parts).degree
+        ((common, *parts),) = group_gcds((p1, p2, p3), ((0, 1, 2),))
+        gcd_degree = common.degree
     lead = next(q._leading_coefficient() for q in parts if not q.is_zero())
     scale = _inv_mod(lead, p1.p)
     return tuple(q.scale(scale) for q in parts), gcd_degree
@@ -781,7 +752,8 @@ def normalize_triple(p1: HomPoly3, p2: HomPoly3, p3: HomPoly3, coprime: bool = F
 
 # ---------------------------------------------------------------------------
 # Dense bivariate helpers (arrays M[i, j] = coefficient of x^i y^j; setting
-# Z = 1 in a homogeneous polynomial gives exactly its exponent array).
+# Z = 1 in a homogeneous polynomial gives exactly its exponent array).  The
+# gcds take boxes: nonzero arrays cut to their last nonzero row and column.
 
 
 def _vandermonde(points: np.ndarray, width: int, p: int) -> np.ndarray:
@@ -793,16 +765,11 @@ def _vandermonde(points: np.ndarray, width: int, p: int) -> np.ndarray:
     return table
 
 
-def _xdeg(arr: np.ndarray) -> int:
-    """The last nonzero row of arr, or -1."""
+def _cut(arr: np.ndarray) -> np.ndarray:
+    """arr without trailing zero rows and columns."""
     rows = np.flatnonzero(arr.any(axis=1))
-    return int(rows[-1]) if rows.size else -1
-
-
-def _ydeg_rows(arr: np.ndarray) -> int:
-    """The last nonzero column of arr, or -1."""
     cols = np.flatnonzero(arr.any(axis=0))
-    return int(cols[-1]) if cols.size else -1
+    return arr[: rows[-1] + 1, : cols[-1] + 1] if rows.size else arr[:0, :0]
 
 
 def _content_y(rows, p: int) -> np.ndarray:
@@ -817,21 +784,46 @@ def _content_y(rows, p: int) -> np.ndarray:
     return g
 
 
-def _rows_divexact_content(arr: np.ndarray, cont: np.ndarray, p: int) -> np.ndarray:
-    if cont.size == 1:
-        inv = _inv_mod(int(cont[0]), p)
-        return (arr * inv) % p
+def _primitive(arr: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(c, arr / c)`` for a nonzero arr and its content c in GF(p)[y], the
+    gcd of its rows; the primitive part is cut."""
+    content = _content_y(arr, p)
+    if content.size == 1:
+        return content, _cut(arr * _inv_mod(int(content[0]), p) % p)
     out = np.zeros_like(arr)
-    for i in range(arr.shape[0]):
-        row = _utrim(arr[i])
+    for i, row in enumerate(arr):
+        row = _utrim(row)
         if row.size:
-            q = _udivexact(row, cont, p)
+            q = _udivexact(row, content, p)
             out[i, : q.size] = q
-    return out
+    return content, _cut(out)
+
+
+def _bivariate_gcd_list(boxes, p: int, primitive_gcd) -> np.ndarray:
+    """The gcd of the boxes, folded pairwise by :func:`_bivariate_gcd`."""
+    g = boxes[0]
+    for box in boxes[1:]:
+        g = _bivariate_gcd(g, box, p, primitive_gcd)
+        if g.shape == (1, 1):
+            break  # a constant
+    return g
+
+
+def _bivariate_gcd(a: np.ndarray, b: np.ndarray, p: int, primitive_gcd) -> np.ndarray:
+    """gcd(a, b) of two boxes: the gcd of their contents in GF(p)[y] times
+    ``primitive_gcd`` of their primitive parts, which is the modular gcd
+    (:func:`_prs_gcd` where it runs out of points) or the PRS itself."""
+    (content_a, a), (content_b, b) = _primitive(a, p), _primitive(b, p)
+    g = primitive_gcd(a, b, p)
+    if g is None:
+        g = _prs_gcd(a, b, p)
+    content = _ugcd(content_a, content_b, p)
+    return _conv2d_mod(g, content[None, :], p) if content.size > 1 else g
 
 
 def _modular_bivariate_gcd(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray | None:
-    """gcd of two dense bivariate polynomials by evaluation/interpolation.
+    """gcd of two primitive boxes by evaluation/interpolation, primitive and
+    cut.
 
     Brown's modular gcd with y as the evaluation variable: specialize y at
     the points 1, 2, 3, ... avoiding roots of both leading coefficients,
@@ -845,20 +837,16 @@ def _modular_bivariate_gcd(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray |
     verified by trial division downstream, so an unlucky specialization
     cannot corrupt a composition.
     """
-    contA, contB = _content_y(A, p), _content_y(B, p)
-    content = _ugcd(contA, contB, p)
-    A = _rows_divexact_content(A, contA, p)
-    B = _rows_divexact_content(B, contB, p)
-    dxA, dxB = _xdeg(A), _xdeg(B)
+    dxA, dxB = A.shape[0] - 1, B.shape[0] - 1
     gamma = _ugcd(_utrim(A[dxA]), _utrim(B[dxB]), p)
-    needed = (gamma.size - 1) + min(_ydeg_rows(A), _ydeg_rows(B)) + 1
+    needed = (gamma.size - 1) + min(A.shape[1], B.shape[1])
     last_point = min(8 * needed + 64, p - 1)
 
     # rows 0..dxA are A, the next dxB + 1 are B, the last is gamma
     ywidth = max(A.shape[1], B.shape[1], gamma.size)
     stacked = np.zeros((dxA + dxB + 3, ywidth), dtype=np.int64)
-    stacked[: dxA + 1, : A.shape[1]] = A[: dxA + 1]
-    stacked[dxA + 1 : -1, : B.shape[1]] = B[: dxB + 1]
+    stacked[: dxA + 1, : A.shape[1]] = A
+    stacked[dxA + 1 : -1, : B.shape[1]] = B
     stacked[-1, : gamma.size] = gamma
     block = needed + 8
 
@@ -884,9 +872,7 @@ def _modular_bivariate_gcd(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray |
                 nodes, values = [], []
             if deg == best_deg:
                 if best_deg == 0:
-                    out = np.zeros((1, max(content.size, 1)), dtype=np.int64)
-                    out[0, : content.size] = content
-                    return out
+                    return np.ones((1, 1), dtype=np.int64)
                 nodes.append(y)
                 values.append((g_spec * int(column[-1])) % p)
                 if len(nodes) == needed:
@@ -897,11 +883,7 @@ def _modular_bivariate_gcd(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray |
     for t, vec in enumerate(values):
         table[t, : vec.size] = vec
     poly = _newton_interpolate(np.array(nodes, dtype=np.int64), table, p)
-    ycont = _content_y(poly.T, p)  # rows of poly.T are x-coefficients in y
-    poly = _rows_divexact_content(poly.T, ycont, p)  # primitive in y
-    if content.size > 1 or content[0] != 1:
-        poly = _conv2d_mod(poly, content[None, :], p)
-    return poly
+    return _primitive(poly.T, p)[1]  # rows of poly.T are x-coefficients in y
 
 
 def _newton_interpolate(nodes: np.ndarray, table: np.ndarray, p: int) -> np.ndarray:
@@ -989,18 +971,8 @@ def _udivexact(u: np.ndarray, g: np.ndarray, p: int) -> np.ndarray | None:
 
 
 # ---------------------------------------------------------------------------
-# Bivariate PRS gcd on the same dense arrays, cut to their last nonzero row
-# and column (the fallback when the modular gcd runs out of points).
-
-
-def _cut(arr: np.ndarray) -> np.ndarray:
-    """arr without trailing zero rows and columns."""
-    return arr[: _xdeg(arr) + 1, : _ydeg_rows(arr) + 1]
-
-
-def _primitive(arr: np.ndarray, p: int) -> np.ndarray:
-    """arr divided by its content in GF(p)[y], cut."""
-    return _cut(_rows_divexact_content(arr, _content_y(arr, p), p))
+# The bivariate PRS gcd on boxes (the fallback when the modular gcd runs out
+# of points, and the retry after a failed trial division).
 
 
 def _pseudo_rem(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -1021,32 +993,16 @@ def _pseudo_rem(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return r
 
 
-def _bivariate_gcd(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    if not a.size:
-        return b
-    if not b.size:
-        return a
-    content = _ugcd(_content_y(a, p), _content_y(b, p), p)
-    a, b = _primitive(a, p), _primitive(b, p)
+def _prs_gcd(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """The gcd of two primitive boxes by the primitive pseudo-remainder
+    sequence in x: it needs no evaluation points, so it works at every
+    prime.  The result is primitive."""
     if a.shape[0] < b.shape[0]:
         a, b = b, a
     while b.size:
         r = _pseudo_rem(a, b, p)
-        a, b = b, (_primitive(r, p) if r.size else r)
-    a = _primitive(a, p)
-    if content.size > 1 or content[0] != 1:
-        a = _conv2d_mod(a, content[None, :], p)
+        a, b = b, (_primitive(r, p)[1] if r.size else r)
     return a
-
-
-def _bivariate_gcd_list(arrays, p: int) -> np.ndarray:
-    """The PRS gcd of dense bivariate arrays."""
-    g = _cut(arrays[0])
-    for arr in arrays[1:]:
-        g = _bivariate_gcd(g, _cut(arr), p)
-        if g.shape == (1, 1):
-            break
-    return g
 
 
 # ---------------------------------------------------------------------------

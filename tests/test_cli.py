@@ -104,6 +104,81 @@ def test_bad_counts_and_grids_exit_one(tmp_path, capsys, preset, params, message
     assert not out.exists()
 
 
+def _run_invalid(tmp_path, capsys, config, message):
+    """``hypwalk run`` of config exits 1 with ``invalid config: message``
+    before writing anything."""
+    out = tmp_path / "o"
+    assert main(["run", str(_write(tmp_path, config)), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"invalid config: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "primes",
+    [[1000000, 1000002], [2305843009213693951, 1000003], [True, 1000003], []],
+)
+def test_bad_primes_exit_one(tmp_path, capsys, primes):
+    # composites, moduli past the exact-product bound 2^31 and booleans
+    config = preset_config("degree-growth-henon")
+    config["model"]["primes"] = primes
+    _run_invalid(
+        tmp_path, capsys, config, "$.model.primes: must be a nonempty list of primes below 2^31"
+    )
+
+
+def test_small_primes_stay_valid():
+    config = preset_config("degree-growth-henon")
+    config["model"]["primes"] = [2, 3, 5, 2147483647]
+    validate_config(config)
+
+
+def _monomial_model(config):
+    config["model"] = {"type": "monomial"}
+    config["measure"] = {"atoms": [{"matrix": [1, 1, 0, 1], "weight": "1"}]}
+
+
+def _monomial_gen(config):
+    config["measure"]["atoms"][0]["gen"] = {"name": "monomial", "matrix": [1, 1, 0, 1]}
+
+
+@pytest.mark.parametrize(
+    "preset, prepare, keys, field",
+    [
+        ("drift-f2", None, ("seed",), "$.seed"),
+        ("drift-f2", None, ("params", "trials"), "$.params.trials"),
+        ("drift-f2", None, ("params", "n"), "$.params.n"),
+        ("shadow-decay-f2", None, ("params", "samples"), "$.params.samples"),
+        ("shadow-decay-f2", None, ("params", "m_grid", 1), "$.params.m_grid"),
+        ("degree-growth-henon", None, ("params", "n_grid", 1), "$.params.n_grid"),
+        ("match-non-f2", None, ("params", "s_grid", 0), "$.params.s_grid"),
+        ("drift-f2", None, ("model", "rank"), "$.model.rank"),
+        ("char-index-z3", None, ("model", "torsion", "order"), "$.model.torsion.order"),
+        ("char-index-z3", None, ("model", "actions", 0, "value"), "$.model.actions[0].value"),
+        ("degree-growth-henon", None, ("model", "degree_cap"), "$.model.degree_cap"),
+        ("degree-growth-henon", None, ("measure", "atoms", 0, "gen", "n"), "$.measure.atoms[0].gen.n"),
+        (
+            "degree-growth-cremona",
+            None,
+            ("measure", "atoms", 1, "gen", "factors", 1, "entries", 8),
+            "$.measure.atoms[1].gen.factors[1].entries",
+        ),
+        ("degree-growth-henon", _monomial_gen, ("measure", "atoms", 0, "gen", "matrix", 3), "$.measure.atoms[0].gen.matrix"),
+        ("degree-growth-henon", _monomial_model, ("measure", "atoms", 0, "matrix", 3), "$.measure.atoms[0].matrix"),
+    ],
+)
+@pytest.mark.parametrize("value", [True, False])
+def test_boolean_integer_fields_exit_one(tmp_path, capsys, preset, prepare, keys, field, value):
+    # JSON true and false are not integers, though Python's bool is an int
+    config = preset_config(preset)
+    if prepare is not None:
+        prepare(config)
+    target = config
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    _run_invalid(tmp_path, capsys, config, f"{field}:")
+
+
 def test_tree_only_experiment_on_cremona_exits_one(tmp_path, capsys):
     config = preset_config("small-cancellation-f2")
     cremona = preset_config("degree-growth-cremona")

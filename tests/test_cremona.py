@@ -27,6 +27,18 @@ from hypwalk.walk import FiniteMeasure, sample_path
 GOLDEN3 = (3 + math.sqrt(5)) / 2  # spectral radius of [[2,1],[1,1]]
 
 
+@pytest.mark.parametrize(
+    "primes", [(), (1000000, 1000002), (2305843009213693951, 1000003), (True, 1000003)]
+)
+def test_model_rejects_bad_primes(primes):
+    with pytest.raises(InputError, match="primes below 2"):
+        CremonaModel(primes=primes)
+
+
+def test_model_takes_small_and_31_bit_primes():
+    assert CremonaModel(primes=(2, 3, 5, 2147483647)).primes == (2, 3, 5, 2147483647)
+
+
 def test_sigma_degree_and_involution():
     model = CremonaModel()
     sigma = model.sigma()

@@ -369,19 +369,22 @@ def _cremona_measure(degree_cap=None, primes=None):
 
 def _fail_every_gcd_check(patch):
     """Every gcd check fails.  gcd3's trial division rejects every gcd, and
-    every pair gcd of a letter step goes through gcd3, so the check is met
-    also by the pairs that pair_gcds proves coprime without it."""
+    every group gcd (a letter step's pairs, a composed triple) goes through
+    gcd3, so the check is met also by the groups that group_gcds proves
+    coprime without it."""
 
-    def through_gcd3(polys, pairs):
+    def through_gcd3(polys, groups):
         out = []
-        for i, j in pairs:
+        for group in groups:
             quotients = []
-            zero = HomPoly3.zero(polys[i].degree, polys[i].p)
-            common = polynomials.gcd3(polys[i], polys[j], zero, quotients)
-            out.append((common, *quotients[:2]))
+            members = [polys[k] for k in group]
+            zeros = [HomPoly3.zero(members[0].degree, members[0].p)] * (3 - len(group))
+            common = polynomials.gcd3(*members, *zeros, quotients)
+            out.append((common, *quotients[: len(group)]))
         return out
 
-    patch.setattr(cremona, "pair_gcds", through_gcd3)
+    for module in (cremona, polynomials):
+        patch.setattr(module, "group_gcds", through_gcd3)
     patch.setattr(polynomials, "_divides_all", lambda g, polys: False)
 
 

@@ -600,19 +600,12 @@ def _upolyval_many(rows, points, p):
 
 
 def _modular_gcd_per_point(A, B, p):
-    """The evaluation/interpolation gcd evaluating one point at a time."""
+    """The evaluation/interpolation gcd of two primitive boxes, evaluating
+    one point at a time."""
     ugcd, utrim = polynomials._ugcd, polynomials._utrim
-    contA, contB = polynomials._content_y(A, p), polynomials._content_y(B, p)
-    content = ugcd(contA, contB, p)
-    A = polynomials._rows_divexact_content(A, contA, p)
-    B = polynomials._rows_divexact_content(B, contB, p)
-    dxA = int(np.nonzero(A.any(axis=1))[0][-1])
-    dxB = int(np.nonzero(B.any(axis=1))[0][-1])
-    lcA, lcB = utrim(A[dxA]), utrim(B[dxB])
+    lcA, lcB = utrim(A[-1]), utrim(B[-1])
     gamma = ugcd(lcA, lcB, p)
-    needed = (gamma.size - 1) + min(
-        polynomials._ydeg_rows(A), polynomials._ydeg_rows(B)
-    ) + 1
+    needed = (gamma.size - 1) + min(A.shape[1], B.shape[1])
     best_deg = None
     nodes, values = [], []
     point = 0
@@ -634,9 +627,7 @@ def _modular_gcd_per_point(A, B, p):
             nodes, values = [], []
         if deg == best_deg:
             if best_deg == 0:
-                out = np.zeros((1, max(content.size, 1)), dtype=np.int64)
-                out[0, : content.size] = content
-                return out
+                return np.ones((1, 1), dtype=np.int64)
             scale = int(_upolyval_many(gamma[None, :], y, p)[0, 0])
             nodes.append(point)
             values.append((g_spec * scale) % p)
@@ -644,17 +635,12 @@ def _modular_gcd_per_point(A, B, p):
     for t, vec in enumerate(values):
         table[t, : vec.size] = vec
     poly = polynomials._newton_interpolate(np.array(nodes, dtype=np.int64), table, p)
-    ycont = polynomials._content_y(poly.T, p)
-    poly = polynomials._rows_divexact_content(poly.T, ycont, p)
-    if content.size > 1 or content[0] != 1:
-        out = np.zeros((poly.shape[0], poly.shape[1] + content.size - 1), dtype=np.int64)
-        for i in range(poly.shape[0]):
-            row = utrim(poly[i])
-            if row.size:
-                conv = _conv2d_reference([row.tolist()], [content.tolist()], p)[0]
-                out[i, : len(conv)] = conv
-        poly = out
-    return poly
+    return polynomials._primitive(poly.T, p)[1]
+
+
+def _primitive_boxes(a, b, p):
+    """The primitive parts of a's and b's boxes, the modular gcd's inputs."""
+    return polynomials._primitive(a.box, p)[1], polynomials._primitive(b.box, p)[1]
 
 
 def _same_gcd(A, B, p):
@@ -674,7 +660,7 @@ def test_modular_gcd_matches_per_point_loop(p, data):
     b = common.mul(data.draw(_hompolys(p, 4)))
     if a.is_zero() or b.is_zero():
         return
-    assert _same_gcd(a._to_array(), b._to_array(), p)
+    assert _same_gcd(*_primitive_boxes(a, b, p), p)
 
 
 def test_modular_gcd_runs_out_of_points_at_5():
@@ -684,7 +670,7 @@ def test_modular_gcd_runs_out_of_points_at_5():
     g = HomPoly3(4, {(1, 3, 0): 1, (0, 4, 0): 2, (0, 0, 4): 1}, p)
     a = g.mul(HomPoly3(1, {(1, 0, 0): 1, (0, 1, 0): 1}, p))
     b = g.mul(HomPoly3(1, {(1, 0, 0): 1, (0, 0, 1): 3}, p))
-    A, B = a._to_array(), b._to_array()
+    A, B = _primitive_boxes(a, b, p)
     assert polynomials._modular_bivariate_gcd(A, B, p) is None
     assert _same_gcd(A, B, p)
     assert gcd3(a, b, a) == g  # through the PRS fallback
@@ -710,13 +696,69 @@ def test_normalize_triple_divides_each_component_once(monkeypatch):
     assert len(calls) == 3
 
 
+def _record_gcd_layer(monkeypatch):
+    """Record the calls normalize_triple makes into the gcd layer: each
+    certificate call, each gcd3 call, and for each line restriction
+    whether it ran inside gcd3."""
+    calls = {"certificate": 0, "gcd3": 0, "restrictions": []}
+    inside = []
+    certificate, gcd, restrict = (
+        getattr(polynomials, name)
+        for name in ("coprimality_certificate", "gcd3", "_restrict_to_line")
+    )
+
+    def recording_certificate(*args):
+        calls["certificate"] += 1
+        return certificate(*args)
+
+    def recording_gcd3(*args):
+        calls["gcd3"] += 1
+        inside.append(True)
+        try:
+            return gcd(*args)
+        finally:
+            inside.pop()
+
+    def recording_restrict(poly, line):
+        calls["restrictions"].append(bool(inside))
+        return restrict(poly, line)
+
+    monkeypatch.setattr(polynomials, "coprimality_certificate", recording_certificate)
+    monkeypatch.setattr(polynomials, "gcd3", recording_gcd3)
+    monkeypatch.setattr(polynomials, "_restrict_to_line", recording_restrict)
+    return calls
+
+
+def test_normalize_triple_proves_a_coprime_triple_without_gcd3(monkeypatch):
+    # the quadratic Henon triple composed onto a linear one is coprime
+    A, B, C = X.add(Y.scale(2)).add(Z), Y.add(Z.scale(3)), X.add(Z)
+    triple = (B.mul(C), B.mul(B).sub(A.mul(C)), C.mul(C))
+    calls = _record_gcd_layer(monkeypatch)
+    (q1, q2, q3), dropped = normalize_triple(*triple)
+    assert dropped == 0 and calls["certificate"] == 1 and calls["gcd3"] == 0
+    assert calls["restrictions"] and not any(calls["restrictions"])
+    lead = polynomials._inv_mod(triple[0]._leading_coefficient(), DEFAULT_PRIME)
+    assert (q1, q2, q3) == tuple(q.scale(lead) for q in triple)
+
+
+def test_normalize_triple_sends_a_shared_factor_to_gcd3_once(monkeypatch):
+    common = X.add(Y.scale(3)).mul(Z.add(Y))
+    triple = [common.mul(q) for q in (X.mul(Y), Y.mul(Z).add(X.mul(X)), Z.mul(Z))]
+    calls = _record_gcd_layer(monkeypatch)
+    (q1, q2, q3), dropped = normalize_triple(*triple)
+    assert dropped == 2 and calls["certificate"] == 1 and calls["gcd3"] == 1
+    # the certificate tried the triple; gcd3 restricts nothing
+    assert calls["restrictions"] and not any(calls["restrictions"])
+    assert [q.degree for q in (q1, q2, q3)] == [2, 2, 2]
+
+
 # ---------------------------------------------------------------------------
-# The one-pass pair gcds, division by a monomial and the short Euclid.
+# The gcd front (group_gcds), division by a monomial and the short Euclid.
 
 
 @st.composite
 def _pair_gcd_inputs(draw, p):
-    """Four polys for pair gcds: some share a factor, some are a monomial
+    """Four polys for group gcds: some share a factor, some are a monomial
     times a constant, the rest are free; each carries monomial content, and
     one may be zero."""
     common = draw(_hompolys(p, 2, min_degree=1))
@@ -740,19 +782,22 @@ def _pair_gcd_inputs(draw, p):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_pair_gcds_match_gcd3_pair_by_pair(p, data):
+    # group_gcds against gcd3 group by group, on pairs and one triple
     polys = data.draw(_pair_gcd_inputs(p))
-    pairs = [
-        pair
-        for pair in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 0))
-        if not (polys[pair[0]].is_zero() and polys[pair[1]].is_zero())
+    triple = data.draw(st.sampled_from([(0, 1, 2), (1, 2, 3), (3, 0, 2), (2, 3, 1)]))
+    groups = [
+        group
+        for group in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 0), triple)
+        if not all(polys[k].is_zero() for k in group)
     ]
-    if not pairs:
+    if not groups:
         return
-    for (i, j), got in zip(pairs, polynomials.pair_gcds(polys, pairs)):
+    for group, got in zip(groups, polynomials.group_gcds(polys, groups)):
         quotients = []
-        zero = HomPoly3.zero(polys[i].degree, p)
-        common = gcd3(polys[i], polys[j], zero, quotients)
-        assert got == (common, quotients[0], quotients[1])
+        members = [polys[k] for k in group]
+        zero = HomPoly3.zero(members[0].degree, p)
+        common = gcd3(*members, *[zero] * (3 - len(group)), quotients)
+        assert got == (common, *quotients[: len(group)])
 
 
 def _divexact_dense_path(f, g):
