@@ -266,9 +266,14 @@ def _validate_measure(measure, mtype: str):
                 "must be four integers",
             )
         _require("weight" in atom, path, "missing 'weight'")
+        _require(
+            isinstance(atom["weight"], str),
+            f"{path}.weight",
+            "must be an exact rational string, e.g. '1/4'",
+        )
         try:
             weight = Fraction(atom["weight"])
-        except (ValueError, ZeroDivisionError, TypeError):
+        except (ValueError, ZeroDivisionError):
             raise ConfigError(f"{path}.weight: not a rational number") from None
         _require(weight > 0, f"{path}.weight", "must be positive")
         total += weight

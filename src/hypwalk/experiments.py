@@ -30,7 +30,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial, wraps
-from itertools import islice
 
 import numpy as np
 
@@ -38,7 +37,7 @@ from . import stats
 from . import words as W
 from .config import check_counts
 from .cremona import CremonaModel, dynamical_degree_estimate
-from .errors import BadPrimeSignal, InputError, ResourceError
+from .errors import InputError, ResourceError
 from .freegroup import (
     FreeGroupOracle,
     SemidirectOracle,
@@ -47,14 +46,7 @@ from .freegroup import (
     stab_census,
 )
 from .geometry import gromov_product
-from .walk import (
-    MAX_BAD_PRIME_ATTEMPTS,
-    FiniteMeasure,
-    fold_words,
-    retry_primes,
-    sample_path,
-    trial_rng,
-)
+from .walk import FiniteMeasure, at_trial_primes, fold_words, sample_path, trial_rng
 
 DRIFT_MIN_TRIALS = 30
 MAX_TRUNCATED_FRACTION = 0.10
@@ -190,9 +182,8 @@ def _result(name, params, seed, records, tolerances=None, failures=()):
 
 def _truncated(path, n, reason=None) -> dict:
     """The row of trial ``path.trial`` cut short at n.  The reason defaults
-    to the walk's own: ``"discarded"`` or ``"degree_cap"``."""
-    if reason is None:
-        reason = "discarded" if path.discarded else "degree_cap"
+    to the walk's own ``path.truncation_reason``."""
+    reason = reason or path.truncation_reason
     return {"trial": path.trial, "n": n, "truncated": True, "truncation_reason": reason}
 
 
@@ -299,10 +290,13 @@ def _obs_endpoint(tau_budget, path, n) -> dict:
     """d(x, w_n x), the symmetric Gromov product of w_n and, with a
     ``tau_budget``, the budgeted translation length of w_n.
 
-    These compose maps outside the walk, so they run under the bad-prime
-    retry policy; a row whose every attempt meets a bad prime is truncated
-    with reason ``"bad_prime"``, and one whose observable passes the degree
-    cap with reason ``"degree_cap"``.
+    These compose maps outside the walk, so they run under
+    ``walk.at_trial_primes``: first on the model the walk ended on (a
+    retried trial lives over its fresh primes, and the base primes already
+    failed its word), then at the retry pairs past those the walk used.  A
+    row whose every attempt meets a bad prime is truncated with reason
+    ``"bad_prime"``, and one whose observable passes the degree cap with
+    reason ``"degree_cap"``.
     """
 
     def observe(model, rebuild):
@@ -322,37 +316,12 @@ def _obs_endpoint(tau_budget, path, n) -> dict:
         return row
 
     try:
-        row = _at_trial_primes(path, observe)
+        row = at_trial_primes(
+            path.oracle, path.seed, path.trial, observe, used=path.prime_retries
+        )
     except ResourceError:
         return _truncated(path, n, "degree_cap")
-    return row if row is not None else _truncated(path, n, "bad_prime")
-
-
-def _at_trial_primes(path, compute):
-    """``compute(model, rebuild)`` under the bad-prime retry policy, or None
-    when every attempt meets a bad prime.
-
-    ``rebuild`` maps an element of the path to the attempt's model.  The
-    first attempt runs on the model the walk ended on: a retried trial lives
-    over the fresh primes it was respawned at, and composing over the base
-    primes would recompose its word at the primes that failed it.  Each
-    failure respawns at the next pair of the trial's retry stream past those
-    the walk used, up to ``MAX_BAD_PRIME_ATTEMPTS`` attempts.  A model
-    without coefficient primes never meets a bad prime.
-    """
-    try:
-        return compute(path.oracle, lambda g: g)
-    except BadPrimeSignal:
-        pass
-    first = path.prime_retries
-    fresh = retry_primes(path.seed, path.trial)
-    for primes in islice(fresh, first, first + MAX_BAD_PRIME_ATTEMPTS - 1):
-        model = path.oracle.respawn(primes)
-        try:
-            return compute(model, model.rebuild)
-        except BadPrimeSignal:
-            pass
-    return None
+    return row[0] if row is not None else _truncated(path, n, "bad_prime")
 
 
 # ---------------------------------------------------------------------------
@@ -1327,11 +1296,14 @@ def _lambda_rate(path, budget, degree_bound):
     if final_degree > degree_bound or final_degree**budget > cap:
         return None, "cap"
     try:
-        est = _at_trial_primes(
-            path,
+        est = at_trial_primes(
+            path.oracle,
+            path.seed,
+            path.trial,
             lambda trial_model, rebuild: dynamical_degree_estimate(
                 trial_model, rebuild(path.final), budget
             ),
+            used=path.prime_retries,
         )
     except ResourceError:
         # a suffix product of a power can pass the cap even when
@@ -1339,7 +1311,8 @@ def _lambda_rate(path, budget, degree_bound):
         return None, "cap"
     if est is None:
         return None, "bad_prime"
-    return (math.log(est.value) / path.n if est.value > 0 else None), None
+    value = est[0].value
+    return (math.log(value) / path.n if value > 0 else None), None
 
 
 def _aggregate_degree_growth(records, params):

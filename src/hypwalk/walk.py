@@ -13,11 +13,14 @@ tree fold (:func:`fold_words`, which reduces many walks' words together) and
 full path construction (:func:`sample_path`, which multiplies through the
 oracle) see the same increments.
 
-Bad coefficient primes met by the walk's own Cremona compositions (zero
-collapse or cross-prime degree disagreement) trigger a deterministic retry:
-fresh 31-bit primes are drawn from a salted stream keyed by the same
-``(seed, trial)``; after three failed attempts the trial is recorded as
-discarded.
+Bad coefficient primes (zero collapse or cross-prime degree disagreement)
+trigger a deterministic retry, and one function, :func:`at_trial_primes`,
+owns it for the walk and for the observables read off its endpoints: fresh
+31-bit primes are drawn from a salted stream keyed by the same
+``(seed, trial)``, and after three failed attempts the walk's trial is
+discarded (an observable's row is recorded as lost to a bad prime).  A
+path names why it was cut short in ``truncation_reason``, in the report's
+row vocabulary: ``"degree_cap"`` or ``"discarded"``.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -51,12 +54,39 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 def retry_primes(seed: int, trial: int):
     """The fresh prime pairs of a trial's retry stream, in draw order.
 
-    The walk respawns at the first pairs; the dynamical-degree estimate of
-    :func:`~hypwalk.experiments.degree_growth_experiment` continues past them.
+    :func:`at_trial_primes` draws every respawn from it: the walk respawns
+    at the first pairs, and an observable of the walk's endpoint (the
+    symmetric Gromov product, the translation length, the dynamical-degree
+    estimate) continues past the pairs the walk used.
     """
     stream = np.random.Generator(np.random.Philox(key=[seed ^ RETRY_SALT, trial]))
     while True:
         yield fresh_prime(stream), fresh_prime(stream)
+
+
+def at_trial_primes(model, seed: int, trial: int, compute, used: int = 0):
+    """``compute(model, rebuild)`` under the bad-prime retry policy.
+
+    Returns ``(value, attempt_model, attempt)`` from the first attempt that
+    meets no bad prime, or None when all ``MAX_BAD_PRIME_ATTEMPTS`` do.
+    Attempt 0 runs on ``model`` with ``rebuild`` the identity.  Attempt k
+    runs on ``model`` respawned at pair ``used + k - 1`` of the trial's
+    :func:`retry_primes` stream, with ``rebuild`` recomposing an element of
+    ``model`` at those primes; ``used`` counts the pairs the trial spent
+    before (a path's ``prime_retries``), so no pair is tried twice.  A model
+    without coefficient primes never meets a bad prime.
+    """
+    fresh = islice(retry_primes(seed, trial), used, None)
+    attempt_model, rebuild = model, lambda element: element
+    for attempt in range(MAX_BAD_PRIME_ATTEMPTS):
+        if attempt:
+            attempt_model = model.respawn(next(fresh))
+            rebuild = attempt_model.rebuild
+        try:
+            return compute(attempt_model, rebuild), attempt_model, attempt
+        except BadPrimeSignal:
+            pass
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -237,9 +267,13 @@ class SamplePath:
     its reversed word and its degree, and its coordinates are composed from
     the word on first read (a bad prime met then raises at the read and is
     not a retry of the walk).  ``oracle`` is the oracle the walk ran on: a
-    retried Cremona trial's model respawned at its fresh primes.
-    ``truncated_at`` is the step at which a resource cap aborted the trial,
-    if any.
+    retried Cremona trial's model respawned at its fresh primes, after
+    ``prime_retries`` pairs of the trial's retry stream.
+    ``truncated_at`` is the step at which the trial was cut short, if it
+    was, and ``truncation_reason`` says why, as a truncated report row
+    does: ``"degree_cap"`` when a composition passed the degree cap, or
+    ``"discarded"`` when every attempt of :func:`at_trial_primes` met a bad
+    prime (then ``truncated_at`` is 0 and ``oracle`` the measure's own).
     """
 
     seed: int
@@ -254,7 +288,10 @@ class SamplePath:
     truncated_at: int | None = None
     truncation_reason: str | None = None
     prime_retries: int = 0
-    discarded: bool = False
+
+    @property
+    def discarded(self) -> bool:
+        return self.truncation_reason == "discarded"
 
     @property
     def final(self):
@@ -320,74 +357,48 @@ def _cremona_path(measure, indices, seed, trial, reflected, marks) -> SamplePath
     """The walk tracks only the inverse map, which composes small-into-big
     cheaply: ``w_j = w_{j-1} g_j`` turns into ``w_j^-1 = g_j^-1 o w_{j-1}^-1``,
     whose outer factor is a generator.  A map and its inverse have the same
-    degree, so the displacement track needs nothing else.  A bad prime at
-    any step re-walks the whole trial at the next fresh primes."""
-    base_model: CremonaModel = measure.oracle
-    fresh = retry_primes(seed, trial)
-    record = partial(
-        SamplePath,
+    degree, so the displacement track needs nothing else.  The whole walk
+    is one attempt of :func:`at_trial_primes`: a bad prime at any step
+    re-walks the trial at the next fresh primes."""
+
+    def walk(model, rebuild):
+        # rebuilding the atoms composes at the trial's primes too, so a bad
+        # prime there counts as an attempt
+        atoms = [(rebuild(a.element), rebuild(a.inverse)) for a in measure.atoms]
+        displacements = [0.0]
+        endpoints = {}
+        inverse = model.identity()
+        for step, index in enumerate(indices):
+            if step in marks:
+                endpoints[step] = (model.inverse(inverse), inverse)
+            element, element_inverse = atoms[index]
+            try:
+                inverse = model.multiply(
+                    element if reflected else element_inverse, inverse
+                )
+            except ResourceError:
+                return displacements, endpoints, step, "degree_cap"
+            displacements.append(math.acosh(inverse.degree))
+        endpoints[len(indices)] = (model.inverse(inverse), inverse)
+        return displacements, endpoints, None, None
+
+    walked = at_trial_primes(measure.oracle, seed, trial, walk)
+    if walked is None:  # every attempt met a bad prime
+        walked = ([0.0], {}, 0, "discarded"), measure.oracle, MAX_BAD_PRIME_ATTEMPTS
+    (displacements, endpoints, truncated_at, reason), model, retries = walked
+    return SamplePath(
         seed=seed,
         trial=trial,
         n=len(indices),
         reflected=reflected,
         increment_indices=tuple(int(i) for i in indices),
+        displacements=tuple(displacements),
         products=None,
-    )
-    model = base_model
-    atoms = measure.atoms
-    for retries in range(MAX_BAD_PRIME_ATTEMPTS):
-        displacements = [0.0]
-        endpoints = {}
-        truncated_at = None
-        reason = None
-        # rebuilding the atoms composes at the trial's primes too, so a bad
-        # prime there counts as an attempt
-        try:
-            if retries > 0:
-                model = base_model.respawn(next(fresh))
-                atoms = tuple(
-                    MeasureAtom(
-                        a.tag,
-                        model.rebuild(a.element),
-                        a.weight,
-                        model.rebuild(a.inverse),
-                    )
-                    for a in measure.atoms
-                )
-            inverse = model.identity()
-            for step, index in enumerate(indices):
-                if step in marks:
-                    endpoints[step] = (model.inverse(inverse), inverse)
-                atom = atoms[index]
-                try:
-                    inverse = model.multiply(
-                        atom.element if reflected else atom.inverse, inverse
-                    )
-                except ResourceError as err:
-                    truncated_at = step
-                    reason = str(err)
-                    break
-                displacements.append(math.acosh(inverse.degree))
-            else:
-                endpoints[len(indices)] = (model.inverse(inverse), inverse)
-        except BadPrimeSignal:
-            continue
-        return record(
-            displacements=tuple(displacements),
-            endpoints=endpoints,
-            oracle=model,
-            truncated_at=truncated_at,
-            truncation_reason=reason,
-            prime_retries=retries,
-        )
-    return record(
-        displacements=(0.0,),
-        endpoints={},
+        endpoints=endpoints,
         oracle=model,
-        truncated_at=0,
-        truncation_reason="bad primes exhausted retries",
-        prime_retries=MAX_BAD_PRIME_ATTEMPTS,
-        discarded=True,
+        truncated_at=truncated_at,
+        truncation_reason=reason,
+        prime_retries=retries,
     )
 
 
@@ -416,6 +427,8 @@ def path_observables(measure: FiniteMeasure, path: SamplePath, requests) -> dict
             _, i, j = request
             if path.products is None:
                 raise InputError("pairwise products were not retained")
+            if not (0 <= i <= path.n and 0 <= j <= path.n):
+                raise InputError(f"steps {i}, {j} outside recorded range")
             wi, wj = path.products[i], path.products[j]
             out[request] = gromov_product(
                 path.displacements[i],

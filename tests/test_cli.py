@@ -60,12 +60,18 @@ def test_csv_sorted_and_rfc4180(tmp_path):
 
 
 def test_bad_weights_exit_one(tmp_path, capsys):
-    config = copy.deepcopy(SMALL_DRIFT)
-    config["measure"]["atoms"][0]["weight"] = "1/5"
-    code = main(["run", str(_write(tmp_path, config)), "--out", str(tmp_path / "o")])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "$.measure.atoms" in err and "sum to 1" in err
+    # a weight is an exact rational string: JSON true and 1.0 are not
+    for weight, field, message in [
+        ("1/5", "$.measure.atoms", "sum to 1"),
+        (True, "$.measure.atoms[0].weight", "rational string"),
+        (1.0, "$.measure.atoms[0].weight", "rational string"),
+    ]:
+        config = copy.deepcopy(SMALL_DRIFT)
+        config["measure"]["atoms"][0]["weight"] = weight
+        code = main(["run", str(_write(tmp_path, config)), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert field in err and message in err
 
 
 def test_unknown_key_exit_one(tmp_path, capsys):

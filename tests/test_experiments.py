@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -357,6 +358,34 @@ def test_degree_growth_retries_bad_primes():
     assert tiny.aggregates["lambda_track"] == good.aggregates["lambda_track"]
 
 
+def _golden_configs():
+    yield "sigma-involution", preset_config("sigma-involution")
+    yield "degree-growth-henon", preset_config("degree-growth-henon")
+    # the config of test_degree_growth_retries_bad_primes at primes [3, 5]:
+    # it retries both walks and dynamical-degree estimates
+    config = preset_config("degree-growth-cremona")
+    config["params"].update({"n_grid": [2, 4], "trials": 6, "iterate_budget": 2})
+    config["model"]["primes"] = [3, 5]
+    yield "degree-growth-cremona-primes-3-5", config
+
+
+# sha256 of each report.json: the retry path keeps these reports byte for byte
+_GOLDEN_REPORTS = {
+    "sigma-involution": "a47cce48c4d4df99f4a4b2fac89f568a278b163591afd9db3198416c768e95ae",
+    "degree-growth-henon": "2830b9977540c14e1170796b6383376943665aa54d6ad79b86c6ef1568860e09",
+    "degree-growth-cremona-primes-3-5": (
+        "480b71b3b367c13813cebc6bdd0d20bed9938dd98cda273a63de355d4af1186d"
+    ),
+}
+
+
+@pytest.mark.parametrize("name, config", list(_golden_configs()))
+def test_retry_path_reports_keep_their_bytes(name, config, tmp_path):
+    write_outputs(run_config(config), config, tmp_path)
+    digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+    assert digest == _GOLDEN_REPORTS[name]
+
+
 def _cremona_measure(degree_cap=None, primes=None):
     config = preset_config("degree-growth-cremona")
     if degree_cap is not None:
@@ -601,6 +630,41 @@ def test_generic_rows_come_from_the_rewalk_after_a_late_bad_prime(monkeypatch):
     assert E.gromov_tail(measure, [2, 4], 1, seed=5).records == clean
     assert len(pushes) == 3
     assert observed == [next(retry_primes(5, 0))] * 2
+
+
+def test_observable_retries_continue_past_the_walks_retry_pairs(monkeypatch):
+    # the walk of trial 0 meets a bad prime at its third step at the base
+    # primes and succeeds at fresh pair 0; the symmetric Gromov product then
+    # fails at every attempt, so it runs on the walk's pair 0 and moves on
+    # to pairs 1 and 2, never back to the base primes
+    measure = _cremona_measure()
+    base = measure.oracle.primes
+    multiply = CremonaModel.multiply
+    pushes = []
+
+    def bad_third_push(self, g, h):
+        if self.primes == base:
+            pushes.append(g)
+            if len(pushes) == 3:
+                raise BadPrimeSignal("injected")
+        return multiply(self, g, h)
+
+    observed = []
+
+    def always_bad(self, g, h):
+        observed.append(self.primes)
+        raise BadPrimeSignal("injected")
+
+    monkeypatch.setattr(CremonaModel, "multiply", bad_third_push)
+    monkeypatch.setattr(CremonaModel, "pairwise_distance", always_bad)
+    rows = E.gromov_tail(measure, [4], 1, seed=5).records
+    assert rows == [
+        {"trial": 0, "n": 4, "truncated": True, "truncation_reason": "bad_prime"}
+    ]
+    assert len(pushes) == 3
+    fresh = retry_primes(5, 0)
+    assert observed == [next(fresh) for _ in range(MAX_BAD_PRIME_ATTEMPTS)]
+    assert base not in observed
 
 
 def test_drift_runs_on_the_monomial_model():

@@ -188,10 +188,9 @@ def test_gp_requests_and_errors():
     path = sample_path(measure, 10, seed=2, trial=2)
     obs = path_observables(measure, path, [("gp", 3, 7)])
     assert obs[("gp", 3, 7)] >= 0
-    with pytest.raises(InputError):
-        path_observables(measure, path, [("d", 99)])
-    with pytest.raises(InputError):
-        path_observables(measure, path, [("nonsense",)])
+    for request in [("d", 99), ("gp", -1, 3), ("gp", 99, 0), ("nonsense",)]:
+        with pytest.raises(InputError):
+            path_observables(measure, path, [request])
 
 
 def cremona_mixed_measure(cap=512):
