@@ -16,7 +16,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .config import run_config
@@ -30,9 +33,95 @@ EXIT_TOLERANCE = 2
 EXIT_RESOURCE = 3
 
 
-def serialize_report(report: dict) -> str:
-    """The canonical byte form: sorted keys, two-space indent, newline."""
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+def serialize_report(report) -> str:
+    """The canonical byte form: sorted keys, two-space indent, newline.
+
+    The bytes are ``json.dumps(report, sort_keys=True, indent=2) + "\n"``
+    of the report's plain form: a Fraction is its string, a tuple a list, a
+    numpy scalar the Python bool, int or float of its value, a dict key its
+    ``str()``, and a non-finite float, Python or numpy, its repr string
+    (``"nan"``, ``"inf"``, ``"-inf"``).  One recursive emitter writes them,
+    and a dict's layout (its keys in sorted order and a ``%`` template of its
+    lines) is made once per key tuple and depth.
+    """
+    layouts = {}
+
+    def emit(value, depth):
+        scalar = _SCALARS.get(type(value))
+        if scalar is not None:
+            return scalar(value)
+        if isinstance(value, dict):
+            if not value:
+                return "{}"
+            keys = tuple(value)
+            layout = layouts.get((keys, depth))
+            if layout is None:
+                layout = layouts[keys, depth] = _dict_layout(keys, depth)
+            order, template = layout
+            if order is None:  # some key is not a string
+                return emit({str(k): v for k, v in value.items()}, depth)
+            texts = []  # scalars inline: most values are, in flat records
+            for key in order:
+                item = value[key]
+                scalar = _SCALARS.get(type(item))
+                texts.append(scalar(item) if scalar else emit(item, depth + 1))
+            return template % tuple(texts)
+        if isinstance(value, (list, tuple)):
+            if not value:
+                return "[]"
+            pad = "\n" + "  " * (depth + 1)
+            items = ("," + pad).join([emit(v, depth + 1) for v in value])
+            return "[" + pad + items + "\n" + "  " * depth + "]"
+        return _other_scalar(value)
+
+    return emit(report, 0) + "\n"
+
+
+_escape = json.encoder.encode_basestring_ascii
+
+
+_NON_FINITE = frozenset({"nan", "inf", "-inf"})
+
+
+def _float_text(value: float) -> str:
+    text = float.__repr__(value)
+    return _escape(text) if text in _NON_FINITE else text
+
+
+_SCALARS = {
+    str: _escape,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+    Fraction: lambda value: _escape(str(value)),
+    np.bool_: lambda value: "true" if value else "false",
+    np.integer: lambda value: int.__repr__(int(value)),
+    np.floating: lambda value: _float_text(float(value)),
+}
+
+
+def _other_scalar(value) -> str:
+    """A scalar whose type is a subclass of one in ``_SCALARS``, as numpy's
+    scalar types are."""
+    for kind in type(value).__mro__[1:]:
+        scalar = _SCALARS.get(kind)
+        if scalar is not None:
+            return scalar(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _dict_layout(keys, depth):
+    """The keys in sorted order and the template of the dict's lines, or
+    (None, None) when a key is not a string."""
+    if any(type(key) is not str for key in keys):
+        return None, None
+    order = sorted(keys)
+    pad = "\n" + "  " * (depth + 1)
+    lines = ",".join(
+        pad + _escape(key).replace("%", "%%") + ": %s" for key in order
+    )
+    return order, "{" + lines + "\n" + "  " * depth + "}"
 
 
 def _csv_cell(value) -> str:
@@ -40,6 +129,11 @@ def _csv_cell(value) -> str:
     if any(ch in text for ch in ",\"\n"):
         text = '"' + text.replace('"', '""') + '"'
     return text
+
+
+# Cells written as their str() (an f-string gives the same text), which never
+# holds a comma, quote or newline: no quote scan.
+_BARE_CELLS = frozenset({int, float, bool, type(None)})
 
 
 def write_outputs(result: ExperimentResult, config: dict, out_dir: Path) -> None:
@@ -52,9 +146,14 @@ def write_outputs(result: ExperimentResult, config: dict, out_dir: Path) -> None
     }
     (out_dir / "report.json").write_text(serialize_report(report))
     for track, rows in result.csv_tracks().items():
+        name = _csv_cell(track)
         lines = ["trial,n,observable,value"]
-        for row in rows:
-            lines.append(",".join(_csv_cell(v) for v in row))
+        lines += [
+            f"{trial},{n},{name},{value}"
+            if type(trial) is int and type(n) is int and type(value) in _BARE_CELLS
+            else ",".join(map(_csv_cell, (trial, n, track, value)))
+            for trial, n, _, value in rows
+        ]
         (out_dir / f"{track}.csv").write_text("\r\n".join(lines) + "\r\n")
 
 

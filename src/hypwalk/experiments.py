@@ -79,10 +79,10 @@ class ExperimentResult:
             "experiment": self.name,
             "tool_version": __version__,
             "seed": self.seed,
-            "params": _plain(self.params),
-            "tolerances": _plain(self.tolerances),
-            "records": _plain(self.records),
-            "aggregates": _plain(self.aggregates),
+            "params": self.params,
+            "tolerances": self.tolerances,
+            "records": self.records,
+            "aggregates": self.aggregates,
             "passed": self.passed,
             "failures": list(self.failures),
         }
@@ -101,23 +101,6 @@ class ExperimentResult:
         for rows in tracks.values():
             rows.sort(key=lambda row: (row[0], row[1]))
         return tracks
-
-
-def _plain(value):
-    """JSON-safe copy: Fractions to strings, tuples to lists, numpy to int."""
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, float) and (math.isnan(value) or math.isinf(value)):
-        return repr(value)
-    return value
 
 
 # ---------------------------------------------------------------------------

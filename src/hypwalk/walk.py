@@ -158,6 +158,10 @@ class FiniteMeasure:
         stream, shared verbatim by every path-building code path."""
         rng = trial_rng(seed, trial)
         buckets = rng.integers(0, len(self.atoms), size=n)
+        if self._alias.trivial:
+            # every draw would accept its bucket; being the stream's last
+            # use, skipping it changes no index
+            return buckets
         draws = rng.integers(0, self._alias.scale, size=n)
         return self._alias.pick(buckets, draws)
 
@@ -167,6 +171,7 @@ class _AliasTable:
     thresholds: np.ndarray  # int64 per bucket, out of `scale`
     aliases: np.ndarray
     scale: int
+    trivial: bool  # equal weights: every threshold is `scale`
 
     def pick(self, buckets: np.ndarray, draws: np.ndarray) -> np.ndarray:
         take_primary = draws < self.thresholds[buckets]
@@ -201,11 +206,15 @@ def _build_alias(weights: list[Fraction]) -> _AliasTable:
         np.array(thresholds, dtype=np.int64),
         np.array(aliases, dtype=np.int64),
         denominator,
+        all(t == denominator for t in thresholds),
     )
 
 
 # ---------------------------------------------------------------------------
 # The batched tree fold.
+
+#: Steps whose letters fold_words gathers together.
+_FOLD_BLOCK = 64
 
 
 def fold_words(measure: FiniteMeasure, indices: np.ndarray, marks) -> list:
@@ -217,6 +226,14 @@ def fold_words(measure: FiniteMeasure, indices: np.ndarray, marks) -> list:
     column at a time, cancelling where its top letter is the inverse of the
     new one and pushing otherwise; atoms shorter than the longest are padded
     with the no-op letter 0.  The semidirect model folds its word coordinate.
+
+    Each walk's row of the stack starts with a floor letter, ``-largest-1``,
+    that no letter cancels, so an empty word needs no test; ``top`` indexes
+    every walk's top letter in the flat stack.  The letters, their negations
+    and the padding mask are gathered once per block of ``_FOLD_BLOCK`` = 64
+    steps, as (slot, step, walk) arrays, so each column step reads
+    contiguous rows and the gathers hold no (walks x steps) array.  No
+    snapshot is copied at the last step, which nothing overwrites.
     """
     semidirect = isinstance(measure.oracle, SemidirectOracle)
     words = [a.element.word if semidirect else a.element for a in measure.atoms]
@@ -225,29 +242,47 @@ def fold_words(measure: FiniteMeasure, indices: np.ndarray, marks) -> list:
         raise InputError(f"fold marks must lie in 1..{steps}")
     width = max(len(w) for w in words)
     largest = max((abs(letter) for w in words for letter in w), default=0)
-    # the smallest signed dtype in which every letter can also be negated
-    dtype = np.min_scalar_type(-largest - 1)
-    table = np.zeros((len(words), width), dtype=dtype)
-    for row, w in enumerate(words):
-        table[row, : len(w)] = w
-    stack = np.zeros((walks, steps * width), dtype=dtype)
-    length = np.zeros(walks, dtype=np.intp)
-    rows = np.arange(walks)
+    floor = -largest - 1
+    # the smallest signed dtype in which every letter can also be negated,
+    # and which holds the floor letter
+    dtype = np.min_scalar_type(floor)
+    table = np.zeros((width, len(words)), dtype=dtype)  # slot x atom
+    for column, w in enumerate(words):
+        table[: len(w), column] = w
+    padded = any(len(w) < width for w in words)
+    row_size = 1 + steps * width
+    full = np.empty(walks * row_size, dtype=dtype)
+    bases = np.arange(walks) * row_size  # each walk's floor letter
+    full[bases] = floor
+    above = full[1:]  # above[top] is the slot just over the top letter
+    top = bases.copy()
+    cancel = np.empty(walks, dtype=bool)
     wanted = set(marks)
     snapshots = {}
-    for step in range(steps):
-        for letter in table[indices[:, step]].T:
-            cancel = (length > 0) & (stack[rows, length - 1] == -letter)
-            # a write at `length` lands above the top, so cancels and the
-            # padding letter leave the word unchanged
-            stack[rows, length] = letter
-            length += (letter != 0) & ~cancel
-            length -= cancel
-        if step + 1 in wanted:
-            kept = stack[:, : length.max(initial=0)]
-            if step + 1 < steps:  # later steps overwrite the stack
-                kept = kept.copy()
-            snapshots[step + 1] = (kept, length.copy())
+    for first in range(0, steps, _FOLD_BLOCK):
+        block = np.ascontiguousarray(indices[:, first : first + _FOLD_BLOCK].T)
+        letters = table[:, block]  # (slot, step, walk)
+        negated = -letters
+        pushed = letters != 0 if padded else None
+        for offset in range(len(block)):
+            for slot in range(width):
+                np.equal(full[top], negated[slot, offset], out=cancel)
+                # a write above the top leaves the word unchanged, so
+                # cancels and the padding letter write there too
+                above[top] = letters[slot, offset]
+                if padded:
+                    top += pushed[slot, offset]
+                else:
+                    top += 1
+                top -= cancel
+                top -= cancel
+            step = first + offset + 1
+            if step in wanted:
+                length = top - bases
+                kept = full.reshape(walks, row_size)[:, 1 : 1 + length.max(initial=0)]
+                if step < steps:  # later steps overwrite the stack
+                    kept = kept.copy()
+                snapshots[step] = (kept, length)
     return [snapshots[mark] for mark in marks]
 
 

@@ -1,10 +1,17 @@
 import copy
+import hashlib
 import json
+from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hypwalk.cli import main, serialize_report
-from hypwalk.config import ConfigError, validate_config
+from hypwalk.cli import main, serialize_report, write_outputs
+from hypwalk.config import ConfigError, run_config, validate_config
+from hypwalk.experiments import ExperimentResult
 from hypwalk.presets import PRESETS, preset_config
 
 SMALL_DRIFT = {
@@ -294,3 +301,124 @@ def test_validate_rejects_monomial_weighted_wrong():
     with pytest.raises(ConfigError) as info:
         validate_config(config)
     assert "matrix" in str(info.value)
+
+
+# ---------------------------------------------------------------------------
+# Preset bytes: the sha256 of report.json and of each CSV, per preset at its
+# fixed seed, recorded in preset_digests.json.  The four presets that take
+# more than 0.8 s standalone are checked outside this suite.
+
+PRESET_DIGESTS = json.loads(
+    (Path(__file__).parent / "preset_digests.json").read_text()
+)
+_SLOW_PRESETS = {
+    "degree-growth-cremona",
+    "gromov-sublinearity-f2",
+    "char-index-z3",
+    "shadow-decay-f2",
+}
+
+
+def test_digests_cover_every_preset():
+    assert set(PRESET_DIGESTS) == set(PRESETS)
+
+
+def _output_digests(out_dir):
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out_dir.iterdir())
+    }
+
+
+@pytest.mark.parametrize("name", sorted(set(PRESETS) - _SLOW_PRESETS))
+def test_preset_keeps_its_bytes(name, tmp_path):
+    # match-axis-f2 fails its tolerance (the known red check) and still
+    # writes its report
+    config = preset_config(name)
+    write_outputs(run_config(config), config, tmp_path)
+    assert _output_digests(tmp_path) == PRESET_DIGESTS[name]
+
+
+# ---------------------------------------------------------------------------
+# The report writer against the standard encoder.
+
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 0.0, 1e300, -1e300, 5e-324, 0.1, 1e16, 1e-7])
+    | st.text()
+    | st.sampled_from(['"', "\\", "\n\t", "%s", "%%", "é", " ", "😀", "\x00"])
+)
+_json_keys = st.text() | st.sampled_from(['"', "\\", "%s", "%(a)s", "é", "😀", ""])
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_json_keys, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_writer_matches_the_standard_encoder(value):
+    assert serialize_report(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def test_writer_repeats_a_layout_at_each_depth():
+    # one key tuple at two depths, and key lists that differ only in order
+    value = {"a": {"a": 1, "b": [{"b": 2, "a": 3}, {"a": 4, "b": 5}, {}, []]}, "b": 1}
+    assert serialize_report(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def test_writer_converts_fractions_tuples_numpy_and_keys():
+    value = {
+        10: Fraction(3, 4),
+        2: (1, np.int64(2), np.float64(0.1), np.float32(0.5)),
+        "flag": np.bool_(True),
+        "nested": {(1, 2): Fraction(-1, 3), None: [np.int32(-7)]},
+    }
+    plain = {
+        "10": "3/4",
+        "2": [1, 2, 0.1, 0.5],
+        "flag": True,
+        "nested": {"(1, 2)": "-1/3", "None": [-7]},
+    }
+    expected = json.dumps(plain, sort_keys=True, indent=2) + "\n"
+    assert serialize_report(value) == expected
+    # keys sort as strings: "10" before "2"
+    assert expected.index('"10"') < expected.index('"2"')
+
+
+@pytest.mark.parametrize("make", [float, np.float64, np.float32])
+def test_writer_names_non_finite_floats_as_strings(make):
+    value = {"a": make("nan"), "b": [make("inf"), make("-inf")], "c": make("1.5")}
+    text = serialize_report(value)
+    assert json.loads(text) == {"a": "nan", "b": ["inf", "-inf"], "c": 1.5}
+    assert "NaN" not in text and "Infinity" not in text
+
+
+def test_writer_rejects_what_json_cannot_hold():
+    with pytest.raises(TypeError, match="set"):
+        serialize_report({"a": {1, 2}})
+
+
+def test_csv_cells_quote_only_text(tmp_path):
+    result = ExperimentResult(
+        name="drift",
+        params={},
+        seed=0,
+        records=[
+            {"trial": 0, "n": 1, "x": 'a,"b"'},
+            {"trial": 1, "n": 1, "x": 2.5},
+            {"trial": 2, "n": 1, "x": None},
+            {"trial": 3, "n": 1, "x": True},
+            {"trial": 4, "n": 1, "x": np.float64(0.25)},
+        ],
+    )
+    write_outputs(result, {}, tmp_path)
+    assert (tmp_path / "x.csv").read_bytes() == (
+        b'trial,n,observable,value\r\n0,1,x,"a,""b"""\r\n1,1,x,2.5\r\n'
+        b"2,1,x,None\r\n3,1,x,True\r\n4,1,x,0.25\r\n"
+    )

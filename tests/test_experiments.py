@@ -153,11 +153,15 @@ def atom_letters(measure, index):
     return element.word if isinstance(measure.oracle, SemidirectOracle) else element
 
 
-@pytest.mark.parametrize("make", [uniform_free, multi_letter_f3, z3_semidirect])
-def test_fold_words_matches_reduce_letters(make):
-    measure = make()
-    steps, marks = 60, [1, 2, 17, 60]
-    indices = np.vstack([measure.increment_indices(steps, 9, t) for t in range(48)])
+def f127_extremes():
+    """Letters ±1 and ±127: the fold's floor letter, -128, is the least
+    int8, so the stack is int8 and a cancelling -127 sits one above it."""
+    oracle = FreeGroupOracle(127)
+    atoms = [(f"x{g}", (g,), Fraction(1, 4)) for g in (1, -1, 127, -127)]
+    return FiniteMeasure(oracle, atoms, attest_non_elementary=True)
+
+
+def _check_fold(measure, indices, marks):
     folded = fold_words(measure, indices, marks)
     for mark, (stack, length) in zip(marks, folded):
         assert stack.shape[1] == length.max()
@@ -169,6 +173,27 @@ def test_fold_words_matches_reduce_letters(make):
             ]
             got = tuple(stack[row, : length[row]].tolist())
             assert got == W.reduce_letters(letters)
+    return folded
+
+
+@pytest.mark.parametrize(
+    "make", [uniform_free, multi_letter_f3, z3_semidirect, f127_extremes]
+)
+def test_fold_words_matches_reduce_letters(make):
+    measure = make()
+    # marks on both sides of the fold's 64-step letter blocks
+    steps, marks = 150, [1, 2, 17, 63, 64, 65, 150]
+    indices = np.vstack([measure.increment_indices(steps, 9, t) for t in range(48)])
+    _check_fold(measure, indices, marks)
+    _check_fold(measure, indices[:1], marks)  # one walk
+
+
+def test_fold_floor_letter_is_the_least_int8():
+    measure = f127_extremes()
+    indices = np.vstack([measure.increment_indices(300, 4, t) for t in range(16)])
+    ((stack, length),) = _check_fold(measure, indices, [300])
+    assert stack.dtype == np.int8
+    assert set(np.unique(stack[0, : length[0]])) <= {1, -1, 127, -127}
 
 
 @pytest.mark.parametrize("make", [multi_letter_f3, z3_semidirect])

@@ -16,6 +16,7 @@ from hypwalk.walk import (
     path_observables,
     reflected_path,
     sample_path,
+    trial_rng,
 )
 
 
@@ -70,6 +71,37 @@ def test_alias_table_exact_distribution():
             counts[picked] += 1
     total = n * scale
     assert [Fraction(c, total) for c in counts] == weights
+
+
+def test_uniform_increments_are_the_bucket_draw():
+    # equal weights make no acceptance draw: the indices are the buckets
+    measure = uniform_f2()
+    for seed, trial in [(0, 0), (7, 3), (2**64 - 1, 2**64 - 1)]:
+        buckets = trial_rng(seed, trial).integers(0, 4, size=500)
+        assert np.array_equal(measure.increment_indices(500, seed, trial), buckets)
+
+
+def test_weighted_increments_are_the_two_draw_alias_pick():
+    weights = [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)]
+    letters = [(1,), (-1,), (2,), (-2,)]
+    measure = FiniteMeasure(
+        FreeGroupOracle(2), [(str(w), w, p) for w, p in zip(letters, weights)]
+    )
+    table = _build_alias(weights)
+    assert not table.trivial and table.scale == 8
+    rng = trial_rng(5, 11)
+    buckets = rng.integers(0, 4, size=500)
+    draws = rng.integers(0, table.scale, size=500)
+    expected = np.where(
+        draws < table.thresholds[buckets], buckets, table.aliases[buckets]
+    )
+    assert np.array_equal(measure.increment_indices(500, 5, 11), expected)
+
+
+@pytest.mark.parametrize("seed, trial", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
+def test_increments_reject_keys_outside_64_bits(seed, trial):
+    with pytest.raises(InputError, match="64-bit"):
+        uniform_f2().increment_indices(10, seed, trial)
 
 
 def test_determinism_and_trial_independence():
