@@ -39,7 +39,7 @@ from .cremona import (
     monomial_dynamical_degree,
 )
 from .polynomials import HomPoly3, gcd3, normalize_triple, substitute
-from .walk import FiniteMeasure, SamplePath, path_observables, reflected_path, sample_path
+from .walk import FiniteMeasure, SamplePath, sample_path
 
 __all__ = [
     "ActionOracle",
@@ -70,8 +70,6 @@ __all__ = [
     "substitute",
     "FiniteMeasure",
     "SamplePath",
-    "path_observables",
-    "reflected_path",
     "sample_path",
     "__version__",
 ]

@@ -10,7 +10,10 @@ generator specs, grids, caps, the master seed) lives in the document.
 from __future__ import annotations
 
 import inspect
+import math
 from fractions import Fraction
+
+import numpy as np
 
 from .cremona import CremonaModel, MonomialMap, MonomialModel, valid_primes
 from .errors import InputError
@@ -99,9 +102,14 @@ def _is_int(value) -> bool:
 
 def check_counts(params: dict, path: str = "", error=InputError) -> None:
     """Raise ``error``, naming ``path`` and the key, unless every count in
-    ``params`` is an integer >= 1 and every grid a nonempty list (or tuple)
-    of them.  ``validate_config`` runs it on a config's ``params``, and the
-    entry points of :mod:`hypwalk.experiments` on the arguments of a call."""
+    ``params`` is an integer >= 1, every grid a nonempty list (or tuple)
+    of them, and every float finite (a NaN or infinite tolerance would pass
+    every gate).  ``validate_config`` runs it on a config's ``params``, and
+    the entry points of :mod:`hypwalk.experiments` on the arguments of a
+    call."""
+    for key, value in params.items():
+        if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+            raise error(f"{path}{key}: must be a finite number")
     for key in _COUNTS:
         if key in params and not (_is_int(params[key]) and params[key] >= 1):
             raise error(f"{path}{key}: must be an integer >= 1")

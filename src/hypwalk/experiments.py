@@ -572,6 +572,8 @@ def shadow_decay(
     uniform measure; other measures get an empirical-only report.
     """
     _require_tree(measure, "shadow decay")
+    if settle_steps < 0:
+        raise InputError("settle_steps must be >= 0")
     rank = measure.oracle.rank
     m_grid = sorted(m_grid)
     uniform = _is_uniform_letter_measure(measure)
@@ -732,8 +734,14 @@ def match_census(
     elif kind == "non":
         if n is None:
             raise InputError("non-matching needs n")
-        pattern = _fixed_test_pattern(measure, pattern_length, seed)
         s_grid = sorted(s_grid)
+        if pattern_length < s_grid[-1]:
+            # pattern[:s] would be the whole, shorter pattern
+            raise InputError(
+                f"pattern_length {pattern_length} is shorter than the largest "
+                f"s in s_grid ({s_grid[-1]})"
+            )
+        pattern = _fixed_test_pattern(measure, pattern_length, seed)
         observables = [
             (f"pattern_s{s}", partial(_obs_contains_translate, pattern[:s]))
             for s in s_grid

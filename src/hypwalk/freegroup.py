@@ -133,10 +133,20 @@ class SemidirectOracle(ActionOracle):
         return ExtendedElement((), 0)
 
     def multiply(self, g: ExtendedElement, h: ExtendedElement) -> ExtendedElement:
-        twist = self.word_action(h.word).inverse()
+        # phi(v)^-1 = phi(v_1)^-1 then ... then phi(v_k)^-1 for v = v_1...v_k:
+        # the torsion moves through v's letters one image at a time, with no
+        # automorphism composed, and the identity (fixed by all) not at all
+        twisted = g.torsion
+        if twisted:
+            for letter in h.word:
+                phi = (
+                    self._inverse_actions[letter - 1]
+                    if letter > 0
+                    else self.actions[-letter - 1]
+                )
+                twisted = phi.images[twisted]
         return ExtendedElement(
-            W.multiply(g.word, h.word),
-            self.torsion_group.mul(twist(g.torsion), h.torsion),
+            W.multiply(g.word, h.word), self.torsion_group.mul(twisted, h.torsion)
         )
 
     def inverse(self, g: ExtendedElement) -> ExtendedElement:

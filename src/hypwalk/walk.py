@@ -10,8 +10,10 @@ compares integers, never floats.
 
 Increment draws consume the stream as one vectorized block, so the batched
 tree fold (:func:`fold_words`, which reduces many walks' words together) and
-full path construction (:func:`sample_path`, which multiplies through the
-oracle) see the same increments.
+full path construction see the same increments.  :func:`sample_path` is the
+one path loop for every oracle: it composes the running inverse
+``w_j^-1 = g_j^-1 o w_{j-1}^-1`` through the oracle and keeps the
+displacement track and the endpoints at the requested marks, nothing more.
 
 Bad coefficient primes (zero collapse or cross-prime degree disagreement)
 trigger a deterministic retry, and one function, :func:`at_trial_primes`,
@@ -32,10 +34,9 @@ from itertools import islice
 
 import numpy as np
 
-from .cremona import CremonaModel
 from .errors import BadPrimeSignal, InputError, ResourceError
 from .freegroup import SemidirectOracle
-from .geometry import ActionOracle, gromov_product
+from .geometry import ActionOracle
 from .polynomials import fresh_prime
 
 #: Salt for the prime-retry stream; documented as part of the RNG contract.
@@ -294,30 +295,27 @@ def fold_words(measure: FiniteMeasure, indices: np.ndarray, marks) -> list:
 class SamplePath:
     """One trial's record: increments, displacement track, endpoints.
 
-    ``endpoints`` maps each mark m (the last step is always one) to the pair
-    (w_m, w_m^-1); a mark past a truncation has none.  ``products`` holds
-    every partial product for the tree models (cheap words); the Cremona
-    model keeps only its running inverse at each mark, per the memory policy
-    for large elements.  The Cremona walk composes only the inverse; w_m is
-    its reversed word and its degree, and its coordinates are composed from
-    the word on first read (a bad prime met then raises at the read and is
-    not a retry of the walk).  ``oracle`` is the oracle the walk ran on: a
-    retried Cremona trial's model respawned at its fresh primes, after
-    ``prime_retries`` pairs of the trial's retry stream.
-    ``truncated_at`` is the step at which the trial was cut short, if it
-    was, and ``truncation_reason`` says why, as a truncated report row
-    does: ``"degree_cap"`` when a composition passed the degree cap, or
-    ``"discarded"`` when every attempt of :func:`at_trial_primes` met a bad
-    prime (then ``truncated_at`` is 0 and ``oracle`` the measure's own).
+    ``displacements[j]`` is d(x, w_j x).  ``endpoints`` maps each mark m
+    (the last step is always one) to the pair (w_m, w_m^-1); a mark past a
+    truncation has none.  No other partial product is kept.  For the
+    Cremona model w_m is the reversed word of the running inverse and its
+    degree, and its coordinates are composed from the word on first read (a
+    bad prime met then raises at the read and is not a retry of the walk).
+    ``oracle`` is the oracle the walk ran on: a retried Cremona trial's
+    model respawned at its fresh primes, after ``prime_retries`` pairs of
+    the trial's retry stream.  ``truncated_at`` is the step at which the
+    trial was cut short, if it was, and ``truncation_reason`` says why, as a
+    truncated report row does: ``"degree_cap"`` when a composition passed
+    the degree cap, or ``"discarded"`` when every attempt of
+    :func:`at_trial_primes` met a bad prime (then ``truncated_at`` is 0 and
+    ``oracle`` the measure's own).
     """
 
     seed: int
     trial: int
     n: int
-    reflected: bool
     increment_indices: tuple[int, ...]
     displacements: tuple[float, ...]
-    products: tuple | None
     endpoints: dict
     oracle: object
     truncated_at: int | None = None
@@ -332,89 +330,45 @@ class SamplePath:
     def final(self):
         return self.endpoints.get(self.n, (None, None))[0]
 
-    @property
-    def final_inverse(self):
-        return self.endpoints.get(self.n, (None, None))[1]
-
-    @property
-    def final_displacement(self) -> float:
-        return self.displacements[-1]
-
 
 def sample_path(
-    measure: FiniteMeasure,
-    n: int,
-    seed: int,
-    trial: int,
-    reflected: bool = False,
-    marks=(),
+    measure: FiniteMeasure, n: int, seed: int, trial: int, marks=()
 ) -> SamplePath:
     """Run one trial of n i.i.d. increments; deterministic in (seed, trial).
 
-    The endpoints are kept at step n and at every step in ``marks``."""
+    The endpoints are kept at step n and at every step in ``marks``.
+
+    The walk tracks only the running inverse, ``w_j^-1 = g_j^-1 o
+    w_{j-1}^-1``, whose outer factor is a generator: the Cremona model
+    composes that small-into-big cheaply.  The action is isometric, so
+    d(x, w_j^-1 x) = d(x, w_j x) is the displacement track.  The whole walk
+    is one attempt of :func:`at_trial_primes`: a bad prime at any step
+    re-walks the trial at the next fresh primes, and a model without
+    coefficient primes walks once.
+    """
     if n < 0:
         raise InputError("path length must be >= 0")
     marks = {*marks, n}
     if any(not 0 <= mark <= n for mark in marks):
         raise InputError(f"path marks must lie in 0..{n}")
-    oracle = measure.oracle
     indices = measure.increment_indices(n, seed, trial)
-    if isinstance(oracle, CremonaModel):
-        return _cremona_path(measure, indices, seed, trial, reflected, marks)
-
-    current = oracle.identity()
-    displacements = [0.0]
-    products = [current]
-    for index in indices:
-        atom = measure.atoms[index]
-        current = oracle.multiply(current, atom.inverse if reflected else atom.element)
-        displacements.append(oracle.displacement(current))
-        products.append(current)
-    return SamplePath(
-        seed=seed,
-        trial=trial,
-        n=n,
-        reflected=reflected,
-        increment_indices=tuple(int(i) for i in indices),
-        displacements=tuple(displacements),
-        products=tuple(products),
-        endpoints={m: (products[m], oracle.inverse(products[m])) for m in marks},
-        oracle=oracle,
-    )
-
-
-def reflected_path(measure: FiniteMeasure, n: int, seed: int, trial: int) -> SamplePath:
-    """A path of the reflected measure (each increment inverted)."""
-    return sample_path(measure, n, seed, trial, reflected=True)
-
-
-def _cremona_path(measure, indices, seed, trial, reflected, marks) -> SamplePath:
-    """The walk tracks only the inverse map, which composes small-into-big
-    cheaply: ``w_j = w_{j-1} g_j`` turns into ``w_j^-1 = g_j^-1 o w_{j-1}^-1``,
-    whose outer factor is a generator.  A map and its inverse have the same
-    degree, so the displacement track needs nothing else.  The whole walk
-    is one attempt of :func:`at_trial_primes`: a bad prime at any step
-    re-walks the trial at the next fresh primes."""
 
     def walk(model, rebuild):
         # rebuilding the atoms composes at the trial's primes too, so a bad
         # prime there counts as an attempt
-        atoms = [(rebuild(a.element), rebuild(a.inverse)) for a in measure.atoms]
+        inverses = [rebuild(a.inverse) for a in measure.atoms]
         displacements = [0.0]
         endpoints = {}
         inverse = model.identity()
         for step, index in enumerate(indices):
             if step in marks:
                 endpoints[step] = (model.inverse(inverse), inverse)
-            element, element_inverse = atoms[index]
             try:
-                inverse = model.multiply(
-                    element if reflected else element_inverse, inverse
-                )
+                inverse = model.multiply(inverses[index], inverse)
             except ResourceError:
                 return displacements, endpoints, step, "degree_cap"
-            displacements.append(math.acosh(inverse.degree))
-        endpoints[len(indices)] = (model.inverse(inverse), inverse)
+            displacements.append(model.displacement(inverse))
+        endpoints[n] = (model.inverse(inverse), inverse)
         return displacements, endpoints, None, None
 
     walked = at_trial_primes(measure.oracle, seed, trial, walk)
@@ -424,66 +378,12 @@ def _cremona_path(measure, indices, seed, trial, reflected, marks) -> SamplePath
     return SamplePath(
         seed=seed,
         trial=trial,
-        n=len(indices),
-        reflected=reflected,
+        n=n,
         increment_indices=tuple(int(i) for i in indices),
         displacements=tuple(displacements),
-        products=None,
         endpoints=endpoints,
         oracle=model,
         truncated_at=truncated_at,
         truncation_reason=reason,
         prime_retries=retries,
     )
-
-
-# ---------------------------------------------------------------------------
-# Observables.
-
-
-def path_observables(measure: FiniteMeasure, path: SamplePath, requests) -> dict:
-    """Evaluate observable requests against a stored path.
-
-    Requests: ``("d", i)`` for d(x, w_i x); ``("gp", i, j)`` for the Gromov
-    product of w_i x and w_j x at the basepoint; ``("sym_gp",)`` for the
-    product of w_n x and w_n^-1 x; ``("tau", budget)`` for the translation
-    length of the endpoint.
-    """
-    oracle = measure.oracle
-    out = {}
-    for request in requests:
-        kind = request[0]
-        if kind == "d":
-            _, i = request
-            if not (0 <= i < len(path.displacements)):
-                raise InputError(f"step {i} outside recorded range")
-            out[request] = path.displacements[i]
-        elif kind == "gp":
-            _, i, j = request
-            if path.products is None:
-                raise InputError("pairwise products were not retained")
-            if not (0 <= i <= path.n and 0 <= j <= path.n):
-                raise InputError(f"steps {i}, {j} outside recorded range")
-            wi, wj = path.products[i], path.products[j]
-            out[request] = gromov_product(
-                path.displacements[i],
-                path.displacements[j],
-                oracle.pairwise_distance(wi, wj),
-            )
-        elif kind == "sym_gp":
-            w, winv = path.final, path.final_inverse
-            if w is None or winv is None:
-                raise InputError("endpoint unavailable (truncated trial)")
-            out[request] = gromov_product(
-                path.final_displacement,
-                oracle.displacement(winv),
-                oracle.pairwise_distance(w, winv),
-            )
-        elif kind == "tau":
-            _, budget = request
-            if path.final is None:
-                raise InputError("endpoint unavailable (truncated trial)")
-            out[request] = oracle.translation_length_estimate(path.final, budget)
-        else:
-            raise InputError(f"unknown observable request {request!r}")
-    return out

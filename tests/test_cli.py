@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -102,6 +103,13 @@ def test_unknown_key_exit_one(tmp_path, capsys):
         ("gromov-sublinearity-f2", {"n_grid": []}, "$.params.n_grid: must be"),
         ("degree-growth-henon", {"n_grid": [0, 2]}, "$.params.n_grid:"),
         ("drift-f2", {"trials": None}, "$.params: missing required key 'trials'"),
+        # json.loads reads NaN and Infinity, and err > NaN is False at a gate
+        ("drift-f2", {"tolerance": math.nan}, "$.params.tolerance: must be a finite"),
+        ("drift-f2", {"expected": math.inf}, "$.params.expected: must be a finite"),
+        ("gromov-sublinearity-f2", {"epsilon": -math.inf}, "$.params.epsilon:"),
+        ("shadow-decay-f2", {"settle_steps": -10}, "settle_steps must be >= 0"),
+        ("shadow-decay-f2", {"settle_steps": -1}, "settle_steps must be >= 0"),
+        ("match-non-f2", {"pattern_length": 10}, "pattern_length 10 is shorter"),
     ],
 )
 def test_bad_counts_and_grids_exit_one(tmp_path, capsys, preset, params, message):
@@ -306,7 +314,8 @@ def test_validate_rejects_monomial_weighted_wrong():
 # ---------------------------------------------------------------------------
 # Preset bytes: the sha256 of report.json and of each CSV, per preset at its
 # fixed seed, recorded in preset_digests.json.  The four presets that take
-# more than 0.8 s standalone are checked outside this suite.
+# more than 0.8 s standalone are marked slow, which the default run
+# deselects: ``pytest -m slow tests/test_cli.py`` checks them.
 
 PRESET_DIGESTS = json.loads(
     (Path(__file__).parent / "preset_digests.json").read_text()
@@ -330,7 +339,13 @@ def _output_digests(out_dir):
     }
 
 
-@pytest.mark.parametrize("name", sorted(set(PRESETS) - _SLOW_PRESETS))
+@pytest.mark.parametrize(
+    "name",
+    [
+        pytest.param(name, marks=pytest.mark.slow) if name in _SLOW_PRESETS else name
+        for name in sorted(PRESETS)
+    ],
+)
 def test_preset_keeps_its_bytes(name, tmp_path):
     # match-axis-f2 fails its tolerance (the known red check) and still
     # writes its report

@@ -258,6 +258,30 @@ def test_match_census_validation():
         (lambda m: E.estimate_drift(m, 0, 40, seed=1), "n: must be an integer >= 1"),
         (lambda m: E.shadow_decay(m, [1, 0], 100, seed=1), "m_grid: must be"),
         (lambda m: E.match_census("self", m, seed=1, trials=5, n_grid=()), "n_grid:"),
+        (
+            lambda m: E.estimate_drift(m, 10, 40, seed=1, tolerance=math.nan),
+            "tolerance: must be a finite number",
+        ),
+        (lambda m: E.estimate_drift(m, 10, 40, seed=1, expected=math.inf), "expected:"),
+        (lambda m: E.gromov_tail(m, [10], 40, seed=1, epsilon=-math.inf), "epsilon:"),
+        (
+            lambda m: E.shadow_decay(m, [1], 100, seed=1, wilson_z=np.float32("nan")),
+            "wilson_z: must be a finite number",
+        ),
+        # numpy raised a bare ValueError at -10, and -1 read m - 1 steps
+        (
+            lambda m: E.shadow_decay(m, [1, 5], 100, seed=1, settle_steps=-10),
+            "settle_steps must be >= 0",
+        ),
+        (
+            lambda m: E.shadow_decay(m, [1, 5], 100, seed=1, settle_steps=-1),
+            "settle_steps must be >= 0",
+        ),
+        # pattern[:20] of a length-10 pattern would be reported under s = 20
+        (
+            lambda m: E.match_census("non", m, seed=1, trials=5, n=50, pattern_length=10),
+            "pattern_length 10 is shorter than the largest s in s_grid (30)",
+        ),
     ],
 )
 def test_direct_calls_check_counts_and_grids(call, message):

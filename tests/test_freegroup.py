@@ -89,6 +89,23 @@ def test_semidirect_twist_example():
     assert model.multiply(a1, model.inverse(a1)) == model.identity()
 
 
+def test_semidirect_twist_is_the_inverse_word_action():
+    # Aut of the Klein four-group is S3, and these two actions do not
+    # commute, so the letter order of the twist phi(v)^-1 shows
+    klein = FiniteGroup(tuple(tuple(i ^ j for j in range(4)) for i in range(4)))
+    model = SemidirectOracle(
+        2, klein, [Automorphism((0, 2, 1, 3)), Automorphism((0, 2, 3, 1))]
+    )
+    rng = random.Random(11)
+    for _ in range(500):
+        g = model.element(_random_word(rng), rng.randrange(4))
+        h = model.element(_random_word(rng), rng.randrange(4))
+        twist = model.word_action(h.word).inverse()
+        assert model.multiply(g, h) == ExtendedElement(
+            W.multiply(g.word, h.word), klein.mul(twist(g.torsion), h.torsion)
+        )
+
+
 def test_word_action_is_homomorphism():
     model = _z3_model()
     rng = random.Random(9)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -6,18 +7,13 @@ import pytest
 
 from hypwalk import polynomials
 from hypwalk import words as W
-from hypwalk.cremona import CremonaModel
+from hypwalk.cremona import CremonaModel, MonomialMap, MonomialModel
 from hypwalk.errors import BadPrimeSignal, InputError
+from hypwalk.experiments import _sym_gp_of_word
 from hypwalk.finitegroups import Automorphism, FiniteGroup, cyclic_automorphism
 from hypwalk.freegroup import FreeGroupOracle, SemidirectOracle
-from hypwalk.walk import (
-    FiniteMeasure,
-    _build_alias,
-    path_observables,
-    reflected_path,
-    sample_path,
-    trial_rng,
-)
+from hypwalk.geometry import orbit_gromov_product
+from hypwalk.walk import FiniteMeasure, _build_alias, sample_path, trial_rng
 
 
 def uniform_f2(rank=2):
@@ -148,24 +144,55 @@ def test_empirical_frequencies_match_weights():
     assert abs(freq[2] - 1 / 6) < 0.01
 
 
+def reflected(measure: FiniteMeasure) -> FiniteMeasure:
+    """The reflected measure: each atom inverted, same weights, same order,
+    so a trial draws the same indices."""
+    return FiniteMeasure(
+        measure.oracle, [(a.tag, a.inverse, a.weight) for a in measure.atoms]
+    )
+
+
+def assert_left_to_right_product(measure, n, seed, trial, marks=()):
+    """The path's endpoints and displacement track are those of the
+    left-to-right products w_j = g_1 ... g_j of its increments."""
+    model = measure.oracle
+    path = sample_path(measure, n, seed, trial, marks=marks)
+    assert path.oracle is model and path.prime_retries == 0
+    assert path.truncated_at is None and path.truncation_reason is None
+    products = [model.identity()]
+    for index in path.increment_indices:
+        products.append(model.multiply(products[-1], measure.atoms[index].element))
+    assert path.displacements == tuple(model.displacement(w) for w in products)
+    assert path.final == products[n]
+    assert set(path.endpoints) == {*marks, n}
+    for mark, (w, w_inverse) in path.endpoints.items():
+        assert w == products[mark]
+        assert w_inverse == model.inverse(products[mark])
+    return path
+
+
 def test_reflected_paths():
     oracle = FreeGroupOracle(2)
     point_mass = FiniteMeasure(oracle, [("a", (1,), Fraction(1))])
-    path = reflected_path(point_mass, 10, seed=3, trial=0)
+    path = sample_path(reflected(point_mass), 10, seed=3, trial=0)
     assert path.final == W.power((-1,), 10)
-    assert path.final_displacement == 10.0
+    assert path.displacements[-1] == 10.0
 
     halfhalf = FiniteMeasure(
         oracle, [("a", (1,), Fraction(1, 2)), ("b", (2,), Fraction(1, 2))]
     )
-    refl = reflected_path(halfhalf, 30, seed=9, trial=1)
+    walk = sample_path(halfhalf, 30, seed=9, trial=1)
+    refl = sample_path(reflected(halfhalf), 30, seed=9, trial=1)
+    assert refl.increment_indices == walk.increment_indices
     assert all(letter in (-1, -2) for letter in refl.final)
+    # each increment inverted: the letters of w_n, each inverted, in order
+    assert refl.final == tuple(-letter for letter in walk.final)
 
 
-def test_semidirect_path_products():
+def semidirect_z3_measure():
     z3 = FiniteGroup.cyclic(3)
     model = SemidirectOracle(2, z3, [cyclic_automorphism(3, 2), Automorphism.identity(z3)])
-    measure = FiniteMeasure(
+    return FiniteMeasure(
         model,
         [
             (tag, model.element(W.str_to_word(tag), torsion), Fraction(1, 4))
@@ -173,56 +200,82 @@ def test_semidirect_path_products():
         ],
     )
 
-    def product(elements):
-        out = model.identity()
-        for g in elements:
-            out = model.multiply(out, g)
-        return out
 
-    path = sample_path(measure, 41, seed=13, trial=4)
-    assert path.products[-1] == path.final
-    increments = [measure.atoms[i].element for i in path.increment_indices]
-    half = len(increments) // 2
-    assert path.final == model.multiply(
-        product(increments[:half]), product(increments[half:])
+def monomial_measure():
+    matrices = [(1, 1, 0, 1), (1, -1, 0, 1), (1, 0, 1, 1), (0, 1, 1, 0)]
+    return FiniteMeasure(
+        MonomialModel(),
+        [(str(m), MonomialMap(*m), Fraction(1, 4)) for m in matrices],
     )
-    assert path.displacements == tuple(float(len(g.word)) for g in path.products)
-    assert path.final_inverse == model.inverse(path.final)
 
-    refl = reflected_path(measure, 41, seed=13, trial=4)
-    assert refl.final == product(
-        measure.atoms[i].inverse for i in refl.increment_indices
-    )
+
+def test_semidirect_path_products():
+    measure = semidirect_z3_measure()
+    model = measure.oracle
+    for trial in range(10):
+        assert_left_to_right_product(measure, 41, 13, trial, marks=(0, 7, 20))
+
+    refl = sample_path(reflected(measure), 41, seed=13, trial=4)
+    expected = model.identity()
+    for i in refl.increment_indices:
+        expected = model.multiply(expected, measure.atoms[i].inverse)
+    assert refl.final == expected
+
+
+def test_free_and_monomial_paths_are_left_to_right_products():
+    for measure in (uniform_f2(), monomial_measure()):
+        for trial in range(10):
+            assert_left_to_right_product(measure, 30, 21, trial, marks=(1, 15))
+
+
+def test_monomial_degree_is_its_inverses():
+    # a plane Cremona map and its inverse have one degree, so the walk's
+    # running inverse has the walk's displacement
+    for a, b, c, d in itertools.product(range(-4, 5), repeat=4):
+        if abs(a * d - b * c) == 1:
+            g = MonomialMap(a, b, c, d)
+            assert g.degree() == g.inverse().degree()
 
 
 def test_path_observable_examples():
+    # d(x, w_i x) is displacements[i]; the symmetric Gromov product and the
+    # translation length are read off the endpoint through the oracle
     oracle = FreeGroupOracle(2)
     point_mass = FiniteMeasure(oracle, [("a", (1,), Fraction(1))])
     path = sample_path(point_mass, 3, seed=0, trial=0)
-    obs = path_observables(point_mass, path, [("d", 0), ("d", 1), ("d", 3)])
-    assert (obs[("d", 0)], obs[("d", 1)], obs[("d", 3)]) == (0.0, 1.0, 3.0)
-    obs = path_observables(point_mass, path, [("sym_gp",), ("tau", 4)])
-    assert obs[("sym_gp",)] == 0.0  # a^n and a^-n diverge immediately
-    assert obs[("tau", 4)] == 3.0
+    assert path.displacements == (0.0, 1.0, 2.0, 3.0)
+    w, w_inverse = path.endpoints[3]
+    # a^n and a^-n diverge immediately
+    assert orbit_gromov_product(oracle, w, w_inverse) == 0.0
+    assert oracle.translation_length_estimate(w, 4) == 3.0
 
 
 def test_sym_gp_cross_check_with_word_prefix():
+    # the tree fold's symmetric Gromov product of a reduced word is the
+    # oracle's <w x, w^-1 x>_x at the walk's endpoint
     measure = uniform_f2()
+    oracle = measure.oracle
     for trial in range(25):
         path = sample_path(measure, 40, seed=77, trial=trial)
-        got = path_observables(measure, path, [("sym_gp",)])[("sym_gp",)]
-        expected = W.common_prefix_length(path.final, W.invert(path.final))
-        assert got == expected
+        w, w_inverse = path.endpoints[40]
+        got = orbit_gromov_product(oracle, w, w_inverse)
+        assert got == _sym_gp_of_word(np.array(w, dtype=np.int8), 40)
+        assert got == W.common_prefix_length(w, W.invert(w))
 
 
 def test_gp_requests_and_errors():
+    # the Gromov product of w_i x and w_j x is read at the endpoints kept
+    # at marks i and j; on the tree it is the common prefix of the words
     measure = uniform_f2()
-    path = sample_path(measure, 10, seed=2, trial=2)
-    obs = path_observables(measure, path, [("gp", 3, 7)])
-    assert obs[("gp", 3, 7)] >= 0
-    for request in [("d", 99), ("gp", -1, 3), ("gp", 99, 0), ("nonsense",)]:
-        with pytest.raises(InputError):
-            path_observables(measure, path, [request])
+    oracle = measure.oracle
+    path = sample_path(measure, 10, seed=2, trial=2, marks=(3, 7))
+    (w3, _), (w7, _) = path.endpoints[3], path.endpoints[7]
+    assert orbit_gromov_product(oracle, w3, w7) == W.common_prefix_length(w3, w7)
+    for marks in [(-1,), (11,)]:
+        with pytest.raises(InputError, match="marks"):
+            sample_path(measure, 10, seed=2, trial=2, marks=marks)
+    with pytest.raises(InputError, match="length"):
+        sample_path(measure, -1, seed=2, trial=2)
 
 
 def cremona_mixed_measure(cap=512):
@@ -256,9 +309,9 @@ def test_cremona_walk_degree_track():
     w = model.identity()
     for index in path.increment_indices:
         w = model.multiply(w, measure.atoms[index].element)
-    assert math.isclose(path.final_displacement, math.acosh(w.degree))
+    assert math.isclose(path.displacements[-1], math.acosh(w.degree))
     assert path.final == w
-    assert path.final_inverse == model.inverse(w)
+    assert path.endpoints[6][1] == model.inverse(w)
 
 
 def test_cremona_path_composes_no_endpoint(monkeypatch):
@@ -282,7 +335,7 @@ def test_cremona_path_composes_no_endpoint(monkeypatch):
     for index in path.increment_indices:
         inverse = model.multiply(measure.atoms[index].inverse, inverse)
     assert len(calls) == 2 * walked
-    assert inverse == path.final_inverse
+    assert inverse == path.endpoints[6][1]
     path.final.tracks
     # reading the endpoint folds its whole word in one composition
     assert calls[2 * walked :] == [path.final.word]
@@ -291,7 +344,7 @@ def test_cremona_path_composes_no_endpoint(monkeypatch):
 def test_cremona_lazy_final_matches_composed_word():
     model, measure = cremona_mixed_measure()
     path = sample_path(measure, 6, seed=42, trial=1)
-    word = model._reduce_word(tuple(-x for x in reversed(path.final_inverse.word)))
+    word = model._reduce_word(tuple(-x for x in reversed(path.endpoints[6][1].word)))
     expected = model._compose_word(word)
     for p in model.primes:
         assert path.final.triple(p) == expected.triple(p)
@@ -340,7 +393,7 @@ def test_cremona_log_degree_subadditive_in_expectation():
         values = []
         for t in range(trials):
             path = sample_path(measure, n, seed=1234, trial=base_trial + t)
-            values.append(math.log(round(math.cosh(path.final_displacement))))
+            values.append(math.log(round(math.cosh(path.displacements[-1]))))
         return statistics.mean(values), statistics.stdev(values) / len(values) ** 0.5
 
     m3, se3 = mean_log_deg(3, 40, 0)
