@@ -7,8 +7,8 @@
 
 Outputs: ``report.json`` (full result with the effective config, seed, and
 tool version) and one ``<observable>.csv`` per recorded track, rows sorted
-by (trial, n).  Exit status: 0 pass, 1 invalid configuration, 2 a declared
-tolerance failed, 3 a resource cap dominated the run.
+by (trial, n).  Exit status: 0 pass, 1 invalid configuration or ``--jobs``
+below 1, 2 a declared tolerance failed, 3 a resource cap dominated the run.
 """
 
 from __future__ import annotations
@@ -158,6 +158,10 @@ def write_outputs(result: ExperimentResult, config: dict, out_dir: Path) -> None
 
 
 def _execute(config: dict, out_dir: Path, jobs: int) -> int:
+    if jobs < 1:
+        # by hand: argparse's own usage error exits 2, the tolerance code
+        print(f"invalid --jobs {jobs}: must be at least 1", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         result = run_config(config, jobs=jobs)
     except ResourceError as err:

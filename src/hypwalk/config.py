@@ -1,23 +1,24 @@
-"""Experiment configuration: a JSON document validated against a published
-schema, then compiled into a model, a measure, and an estimator call.
+"""Experiment configuration: a JSON document checked against a published
+schema and compiled, in the same pass, into a model, a measure, and an
+estimator call.
 
 The format is deliberately small and strict: unknown keys are rejected with
-the offending field path, weights are exact rationals written as strings
-("1/4"), and every value needed to reproduce a run (model parameters,
-generator specs, grids, caps, the master seed) lives in the document.
+the offending field path, weights are exact rational strings ("1/4"), and
+every value needed to reproduce a run (model parameters, generator specs,
+grids, caps, the master seed) lives in the document.  Each field is checked
+where it is built, and an error raised while building it names its path.
 """
 
 from __future__ import annotations
 
 import inspect
-import math
 from fractions import Fraction
-
-import numpy as np
+from types import NoneType, UnionType
+from typing import get_args
 
 from .cremona import CremonaModel, MonomialMap, MonomialModel, valid_primes
 from .errors import InputError
-from .finitegroups import Automorphism, FiniteGroup, cyclic_automorphism
+from .finitegroups import FiniteGroup, cyclic_automorphism
 from .freegroup import FreeGroupOracle, SemidirectOracle
 from .walk import FiniteMeasure
 from . import words as W
@@ -43,6 +44,17 @@ _ENTRY_POINTS = {
     "cremona_exactness": "cremona_exactness",
 }
 
+#: The Cremona generator vocabulary: each name, and the one key its spec
+#: holds beside ``name``, with that key's value.
+_GENERATORS = {
+    "sigma": (),
+    "henon": ("n", "int >= 2"),
+    "linear": ("entries", "9 ints"),
+    "monomial": ("matrix", "4 ints"),
+    "compose": ("factors", "[specs]"),
+    "inverse": ("of", "spec"),
+}
+
 #: Human-readable schema contract (documentation; reports do not embed it).
 SCHEMA = {
     "experiment": "one of: " + ", ".join(_ENTRY_POINTS),
@@ -61,12 +73,11 @@ SCHEMA = {
             {
                 "word": "free/semidirect: reduced word string, e.g. 'aB'",
                 "torsion": "semidirect: torsion index (default 0)",
-                "gen": "cremona: generator spec, e.g. "
-                '{"name": "sigma"} | {"name": "henon", "n": 2} | '
-                '{"name": "linear", "entries": [9 ints]} | '
-                '{"name": "monomial", "matrix": [4 ints]} | '
-                '{"name": "compose", "factors": [specs]} | '
-                '{"name": "inverse", "of": spec}',
+                "gen": "cremona: generator spec {'name': NAME, KEY: VALUE}: "
+                + ", ".join(
+                    f"{name} ({arg[0]}: {arg[1]})" if arg else name
+                    for name, arg in _GENERATORS.items()
+                ),
                 "matrix": "monomial model: [a, b, c, d]",
                 "weight": "exact rational string, e.g. '1/4'",
             }
@@ -88,39 +99,17 @@ _MODEL_KEYS = {
 #: Entry-point arguments the runner supplies itself, never from ``params``.
 _SUPPLIED = ("measure", "seed", "jobs")
 
-#: Params that count trials, samples or steps, and grids of them: each must
-#: be at least 1, and a grid must be nonempty.
-_COUNTS = ("trials", "samples", "chunk", "n")
-_GRIDS = ("n_grid", "m_grid", "s_grid")
+#: The integer lists of the generator specs and of monomial atoms.
+_LENGTHS = {"entries": (9, "nine"), "matrix": (4, "four")}
+
+#: The parameter types a config can hold, by their JSON names.
+_JSON_NAMES = {int: "an integer", float: "a number", str: "a string", NoneType: "null"}
 
 
 def _is_int(value) -> bool:
     """An ``int`` that is not a ``bool``: JSON ``true`` and ``false`` load as
     bools, which ``isinstance(value, int)`` would take for 1 and 0."""
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def check_counts(params: dict, path: str = "", error=InputError) -> None:
-    """Raise ``error``, naming ``path`` and the key, unless every count in
-    ``params`` is an integer >= 1, every grid a nonempty list (or tuple)
-    of them, and every float finite (a NaN or infinite tolerance would pass
-    every gate).  ``validate_config`` runs it on a config's ``params``, and
-    the entry points of :mod:`hypwalk.experiments` on the arguments of a
-    call."""
-    for key, value in params.items():
-        if isinstance(value, (float, np.floating)) and not math.isfinite(value):
-            raise error(f"{path}{key}: must be a finite number")
-    for key in _COUNTS:
-        if key in params and not (_is_int(params[key]) and params[key] >= 1):
-            raise error(f"{path}{key}: must be an integer >= 1")
-    for key in _GRIDS:
-        grid = params.get(key)
-        if key in params and not (
-            isinstance(grid, (list, tuple))
-            and grid
-            and all(_is_int(v) and v >= 1 for v in grid)
-        ):
-            raise error(f"{path}{key}: must be a nonempty list of integers >= 1")
 
 
 def _require(condition: bool, path: str, message: str):
@@ -133,8 +122,50 @@ def _check_keys(obj: dict, allowed: set, path: str):
     _require(not unknown, path, f"unknown keys {sorted(unknown)}")
 
 
-def validate_config(config: dict) -> None:
-    """Raise ConfigError (naming the field) unless the document is valid."""
+def _integer(value, path: str, least: int | None = None):
+    """``value``, checked to be an integer, and at least ``least``."""
+    _require(
+        _is_int(value) and (least is None or value >= least),
+        path,
+        "must be an integer" + ("" if least is None else f" >= {least}"),
+    )
+    return value
+
+
+def _built(path: str, build, *args):
+    """``build(*args)``, an InputError it raises named by ``path``."""
+    try:
+        return build(*args)
+    except InputError as err:
+        raise ConfigError(f"{path}: {err}") from None
+
+
+def _word(text, rank, path: str):
+    """The reduced word of the string at ``path``."""
+    _require(isinstance(text, str), path, "must be a string")
+    return _built(path, W.str_to_word, text, rank)
+
+
+def _matrix(spec: dict, key: str, path: str, name: str, build):
+    """``spec[key]``, a list of ``_LENGTHS[key]`` integers, built by
+    ``build``, and its tag ``name[...]``."""
+    values = spec.get(key)
+    count, words = _LENGTHS[key]
+    _require(
+        isinstance(values, list)
+        and len(values) == count
+        and all(_is_int(v) for v in values),
+        f"{path}.{key}",
+        f"must be {words} integers",
+    )
+    tag = f"{name}[" + ",".join(str(v) for v in values) + "]"
+    return _built(f"{path}.{key}", build, values), tag
+
+
+def validate_config(config: dict):
+    """Check the document and build what it names, in one pass: return the
+    entry point of its experiment and the keyword arguments of the call,
+    less ``jobs``.  The first invalid field raises ConfigError naming it."""
     _require(isinstance(config, dict), "$", "config must be a JSON object")
     _check_keys(config, {"experiment", "seed", "model", "measure", "params"}, "$")
     for key in ("experiment", "seed", "model", "params"):
@@ -145,90 +176,24 @@ def validate_config(config: dict) -> None:
         "$.experiment",
         f"must be one of {tuple(_ENTRY_POINTS)}",
     )
-    parameters = inspect.signature(_entry_point(name)).parameters
+    # imported here: building a model or a measure alone does not need it
+    from . import experiments
+
+    # looked up at call time, so that a wrapper installed there is called
+    entry = getattr(experiments, _ENTRY_POINTS[name])
+    parameters = inspect.signature(entry, eval_str=True).parameters
     seed = config["seed"]
     _require(
         _is_int(seed) and 0 <= seed < 2**64,
         "$.seed",
         "must be an unsigned 64-bit integer",
     )
-    needs_measure = "measure" in parameters
-    if needs_measure:
+    model = build_model(config["model"])
+    kwargs = {"seed": seed} if "seed" in parameters else {}
+    if "measure" in parameters:
         _require("measure" in config, "$", "missing required key 'measure'")
-
-    model = config["model"]
-    _require(isinstance(model, dict), "$.model", "must be an object")
-    _require("type" in model, "$.model", "missing 'type'")
-    mtype = model["type"]
-    _require(
-        mtype in _MODEL_KEYS, "$.model.type", f"must be one of {sorted(_MODEL_KEYS)}"
-    )
-    _check_keys(model, _MODEL_KEYS[mtype], "$.model")
-    if mtype in ("free", "semidirect"):
-        _require(
-            _is_int(model.get("rank")) and model["rank"] >= 2,
-            "$.model.rank",
-            "must be an integer >= 2",
-        )
-    if mtype == "semidirect":
-        torsion = model.get("torsion")
-        _require(isinstance(torsion, dict), "$.model.torsion", "must be an object")
-        _check_keys(torsion, {"type", "order"}, "$.model.torsion")
-        _require(
-            torsion.get("type") == "cyclic",
-            "$.model.torsion.type",
-            "only 'cyclic' torsion groups are configurable",
-        )
-        _require(
-            _is_int(torsion.get("order")) and torsion["order"] >= 1,
-            "$.model.torsion.order",
-            "must be an integer >= 1",
-        )
-        actions = model.get("actions")
-        _require(
-            isinstance(actions, list) and len(actions) == model["rank"],
-            "$.model.actions",
-            "need exactly one action per generator",
-        )
-        for i, action in enumerate(actions):
-            path = f"$.model.actions[{i}]"
-            _require(isinstance(action, dict), path, "must be an object")
-            _check_keys(action, {"type", "value"}, path)
-            _require(
-                action.get("type") in ("identity", "multiplier"),
-                f"{path}.type",
-                "must be 'identity' or 'multiplier'",
-            )
-            if action["type"] == "multiplier":
-                _require(
-                    _is_int(action.get("value")),
-                    f"{path}.value",
-                    "must be an integer",
-                )
-    if mtype == "cremona":
-        primes = model.get("primes")
-        if primes is not None:
-            _require(
-                isinstance(primes, list) and valid_primes(primes),
-                "$.model.primes",
-                "must be a nonempty list of primes below 2^31",
-            )
-        cap = model.get("degree_cap")
-        if cap is not None:
-            _require(
-                _is_int(cap) and cap >= 2,
-                "$.model.degree_cap",
-                "must be an integer >= 2",
-            )
-
-    if needs_measure:
-        _validate_measure(config["measure"], mtype)
-
-    _validate_params(config["params"], parameters)
-
-
-def _validate_params(params, parameters):
-    """``params`` against the entry point's ``inspect`` parameters."""
+        kwargs["measure"] = build_measure(model, config["measure"])
+    params = config["params"]
     _require(isinstance(params, dict), "$.params", "must be an object")
     keys = {k: p for k, p in parameters.items() if k not in _SUPPLIED}
     _check_keys(params, set(keys), "$.params")
@@ -238,41 +203,106 @@ def _validate_params(params, parameters):
             "$.params",
             f"missing required key '{key}'",
         )
-    check_counts(params, "$.params.", ConfigError)
+    experiments.check_counts(params, "$.params.", ConfigError)
+    for key, value in params.items():
+        kwargs[key] = _param(key, value, keys[key].annotation)
+    return entry, kwargs
 
 
-def _validate_measure(measure, mtype: str):
-    _require(isinstance(measure, dict), "$.measure", "must be an object")
-    _check_keys(
-        measure, {"atoms", "attest_non_elementary", "attest_wpd"}, "$.measure"
+def _param(key: str, value, annotation):
+    """``$.params.<key>`` as the entry point takes it, checked against its
+    annotation: a word (``W.Word``) is built from its string, and a value
+    annotated with types of ``_JSON_NAMES`` must have one of them (an
+    integer is a number, a bool is not).  The grids carry no annotation:
+    :func:`~hypwalk.experiments.check_counts` checks them."""
+    path = f"$.params.{key}"
+    kinds = get_args(annotation) if isinstance(annotation, UnionType) else (annotation,)
+    if W.Word in kinds:
+        return _word(value, None, path)
+    if all(kind in _JSON_NAMES for kind in kinds):
+        allowed = (int, *kinds) if float in kinds else kinds
+        _require(
+            isinstance(value, allowed) and not isinstance(value, bool),
+            path,
+            "must be " + " or ".join(_JSON_NAMES[kind] for kind in kinds),
+        )
+    return value
+
+
+def build_model(spec: dict):
+    """Check ``$.model`` and build its model."""
+    _require(isinstance(spec, dict), "$.model", "must be an object")
+    _require("type" in spec, "$.model", "missing 'type'")
+    mtype = spec["type"]
+    _require(
+        isinstance(mtype, str) and mtype in _MODEL_KEYS,
+        "$.model.type",
+        f"must be one of {sorted(_MODEL_KEYS)}",
     )
-    atoms = measure.get("atoms")
+    _check_keys(spec, _MODEL_KEYS[mtype], "$.model")
+    if mtype == "cremona":
+        if "primes" in spec:
+            _require(
+                isinstance(spec["primes"], list) and valid_primes(spec["primes"]),
+                "$.model.primes",
+                "must be a nonempty list of primes below 2^31",
+            )
+        if "degree_cap" in spec:
+            _integer(spec["degree_cap"], "$.model.degree_cap", 2)
+        return CremonaModel(**{k: v for k, v in spec.items() if k != "type"})
+    if mtype == "monomial":
+        return MonomialModel()
+    rank = _integer(spec.get("rank"), "$.model.rank", 2)
+    if mtype == "free":
+        return FreeGroupOracle(rank)
+    torsion = spec.get("torsion")
+    _require(isinstance(torsion, dict), "$.model.torsion", "must be an object")
+    _check_keys(torsion, {"type", "order"}, "$.model.torsion")
+    _require(
+        torsion.get("type") == "cyclic",
+        "$.model.torsion.type",
+        "only 'cyclic' torsion groups are configurable",
+    )
+    order = _integer(torsion.get("order"), "$.model.torsion.order", 1)
+    actions = spec.get("actions")
+    _require(
+        isinstance(actions, list) and len(actions) == rank,
+        "$.model.actions",
+        "need exactly one action per generator",
+    )
+    automorphisms = []
+    for i, action in enumerate(actions):
+        path = f"$.model.actions[{i}]"
+        _require(isinstance(action, dict), path, "must be an object")
+        _check_keys(action, {"type", "value"}, path)
+        _require(
+            action.get("type") in ("identity", "multiplier"),
+            f"{path}.type",
+            "must be 'identity' or 'multiplier'",
+        )
+        # the identity is the multiplier 1
+        value = action.get("value") if action["type"] == "multiplier" else 1
+        value = _integer(value, f"{path}.value")
+        automorphisms.append(
+            _built(f"{path}.value", cyclic_automorphism, order, value)
+        )
+    return SemidirectOracle(rank, FiniteGroup.cyclic(order), automorphisms)
+
+
+def build_measure(oracle, spec: dict) -> FiniteMeasure:
+    """Check ``$.measure`` and build it on ``oracle``: every atom's element,
+    weight and report tag."""
+    _require(isinstance(spec, dict), "$.measure", "must be an object")
+    _check_keys(spec, {"atoms", "attest_non_elementary", "attest_wpd"}, "$.measure")
+    atoms = spec.get("atoms")
     _require(
         isinstance(atoms, list) and atoms, "$.measure.atoms", "must be a nonempty list"
     )
-    total = Fraction(0)
+    built, total = [], Fraction(0)
     for i, atom in enumerate(atoms):
         path = f"$.measure.atoms[{i}]"
         _require(isinstance(atom, dict), path, "must be an object")
-        if mtype in ("free", "semidirect"):
-            allowed = {"word", "weight"} | (
-                {"torsion"} if mtype == "semidirect" else set()
-            )
-            _check_keys(atom, allowed, path)
-            _require(isinstance(atom.get("word"), str), f"{path}.word", "must be a string")
-        elif mtype == "cremona":
-            _check_keys(atom, {"gen", "weight"}, path)
-            _validate_genspec(atom.get("gen"), f"{path}.gen")
-        else:  # monomial
-            _check_keys(atom, {"matrix", "weight"}, path)
-            matrix = atom.get("matrix")
-            _require(
-                isinstance(matrix, list)
-                and len(matrix) == 4
-                and all(_is_int(v) for v in matrix),
-                f"{path}.matrix",
-                "must be four integers",
-            )
+        element, tag = _atom(oracle, atom, path)
         _require("weight" in atom, path, "missing 'weight'")
         _require(
             isinstance(atom["weight"], str),
@@ -285,176 +315,78 @@ def _validate_measure(measure, mtype: str):
             raise ConfigError(f"{path}.weight: not a rational number") from None
         _require(weight > 0, f"{path}.weight", "must be positive")
         total += weight
+        built.append((tag, element, weight))
     _require(
         total == 1,
         "$.measure.atoms",
         f"weights must sum to 1 exactly, got {total}",
     )
+    attested = {k: spec.get(k, False) for k in ("attest_non_elementary", "attest_wpd")}
+    for key, flag in attested.items():
+        _require(isinstance(flag, bool), f"$.measure.{key}", "must be true or false")
+    return FiniteMeasure(oracle, built, **attested)
 
 
-def _validate_genspec(spec, path: str):
+def _atom(oracle, atom: dict, path: str):
+    """Check the atom at ``path``, less its weight, and build it on
+    ``oracle``: its element and its report tag."""
+    if isinstance(oracle, CremonaModel):
+        _check_keys(atom, {"gen", "weight"}, path)
+        return _generator(oracle, atom.get("gen"), f"{path}.gen")
+    if isinstance(oracle, MonomialModel):
+        _check_keys(atom, {"matrix", "weight"}, path)
+        return _matrix(atom, "matrix", path, "monomial", lambda m: MonomialMap(*m))
+    semidirect = isinstance(oracle, SemidirectOracle)
+    _check_keys(atom, {"word", "weight"} | ({"torsion"} if semidirect else set()), path)
+    word = _word(atom.get("word"), oracle.rank, f"{path}.word")
+    if not semidirect:
+        return word, atom["word"]
+    torsion = _integer(atom.get("torsion", 0), f"{path}.torsion")
+    element = _built(f"{path}.torsion", oracle.element, word, torsion)
+    return element, atom["word"] + (f"|{torsion}" if torsion else "")
+
+
+def _generator(model: CremonaModel, spec, path: str):
+    """Check the generator spec at ``path`` and build it: its element of
+    ``model`` and its report tag."""
     _require(isinstance(spec, dict), path, "must be an object")
     _require("name" in spec, path, "missing 'name'")
     name = spec["name"]
+    _require(
+        isinstance(name, str) and name in _GENERATORS,
+        f"{path}.name",
+        f"unknown generator {name!r} ({', '.join(_GENERATORS)})",
+    )
+    _check_keys(spec, {"name", *_GENERATORS[name][:1]}, path)
     if name == "sigma":
-        _check_keys(spec, {"name"}, path)
-    elif name == "henon":
-        _check_keys(spec, {"name", "n"}, path)
-        _require(
-            _is_int(spec.get("n")) and spec["n"] >= 2,
-            f"{path}.n",
-            "must be an integer >= 2",
-        )
-    elif name == "linear":
-        _check_keys(spec, {"name", "entries"}, path)
-        entries = spec.get("entries")
-        _require(
-            isinstance(entries, list)
-            and len(entries) == 9
-            and all(_is_int(v) for v in entries),
-            f"{path}.entries",
-            "must be nine integers",
-        )
-    elif name == "monomial":
-        _check_keys(spec, {"name", "matrix"}, path)
-        matrix = spec.get("matrix")
-        _require(
-            isinstance(matrix, list)
-            and len(matrix) == 4
-            and all(_is_int(v) for v in matrix),
-            f"{path}.matrix",
-            "must be four integers",
-        )
-    elif name == "compose":
-        _check_keys(spec, {"name", "factors"}, path)
+        return model.sigma(), name
+    if name == "henon":
+        n = _integer(spec.get("n"), f"{path}.n", 2)
+        return model.henon(n), f"henon{n}"
+    if name == "inverse":
+        _require("of" in spec, path, "missing 'of'")
+        element, tag = _generator(model, spec["of"], f"{path}.of")
+        return model.inverse(element), tag + "^-1"
+    if name == "compose":
         factors = spec.get("factors")
         _require(
-            isinstance(factors, list) and len(factors) >= 1,
+            isinstance(factors, list) and factors,
             f"{path}.factors",
             "must be a nonempty list",
         )
+        element, tags = model.identity(), []
         for k, factor in enumerate(factors):
-            _validate_genspec(factor, f"{path}.factors[{k}]")
-    elif name == "inverse":
-        _check_keys(spec, {"name", "of"}, path)
-        _require("of" in spec, path, "missing 'of'")
-        _validate_genspec(spec["of"], f"{path}.of")
-    else:
-        raise ConfigError(
-            f"{path}.name: unknown generator {name!r} "
-            "(sigma, henon, linear, monomial, compose, inverse)"
-        )
-
-
-# ---------------------------------------------------------------------------
-# Compilation.
-
-
-def build_model(model_spec: dict):
-    mtype = model_spec["type"]
-    if mtype == "free":
-        return FreeGroupOracle(model_spec["rank"])
-    if mtype == "semidirect":
-        order = model_spec["torsion"]["order"]
-        group = FiniteGroup.cyclic(order)
-        actions = []
-        for action in model_spec["actions"]:
-            if action["type"] == "identity":
-                actions.append(Automorphism.identity(group))
-            else:
-                actions.append(cyclic_automorphism(order, action["value"]))
-        return SemidirectOracle(model_spec["rank"], group, actions)
-    if mtype == "cremona":
-        kwargs = {}
-        if "primes" in model_spec:
-            kwargs["primes"] = tuple(model_spec["primes"])
-        if "degree_cap" in model_spec:
-            kwargs["degree_cap"] = model_spec["degree_cap"]
-        return CremonaModel(**kwargs)
-    return MonomialModel()
-
-
-def _cremona_element(model: CremonaModel, spec: dict):
-    name = spec["name"]
-    if name == "sigma":
-        return model.sigma()
-    if name == "henon":
-        return model.henon(spec["n"])
-    if name == "linear":
-        return model.linear(spec["entries"])
-    if name == "monomial":
-        return model.monomial(spec["matrix"])
-    if name == "inverse":
-        return model.inverse(_cremona_element(model, spec["of"]))
-    element = model.identity()
-    for factor in spec["factors"]:
-        element = model.multiply(element, _cremona_element(model, factor))
-    return element
-
-
-def _genspec_tag(spec: dict) -> str:
-    name = spec["name"]
-    if name == "henon":
-        return f"henon{spec['n']}"
-    if name == "linear":
-        return "linear[" + ",".join(str(v) for v in spec["entries"]) + "]"
-    if name == "monomial":
-        return "monomial[" + ",".join(str(v) for v in spec["matrix"]) + "]"
-    if name == "compose":
-        return ".".join(_genspec_tag(f) for f in spec["factors"])
-    if name == "inverse":
-        return _genspec_tag(spec["of"]) + "^-1"
-    return name
-
-
-def build_measure(oracle, measure_spec: dict) -> FiniteMeasure:
-    atoms = []
-    for atom in measure_spec["atoms"]:
-        weight = Fraction(atom["weight"])
-        if isinstance(oracle, SemidirectOracle):
-            element = oracle.element(
-                W.str_to_word(atom["word"], oracle.rank), atom.get("torsion", 0)
-            )
-            tag = atom["word"] + (
-                f"|{atom['torsion']}" if atom.get("torsion") else ""
-            )
-        elif isinstance(oracle, FreeGroupOracle):
-            element = W.str_to_word(atom["word"], oracle.rank)
-            tag = atom["word"]
-        elif isinstance(oracle, CremonaModel):
-            element = _cremona_element(oracle, atom["gen"])
-            tag = _genspec_tag(atom["gen"])
-        else:
-            element = MonomialMap(*atom["matrix"])
-            tag = "monomial[" + ",".join(str(v) for v in atom["matrix"]) + "]"
-        atoms.append((tag, element, weight))
-    return FiniteMeasure(
-        oracle,
-        atoms,
-        attest_non_elementary=measure_spec.get("attest_non_elementary", False),
-        attest_wpd=measure_spec.get("attest_wpd", False),
-    )
-
-
-def _entry_point(name: str):
-    """The entry point of experiment ``name``, looked up on the module at
-    call time, so that a wrapper installed there is the one called."""
-    from . import experiments
-
-    return getattr(experiments, _ENTRY_POINTS[name])
+            factor, tag = _generator(model, factor, f"{path}.factors[{k}]")
+            element = model.multiply(element, factor)
+            tags.append(tag)
+        return element, ".".join(tags)
+    build = model.linear if name == "linear" else model.monomial
+    return _matrix(spec, _GENERATORS[name][0], path, name, build)
 
 
 def run_config(config: dict, jobs: int = 1):
-    """Validate, compile, and execute a configuration document."""
-    validate_config(config)
-    entry = _entry_point(config["experiment"])
-    parameters = inspect.signature(entry).parameters
-    params = dict(config["params"])
-    if "axis_core" in params:
-        params["axis_core"] = W.str_to_word(params["axis_core"])
-    supplied = {"seed": config["seed"], "jobs": jobs}
-    if "measure" in parameters:
-        oracle = build_model(config["model"])
-        supplied["measure"] = build_measure(oracle, config["measure"])
-    params.update((k, v) for k, v in supplied.items() if k in parameters)
-    return entry(**params)
+    """Check, build and run a configuration document."""
+    entry, kwargs = validate_config(config)
+    if "jobs" in inspect.signature(entry).parameters:
+        kwargs["jobs"] = jobs
+    return entry(**kwargs)

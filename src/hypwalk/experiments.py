@@ -35,7 +35,6 @@ import numpy as np
 
 from . import stats
 from . import words as W
-from .config import check_counts
 from .cremona import CremonaModel, dynamical_degree_estimate
 from .errors import InputError, ResourceError
 from .freegroup import (
@@ -106,6 +105,36 @@ class ExperimentResult:
 # ---------------------------------------------------------------------------
 # Bounds on counts and grids: a direct call is checked as a config is.
 
+#: Params that count trials, samples or steps, and grids of them: each must
+#: be at least 1, and a grid must be nonempty.
+_COUNTS = ("trials", "samples", "chunk", "n")
+_GRIDS = ("n_grid", "m_grid", "s_grid")
+
+
+def _is_count(value) -> bool:
+    """An int >= 1 that is not a bool (JSON ``true`` loads as one)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def check_counts(params: dict, path: str = "", error=InputError) -> None:
+    """Raise ``error``, naming ``path`` and the key, unless every count in
+    ``params`` is an integer >= 1, every grid a nonempty list (or tuple)
+    of them, and every float finite (a NaN or infinite tolerance would pass
+    every gate).  The entry points run it on the arguments of a call, and
+    :func:`hypwalk.config.validate_config` on a config's ``params``."""
+    for key, value in params.items():
+        if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+            raise error(f"{path}{key}: must be a finite number")
+    for key in _COUNTS:
+        if key in params and not _is_count(params[key]):
+            raise error(f"{path}{key}: must be an integer >= 1")
+    for key in _GRIDS:
+        grid = params.get(key)
+        if key in params and not (
+            isinstance(grid, (list, tuple)) and grid and all(map(_is_count, grid))
+        ):
+            raise error(f"{path}{key}: must be a nonempty list of integers >= 1")
+
 
 def _counts_checked(entry):
     """The entry point ``entry``, running :func:`check_counts` on the counts
@@ -131,10 +160,12 @@ def _run_trials(block, trials: int, jobs: int = 1) -> list:
 
     ``block`` is a module-level function, or a partial of one, so that it
     pickles.  With ``jobs`` > 1 the trials are split into ``jobs`` contiguous
-    blocks, one per spawned worker process; every trial draws from its own
-    stream, so the rows do not depend on the split.  With ``jobs`` <= 1 the
-    block runs in this process and no pool starts.
+    blocks, one per spawned worker process, and never into more blocks than
+    trials; every trial draws from its own stream, so the rows do not depend
+    on the split.  With ``jobs`` <= 1, or a single trial, the block runs in
+    this process and no pool starts.
     """
+    jobs = min(jobs, trials)
     if jobs <= 1:
         return block(0, trials)
     cuts = [trials * b // jobs for b in range(jobs + 1)]
@@ -698,7 +729,7 @@ def match_census(
     trials: int,
     n: int | None = None,
     n_grid=None,
-    axis_core=None,
+    axis_core: W.Word | None = None,
     L: int = 10,
     pattern_length: int = 30,
     s_grid=(10, 20, 30),
@@ -1202,7 +1233,7 @@ def degree_growth_experiment(
     n_grid,
     trials: int,
     seed: int,
-    iterate_budget: int = 2,
+    iterate_budget: int | None = 2,
     gap_tolerance: float = 0.2,
     lambda_degree_bound: int = 12,
     jobs: int = 1,

@@ -684,9 +684,10 @@ def gcd3(p1: HomPoly3, p2: HomPoly3, p3: HomPoly3, quotients: list | None = None
     Otherwise each poly's box, with its corner at (0, 0), is its rest's
     dense dehomogenized form, and :func:`_bivariate_gcd_list` folds the
     boxes by the modular gcd on their primitive parts.  The result is
-    verified by trial division against all three inputs.  A gcd of the
-    rests that fails the check (unlucky evaluation points) is computed
-    once more by the pseudo-remainder sequence alone; a failed check then
+    verified by trial division against all three inputs, and the fold's
+    first pairwise gcd against its pair.  A gcd of the rests that fails a
+    check (unlucky evaluation points) is computed once more by the
+    pseudo-remainder sequence alone; a failed check then
     raises :class:`~hypwalk.errors.BadPrimeSignal`, which sends the caller
     to the bad-prime retry policy.  When ``quotients`` is a list it is
     filled with the three exact quotients the verification computed.
@@ -707,8 +708,9 @@ def gcd3(p1: HomPoly3, p2: HomPoly3, p3: HomPoly3, quotients: list | None = None
     gcd_poly = HomPoly3.monomial(*shift, 1, p)
     boxes = [q.box for q in polys] if all(q.num_terms() > 1 for q in polys) else None
     if boxes:
-        gcd_poly = monic(_bivariate_gcd_list(boxes, p, _modular_bivariate_gcd))
-    exact = _divides_all(gcd_poly, (p1, p2, p3))
+        rest = _bivariate_gcd_list(boxes, p, _modular_bivariate_gcd)
+        gcd_poly = None if rest is None else monic(rest)
+    exact = gcd_poly is not None and _divides_all(gcd_poly, (p1, p2, p3))
     if not exact and boxes:
         gcd_poly = monic(_bivariate_gcd_list(boxes, p, _prs_gcd))
         exact = _divides_all(gcd_poly, (p1, p2, p3))
@@ -799,13 +801,23 @@ def _primitive(arr: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return content, _cut(out)
 
 
-def _bivariate_gcd_list(boxes, p: int, primitive_gcd) -> np.ndarray:
-    """The gcd of the boxes, folded pairwise by :func:`_bivariate_gcd`."""
+def _bivariate_gcd_list(boxes, p: int, primitive_gcd) -> np.ndarray | None:
+    """The gcd of the boxes, folded pairwise by :func:`_bivariate_gcd`, or
+    None when a fold result before the last does not divide the two boxes
+    it came from (trial division with no degree bound).  Unlucky evaluation points can make a pairwise gcd wrong,
+    and once folded with the next box a wrong one can come out too small:
+    1 passes the caller's trial division of the inputs.  A constant is
+    exact (no point gives a degree below the true gcd's)."""
     g = boxes[0]
-    for box in boxes[1:]:
-        g = _bivariate_gcd(g, box, p, primitive_gcd)
-        if g.shape == (1, 1):
-            break  # a constant
+    for k, box in enumerate(boxes[1:], 2):
+        fold = _bivariate_gcd(g, box, p, primitive_gcd)
+        if fold.shape == (1, 1):
+            return fold
+        if k < len(boxes) and any(
+            _divexact_dense(f, fold, p, sum(f.shape)) is None for f in (g, box)
+        ):
+            return None
+        g = fold
     return g
 
 

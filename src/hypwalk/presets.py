@@ -12,6 +12,8 @@ import copy
 
 from .errors import InputError
 
+#: The uniform measure on a, A, b, B; on the semidirect models too, where each
+#: atom's torsion is 0.
 _F2_UNIFORM = {
     "atoms": [
         {"word": "a", "weight": "1/4"},
@@ -36,16 +38,6 @@ _Z3_TRIVIAL_MODEL = {
     "rank": 2,
     "torsion": {"type": "cyclic", "order": 3},
     "actions": [{"type": "identity"}, {"type": "identity"}],
-}
-
-_Z3_UNIFORM = {
-    "atoms": [
-        {"word": "a", "weight": "1/4"},
-        {"word": "A", "weight": "1/4"},
-        {"word": "b", "weight": "1/4"},
-        {"word": "B", "weight": "1/4"},
-    ],
-    "attest_non_elementary": True,
 }
 
 _CREMONA_MIXED_MEASURE = {
@@ -221,7 +213,7 @@ PRESETS: dict[str, dict] = {
             "experiment": "characteristic_index",
             "seed": 20260809,
             "model": _Z3_MODEL,
-            "measure": _Z3_UNIFORM,
+            "measure": _F2_UNIFORM,
             "params": {
                 "n_grid": [10, 100, 1000],
                 "trials": 10000,
@@ -236,7 +228,7 @@ PRESETS: dict[str, dict] = {
             "experiment": "characteristic_index",
             "seed": 20260809,
             "model": _Z3_TRIVIAL_MODEL,
-            "measure": _Z3_UNIFORM,
+            "measure": _F2_UNIFORM,
             "params": {
                 "n_grid": [10, 100, 1000],
                 "trials": 2000,

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import math
+from concurrent.futures import Future
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypwalk import experiments
 from hypwalk.cli import main, serialize_report, write_outputs
 from hypwalk.config import ConfigError, run_config, validate_config
 from hypwalk.experiments import ExperimentResult
@@ -82,6 +84,15 @@ def test_bad_weights_exit_one(tmp_path, capsys):
         assert field in err and message in err
 
 
+@pytest.mark.parametrize("flag", ["attest_non_elementary", "attest_wpd"])
+@pytest.mark.parametrize("value", ["false", 1, None])
+def test_attestations_are_booleans(tmp_path, capsys, flag, value):
+    # the report echoes them as the measure's attestations
+    config = copy.deepcopy(SMALL_DRIFT)
+    config["measure"][flag] = value
+    _run_invalid(tmp_path, capsys, config, f"$.measure.{flag}: must be true or false")
+
+
 def test_unknown_key_exit_one(tmp_path, capsys):
     config = copy.deepcopy(SMALL_DRIFT)
     config["params"]["bogus"] = 1
@@ -147,6 +158,20 @@ def test_bad_primes_exit_one(tmp_path, capsys, primes):
     )
 
 
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        ("primes", "must be a nonempty list of primes below 2^31"),
+        ("degree_cap", "must be an integer >= 2"),
+    ],
+)
+def test_null_cremona_fields_exit_one(tmp_path, capsys, key, message):
+    # a key that is present is checked, even when it is null
+    config = preset_config("degree-growth-henon")
+    config["model"][key] = None
+    _run_invalid(tmp_path, capsys, config, f"$.model.{key}: {message}")
+
+
 def test_small_primes_stay_valid():
     config = preset_config("degree-growth-henon")
     config["model"]["primes"] = [2, 3, 5, 2147483647]
@@ -200,6 +225,102 @@ def test_boolean_integer_fields_exit_one(tmp_path, capsys, preset, prepare, keys
     _run_invalid(tmp_path, capsys, config, f"{field}:")
 
 
+@pytest.mark.parametrize(
+    "preset, key, value, message",
+    [
+        ("match-axis-f2", "axis_core", 5, "must be a string"),
+        ("match-axis-f2", "axis_core", None, "must be a string"),
+        ("match-axis-f2", "L", "10", "must be an integer"),
+        ("gromov-sublinearity-f2", "epsilon", "0.1", "must be a number"),
+        ("acylindricity-f2", "K", "2", "must be an integer"),
+        ("sigma-involution", "henon_power_budget", "3", "must be an integer"),
+        ("drift-f2", "expected", "0.5", "must be a number or null"),
+        ("drift-f2", "expected", True, "must be a number or null"),
+        ("degree-growth-henon", "iterate_budget", "2", "must be an integer or null"),
+    ],
+)
+def test_params_of_the_wrong_json_type_exit_one(tmp_path, capsys, preset, key, value, message):
+    # the types are the entry point's annotations
+    config = preset_config(preset)
+    config["params"][key] = value
+    _run_invalid(tmp_path, capsys, config, f"$.params.{key}: {message}")
+
+
+def test_an_integer_is_a_number_and_null_an_optional_param():
+    config = preset_config("drift-f2")
+    config["params"].update(expected=1, tolerance=0)
+    assert validate_config(config)[1]["expected"] == 1
+    config = preset_config("degree-growth-cremona")
+    config["params"]["iterate_budget"] = None
+    assert validate_config(config)[1]["iterate_budget"] is None
+
+
+def _set(*keys, value):
+    """Set config[keys[0]]...[keys[-1]] to value."""
+
+    def prepare(config):
+        target = config
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+
+    return prepare
+
+
+@pytest.mark.parametrize(
+    "preset, prepare, message",
+    [
+        (
+            "degree-growth-cremona",
+            _set("measure", "atoms", 1, "gen", "factors", 1, "entries", value=[1, 0, 0] * 3),
+            "$.measure.atoms[1].gen.factors[1].entries: linear generator matrix is singular mod p",
+        ),
+        (
+            "degree-growth-henon",
+            _set("measure", "atoms", 0, "gen", value={"name": "monomial", "matrix": [2, 0, 0, 1]}),
+            "$.measure.atoms[0].gen.matrix: monomial matrix must have determinant +-1",
+        ),
+        (
+            "degree-growth-henon",
+            lambda config: config.update(
+                model={"type": "monomial"},
+                measure={"atoms": [{"matrix": [2, 0, 0, 1], "weight": "1"}]},
+            ),
+            "$.measure.atoms[0].matrix: monomial matrix must have determinant +-1",
+        ),
+        (
+            "drift-f2",
+            _set("measure", "atoms", 2, "word", value="c"),
+            "$.measure.atoms[2].word: letter 3 outside generator range 1..2",
+        ),
+        (
+            "drift-f2",
+            _set("measure", "atoms", 0, "word", value="a1"),
+            "$.measure.atoms[0].word: invalid word character '1'",
+        ),
+        (
+            "match-axis-f2",
+            _set("params", "axis_core", value="a1"),
+            "$.params.axis_core: invalid word character '1'",
+        ),
+        (
+            "char-index-z3",
+            _set("measure", "atoms", 1, "torsion", value=3),
+            "$.measure.atoms[1].torsion: torsion index out of range",
+        ),
+        (
+            "char-index-z3",
+            _set("model", "actions", 0, "value", value=3),
+            "$.model.actions[0].value: 3 is not a unit modulo 3",
+        ),
+    ],
+)
+def test_build_errors_name_their_field(tmp_path, capsys, preset, prepare, message):
+    config = preset_config(preset)
+    prepare(config)
+    _run_invalid(tmp_path, capsys, config, message + "\n")
+
+
 def test_tree_only_experiment_on_cremona_exits_one(tmp_path, capsys):
     config = preset_config("small-cancellation-f2")
     cremona = preset_config("degree-growth-cremona")
@@ -223,6 +344,60 @@ def test_jobs_two_writes_the_serial_bytes_on_cremona(tmp_path):
         outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
     assert outputs[0] == outputs[1]
     assert "report.json" in outputs[0]
+
+
+@pytest.fixture
+def inline_pools(monkeypatch):
+    """``experiments.ProcessPoolExecutor`` replaced by a pool that runs each
+    block in this process, so no worker starts; the list of pools made."""
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers, mp_context=None):
+            self.max_workers, self.blocks = max_workers, []
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, block, first, stop):
+            self.blocks.append((first, stop))
+            future = Future()
+            future.set_result(block(first, stop))
+            return future
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InlinePool)
+    return pools
+
+
+def test_jobs_past_the_trial_count_start_one_worker_per_trial(tmp_path, inline_pools):
+    config = copy.deepcopy(SMALL_DRIFT)
+    config["params"]["trials"] = 30
+    path = _write(tmp_path, config)
+    outputs = []
+    for jobs in ("1", "64"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["run", str(path), "--out", str(out), "--jobs", jobs]) == 0
+        outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert outputs[0] == outputs[1]
+    (pool,) = inline_pools
+    assert pool.max_workers == 30
+    assert pool.blocks == [(trial, trial + 1) for trial in range(30)]
+
+
+@pytest.mark.parametrize("command", [["run", "CONFIG"], ["preset", "drift-f2"]])
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_exit_one(tmp_path, capsys, inline_pools, command, jobs):
+    # exit 1 like an invalid config: argparse's usage error would exit 2
+    out = tmp_path / "o"
+    config = str(_write(tmp_path, SMALL_DRIFT))
+    argv = [config if arg == "CONFIG" else arg for arg in command]
+    assert main(argv + ["--out", str(out), "--jobs", jobs]) == 1
+    assert capsys.readouterr().err == f"invalid --jobs {jobs}: must be at least 1\n"
+    assert not out.exists() and not inline_pools
 
 
 def test_tolerance_failure_exit_two(tmp_path):

@@ -341,6 +341,19 @@ def test_gcd3_matches_sympy(p, data):
     assert g == _from_sympy(expected, expected.total_degree(), p)
 
 
+def test_gcd3_checks_the_first_pairwise_gcd_at_p5():
+    # Three polys over GF(5) sharing X + Y.  Every nonzero point of GF(5) is
+    # unlucky for the first pair, so its modular gcd is wrong, and folded
+    # with the third poly it gave 1, which passes the final trial division.
+    p = 5
+    f1 = HomPoly3(3, {(3, 0, 0): 1, (2, 1, 0): 2, (1, 0, 2): 1, (0, 3, 0): 4, (0, 1, 2): 1}, p)
+    f2 = HomPoly3(3, {(2, 1, 0): 3, (1, 2, 0): 4, (1, 0, 2): 4, (0, 3, 0): 1, (0, 1, 2): 4}, p)
+    f3 = HomPoly3(2, {(2, 0, 0): 1, (1, 1, 0): 2, (1, 0, 1): 4, (0, 2, 0): 1, (0, 1, 1): 4}, p)
+    assert gcd3(f1, f2, f3) == HomPoly3(1, {(1, 0, 0): 1, (0, 1, 0): 1}, p)
+    boxes = [f.box for f in (f1, f2, f3)]
+    assert polynomials._bivariate_gcd_list(boxes, p, polynomials._modular_bivariate_gcd) is None
+
+
 def _dict_add(a, b, p):
     """The sum of two {exponent triple: residue} dicts, zeros dropped."""
     out = dict(a)
