@@ -17,7 +17,7 @@ from types import NoneType, UnionType
 from typing import get_args
 
 from .cremona import CremonaModel, MonomialMap, MonomialModel, valid_primes
-from .errors import InputError
+from .errors import InputError, ParamError
 from .finitegroups import FiniteGroup, cyclic_automorphism
 from .freegroup import FreeGroupOracle, SemidirectOracle
 from .walk import FiniteMeasure
@@ -385,8 +385,12 @@ def _generator(model: CremonaModel, spec, path: str):
 
 
 def run_config(config: dict, jobs: int = 1):
-    """Check, build and run a configuration document."""
+    """Check, build and run a configuration document.  An argument the
+    entry point rejects (a ``ParamError``) is named ``$.params.<key>``."""
     entry, kwargs = validate_config(config)
     if "jobs" in inspect.signature(entry).parameters:
         kwargs["jobs"] = jobs
-    return entry(**kwargs)
+    try:
+        return entry(**kwargs)
+    except ParamError as err:
+        raise ConfigError(f"$.params.{err}") from None

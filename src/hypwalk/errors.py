@@ -1,7 +1,8 @@
 """Exception types shared across the library.
 
 The split mirrors how callers are expected to react: ``InputError`` means the
-caller passed something malformed and should fix it, ``ResourceError`` means a
+caller passed something malformed and should fix it (``ParamError``, when it
+is one named argument of an experiment), ``ResourceError`` means a
 configured budget (degree cap, census cap) was exhausted and carries whatever
 partial data was computed, ``UnsupportedError`` marks operations that are
 deliberately out of scope for a given model.
@@ -12,6 +13,14 @@ from __future__ import annotations
 
 class InputError(ValueError):
     """Malformed argument: broken metric oracle, bad generator index, etc."""
+
+
+class ParamError(InputError):
+    """A bad argument of an experiment's entry point: the message is
+    ``<name>: <reason>``, and a config run names the field ``$.params.<name>``."""
+
+    def __init__(self, name: str, reason: str):
+        super().__init__(f"{name}: {reason}")
 
 
 class UnsupportedError(NotImplementedError):

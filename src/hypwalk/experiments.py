@@ -19,6 +19,18 @@ Every result is reproducible bit for bit from ``(name, params, seed)``: all
 randomness flows through the per-trial streams of :mod:`hypwalk.walk`, and
 aggregates are pure functions of the stored per-trial records (re-derivable
 through :meth:`ExperimentResult.recompute_aggregates`).
+
+The per-trial experiments run through one runner, ``_sampled``.  It adds the
+trial count and the measure to the params; folds the trials of a tree
+measure, or walks those of any other once each; splits the trials into
+``jobs`` worker blocks; and aggregates and gates the rows.  An entry point
+gives it only its params, tolerances and observers: ``tree(word, n)`` reads
+the reduced word w_n, ``walk(path, n)`` the sampled path, and each returns
+only its row's fields, which the runner stores after ``trial`` and ``n``.
+Shadow decay (one stream per (m, chunk)) and the characteristic index (one
+vectorised walk on the image group's table) sample their own way.  An
+argument an entry point rejects itself raises ``ParamError``, named by the
+argument.
 """
 
 from __future__ import annotations
@@ -36,7 +48,8 @@ import numpy as np
 from . import stats
 from . import words as W
 from .cremona import CremonaModel, dynamical_degree_estimate
-from .errors import InputError, ResourceError
+from .errors import InputError, ParamError, ResourceError
+from .finitegroups import closure
 from .freegroup import (
     FreeGroupOracle,
     SemidirectOracle,
@@ -194,11 +207,31 @@ def _result(name, params, seed, records, tolerances=None, failures=()):
     return result
 
 
-def _truncated(path, n, reason=None) -> dict:
-    """The row of trial ``path.trial`` cut short at n.  The reason defaults
-    to the walk's own ``path.truncation_reason``."""
-    reason = reason or path.truncation_reason
-    return {"trial": path.trial, "n": n, "truncated": True, "truncation_reason": reason}
+def _sampled(
+    name, measure, marks, seed, trials, jobs, params, tolerances=None,
+    tree=None, walk=None,
+):
+    """The per-trial experiment ``name``: ``trials`` trials of ``measure``,
+    read at the sorted ``marks``, in ``jobs`` blocks, then aggregated and
+    gated; ``params`` gains the trial count and the measure.
+
+    A tree measure folds its trials and reads ``tree(word, n)`` off the
+    reduced word w_n; any other walks each trial once and reads
+    ``walk(path, n)`` off the path.  An observer returns only its row's
+    fields: the row is ``{"trial": t, "n": n, **fields}``.  Observers are
+    module-level functions or partials of them, so that a block pickles.
+    """
+    params = {**params, "trials": trials, "measure": describe_measure(measure)}
+    if _is_tree(measure):
+        block = partial(_tree_trial_rows, measure, marks, seed, observe=tree)
+    else:
+        block = partial(_walk_trial_rows, measure, marks, seed, observe=walk)
+    return _result(name, params, seed, _run_trials(block, trials, jobs), tolerances)
+
+
+def _truncated(reason) -> dict:
+    """The fields of a row cut short, for ``reason``."""
+    return {"truncated": True, "truncation_reason": reason}
 
 
 def _untruncated(records, n) -> list:
@@ -218,8 +251,8 @@ def _truncation_failures(aggregates) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Tree experiments: trials fold in blocks through walk.fold_words, and each
-# observable reads the reduced word w_n at its marks.
+# Tree experiments: trials fold in blocks through walk.fold_words, and an
+# observer reads the reduced word w_n at each mark.
 
 
 # Trials folded as one block.  fold_words holds a (block x n) index array and
@@ -228,9 +261,10 @@ def _truncation_failures(aggregates) -> list:
 _FOLD_TRIALS = 2000
 
 
-def _tree_trial_rows(measure, marks, seed, first, stop, observables) -> list:
-    """Fold trials first..stop-1, at most ``_FOLD_TRIALS`` together,
-    evaluating observables at marks; rows come back trial-major."""
+def _tree_trial_rows(measure, marks, seed, first, stop, observe) -> list:
+    """Fold trials first..stop-1, at most ``_FOLD_TRIALS`` together; the
+    row at mark n holds ``observe(word, n)`` of the reduced word w_n, and
+    rows come back trial-major."""
     marks = sorted(set(marks))
     rows = []
     for lo in range(first, stop, _FOLD_TRIALS):
@@ -245,28 +279,18 @@ def _tree_trial_rows(measure, marks, seed, first, stop, observables) -> list:
         for row, trial in enumerate(trials):
             for n, (stack, length) in zip(marks, folded):
                 word = tuple(stack[row, : length[row]].tolist())
-                record = {"trial": trial, "n": n}
-                for name, evaluate in observables:
-                    record[name] = evaluate(word, n)
-                rows.append(record)
+                rows.append({"trial": trial, "n": n, **observe(word, n)})
     return rows
 
 
-def _obs_displacement(word, n):
-    return len(word)
-
-
-def _obs_tau(word, n):
-    return W.translation_length(word)
-
-
-def _sym_gp_of_word(word, n) -> int:
-    """Common prefix length of w and w^-1: compare w[i] against -w[-1-i]."""
+def _sym_gp_of_word(word, n) -> dict:
+    """The symmetric Gromov product: the common prefix length of w and
+    w^-1, comparing w[i] against -w[-1-i]."""
     size = len(word)
     i = 0
     while i < size and word[i] == -word[size - 1 - i]:
         i += 1
-    return i
+    return {"sym_gp": i}
 
 
 def _is_tree(measure: FiniteMeasure) -> bool:
@@ -286,17 +310,18 @@ def _require_tree(measure: FiniteMeasure, experiment: str) -> None:
 
 def _walk_trial_rows(measure, marks, seed, first, stop, observe) -> list:
     """Walk trials first..stop-1 once each, to the last of the sorted
-    ``marks``, keeping the endpoints at every mark.  The row at mark n is
-    ``observe(path, n)``, or a truncated row when the walk was cut before
+    ``marks``, keeping the endpoints at every mark.  The row at mark n holds
+    ``observe(path, n)``, or the walk's truncation when it was cut before
     step n (every mark of a discarded trial); rows come back trial-major."""
     rows = []
     for trial in range(first, stop):
         path = sample_path(measure, marks[-1], seed, trial, marks=marks)
         for n in marks:
             if path.truncated_at is not None and n > path.truncated_at:
-                rows.append(_truncated(path, n))
+                fields = _truncated(path.truncation_reason)
             else:
-                rows.append(observe(path, n))
+                fields = observe(path, n)
+            rows.append({"trial": trial, "n": n, **fields})
     return rows
 
 
@@ -316,9 +341,7 @@ def _obs_endpoint(tau_budget, path, n) -> dict:
     def observe(model, rebuild):
         w, winv = (rebuild(g) for g in path.endpoints[n])
         d = path.displacements[n]
-        row = {
-            "trial": path.trial,
-            "n": n,
+        fields = {
             "d": d,
             "sym_gp": gromov_product(
                 d, model.displacement(winv), model.pairwise_distance(w, winv)
@@ -326,16 +349,16 @@ def _obs_endpoint(tau_budget, path, n) -> dict:
             "truncated": False,
         }
         if tau_budget is not None:
-            row["tau"] = model.translation_length_estimate(w, tau_budget)
-        return row
+            fields["tau"] = model.translation_length_estimate(w, tau_budget)
+        return fields
 
     try:
-        row = at_trial_primes(
+        fields = at_trial_primes(
             path.oracle, path.seed, path.trial, observe, used=path.prime_retries
         )
     except ResourceError:
-        return _truncated(path, n, "degree_cap")
-    return row[0] if row is not None else _truncated(path, n, "bad_prime")
+        return _truncated("degree_cap")
+    return fields[0] if fields is not None else _truncated("bad_prime")
 
 
 # ---------------------------------------------------------------------------
@@ -360,21 +383,13 @@ def estimate_drift(
     than 10% truncate).
     """
     if trials < DRIFT_MIN_TRIALS:
-        raise InputError(f"drift estimation needs at least {DRIFT_MIN_TRIALS} trials")
-    params = {
-        "n": n,
-        "trials": trials,
-        "expected": expected,
-        "measure": describe_measure(measure),
-    }
-    if _is_tree(measure):
-        block = partial(
-            _tree_trial_rows, measure, [n], seed, observables=[("d", _obs_displacement)]
+        raise ParamError(
+            "trials", f"drift estimation needs at least {DRIFT_MIN_TRIALS}"
         )
-    else:
-        block = partial(_walk_trial_rows, measure, [n], seed, observe=_obs_degree)
-    records = _run_trials(block, trials, jobs)
-    return _result("drift", params, seed, records, {"mean_abs_error": tolerance})
+    return _sampled(
+        "drift", measure, [n], seed, trials, jobs, {"n": n, "expected": expected},
+        {"mean_abs_error": tolerance}, tree=_obs_tree_displacement, walk=_obs_degree,
+    )
 
 
 def _aggregate_drift(records, params):
@@ -411,12 +426,14 @@ def _gate_drift(result):
     return failures
 
 
+def _obs_tree_displacement(word, n) -> dict:
+    return {"d": len(word)}
+
+
 def _obs_degree(path, n) -> dict:
     d = path.displacements[n]
     degree = round(math.cosh(d))
     return {
-        "trial": path.trial,
-        "n": n,
         "truncated": False,
         "d": d,
         "log_deg": math.log(degree),
@@ -448,24 +465,21 @@ def translation_growth(
     most d(x, w_n x)/budget.
     """
     marks = sorted(n_grid)
-    params = {
-        "n_grid": marks,
-        "trials": trials,
-        "measure": describe_measure(measure),
-    }
-    if _is_tree(measure):
-        observables = [
-            ("d", _obs_displacement), ("tau", _obs_tau), ("sym_gp", _sym_gp_of_word)
-        ]
-        block = partial(_tree_trial_rows, measure, marks, seed, observables=observables)
-    else:
+    params = {"n_grid": marks}
+    if not _is_tree(measure):  # the trees skip the budgeted estimate
         params["tau_budget"] = tau_budget
-        observe = partial(_obs_endpoint, tau_budget)
-        block = partial(_walk_trial_rows, measure, marks, seed, observe=observe)
-    records = _run_trials(block, trials, jobs)
-    return _result(
-        "translation_growth", params, seed, records, {"drift_gap": drift_tolerance}
+    return _sampled(
+        "translation_growth", measure, marks, seed, trials, jobs, params,
+        {"drift_gap": drift_tolerance},
+        tree=_obs_tree_translation, walk=partial(_obs_endpoint, tau_budget),
     )
+
+
+def _obs_tree_translation(word, n) -> dict:
+    """d(x, w_n x), the exact translation length and the symmetric Gromov
+    product of the reduced word w_n."""
+    tau = W.translation_length(word)
+    return {"d": len(word), "tau": tau, **_sym_gp_of_word(word, n)}
 
 
 def _aggregate_translation(records, params):
@@ -525,22 +539,13 @@ def gromov_tail(
     linearly, so the frequencies should sit near zero at every n; the
     median track is reported as the sublinearity proxy."""
     if not 0 < epsilon < 1:
-        raise InputError("epsilon must lie in (0, 1)")
+        raise ParamError("epsilon", "must lie in (0, 1)")
     marks = sorted(n_grid)
-    params = {
-        "n_grid": marks,
-        "trials": trials,
-        "epsilon": epsilon,
-        "measure": describe_measure(measure),
-    }
-    if _is_tree(measure):
-        observables = [("sym_gp", _sym_gp_of_word)]
-        block = partial(_tree_trial_rows, measure, marks, seed, observables=observables)
-    else:
-        observe = partial(_obs_endpoint, None)
-        block = partial(_walk_trial_rows, measure, marks, seed, observe=observe)
-    records = _run_trials(block, trials, jobs)
-    return _result("gromov_tail", params, seed, records, {"tail_threshold": threshold})
+    return _sampled(
+        "gromov_tail", measure, marks, seed, trials, jobs,
+        {"n_grid": marks, "epsilon": epsilon}, {"tail_threshold": threshold},
+        tree=_sym_gp_of_word, walk=partial(_obs_endpoint, None),
+    )
 
 
 def _aggregate_gromov_tail(records, params):
@@ -604,7 +609,7 @@ def shadow_decay(
     """
     _require_tree(measure, "shadow decay")
     if settle_steps < 0:
-        raise InputError("settle_steps must be >= 0")
+        raise ParamError("settle_steps", "must be >= 0")
     rank = measure.oracle.rank
     m_grid = sorted(m_grid)
     uniform = _is_uniform_letter_measure(measure)
@@ -747,65 +752,48 @@ def match_census(
     length ``self_match_fraction * n`` equal up to a group translate.
     """
     _require_tree(measure, "matching census")
+    needs = {
+        "axis": {"axis_core": axis_core, "n": n},
+        "non": {"n": n},
+        "self": {"n_grid": n_grid},
+    }
+    if kind not in needs:
+        raise ParamError("kind", f"unknown matching census kind {kind!r}")
+    for key, value in needs[kind].items():
+        if value is None:
+            raise ParamError(key, f"{kind} matching needs it")
     if kind == "axis":
-        if axis_core is None or n is None:
-            raise InputError("axis matching needs axis_core and n")
         core = tuple(axis_core)
-        observables = [("match", partial(_obs_axis_match, core, L))]
+        if W.translation_length(core) == 0:
+            raise ParamError("axis_core", "must be loxodromic (a nonempty cyclic core)")
         marks = [n]
-        params = {
-            "kind": kind,
-            "n": n,
-            "L": L,
-            "trials": trials,
-            "axis_core": W.word_to_str(core),
-            "measure": describe_measure(measure),
-        }
+        params = {"n": n, "L": L, "axis_core": W.word_to_str(core)}
         tolerances = {"axis_threshold": axis_threshold}
+        observe = partial(_obs_axis_match, core, L)
     elif kind == "non":
-        if n is None:
-            raise InputError("non-matching needs n")
         s_grid = sorted(s_grid)
         if pattern_length < s_grid[-1]:
             # pattern[:s] would be the whole, shorter pattern
-            raise InputError(
-                f"pattern_length {pattern_length} is shorter than the largest "
-                f"s in s_grid ({s_grid[-1]})"
+            raise ParamError(
+                "pattern_length",
+                f"{pattern_length} is shorter than the largest s in s_grid "
+                f"({s_grid[-1]})",
             )
         pattern = _fixed_test_pattern(measure, pattern_length, seed)
-        observables = [
-            (f"pattern_s{s}", partial(_obs_contains_translate, pattern[:s]))
-            for s in s_grid
-        ]
         marks = [n]
-        params = {
-            "kind": kind,
-            "n": n,
-            "trials": trials,
-            "pattern": W.word_to_str(pattern),
-            "s_grid": list(s_grid),
-            "measure": describe_measure(measure),
-        }
+        params = {"n": n, "pattern": W.word_to_str(pattern), "s_grid": s_grid}
         tolerances = {"non_match_threshold": non_match_threshold}
-    elif kind == "self":
-        if n_grid is None:
-            raise InputError("self matching needs n_grid")
-        marks = sorted(n_grid)
-        observables = [("self_match", partial(_obs_self_match, self_match_fraction))]
-        params = {
-            "kind": kind,
-            "n_grid": marks,
-            "trials": trials,
-            "self_match_fraction": self_match_fraction,
-            "measure": describe_measure(measure),
-        }
-        tolerances = {}
+        patterns = {f"pattern_s{s}": pattern[:s] for s in s_grid}
+        observe = partial(_obs_non_match, patterns)
     else:
-        raise InputError(f"unknown matching census kind {kind!r}")
-
-    block = partial(_tree_trial_rows, measure, marks, seed, observables=observables)
-    records = _run_trials(block, trials, jobs)
-    return _result(f"match_census_{kind}", params, seed, records, tolerances)
+        marks = sorted(n_grid)
+        params = {"n_grid": marks, "self_match_fraction": self_match_fraction}
+        tolerances = {}
+        observe = partial(_obs_self_match, self_match_fraction)
+    return _sampled(
+        f"match_census_{kind}", measure, marks, seed, trials, jobs,
+        {"kind": kind, **params}, tolerances, tree=observe,
+    )
 
 
 def _fixed_test_pattern(measure, length: int, seed: int) -> tuple:
@@ -825,25 +813,26 @@ def _fixed_test_pattern(measure, length: int, seed: int) -> tuple:
     return tuple(letters)
 
 
-def _obs_axis_match(core, L, word, step) -> int:
-    return int(W.match_detect(word, core, L))
+def _obs_axis_match(core, L, word, step) -> dict:
+    return {"match": int(W.match_detect(word, core, L))}
 
 
-def _obs_contains_translate(pattern, word, step) -> int:
-    """Does the geodesic word contain the pattern or its reversal-inverse?"""
-    n, s = len(word), len(pattern)
-    if s == 0 or n < s:
-        return 0
-    mirrored = W.invert(pattern)
-    for i in range(n - s + 1):
-        window = word[i : i + s]
-        if window == pattern or window == mirrored:
-            return 1
-    return 0
+def _obs_non_match(patterns, word, step) -> dict:
+    """Per named (nonempty) pattern, 1 when the geodesic word contains it
+    or its reversal-inverse, else 0."""
+    fields = dict.fromkeys(patterns, 0)
+    for name, pattern in patterns.items():
+        s, mirrored = len(pattern), W.invert(pattern)
+        for i in range(len(word) - s + 1):
+            window = word[i : i + s]
+            if window == pattern or window == mirrored:
+                fields[name] = 1
+                break
+    return fields
 
 
-def _obs_self_match(fraction, word, step) -> int:
-    return int(W.self_match_detect(word, max(1, int(fraction * step))))
+def _obs_self_match(fraction, word, step) -> dict:
+    return {"self_match": int(W.self_match_detect(word, max(1, int(fraction * step))))}
 
 
 def _frequency(hits, total) -> dict:
@@ -924,28 +913,17 @@ def stab_acylindricity(
     a ``quantile`` fraction of trials must not depend on n."""
     _require_tree(measure, "stabilizer census")
     oracle = measure.oracle
-    rank = oracle.rank
-    torsion_order = (
-        oracle.torsion_group.order if isinstance(oracle, SemidirectOracle) else 1
-    )
+    torsion = oracle.torsion_group.order if isinstance(oracle, SemidirectOracle) else 1
     marks = sorted(n_grid)
-    params = {
-        "K": K,
-        "n_grid": marks,
-        "trials": trials,
-        "quantile": quantile,
-        "torsion_order": torsion_order,
-        "measure": describe_measure(measure),
-    }
-    census = partial(_obs_census, K, rank, torsion_order, census_cap)
-    observables = [("census", census)]
-    block = partial(_tree_trial_rows, measure, marks, seed, observables=observables)
-    records = _run_trials(block, trials, jobs)
-    return _result("stab_acylindricity", params, seed, records)
+    params = {"K": K, "n_grid": marks, "quantile": quantile, "torsion_order": torsion}
+    return _sampled(
+        "stab_acylindricity", measure, marks, seed, trials, jobs, params,
+        tree=partial(_obs_census, K, oracle.rank, torsion, census_cap),
+    )
 
 
-def _obs_census(K, rank, torsion_order, cap, word, step) -> int:
-    return stab_census(word, K, rank, torsion_order, cap=cap)
+def _obs_census(K, rank, torsion_order, cap, word, step) -> dict:
+    return {"census": stab_census(word, K, rank, torsion_order, cap=cap)}
 
 
 def _aggregate_stab(records, params):
@@ -1026,21 +1004,10 @@ def small_cancellation_experiment(
     """Frequency of random words whose conjugacy family satisfies the
     axis-overlap half of the small-cancellation condition at ratio epsilon."""
     _require_tree(measure, "small cancellation")
-    params = {
-        "n": n,
-        "trials": trials,
-        "epsilon": epsilon,
-        "A": A,
-        "measure": describe_measure(measure),
-    }
-    certificate = partial(_obs_certificate, A, epsilon)
-    observables = [("cert", certificate)]
-    block = partial(_tree_trial_rows, measure, [n], seed, observables=observables)
-    records = _run_trials(block, trials, jobs)
-    for row in records:
-        row.update(row.pop("cert"))
-    return _result(
-        "small_cancellation", params, seed, records, {"pass_threshold": pass_threshold}
+    return _sampled(
+        "small_cancellation", measure, [n], seed, trials, jobs,
+        {"n": n, "epsilon": epsilon, "A": A}, {"pass_threshold": pass_threshold},
+        tree=partial(_obs_certificate, A, epsilon),
     )
 
 
@@ -1107,19 +1074,8 @@ def characteristic_index_experiment(
 
     # the image group H of the support inside Aut(kernel), as a Cayley table
     atom_images = [oracle.conjugation_on_kernel(a.element) for a in measure.atoms]
-    elements = [tuple(range(oracle.torsion_group.order))]
-    index_of = {elements[0]: 0}
-    frontier = [elements[0]]
-    while frontier:
-        new_frontier = []
-        for phi in frontier:
-            for gen in atom_images:
-                composed = tuple(gen(v) for v in phi)
-                if composed not in index_of:
-                    index_of[composed] = len(elements)
-                    elements.append(composed)
-                    new_frontier.append(composed)
-        frontier = new_frontier
+    elements = closure(atom_images, oracle.torsion_group)
+    index_of = {phi: i for i, phi in enumerate(elements)}
     k = len(elements)
     # table[state, image] = index of composition state . image
     table = np.zeros((k, len(measure.atoms)), dtype=np.int64)
@@ -1134,7 +1090,7 @@ def characteristic_index_experiment(
     state = np.zeros(trials, dtype=np.int64)
     records = []
     mark_set = set(marks)
-    order_of = [_automorphism_order(phi, elements, index_of) for phi in elements]
+    order_of = [_automorphism_order(phi) for phi in elements]
     for step in range(1, n_max + 1):
         state = table[state, increments[:, step - 1]]
         if step in mark_set:
@@ -1152,13 +1108,6 @@ def characteristic_index_experiment(
                     }
                 )
 
-    from .freegroup import characteristic_index
-
-    k_check = characteristic_index(oracle, [a.element for a in measure.atoms])
-    if k_check != k:
-        raise AssertionError(
-            f"closure orders disagree: table build {k}, direct closure {k_check}"
-        )
     kernel_central = oracle.torsion_group.is_abelian() and all(
         phi.images == tuple(range(oracle.torsion_group.order))
         for phi in atom_images
@@ -1180,10 +1129,10 @@ def characteristic_index_experiment(
     )
 
 
-def _automorphism_order(phi, elements, index_of) -> int:
+def _automorphism_order(phi) -> int:
     order = 1
     current = phi
-    identity = elements[0]
+    identity = tuple(range(len(phi)))
     while tuple(current) != identity:
         current = tuple(phi[v] for v in current)
         order += 1
@@ -1253,25 +1202,20 @@ def degree_growth_experiment(
     marks = sorted(n_grid)
     params = {
         "n_grid": marks,
-        "trials": trials,
         "iterate_budget": iterate_budget,
         "degree_cap": model.degree_cap,
         "lambda_degree_bound": lambda_degree_bound,
-        "measure": describe_measure(measure),
     }
-    observe = partial(_obs_degree_growth, iterate_budget, lambda_degree_bound)
-    block = partial(_walk_trial_rows, measure, marks, seed, observe=observe)
-    records = _run_trials(block, trials, jobs)
-    return _result(
-        "degree_growth", params, seed, records, {"gap_tolerance": gap_tolerance}
+    return _sampled(
+        "degree_growth", measure, marks, seed, trials, jobs, params,
+        {"gap_tolerance": gap_tolerance},
+        walk=partial(_obs_degree_growth, iterate_budget, lambda_degree_bound),
     )
 
 
 def _obs_degree_growth(iterate_budget, lambda_degree_bound, path, n) -> dict:
     degree = int(round(math.cosh(path.displacements[n])))
     row = {
-        "trial": path.trial,
-        "n": n,
         "truncated": False,
         "degree": degree,
         "log_deg_rate": math.log(degree) / n if degree >= 1 else 0.0,

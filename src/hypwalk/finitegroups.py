@@ -123,25 +123,31 @@ def cyclic_automorphism(m: int, multiplier: int) -> Automorphism:
     return Automorphism(tuple((multiplier * x) % m for x in range(m)))
 
 
-def closure_order(generators: list[Automorphism], group: FiniteGroup) -> int:
-    """Order of the subgroup of Aut generated by the given automorphisms.
-
-    Breadth-first closure under composition; every generator is validated
-    first.  The identity is always counted.
+def closure(
+    generators: list[Automorphism], group: FiniteGroup
+) -> list[tuple[int, ...]]:
+    """The subgroup of Aut generated by the given automorphisms, as image
+    tuples: the identity first, then the breadth-first closure under
+    composition with the generators (in a finite group the inverses are
+    powers, so they add nothing).  Every generator is validated first.
     """
     for phi in generators:
         check_automorphism(group, phi)
-    identity = Automorphism.identity(group)
-    seen: set[tuple[int, ...]] = {identity.images}
-    frontier = [identity]
-    gens = list(generators) + [phi.inverse() for phi in generators]
+    identity = tuple(range(group.order))
+    elements, seen, frontier = [identity], {identity}, [identity]
     while frontier:
         nxt = []
-        for element in frontier:
-            for phi in gens:
-                composed = phi.compose(element)
-                if composed.images not in seen:
-                    seen.add(composed.images)
+        for images in frontier:
+            for phi in generators:
+                composed = tuple(phi.images[v] for v in images)
+                if composed not in seen:
+                    seen.add(composed)
                     nxt.append(composed)
+        elements += nxt
         frontier = nxt
-    return len(seen)
+    return elements
+
+
+def closure_order(generators: list[Automorphism], group: FiniteGroup) -> int:
+    """Order of the subgroup of Aut generated by the given automorphisms."""
+    return len(closure(generators, group))

@@ -194,17 +194,19 @@ def periodic_factors(core: Word, length: int) -> set[Word]:
 
 
 def match_detect(path_word: Word, axis_core: Word, L: int) -> bool:
-    """Does a length-L factor of ``path_word`` lie on the core^inf line?
+    """Does a length-L factor of ``path_word`` lie on a translate of the
+    axis of ``axis_core``, the line core^inf of its cyclic core?
 
     This is the tree instance (Hausdorff slack 0) of an (L, K)-match between
     the geodesic [x, w.x] and a group translate of the axis of the element
-    with the given cyclically reduced core.  Both reading directions of the
-    line count.
+    ``axis_core``, any loxodromic word: a conjugate's axis is a translate of
+    its cyclic core's.  Both reading directions of the line count.
     """
     if L < 1:
         raise InputError("match length L must be >= 1")
+    axis_core = cyclic_reduce(axis_core)[1]
     if len(axis_core) == 0:
-        raise InputError("axis core must be nonempty (loxodromic element)")
+        raise InputError("axis core must be loxodromic (a nonempty cyclic core)")
     if len(path_word) < L:
         return False
     targets = periodic_factors(axis_core, L)

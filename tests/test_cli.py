@@ -118,9 +118,19 @@ def test_unknown_key_exit_one(tmp_path, capsys):
         ("drift-f2", {"tolerance": math.nan}, "$.params.tolerance: must be a finite"),
         ("drift-f2", {"expected": math.inf}, "$.params.expected: must be a finite"),
         ("gromov-sublinearity-f2", {"epsilon": -math.inf}, "$.params.epsilon:"),
-        ("shadow-decay-f2", {"settle_steps": -10}, "settle_steps must be >= 0"),
-        ("shadow-decay-f2", {"settle_steps": -1}, "settle_steps must be >= 0"),
-        ("match-non-f2", {"pattern_length": 10}, "pattern_length 10 is shorter"),
+        ("shadow-decay-f2", {"settle_steps": -10}, "$.params.settle_steps: must be >= 0"),
+        ("shadow-decay-f2", {"settle_steps": -1}, "$.params.settle_steps: must be >= 0"),
+        ("match-non-f2", {"pattern_length": 10}, "$.params.pattern_length: 10 is shorter"),
+        # an argument the entry point checks itself is named as a field too
+        ("match-non-f2", {"kind": "bogus"}, "$.params.kind: unknown matching census"),
+        ("gromov-sublinearity-f2", {"epsilon": 1.5}, "$.params.epsilon: must lie in"),
+        ("drift-f2", {"trials": 29}, "$.params.trials: drift estimation needs at least 30"),
+        ("match-axis-f2", {"axis_core": None}, "$.params.axis_core: axis matching needs"),
+        ("match-non-f2", {"n": None}, "$.params.n: non matching needs it"),
+        ("match-self-f2", {"n_grid": None}, "$.params.n_grid: self matching needs it"),
+        # an elliptic core has no axis to match
+        ("match-axis-f2", {"axis_core": ""}, "$.params.axis_core: must be loxodromic"),
+        ("match-axis-f2", {"axis_core": "aA"}, "$.params.axis_core: must be loxodromic"),
     ],
 )
 def test_bad_counts_and_grids_exit_one(tmp_path, capsys, preset, params, message):

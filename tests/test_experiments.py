@@ -243,6 +243,22 @@ def test_match_census_kinds():
     assert self_result.passed
 
 
+def test_axis_match_counts_a_conjugate_like_its_cyclic_core():
+    # the axis of abA is the a-translate of the axis of b; matched against
+    # the unreduced line abA abA ..., no reduced path word ever matched
+    conjugate, core = (
+        E.match_census(
+            "axis", uniform_free(), seed=5, trials=60, n=200,
+            axis_core=W.str_to_word(word), L=4,
+        )
+        for word in ("abA", "b")
+    )
+    assert conjugate.records == core.records
+    assert conjugate.aggregates == core.aggregates
+    assert conjugate.aggregates["frequency"] > 0.2
+    assert conjugate.params["axis_core"] == "abA"
+
+
 def test_match_census_validation():
     with pytest.raises(InputError):
         E.match_census("axis", uniform_free(), seed=1, trials=10, n=50)
@@ -271,16 +287,45 @@ def test_match_census_validation():
         # numpy raised a bare ValueError at -10, and -1 read m - 1 steps
         (
             lambda m: E.shadow_decay(m, [1, 5], 100, seed=1, settle_steps=-10),
-            "settle_steps must be >= 0",
+            "settle_steps: must be >= 0",
         ),
         (
             lambda m: E.shadow_decay(m, [1, 5], 100, seed=1, settle_steps=-1),
-            "settle_steps must be >= 0",
+            "settle_steps: must be >= 0",
         ),
         # pattern[:20] of a length-10 pattern would be reported under s = 20
         (
             lambda m: E.match_census("non", m, seed=1, trials=5, n=50, pattern_length=10),
-            "pattern_length 10 is shorter than the largest s in s_grid (30)",
+            "pattern_length: 10 is shorter than the largest s in s_grid (30)",
+        ),
+        # the other arguments an entry point checks itself name their field
+        (
+            lambda m: E.match_census("bogus", m, seed=1, trials=5, n=50),
+            "kind: unknown matching census kind 'bogus'",
+        ),
+        (lambda m: E.gromov_tail(m, [10], 40, seed=1, epsilon=1.5), "epsilon: must lie"),
+        (
+            lambda m: E.estimate_drift(m, 10, 29, seed=1),
+            "trials: drift estimation needs at least 30",
+        ),
+        (
+            lambda m: E.match_census("axis", m, seed=1, trials=5, n=50),
+            "axis_core: axis matching needs it",
+        ),
+        (
+            lambda m: E.match_census("axis", m, seed=1, trials=5, axis_core=(1, 2)),
+            "n: axis matching needs it",
+        ),
+        (lambda m: E.match_census("non", m, seed=1, trials=5), "n: non matching"),
+        (lambda m: E.match_census("self", m, seed=1, trials=5), "n_grid: self matching"),
+        # an elliptic core has no axis: rejected before the first trial
+        (
+            lambda m: E.match_census("axis", m, seed=1, trials=5, n=50, axis_core=()),
+            "axis_core: must be loxodromic",
+        ),
+        (
+            lambda m: E.match_census("axis", m, seed=1, trials=5, n=50, axis_core=(1, -1)),
+            "axis_core: must be loxodromic",
         ),
     ],
 )
@@ -716,13 +761,16 @@ def test_observable_retries_continue_past_the_walks_retry_pairs(monkeypatch):
     assert base not in observed
 
 
-def test_drift_runs_on_the_monomial_model():
-    model = MonomialModel()
+def _cat_measure():
     cat = MonomialMap(2, 1, 1, 1)
-    measure = FiniteMeasure(
-        model,
+    return FiniteMeasure(
+        MonomialModel(),
         [("cat", cat, Fraction(1, 2)), ("cat^-1", cat.inverse(), Fraction(1, 2))],
     )
+
+
+def test_drift_runs_on_the_monomial_model():
+    measure = _cat_measure()
     result = E.estimate_drift(measure, 6, 30, seed=3)
     assert result.passed and result.aggregates["trials_used"] == 30
     for row in result.records:
@@ -831,6 +879,11 @@ def test_parallel_serial_equivalence():
             _cremona_measure(), [1, 3], 3, seed=86, jobs=jobs
         ),
         lambda jobs: E.gromov_tail(_cremona_measure(), [2, 3], 3, seed=87, jobs=jobs),
+        # each producer of the runner, for each entry point that has both
+        lambda jobs: E.estimate_drift(measure, 40, 30, seed=88, jobs=jobs),
+        lambda jobs: E.estimate_drift(_cat_measure(), 6, 30, seed=89, jobs=jobs),
+        lambda jobs: E.translation_growth(_cat_measure(), [3, 6], 5, seed=90, jobs=jobs),
+        lambda jobs: E.gromov_tail(measure, [30, 60], 24, seed=91, jobs=jobs),
     ]
     for run in runs:
         serial, parallel = run(1), run(2)
@@ -840,10 +893,10 @@ def test_parallel_serial_equivalence():
 
 def test_tree_fold_in_blocks_matches_one_block(monkeypatch):
     measure = uniform_free()
-    observables = [("d", E._obs_displacement), ("tau", E._obs_tau)]
-    one_block = E._tree_trial_rows(measure, [5, 30], 3, 2, 19, observables)
+    observe = E._obs_tree_translation
+    one_block = E._tree_trial_rows(measure, [5, 30], 3, 2, 19, observe)
     monkeypatch.setattr(E, "_FOLD_TRIALS", 4)
-    assert E._tree_trial_rows(measure, [5, 30], 3, 2, 19, observables) == one_block
+    assert E._tree_trial_rows(measure, [5, 30], 3, 2, 19, observe) == one_block
     assert [row["trial"] for row in one_block] == [t for t in range(2, 19) for _ in (5, 30)]
     blocked = E.translation_growth(measure, [20, 40], 10, seed=80).records
     monkeypatch.undo()

@@ -11,8 +11,9 @@ from hypwalk.errors import InputError, ResourceError, UnsupportedError
 from hypwalk.finitegroups import (
     Automorphism,
     FiniteGroup,
-    cyclic_automorphism,
+    closure,
     closure_order,
+    cyclic_automorphism,
 )
 from hypwalk.freegroup import (
     ExtendedElement,
@@ -154,6 +155,17 @@ def test_characteristic_index_z5():
     doubling = cyclic_automorphism(5, 2)  # order 4 in Aut(Z/5)
     model = SemidirectOracle(2, z5, [doubling, Automorphism.identity(z5)])
     assert characteristic_index(model, [model.element((1,))]) == 4
+
+
+def test_closure_lists_the_image_group_identity_first():
+    z5 = FiniteGroup.cyclic(5)
+    doubling = cyclic_automorphism(5, 2)
+    # the powers of x -> 2x on Z/5, breadth first
+    assert closure([doubling], z5) == [
+        (0, 1, 2, 3, 4), (0, 2, 4, 1, 3), (0, 4, 3, 2, 1), (0, 3, 1, 4, 2)
+    ]
+    assert closure([], z5) == [(0, 1, 2, 3, 4)]
+    assert closure_order([doubling, doubling.inverse()], z5) == 4
 
 
 def test_bad_automorphism_rejected():

@@ -84,6 +84,23 @@ def test_match_detect_examples():
     assert W.match_detect(W.str_to_word("BAB"), ab, 3) is True
 
 
+def test_match_detect_reads_the_axis_of_any_loxodromic_word():
+    # abA = a b a^-1 has the a-translate of b's axis; cyclic reduction
+    # finds it, where the windows of (abA)^inf are not reduced words
+    rng = random.Random(23)
+    b, conjugate = W.str_to_word("b"), W.str_to_word("abA")
+    for _ in range(200):
+        path = W.reduce_letters(
+            [rng.choice([1, -1, 2, -2]) for _ in range(rng.randrange(1, 30))]
+        )
+        L = rng.randrange(1, 6)
+        assert W.match_detect(path, conjugate, L) is W.match_detect(path, b, L)
+    assert W.match_detect(W.str_to_word("abbbA"), conjugate, 3) is True
+    for elliptic in [(), (1, -1), W.str_to_word("abBA")]:
+        with pytest.raises(InputError, match="loxodromic"):
+            W.match_detect(W.str_to_word("abab"), elliptic, 2)
+
+
 def test_match_detect_oracle():
     # Independent oracle: enumerate the factors of a long finite chunk.
     rng = random.Random(19)
