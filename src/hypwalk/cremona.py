@@ -293,8 +293,7 @@ def monomial_dynamical_degree(mono: MonomialMap) -> float:
 
 @dataclass(frozen=True)
 class GeneratorAtom:
-    tag: str
-    spec: tuple
+    spec: tuple  # its key, and the call that builds it: ("henon", n) is henon(n)
     triples: tuple[tuple[int, Triple], ...]          # per prime
     inverse_triples: tuple[tuple[int, Triple], ...]  # per prime
     self_inverse: bool
@@ -369,14 +368,14 @@ class CremonaModel(ActionOracle):
         self.primes = tuple(primes)
         self.degree_cap = degree_cap
         self._atoms: list[GeneratorAtom] = []
-        self._atom_index: dict[str, int] = {}
+        self._atom_index: dict[tuple, int] = {}
 
     # -- generator construction ---------------------------------------------
 
     def _intern(
-        self, tag, spec, builder, inverse_builder, self_inverse, monomial=None
+        self, spec, builder, inverse_builder, self_inverse, monomial=None
     ) -> CremonaElement:
-        if tag not in self._atom_index:
+        if spec not in self._atom_index:
             # normalized like every composed triple, so that a map equals
             # itself however it was built
             triples, inverses = (
@@ -390,20 +389,19 @@ class CremonaModel(ActionOracle):
             if len(degrees) != 1:
                 raise AssertionError("generator degree differs across primes")
             atom = GeneratorAtom(
-                tag, spec, triples, inverses, self_inverse, degrees.pop(), monomial
+                spec, triples, inverses, self_inverse, degrees.pop(), monomial
             )
             self._atoms.append(atom)
-            self._atom_index[tag] = len(self._atoms) - 1
-        index = self._atom_index[tag] + 1
+            self._atom_index[spec] = len(self._atoms) - 1
+        index = self._atom_index[spec] + 1
         atom = self._atoms[index - 1]
         return CremonaElement((index,), atom.degree, atom.triples)
 
     def sigma(self) -> CremonaElement:
-        return self._intern("sigma", ("sigma",), sigma_triple, sigma_triple, True)
+        return self._intern(("sigma",), sigma_triple, sigma_triple, True)
 
     def henon(self, n: int) -> CremonaElement:
         return self._intern(
-            f"henon{n}",
             ("henon", n),
             lambda p: henon_triple(n, p),
             lambda p: henon_inverse_triple(n, p),
@@ -414,9 +412,7 @@ class CremonaModel(ActionOracle):
         entries = tuple(int(e) for e in entries)
         if len(entries) != 9:
             raise InputError("linear generator needs nine matrix entries")
-        tag = "linear" + ",".join(str(e) for e in entries)
         return self._intern(
-            tag,
             ("linear", entries),
             lambda p: linear_triple(entries, p),
             lambda p: linear_triple(linear_inverse_entries(entries, p), p),
@@ -425,9 +421,7 @@ class CremonaModel(ActionOracle):
 
     def monomial(self, matrix) -> CremonaElement:
         mono = MonomialMap(*(int(v) for v in matrix))
-        tag = f"monomial{mono.a},{mono.b},{mono.c},{mono.d}"
         return self._intern(
-            tag,
             ("monomial", (mono.a, mono.b, mono.c, mono.d)),
             lambda p: monomial_triple(mono, p),
             lambda p: monomial_triple(mono.inverse(), p),
@@ -435,27 +429,16 @@ class CremonaModel(ActionOracle):
             monomial=mono,
         )
 
-    def from_spec(self, spec: tuple) -> CremonaElement:
-        kind = spec[0]
-        if kind == "sigma":
-            return self.sigma()
-        if kind == "henon":
-            return self.henon(spec[1])
-        if kind == "linear":
-            return self.linear(spec[1])
-        if kind == "monomial":
-            return self.monomial(spec[1])
-        raise InputError(f"unknown generator spec {spec!r}")
-
     def respawn(self, primes: tuple[int, ...]) -> "CremonaModel":
         """A fresh model over new primes with the same generator registry.
 
-        Atom indices are preserved, so element words carry over verbatim;
+        Each atom is interned again, in order, through the constructor its
+        spec names, so atom indices and element words carry over verbatim;
         used by the bad-prime retry policy.
         """
         clone = CremonaModel(primes, self.degree_cap)
-        for atom in self._atoms:
-            clone.from_spec(atom.spec)
+        for kind, *args in (atom.spec for atom in self._atoms):
+            getattr(clone, kind)(*args)
         return clone
 
     def rebuild(self, element: CremonaElement) -> CremonaElement:
@@ -497,15 +480,11 @@ class CremonaModel(ActionOracle):
                 out.append(letter)
         return tuple(out)
 
-    def _letter_element(self, letter: int) -> CremonaElement:
-        atom = self._atoms[abs(letter) - 1]
-        tracks = atom.triples if letter > 0 else atom.inverse_triples
-        return CremonaElement((letter,), atom.degree, tracks)
-
     def _compose_letter(self, letter: int, prime_slot: int, g: Triple) -> Triple:
         """The normalized triple of ``letter o g`` for a coprime triple g,
         cancelling by the base-point rule (see the module docstring)."""
-        spec = self._atoms[abs(letter) - 1].spec
+        atom = self._atoms[abs(letter) - 1]
+        spec = atom.spec
         if spec[0] == "sigma":
             return _sigma_onto(g)
         if spec[0] == "henon":
@@ -515,7 +494,7 @@ class CremonaModel(ActionOracle):
             ((a, u, w),) = group_gcds((u, g[2]), ((0, 1),))
             if a.degree:
                 return _henon_cancel(spec[1], letter < 0, a, u, v, w)
-        outer = self._letter_element(letter).tracks[prime_slot][1]
+        outer = (atom.triples if letter > 0 else atom.inverse_triples)[prime_slot][1]
         composed = [substitute(q, g) for q in outer]
         coprime = spec[0] in ("linear", "henon")
         return normalize_triple(*composed, coprime=coprime)[0]
@@ -531,8 +510,7 @@ class CremonaModel(ActionOracle):
             raw_degree = self._atoms[abs(letter) - 1].degree * degree
             if raw_degree > self.degree_cap:
                 raise ResourceError(
-                    f"composition degree {raw_degree} above cap {self.degree_cap}",
-                    payload={"raw_degree": raw_degree},
+                    f"composition degree {raw_degree} above cap {self.degree_cap}"
                 )
             tracks = tuple(
                 (prime, self._compose_letter(letter, slot, inner))
@@ -601,19 +579,10 @@ class CremonaModel(ActionOracle):
 
         ``log deg`` is subadditive along powers and converges to
         ``log(dynamical degree)``, which equals the translation length on the
-        hyperboloid; the running minimum keeps the estimate one-sided."""
-        if budget < 1:
-            raise InputError("budget must be >= 1")
-        try:
-            seq = self.degree_sequence(g, budget)
-        except ResourceError as err:
-            seq = err.payload["degree_sequence"]
-            partial = min(math.log(d) / (m + 1) for m, d in enumerate(seq))
-            raise ResourceError(
-                f"degree cap while estimating translation length of {g!r}",
-                payload={"partial_estimate": partial, "degree_sequence": seq},
-            ) from None
-        return min(math.log(d) / (m + 1) for m, d in enumerate(seq))
+        hyperboloid; the running minimum keeps the estimate one-sided.  The
+        cap raises :class:`~hypwalk.errors.ResourceError`, as in
+        :meth:`degree_sequence`, which also checks the budget."""
+        return _log_rate(self.degree_sequence(g, budget))
 
     def classify(self, g: CremonaElement, budget: int) -> IsometryClass:
         if budget < 4:
@@ -631,7 +600,7 @@ class CremonaModel(ActionOracle):
         if any(d == 1 for d in seq):
             # some power is linear: the basepoint orbit is finite, hence bounded
             return IsometryClass.ELLIPTIC
-        estimate = min(math.log(d) / (m + 1) for m, d in enumerate(seq))
+        estimate = _log_rate(seq)
         if estimate >= LOXODROMIC_THRESHOLD:
             return IsometryClass.LOXODROMIC
         half = len(seq) // 2
@@ -640,6 +609,11 @@ class CremonaModel(ActionOracle):
         if estimate < LOXODROMIC_THRESHOLD / 2:
             return IsometryClass.PARABOLIC
         return IsometryClass.UNDETERMINED
+
+
+def _log_rate(seq) -> float:
+    """min over m of log(seq[m-1])/m, for the degree sequence of g's powers."""
+    return min(math.log(d) / (m + 1) for m, d in enumerate(seq))
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,10 @@
 The split mirrors how callers are expected to react: ``InputError`` means the
 caller passed something malformed and should fix it (``ParamError``, when it
 is one named argument of an experiment), ``ResourceError`` means a
-configured budget (degree cap, census cap) was exhausted and carries whatever
-partial data was computed, ``UnsupportedError`` marks operations that are
-deliberately out of scope for a given model.
+configured budget (degree cap, census cap) was exhausted, and
+``BadPrimeSignal`` asks a trial runner to retry at fresh primes.  The one
+partial result a ``ResourceError`` carries is the ``degree_sequence`` of a
+Cremona power iteration that the degree cap cut short.
 """
 
 from __future__ import annotations
@@ -23,12 +24,8 @@ class ParamError(InputError):
         super().__init__(f"{name}: {reason}")
 
 
-class UnsupportedError(NotImplementedError):
-    """The requested computation has no exact meaning for this model."""
-
-
 class ResourceError(RuntimeError):
-    """A configured cap was hit.  ``payload`` holds partial results."""
+    """A configured cap was hit.  ``payload``, when set, holds partial results."""
 
     def __init__(self, message: str, payload=None):
         super().__init__(message)

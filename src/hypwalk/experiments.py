@@ -118,9 +118,9 @@ class ExperimentResult:
 # ---------------------------------------------------------------------------
 # Bounds on counts and grids: a direct call is checked as a config is.
 
-#: Params that count trials, samples or steps, and grids of them: each must
-#: be at least 1, and a grid must be nonempty.
-_COUNTS = ("trials", "samples", "chunk", "n")
+#: Params that count trials, samples, steps, match letters or powers, and
+#: grids of them: each must be at least 1, and a grid must be nonempty.
+_COUNTS = ("trials", "samples", "chunk", "n", "L", "tau_budget")
 _GRIDS = ("n_grid", "m_grid", "s_grid")
 
 
@@ -752,6 +752,9 @@ def match_census(
     length ``self_match_fraction * n`` equal up to a group translate.
     """
     _require_tree(measure, "matching census")
+    if not 0 < self_match_fraction <= 0.5:
+        # two disjoint segments of that fraction of n fit only up to 1/2
+        raise ParamError("self_match_fraction", "must lie in (0, 1/2]")
     needs = {
         "axis": {"axis_core": axis_core, "n": n},
         "non": {"n": n},
@@ -912,6 +915,10 @@ def stab_acylindricity(
     """Distribution of |Stab_K(x, w_n x)| per n; the minimal count covering
     a ``quantile`` fraction of trials must not depend on n."""
     _require_tree(measure, "stabilizer census")
+    if K < 0:
+        raise ParamError("K", "must be >= 0")
+    if not 0 < quantile <= 1:
+        raise ParamError("quantile", "must lie in (0, 1]")
     oracle = measure.oracle
     torsion = oracle.torsion_group.order if isinstance(oracle, SemidirectOracle) else 1
     marks = sorted(n_grid)
@@ -1199,6 +1206,8 @@ def degree_growth_experiment(
     model = measure.oracle
     if not isinstance(model, CremonaModel):
         raise InputError("degree growth runs on the Cremona model")
+    if iterate_budget is not None and iterate_budget < 2:
+        raise ParamError("iterate_budget", "the dynamical-degree budget must be >= 2")
     marks = sorted(n_grid)
     params = {
         "n_grid": marks,

@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import words as W
-from .errors import InputError, ResourceError, UnsupportedError
+from .errors import InputError, ResourceError
 from .finitegroups import (
     Automorphism,
     FiniteGroup,
@@ -392,7 +392,7 @@ def _longest_circular_agreement(u: np.ndarray, v: np.ndarray, shifts) -> np.ndar
 # Exact harmonic measure of shadows for the uniform walk.
 
 
-def exact_shadow_measure(m: int, rank: int, uniform: bool = True) -> Fraction:
+def exact_shadow_measure(m: int, rank: int) -> Fraction:
     """Harmonic measure of the shadow behind a vertex at distance m.
 
     For the uniform walk on F_k the limit point is a uniformly random
@@ -400,11 +400,6 @@ def exact_shadow_measure(m: int, rank: int, uniform: bool = True) -> Fraction:
     likely, so the measure is exactly 1/(2k (2k-1)^(m-1)); m = 0 gives the
     whole boundary.
     """
-    if not uniform:
-        raise UnsupportedError(
-            "exact shadow measure is only available for the uniform measure; "
-            "use the empirical estimator instead"
-        )
     if m < 0:
         raise InputError("distance parameter must be >= 0")
     if m == 0:

@@ -24,16 +24,17 @@ cancels.  It splits each poly's monomial content off once and tries every
 group whose rests have two or more terms with one coprimality
 certificate: a nonconstant common factor survives restriction to any
 fixed affine line it does not contain, so a trivial univariate gcd on one
-line proves coprimality.  A restriction is two matrix products against
-power tables cached per (line, prime).  A proved group's gcd is a
-monomial, and its quotients are shifts.  Every other group goes to the
-core, :func:`gcd3`: the least monomial content times the gcd of the rests,
-whose boxes are their dense bivariate forms.  Each step of the fold over
-the boxes splits off the y-contents once, runs Brown's modular gcd on the
-primitive parts (a block of evaluation points with one matrix product,
-univariate gcds point by point, then interpolation), falls back to a
-pseudo-remainder sequence when the prime runs out of points, and
-multiplies the gcd of the contents back in.
+line proves coprimality.  Each line is (X, Y, Z) = (t, b t + c, 1), so a
+restriction is one matrix product against the powers of (b t + c), cached
+per (line, prime).  A proved group's gcd is a monomial, and its quotients
+are shifts.  Every other group goes to the core, :func:`gcd3`: the least
+monomial content times the gcd of the rests, whose boxes are their dense
+bivariate forms.  Each step of the fold over the boxes splits off the
+y-contents once, runs Brown's modular gcd on the primitive parts (a block
+of evaluation points with one matrix product, univariate gcds point by
+point, then interpolation), falls back to a pseudo-remainder sequence when
+the prime runs out of points, and multiplies the gcd of the contents back
+in.
 
 Every gcd of the core is verified by trial division before it is
 returned, and the quotients of that division are handed back, so a triple
@@ -56,10 +57,11 @@ from .errors import BadPrimeSignal, InputError
 DEFAULT_PRIME = 1000003
 SECOND_PRIME = 1000033
 
-# Fixed affine lines (X, Y, Z) = (t + a, b t + c, 1) used for the coprimality
-# certificate; a handful suffices since failure just falls through to the
-# modular gcd.
-_CERT_LINES = ((1, 2, 3), (5, 7, 11), (13, 17, 19), (23, 29, 31))
+# Fixed affine lines (X, Y, Z) = (t, b t + c, 1), stored as (b, c), used for
+# the coprimality certificate; a handful suffices since failure just falls
+# through to the modular gcd.  A shift t + a in X gives the same line:
+# (t + a, b t + c', 1) is (t, b t + c' - a b, 1) after t -> t - a.
+_CERT_LINES = ((2, 1), (7, -24), (17, -202), (29, -636))
 
 
 def _inv_mod(a: int, p: int) -> int:
@@ -463,15 +465,16 @@ def _power_table(root: int, lead: int, size: int, p: int) -> np.ndarray:
     return table
 
 
-# prime -> {line: (U, V)}, most recently used prime last.  The power table
-# of degree d is the top-left block of any larger one, so each table grows
-# on demand; the retry primes are drawn fresh, so only a few primes are kept.
+# prime -> {line: powers of (b t + c)}, most recently used prime last.  The
+# power table of degree d is the top-left block of any larger one, so each
+# table grows on demand; the retry primes are drawn fresh, so only a few
+# primes are kept.
 _LINE_TABLES: dict[int, dict] = {}
 _LINE_TABLE_PRIMES = 4
 
 
-def _line_tables(line: tuple[int, int, int], p: int, d: int):
-    """Power tables of (t + a) and (b t + c) for degrees up to d."""
+def _line_table(line: tuple[int, int], p: int, d: int) -> np.ndarray:
+    """The power table of (b t + c) for degrees up to d."""
     tables = _LINE_TABLES.pop(p, None)
     if tables is None:
         tables = {}
@@ -479,37 +482,33 @@ def _line_tables(line: tuple[int, int, int], p: int, d: int):
             del _LINE_TABLES[next(iter(_LINE_TABLES))]
     _LINE_TABLES[p] = tables
     cached = tables.get(line)
-    if cached is None or cached[0].shape[0] <= d:
-        size = max(d + 1, 2 * cached[0].shape[0]) if cached else d + 1
-        a, b, c = line
-        cached = tables[line] = (_power_table(a, 1, size, p), _power_table(c, b, size, p))
-    U, V = cached
-    return U[: d + 1, : d + 1], V[: d + 1, : d + 1]
+    if cached is None or cached.shape[0] <= d:
+        size = max(d + 1, 2 * cached.shape[0]) if cached is not None else d + 1
+        b, c = line
+        cached = tables[line] = _power_table(c % p, b, size, p)
+    return cached[: d + 1, : d + 1]
 
 
-def _restrict_to_line(poly: HomPoly3, line: tuple[int, int, int]) -> np.ndarray:
-    """Coefficients of poly(t + a, b t + c, 1) as an int64 residue vector.
+def _restrict_to_line(poly: HomPoly3, line: tuple[int, int]) -> np.ndarray:
+    """Coefficients of poly(t, b t + c, 1) as an int64 residue vector.
 
-    Two matrix products of the box against the rows of the cached power
-    tables that its exponents cover: ``W = box @ V`` collapses the
-    Y-exponent against the powers of (b t + c), ``R = U^T W`` the
-    X-exponent against the powers of (t + a), so R[m, k] is the part of
-    the t^(m+k) coefficient that comes from t^m of the first power.  The
-    antidiagonal sums of R are the coefficients; a row-skewed reshape lines
-    each antidiagonal up as a column.
+    One matrix product of the box against the rows of the cached power
+    table that its Y-exponents cover: row r of ``W = box @ V`` is the part
+    of the restriction from X^(i0+r), divided by t^(i0+r), so W[r, k] adds
+    to the t^(i0+r+k) coefficient.  The antidiagonal sums of W, moved by
+    i0, are the coefficients; a row-skewed reshape lines each antidiagonal
+    up as a column.
     """
     if poly.is_zero():
         return np.zeros(0, dtype=np.int64)
     p = poly.p
     n = poly.degree + 1
-    U, V = _line_tables(line, p, poly.degree)
     (i0, j0), (rows, cols) = poly.corner, poly.box.shape
-    W = _matmul_mod(poly.box, V[j0 : j0 + cols], p)
-    R = _matmul_mod(U[i0 : i0 + rows].T, W, p)
+    W = _matmul_mod(poly.box, _line_table(line, p, poly.degree)[j0 : j0 + cols], p)
     # row m of the padded (n, 2n) matrix, read with row length 2n - 1,
     # starts m places further right: entry (m, k) lands in column m + k
     skewed = np.zeros((n, 2 * n), dtype=np.int64)
-    skewed[:, :n] = R
+    skewed[i0 : i0 + rows, :n] = W
     sums = skewed.ravel()[: n * (2 * n - 1)].reshape(n, 2 * n - 1).sum(axis=0) % p
     return _utrim(sums)
 
@@ -792,13 +791,7 @@ def _primitive(arr: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     content = _content_y(arr, p)
     if content.size == 1:
         return content, _cut(arr * _inv_mod(int(content[0]), p) % p)
-    out = np.zeros_like(arr)
-    for i, row in enumerate(arr):
-        row = _utrim(row)
-        if row.size:
-            q = _udivexact(row, content, p)
-            out[i, : q.size] = q
-    return content, _cut(out)
+    return content, _cut(_divexact_dense(arr, content[None, :], p, sum(arr.shape)))
 
 
 def _bivariate_gcd_list(boxes, p: int, primitive_gcd) -> np.ndarray | None:

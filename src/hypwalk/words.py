@@ -230,13 +230,15 @@ def self_match_detect(path_word: Word, L: int) -> bool:
     if n < 2 * L:
         return False
 
-    # Windows are compared as byte slices of a fixed-width letter encoding,
-    # which hash and compare far faster than tuple slices.
+    # Windows are read-only memoryview slices of one fixed-width letter
+    # encoding: they hash and compare by content, far faster than tuple
+    # slices, and as dict keys they share the buffer instead of copying
+    # L letters each.
     typecode = "b" if max(abs(letter) for letter in path_word) <= 127 else "q"
     width = array(typecode).itemsize
-    data = array(typecode, path_word).tobytes()
-    first: dict[bytes, int] = {}
-    last: dict[bytes, int] = {}
+    data = memoryview(array(typecode, path_word).tobytes())
+    first: dict[memoryview, int] = {}
+    last: dict[memoryview, int] = {}
     for i in range(n - L + 1):
         window = data[i * width : (i + L) * width]
         if window not in first:
@@ -248,9 +250,9 @@ def self_match_detect(path_word: Word, L: int) -> bool:
 
     # Orientation-reversing pairs: window(j) == reverse-invert(window(i)),
     # realised as a window of the reversed-inverted path at t = n - L - i.
-    rdata = array(typecode, invert(path_word)).tobytes()
-    rfirst: dict[bytes, int] = {}
-    rlast: dict[bytes, int] = {}
+    rdata = memoryview(array(typecode, invert(path_word)).tobytes())
+    rfirst: dict[memoryview, int] = {}
+    rlast: dict[memoryview, int] = {}
     for t in range(n - L + 1):
         window = rdata[t * width : (t + L) * width]
         if window not in rfirst:

@@ -131,6 +131,16 @@ def test_unknown_key_exit_one(tmp_path, capsys):
         # an elliptic core has no axis to match
         ("match-axis-f2", {"axis_core": ""}, "$.params.axis_core: must be loxodromic"),
         ("match-axis-f2", {"axis_core": "aA"}, "$.params.axis_core: must be loxodromic"),
+        ("acylindricity-f2", {"quantile": 1.5}, "$.params.quantile: must lie in (0, 1]"),
+        ("acylindricity-f2", {"K": -1}, "$.params.K: must be >= 0"),
+        ("match-axis-f2", {"L": 0}, "$.params.L: must be an integer >= 1"),
+        *[
+            ("match-self-f2", {"self_match_fraction": f}, "$.params.self_match_fraction:")
+            for f in (2.0, -0.5, 0.0)
+        ],
+        ("degree-growth-cremona", {"iterate_budget": 1}, "$.params.iterate_budget:"),
+        ("degree-growth-henon", {"iterate_budget": 1}, "$.params.iterate_budget:"),
+        ("translation-growth-f2", {"tau_budget": 0}, "$.params.tau_budget: must be an"),
     ],
 )
 def test_bad_counts_and_grids_exit_one(tmp_path, capsys, preset, params, message):

@@ -277,6 +277,32 @@ def test_lazy_inverse_pickles():
     assert clone == model._compose_word(inverse.word)
 
 
+def test_respawn_reinterns_every_generator_kind():
+    # each atom is built again through the constructor its spec names; no
+    # preset's bad-prime retry reaches a monomial atom
+    model = CremonaModel()
+    h, mono = model.henon(3), model.monomial([2, 1, 1, 1])
+    lin, sigma = model.linear([1, 2, 0, 0, 1, 3, 1, 0, 1]), model.sigma()
+    g = model.identity()
+    for factor in (h, sigma, mono, lin, model.inverse(h), sigma):
+        g = model.multiply(g, factor)
+    clone = model.respawn((2083116181, 1000033))
+    assert clone.primes == (2083116181, 1000033) and clone.degree_cap == model.degree_cap
+    assert [atom.spec for atom in clone._atoms] == [
+        ("henon", 3),
+        ("monomial", (2, 1, 1, 1)),
+        ("linear", (1, 2, 0, 0, 1, 3, 1, 0, 1)),
+        ("sigma",),
+    ]
+    assert [(a.degree, a.self_inverse, a.monomial) for a in clone._atoms] == [
+        (a.degree, a.self_inverse, a.monomial) for a in model._atoms
+    ]
+    rebuilt = clone.rebuild(g)
+    assert rebuilt.word == g.word and rebuilt.degree == g.degree > 1
+    # interning the same spec again returns its atom rather than a new one
+    assert clone.monomial((2, 1, 1, 1)).word == mono.word and len(clone._atoms) == 4
+
+
 def test_henon_power_at_a_31_bit_prime_matches_sympy():
     # every product of this composition lies past the float64 bound at a
     # 31-bit retry prime, so the kernel runs on 16-bit halves throughout
@@ -305,6 +331,12 @@ def test_henon_power_at_a_31_bit_prime_matches_sympy():
 _ORACLE_PRIMES = (1000003, 2083116181, 2, 3, 5)
 
 
+def _letter_triple(model, letter, prime):
+    """The normalized triple of a generator letter, as its atom stores it."""
+    atom = model._atoms[abs(letter) - 1]
+    return dict(atom.triples if letter > 0 else atom.inverse_triples)[prime]
+
+
 def _compose_against_oracle(model, letters, max_degree):
     """Compose ``letters`` onto the identity at the model's one prime, last
     letter first, checking each step against substitution and gcd3 on the
@@ -313,7 +345,7 @@ def _compose_against_oracle(model, letters, max_degree):
     g = model.identity().triple(prime)
     dropped = []
     for letter in reversed(letters):
-        outer = model._letter_element(letter).triple(prime)
+        outer = _letter_triple(model, letter, prime)
         expected, gcd_degree = normalize_triple(*(substitute(q, g) for q in outer))
         assert model._compose_letter(letter, 0, g) == expected
         dropped.append(gcd_degree)
@@ -432,7 +464,7 @@ def test_sigma_step_restricts_each_coordinate_once_per_line(monkeypatch):
     h, lin = model.henon(2).word[0], model.linear([1, 2, 0, 0, 1, 3, 1, 0, 1]).word[0]
     sigma = model.sigma().word[0]
     g = model._compose_word((h, lin, h)).triple(p)
-    outer = model._letter_element(sigma).triple(p)
+    outer = _letter_triple(model, sigma, p)
     expected = normalize_triple(*(substitute(q, g) for q in outer))[0]
     common = polynomials.gcd3(g[0], g[2], HomPoly3.zero(g[0].degree, p))
 

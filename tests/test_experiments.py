@@ -259,6 +259,11 @@ def test_axis_match_counts_a_conjugate_like_its_cyclic_core():
     assert conjugate.params["axis_core"] == "abA"
 
 
+def _henon_point_mass():
+    model = CremonaModel()
+    return FiniteMeasure(model, [("h2", model.henon(2), Fraction(1))])
+
+
 def test_match_census_validation():
     with pytest.raises(InputError):
         E.match_census("axis", uniform_free(), seed=1, trials=10, n=50)
@@ -326,6 +331,36 @@ def test_match_census_validation():
         (
             lambda m: E.match_census("axis", m, seed=1, trials=5, n=50, axis_core=(1, -1)),
             "axis_core: must be loxodromic",
+        ),
+        # at the parent a bad quantile raised only after every trial had run
+        (
+            lambda m: E.stab_acylindricity(m, 0, [10], 5, seed=1, quantile=1.5),
+            "quantile: must lie in (0, 1]",
+        ),
+        (lambda m: E.stab_acylindricity(m, -1, [10], 5, seed=1), "K: must be >= 0"),
+        (
+            lambda m: E.match_census("axis", m, seed=1, trials=5, n=50, axis_core=(1,), L=0),
+            "L: must be an integer >= 1",
+        ),
+        # a fraction outside (0, 1/2] passed with no self match to find
+        *[
+            (
+                lambda m, f=f: E.match_census(
+                    "self", m, seed=1, trials=5, n_grid=[20], self_match_fraction=f
+                ),
+                "self_match_fraction: must lie in (0, 1/2]",
+            )
+            for f in (2.0, -0.5, 0.0)
+        ],
+        (
+            lambda m: E.degree_growth_experiment(
+                _henon_point_mass(), [2], 2, seed=1, iterate_budget=1
+            ),
+            "iterate_budget: the dynamical-degree budget must be >= 2",
+        ),
+        (
+            lambda m: E.translation_growth(_henon_point_mass(), [2], 2, seed=1, tau_budget=0),
+            "tau_budget: must be an integer >= 1",
         ),
     ],
 )

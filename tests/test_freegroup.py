@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypwalk import words as W
-from hypwalk.errors import InputError, ResourceError, UnsupportedError
+from hypwalk.errors import InputError, ResourceError
 from hypwalk.finitegroups import (
     Automorphism,
     FiniteGroup,
@@ -409,8 +409,6 @@ def test_exact_shadow_measure_values():
     assert exact_shadow_measure(1, 2) == Fraction(1, 4)
     assert exact_shadow_measure(2, 2) == Fraction(1, 12)
     assert exact_shadow_measure(0, 2) == Fraction(1)
-    with pytest.raises(UnsupportedError):
-        exact_shadow_measure(1, 2, uniform=False)
 
 
 def test_shadow_measure_partition_identity():

@@ -237,9 +237,10 @@ def test_gcd3_finds_degree_20_factor_at_31_bit_prime():
     assert g == common.scale(pow(common.terms()[0][1], P31 - 2, P31))
 
 
-def _restrict_reference(poly, line):
-    """poly(t + a, b t + c, 1) by Python-integer polynomial products."""
-    a, b, c = line
+def _restrict_reference(poly, line, a=0):
+    """poly(t + a, b t + c, 1) for the line (b, c), by Python-integer
+    polynomial products."""
+    b, c = line
     p = poly.p
 
     def times(u, v):
@@ -266,7 +267,7 @@ def _restrict_reference(poly, line):
 def test_restrict_to_line_exact_at_31_bit_prime():
     rng = random.Random(37)
     poly = _random_poly(rng, 40, density=0.9, p=P31)
-    for line in ((1, 2, 3), (5, 7, 11)):
+    for line in polynomials._CERT_LINES:
         assert _restrict_to_line(poly, line).tolist() == _restrict_reference(poly, line)
 
 
@@ -584,7 +585,7 @@ def test_normalize_triple_matches_sympy(p, data):
 def test_restrict_to_line_matches_reference(p, data):
     line = data.draw(
         st.sampled_from(polynomials._CERT_LINES)
-        | st.tuples(*[st.integers(0, p - 1)] * 3)
+        | st.tuples(*[st.integers(0, p - 1)] * 2)
     )
     big = data.draw(_hompolys(p, 9, min_degree=5))
     small = data.draw(_hompolys(p, 4))
@@ -601,8 +602,51 @@ def test_line_tables_keep_a_few_primes():
     polynomials._LINE_TABLES.clear()
     primes = (DEFAULT_PRIME, P31, 2, 3, 5, 7)
     for p in primes:
-        _restrict_to_line(HomPoly3(3, {(1, 1, 1): 1}, p), (1, 2, 3))
+        _restrict_to_line(HomPoly3(3, {(1, 1, 1): 1}, p), (2, 1))
     assert list(polynomials._LINE_TABLES) == list(primes[-polynomials._LINE_TABLE_PRIMES :])
+
+
+# The certificate's lines as (a, b, c) for (t + a, b t + c, 1), before the
+# shift a was folded into c; _CERT_LINES holds the same four lines.
+_SHIFTED_CERT_LINES = ((1, 2, 3), (5, 7, 11), (13, 17, 19), (23, 29, 31))
+
+
+def _proved_on_shifted_lines(polys, p, groups):
+    """The groups whose restrictions to one of _SHIFTED_CERT_LINES all keep
+    their degree and have a constant gcd."""
+    proved = set()
+    for a, b, c in _SHIFTED_CERT_LINES:
+        for group in groups:
+            vectors = [
+                np.array(_restrict_reference(polys[k], (b, c), a), dtype=np.int64)
+                for k in group
+            ]
+            if any(v.size != polys[k].degree + 1 for v, k in zip(vectors, group)):
+                continue
+            gcd = functools.reduce(lambda u, v: polynomials._ugcd(u, v, p), vectors)
+            if gcd.size == 1:
+                proved.add(group)
+    return proved
+
+
+@pytest.mark.parametrize("p", _ORACLE_PRIMES)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_certificate_proves_what_the_shifted_lines_prove(p, data):
+    # (t, b t + c - a b, 1) is (t + a, b t + c, 1) reparametrized, so the
+    # restrictions are translates: same degree drops, same gcd degrees
+    assert [(b, c - a * b) for a, b, c in _SHIFTED_CERT_LINES] == list(
+        polynomials._CERT_LINES
+    )
+    common = data.draw(_hompolys(p, 2, min_degree=1))
+    polys = [
+        common.mul(data.draw(_hompolys(p, 2))) if data.draw(st.booleans())
+        else data.draw(_hompolys(p, 4))
+        for _ in range(4)
+    ]
+    groups = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 1, 2)]
+    proved = polynomials.coprimality_certificate(polys, p, groups)
+    assert proved == _proved_on_shifted_lines(polys, p, groups)
 
 
 def _upolyval_many(rows, points, p):
