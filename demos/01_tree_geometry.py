@@ -11,12 +11,10 @@ from hypwalk import (
     FreeGroupOracle,
     IsometryClass,
     Shadow,
-    classify_isometry,
     four_point_delta,
     gromov_product,
     orbit_gromov_product,
     shadow_contains,
-    translation_length_estimate,
 )
 from hypwalk import words as W
 
@@ -47,10 +45,10 @@ for z in ("aaa", "aabB", "ab", "b"):
 
 # %%
 w = W.str_to_word("baaB")  # conjugate of a^2: tau = 2
-print("tau estimate:", translation_length_estimate(oracle, w, budget=3))
-print("classify a^2:", classify_isometry(oracle, W.str_to_word("aa"), 8))
-print("classify identity:", classify_isometry(oracle, (), 8))
-assert classify_isometry(oracle, w, 8) is IsometryClass.LOXODROMIC
+print("tau estimate:", oracle.translation_length_estimate(w, budget=3))
+print("classify a^2:", oracle.classify(W.str_to_word("aa"), 8))
+print("classify identity:", oracle.classify((), 8))
+assert oracle.classify(w, 8) is IsometryClass.LOXODROMIC
 
 # %% [markdown]
 # The four-point condition measures hyperbolicity from distance data alone.

@@ -7,8 +7,9 @@
 # generators.  The walk's image in H equidistributes, so the image of w_n
 # is trivial with limiting frequency 1/k -- and triviality of the image is
 # exactly what lets the normal closure of w_n be free.  The k-th power
-# always lands in the kernel of the action, which is why normal closures
-# of w_n^k are generically free regardless.
+# always lands in the kernel of the action (the image's order divides k,
+# by Lagrange's theorem), which is why normal closures of w_n^k are
+# generically free regardless; the experiment does not sample it.
 
 # %%
 from fractions import Fraction
@@ -39,14 +40,12 @@ print("characteristic index k =", k)
 # %% [markdown]
 # The trivial-image frequency is exactly 1/2 at every step count here --
 # the image walk on Z/2 has increment distribution (1/2, 1/2), so the
-# parity is a fair coin.  The k-th power column is identically 1, not a
-# statistic.
+# parity is a fair coin.
 
 # %%
 result = E.characteristic_index_experiment(measure, n_grid=[10, 100, 500], trials=4000, seed=37)
 for n, agg in result.aggregates["per_n"].items():
-    print(f"n={n}: P(image trivial) = {agg['trivial_frequency']:.4f}, "
-          f"P(k-th power trivial) = {agg['kth_power_frequency']}")
+    print(f"n={n}: P(image trivial) = {agg['trivial_frequency']:.4f}")
 
 # %% [markdown]
 # Control: with the trivial action the kernel is central, k = 1, and the

@@ -14,12 +14,10 @@ from .geometry import (
     ActionOracle,
     IsometryClass,
     Shadow,
-    classify_isometry,
     four_point_delta,
     gromov_product,
     orbit_gromov_product,
     shadow_contains,
-    translation_length_estimate,
 )
 from .freegroup import (
     ExtendedElement,
@@ -45,12 +43,10 @@ __all__ = [
     "ActionOracle",
     "IsometryClass",
     "Shadow",
-    "classify_isometry",
     "four_point_delta",
     "gromov_product",
     "orbit_gromov_product",
     "shadow_contains",
-    "translation_length_estimate",
     "ExtendedElement",
     "FreeGroupOracle",
     "SemidirectOracle",

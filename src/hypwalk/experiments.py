@@ -24,13 +24,13 @@ The per-trial experiments run through one runner, ``_sampled``.  It adds the
 trial count and the measure to the params; folds the trials of a tree
 measure, or walks those of any other once each; splits the trials into
 ``jobs`` worker blocks; and aggregates and gates the rows.  An entry point
-gives it only its params, tolerances and observers: ``tree(word, n)`` reads
-the reduced word w_n, ``walk(path, n)`` the sampled path, and each returns
-only its row's fields, which the runner stores after ``trial`` and ``n``.
-Shadow decay (one stream per (m, chunk)) and the characteristic index (one
-vectorised walk on the image group's table) sample their own way.  An
-argument an entry point rejects itself raises ``ParamError``, named by the
-argument.
+gives it only its params, tolerances and observers: ``tree(value, n)`` reads
+what the fold gives at mark n (by default the reduced word w_n; the
+characteristic index folds the image in Aut of the kernel instead),
+``walk(path, n)`` the sampled path, and each returns only its row's fields,
+which the runner stores after ``trial`` and ``n``.  Only shadow decay (one
+stream per (m, chunk)) samples its own way.  An argument an entry point
+rejects itself raises ``ParamError``, named by the argument.
 """
 
 from __future__ import annotations
@@ -119,7 +119,8 @@ class ExperimentResult:
 # Bounds on counts and grids: a direct call is checked as a config is.
 
 #: Params that count trials, samples, steps, match letters or powers, and
-#: grids of them: each must be at least 1, and a grid must be nonempty.
+#: grids of them: each must be at least 1, and a grid must be nonempty and
+#: name each entry once (the aggregators key their rows by the entry).
 _COUNTS = ("trials", "samples", "chunk", "n", "L", "tau_budget")
 _GRIDS = ("n_grid", "m_grid", "s_grid")
 
@@ -132,9 +133,10 @@ def _is_count(value) -> bool:
 def check_counts(params: dict, path: str = "", error=InputError) -> None:
     """Raise ``error``, naming ``path`` and the key, unless every count in
     ``params`` is an integer >= 1, every grid a nonempty list (or tuple)
-    of them, and every float finite (a NaN or infinite tolerance would pass
-    every gate).  The entry points run it on the arguments of a call, and
-    :func:`hypwalk.config.validate_config` on a config's ``params``."""
+    of distinct ones, and every float finite (a NaN or infinite tolerance
+    would pass every gate).  The entry points run it on the arguments of a
+    call, and :func:`hypwalk.config.validate_config` on a config's
+    ``params``."""
     for key, value in params.items():
         if isinstance(value, (float, np.floating)) and not math.isfinite(value):
             raise error(f"{path}{key}: must be a finite number")
@@ -147,6 +149,8 @@ def check_counts(params: dict, path: str = "", error=InputError) -> None:
             isinstance(grid, (list, tuple)) and grid and all(map(_is_count, grid))
         ):
             raise error(f"{path}{key}: must be a nonempty list of integers >= 1")
+        if key in params and len(set(grid)) < len(grid):
+            raise error(f"{path}{key}: must not repeat an entry")
 
 
 def _counts_checked(entry):
@@ -209,21 +213,22 @@ def _result(name, params, seed, records, tolerances=None, failures=()):
 
 def _sampled(
     name, measure, marks, seed, trials, jobs, params, tolerances=None,
-    tree=None, walk=None,
+    tree=None, walk=None, fold=None,
 ):
     """The per-trial experiment ``name``: ``trials`` trials of ``measure``,
     read at the sorted ``marks``, in ``jobs`` blocks, then aggregated and
     gated; ``params`` gains the trial count and the measure.
 
-    A tree measure folds its trials and reads ``tree(word, n)`` off the
-    reduced word w_n; any other walks each trial once and reads
-    ``walk(path, n)`` off the path.  An observer returns only its row's
-    fields: the row is ``{"trial": t, "n": n, **fields}``.  Observers are
+    A tree measure folds its trials through ``fold`` (by default to the
+    reduced word w_n) and reads ``tree(value, n)`` off the folded value;
+    any other walks each trial once and reads ``walk(path, n)`` off the
+    path.  An observer returns only its row's fields: the row is
+    ``{"trial": t, "n": n, **fields}``.  Observers and folds are
     module-level functions or partials of them, so that a block pickles.
     """
     params = {**params, "trials": trials, "measure": describe_measure(measure)}
     if _is_tree(measure):
-        block = partial(_tree_trial_rows, measure, marks, seed, observe=tree)
+        block = partial(_tree_trial_rows, measure, marks, seed, observe=tree, fold=fold)
     else:
         block = partial(_walk_trial_rows, measure, marks, seed, observe=walk)
     return _result(name, params, seed, _run_trials(block, trials, jobs), tolerances)
@@ -251,8 +256,8 @@ def _truncation_failures(aggregates) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Tree experiments: trials fold in blocks through walk.fold_words, and an
-# observer reads the reduced word w_n at each mark.
+# Tree experiments: trials fold in blocks, by default through
+# walk.fold_words, and an observer reads the folded value at each mark.
 
 
 # Trials folded as one block.  fold_words holds a (block x n) index array and
@@ -261,10 +266,15 @@ def _truncation_failures(aggregates) -> list:
 _FOLD_TRIALS = 2000
 
 
-def _tree_trial_rows(measure, marks, seed, first, stop, observe) -> list:
-    """Fold trials first..stop-1, at most ``_FOLD_TRIALS`` together; the
-    row at mark n holds ``observe(word, n)`` of the reduced word w_n, and
-    rows come back trial-major."""
+def _tree_trial_rows(measure, marks, seed, first, stop, observe, fold=None) -> list:
+    """Fold trials first..stop-1, at most ``_FOLD_TRIALS`` together.
+
+    ``fold(indices, marks)`` takes the block's (trials x steps) atom
+    indices and returns one reader per mark; the row at mark n holds
+    ``observe(read(row), n)``, and rows come back trial-major.  The default
+    fold reads the reduced word w_n of each row as a tuple.
+    """
+    fold = fold or partial(_word_fold, measure)
     marks = sorted(set(marks))
     rows = []
     for lo in range(first, stop, _FOLD_TRIALS):
@@ -274,13 +284,22 @@ def _tree_trial_rows(measure, marks, seed, first, stop, observe) -> list:
         )
         for row, trial in enumerate(trials):
             indices[row] = measure.increment_indices(marks[-1], seed, trial)
-        folded = fold_words(measure, indices, marks)
-        del indices  # the rows below need only the folded words
+        readers = fold(indices, marks)
+        del indices  # the rows below need only the folded values
         for row, trial in enumerate(trials):
-            for n, (stack, length) in zip(marks, folded):
-                word = tuple(stack[row, : length[row]].tolist())
-                rows.append({"trial": trial, "n": n, **observe(word, n)})
+            for n, read in zip(marks, readers):
+                rows.append({"trial": trial, "n": n, **observe(read(row), n)})
     return rows
+
+
+def _word_fold(measure, indices, marks) -> list:
+    """Readers of each row's reduced word w_n, as a tuple, one per mark;
+    a word is copied out of the folded stack only when it is read."""
+
+    def reader(stack, length):
+        return lambda row: tuple(stack[row, : length[row]].tolist())
+
+    return [reader(*snapshot) for snapshot in fold_words(measure, indices, marks)]
 
 
 def _sym_gp_of_word(word, n) -> dict:
@@ -1060,14 +1079,14 @@ def characteristic_index_experiment(
     trials: int,
     seed: int,
     frequency_tolerance: float = 0.03,
+    jobs: int = 1,
 ) -> ExperimentResult:
     """The finite-kernel homomorphism under the random walk.
 
     Reports the characteristic index k (order of the image of the support's
     conjugation action inside Aut of the kernel), the per-n frequency of the
     walk's image being trivial (limit 1/k by equidistribution on the image
-    group), the frequency for the k-th power (identically 1, not a
-    statistic), and whether k = 1 coincides with the kernel being central.
+    group), and whether k = 1 coincides with the kernel being central.
     """
     oracle = measure.oracle
     if not isinstance(oracle, SemidirectOracle):
@@ -1079,83 +1098,64 @@ def characteristic_index_experiment(
         )
     marks = sorted(n_grid)
 
-    # the image group H of the support inside Aut(kernel), as a Cayley table
     atom_images = [oracle.conjugation_on_kernel(a.element) for a in measure.atoms]
-    elements = closure(atom_images, oracle.torsion_group)
-    index_of = {phi: i for i, phi in enumerate(elements)}
+    elements, table = _image_table(atom_images, oracle.torsion_group)
     k = len(elements)
-    # table[state, image] = index of composition state . image
-    table = np.zeros((k, len(measure.atoms)), dtype=np.int64)
-    for s, phi in enumerate(elements):
-        for a, gen in enumerate(atom_images):
-            table[s, a] = index_of[tuple(phi[v] for v in gen.images)]
-
-    n_max = marks[-1]
-    increments = np.vstack(
-        [measure.increment_indices(n_max, seed, t) for t in range(trials)]
-    )
-    state = np.zeros(trials, dtype=np.int64)
-    records = []
-    mark_set = set(marks)
-    order_of = [_automorphism_order(phi) for phi in elements]
-    for step in range(1, n_max + 1):
-        state = table[state, increments[:, step - 1]]
-        if step in mark_set:
-            for trial in range(trials):
-                image = int(state[trial])
-                records.append(
-                    {
-                        "trial": trial,
-                        "n": step,
-                        "image_trivial": int(image == 0),
-                        # phi(w_n^k) = phi(w_n)^k: trivial iff the image's
-                        # order divides k, which it always does in a group
-                        # of order k
-                        "kth_power_trivial": int(k % order_of[image] == 0),
-                    }
-                )
-
     kernel_central = oracle.torsion_group.is_abelian() and all(
         phi.images == tuple(range(oracle.torsion_group.order))
         for phi in atom_images
     )
     params = {
         "n_grid": marks,
-        "trials": trials,
         "characteristic_index": k,
         "kernel_central": kernel_central,
         "expected_trivial_frequency": 1.0 / k,
-        "measure": describe_measure(measure),
     }
-    return _result(
-        "characteristic_index",
-        params,
-        seed,
-        records,
+    result = _sampled(
+        "characteristic_index", measure, marks, seed, trials, jobs, params,
         {"frequency_tolerance": frequency_tolerance},
+        tree=_obs_image_trivial, fold=partial(_table_fold, table),
     )
+    # the runner returns rows trial-major; report.json lists them n-major
+    result.records.sort(key=lambda r: (r["n"], r["trial"]))
+    return result
 
 
-def _automorphism_order(phi) -> int:
-    order = 1
-    current = phi
-    identity = tuple(range(len(phi)))
-    while tuple(current) != identity:
-        current = tuple(phi[v] for v in current)
-        order += 1
-    return order
+def _image_table(atom_images, kernel):
+    """The image group H of the support inside Aut(kernel), as image tuples
+    with the identity first, and its Cayley table against the atoms:
+    ``table[state, atom]`` is the index of the composition state . atom."""
+    elements = closure(atom_images, kernel)
+    index_of = {phi: i for i, phi in enumerate(elements)}
+    table = np.zeros((len(elements), len(atom_images)), dtype=np.int64)
+    for s, phi in enumerate(elements):
+        for a, gen in enumerate(atom_images):
+            table[s, a] = index_of[tuple(phi[v] for v in gen.images)]
+    return elements, table
+
+
+def _table_fold(table, indices, marks) -> list:
+    """Readers of each row's image at each mark, as its row in ``table``:
+    the image starts at row 0 (the identity), and step j moves it to
+    ``table[image, indices[:, j]]``."""
+    image = np.zeros(len(indices), dtype=table.dtype)
+    readers = []
+    for start, stop in zip([0, *marks], marks):
+        for step in range(start, stop):
+            image = table[image, indices[:, step]]
+        readers.append(image.tolist().__getitem__)
+    return readers
+
+
+def _obs_image_trivial(image, n) -> dict:
+    return {"image_trivial": int(image == 0)}
 
 
 def _aggregate_char_index(records, params):
     per_n = {}
     for n in params["n_grid"]:
-        rows = [r for r in records if r["n"] == n]
-        per_n[str(n)] = {
-            "trivial_frequency": stats.mean([r["image_trivial"] for r in rows]),
-            "kth_power_frequency": stats.mean(
-                [r["kth_power_trivial"] for r in rows]
-            ),
-        }
+        trivial = [r["image_trivial"] for r in records if r["n"] == n]
+        per_n[str(n)] = {"trivial_frequency": stats.mean(trivial)}
     return {"per_n": per_n, "characteristic_index": params["characteristic_index"]}
 
 
@@ -1170,8 +1170,6 @@ def _gate_char_index(result):
                 f"trivial-image frequency {agg['trivial_frequency']:.4f} at "
                 f"n={n} outside {tolerance} of {1.0 / k:.4f}"
             )
-        if agg["kth_power_frequency"] != 1.0:
-            failures.append(f"phi(w_n^k) not identically trivial at n={n}")
     if (k == 1) != result.params["kernel_central"]:
         failures.append(
             "characteristic index 1 must coincide with a central kernel"

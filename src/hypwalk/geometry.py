@@ -154,14 +154,6 @@ def shadow_contains(oracle: ActionOracle, shadow: Shadow, z) -> bool:
     return product >= d_st - shadow.slack - TOLERANCE
 
 
-def translation_length_estimate(oracle: ActionOracle, g, budget: int) -> float:
-    return oracle.translation_length_estimate(g, budget)
-
-
-def classify_isometry(oracle: ActionOracle, g, budget: int) -> IsometryClass:
-    return oracle.classify(g, budget)
-
-
 def four_point_delta(oracle: ActionOracle, quadruples) -> float:
     """Empirical lower bound for the hyperbolicity constant.
 

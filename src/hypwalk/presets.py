@@ -207,8 +207,7 @@ PRESETS: dict[str, dict] = {
     },
     "char-index-z3": {
         "description": "Characteristic index 2 for F_2 x| Z/3 (a inverts, "
-        "b fixes): trivial-image frequency within 0.03 of 1/2; k-th powers "
-        "always trivial.",
+        "b fixes): trivial-image frequency within 0.03 of 1/2.",
         "config": {
             "experiment": "characteristic_index",
             "seed": 20260809,

@@ -194,10 +194,6 @@ def test_criterion_9_characteristic_index():
         n: result.aggregates["per_n"][str(n)]["trivial_frequency"]
         for n in (10, 100, 1000)
     }
-    powers = {
-        n: result.aggregates["per_n"][str(n)]["kth_power_frequency"]
-        for n in (10, 100, 1000)
-    }
     control = run_config(preset_config("char-index-z3-control"))
     control_ok = (
         control.aggregates["characteristic_index"] == 1
@@ -210,15 +206,13 @@ def test_criterion_9_characteristic_index():
     ok = (
         k == 2
         and all(abs(f - 0.5) <= 0.03 for f in freqs.values())
-        and all(p == 1.0 for p in powers.values())
         and control_ok
     )
     _report(
         "criterion 9 (characteristic index)",
         ok,
         f"k = {k}; trivial-image frequencies {freqs} (exact value 1/2); "
-        f"k-th power frequencies {powers}; trivial-action control gives "
-        f"k = 1 with frequency 1: {control_ok}",
+        f"trivial-action control gives k = 1 with frequency 1: {control_ok}",
     )
     assert result.passed and control.passed and ok
 

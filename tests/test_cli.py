@@ -141,6 +141,11 @@ def test_unknown_key_exit_one(tmp_path, capsys):
         ("degree-growth-cremona", {"iterate_budget": 1}, "$.params.iterate_budget:"),
         ("degree-growth-henon", {"iterate_budget": 1}, "$.params.iterate_budget:"),
         ("translation-growth-f2", {"tau_budget": 0}, "$.params.tau_budget: must be an"),
+        # a repeated entry was walked, or sampled, once per repeat and counted
+        # twice at its n (or m)
+        ("degree-growth-henon", {"n_grid": [3, 3]}, "$.params.n_grid: must not repeat"),
+        ("shadow-decay-f2", {"m_grid": [2, 2, 3]}, "$.params.m_grid: must not repeat"),
+        ("match-non-f2", {"s_grid": [10, 30, 10]}, "$.params.s_grid: must not repeat"),
     ],
 )
 def test_bad_counts_and_grids_exit_one(tmp_path, capsys, preset, params, message):
@@ -546,6 +551,17 @@ def test_preset_keeps_its_bytes(name, tmp_path):
     # writes its report
     config = preset_config(name)
     write_outputs(run_config(config), config, tmp_path)
+    assert _output_digests(tmp_path) == PRESET_DIGESTS[name]
+
+
+@pytest.mark.parametrize(
+    "name",
+    [pytest.param("char-index-z3", marks=pytest.mark.slow), "char-index-z3-control"],
+)
+def test_char_index_keeps_its_bytes_at_two_jobs(name, tmp_path):
+    # the image walk folds in the runner's trial blocks, one per worker
+    config = preset_config(name)
+    write_outputs(run_config(config, jobs=2), config, tmp_path)
     assert _output_digests(tmp_path) == PRESET_DIGESTS[name]
 
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -362,6 +363,11 @@ def test_match_census_validation():
             lambda m: E.translation_growth(_henon_point_mass(), [2], 2, seed=1, tau_budget=0),
             "tau_budget: must be an integer >= 1",
         ),
+        (
+            lambda m: E.degree_growth_experiment(_henon_point_mass(), [3, 3], 2, seed=1),
+            "n_grid: must not repeat an entry",
+        ),
+        (lambda m: E.shadow_decay(m, [2, 2], 100, seed=1), "m_grid: must not repeat"),
     ],
 )
 def test_direct_calls_check_counts_and_grids(call, message):
@@ -413,7 +419,6 @@ def test_characteristic_index_experiment():
     for n in ("10", "50"):
         agg = result.aggregates["per_n"][n]
         assert abs(agg["trivial_frequency"] - 0.5) <= 0.03
-        assert agg["kth_power_frequency"] == 1.0
     assert result.passed
 
     control = z3_semidirect(invert_action=False)
@@ -423,6 +428,60 @@ def test_characteristic_index_experiment():
     for n in ("10", "50"):
         assert result.aggregates["per_n"][n]["trivial_frequency"] == 1.0
     assert result.passed
+
+
+def _klein_four_semidirect():
+    """F2 acting on the Klein four-group V through Aut(V) = S3: a swaps two
+    involutions and b cycles all three, so the image group is non-abelian
+    and k = 6."""
+    v4 = FiniteGroup(tuple(tuple(g ^ h for h in range(4)) for g in range(4)), "V4")
+    model = SemidirectOracle(
+        2, v4, [Automorphism((0, 2, 1, 3)), Automorphism((0, 2, 3, 1))]
+    )
+    atoms = [
+        ("a", model.element((1,)), Fraction(1, 4)),
+        ("A", model.element((-1,)), Fraction(1, 4)),
+        ("b", model.element((2,)), Fraction(1, 4)),
+        ("B", model.element((-2,)), Fraction(1, 4)),
+    ]
+    return FiniteMeasure(model, atoms, attest_non_elementary=True)
+
+
+def test_table_fold_matches_the_conjugation_of_the_product(monkeypatch):
+    # oracle: the conjugation action on the kernel of w_n = g_1 ... g_n,
+    # multiplied out by SemidirectOracle.multiply
+    measure = _klein_four_semidirect()
+    model = measure.oracle
+    marks, seed = [1, 4, 7, 20], 1016
+    expected = {}
+    for trial in range(11):
+        w = model.identity()
+        for step, atom in enumerate(measure.increment_indices(marks[-1], seed, trial), 1):
+            w = model.multiply(w, measure.atoms[atom].element)
+            expected[trial, step] = model.conjugation_on_kernel(w).images
+
+    atom_images = [model.conjugation_on_kernel(a.element) for a in measure.atoms]
+    elements, table = E._image_table(atom_images, model.torsion_group)
+    assert len(elements) == 6
+    monkeypatch.setattr(E, "_FOLD_TRIALS", 3)  # trials 2..10 in three blocks
+    rows = E._tree_trial_rows(
+        measure, marks, seed, 2, 11, lambda image, n: {"image": image},
+        fold=partial(E._table_fold, table),
+    )
+    assert [(r["trial"], r["n"]) for r in rows] == [
+        (t, n) for t in range(2, 11) for n in marks
+    ]
+    assert len({r["image"] for r in rows}) > 1  # the walk leaves the identity
+    for r in rows:
+        assert elements[r["image"]] == expected[r["trial"], r["n"]]
+
+    result = E.characteristic_index_experiment(measure, marks, 11, seed=seed)
+    assert result.aggregates["characteristic_index"] == 6
+    assert [(r["n"], r["trial"]) for r in result.records] == [
+        (n, t) for n in marks for t in range(11)
+    ]
+    for r in result.records:
+        assert r["image_trivial"] == int(expected[r["trial"], r["n"]] == elements[0])
 
 
 def test_characteristic_index_requires_reversible():
@@ -919,6 +978,9 @@ def test_parallel_serial_equivalence():
         lambda jobs: E.estimate_drift(_cat_measure(), 6, 30, seed=89, jobs=jobs),
         lambda jobs: E.translation_growth(_cat_measure(), [3, 6], 5, seed=90, jobs=jobs),
         lambda jobs: E.gromov_tail(measure, [30, 60], 24, seed=91, jobs=jobs),
+        lambda jobs: E.characteristic_index_experiment(
+            _klein_four_semidirect(), [10, 30], 7, seed=92, jobs=jobs
+        ),
     ]
     for run in runs:
         serial, parallel = run(1), run(2)

@@ -12,7 +12,6 @@ from hypwalk.geometry import (
     gromov_product,
     orbit_gromov_product,
     shadow_contains,
-    translation_length_estimate,
 )
 
 
@@ -89,10 +88,10 @@ def test_two_smallest_products_agree_on_tree():
 
 def test_translation_estimate_tree():
     fo = FreeGroupOracle(2)
-    assert translation_length_estimate(fo, W.str_to_word("abab"), 1) == 4.0
+    assert fo.translation_length_estimate(W.str_to_word("abab"), 1) == 4.0
     # conjugate: exact answer at any budget
     w = W.str_to_word("baaB")
-    assert translation_length_estimate(fo, w, 3) == 2.0
+    assert fo.translation_length_estimate(w, 3) == 2.0
 
 
 def test_generic_estimate_antitone_and_bounded():
