@@ -6,14 +6,14 @@ The format is deliberately small and strict: unknown keys are rejected with
 the offending field path, weights are exact rational strings ("1/4"), and
 every value needed to reproduce a run (model parameters, generator specs,
 grids, caps, the master seed) lives in the document.  Each field is checked
-where it is built, and an error raised while building it names its path.
+where it is built, and an error raised while building it names its path;
+the entry point checks the values of ``params``, as it checks a direct call.
 """
 
 from __future__ import annotations
 
 import inspect
 from fractions import Fraction
-from types import NoneType, UnionType
 from typing import get_args
 
 from .cremona import CremonaModel, MonomialMap, MonomialModel, valid_primes
@@ -102,9 +102,6 @@ _SUPPLIED = ("measure", "seed", "jobs")
 #: The integer lists of the generator specs and of monomial atoms.
 _LENGTHS = {"entries": (9, "nine"), "matrix": (4, "four")}
 
-#: The parameter types a config can hold, by their JSON names.
-_JSON_NAMES = {int: "an integer", float: "a number", str: "a string", NoneType: "null"}
-
 
 def _is_int(value) -> bool:
     """An ``int`` that is not a ``bool``: JSON ``true`` and ``false`` load as
@@ -165,7 +162,9 @@ def _matrix(spec: dict, key: str, path: str, name: str, build):
 def validate_config(config: dict):
     """Check the document and build what it names, in one pass: return the
     entry point of its experiment and the keyword arguments of the call,
-    less ``jobs``.  The first invalid field raises ConfigError naming it."""
+    less ``jobs``.  The first invalid field raises ConfigError naming it.
+    Of ``params`` only the keys and the word strings are checked here: the
+    entry point checks the other values when :func:`run_config` calls it."""
     _require(isinstance(config, dict), "$", "config must be a JSON object")
     _check_keys(config, {"experiment", "seed", "model", "measure", "params"}, "$")
     for key in ("experiment", "seed", "model", "params"):
@@ -203,30 +202,12 @@ def validate_config(config: dict):
             "$.params",
             f"missing required key '{key}'",
         )
-    experiments.check_counts(params, "$.params.", ConfigError)
     for key, value in params.items():
-        kwargs[key] = _param(key, value, keys[key].annotation)
+        # a word (annotated W.Word or W.Word | None) is built from its string
+        annotation = keys[key].annotation
+        is_word = W.Word in (annotation, *get_args(annotation))
+        kwargs[key] = _word(value, None, f"$.params.{key}") if is_word else value
     return entry, kwargs
-
-
-def _param(key: str, value, annotation):
-    """``$.params.<key>`` as the entry point takes it, checked against its
-    annotation: a word (``W.Word``) is built from its string, and a value
-    annotated with types of ``_JSON_NAMES`` must have one of them (an
-    integer is a number, a bool is not).  The grids carry no annotation:
-    :func:`~hypwalk.experiments.check_counts` checks them."""
-    path = f"$.params.{key}"
-    kinds = get_args(annotation) if isinstance(annotation, UnionType) else (annotation,)
-    if W.Word in kinds:
-        return _word(value, None, path)
-    if all(kind in _JSON_NAMES for kind in kinds):
-        allowed = (int, *kinds) if float in kinds else kinds
-        _require(
-            isinstance(value, allowed) and not isinstance(value, bool),
-            path,
-            "must be " + " or ".join(_JSON_NAMES[kind] for kind in kinds),
-        )
-    return value
 
 
 def build_model(spec: dict):

@@ -250,6 +250,7 @@ class MonomialMap:
         det = self.det()
         return MonomialMap(self.d * det, -self.b * det, -self.c * det, self.a * det)
 
+    @property
     def degree(self) -> int:
         """Degree of the induced plane map, from homogenizing the exponents."""
         a, b, c, d = self.a, self.b, self.c, self.d
@@ -661,7 +662,10 @@ class MonomialModel(ActionOracle):
         return g.inverse()
 
     def displacement(self, g: MonomialMap) -> float:
-        return math.acosh(g.degree())
+        try:
+            return math.acosh(g.degree)
+        except OverflowError:  # past the float range acosh(d) is log(2d)
+            return math.log(g.degree) + math.log(2)
 
     def translation_length_estimate(self, g: MonomialMap, budget: int) -> float:
         if budget < 1:

@@ -29,8 +29,9 @@ what the fold gives at mark n (by default the reduced word w_n; the
 characteristic index folds the image in Aut of the kernel instead),
 ``walk(path, n)`` the sampled path, and each returns only its row's fields,
 which the runner stores after ``trial`` and ``n``.  Only shadow decay (one
-stream per (m, chunk)) samples its own way.  An argument an entry point
-rejects itself raises ``ParamError``, named by the argument.
+stream per (m, chunk)) samples its own way.  Every entry point checks the
+argument values of each call, from a config run or from Python alike, before
+any walk, and raises ``ParamError`` named by the argument it rejects.
 """
 
 from __future__ import annotations
@@ -42,6 +43,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial, wraps
+from numbers import Integral, Real
+from types import NoneType, UnionType
+from typing import get_args
 
 import numpy as np
 
@@ -116,7 +120,7 @@ class ExperimentResult:
 
 
 # ---------------------------------------------------------------------------
-# Bounds on counts and grids: a direct call is checked as a config is.
+# Argument checks: a config run and a direct call meet the same ones.
 
 #: Params that count trials, samples, steps, match letters or powers, and
 #: grids of them: each must be at least 1, and a grid must be nonempty and
@@ -124,45 +128,61 @@ class ExperimentResult:
 _COUNTS = ("trials", "samples", "chunk", "n", "L", "tau_budget")
 _GRIDS = ("n_grid", "m_grid", "s_grid")
 
+#: The annotated argument types a check names, by their JSON names, and the
+#: abstract type a numeric one accepts from a direct call.
+_JSON_NAMES = {int: "an integer", float: "a number", str: "a string", NoneType: "null"}
+_ABSTRACT = {int: Integral, float: Real}
+
 
 def _is_count(value) -> bool:
     """An int >= 1 that is not a bool (JSON ``true`` loads as one)."""
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
-def check_counts(params: dict, path: str = "", error=InputError) -> None:
-    """Raise ``error``, naming ``path`` and the key, unless every count in
-    ``params`` is an integer >= 1, every grid a nonempty list (or tuple)
-    of distinct ones, and every float finite (a NaN or infinite tolerance
-    would pass every gate).  The entry points run it on the arguments of a
-    call, and :func:`hypwalk.config.validate_config` on a config's
-    ``params``."""
-    for key, value in params.items():
+def _check_arguments(arguments: dict, parameters) -> None:
+    """Raise ``ParamError(key, reason)`` unless every float in ``arguments``
+    is finite (a NaN or infinite tolerance would pass every gate), every
+    count an integer >= 1, every grid a nonempty list (or tuple) of distinct
+    ones, and every argument whose annotation in ``parameters`` names only
+    types of ``_JSON_NAMES`` has one of them (a ``numbers.Integral`` is an
+    integer, a ``numbers.Real`` a number, a bool neither).  None passed
+    where the default is None is an optional argument left out."""
+    given = {
+        k: v for k, v in arguments.items() if v is not None or parameters[k].default is not None
+    }
+    for key, value in given.items():
         if isinstance(value, (float, np.floating)) and not math.isfinite(value):
-            raise error(f"{path}{key}: must be a finite number")
+            raise ParamError(key, "must be a finite number")
     for key in _COUNTS:
-        if key in params and not _is_count(params[key]):
-            raise error(f"{path}{key}: must be an integer >= 1")
+        if key in given and not _is_count(given[key]):
+            raise ParamError(key, "must be an integer >= 1")
     for key in _GRIDS:
-        grid = params.get(key)
-        if key in params and not (
+        grid = given.get(key)
+        if key in given and not (
             isinstance(grid, (list, tuple)) and grid and all(map(_is_count, grid))
         ):
-            raise error(f"{path}{key}: must be a nonempty list of integers >= 1")
-        if key in params and len(set(grid)) < len(grid):
-            raise error(f"{path}{key}: must not repeat an entry")
+            raise ParamError(key, "must be a nonempty list of integers >= 1")
+        if key in given and len(set(grid)) < len(grid):
+            raise ParamError(key, "must not repeat an entry")
+    for key, value in arguments.items():
+        annotation = parameters[key].annotation
+        kinds = get_args(annotation) if isinstance(annotation, UnionType) else (annotation,)
+        if all(kind in _JSON_NAMES for kind in kinds):
+            allowed = tuple(_ABSTRACT.get(kind, kind) for kind in kinds)
+            if not isinstance(value, allowed) or isinstance(value, bool):
+                reason = " or ".join(_JSON_NAMES[kind] for kind in kinds)
+                raise ParamError(key, f"must be {reason}")
 
 
-def _counts_checked(entry):
-    """The entry point ``entry``, running :func:`check_counts` on the counts
-    and grids of each call before any walk; an optional one passed as None
-    is not checked."""
-    signature = inspect.signature(entry)
+def _checked(entry):
+    """The entry point ``entry``, running :func:`_check_arguments` on the
+    arguments of each call before any walk."""
+    signature = inspect.signature(entry, eval_str=True)
 
     @wraps(entry)
     def checked(*args, **kwargs):
         arguments = signature.bind(*args, **kwargs).arguments
-        check_counts({k: v for k, v in arguments.items() if v is not None})
+        _check_arguments(arguments, signature.parameters)
         return entry(*args, **kwargs)
 
     return checked
@@ -384,7 +404,7 @@ def _obs_endpoint(tau_budget, path, n) -> dict:
 # Drift.
 
 
-@_counts_checked
+@_checked
 def estimate_drift(
     measure: FiniteMeasure,
     n: int,
@@ -450,11 +470,10 @@ def _obs_tree_displacement(word, n) -> dict:
 
 
 def _obs_degree(path, n) -> dict:
-    d = path.displacements[n]
-    degree = round(math.cosh(d))
+    degree = path.endpoints[n][0].degree
     return {
         "truncated": False,
-        "d": d,
+        "d": path.displacements[n],
         "log_deg": math.log(degree),
         "degree": degree,
         "prime_retries": path.prime_retries,
@@ -465,7 +484,7 @@ def _obs_degree(path, n) -> dict:
 # Translation length growth.
 
 
-@_counts_checked
+@_checked
 def translation_growth(
     measure: FiniteMeasure,
     n_grid,
@@ -542,7 +561,7 @@ def _gate_translation(result):
 # Sublinearity of the symmetric Gromov product.
 
 
-@_counts_checked
+@_checked
 def gromov_tail(
     measure: FiniteMeasure,
     n_grid,
@@ -607,7 +626,7 @@ def _gate_gromov_tail(result):
 # Shadow decay.
 
 
-@_counts_checked
+@_checked
 def shadow_decay(
     measure: FiniteMeasure,
     m_grid,
@@ -745,7 +764,7 @@ def _gate_shadow(result):
 # Matching census (axis matches, non-matches, self matches).
 
 
-@_counts_checked
+@_checked
 def match_census(
     kind: str,
     measure: FiniteMeasure,
@@ -920,7 +939,7 @@ def _gate_match_self(result):
 # Asymptotic acylindricality: joint coarse stabilizer census.
 
 
-@_counts_checked
+@_checked
 def stab_acylindricity(
     measure: FiniteMeasure,
     K: int,
@@ -1016,7 +1035,7 @@ def small_cancellation_certificate(
     )
 
 
-@_counts_checked
+@_checked
 def small_cancellation_experiment(
     measure: FiniteMeasure,
     n: int,
@@ -1072,7 +1091,7 @@ def _gate_small_cancellation(result):
 # Characteristic index.
 
 
-@_counts_checked
+@_checked
 def characteristic_index_experiment(
     measure: FiniteMeasure,
     n_grid,
@@ -1181,7 +1200,7 @@ def _gate_char_index(result):
 # Cremona degree growth.
 
 
-@_counts_checked
+@_checked
 def degree_growth_experiment(
     measure: FiniteMeasure,
     n_grid,
@@ -1221,11 +1240,11 @@ def degree_growth_experiment(
 
 
 def _obs_degree_growth(iterate_budget, lambda_degree_bound, path, n) -> dict:
-    degree = int(round(math.cosh(path.displacements[n])))
+    degree = path.endpoints[n][0].degree
     row = {
         "truncated": False,
         "degree": degree,
-        "log_deg_rate": math.log(degree) / n if degree >= 1 else 0.0,
+        "log_deg_rate": math.log(degree) / n,
         "prime_retries": path.prime_retries,
     }
     if n == path.n:
@@ -1264,7 +1283,7 @@ def _lambda_rate(path, budget, degree_bound):
     subsample.  An estimate of 0 gives ``(None, None)``."""
     if budget is None:
         return None, "disabled"
-    final_degree = int(round(math.cosh(path.displacements[-1])))
+    final_degree = path.final.degree
     cap = path.oracle.degree_cap
     if final_degree > degree_bound or final_degree**budget > cap:
         return None, "cap"
@@ -1340,6 +1359,7 @@ def _aggregate_degree_growth(records, params):
 # Exactness checks for the Cremona algebra (deterministic, no sampling).
 
 
+@_checked
 def cremona_exactness(henon_power_budget: int = 6) -> ExperimentResult:
     """Exact composition identities: the quadratic involution squares to the
     identity, and the henon map's degree doubles under every power."""

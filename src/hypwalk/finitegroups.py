@@ -64,10 +64,6 @@ class FiniteGroup:
         table = tuple(tuple((i + j) % m for j in range(m)) for i in range(m))
         return FiniteGroup(table, name=f"Z/{m}")
 
-    @staticmethod
-    def trivial() -> "FiniteGroup":
-        return FiniteGroup(((0,),), name="1")
-
 
 @dataclass(frozen=True)
 class Automorphism:

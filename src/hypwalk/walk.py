@@ -151,9 +151,6 @@ class FiniteMeasure:
                 return False
         return True
 
-    def __len__(self):
-        return len(self.atoms)
-
     def increment_indices(self, n: int, seed: int, trial: int) -> np.ndarray:
         """The trial's first n atom indices: the only consumer of the trial
         stream, shared verbatim by every path-building code path."""

@@ -16,6 +16,7 @@ from hypwalk.cli import main, serialize_report, write_outputs
 from hypwalk.config import ConfigError, run_config, validate_config
 from hypwalk.experiments import ExperimentResult
 from hypwalk.presets import PRESETS, preset_config
+from hypwalk.walk import FiniteMeasure
 
 SMALL_DRIFT = {
     "experiment": "drift",
@@ -262,6 +263,11 @@ def test_boolean_integer_fields_exit_one(tmp_path, capsys, preset, prepare, keys
         ("drift-f2", "expected", "0.5", "must be a number or null"),
         ("drift-f2", "expected", True, "must be a number or null"),
         ("degree-growth-henon", "iterate_budget", "2", "must be an integer or null"),
+        # null leaves out only an argument whose default is None
+        ("drift-f2", "trials", None, "must be an integer >= 1"),
+        ("gromov-sublinearity-f2", "n_grid", None, "must be a nonempty list of integers >= 1"),
+        ("shadow-decay-f2", "m_grid", None, "must be a nonempty list of integers >= 1"),
+        ("match-non-f2", "s_grid", None, "must be a nonempty list of integers >= 1"),
     ],
 )
 def test_params_of_the_wrong_json_type_exit_one(tmp_path, capsys, preset, key, value, message):
@@ -271,13 +277,23 @@ def test_params_of_the_wrong_json_type_exit_one(tmp_path, capsys, preset, key, v
     _run_invalid(tmp_path, capsys, config, f"$.params.{key}: {message}")
 
 
-def test_an_integer_is_a_number_and_null_an_optional_param():
+class _Walked(Exception):
+    """Raised by the first walk step: the arguments were accepted."""
+
+
+def test_an_integer_is_a_number_and_null_an_optional_param(monkeypatch):
+    def walked(*args):
+        raise _Walked
+
+    monkeypatch.setattr(FiniteMeasure, "increment_indices", walked)
     config = preset_config("drift-f2")
     config["params"].update(expected=1, tolerance=0)
-    assert validate_config(config)[1]["expected"] == 1
+    with pytest.raises(_Walked):
+        run_config(config)
     config = preset_config("degree-growth-cremona")
     config["params"]["iterate_budget"] = None
-    assert validate_config(config)[1]["iterate_budget"] is None
+    with pytest.raises(_Walked):
+        run_config(config)
 
 
 def _set(*keys, value):

@@ -167,10 +167,10 @@ def test_dynamical_degree_estimates():
 
 
 def test_monomial_degrees_and_dynamical_degree():
-    assert MonomialMap(1, 0, 0, 1).degree() == 1
-    assert MonomialMap(-1, 0, 0, -1).degree() == 2  # this is sigma
-    assert MonomialMap(1, 1, 0, 1).degree() == 2
-    assert MonomialMap(2, 1, 1, 1).degree() == 3
+    assert MonomialMap(1, 0, 0, 1).degree == 1
+    assert MonomialMap(-1, 0, 0, -1).degree == 2  # this is sigma
+    assert MonomialMap(1, 1, 0, 1).degree == 2
+    assert MonomialMap(2, 1, 1, 1).degree == 3
     assert monomial_dynamical_degree(MonomialMap(1, 1, 0, 1)) == 1.0
     assert monomial_dynamical_degree(MonomialMap(0, 1, 1, 0)) == 1.0
     assert monomial_dynamical_degree(MonomialMap(2, 1, 1, 1)) == pytest.approx(GOLDEN3)
@@ -192,19 +192,26 @@ def test_monomial_triple_matches_polynomial_model():
     for _ in range(4):
         power = mono.multiply(m, power)
         poly_power = model.multiply(poly_shear, poly_power)
-        assert power.degree() == poly_power.degree
+        assert power.degree == poly_power.degree
 
 
 def test_monomial_model_metric():
     mono = MonomialModel()
     m = MonomialMap(2, 1, 1, 1)
-    assert mono.displacement(m) == pytest.approx(math.acosh(3))
+    assert mono.displacement(m) == math.acosh(3)
     assert mono.pairwise_distance(m, m) == 0.0
     assert mono.translation_length_estimate(m, 5) == pytest.approx(math.log(GOLDEN3))
     big = m
     for _ in range(30):
         big = mono.multiply(big, m)  # far beyond any polynomial cap
-    assert big.degree() > 10**12
+    assert big.degree > 10**12
+    assert mono.displacement(big) == math.acosh(big.degree)
+    for _ in range(1000):
+        big = mono.multiply(big, m)  # past the float range
+    d = big.degree
+    assert d > 2**1024
+    # acosh(d) = log(d + sqrt(d^2 - 1)), in integers
+    assert mono.displacement(big) == pytest.approx(math.log(d + math.isqrt(d * d - 1)))
 
 
 def test_triangle_inequality_on_hyperboloid():

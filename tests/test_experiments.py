@@ -13,7 +13,7 @@ from hypwalk import words as W
 from hypwalk.cli import write_outputs
 from hypwalk.config import build_measure, build_model, run_config
 from hypwalk.cremona import CremonaModel, MonomialMap, MonomialModel
-from hypwalk.errors import BadPrimeSignal, InputError, ResourceError
+from hypwalk.errors import BadPrimeSignal, InputError, ParamError, ResourceError
 from hypwalk.finitegroups import Automorphism, FiniteGroup, cyclic_automorphism
 from hypwalk.freegroup import FreeGroupOracle, SemidirectOracle
 from hypwalk.polynomials import HomPoly3
@@ -368,14 +368,62 @@ def test_match_census_validation():
             "n_grid: must not repeat an entry",
         ),
         (lambda m: E.shadow_decay(m, [2, 2], 100, seed=1), "m_grid: must not repeat"),
+        # the JSON types a config is checked against hold for a call too:
+        # unchecked, the first passed its gate, the second raised TypeError
+        # after the last trial, and the last two ran
+        (
+            lambda m: E.estimate_drift(m, 50, 30, seed=1, tolerance="x"),
+            "tolerance: must be a number",
+        ),
+        (
+            lambda m: E.estimate_drift(m, 50, 30, seed=1, expected="0.5"),
+            "expected: must be a number or null",
+        ),
+        (
+            lambda m: E.gromov_tail(m, [10], 5, seed=1, threshold=None),
+            "threshold: must be a number",
+        ),
+        (lambda m: E.cremona_exactness("6"), "henon_power_budget: must be an integer"),
+        # None leaves out only an argument whose default is None
+        (
+            lambda m: E.gromov_tail(m, None, 5, seed=1),
+            "n_grid: must be a nonempty list of integers >= 1",
+        ),
     ],
 )
-def test_direct_calls_check_counts_and_grids(call, message):
-    # the bounds a config is validated against hold for a call from Python;
-    # at the parent the first two crashed with IndexError and ZeroDivisionError
-    with pytest.raises(InputError) as info:
+def test_direct_calls_check_counts_and_grids(monkeypatch, call, message):
+    # the bounds a config is validated against hold for a call from Python,
+    # before any walk; unchecked, the first two crashed with IndexError and
+    # ZeroDivisionError
+    def walked(*args):
+        raise AssertionError("a walk ran before the check")
+
+    monkeypatch.setattr(FiniteMeasure, "increment_indices", walked)
+    with pytest.raises(ParamError) as info:
         call(uniform_free())
     assert str(info.value).startswith(message)
+
+
+class _Walked(Exception):
+    """Raised by the first walk step: the arguments were accepted."""
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: E.stab_acylindricity(m, np.int64(2), [10], 5, seed=np.int64(1)),
+        lambda m: E.estimate_drift(m, 50, 30, seed=1, tolerance=np.float32(0.05)),
+        lambda m: E.estimate_drift(m, 50, 30, seed=1, expected=Fraction(1, 2)),
+    ],
+)
+def test_direct_calls_accept_numeric_scalars(monkeypatch, call):
+    # a numbers.Integral is an integer and a numbers.Real a number
+    def walked(*args):
+        raise _Walked
+
+    monkeypatch.setattr(FiniteMeasure, "increment_indices", walked)
+    with pytest.raises(_Walked):
+        call(uniform_free())
 
 
 def test_stab_acylindricity_tree_and_kernel():
@@ -855,22 +903,42 @@ def test_observable_retries_continue_past_the_walks_retry_pairs(monkeypatch):
     assert base not in observed
 
 
-def _cat_measure():
-    cat = MonomialMap(2, 1, 1, 1)
+def _monomial_measure(*matrices):
+    weight = Fraction(1, len(matrices))
     return FiniteMeasure(
-        MonomialModel(),
-        [("cat", cat, Fraction(1, 2)), ("cat^-1", cat.inverse(), Fraction(1, 2))],
+        MonomialModel(), [(str(m), MonomialMap(*m), weight) for m in matrices]
     )
 
 
-def test_drift_runs_on_the_monomial_model():
-    measure = _cat_measure()
-    result = E.estimate_drift(measure, 6, 30, seed=3)
+def _cat_measure():
+    return _monomial_measure((2, 1, 1, 1), (1, -1, -1, 2))
+
+
+def _assert_rows_read_the_exact_degree(measure, n):
+    result = E.estimate_drift(measure, n, 30, seed=3)
     assert result.passed and result.aggregates["trials_used"] == 30
     for row in result.records:
-        degree = sample_path(measure, 6, 3, row["trial"]).final.degree()
+        degree = sample_path(measure, n, 3, row["trial"]).final.degree
         assert row["degree"] == degree and row["log_deg"] == math.log(degree)
 
+
+def test_drift_runs_on_the_monomial_model():
+    _assert_rows_read_the_exact_degree(_cat_measure(), 6)
+
+
+@pytest.mark.parametrize(
+    "matrices",
+    [
+        # degrees near 10^20, which a float rounds: cosh(acosh(d)) gives
+        # 116253058127149170688 for d = 116253058127148802631
+        ((2, 1, 1, 1), (1, -1, -1, 2), (1, 2, 0, 1), (1, -2, 0, 1)),
+        # degrees near 10^400, past the float range, where math.acosh
+        # raises OverflowError
+        ((100, 1, 99, 1),),
+    ],
+)
+def test_monomial_drift_rows_read_the_exact_degree_past_float_precision(matrices):
+    _assert_rows_read_the_exact_degree(_monomial_measure(*matrices), 200)
 
 _TREE_ONLY_PRESETS = [
     "small-cancellation-f2",

@@ -234,7 +234,7 @@ def test_monomial_degree_is_its_inverses():
     for a, b, c, d in itertools.product(range(-4, 5), repeat=4):
         if abs(a * d - b * c) == 1:
             g = MonomialMap(a, b, c, d)
-            assert g.degree() == g.inverse().degree()
+            assert g.degree == g.inverse().degree
 
 
 def test_path_observable_examples():
