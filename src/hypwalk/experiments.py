@@ -125,7 +125,7 @@ class ExperimentResult:
 #: Params that count trials, samples, steps, match letters or powers, and
 #: grids of them: each must be at least 1, and a grid must be nonempty and
 #: name each entry once (the aggregators key their rows by the entry).
-_COUNTS = ("trials", "samples", "chunk", "n", "L", "tau_budget")
+_COUNTS = ("trials", "samples", "chunk", "n", "L", "tau_budget", "henon_power_budget")
 _GRIDS = ("n_grid", "m_grid", "s_grid")
 
 #: The annotated argument types a check names, by their JSON names, and the
@@ -810,7 +810,8 @@ def match_census(
         marks = [n]
         params = {"n": n, "L": L, "axis_core": W.word_to_str(core)}
         tolerances = {"axis_threshold": axis_threshold}
-        observe = partial(_obs_axis_match, core, L)
+        factors = W.periodic_factors(W.cyclic_reduce(core)[1], L)
+        observe = partial(_obs_factor_match, {"match": (L, factors)})
     elif kind == "non":
         s_grid = sorted(s_grid)
         if pattern_length < s_grid[-1]:
@@ -824,8 +825,8 @@ def match_census(
         marks = [n]
         params = {"n": n, "pattern": W.word_to_str(pattern), "s_grid": s_grid}
         tolerances = {"non_match_threshold": non_match_threshold}
-        patterns = {f"pattern_s{s}": pattern[:s] for s in s_grid}
-        observe = partial(_obs_non_match, patterns)
+        patterns = {f"pattern_s{s}": (s, {pattern[:s], W.invert(pattern[:s])}) for s in s_grid}
+        observe = partial(_obs_factor_match, patterns)
     else:
         marks = sorted(n_grid)
         params = {"n_grid": marks, "self_match_fraction": self_match_fraction}
@@ -838,9 +839,9 @@ def match_census(
 
 
 def _fixed_test_pattern(measure, length: int, seed: int) -> tuple:
-    """A fixed random reduced word over the measure's support alphabet,
-    drawn from the trial-(2^32) stream so it never collides with walk
-    trials."""
+    """A fixed random reduced word over all 2 * rank letters of the
+    measure's oracle, drawn from the trial-(2^32) stream so it never
+    collides with walk trials."""
     rank = measure.oracle.rank
     rng = trial_rng(seed, 2**32)
     letters: list[int] = []
@@ -854,22 +855,11 @@ def _fixed_test_pattern(measure, length: int, seed: int) -> tuple:
     return tuple(letters)
 
 
-def _obs_axis_match(core, L, word, step) -> dict:
-    return {"match": int(W.match_detect(word, core, L))}
-
-
-def _obs_non_match(patterns, word, step) -> dict:
-    """Per named (nonempty) pattern, 1 when the geodesic word contains it
-    or its reversal-inverse, else 0."""
-    fields = dict.fromkeys(patterns, 0)
-    for name, pattern in patterns.items():
-        s, mirrored = len(pattern), W.invert(pattern)
-        for i in range(len(word) - s + 1):
-            window = word[i : i + s]
-            if window == pattern or window == mirrored:
-                fields[name] = 1
-                break
-    return fields
+def _obs_factor_match(fields, word, step) -> dict:
+    """Per field's (length, words) pair, 1 when the geodesic word holds one
+    of the words, else 0: the axis factors for kind "axis", a prefix of the
+    test pattern and its reversed inverse for kind "non"."""
+    return {name: int(W.holds_factor(word, factors, s)) for name, (s, factors) in fields.items()}
 
 
 def _obs_self_match(fraction, word, step) -> dict:
@@ -1280,7 +1270,7 @@ def _gate_degree_growth(result):
 def _lambda_rate(path, budget, degree_bound):
     """``(rate, None)``, the rate (1/n) log of the budgeted dynamical-degree
     estimate of ``path.final``, or ``(None, reason)`` for a trial outside the
-    subsample.  An estimate of 0 gives ``(None, None)``."""
+    subsample."""
     if budget is None:
         return None, "disabled"
     final_degree = path.final.degree
@@ -1303,8 +1293,7 @@ def _lambda_rate(path, budget, degree_bound):
         return None, "cap"
     if est is None:
         return None, "bad_prime"
-    value = est[0].value
-    return (math.log(value) / path.n if value > 0 else None), None
+    return math.log(est[0].value) / path.n, None
 
 
 def _aggregate_degree_growth(records, params):

@@ -175,22 +175,37 @@ def ball_size(rank: int, radius: int) -> int:
 
 
 def periodic_factors(core: Word, length: int) -> set[Word]:
-    """All distinct length-``length`` factors of the bi-infinite word core^inf.
+    """All distinct length-``length`` factors of the bi-infinite word core^inf,
+    read in both directions.
 
-    Only the primitive period matters; there are at most ``len(root)`` such
-    factors for each of the two reading directions.
+    Only the primitive root r matters (the inverse line's is r^-1); there
+    are at most ``len(r)`` such factors for each reading direction.
     """
+    root = primitive_root(core)
+    d = len(root)
+    if d == 0:
+        return set()
+    reps = -(-(length + d) // d)  # enough copies to see every phase
     factors: set[Word] = set()
-    for line in (core, invert(core)):
-        root = primitive_root(line)
-        d = len(root)
-        if d == 0:
-            continue
-        reps = -(-(length + d) // d)  # enough copies to see every phase
-        stretch = root * reps
-        for phase in range(d):
-            factors.add(stretch[phase : phase + length])
+    for line in (root, invert(root)):
+        stretch = line * reps
+        factors.update(stretch[phase : phase + length] for phase in range(d))
     return factors
+
+
+def holds_factor(word: Word, factors: set[Word], length: int) -> bool:
+    """Does ``word`` hold one of ``factors``, a set of length-``length``
+    words, as a factor (a contiguous subword)?
+
+    >>> holds_factor(str_to_word("abba"), {str_to_word("bb")}, 2)
+    True
+    >>> holds_factor(str_to_word("abba"), periodic_factors(str_to_word("ab"), 3), 3)
+    False
+    """
+    for i in range(len(word) - length + 1):
+        if word[i : i + length] in factors:
+            return True
+    return False
 
 
 def match_detect(path_word: Word, axis_core: Word, L: int) -> bool:
@@ -207,13 +222,7 @@ def match_detect(path_word: Word, axis_core: Word, L: int) -> bool:
     axis_core = cyclic_reduce(axis_core)[1]
     if len(axis_core) == 0:
         raise InputError("axis core must be loxodromic (a nonempty cyclic core)")
-    if len(path_word) < L:
-        return False
-    targets = periodic_factors(axis_core, L)
-    for i in range(len(path_word) - L + 1):
-        if path_word[i : i + L] in targets:
-            return True
-    return False
+    return holds_factor(path_word, periodic_factors(axis_core, L), L)
 
 
 def self_match_detect(path_word: Word, L: int) -> bool:
@@ -223,6 +232,16 @@ def self_match_detect(path_word: Word, L: int) -> bool:
     [x, w.x] with g.eta = eta' for some g != 1.  The translate may reverse
     orientation, in which case the label of eta' is the reversed inverse of
     the label of eta.  Disjoint means the index intervals do not overlap.
+
+    Both relations are symmetric, so the later window of a pair finds the
+    earlier one: a pair exists exactly when some window j has its label, or
+    its reversed inverse, first occurring at j - L or earlier.  One pass
+    over the windows, keeping first occurrences, decides it.
+
+    >>> self_match_detect(str_to_word("abcBA"), 2)  # ab, then its reversed inverse
+    True
+    >>> self_match_detect(str_to_word("abcAB"), 2)
+    False
     """
     if L < 1:
         raise InputError("match length L must be >= 1")
@@ -233,37 +252,18 @@ def self_match_detect(path_word: Word, L: int) -> bool:
     # Windows are read-only memoryview slices of one fixed-width letter
     # encoding: they hash and compare by content, far faster than tuple
     # slices, and as dict keys they share the buffer instead of copying
-    # L letters each.
-    typecode = "b" if max(abs(letter) for letter in path_word) <= 127 else "q"
-    width = array(typecode).itemsize
-    data = memoryview(array(typecode, path_word).tobytes())
+    # L letters each.  The reversed inverse of window j is window n - L - j
+    # of the inverted path.
+    try:
+        letters, inverse = array("b", path_word), array("b", invert(path_word))
+    except OverflowError:
+        letters, inverse = array("q", path_word), array("q", invert(path_word))
+    width = letters.itemsize
+    data, rdata = memoryview(letters.tobytes()), memoryview(inverse.tobytes())
     first: dict[memoryview, int] = {}
-    last: dict[memoryview, int] = {}
-    for i in range(n - L + 1):
-        window = data[i * width : (i + L) * width]
-        if window not in first:
-            first[window] = i
-        last[window] = i
-    for window, lo in first.items():
-        if last[window] - lo >= L:
-            return True
-
-    # Orientation-reversing pairs: window(j) == reverse-invert(window(i)),
-    # realised as a window of the reversed-inverted path at t = n - L - i.
-    rdata = memoryview(array(typecode, invert(path_word)).tobytes())
-    rfirst: dict[memoryview, int] = {}
-    rlast: dict[memoryview, int] = {}
-    for t in range(n - L + 1):
-        window = rdata[t * width : (t + L) * width]
-        if window not in rfirst:
-            rfirst[window] = t
-        rlast[window] = t
-    for window, j_lo in first.items():
-        t = rfirst.get(window)
-        if t is None:
-            continue
-        # j + t <= n - 2L  <=>  segments disjoint with eta' to the left;
-        # j + t >= n       <=>  disjoint with eta' to the right.
-        if j_lo + t <= n - 2 * L or last[window] + rlast[window] >= n:
+    for j in range(n - L + 1):
+        window = data[j * width : (j + L) * width]
+        mirrored = rdata[(n - L - j) * width : (n - j) * width]
+        if first.setdefault(window, j) <= j - L or first.get(mirrored, j) <= j - L:
             return True
     return False

@@ -147,6 +147,12 @@ def test_unknown_key_exit_one(tmp_path, capsys):
         ("degree-growth-henon", {"n_grid": [3, 3]}, "$.params.n_grid: must not repeat"),
         ("shadow-decay-f2", {"m_grid": [2, 2, 3]}, "$.params.m_grid: must not repeat"),
         ("match-non-f2", {"s_grid": [10, 30, 10]}, "$.params.s_grid: must not repeat"),
+        # a budget below 1 skipped every doubling check and passed
+        (
+            "sigma-involution",
+            {"henon_power_budget": 0},
+            "$.params.henon_power_budget: must be an integer >= 1",
+        ),
     ],
 )
 def test_bad_counts_and_grids_exit_one(tmp_path, capsys, preset, params, message):

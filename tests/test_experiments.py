@@ -384,6 +384,7 @@ def test_match_census_validation():
             "threshold: must be a number",
         ),
         (lambda m: E.cremona_exactness("6"), "henon_power_budget: must be an integer"),
+        (lambda m: E.cremona_exactness(0), "henon_power_budget: must be an integer >= 1"),
         # None leaves out only an argument whose default is None
         (
             lambda m: E.gromov_tail(m, None, 5, seed=1),

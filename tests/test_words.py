@@ -163,19 +163,28 @@ def _self_match_naive(path, L):
     return False
 
 
-def test_self_match_oracle_and_monotone():
-    rng = random.Random(23)
+def _self_match_inputs(rng):
+    """Random reduced words, and powers of short roots between a reduced
+    prefix and suffix, whose only pairs may be adjacent windows."""
     for rank in (2, 3):
         alphabet = [s * g for g in range(1, rank + 1) for s in (1, -1)]
-        for _ in range(150):
-            path = W.reduce_letters(
-                [rng.choice(alphabet) for _ in range(rng.randrange(0, 61))]
-            )
-            results = {}
-            for L in range(1, 9):
-                got = W.self_match_detect(path, L)
-                assert got is _self_match_naive(path, L)
-                results[L] = got
-            for L in range(1, 8):
-                if results[L + 1]:
-                    assert results[L]  # monotone in L
+
+        def word(length):
+            return W.reduce_letters([rng.choice(alphabet) for _ in range(length)])
+
+        for _ in range(100):
+            yield word(rng.randrange(0, 61))
+            root = W.cyclic_reduce(word(rng.randrange(1, 5)))[1] or (1,)
+            power = root * rng.randrange(1, 12)
+            yield W.multiply(W.multiply(word(rng.randrange(0, 6)), power), word(rng.randrange(6)))
+
+
+def test_self_match_oracle_and_monotone():
+    rng = random.Random(23)
+    for reduced in _self_match_inputs(rng):
+        # letters past 127 take the wide window encoding
+        for path in (reduced, tuple(100 * letter for letter in reduced)):
+            lengths = range(1, len(path) // 2 + 2)
+            results = [W.self_match_detect(path, L) for L in lengths]
+            assert results == [_self_match_naive(path, L) for L in lengths]
+            assert results == sorted(results, reverse=True)  # monotone in L
