@@ -47,25 +47,37 @@ cancellation from gcds of pairs of g's degree-d coordinates, never from
   factor divides gcd(a, g3 / a).
 
 The gcd of a whole composed triple is taken only for a monomial letter
-and in that last Henon case when gcd(a, g3 / a) is nontrivial.  Every
-composition, of a generator letter, a whole word or a walk's running map,
-composes the outer word onto the inner triple one letter at a time, last
-letter first, and checks the degree cap on each letter's raw degree (the
-letter's degree times the running degree).  A letter step takes all its
-pairwise gcds from one call to ``polynomials.group_gcds``, the front of the
-gcd layer, and a composed triple's gcd from another (in
-``normalize_triple``).  The front proves groups of non-monomial
-coordinates coprime by line restriction and sends the others (a group with
-a monomial coordinate, or one the certificate does not prove) through
-``gcd3``.  Every other quotient goes through ``divexact`` (a shift for a
-monomial divisor), and an inexact one raises
-:class:`~hypwalk.errors.BadPrimeSignal`.  The normalized coprime
-triple of a map is unique, so the rule changes no result, only the work.
+and in that last Henon case when gcd(a, g3 / a) is nontrivial.  A letter
+step takes all its pairwise gcds from one call to
+``polynomials.group_gcds``, the front of the gcd layer, and a composed
+triple's gcd from another (in ``normalize_triple``).  The front proves
+groups of non-monomial coordinates coprime by line restriction and sends
+the others (a group with a monomial coordinate, or one the certificate does
+not prove) through ``gcd3``.  Every other quotient goes through
+``divexact`` (a shift for a monomial divisor), and an inexact one raises
+:class:`~hypwalk.errors.BadPrimeSignal`.  The normalized coprime triple of
+a map is unique, so the rule changes no result, only the work.
+
+The composition memo.  A reduced word is composed onto the identity one
+letter at a time, last letter first, so the states on the way are the
+word's suffixes, whatever product, power or inverse reached the word.  Each
+model keeps the states it has composed in one memo keyed by reduced word,
+and every composition (a product, a power, a rebuilt element, a lazy
+inverse's coordinates) starts from the longest suffix of its word that the
+memo holds and composes only the letters in front of it, storing each new
+state.  A state is stored only after its letter step has passed the degree
+cap (checked on the letter's raw degree, its degree times the running
+degree) and the primes have agreed on its degree, or, for a generator's
+own tracks, when the generator is made with a degree within the cap; the
+arithmetic is deterministic, so a stored state gives what composing again
+would, errors included.  The memo holds at most ``_MEMO_BYTES`` bytes of coefficient
+boxes, the oldest state going first, and a pickled model carries none.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 from .errors import BadPrimeSignal, InputError, ResourceError
@@ -82,6 +94,10 @@ from .polynomials import (
 )
 
 DEFAULT_DEGREE_CAP = 512
+
+#: The bytes of coefficient boxes one model's composition memo may hold.  A
+#: state at the default degree cap is about 6 MB per prime.
+_MEMO_BYTES = 32 * 2**20
 
 Triple = tuple[HomPoly3, HomPoly3, HomPoly3]
 
@@ -356,6 +372,80 @@ class CremonaElement:
         return f"CremonaElement(degree={self.degree}, word_length={len(self.word)})"
 
 
+# ---------------------------------------------------------------------------
+# The composition memo.
+
+
+class _Node:
+    """A reduced word in the memo's trie: the child of its suffix's node by
+    its first letter.  ``state`` is its (tracks, degree), or None.  The
+    parent is held by a weak reference, so that the trie has no reference
+    cycle and is freed with its model rather than by the cycle collector."""
+
+    __slots__ = ("parent", "letter", "children", "state", "__weakref__")
+
+    def __init__(self, parent, letter, state=None):
+        self.parent = None if parent is None else weakref.ref(parent)
+        self.letter, self.children, self.state = letter, {}, state
+
+
+class _SuffixMemo:
+    """The composed states of one model, keyed by reduced word.
+
+    The root holds the identity and is never evicted.  Every other state
+    counts the bytes of its boxes against ``_MEMO_BYTES``, and the state
+    stored first is evicted first; a node without a state stays while one
+    of its descendants has one, so no stored word is cut off from the root.
+    """
+
+    def __init__(self, identity_tracks):
+        self.root = _Node(None, None, (identity_tracks, 1))
+        self.sizes: dict[_Node, int] = {}  # stored nodes, oldest first
+        self.nbytes = 0
+
+    def __reduce__(self):
+        # a pickled model carries no composed states
+        return _SuffixMemo, (self.root.state[0],)
+
+    def longest_suffix(self, word) -> tuple[_Node, int]:
+        """The node of the longest stored suffix ``word[k:]``, and k."""
+        node = found = self.root
+        k = len(word)
+        for i in range(len(word) - 1, -1, -1):
+            node = node.children.get(word[i])
+            if node is None:
+                break
+            if node.state is not None:
+                found, k = node, i
+        return found, k
+
+    def store(self, node: _Node, letter: int, state) -> "_Node | None":
+        """Store ``state``, the word of ``node`` with ``letter`` in front, and
+        return its node; None when its boxes alone pass the budget."""
+        nbytes = sum(poly.box.nbytes for _, triple in state[0] for poly in triple)
+        if nbytes > _MEMO_BYTES:
+            return None
+        child = node.children.get(letter)
+        if child is None:
+            child = node.children[letter] = _Node(node, letter)
+        # stored before evicting, so that pruning stops below child
+        child.state = state
+        while self.nbytes + nbytes > _MEMO_BYTES:
+            self._evict_oldest()
+        self.sizes[child] = nbytes
+        self.nbytes += nbytes
+        return child
+
+    def _evict_oldest(self) -> None:
+        node = next(iter(self.sizes))
+        self.nbytes -= self.sizes.pop(node)
+        node.state = None
+        while node.parent is not None and node.state is None and not node.children:
+            parent = node.parent()
+            del parent.children[node.letter]
+            node = parent
+
+
 class CremonaModel(ActionOracle):
     """Bir(P^2) acting on the hyperboloid: d(x, f.x) = arccosh(deg f)."""
 
@@ -370,6 +460,12 @@ class CremonaModel(ActionOracle):
         self.degree_cap = degree_cap
         self._atoms: list[GeneratorAtom] = []
         self._atom_index: dict[tuple, int] = {}
+        self._memo = _SuffixMemo(
+            tuple(
+                (p, tuple(HomPoly3.variable(k, p) for k in range(3)))
+                for p in self.primes
+            )
+        )
 
     # -- generator construction ---------------------------------------------
 
@@ -393,8 +489,13 @@ class CremonaModel(ActionOracle):
                 spec, triples, inverses, self_inverse, degrees.pop(), monomial
             )
             self._atoms.append(atom)
-            self._atom_index[spec] = len(self._atoms) - 1
-        index = self._atom_index[spec] + 1
+            self._atom_index[spec] = index = len(self._atoms)
+            if atom.degree <= self.degree_cap:
+                # the generator's own tracks, which composing its letter onto
+                # the identity gives (the normalized triple is unique); past
+                # the cap that composition raises instead
+                self._memo.store(self._memo.root, index, (triples, atom.degree))
+        index = self._atom_index[spec]
         atom = self._atoms[index - 1]
         return CremonaElement((index,), atom.degree, atom.triples)
 
@@ -460,11 +561,7 @@ class CremonaModel(ActionOracle):
     # -- the group operation --------------------------------------------------
 
     def identity(self) -> CremonaElement:
-        tracks = tuple(
-            (p, tuple(HomPoly3.variable(k, p) for k in range(3)))
-            for p in self.primes
-        )
-        return CremonaElement((), 1, tracks)
+        return self._compose_word(())
 
     def _cancels(self, x: int, y: int) -> bool:
         if abs(x) != abs(y):
@@ -502,7 +599,7 @@ class CremonaModel(ActionOracle):
 
     def _compose_tracks(self, letters, tracks, degree):
         """Compose the word ``letters`` onto a map of ``degree`` with
-        ``tracks``, one letter at a time, last letter first.
+        ``tracks``, one letter at a time, last letter first, without the memo.
 
         Each letter step checks the cap on its raw degree (the letter's
         degree times the running degree) and that the primes agree on the
@@ -526,19 +623,22 @@ class CremonaModel(ActionOracle):
         return tracks, degree
 
     def multiply(self, g: CremonaElement, h: CremonaElement) -> CremonaElement:
-        """g o h (apply h first).  Composes g's letters onto h's coordinates,
-        so the cost scales with the size of the *left* factor; the walk
-        exploits this by keeping the big factor on the right.
-        Cancellation in the generator word is simplified symbolically before
-        any polynomial work."""
-        word = self._reduce_word(g.word + h.word)
-        if word == g.word + h.word:
-            tracks, degree = self._compose_tracks(g.word, h.tracks, h.degree)
-            return CremonaElement(word, degree, tracks)
-        return self._compose_word(word)
+        """g o h (apply h first): the reduced word of g's letters then h's,
+        cancelled symbolically before any polynomial work, and composed from
+        its longest suffix in the memo.  The walk keeps the big factor on the
+        right, where the memo holds its word, so a step composes only g's
+        letters that do not cancel."""
+        return self._compose_word(self._reduce_word(g.word + h.word))
 
     def _compose_word(self, word: tuple[int, ...]) -> CremonaElement:
-        tracks, degree = self._compose_tracks(word, self.identity().tracks, 1)
+        """The element of a reduced word, composed from the longest suffix of
+        ``word`` that the memo holds; each new state is stored."""
+        node, k = self._memo.longest_suffix(word)
+        tracks, degree = node.state
+        for letter in reversed(word[:k]):
+            tracks, degree = self._compose_tracks((letter,), tracks, degree)
+            if node is not None:
+                node = self._memo.store(node, letter, (tracks, degree))
         return CremonaElement(word, degree, tracks)
 
     def inverse(self, g: CremonaElement) -> CremonaElement:
@@ -556,7 +656,8 @@ class CremonaModel(ActionOracle):
         return math.acosh(g.degree)
 
     def power(self, g: CremonaElement, m: int) -> CremonaElement:
-        """g^m, composed letter by letter along the reduced power word."""
+        """g^m, composed from the longest suffix of its reduced word in the
+        memo, which holds g^(m-1) once that was composed."""
         if m < 0:
             return self.power(self.inverse(g), -m)
         return self._compose_word(self._reduce_word(g.word * m))

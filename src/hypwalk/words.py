@@ -108,14 +108,6 @@ def primitive_root(core: Word) -> Word:
     return core
 
 
-def common_prefix_length(u: Word, v: Word) -> int:
-    n = min(len(u), len(v))
-    i = 0
-    while i < n and u[i] == v[i]:
-        i += 1
-    return i
-
-
 def word_to_str(w: Word) -> str:
     """ASCII form: a..z for generators, A..Z for inverses."""
     chars = []

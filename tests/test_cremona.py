@@ -1,11 +1,14 @@
+import gc
 import math
 import pickle
 import random
+import weakref
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hypwalk import cremona, polynomials
@@ -20,7 +23,13 @@ from hypwalk.cremona import (
 )
 from hypwalk.errors import BadPrimeSignal, InputError, ResourceError
 from hypwalk.geometry import IsometryClass
-from hypwalk.polynomials import HomPoly3, normalize_triple, substitute
+from hypwalk.polynomials import (
+    DEFAULT_PRIME,
+    SECOND_PRIME,
+    HomPoly3,
+    normalize_triple,
+    substitute,
+)
 from hypwalk.walk import FiniteMeasure, sample_path
 
 
@@ -442,13 +451,19 @@ def test_letter_step_takes_the_henon_gcd_route(monkeypatch):
     assert model._compose_word((h, sigma, h, sigma, h)).degree == 9
 
 
-def test_inexact_sigma_quotient_retries_at_fresh_primes(monkeypatch):
-    model = CremonaModel()
-    sigma = model.sigma()
-    h = model.henon(2)
+def _sigma_henon_measure(model):
+    sigma, h = model.sigma(), model.henon(2)
     atoms = [("sigma", sigma, Fraction(1, 2)), ("h", h, Fraction(1, 4))]
-    measure = FiniteMeasure(model, [*atoms, ("H", model.inverse(h), Fraction(1, 4))])
-    clean = sample_path(measure, 6, seed=3, trial=0)
+    return FiniteMeasure(model, [*atoms, ("H", model.inverse(h), Fraction(1, 4))])
+
+
+def test_inexact_sigma_quotient_retries_at_fresh_primes(monkeypatch):
+    # the clean walk runs on a second, identical model, so that the patched
+    # walk cannot take its states from the memo
+    clean = sample_path(_sigma_henon_measure(CremonaModel()), 6, seed=3, trial=0)
+    model = CremonaModel()
+    measure = _sigma_henon_measure(model)
+    sigma = model.sigma()
     divexact = cremona.divexact
 
     def inexact_at_default_primes(f, g):
@@ -505,3 +520,160 @@ def test_sigma_step_restricts_each_coordinate_once_per_line(monkeypatch):
     assert gcd_calls == [(g[0], g[2])]
     assert common.degree == 2 and divisors == [common] * 3  # that gcd3's check only
 
+
+# -- the composition memo -------------------------------------------------------
+
+
+def _check_memo(model):
+    """The memo counts exactly the bytes of its stored states, within the
+    budget, and every stored state hangs from the root by its word."""
+    memo = model._memo
+    assert memo.nbytes == sum(memo.sizes.values()) <= cremona._MEMO_BYTES
+    for node in memo.sizes:
+        while node.parent is not None:
+            assert node.parent().children[node.letter] is node
+            node = node.parent()
+        assert node is memo.root
+
+
+def _memo_atoms(model):
+    """sigma, h2, h2^-1, L, L^-1, the compound sigma o L and its inverse."""
+    sigma, h = model.sigma(), model.henon(2)
+    lin = model.linear([1, 2, 0, 0, 1, 3, 1, 0, 1])
+    sigma_l = model.multiply(sigma, lin)
+    inverses = [model.inverse(g) for g in (h, lin, sigma_l)]
+    return [sigma, h, lin, sigma_l, *inverses]
+
+
+@pytest.mark.parametrize("memo_bytes", [cremona._MEMO_BYTES, 4096])
+@pytest.mark.parametrize("primes", [(DEFAULT_PRIME, SECOND_PRIME), (2083116181, 2147483647)])
+@settings(max_examples=10, deadline=None)
+@given(steps=st.lists(st.tuples(st.integers(0, 6), st.booleans()), max_size=12))
+# at 4096 bytes the last step stores (-1,) at a stateless node whose one
+# stored descendant, the 7-letter word before it, is the state that it evicts
+@example(steps=[(6, False)] * 3 + [(4, True), (3, False)])
+def test_memo_changes_no_composition(primes, memo_bytes, steps):
+    # sigma o sigma, h o h^-1 and sigma o (sigma o L) cancel in the word, so
+    # most products land on, or cut back into, words composed before; at
+    # 4096 bytes the memo evicts in mid-walk and drops most states
+    model = CremonaModel(primes, degree_cap=64)
+    reference = CremonaModel(primes, degree_cap=64)
+    atoms = _memo_atoms(model)
+    _memo_atoms(reference)  # the same atom indices; _compose_tracks skips the memo
+    with mock.patch.object(cremona, "_MEMO_BYTES", memo_bytes):
+        g = model.identity()
+        for index, on_left in steps:
+            factors = (atoms[index], g) if on_left else (g, atoms[index])
+            word = model._reduce_word(factors[0].word + factors[1].word)
+            try:
+                expected = reference._compose_tracks(word, reference.identity().tracks, 1)
+            except ResourceError:
+                with pytest.raises(ResourceError):
+                    model.multiply(*factors)
+                continue
+            g = model.multiply(*factors)
+            assert g.word == word and (g.tracks, g.degree) == expected
+            _check_memo(model)
+
+
+def test_memo_keeps_its_byte_budget_and_pickles_empty(monkeypatch):
+    model = CremonaModel()
+    measure = _sigma_henon_measure(model)
+    size = len(pickle.dumps(model))
+    paths = [sample_path(measure, 6, seed=3, trial=t) for t in range(8)]
+    assert model._memo.sizes and len(pickle.dumps(model)) == size
+    clone = pickle.loads(pickle.dumps(model))
+    assert not clone._memo.sizes and clone._memo.nbytes == 0
+    assert clone.identity() == model.identity()
+
+    # a budget of a few small states: the walks evict the oldest in mid-walk
+    tight = CremonaModel()
+    measure = _sigma_henon_measure(tight)
+    monkeypatch.setattr(cremona, "_MEMO_BYTES", 1024)
+    evicted = []
+    store, evict = cremona._SuffixMemo.store, cremona._SuffixMemo._evict_oldest
+
+    def checked_store(self, *args):
+        node = store(self, *args)
+        _check_memo(tight)
+        return node
+
+    def recording_evict(self):
+        evicted.append(next(iter(self.sizes)))
+        evict(self)
+
+    monkeypatch.setattr(cremona._SuffixMemo, "store", checked_store)
+    monkeypatch.setattr(cremona._SuffixMemo, "_evict_oldest", recording_evict)
+    for t, path in enumerate(paths):
+        again = sample_path(measure, 6, seed=3, trial=t)
+        assert again.displacements == path.displacements
+        assert again.final == path.final
+    assert len(evicted) > 10
+    assert len(pickle.dumps(tight)) == size
+
+
+def test_memo_holds_each_generator_within_the_cap():
+    model = CremonaModel(degree_cap=4)
+    h2, h8 = model.henon(2), model.henon(8)
+    assert [node.state for node in model._memo.sizes] == [(h2.tracks, 2)]
+    # h8 is past the cap, so composing its letter still raises
+    with pytest.raises(ResourceError):
+        model.multiply(model.identity(), h8)
+
+
+def test_memo_is_freed_with_its_model():
+    # without the cycle collector: each run's model is dropped by reference
+    # counting, so repeated runs do not pile up composed states
+    model = CremonaModel()
+    _sample_word(model)
+    stored = [weakref.ref(node) for node in model._memo.sizes]
+    assert len(stored) > 3
+    gc.disable()
+    try:
+        del model
+        assert all(ref() is None for ref in stored)
+    finally:
+        gc.enable()
+
+
+def test_degree_sequence_composes_each_power_past_the_last(monkeypatch):
+    # g = L o sigma o h o L^-1 is not cyclically reduced, so the reduced word
+    # of g^m is L (sigma h)^m L^-1 and shares only (sigma h)^(m-1) L^-1 with
+    # g^(m-1)
+    model = CremonaModel()
+    sigma, h = model.sigma(), model.henon(2)
+    lin = model.linear([1, 2, 0, 0, 1, 3, 1, 0, 1])
+    g = model.multiply(model.multiply(lin, model.multiply(sigma, h)), model.inverse(lin))
+    composed, power = {}, model.power
+    compose = CremonaModel._compose_tracks
+
+    def recording_power(g, m):
+        composed[m] = []
+        return power(g, m)
+
+    def recording_compose(self, letters, *args):
+        composed[max(composed)].extend(letters)
+        return compose(self, letters, *args)
+
+    monkeypatch.setattr(model, "power", recording_power)
+    monkeypatch.setattr(CremonaModel, "_compose_tracks", recording_compose)
+    seq = model.degree_sequence(g, 4)
+    monkeypatch.undo()
+
+    def shared_suffix(u, v):
+        k = 0
+        while k < min(len(u), len(v)) and u[-1 - k] == v[-1 - k]:
+            k += 1
+        return k
+
+    words = {m: model._reduce_word(g.word * m) for m in range(1, 5)}
+    # g^2 too, since building g composed the states of g's suffixes
+    for m in (2, 3, 4):
+        front = words[m][: len(words[m]) - shared_suffix(words[m], words[m - 1])]
+        assert composed[m] == list(reversed(front))
+        assert len(front) == 3
+    reference = CremonaModel()
+    _memo_atoms(reference)  # sigma, h and L first, as in model
+    identity = reference.identity().tracks
+    assert seq == [reference._compose_tracks(words[m], identity, 1)[1] for m in range(1, 5)]
+    assert seq == [3, 6, 12, 19]

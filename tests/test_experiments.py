@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import pickle
 from fractions import Fraction
 from functools import partial
 
@@ -674,9 +675,12 @@ def test_degree_growth_lambda_gives_up_after_retries(monkeypatch):
 
 def test_degree_growth_discard_reaches_report(monkeypatch, tmp_path):
     # every gcd check fails, so every attempt of every trial meets a bad
-    # prime and the walk discards the trial after MAX_BAD_PRIME_ATTEMPTS
+    # prime and the walk discards the trial after MAX_BAD_PRIME_ATTEMPTS;
+    # the round trip through pickle empties the model's memo, as in
+    # test_cremona_drift_rows_name_their_truncation_reason
     measure = _cremona_measure()
     _fail_every_gcd_check(monkeypatch)
+    measure = pickle.loads(pickle.dumps(measure))
     path = sample_path(measure, 3, 5, 0)
     assert path.discarded and path.prime_retries == MAX_BAD_PRIME_ATTEMPTS
     result = E.degree_growth_experiment(measure, [2, 3], trials=2, seed=5)
@@ -702,7 +706,9 @@ def test_degree_growth_discard_reaches_report(monkeypatch, tmp_path):
 
 def test_two_prime_agreement_counts_discarded_trials(monkeypatch):
     # trial 1 alone meets a failing gcd check at every attempt and is
-    # discarded; the other three agree across primes
+    # discarded; the other three agree across primes.  Trial 1 walks a copy
+    # of the measure whose model's memo is empty, so that it cannot take
+    # the states trial 0 composed.
     measure = _cremona_measure()
     walk = E.sample_path
 
@@ -711,7 +717,7 @@ def test_two_prime_agreement_counts_discarded_trials(monkeypatch):
             return walk(measure, n, seed, trial, **options)
         with monkeypatch.context() as patch:
             _fail_every_gcd_check(patch)
-            return walk(measure, n, seed, trial, **options)
+            return walk(pickle.loads(pickle.dumps(measure)), n, seed, trial, **options)
 
     monkeypatch.setattr(E, "sample_path", discard_trial_one)
     result = E.degree_growth_experiment(measure, [2, 3], trials=4, seed=5)
@@ -990,9 +996,14 @@ def test_cremona_drift_rows_name_their_truncation_reason(monkeypatch):
     ]
     assert result.failures == ["resource: truncated fraction 0.467 exceeds 0.1"]
 
-    # every gcd check fails, so the walk discards every trial
+    # every gcd check fails, so the walk discards every trial.  The measure
+    # cannot be built under the patch, so it is built first, and a round
+    # trip through pickle empties its model's memo of the states composed
+    # while building it.
     measure = _cremona_measure()
     _fail_every_gcd_check(monkeypatch)
+    measure = pickle.loads(pickle.dumps(measure))
+    assert not measure.oracle._memo.sizes
     result = E.estimate_drift(measure, 3, 30, seed=5)
     assert result.records == [
         {"trial": t, "n": 3, "truncated": True, "truncation_reason": "discarded"}

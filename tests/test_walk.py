@@ -16,6 +16,13 @@ from hypwalk.geometry import orbit_gromov_product
 from hypwalk.walk import FiniteMeasure, _build_alias, sample_path, trial_rng
 
 
+def _common_prefix_length(u, v) -> int:
+    n = 0
+    while n < min(len(u), len(v)) and u[n] == v[n]:
+        n += 1
+    return n
+
+
 def uniform_f2(rank=2):
     oracle = FreeGroupOracle(rank)
     letters = []
@@ -260,7 +267,7 @@ def test_sym_gp_cross_check_with_word_prefix():
         w, w_inverse = path.endpoints[40]
         got = orbit_gromov_product(oracle, w, w_inverse)
         assert _sym_gp_of_word(np.array(w, dtype=np.int8), 40) == {"sym_gp": got}
-        assert got == W.common_prefix_length(w, W.invert(w))
+        assert got == _common_prefix_length(w, W.invert(w))
 
 
 def test_gp_requests_and_errors():
@@ -270,7 +277,7 @@ def test_gp_requests_and_errors():
     oracle = measure.oracle
     path = sample_path(measure, 10, seed=2, trial=2, marks=(3, 7))
     (w3, _), (w7, _) = path.endpoints[3], path.endpoints[7]
-    assert orbit_gromov_product(oracle, w3, w7) == W.common_prefix_length(w3, w7)
+    assert orbit_gromov_product(oracle, w3, w7) == _common_prefix_length(w3, w7)
     for marks in [(-1,), (11,)]:
         with pytest.raises(InputError, match="marks"):
             sample_path(measure, 10, seed=2, trial=2, marks=marks)
@@ -327,18 +334,27 @@ def test_cremona_path_composes_no_endpoint(monkeypatch):
 
     monkeypatch.setattr(CremonaModel, "_compose_tracks", counting)
     path = sample_path(measure, 6, seed=42, trial=0)
-    # one composition per push (no push of this trial cancels), and none
-    # for the forward endpoint until it is read
+    # no push of this trial cancels, so each push composes only its own
+    # letters in front of the running word, which the memo holds; the first
+    # push is an atom's inverse, composed above.  Nothing composes the
+    # forward endpoint until it is read.
+    running = path.endpoints[6][1].word
+    first = measure.atoms[path.increment_indices[0]].inverse.word
+    assert calls == [(letter,) for letter in reversed(running)][len(first) :]
     walked = len(calls)
-    assert walked == len(path.increment_indices) == 6
+    assert walked == 6
     inverse = model.identity()
     for index in path.increment_indices:
         inverse = model.multiply(measure.atoms[index].inverse, inverse)
-    assert len(calls) == 2 * walked
+    # the replayed walk takes every state from the memo
+    assert len(calls) == walked
     assert inverse == path.endpoints[6][1]
     path.final.tracks
-    # reading the endpoint folds its whole word in one composition
-    assert calls[2 * walked :] == [path.final.word]
+    # reading the endpoint composes its word in front of its last letter,
+    # an atom's inverse that the memo holds
+    assert path.final.word[-1:] == measure.atoms[2].inverse.word
+    assert calls[walked:] == [(letter,) for letter in reversed(path.final.word[:-1])]
+    assert len(calls) == walked + 7
 
 
 def test_cremona_lazy_final_matches_composed_word():
