@@ -65,7 +65,7 @@ SCHEMA = {
         "torsion": {"type": "cyclic", "order": "int >= 1"},
         "actions": "semidirect: one action per generator: "
         '{"type": "identity"} or {"type": "multiplier", "value": int}',
-        "primes": "cremona: nonempty list of coefficient primes below 2^31",
+        "primes": "cremona: nonempty list of distinct coefficient primes below 2^31",
         "degree_cap": "cremona: composition degree cap",
     },
     "measure": {
@@ -227,6 +227,11 @@ def build_model(spec: dict):
                 isinstance(spec["primes"], list) and valid_primes(spec["primes"]),
                 "$.model.primes",
                 "must be a nonempty list of primes below 2^31",
+            )
+            _require(
+                len(set(spec["primes"])) == len(spec["primes"]),
+                "$.model.primes",
+                "must not repeat a prime",
             )
         if "degree_cap" in spec:
             _integer(spec["degree_cap"], "$.model.degree_cap", 2)

@@ -61,23 +61,25 @@ a map is unique, so the rule changes no result, only the work.
 The composition memo.  A reduced word is composed onto the identity one
 letter at a time, last letter first, so the states on the way are the
 word's suffixes, whatever product, power or inverse reached the word.  Each
-model keeps the states it has composed in one memo keyed by reduced word,
-and every composition (a product, a power, a rebuilt element, a lazy
-inverse's coordinates) starts from the longest suffix of its word that the
-memo holds and composes only the letters in front of it, storing each new
-state.  A state is stored only after its letter step has passed the degree
-cap (checked on the letter's raw degree, its degree times the running
-degree) and the primes have agreed on its degree, or, for a generator's
-own tracks, when the generator is made with a degree within the cap; the
-arithmetic is deterministic, so a stored state gives what composing again
-would, errors included.  The memo holds at most ``_MEMO_BYTES`` bytes of coefficient
-boxes, the oldest state going first, and a pickled model carries none.
+model keeps the states it has composed in one dict keyed by reduced word
+(a self-inverse letter is written one way, so one map has one key), and
+every composition (a product, a power, a rebuilt element, a lazy inverse's
+coordinates) probes the suffixes of its word, longest first, and composes
+only the letters in front of the first one held, storing each new state.
+The identity is always held.  The words composed are short (at most 14
+letters in any preset), so the probes cost microseconds against the
+milliseconds of a letter step.  A state is stored only after its letter
+step has passed the degree cap (checked on the letter's raw degree, its
+degree times the running degree) and the primes have agreed on its degree,
+or, for a generator's own tracks, when the generator is made with a degree
+within the cap; the arithmetic is deterministic, so a stored state gives
+what composing again would, errors included.  The oldest state leaves the
+memo first, and a pickled model carries none.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 from .errors import BadPrimeSignal, InputError, ResourceError
@@ -95,8 +97,9 @@ from .polynomials import (
 
 DEFAULT_DEGREE_CAP = 512
 
-#: The bytes of coefficient boxes one model's composition memo may hold.  A
-#: state at the default degree cap is about 6 MB per prime.
+#: The bytes of coefficient boxes one model's composition memo may hold,
+#: besides the identity's.  A state at the default degree cap is about 6 MB
+#: per prime.
 _MEMO_BYTES = 32 * 2**20
 
 Triple = tuple[HomPoly3, HomPoly3, HomPoly3]
@@ -323,8 +326,9 @@ class CremonaElement:
     """A plane Cremona map tracked over each configured prime.
 
     ``word`` records the freely reduced generator word that built the map
-    (positive letter = atom, negative = its inverse), enough to rebuild the
-    inverse map in closed form.  Equality compares the maps themselves (the
+    (positive letter = atom, negative = its inverse, and a self-inverse
+    atom always positive), enough to rebuild the inverse map in closed
+    form.  Equality compares the maps themselves (the
     normalized coordinate triples), not the words that built them.
 
     An element built without coordinates (``_tracks`` is None, as
@@ -372,80 +376,6 @@ class CremonaElement:
         return f"CremonaElement(degree={self.degree}, word_length={len(self.word)})"
 
 
-# ---------------------------------------------------------------------------
-# The composition memo.
-
-
-class _Node:
-    """A reduced word in the memo's trie: the child of its suffix's node by
-    its first letter.  ``state`` is its (tracks, degree), or None.  The
-    parent is held by a weak reference, so that the trie has no reference
-    cycle and is freed with its model rather than by the cycle collector."""
-
-    __slots__ = ("parent", "letter", "children", "state", "__weakref__")
-
-    def __init__(self, parent, letter, state=None):
-        self.parent = None if parent is None else weakref.ref(parent)
-        self.letter, self.children, self.state = letter, {}, state
-
-
-class _SuffixMemo:
-    """The composed states of one model, keyed by reduced word.
-
-    The root holds the identity and is never evicted.  Every other state
-    counts the bytes of its boxes against ``_MEMO_BYTES``, and the state
-    stored first is evicted first; a node without a state stays while one
-    of its descendants has one, so no stored word is cut off from the root.
-    """
-
-    def __init__(self, identity_tracks):
-        self.root = _Node(None, None, (identity_tracks, 1))
-        self.sizes: dict[_Node, int] = {}  # stored nodes, oldest first
-        self.nbytes = 0
-
-    def __reduce__(self):
-        # a pickled model carries no composed states
-        return _SuffixMemo, (self.root.state[0],)
-
-    def longest_suffix(self, word) -> tuple[_Node, int]:
-        """The node of the longest stored suffix ``word[k:]``, and k."""
-        node = found = self.root
-        k = len(word)
-        for i in range(len(word) - 1, -1, -1):
-            node = node.children.get(word[i])
-            if node is None:
-                break
-            if node.state is not None:
-                found, k = node, i
-        return found, k
-
-    def store(self, node: _Node, letter: int, state) -> "_Node | None":
-        """Store ``state``, the word of ``node`` with ``letter`` in front, and
-        return its node; None when its boxes alone pass the budget."""
-        nbytes = sum(poly.box.nbytes for _, triple in state[0] for poly in triple)
-        if nbytes > _MEMO_BYTES:
-            return None
-        child = node.children.get(letter)
-        if child is None:
-            child = node.children[letter] = _Node(node, letter)
-        # stored before evicting, so that pruning stops below child
-        child.state = state
-        while self.nbytes + nbytes > _MEMO_BYTES:
-            self._evict_oldest()
-        self.sizes[child] = nbytes
-        self.nbytes += nbytes
-        return child
-
-    def _evict_oldest(self) -> None:
-        node = next(iter(self.sizes))
-        self.nbytes -= self.sizes.pop(node)
-        node.state = None
-        while node.parent is not None and node.state is None and not node.children:
-            parent = node.parent()
-            del parent.children[node.letter]
-            node = parent
-
-
 class CremonaModel(ActionOracle):
     """Bir(P^2) acting on the hyperboloid: d(x, f.x) = arccosh(deg f)."""
 
@@ -456,16 +386,36 @@ class CremonaModel(ActionOracle):
     ):
         if not valid_primes(primes):
             raise InputError("primes must be a nonempty list of primes below 2^31")
+        if len(set(primes)) != len(primes):
+            raise InputError("primes must not repeat a prime")
         self.primes = tuple(primes)
         self.degree_cap = degree_cap
         self._atoms: list[GeneratorAtom] = []
         self._atom_index: dict[tuple, int] = {}
-        self._memo = _SuffixMemo(
-            tuple(
-                (p, tuple(HomPoly3.variable(k, p) for k in range(3)))
-                for p in self.primes
-            )
+        # the composition memo: reduced word -> (tracks, degree), oldest
+        # first, and the bytes of its boxes besides the identity's
+        identity = tuple(
+            (p, tuple(HomPoly3.variable(k, p) for k in range(3))) for p in self.primes
         )
+        self._memo = {(): (identity, 1)}
+        self._memo_bytes = 0
+
+    def __getstate__(self):
+        # a pickled model carries no composed states
+        return {**self.__dict__, "_memo": {(): self._memo[()]}, "_memo_bytes": 0}
+
+    def _store(self, word: tuple[int, ...], state) -> None:
+        """Store the (tracks, degree) of ``word``, evicting the oldest states
+        (never the identity) to keep within ``_MEMO_BYTES``; a state whose
+        boxes alone pass the budget is not stored."""
+        nbytes = _state_bytes(state)
+        if nbytes > _MEMO_BYTES:
+            return
+        while self._memo_bytes + nbytes > _MEMO_BYTES:
+            oldest = next(key for key in self._memo if key)
+            self._memo_bytes -= _state_bytes(self._memo.pop(oldest))
+        self._memo[word] = state
+        self._memo_bytes += nbytes
 
     # -- generator construction ---------------------------------------------
 
@@ -494,7 +444,7 @@ class CremonaModel(ActionOracle):
                 # the generator's own tracks, which composing its letter onto
                 # the identity gives (the normalized triple is unique); past
                 # the cap that composition raises instead
-                self._memo.store(self._memo.root, index, (triples, atom.degree))
+                self._store((index,), (triples, atom.degree))
         index = self._atom_index[spec]
         atom = self._atoms[index - 1]
         return CremonaElement((index,), atom.degree, atom.triples)
@@ -563,16 +513,15 @@ class CremonaModel(ActionOracle):
     def identity(self) -> CremonaElement:
         return self._compose_word(())
 
-    def _cancels(self, x: int, y: int) -> bool:
-        if abs(x) != abs(y):
-            return False
-        atom = self._atoms[abs(x) - 1]
-        return x == -y or atom.self_inverse
+    def _inverse_letter(self, letter: int) -> int:
+        """The one spelling of a letter's inverse: a self-inverse letter is
+        its own, so one map is never two words."""
+        return letter if self._atoms[abs(letter) - 1].self_inverse else -letter
 
     def _reduce_word(self, letters) -> tuple[int, ...]:
         out: list[int] = []
         for letter in letters:
-            if out and self._cancels(out[-1], letter):
+            if out and out[-1] == self._inverse_letter(letter):
                 out.pop()
             else:
                 out.append(letter)
@@ -632,13 +581,13 @@ class CremonaModel(ActionOracle):
 
     def _compose_word(self, word: tuple[int, ...]) -> CremonaElement:
         """The element of a reduced word, composed from the longest suffix of
-        ``word`` that the memo holds; each new state is stored."""
-        node, k = self._memo.longest_suffix(word)
-        tracks, degree = node.state
-        for letter in reversed(word[:k]):
-            tracks, degree = self._compose_tracks((letter,), tracks, degree)
-            if node is not None:
-                node = self._memo.store(node, letter, (tracks, degree))
+        ``word`` that the memo holds (the identity at least); each new state
+        is stored."""
+        k = next(k for k in range(len(word) + 1) if word[k:] in self._memo)
+        tracks, degree = self._memo[word[k:]]
+        for j in range(k - 1, -1, -1):
+            tracks, degree = self._compose_tracks((word[j],), tracks, degree)
+            self._store(word[j:], (tracks, degree))
         return CremonaElement(word, degree, tracks)
 
     def inverse(self, g: CremonaElement) -> CremonaElement:
@@ -646,9 +595,10 @@ class CremonaModel(ActionOracle):
 
         A plane Cremona map and its inverse have the same degree, so nothing
         polynomial is needed until the coordinates are read: ``tracks``
-        composes them from the word then, and checks the degree."""
-        word = tuple(-letter for letter in reversed(g.word))
-        return CremonaElement(self._reduce_word(word), g.degree, None, self)
+        composes them from the word then, and checks the degree.  The
+        inverse of a reduced word, letter by letter, is reduced."""
+        word = tuple(self._inverse_letter(letter) for letter in reversed(g.word))
+        return CremonaElement(word, g.degree, None, self)
 
     # -- the isometric action --------------------------------------------------
 
@@ -711,6 +661,11 @@ class CremonaModel(ActionOracle):
         if estimate < LOXODROMIC_THRESHOLD / 2:
             return IsometryClass.PARABOLIC
         return IsometryClass.UNDETERMINED
+
+
+def _state_bytes(state) -> int:
+    """The bytes of the coefficient boxes of a (tracks, degree) state."""
+    return sum(poly.box.nbytes for _, triple in state[0] for poly in triple)
 
 
 def _log_rate(seq) -> float:

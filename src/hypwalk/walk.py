@@ -58,11 +58,15 @@ def retry_primes(seed: int, trial: int):
     :func:`at_trial_primes` draws every respawn from it: the walk respawns
     at the first pairs, and an observable of the walk's endpoint (the
     symmetric Gromov product, the translation length, the dynamical-degree
-    estimate) continues past the pairs the walk used.
+    estimate) continues past the pairs the walk used.  The two primes of a
+    pair differ: a second prime equal to the first is drawn again.
     """
     stream = np.random.Generator(np.random.Philox(key=[seed ^ RETRY_SALT, trial]))
     while True:
-        yield fresh_prime(stream), fresh_prime(stream)
+        first = second = fresh_prime(stream)
+        while second == first:
+            second = fresh_prime(stream)
+        yield first, second
 
 
 def at_trial_primes(model, seed: int, trial: int, compute, used: int = 0):

@@ -190,6 +190,13 @@ def test_bad_primes_exit_one(tmp_path, capsys, primes):
     )
 
 
+def test_repeated_prime_exits_one(tmp_path, capsys):
+    # a prime tracked twice would only agree with itself
+    config = preset_config("degree-growth-cremona")
+    config["model"]["primes"] = [1000003, 1000003]
+    _run_invalid(tmp_path, capsys, config, "$.model.primes: must not repeat a prime")
+
+
 @pytest.mark.parametrize(
     "key, message",
     [

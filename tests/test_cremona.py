@@ -44,6 +44,11 @@ def test_model_rejects_bad_primes(primes):
         CremonaModel(primes=primes)
 
 
+def test_model_rejects_a_repeated_prime():
+    with pytest.raises(InputError, match="must not repeat a prime"):
+        CremonaModel(primes=(DEFAULT_PRIME, DEFAULT_PRIME))
+
+
 def test_model_takes_small_and_31_bit_primes():
     assert CremonaModel(primes=(2, 3, 5, 2147483647)).primes == (2, 3, 5, 2147483647)
 
@@ -54,6 +59,24 @@ def test_sigma_degree_and_involution():
     assert sigma.degree == 2
     assert model.multiply(sigma, sigma) == model.identity()
     assert model.inverse(sigma) == sigma
+    assert model.inverse(sigma).word == sigma.word
+
+
+def test_self_inverse_letter_has_one_spelling(monkeypatch):
+    # sigma^-1 o h and sigma o h are one map, so one memo key
+    model = CremonaModel()
+    sigma, h = model.sigma(), model.henon(2)
+    first = model.multiply(model.inverse(sigma), h)
+    composed = []
+    compose = CremonaModel._compose_tracks
+
+    def recording_compose(self, letters, *args):
+        composed.extend(letters)
+        return compose(self, letters, *args)
+
+    monkeypatch.setattr(CremonaModel, "_compose_tracks", recording_compose)
+    again = model.multiply(sigma, h)
+    assert composed == [] and again.word == first.word and again == first
 
 
 def test_henon_generator_shape():
@@ -525,15 +548,18 @@ def test_sigma_step_restricts_each_coordinate_once_per_line(monkeypatch):
 
 
 def _check_memo(model):
-    """The memo counts exactly the bytes of its stored states, within the
-    budget, and every stored state hangs from the root by its word."""
+    """The memo holds the identity, keys each state by its reduced word, and
+    counts exactly the box bytes of its other states, within the budget."""
     memo = model._memo
-    assert memo.nbytes == sum(memo.sizes.values()) <= cremona._MEMO_BYTES
-    for node in memo.sizes:
-        while node.parent is not None:
-            assert node.parent().children[node.letter] is node
-            node = node.parent()
-        assert node is memo.root
+    identity = tuple(
+        (p, tuple(HomPoly3.variable(k, p) for k in range(3))) for p in model.primes
+    )
+    assert memo[()] == (identity, 1)
+    assert all(model._reduce_word(word) == word for word in memo)
+    stored = sum(
+        poly.box.nbytes for word in memo if word for _, t in memo[word][0] for poly in t
+    )
+    assert model._memo_bytes == stored <= cremona._MEMO_BYTES
 
 
 def _memo_atoms(model):
@@ -548,11 +574,20 @@ def _memo_atoms(model):
 @pytest.mark.parametrize("memo_bytes", [cremona._MEMO_BYTES, 4096])
 @pytest.mark.parametrize("primes", [(DEFAULT_PRIME, SECOND_PRIME), (2083116181, 2147483647)])
 @settings(max_examples=10, deadline=None)
-@given(steps=st.lists(st.tuples(st.integers(0, 6), st.booleans()), max_size=12))
-# at 4096 bytes the last step stores (-1,) at a stateless node whose one
-# stored descendant, the 7-letter word before it, is the state that it evicts
+@given(
+    steps=st.lists(
+        st.one_of(
+            st.tuples(st.integers(0, 6), st.booleans()), st.integers(-2, 3), st.none()
+        ),
+        max_size=12,
+    )
+)
+# at 4096 bytes the last step holds no suffix of its word and composes it
+# from the identity, and its second state evicts the 7-letter word before it
 @example(steps=[(6, False)] * 3 + [(4, True), (3, False)])
 def test_memo_changes_no_composition(primes, memo_bytes, steps):
+    # a step is a product with an atom (an index and whether it goes on the
+    # left), a power g^m (an int m), or a read of g's lazy inverse (None).
     # sigma o sigma, h o h^-1 and sigma o (sigma o L) cancel in the word, so
     # most products land on, or cut back into, words composed before; at
     # 4096 bytes the memo evicts in mid-walk and drops most states
@@ -560,18 +595,35 @@ def test_memo_changes_no_composition(primes, memo_bytes, steps):
     reference = CremonaModel(primes, degree_cap=64)
     atoms = _memo_atoms(model)
     _memo_atoms(reference)  # the same atom indices; _compose_tracks skips the memo
+    identity = reference.identity().tracks
+
+    def read_inverse(g):
+        inverse = model.inverse(g)
+        inverse.tracks
+        return inverse
+
     with mock.patch.object(cremona, "_MEMO_BYTES", memo_bytes):
         g = model.identity()
-        for index, on_left in steps:
-            factors = (atoms[index], g) if on_left else (g, atoms[index])
-            word = model._reduce_word(factors[0].word + factors[1].word)
+        for step in steps:
+            inverse_word = tuple(reference._inverse_letter(x) for x in reversed(g.word))
+            if step is None:
+                word, call = inverse_word, lambda: read_inverse(g)
+            elif isinstance(step, int):
+                base = g.word if step >= 0 else inverse_word
+                word = reference._reduce_word(base * abs(step))
+                call = lambda: model.power(g, step)
+            else:
+                index, on_left = step
+                factors = (atoms[index], g) if on_left else (g, atoms[index])
+                word = reference._reduce_word(factors[0].word + factors[1].word)
+                call = lambda: model.multiply(*factors)
             try:
-                expected = reference._compose_tracks(word, reference.identity().tracks, 1)
+                expected = reference._compose_tracks(word, identity, 1)
             except ResourceError:
                 with pytest.raises(ResourceError):
-                    model.multiply(*factors)
+                    call()
                 continue
-            g = model.multiply(*factors)
+            g = call()
             assert g.word == word and (g.tracks, g.degree) == expected
             _check_memo(model)
 
@@ -581,9 +633,9 @@ def test_memo_keeps_its_byte_budget_and_pickles_empty(monkeypatch):
     measure = _sigma_henon_measure(model)
     size = len(pickle.dumps(model))
     paths = [sample_path(measure, 6, seed=3, trial=t) for t in range(8)]
-    assert model._memo.sizes and len(pickle.dumps(model)) == size
+    assert len(model._memo) > 1 and len(pickle.dumps(model)) == size
     clone = pickle.loads(pickle.dumps(model))
-    assert not clone._memo.sizes and clone._memo.nbytes == 0
+    assert list(clone._memo) == [()] and clone._memo_bytes == 0
     assert clone.identity() == model.identity()
 
     # a budget of a few small states: the walks evict the oldest in mid-walk
@@ -591,19 +643,15 @@ def test_memo_keeps_its_byte_budget_and_pickles_empty(monkeypatch):
     measure = _sigma_henon_measure(tight)
     monkeypatch.setattr(cremona, "_MEMO_BYTES", 1024)
     evicted = []
-    store, evict = cremona._SuffixMemo.store, cremona._SuffixMemo._evict_oldest
+    store = CremonaModel._store
 
-    def checked_store(self, *args):
-        node = store(self, *args)
+    def recording_store(self, *args):
+        before = list(self._memo)
+        store(self, *args)
+        evicted.extend(word for word in before if word not in self._memo)
         _check_memo(tight)
-        return node
 
-    def recording_evict(self):
-        evicted.append(next(iter(self.sizes)))
-        evict(self)
-
-    monkeypatch.setattr(cremona._SuffixMemo, "store", checked_store)
-    monkeypatch.setattr(cremona._SuffixMemo, "_evict_oldest", recording_evict)
+    monkeypatch.setattr(CremonaModel, "_store", recording_store)
     for t, path in enumerate(paths):
         again = sample_path(measure, 6, seed=3, trial=t)
         assert again.displacements == path.displacements
@@ -615,7 +663,7 @@ def test_memo_keeps_its_byte_budget_and_pickles_empty(monkeypatch):
 def test_memo_holds_each_generator_within_the_cap():
     model = CremonaModel(degree_cap=4)
     h2, h8 = model.henon(2), model.henon(8)
-    assert [node.state for node in model._memo.sizes] == [(h2.tracks, 2)]
+    assert list(model._memo.items())[1:] == [((1,), (h2.tracks, 2))]
     # h8 is past the cap, so composing its letter still raises
     with pytest.raises(ResourceError):
         model.multiply(model.identity(), h8)
@@ -626,7 +674,13 @@ def test_memo_is_freed_with_its_model():
     # counting, so repeated runs do not pile up composed states
     model = CremonaModel()
     _sample_word(model)
-    stored = [weakref.ref(node) for node in model._memo.sizes]
+    stored = [
+        weakref.ref(poly.box)
+        for word, (tracks, _) in model._memo.items()
+        if word
+        for _, triple in tracks
+        for poly in triple
+    ]
     assert len(stored) > 3
     gc.disable()
     try:

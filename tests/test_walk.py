@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hypwalk import polynomials
+from hypwalk import polynomials, walk
 from hypwalk import words as W
 from hypwalk.cremona import CremonaModel, MonomialMap, MonomialModel
 from hypwalk.errors import BadPrimeSignal, InputError
@@ -13,7 +13,7 @@ from hypwalk.experiments import _sym_gp_of_word
 from hypwalk.finitegroups import Automorphism, FiniteGroup, cyclic_automorphism
 from hypwalk.freegroup import FreeGroupOracle, SemidirectOracle
 from hypwalk.geometry import orbit_gromov_product
-from hypwalk.walk import FiniteMeasure, _build_alias, sample_path, trial_rng
+from hypwalk.walk import FiniteMeasure, _build_alias, retry_primes, sample_path, trial_rng
 
 
 def _common_prefix_length(u, v) -> int:
@@ -357,10 +357,21 @@ def test_cremona_path_composes_no_endpoint(monkeypatch):
     assert len(calls) == walked + 7
 
 
+def test_cremona_walk_spells_sigma_one_way():
+    # sigma is its own inverse, so no stored word holds the letter -sigma
+    model, measure = cremona_mixed_measure()
+    for trial in range(4):
+        sample_path(measure, 6, seed=7, trial=trial).final.tracks
+    (sigma,) = model.sigma().word
+    assert len(model._memo) > 10
+    assert not any(-sigma in word for word in model._memo)
+
+
 def test_cremona_lazy_final_matches_composed_word():
     model, measure = cremona_mixed_measure()
     path = sample_path(measure, 6, seed=42, trial=1)
-    word = model._reduce_word(tuple(-x for x in reversed(path.endpoints[6][1].word)))
+    inverse = path.endpoints[6][1].word
+    word = model._reduce_word(tuple(model._inverse_letter(x) for x in reversed(inverse)))
     expected = model._compose_word(word)
     for p in model.primes:
         assert path.final.triple(p) == expected.triple(p)
@@ -378,6 +389,19 @@ def test_cremona_bad_prime_at_endpoint_read_is_not_a_retry(monkeypatch):
     monkeypatch.undo()
     assert path.final.tracks
 
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5, 42])
+def test_retry_pairs_have_two_primes(seed):
+    for trial in range(3):
+        pairs = list(itertools.islice(retry_primes(seed, trial), 4))
+        assert all(p != q for p, q in pairs)
+
+
+def test_retry_pair_redraws_a_repeated_prime(monkeypatch):
+    draws = iter([5, 5, 7, 11, 13])
+    monkeypatch.setattr(walk, "fresh_prime", lambda stream: next(draws))
+    assert list(itertools.islice(retry_primes(0, 0), 2)) == [(5, 7), (11, 13)]
 
 def test_cremona_walk_determinism():
     _, measure = cremona_mixed_measure()
