@@ -17,11 +17,13 @@ is computed two ways: a literal search over conjugators in a ball
 (:func:`axis_overlap_delta`), and an exact value from the periodic structure
 of the core (:func:`fellow_traveling_delta`); on a tree the two agree
 whenever the search radius certifies the ball result.  The exact value is
-one vectorized circular-agreement scan of the primitive root against its
-shifts and against the shifts of its inverse, which covers both
-orientations of the translate.  The scan is exact because both readings of
-the axis are periodic with the root's length and no shift agrees for a
-whole period, so every overlap is a run shorter than one period.
+the length of the longest repeated window among the 2d circular windows
+that start at the d phases of the primitive root and the d phases of its
+inverse, which covers both orientations of the translate.  It is exact
+because both readings of the axis are periodic with the root's length d
+and no two windows agree for a whole period, so every overlap is shorter
+than one period; doubling the window length and then binary-searching it
+finds the value in O(d log d log Delta) time and O(d) memory.
 """
 
 from __future__ import annotations
@@ -332,19 +334,18 @@ def fellow_traveling_delta(w: W.Word) -> int:
     gives the bi-infinite word ``root^inf`` of the primitive root (length
     d); a translate reads either the same word at another phase
     (orientation-preserving conjugators) or the word of the inverted line
-    (orientation-reversing ones).  An overlap is a run of positions where
-    the two readings agree, so both cases are one circular-agreement scan of
-    the root against a shifted copy of itself or of its inverse:
+    (orientation-reversing ones).  An overlap of length L is therefore a
+    pair of equal length-L windows among the 2d windows that start at the d
+    phases of ``root^inf`` and the d phases of ``invert(root)^inf``: two
+    phases of one reading are an orientation-preserving translate, one
+    phase of each an orientation-reversing one.  The constant is the length
+    of the longest repeated window, found in O(d log d log Delta) time by
+    doubling the window length and then binary-searching it.
 
-    * preserving: shifts 1..d-1 of ``root`` (shift 0 is a power of the
-      root, which stabilizes the axis and is excluded);
-    * reversing: shifts 0..d-1 of ``invert(root)``.
-
-    Both readings are d-periodic, and no shift agrees for a whole period:
-    the root is primitive, and a reduced word is never conjugate to its
-    inverse.  Every run is therefore shorter than d, so the longest run in
-    one doubled period is the supremum over the whole group.
-    Conjugacy-invariant: only the core matters.
+    No two windows agree for a whole period: the root is primitive, and a
+    reduced word is never conjugate to its inverse.  So every overlap is
+    shorter than d, and windows of length at most d hold the supremum over
+    the whole group.  Conjugacy-invariant: only the core matters.
 
     >>> fellow_traveling_delta(W.str_to_word("aab"))
     1
@@ -354,38 +355,50 @@ def fellow_traveling_delta(w: W.Word) -> int:
     _, core = W.cyclic_reduce(w)
     if len(core) == 0:
         raise InputError("fellow-travelling constant needs a loxodromic word")
-    root = W.primitive_root(core)
-    d = len(root)
-    dtype = np.min_scalar_type(-max(abs(letter) for letter in root))
-    line = np.array(root, dtype=dtype)
-    inverted = np.array(W.invert(root), dtype=dtype)
-    preserving = _longest_circular_agreement(line, line, np.arange(1, d))
-    reversing = _longest_circular_agreement(line, inverted, np.arange(d))
-    return int(max(preserving.max(initial=0), reversing.max()))
+    return _longest_repeated_window(tuple(W.primitive_root(core)))
 
 
-#: Shifts compared per block: bounds the (shifts x 2d) temporaries.
-_SHIFT_BLOCK = 64
+def _longest_repeated_window(root: W.Word) -> int:
+    """Largest L < d at which two of the 2d circular length-L windows of
+    ``root`` and ``invert(root)`` (d phases each) are equal.
 
-
-def _longest_circular_agreement(u: np.ndarray, v: np.ndarray, shifts) -> np.ndarray:
-    """For each shift s, the longest circular run of t with u[t] == v[(t+s) % d].
-
-    Scans two periods, which holds every circular run as a plain run as long
-    as no shift agrees for a whole period; such a shift raises.
+    Karp-Miller-Rosenberg doubling: ``rank`` names the windows of length h
+    so that equal windows get equal names, and the windows of length 2h are
+    named by the pairs (name at i, name at i + h).  Doubling stops once the
+    names are all distinct or 2h > d; the answer, in [h, 2h), is then
+    binary-searched on the pairs (name at i, name at i + L - h), which name
+    the windows of length L exactly.  O(d log d log L) time, O(d) memory.
+    Equal windows of length d raise: the root is not primitive.
     """
-    d = len(u)
-    doubled = np.concatenate([u, u])
-    t = np.arange(2 * d, dtype=np.int32)
-    rows = np.lib.stride_tricks.sliding_window_view(np.concatenate([v, v, v]), 2 * d)
-    out = np.zeros(len(shifts), dtype=np.int64)
-    for lo in range(0, len(shifts), _SHIFT_BLOCK):
-        bits = rows[shifts[lo : lo + _SHIFT_BLOCK]] == doubled
-        if bits[:, :d].all(axis=1).any():
-            raise AssertionError("full-period agreement: the root is not primitive")
-        last_mismatch = np.maximum.accumulate(np.where(bits, -1, t), axis=1)
-        out[lo : lo + _SHIFT_BLOCK] = (t - last_mismatch).max(axis=1)
-    return out
+    d = len(root)
+    n = 2 * d
+    start = np.arange(n)
+    reading = start - start % d
+
+    def pair_keys(rank, offset):
+        """(name at i, name at i + offset), packed exactly below n**2."""
+        return rank * n + rank[reading + (start + offset) % d]
+
+    letters, rank = np.unique(np.array(root + W.invert(root)), return_inverse=True)
+    if len(letters) == n:
+        return 0
+    h = 1
+    while 2 * h <= d:
+        named, doubled = np.unique(pair_keys(rank, h), return_inverse=True)
+        if len(named) == n:
+            break
+        rank, h = doubled, 2 * h
+    lo, hi = h, min(2 * h - 1, d)  # windows of length lo repeat
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        keys = np.sort(pair_keys(rank, mid - h))  # a repeat needs no names
+        if (keys[1:] == keys[:-1]).any():
+            lo = mid
+        else:
+            hi = mid - 1
+    if lo == d:
+        raise AssertionError("full-period agreement: the root is not primitive")
+    return lo
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypwalk import words as W
+from hypwalk.config import build_measure, build_model
 from hypwalk.errors import InputError, ResourceError
 from hypwalk.finitegroups import (
     Automorphism,
@@ -19,6 +20,7 @@ from hypwalk.freegroup import (
     ExtendedElement,
     FreeGroupOracle,
     SemidirectOracle,
+    _longest_repeated_window,
     axis_overlap_delta,
     characteristic_index,
     exact_shadow_measure,
@@ -26,6 +28,7 @@ from hypwalk.freegroup import (
     stab_census,
 )
 from hypwalk.geometry import IsometryClass
+from hypwalk.presets import preset_config
 from hypwalk.walk import FiniteMeasure, fold_words
 
 
@@ -310,6 +313,69 @@ def _loxodromic_words(draw):
 @example(w=W.str_to_word("aaaabaaaaa"))  # runs wrap around the period
 def test_fellow_traveling_matches_reference(w):
     assert fellow_traveling_delta(w) == _fellow_traveling_reference(w)
+
+
+def _small_cancellation_words():
+    """The 20 reduced words w_500 of the small-cancellation-f2 preset's
+    first 20 trials at its seed (roots of 192-290 letters, Delta 7-13)."""
+    config = preset_config("small-cancellation-f2")
+    measure = build_measure(build_model(config["model"]), config["measure"])
+    n = config["params"]["n"]
+    indices = np.stack(
+        [measure.increment_indices(n, config["seed"], t) for t in range(20)]
+    )
+    ((stack, length),) = fold_words(measure, indices, [n])
+    return [tuple(stack[row, : length[row]].tolist()) for row in range(20)]
+
+
+def test_fellow_traveling_matches_reference_on_walk_words():
+    for w in _small_cancellation_words():
+        assert fellow_traveling_delta(w) == _fellow_traveling_reference(w)
+
+
+@pytest.mark.parametrize("rank", [3, 5])
+def test_fellow_traveling_matches_reference_on_long_random_words(rank):
+    rng = random.Random(rank)
+    for _ in range(6):
+        w = ()
+        while W.translation_length(w) < 200:
+            letters = [
+                rng.choice((1, -1)) * rng.randint(1, rank)
+                for _ in range(rng.randint(200, 400))
+            ]
+            w = W.reduce_letters(letters)
+        assert fellow_traveling_delta(w) == _fellow_traveling_reference(w)
+
+
+def test_fellow_traveling_matches_reference_on_long_overlaps():
+    a70 = W.str_to_word("a" * 70)
+    rng = random.Random(7)
+    u = (1,)
+    while len(u) < 100:
+        u = W.multiply(u, (rng.choice((1, -1, 2, -2)),))
+    cases = [
+        # a^70 b a^70 b^-1: an orientation-preserving overlap a^70
+        (W.multiply(W.multiply(a70, (2,)), W.multiply(a70, (-2,))), 70),
+        # u c u^-1 d: the axis and its reversed translate both read u
+        (W.reduce_letters(u + (3,) + W.invert(u) + (4,)), 100),
+        # a long block with a short tail, squared and conjugated
+        (W.multiply((3,), W.power(W.str_to_word("abAAb" * 18 + "ab"), 2)) + (-3,), 88),
+    ]
+    for w, delta in cases:
+        assert fellow_traveling_delta(w) == _fellow_traveling_reference(w) == delta
+
+
+def test_fellow_traveling_accepts_a_list():
+    w = W.str_to_word("aabAbaBab")
+    assert fellow_traveling_delta(list(w)) == _fellow_traveling_reference(w)
+
+
+@pytest.mark.parametrize(
+    "root", [(1, 2, 1, 2), (1, 1), (3, -1, 2) * 4, W.str_to_word("aabab") * 2]
+)
+def test_repeated_window_search_rejects_a_non_primitive_root(root):
+    with pytest.raises(AssertionError, match="full-period agreement"):
+        _longest_repeated_window(root)
 
 
 _F2_LETTERS = (0, 1, -1, 2, -2)
