@@ -5,9 +5,13 @@ estimator call.
 The format is deliberately small and strict: unknown keys are rejected with
 the offending field path, weights are exact rational strings ("1/4"), and
 every value needed to reproduce a run (model parameters, generator specs,
-grids, caps, the master seed) lives in the document.  Each field is checked
-where it is built, and an error raised while building it names its path;
-the entry point checks the values of ``params``, as it checks a direct call.
+grids, caps, the master seed) lives in the document.  Each value is checked
+by what takes it, as a direct call is: a model, generator or measure value
+by its constructor, and a ``params`` value by the entry point.  This module
+checks only what a JSON document alone needs (object shapes, unknown keys,
+rational weight strings, the seed) and names the field of an error raised
+while building it: a constructor's ``ParamError(name, reason)`` as
+``<path>.<name>: <reason>``.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ import inspect
 from fractions import Fraction
 from typing import get_args
 
-from .cremona import CremonaModel, MonomialMap, MonomialModel, valid_primes
-from .errors import InputError, ParamError
+from .cremona import CremonaModel, MonomialModel, monomial_map
+from .errors import InputError, ParamError, is_int
 from .finitegroups import FiniteGroup, cyclic_automorphism
 from .freegroup import FreeGroupOracle, SemidirectOracle
 from .walk import FiniteMeasure
@@ -99,15 +103,6 @@ _MODEL_KEYS = {
 #: Entry-point arguments the runner supplies itself, never from ``params``.
 _SUPPLIED = ("measure", "seed", "jobs")
 
-#: The integer lists of the generator specs and of monomial atoms.
-_LENGTHS = {"entries": (9, "nine"), "matrix": (4, "four")}
-
-
-def _is_int(value) -> bool:
-    """An ``int`` that is not a ``bool``: JSON ``true`` and ``false`` load as
-    bools, which ``isinstance(value, int)`` would take for 1 and 0."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
 
 def _require(condition: bool, path: str, message: str):
     if not condition:
@@ -119,20 +114,14 @@ def _check_keys(obj: dict, allowed: set, path: str):
     _require(not unknown, path, f"unknown keys {sorted(unknown)}")
 
 
-def _integer(value, path: str, least: int | None = None):
-    """``value``, checked to be an integer, and at least ``least``."""
-    _require(
-        _is_int(value) and (least is None or value >= least),
-        path,
-        "must be an integer" + ("" if least is None else f" >= {least}"),
-    )
-    return value
-
-
-def _built(path: str, build, *args):
-    """``build(*args)``, an InputError it raises named by ``path``."""
+def _built(path: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, an error it raises named by ``path``: a
+    ``ParamError`` as ``<path>.<name>: <reason>``, another InputError as
+    ``<path>: <error>``."""
     try:
-        return build(*args)
+        return build(*args, **kwargs)
+    except ParamError as err:
+        raise ConfigError(f"{path}.{err}") from None
     except InputError as err:
         raise ConfigError(f"{path}: {err}") from None
 
@@ -143,20 +132,11 @@ def _word(text, rank, path: str):
     return _built(path, W.str_to_word, text, rank)
 
 
-def _matrix(spec: dict, key: str, path: str, name: str, build):
-    """``spec[key]``, a list of ``_LENGTHS[key]`` integers, built by
-    ``build``, and its tag ``name[...]``."""
-    values = spec.get(key)
-    count, words = _LENGTHS[key]
-    _require(
-        isinstance(values, list)
-        and len(values) == count
-        and all(_is_int(v) for v in values),
-        f"{path}.{key}",
-        f"must be {words} integers",
-    )
-    tag = f"{name}[" + ",".join(str(v) for v in values) + "]"
-    return _built(f"{path}.{key}", build, values), tag
+def _matrix(values, path: str, name: str, build):
+    """``build(values)``, for the spec or atom at ``path``, and its tag
+    ``name[...]``."""
+    element = _built(path, build, values)
+    return element, f"{name}[" + ",".join(str(v) for v in values) + "]"
 
 
 def validate_config(config: dict):
@@ -183,7 +163,7 @@ def validate_config(config: dict):
     parameters = inspect.signature(entry, eval_str=True).parameters
     seed = config["seed"]
     _require(
-        _is_int(seed) and 0 <= seed < 2**64,
+        is_int(seed, 0) and seed < 2**64,
         "$.seed",
         "must be an unsigned 64-bit integer",
     )
@@ -222,25 +202,12 @@ def build_model(spec: dict):
     )
     _check_keys(spec, _MODEL_KEYS[mtype], "$.model")
     if mtype == "cremona":
-        if "primes" in spec:
-            _require(
-                isinstance(spec["primes"], list) and valid_primes(spec["primes"]),
-                "$.model.primes",
-                "must be a nonempty list of primes below 2^31",
-            )
-            _require(
-                len(set(spec["primes"])) == len(spec["primes"]),
-                "$.model.primes",
-                "must not repeat a prime",
-            )
-        if "degree_cap" in spec:
-            _integer(spec["degree_cap"], "$.model.degree_cap", 2)
-        return CremonaModel(**{k: v for k, v in spec.items() if k != "type"})
+        arguments = {k: v for k, v in spec.items() if k != "type"}
+        return _built("$.model", CremonaModel, **arguments)
     if mtype == "monomial":
         return MonomialModel()
-    rank = _integer(spec.get("rank"), "$.model.rank", 2)
     if mtype == "free":
-        return FreeGroupOracle(rank)
+        return _built("$.model", FreeGroupOracle, spec.get("rank"))
     torsion = spec.get("torsion")
     _require(isinstance(torsion, dict), "$.model.torsion", "must be an object")
     _check_keys(torsion, {"type", "order"}, "$.model.torsion")
@@ -249,30 +216,28 @@ def build_model(spec: dict):
         "$.model.torsion.type",
         "only 'cyclic' torsion groups are configurable",
     )
-    order = _integer(torsion.get("order"), "$.model.torsion.order", 1)
+    group = _built("$.model.torsion", FiniteGroup.cyclic, torsion.get("order"))
     actions = spec.get("actions")
+    if isinstance(actions, list):  # the oracle checks their number
+        actions = [
+            _action(group.order, action, f"$.model.actions[{i}]")
+            for i, action in enumerate(actions)
+        ]
+    return _built("$.model", SemidirectOracle, spec.get("rank"), group, actions)
+
+
+def _action(order: int, action, path: str):
+    """Check the action at ``path`` and build its automorphism of Z/order."""
+    _require(isinstance(action, dict), path, "must be an object")
+    _check_keys(action, {"type", "value"}, path)
     _require(
-        isinstance(actions, list) and len(actions) == rank,
-        "$.model.actions",
-        "need exactly one action per generator",
+        action.get("type") in ("identity", "multiplier"),
+        f"{path}.type",
+        "must be 'identity' or 'multiplier'",
     )
-    automorphisms = []
-    for i, action in enumerate(actions):
-        path = f"$.model.actions[{i}]"
-        _require(isinstance(action, dict), path, "must be an object")
-        _check_keys(action, {"type", "value"}, path)
-        _require(
-            action.get("type") in ("identity", "multiplier"),
-            f"{path}.type",
-            "must be 'identity' or 'multiplier'",
-        )
-        # the identity is the multiplier 1
-        value = action.get("value") if action["type"] == "multiplier" else 1
-        value = _integer(value, f"{path}.value")
-        automorphisms.append(
-            _built(f"{path}.value", cyclic_automorphism, order, value)
-        )
-    return SemidirectOracle(rank, FiniteGroup.cyclic(order), automorphisms)
+    # the identity is the multiplier 1
+    value = action.get("value") if action["type"] == "multiplier" else 1
+    return _built(path, cyclic_automorphism, order, value)
 
 
 def build_measure(oracle, spec: dict) -> FiniteMeasure:
@@ -281,55 +246,45 @@ def build_measure(oracle, spec: dict) -> FiniteMeasure:
     _require(isinstance(spec, dict), "$.measure", "must be an object")
     _check_keys(spec, {"atoms", "attest_non_elementary", "attest_wpd"}, "$.measure")
     atoms = spec.get("atoms")
-    _require(
-        isinstance(atoms, list) and atoms, "$.measure.atoms", "must be a nonempty list"
-    )
-    built, total = [], Fraction(0)
-    for i, atom in enumerate(atoms):
-        path = f"$.measure.atoms[{i}]"
-        _require(isinstance(atom, dict), path, "must be an object")
-        element, tag = _atom(oracle, atom, path)
-        _require("weight" in atom, path, "missing 'weight'")
-        _require(
-            isinstance(atom["weight"], str),
-            f"{path}.weight",
-            "must be an exact rational string, e.g. '1/4'",
-        )
-        try:
-            weight = Fraction(atom["weight"])
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(f"{path}.weight: not a rational number") from None
-        _require(weight > 0, f"{path}.weight", "must be positive")
-        total += weight
-        built.append((tag, element, weight))
-    _require(
-        total == 1,
-        "$.measure.atoms",
-        f"weights must sum to 1 exactly, got {total}",
-    )
+    if isinstance(atoms, list):  # the measure checks it is nonempty
+        atoms = [
+            _atom(oracle, atom, f"$.measure.atoms[{i}]") for i, atom in enumerate(atoms)
+        ]
     attested = {k: spec.get(k, False) for k in ("attest_non_elementary", "attest_wpd")}
-    for key, flag in attested.items():
-        _require(isinstance(flag, bool), f"$.measure.{key}", "must be true or false")
-    return FiniteMeasure(oracle, built, **attested)
+    return _built("$.measure", FiniteMeasure, oracle, atoms, **attested)
 
 
-def _atom(oracle, atom: dict, path: str):
-    """Check the atom at ``path``, less its weight, and build it on
-    ``oracle``: its element and its report tag."""
+def _atom(oracle, atom, path: str):
+    """Check the atom at ``path`` and build it on ``oracle``: its report
+    tag, its element and its weight."""
+    _require(isinstance(atom, dict), path, "must be an object")
     if isinstance(oracle, CremonaModel):
         _check_keys(atom, {"gen", "weight"}, path)
-        return _generator(oracle, atom.get("gen"), f"{path}.gen")
-    if isinstance(oracle, MonomialModel):
+        element, tag = _generator(oracle, atom.get("gen"), f"{path}.gen")
+    elif isinstance(oracle, MonomialModel):
         _check_keys(atom, {"matrix", "weight"}, path)
-        return _matrix(atom, "matrix", path, "monomial", lambda m: MonomialMap(*m))
-    semidirect = isinstance(oracle, SemidirectOracle)
-    _check_keys(atom, {"word", "weight"} | ({"torsion"} if semidirect else set()), path)
-    word = _word(atom.get("word"), oracle.rank, f"{path}.word")
-    if not semidirect:
-        return word, atom["word"]
-    torsion = _integer(atom.get("torsion", 0), f"{path}.torsion")
-    element = _built(f"{path}.torsion", oracle.element, word, torsion)
-    return element, atom["word"] + (f"|{torsion}" if torsion else "")
+        element, tag = _matrix(atom.get("matrix"), path, "monomial", monomial_map)
+    else:
+        semidirect = isinstance(oracle, SemidirectOracle)
+        keys = {"word", "weight"} | ({"torsion"} if semidirect else set())
+        _check_keys(atom, keys, path)
+        element = _word(atom.get("word"), oracle.rank, f"{path}.word")
+        tag = atom["word"]
+        if semidirect:
+            torsion = atom.get("torsion", 0)
+            element = _built(path, oracle.element, element, torsion)
+            tag += f"|{torsion}" if torsion else ""
+    _require("weight" in atom, path, "missing 'weight'")
+    _require(
+        isinstance(atom["weight"], str),
+        f"{path}.weight",
+        "must be an exact rational string, e.g. '1/4'",
+    )
+    try:
+        weight = Fraction(atom["weight"])
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"{path}.weight: not a rational number") from None
+    return tag, element, weight
 
 
 def _generator(model: CremonaModel, spec, path: str):
@@ -347,8 +302,7 @@ def _generator(model: CremonaModel, spec, path: str):
     if name == "sigma":
         return model.sigma(), name
     if name == "henon":
-        n = _integer(spec.get("n"), f"{path}.n", 2)
-        return model.henon(n), f"henon{n}"
+        return _built(path, model.henon, spec.get("n")), f"henon{spec['n']}"
     if name == "inverse":
         _require("of" in spec, path, "missing 'of'")
         element, tag = _generator(model, spec["of"], f"{path}.of")
@@ -367,7 +321,7 @@ def _generator(model: CremonaModel, spec, path: str):
             tags.append(tag)
         return element, ".".join(tags)
     build = model.linear if name == "linear" else model.monomial
-    return _matrix(spec, _GENERATORS[name][0], path, name, build)
+    return _matrix(spec.get(_GENERATORS[name][0]), path, name, build)
 
 
 def run_config(config: dict, jobs: int = 1):

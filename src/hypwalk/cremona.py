@@ -82,7 +82,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BadPrimeSignal, InputError, ResourceError
+from .errors import BadPrimeSignal, InputError, ParamError, ResourceError
+from .errors import check_int, is_int
 from .geometry import ActionOracle, IsometryClass, LOXODROMIC_THRESHOLD
 from .polynomials import (
     DEFAULT_PRIME,
@@ -105,16 +106,6 @@ _MEMO_BYTES = 32 * 2**20
 Triple = tuple[HomPoly3, HomPoly3, HomPoly3]
 
 
-def valid_primes(primes) -> bool:
-    """Whether ``primes`` is a nonempty sequence of coefficient primes: ints
-    (not bools) that are prime and below 2^31, the bound of the exact-product
-    rule of :mod:`hypwalk.polynomials`."""
-    return bool(primes) and all(
-        isinstance(p, int) and not isinstance(p, bool) and p < 2**31 and is_prime(p)
-        for p in primes
-    )
-
-
 # ---------------------------------------------------------------------------
 # Generator coordinate triples.
 
@@ -127,8 +118,6 @@ def sigma_triple(p: int) -> Triple:
 
 def henon_triple(n: int, p: int) -> Triple:
     """(x, y) -> (y, y^n - x) homogenized: [Y Z^(n-1) : Y^n - X Z^(n-1) : Z^n]."""
-    if n < 2:
-        raise InputError("henon exponent must be >= 2")
     return (
         HomPoly3(n, {(0, 1, n - 1): 1}, p),
         HomPoly3(n, {(0, n, 0): 1, (1, 0, n - 1): p - 1}, p),
@@ -149,7 +138,7 @@ def linear_triple(entries, p: int) -> Triple:
     """A projective linear map from nine matrix entries (row major)."""
     m = [[entries[3 * r + c] % p for c in range(3)] for r in range(3)]
     if _det3(m, p) == 0:
-        raise InputError("linear generator matrix is singular mod p")
+        raise ParamError("entries", "linear generator matrix is singular mod p")
     out = []
     for r in range(3):
         coeffs = {}
@@ -190,7 +179,7 @@ def _det3(m, p: int) -> int:
 def _quotient(f: HomPoly3, g: HomPoly3) -> HomPoly3:
     q = divexact(f, g)
     if q is None:
-        raise BadPrimeSignal("inexact quotient in the base-point rule", f.p)
+        raise BadPrimeSignal("inexact quotient in the base-point rule")
     return q
 
 
@@ -252,7 +241,7 @@ class MonomialMap:
 
     def __post_init__(self):
         if abs(self.det()) != 1:
-            raise InputError("monomial matrix must have determinant +-1")
+            raise ParamError("matrix", "monomial matrix must have determinant +-1")
 
     def det(self) -> int:
         return self.a * self.d - self.b * self.c
@@ -285,6 +274,19 @@ class MonomialMap:
 
     def is_identity(self) -> bool:
         return (self.a, self.b, self.c, self.d) == (1, 0, 0, 1)
+
+
+def _integers(name: str, values, count: int, words: str) -> tuple[int, ...]:
+    """``values``, a list or tuple of ``count`` ints (not bools), as a tuple."""
+    if isinstance(values, (list, tuple)) and len(values) == count:
+        if all(map(is_int, values)):
+            return tuple(values)
+    raise ParamError(name, f"must be {words} integers")
+
+
+def monomial_map(matrix) -> MonomialMap:
+    """The monomial map of ``matrix``, a list of four integers [a, b, c, d]."""
+    return MonomialMap(*_integers("matrix", matrix, 4, "four"))
 
 
 def monomial_triple(mono: MonomialMap, p: int) -> Triple:
@@ -384,10 +386,16 @@ class CremonaModel(ActionOracle):
         primes: tuple[int, ...] = (DEFAULT_PRIME, SECOND_PRIME),
         degree_cap: int = DEFAULT_DEGREE_CAP,
     ):
-        if not valid_primes(primes):
-            raise InputError("primes must be a nonempty list of primes below 2^31")
+        # below 2^31, the bound of the exact-product rule of hypwalk.polynomials
+        if not (
+            isinstance(primes, (list, tuple))
+            and primes
+            and all(is_int(p) and p < 2**31 and is_prime(p) for p in primes)
+        ):
+            raise ParamError("primes", "must be a nonempty list of primes below 2^31")
         if len(set(primes)) != len(primes):
-            raise InputError("primes must not repeat a prime")
+            raise ParamError("primes", "must not repeat a prime")
+        check_int("degree_cap", degree_cap, 2)
         self.primes = tuple(primes)
         self.degree_cap = degree_cap
         self._atoms: list[GeneratorAtom] = []
@@ -453,6 +461,7 @@ class CremonaModel(ActionOracle):
         return self._intern(("sigma",), sigma_triple, sigma_triple, True)
 
     def henon(self, n: int) -> CremonaElement:
+        check_int("n", n, 2)
         return self._intern(
             ("henon", n),
             lambda p: henon_triple(n, p),
@@ -461,9 +470,7 @@ class CremonaModel(ActionOracle):
         )
 
     def linear(self, entries) -> CremonaElement:
-        entries = tuple(int(e) for e in entries)
-        if len(entries) != 9:
-            raise InputError("linear generator needs nine matrix entries")
+        entries = _integers("entries", entries, 9, "nine")
         return self._intern(
             ("linear", entries),
             lambda p: linear_triple(entries, p),
@@ -472,7 +479,7 @@ class CremonaModel(ActionOracle):
         )
 
     def monomial(self, matrix) -> CremonaElement:
-        mono = MonomialMap(*(int(v) for v in matrix))
+        mono = monomial_map(matrix)
         return self._intern(
             ("monomial", (mono.a, mono.b, mono.c, mono.d)),
             lambda p: monomial_triple(mono, p),
@@ -613,18 +620,10 @@ class CremonaModel(ActionOracle):
         return self._compose_word(self._reduce_word(g.word * m))
 
     def degree_sequence(self, g: CremonaElement, budget: int) -> list[int]:
-        """[deg g, deg g^2, ..., deg g^budget]; ResourceError carries the
-        partial sequence when the cap interrupts the iteration."""
+        """[deg g, deg g^2, ..., deg g^budget]; the cap raises ResourceError."""
         if budget < 1:
             raise InputError("budget must be >= 1")
-        seq = [g.degree]
-        for m in range(2, budget + 1):
-            try:
-                power = self.power(g, m)
-            except ResourceError as err:
-                raise ResourceError(str(err), payload={"degree_sequence": seq}) from None
-            seq.append(power.degree)
-        return seq
+        return [g.degree] + [self.power(g, m).degree for m in range(2, budget + 1)]
 
     def translation_length_estimate(self, g: CremonaElement, budget: int) -> float:
         """min over 1 <= m <= budget of log(deg g^m)/m.
@@ -690,7 +689,7 @@ def dynamical_degree_estimate(
     """
     if budget < 2:
         raise InputError("dynamical degree budget must be >= 2")
-    seq = model.degree_sequence(f, budget)  # ResourceError carries partials
+    seq = model.degree_sequence(f, budget)  # the cap raises ResourceError
     value = min(d ** (1.0 / (m + 1)) for m, d in enumerate(seq))
     return DynamicalDegreeEstimate(value, tuple(seq))
 

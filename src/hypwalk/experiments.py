@@ -52,7 +52,7 @@ import numpy as np
 from . import stats
 from . import words as W
 from .cremona import CremonaModel, dynamical_degree_estimate
-from .errors import InputError, ParamError, ResourceError
+from .errors import InputError, ParamError, ResourceError, is_int
 from .finitegroups import closure
 from .freegroup import (
     FreeGroupOracle,
@@ -134,11 +134,6 @@ _JSON_NAMES = {int: "an integer", float: "a number", str: "a string", NoneType: 
 _ABSTRACT = {int: Integral, float: Real}
 
 
-def _is_count(value) -> bool:
-    """An int >= 1 that is not a bool (JSON ``true`` loads as one)."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
-
-
 def _check_arguments(arguments: dict, parameters) -> None:
     """Raise ``ParamError(key, reason)`` unless every float in ``arguments``
     is finite (a NaN or infinite tolerance would pass every gate), every
@@ -154,12 +149,12 @@ def _check_arguments(arguments: dict, parameters) -> None:
         if isinstance(value, (float, np.floating)) and not math.isfinite(value):
             raise ParamError(key, "must be a finite number")
     for key in _COUNTS:
-        if key in given and not _is_count(given[key]):
+        if key in given and not is_int(given[key], 1):
             raise ParamError(key, "must be an integer >= 1")
     for key in _GRIDS:
         grid = given.get(key)
         if key in given and not (
-            isinstance(grid, (list, tuple)) and grid and all(map(_is_count, grid))
+            isinstance(grid, (list, tuple)) and grid and all(is_int(v, 1) for v in grid)
         ):
             raise ParamError(key, "must be a nonempty list of integers >= 1")
         if key in given and len(set(grid)) < len(grid):
@@ -323,13 +318,9 @@ def _word_fold(measure, indices, marks) -> list:
 
 
 def _sym_gp_of_word(word, n) -> dict:
-    """The symmetric Gromov product: the common prefix length of w and
-    w^-1, comparing w[i] against -w[-1-i]."""
-    size = len(word)
-    i = 0
-    while i < size and word[i] == -word[size - 1 - i]:
-        i += 1
-    return {"sym_gp": i}
+    """The symmetric Gromov product of the reduced word w_n: the common
+    prefix length of w and w^-1."""
+    return {"sym_gp": W.symmetric_prefix(word)}
 
 
 def _is_tree(measure: FiniteMeasure) -> bool:
@@ -515,9 +506,10 @@ def translation_growth(
 
 def _obs_tree_translation(word, n) -> dict:
     """d(x, w_n x), the exact translation length and the symmetric Gromov
-    product of the reduced word w_n."""
-    tau = W.translation_length(word)
-    return {"d": len(word), "tau": tau, **_sym_gp_of_word(word, n)}
+    product of the reduced word w_n: w = p c p^-1 for the cyclically reduced
+    core c and |p| the symmetric Gromov product, so tau = |w| - 2 |p|."""
+    sym_gp = W.symmetric_prefix(word)
+    return {"d": len(word), "tau": len(word) - 2 * sym_gp, "sym_gp": sym_gp}
 
 
 def _aggregate_translation(records, params):

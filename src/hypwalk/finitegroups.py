@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, ParamError, check_int
 
 
 class FiniteGroup:
@@ -58,11 +58,10 @@ class FiniteGroup:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def cyclic(m: int) -> "FiniteGroup":
-        if m < 1:
-            raise InputError("cyclic group order must be >= 1")
-        table = tuple(tuple((i + j) % m for j in range(m)) for i in range(m))
-        return FiniteGroup(table, name=f"Z/{m}")
+    def cyclic(order: int) -> "FiniteGroup":
+        check_int("order", order, 1)
+        table = tuple(tuple((i + j) % order for j in range(order)) for i in range(order))
+        return FiniteGroup(table, name=f"Z/{order}")
 
 
 @dataclass(frozen=True)
@@ -110,13 +109,14 @@ def inner_automorphism(group: FiniteGroup, a: int) -> Automorphism:
     )
 
 
-def cyclic_automorphism(m: int, multiplier: int) -> Automorphism:
-    """x -> multiplier * x on Z/m; multiplier must be a unit mod m."""
+def cyclic_automorphism(m: int, value: int) -> Automorphism:
+    """x -> value * x on Z/m; value must be a unit mod m."""
     from math import gcd
 
-    if gcd(multiplier, m) != 1:
-        raise InputError(f"{multiplier} is not a unit modulo {m}")
-    return Automorphism(tuple((multiplier * x) % m for x in range(m)))
+    check_int("value", value)
+    if gcd(value, m) != 1:
+        raise ParamError("value", f"{value} is not a unit modulo {m}")
+    return Automorphism(tuple((value * x) % m for x in range(m)))
 
 
 def closure(

@@ -34,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import words as W
-from .errors import InputError, ResourceError
+from .errors import InputError, ParamError, ResourceError, check_int
 from .finitegroups import (
     Automorphism,
     FiniteGroup,
@@ -50,8 +50,7 @@ class FreeGroupOracle(ActionOracle):
     """F_k acting on its Cayley tree; elements are reduced words."""
 
     def __init__(self, rank: int = 2):
-        if rank < 2:
-            raise InputError("rank must be >= 2 for a non-elementary action")
+        check_int("rank", rank, 2)  # rank 1 is an elementary action
         self.rank = rank
 
     def identity(self) -> W.Word:
@@ -100,10 +99,9 @@ class SemidirectOracle(ActionOracle):
     """
 
     def __init__(self, rank: int, torsion_group: FiniteGroup, actions: list[Automorphism]):
-        if rank < 2:
-            raise InputError("rank must be >= 2")
-        if len(actions) != rank:
-            raise InputError("need one automorphism of A per free generator")
+        check_int("rank", rank, 2)
+        if not isinstance(actions, (list, tuple)) or len(actions) != rank:
+            raise ParamError("actions", "need exactly one action per generator")
         for phi in actions:
             check_automorphism(torsion_group, phi)
         self.rank = rank
@@ -127,8 +125,9 @@ class SemidirectOracle(ActionOracle):
 
     def element(self, word, torsion: int = 0) -> ExtendedElement:
         word = W.reduce_letters(word, self.rank)
+        check_int("torsion", torsion)
         if not (0 <= torsion < self.torsion_group.order):
-            raise InputError("torsion index out of range")
+            raise ParamError("torsion", "torsion index out of range")
         return ExtendedElement(word, torsion)
 
     def identity(self) -> ExtendedElement:

@@ -714,7 +714,7 @@ def gcd3(p1: HomPoly3, p2: HomPoly3, p3: HomPoly3, quotients: list | None = None
         gcd_poly = monic(_bivariate_gcd_list(boxes, p, _prs_gcd))
         exact = _divides_all(gcd_poly, (p1, p2, p3))
     if not exact:
-        raise BadPrimeSignal("gcd verification by trial division failed", p)
+        raise BadPrimeSignal("gcd verification by trial division failed")
     if quotients is not None:
         quotients[:] = exact
     return gcd_poly
@@ -740,7 +740,7 @@ def normalize_triple(p1: HomPoly3, p2: HomPoly3, p3: HomPoly3, coprime: bool = F
     coefficient prime.
     """
     if p1.is_zero() and p2.is_zero() and p3.is_zero():
-        raise BadPrimeSignal("composition collapsed to the zero triple", p1.p)
+        raise BadPrimeSignal("composition collapsed to the zero triple")
     if coprime:
         parts, gcd_degree = [p1, p2, p3], 0
     else:

@@ -34,7 +34,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import BadPrimeSignal, InputError, ResourceError
+from .errors import BadPrimeSignal, InputError, ParamError, ResourceError
 from .freegroup import SemidirectOracle
 from .geometry import ActionOracle
 from .polynomials import fresh_prime
@@ -109,11 +109,12 @@ class MeasureAtom:
 class FiniteMeasure:
     """Finitely supported probability measure on group elements.
 
-    Weights are exact rationals summing to one.  The ``symmetric`` and
-    ``reversible`` flags are computed from the support (closure under
-    inverses, with or without matching weights); non-elementarity and the
-    presence of a WPD element in the generated semigroup are user
-    attestations, not computations.
+    ``atoms`` lists (tag, element, weight) triples, the weights positive
+    exact rationals summing to one.  The ``symmetric`` and ``reversible``
+    flags are computed from the support (closure under inverses, with or
+    without matching weights); non-elementarity and the presence of a WPD
+    element in the generated semigroup are user attestations, not
+    computations.
     """
 
     def __init__(
@@ -123,18 +124,24 @@ class FiniteMeasure:
         attest_non_elementary: bool = False,
         attest_wpd: bool = False,
     ):
+        if not isinstance(atoms, (list, tuple)) or not atoms:
+            raise ParamError("atoms", "must be a nonempty list")
         built = []
         total = Fraction(0)
-        for tag, element, weight in atoms:
+        for i, (tag, element, weight) in enumerate(atoms):
+            if isinstance(weight, bool):
+                raise ParamError(f"atoms[{i}].weight", "must be a number, not a bool")
             weight = Fraction(weight)
             if weight <= 0:
-                raise InputError(f"weight of atom {tag!r} must be positive")
+                raise ParamError(f"atoms[{i}].weight", "must be positive")
             total += weight
             built.append(MeasureAtom(tag, element, weight, oracle.inverse(element)))
         if total != 1:
-            raise InputError(f"weights must sum to 1 exactly, got {total}")
-        if not built:
-            raise InputError("measure needs at least one atom")
+            raise ParamError("atoms", f"weights must sum to 1 exactly, got {total}")
+        if not isinstance(attest_non_elementary, bool):
+            raise ParamError("attest_non_elementary", "must be true or false")
+        if not isinstance(attest_wpd, bool):
+            raise ParamError("attest_wpd", "must be true or false")
         self.oracle = oracle
         self.atoms = tuple(built)
         self.attest_non_elementary = attest_non_elementary

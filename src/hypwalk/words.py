@@ -75,15 +75,22 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     >>> cyclic_reduce((2, 1, -2))
     ((2,), (1,))
     """
+    i = symmetric_prefix(w)
+    return w[:i], w[i : len(w) - i]
+
+
+def symmetric_prefix(w: Word) -> int:
+    """The length of the prefix in :func:`cyclic_reduce`'s split; on a
+    reduced word, the common prefix length of w and w^-1."""
     i, j = 0, len(w)
     while j - i >= 2 and w[i] == -w[j - 1]:
         i += 1
         j -= 1
-    return w[:i], w[i:j]
+    return i
 
 
 def translation_length(w: Word) -> int:
-    return len(cyclic_reduce(w)[1])
+    return len(w) - 2 * symmetric_prefix(w)
 
 
 def primitive_root(core: Word) -> Word:

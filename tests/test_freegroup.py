@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from hypwalk import words as W
 from hypwalk.config import build_measure, build_model
-from hypwalk.errors import InputError, ResourceError
+from hypwalk.errors import InputError, ParamError, ResourceError
 from hypwalk.finitegroups import (
     Automorphism,
     FiniteGroup,
@@ -177,6 +177,46 @@ def test_bad_automorphism_rejected():
         closure_order([Automorphism((0, 0, 0))], z3)
     with pytest.raises(InputError):
         closure_order([Automorphism((1, 0, 2))], z3)  # does not fix identity
+
+
+_Z3 = FiniteGroup.cyclic(3)
+_Z3_ACTIONS = [cyclic_automorphism(3, 2), Automorphism.identity(_Z3)]
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: FreeGroupOracle(2.5), "rank: must be an integer >= 2"),
+        (lambda: FreeGroupOracle(1), "rank: must be an integer >= 2"),
+        (lambda: SemidirectOracle(True, _Z3, _Z3_ACTIONS), "rank: must be an integer >= 2"),
+        (
+            lambda: SemidirectOracle(2, _Z3, _Z3_ACTIONS[:1]),
+            "actions: need exactly one action per generator",
+        ),
+        (lambda: FiniteGroup.cyclic(2.5), "order: must be an integer >= 1"),
+        (lambda: FiniteGroup.cyclic(0), "order: must be an integer >= 1"),
+        (lambda: cyclic_automorphism(3, 1.0), "value: must be an integer"),
+        (lambda: cyclic_automorphism(3, 3), "value: 3 is not a unit modulo 3"),
+        (
+            lambda: SemidirectOracle(2, _Z3, _Z3_ACTIONS).element((1,), 1.0),
+            "torsion: must be an integer",
+        ),
+        (
+            lambda: SemidirectOracle(2, _Z3, _Z3_ACTIONS).element((1,), 3),
+            "torsion: torsion index out of range",
+        ),
+    ],
+    ids=[
+        "free-rank-float", "free-rank-1", "semidirect-rank-bool", "semidirect-one-action",
+        "cyclic-order-float", "cyclic-order-0", "value-float", "value-not-a-unit",
+        "torsion-float", "torsion-out-of-range",
+    ],
+)
+def test_tree_models_name_a_bad_argument(build, message):
+    # the messages a config run prints under the model's or atom's path
+    with pytest.raises(ParamError) as info:
+        build()
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hypwalk import polynomials, walk
 from hypwalk import words as W
 from hypwalk.cremona import CremonaModel, MonomialMap, MonomialModel
-from hypwalk.errors import BadPrimeSignal, InputError
-from hypwalk.experiments import _sym_gp_of_word
+from hypwalk.errors import BadPrimeSignal, InputError, ParamError
+from hypwalk.experiments import _obs_tree_translation, _sym_gp_of_word
 from hypwalk.finitegroups import Automorphism, FiniteGroup, cyclic_automorphism
 from hypwalk.freegroup import FreeGroupOracle, SemidirectOracle
 from hypwalk.geometry import orbit_gromov_product
@@ -61,6 +63,10 @@ def test_measure_weight_validation():
         FiniteMeasure(oracle, [("a", (1,), Fraction(9, 10))])
     with pytest.raises(InputError):
         FiniteMeasure(oracle, [("a", (1,), Fraction(-1, 2)), ("b", (2,), Fraction(3, 2))])
+    with pytest.raises(ParamError, match=r"^atoms\[0\]\.weight: must be a number, not a bool$"):
+        FiniteMeasure(oracle, [("a", (1,), True)])
+    with pytest.raises(ParamError, match="^attest_wpd: must be true or false$"):
+        FiniteMeasure(oracle, [("a", (1,), Fraction(1))], attest_wpd="yes")
 
 
 def test_alias_table_exact_distribution():
@@ -268,6 +274,30 @@ def test_sym_gp_cross_check_with_word_prefix():
         got = orbit_gromov_product(oracle, w, w_inverse)
         assert _sym_gp_of_word(np.array(w, dtype=np.int8), 40) == {"sym_gp": got}
         assert got == _common_prefix_length(w, W.invert(w))
+
+
+@st.composite
+def _reduced_words(draw):
+    """Reduced words p c p^-1 over ranks 2-5, of up to 60 letters."""
+    rank = draw(st.integers(2, 5))
+    letters = st.sampled_from([s * g for g in range(1, rank + 1) for s in (1, -1)])
+    prefix = W.reduce_letters(draw(st.lists(letters, max_size=30)))
+    core = W.reduce_letters(draw(st.lists(letters, max_size=30)))
+    return W.multiply(W.multiply(prefix, core), W.invert(prefix))
+
+
+@settings(max_examples=300, deadline=None)
+@given(w=_reduced_words())
+@example(w=())
+@example(w=(1,))
+@example(w=(-5,))
+@example(w=(2, 1, -2))
+def test_tree_translation_reads_tau_off_the_symmetric_prefix(w):
+    # tau = |w| - 2 sym_gp, as w = p c p^-1 with |p| = sym_gp and tau = |c|
+    row = _obs_tree_translation(w, len(w))
+    sym_gp = _common_prefix_length(w, W.invert(w))
+    assert row == {"d": len(w), "tau": W.translation_length(w), "sym_gp": sym_gp}
+    assert row["tau"] == len(W.power(w, 2)) - len(w)  # |w^2| = |w| + |c|
 
 
 def test_gp_requests_and_errors():
