@@ -84,7 +84,7 @@ from dataclasses import dataclass
 
 from .errors import BadPrimeSignal, InputError, ParamError, ResourceError
 from .errors import check_int, is_int
-from .geometry import ActionOracle, IsometryClass, LOXODROMIC_THRESHOLD
+from .geometry import ActionOracle, IsometryClass, isometry_class
 from .polynomials import (
     DEFAULT_PRIME,
     SECOND_PRIME,
@@ -651,15 +651,8 @@ class CremonaModel(ActionOracle):
         if any(d == 1 for d in seq):
             # some power is linear: the basepoint orbit is finite, hence bounded
             return IsometryClass.ELLIPTIC
-        estimate = _log_rate(seq)
-        if estimate >= LOXODROMIC_THRESHOLD:
-            return IsometryClass.LOXODROMIC
-        half = len(seq) // 2
-        if max(seq[half:]) <= max(seq[:half]):
-            return IsometryClass.ELLIPTIC
-        if estimate < LOXODROMIC_THRESHOLD / 2:
-            return IsometryClass.PARABOLIC
-        return IsometryClass.UNDETERMINED
+        # the degree grows with the displacement arccosh(degree)
+        return isometry_class(_log_rate(seq), seq)
 
 
 def _state_bytes(state) -> int:

@@ -324,7 +324,7 @@ def _sym_gp_of_word(word, n) -> dict:
 
 
 def _is_tree(measure: FiniteMeasure) -> bool:
-    return isinstance(measure.oracle, (FreeGroupOracle, SemidirectOracle))
+    return isinstance(measure.oracle, FreeGroupOracle)
 
 
 def _require_tree(measure: FiniteMeasure, experiment: str) -> None:
@@ -939,13 +939,12 @@ def stab_acylindricity(
         raise ParamError("K", "must be >= 0")
     if not 0 < quantile <= 1:
         raise ParamError("quantile", "must lie in (0, 1]")
-    oracle = measure.oracle
-    torsion = oracle.torsion_group.order if isinstance(oracle, SemidirectOracle) else 1
+    torsion = measure.oracle.torsion_order
     marks = sorted(n_grid)
     params = {"K": K, "n_grid": marks, "quantile": quantile, "torsion_order": torsion}
     return _sampled(
         "stab_acylindricity", measure, marks, seed, trials, jobs, params,
-        tree=partial(_obs_census, K, oracle.rank, torsion, census_cap),
+        tree=partial(_obs_census, K, measure.oracle.rank, torsion, census_cap),
     )
 
 

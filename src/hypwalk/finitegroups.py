@@ -142,8 +142,3 @@ def closure(
         elements += nxt
         frontier = nxt
     return elements
-
-
-def closure_order(generators: list[Automorphism], group: FiniteGroup) -> int:
-    """Order of the subgroup of Aut generated by the given automorphisms."""
-    return len(closure(generators, group))

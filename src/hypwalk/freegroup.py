@@ -9,7 +9,8 @@ Two exact models live here:
 * :class:`SemidirectOracle` -- extensions ``F_k x| A`` of a free group by a
   finite group ``A`` carrying a designated automorphism action of each free
   generator.  The tree action factors through the word coordinate, so the
-  kernel ``A`` fixes the tree pointwise.
+  kernel ``A`` fixes the tree pointwise: the class extends the free oracle,
+  overriding only the group law and :meth:`FreeGroupOracle.tree_word`.
 
 The fellow-travelling constant of a loxodromic word (the largest overlap
 between its axis and a translate by an element outside the axis stabilizer)
@@ -39,6 +40,7 @@ from .finitegroups import (
     Automorphism,
     FiniteGroup,
     check_automorphism,
+    closure,
     inner_automorphism,
 )
 from .geometry import ActionOracle, IsometryClass
@@ -47,7 +49,10 @@ DEFAULT_CENSUS_CAP = 4
 
 
 class FreeGroupOracle(ActionOracle):
-    """F_k acting on its Cayley tree; elements are reduced words."""
+    """F_k acting on its Cayley tree; elements are reduced words.  The tree
+    action reads an element only through :meth:`tree_word`."""
+
+    torsion_order = 1  # the number of elements acting as each word
 
     def __init__(self, rank: int = 2):
         check_int("rank", rank, 2)  # rank 1 is an elementary action
@@ -62,17 +67,21 @@ class FreeGroupOracle(ActionOracle):
     def inverse(self, g: W.Word) -> W.Word:
         return W.invert(g)
 
-    def displacement(self, g: W.Word) -> float:
-        return float(len(g))
+    def tree_word(self, g) -> W.Word:
+        """The reduced word by which g acts on the tree: g itself."""
+        return g
 
-    def translation_length_estimate(self, g: W.Word, budget: int) -> float:
+    def displacement(self, g) -> float:
+        return float(len(self.tree_word(g)))
+
+    def translation_length_estimate(self, g, budget: int) -> float:
         if budget < 1:
             raise InputError("budget must be >= 1")
-        return float(W.translation_length(g))
+        return float(W.translation_length(self.tree_word(g)))
 
-    def classify(self, g: W.Word, budget: int) -> IsometryClass:
-        # Free groups are torsion free: every nontrivial element is loxodromic.
-        return IsometryClass.ELLIPTIC if len(g) == 0 else IsometryClass.LOXODROMIC
+    def classify(self, g, budget: int) -> IsometryClass:
+        # Free groups are torsion free: every nontrivial word is loxodromic.
+        return IsometryClass.LOXODROMIC if self.tree_word(g) else IsometryClass.ELLIPTIC
 
     def __repr__(self):
         return f"FreeGroupOracle(rank={self.rank})"
@@ -90,7 +99,7 @@ class ExtendedElement:
     torsion: int
 
 
-class SemidirectOracle(ActionOracle):
+class SemidirectOracle(FreeGroupOracle):
     """F_k x| A with each free generator acting on A by an automorphism.
 
     Multiplication follows (u, s)(v, t) = (uv, phi(v)^-1(s) * t), the rule
@@ -99,13 +108,13 @@ class SemidirectOracle(ActionOracle):
     """
 
     def __init__(self, rank: int, torsion_group: FiniteGroup, actions: list[Automorphism]):
-        check_int("rank", rank, 2)
+        super().__init__(rank)
         if not isinstance(actions, (list, tuple)) or len(actions) != rank:
             raise ParamError("actions", "need exactly one action per generator")
         for phi in actions:
             check_automorphism(torsion_group, phi)
-        self.rank = rank
         self.torsion_group = torsion_group
+        self.torsion_order = torsion_group.order
         self.actions = list(actions)
         self._inverse_actions = [phi.inverse() for phi in actions]
 
@@ -156,20 +165,8 @@ class SemidirectOracle(ActionOracle):
             W.invert(g.word), phi(self.torsion_group.inv(g.torsion))
         )
 
-    # -- tree action (factors through the word part) ------------------------
-
-    def displacement(self, g: ExtendedElement) -> float:
-        return float(len(g.word))
-
-    def translation_length_estimate(self, g: ExtendedElement, budget: int) -> float:
-        if budget < 1:
-            raise InputError("budget must be >= 1")
-        return float(W.translation_length(g.word))
-
-    def classify(self, g: ExtendedElement, budget: int) -> IsometryClass:
-        return (
-            IsometryClass.ELLIPTIC if len(g.word) == 0 else IsometryClass.LOXODROMIC
-        )
+    def tree_word(self, g: ExtendedElement) -> W.Word:
+        return g.word
 
     # -- conjugation data for the characteristic index ----------------------
 
@@ -192,10 +189,8 @@ def characteristic_index(oracle: SemidirectOracle, support: list[ExtendedElement
     group generated by the support under the conjugation homomorphism into
     Aut(A).
     """
-    from .finitegroups import closure_order
-
     generators = [oracle.conjugation_on_kernel(g) for g in support]
-    return closure_order(generators, oracle.torsion_group)
+    return len(closure(generators, oracle.torsion_group))
 
 
 # ---------------------------------------------------------------------------

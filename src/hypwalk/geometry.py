@@ -7,7 +7,8 @@ pairwise orbit distances derive from ``d(g.x, h.x) = d(x, (g^-1 h).x)``.
 
 Concrete models (the free-group tree, the degree metric on plane Cremona
 maps, monomial maps) plug in by subclassing the oracle; exact models override
-the budgeted estimators with closed forms.
+the budgeted estimators with closed forms.  Every budgeted classification,
+here and in the Cremona model, is the one trichotomy :func:`isometry_class`.
 """
 
 from __future__ import annotations
@@ -32,6 +33,21 @@ class IsometryClass(Enum):
     PARABOLIC = "parabolic"
     LOXODROMIC = "loxodromic"
     UNDETERMINED = "undetermined"
+
+
+def isometry_class(estimate: float, track) -> IsometryClass:
+    """Loxodromic at an estimate of at least the threshold, else elliptic if
+    the later half of the track (d(x, g^m.x), or a quantity increasing in
+    it, for m = 1..budget) peaks no higher than its earlier half, else
+    parabolic below half the threshold; the band between is UNDETERMINED."""
+    if estimate >= LOXODROMIC_THRESHOLD:
+        return IsometryClass.LOXODROMIC
+    half = len(track) // 2
+    if max(track[half:]) <= max(track[:half]) + TOLERANCE:
+        return IsometryClass.ELLIPTIC
+    if estimate < LOXODROMIC_THRESHOLD / 2:
+        return IsometryClass.PARABOLIC
+    return IsometryClass.UNDETERMINED
 
 
 class ActionOracle(ABC):
@@ -71,13 +87,8 @@ class ActionOracle(ABC):
         return best
 
     def classify(self, g, budget: int) -> IsometryClass:
-        """Heuristic trichotomy from the growth of d(x, g^m.x).
-
-        Bounded displacement -> elliptic, unbounded with estimate below the
-        loxodromic threshold -> parabolic, estimate at or above it ->
-        loxodromic.  Budget exhaustion in the ambiguous band returns
-        UNDETERMINED; exact models never do.
-        """
+        """:func:`isometry_class` of the displacement track of g, g^2, ...,
+        g^budget; exact models override."""
         if budget < 4:
             raise InputError("classification budget must be >= 4")
         track = []
@@ -86,15 +97,7 @@ class ActionOracle(ABC):
             track.append(self.displacement(p))
             p = self.multiply(p, g)
         estimate = min(d / (m + 1) for m, d in enumerate(track))
-        if estimate >= LOXODROMIC_THRESHOLD:
-            return IsometryClass.LOXODROMIC
-        half = budget // 2
-        growing = max(track[half:]) > max(track[:half]) + TOLERANCE
-        if not growing:
-            return IsometryClass.ELLIPTIC
-        if estimate < LOXODROMIC_THRESHOLD / 2:
-            return IsometryClass.PARABOLIC
-        return IsometryClass.UNDETERMINED
+        return isometry_class(estimate, track)
 
 
 def gromov_product(d_xy: float, d_xz: float, d_yz: float) -> float:

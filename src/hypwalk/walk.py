@@ -35,7 +35,6 @@ from itertools import islice
 import numpy as np
 
 from .errors import BadPrimeSignal, InputError, ParamError, ResourceError
-from .freegroup import SemidirectOracle
 from .geometry import ActionOracle
 from .polynomials import fresh_prime
 
@@ -128,10 +127,16 @@ class FiniteMeasure:
             raise ParamError("atoms", "must be a nonempty list")
         built = []
         total = Fraction(0)
-        for i, (tag, element, weight) in enumerate(atoms):
+        for i, atom in enumerate(atoms):
+            if not isinstance(atom, (list, tuple)) or len(atom) != 3:
+                raise ParamError(f"atoms[{i}]", "must be a (tag, element, weight) triple")
+            tag, element, weight = atom
             if isinstance(weight, bool):
                 raise ParamError(f"atoms[{i}].weight", "must be a number, not a bool")
-            weight = Fraction(weight)
+            try:
+                weight = Fraction(weight)
+            except (ValueError, TypeError, ZeroDivisionError, OverflowError):
+                raise ParamError(f"atoms[{i}].weight", "not a rational number") from None
             if weight <= 0:
                 raise ParamError(f"atoms[{i}].weight", "must be positive")
             total += weight
@@ -149,18 +154,16 @@ class FiniteMeasure:
         self.bounded_displacement = max(
             oracle.displacement(a.element) for a in self.atoms
         )
-        self.symmetric = self._closed_under_inverses(match_weights=True)
-        self.reversible = self._closed_under_inverses(match_weights=False)
+        # each atom's first inverse partner in the support, or None
+        partners = [
+            next((b for b in self.atoms if b.element == a.inverse), None)
+            for a in self.atoms
+        ]
+        self.reversible = None not in partners
+        self.symmetric = self.reversible and all(
+            b.weight == a.weight for a, b in zip(self.atoms, partners)
+        )
         self._alias = _build_alias([a.weight for a in self.atoms])
-
-    def _closed_under_inverses(self, match_weights: bool) -> bool:
-        for atom in self.atoms:
-            partner = [b for b in self.atoms if b.element == atom.inverse]
-            if not partner:
-                return False
-            if match_weights and partner[0].weight != atom.weight:
-                return False
-        return True
 
     def increment_indices(self, n: int, seed: int, trial: int) -> np.ndarray:
         """The trial's first n atom indices: the only consumer of the trial
@@ -234,7 +237,7 @@ def fold_words(measure: FiniteMeasure, indices: np.ndarray, marks) -> list:
     increments is ``stack[r, :length[r]]``.  Every walk advances one letter
     column at a time, cancelling where its top letter is the inverse of the
     new one and pushing otherwise; atoms shorter than the longest are padded
-    with the no-op letter 0.  The semidirect model folds its word coordinate.
+    with the no-op letter 0.
 
     Each walk's row of the stack starts with a floor letter, ``-largest-1``,
     that no letter cancels, so an empty word needs no test; ``top`` indexes
@@ -244,8 +247,7 @@ def fold_words(measure: FiniteMeasure, indices: np.ndarray, marks) -> list:
     contiguous rows and the gathers hold no (walks x steps) array.  No
     snapshot is copied at the last step, which nothing overwrites.
     """
-    semidirect = isinstance(measure.oracle, SemidirectOracle)
-    words = [a.element.word if semidirect else a.element for a in measure.atoms]
+    words = [measure.oracle.tree_word(a.element) for a in measure.atoms]
     walks, steps = indices.shape
     if any(not 1 <= mark <= steps for mark in marks):
         raise InputError(f"fold marks must lie in 1..{steps}")

@@ -367,6 +367,11 @@ def _set(*keys, value):
             _set("model", "actions", 0, "value", value=3),
             "$.model.actions[0].value: 3 is not a unit modulo 3",
         ),
+        (
+            "drift-f2",
+            _set("measure", "atoms", 0, "weight", value="abc"),
+            "$.measure.atoms[0].weight: not a rational number",
+        ),
     ],
 )
 def test_build_errors_name_their_field(tmp_path, capsys, preset, prepare, message):
@@ -478,6 +483,18 @@ def test_resource_failure_exit_three(tmp_path):
     }
     code = main(["run", str(_write(tmp_path, config)), "--out", str(tmp_path / "o")])
     assert code == 3
+
+
+def test_resource_error_from_an_entry_point_exits_three(tmp_path, capsys):
+    # the census cap raises out of the run, before any gate
+    config = preset_config("acylindricity-f2")
+    config["params"]["K"] = 5
+    out = tmp_path / "o"
+    assert main(["run", str(_write(tmp_path, config)), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "resource failure: census radius 5 above cap 4 (ball has 485 words)\n"
+    )
+    assert not out.exists()
 
 
 def test_missing_config_file(tmp_path, capsys):

@@ -220,6 +220,29 @@ def test_classification():
     assert model.classify(model.inverse(model.henon(2)), 6) is IsometryClass.LOXODROMIC
 
 
+@pytest.mark.parametrize(
+    "sequence, expected",
+    [
+        ([2] * 40, IsometryClass.ELLIPTIC),  # bounded
+        ([2] * 39 + [3], IsometryClass.PARABOLIC),  # estimate log(2)/39 = 0.0178
+        ([2] * 19 + [3], IsometryClass.UNDETERMINED),  # estimate log(2)/19 = 0.0365
+    ],
+    ids=["elliptic", "parabolic", "undetermined"],
+)
+def test_classification_reads_the_degree_sequence(monkeypatch, sequence, expected):
+    model = CremonaModel()
+    monkeypatch.setattr(model, "degree_sequence", lambda g, budget: list(sequence))
+    assert model.classify(model.henon(2), len(sequence)) is expected
+
+
+def test_classification_past_the_cap_and_below_budget_four():
+    model = CremonaModel(degree_cap=8)
+    # deg h^4 = 16 passes the cap: unbounded, but not certified loxodromic
+    assert model.classify(model.henon(2), 6) is IsometryClass.UNDETERMINED
+    with pytest.raises(InputError, match="^classification budget must be >= 4$"):
+        model.classify(model.henon(2), 3)
+
+
 def test_dynamical_degree_estimates():
     model = CremonaModel()
     est = dynamical_degree_estimate(model, model.sigma(), 6)

@@ -151,8 +151,7 @@ def multi_letter_f3():
 
 
 def atom_letters(measure, index):
-    element = measure.atoms[index].element
-    return element.word if isinstance(measure.oracle, SemidirectOracle) else element
+    return measure.oracle.tree_word(measure.atoms[index].element)
 
 
 def f127_extremes():
@@ -453,6 +452,107 @@ def test_small_cancellation_certificates():
     assert cert.passed  # 1 <= 0.5 * 3
     with pytest.raises(InputError):
         E.small_cancellation_certificate(W.str_to_word("aA"), 1.0, 0.1)
+
+
+def _linear_point_mass():
+    model = CremonaModel()
+    return FiniteMeasure(model, [("L", model.linear([1, 1, 0, 0, 1, 0, 0, 0, 1]), 1)])
+
+
+def _henon_point_mass():
+    model = CremonaModel()
+    return FiniteMeasure(model, [("h2", model.henon(2), 1)])
+
+
+# Gates that fail on synthetic records only: a row holding pattern[:s] or its
+# inverse holds every shorter prefix too, so real non-match frequencies never
+# increase in s.
+@pytest.mark.parametrize(
+    "run, failures",
+    [
+        (
+            lambda: E.shadow_decay(
+                uniform_free(), [1, 2], 400, seed=5, wilson_z=0.01, slope_rtol=0.01
+            ),
+            [
+                "m=1: exact measure 0.250000 outside the 0.01-sigma Wilson band "
+                "(0.232289, 0.232711)",
+                "m=2: exact measure 0.083333 outside the 0.01-sigma Wilson band "
+                "(0.094853, 0.095147)",
+                "fitted decay slope -0.89501333342687 deviates more than 1% from -1.0986",
+            ],
+        ),
+        (
+            lambda: E.match_census(
+                "non", uniform_free(), seed=3, trials=20, n=40, s_grid=[2, 4],
+                non_match_threshold=0.01,
+            ),
+            ["non-match frequency 0.3000 at s=4 exceeds 0.01"],
+        ),
+        (
+            lambda: E._result(
+                "match_census_non",
+                {"s_grid": [2, 4]},
+                1,
+                [{"pattern_s2": 0, "pattern_s4": 1}, {"pattern_s2": 0, "pattern_s4": 0}],
+                {"non_match_threshold": 1.0},
+            ),
+            ["non-match frequencies [0.0, 0.5] not non-increasing in s"],
+        ),
+        (
+            lambda: E._result(
+                "match_census_self",
+                {"n_grid": [10, 20]},
+                1,
+                [{"n": 10, "self_match": 0}, {"n": 20, "self_match": 1}],
+            ),
+            ["self-match frequencies [0.0, 1.0] not non-increasing in n"],
+        ),
+        (
+            lambda: E._result(
+                "characteristic_index",
+                {"n_grid": [10], "characteristic_index": 1, "kernel_central": False},
+                1,
+                [{"n": 10, "image_trivial": 1}],
+                {"frequency_tolerance": 0.03},
+            ),
+            ["characteristic index 1 must coincide with a central kernel"],
+        ),
+        (
+            lambda: E.degree_growth_experiment(
+                _linear_point_mass(), [1, 2], 2, seed=1, iterate_budget=None
+            ),
+            [
+                "mean log-degree rate not positive at n=1",
+                "mean log-degree rate not positive at n=2",
+            ],
+        ),
+        (
+            lambda: E.degree_growth_experiment(
+                _henon_point_mass(), [1, 2], 2, seed=1, lambda_degree_bound=1
+            ),
+            ["resource: dynamical-degree subsample is empty"],
+        ),
+    ],
+    ids=[
+        "shadow-band-and-slope", "match-non-threshold", "match-non-increasing",
+        "match-self-increasing", "char-index-central", "degree-rate-not-positive",
+        "degree-subsample-empty",
+    ],
+)
+def test_gate_failures_name_what_failed(run, failures):
+    result = run()
+    assert result.failures == failures and result.passed is False
+
+
+def test_small_cancellation_counts_an_elliptic_endpoint():
+    # at n = 2 the walk returns to the root whenever its letters cancel
+    result = E.small_cancellation_experiment(uniform_free(), 2, 20, seed=1)
+    elliptic = {"tau": 0, "delta": -1, "pass": 0, "loxodromic": 0}
+    assert any(
+        {k: r[k] for k in elliptic} == elliptic for r in result.records
+    )
+    assert result.aggregates["loxodromic_frequency"] == 0.7
 
 
 def test_small_cancellation_experiment_runs():

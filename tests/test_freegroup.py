@@ -13,7 +13,6 @@ from hypwalk.finitegroups import (
     Automorphism,
     FiniteGroup,
     closure,
-    closure_order,
     cyclic_automorphism,
 )
 from hypwalk.freegroup import (
@@ -138,6 +137,57 @@ def test_conjugation_homomorphism_on_pairs():
             assert conj.torsion == model.conjugation_on_kernel(g)(k)
 
 
+_LETTERS = st.sampled_from([1, -1, 2, -2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    word=st.lists(_LETTERS, max_size=12),
+    torsion=st.integers(0, 2),
+    budget=st.integers(1, 8),
+)
+def test_semidirect_tree_action_is_the_free_action_on_its_word(word, torsion, budget):
+    # the kernel fixes the tree: an element acts as its word coordinate
+    model, free = _z3_model(), FreeGroupOracle(2)
+    g = model.element(word, torsion)
+    assert model.displacement(g) == free.displacement(g.word)
+    assert model.translation_length_estimate(
+        g, budget
+    ) == free.translation_length_estimate(g.word, budget)
+    assert model.classify(g, budget) is free.classify(g.word, budget)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    atoms=st.lists(
+        st.tuples(st.lists(_LETTERS, max_size=4), st.integers(0, 2)),
+        min_size=1,
+        max_size=4,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_semidirect_fold_is_the_free_fold_of_its_words(atoms, seed):
+    model = _z3_model()
+    weight = Fraction(1, len(atoms))
+    semidirect = FiniteMeasure(
+        model,
+        [(str(i), model.element(w, t), weight) for i, (w, t) in enumerate(atoms)],
+    )
+    free = FiniteMeasure(
+        FreeGroupOracle(2), [(a.tag, a.element.word, weight) for a in semidirect.atoms]
+    )
+    indices = np.random.default_rng(seed).integers(0, len(atoms), size=(6, 80))
+    marks = [1, 40, 80]
+    for (stack, length), (free_stack, free_length) in zip(
+        fold_words(semidirect, indices, marks), fold_words(free, indices, marks)
+    ):
+        for row in range(len(indices)):
+            assert (
+                stack[row, : length[row]].tolist()
+                == free_stack[row, : free_length[row]].tolist()
+            )
+
+
 def test_characteristic_index_examples():
     model = _z3_model()
     # phi(ab) = inversion, phi(a^2) = identity
@@ -168,15 +218,15 @@ def test_closure_lists_the_image_group_identity_first():
         (0, 1, 2, 3, 4), (0, 2, 4, 1, 3), (0, 4, 3, 2, 1), (0, 3, 1, 4, 2)
     ]
     assert closure([], z5) == [(0, 1, 2, 3, 4)]
-    assert closure_order([doubling, doubling.inverse()], z5) == 4
+    assert len(closure([doubling, doubling.inverse()], z5)) == 4
 
 
 def test_bad_automorphism_rejected():
     z3 = FiniteGroup.cyclic(3)
     with pytest.raises(InputError):
-        closure_order([Automorphism((0, 0, 0))], z3)
+        closure([Automorphism((0, 0, 0))], z3)
     with pytest.raises(InputError):
-        closure_order([Automorphism((1, 0, 2))], z3)  # does not fix identity
+        closure([Automorphism((1, 0, 2))], z3)  # does not fix identity
 
 
 _Z3 = FiniteGroup.cyclic(3)

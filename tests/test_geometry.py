@@ -7,6 +7,8 @@ from hypwalk import words as W
 from hypwalk.errors import InputError
 from hypwalk.freegroup import FreeGroupOracle
 from hypwalk.geometry import (
+    ActionOracle,
+    IsometryClass,
     Shadow,
     four_point_delta,
     gromov_product,
@@ -186,3 +188,47 @@ def test_four_point_delta_tree_is_zero():
     assert four_point_delta(fo, degenerate) == 0.0
     with pytest.raises(InputError):
         four_point_delta(fo, [])
+
+
+# ---------------------------------------------------------------------------
+# The budgeted trichotomy of ActionOracle.classify.
+
+
+class _TrackOracle(ActionOracle):
+    """The integers, with d(x, m.x) = track[|m| - 1]: the element 1 has the
+    displacement track ``track`` along its powers."""
+
+    def __init__(self, track):
+        self.track = track
+
+    def identity(self):
+        return 0
+
+    def multiply(self, g, h):
+        return g + h
+
+    def inverse(self, g):
+        return -g
+
+    def displacement(self, g):
+        return 0.0 if g == 0 else self.track[abs(g) - 1]
+
+
+@pytest.mark.parametrize(
+    "track, expected",
+    [
+        ([float(m) for m in range(1, 9)], IsometryClass.LOXODROMIC),  # estimate 1
+        ([1.0] * 40, IsometryClass.ELLIPTIC),  # estimate 1/40, bounded
+        ([0.5] * 39 + [0.5 + 1e-12], IsometryClass.ELLIPTIC),  # growth within tolerance
+        ([0.5] * 39 + [0.6], IsometryClass.PARABOLIC),  # estimate 0.5/39 = 0.0128
+        ([0.5] * 19 + [0.7], IsometryClass.UNDETERMINED),  # estimate 0.5/19 = 0.0263
+    ],
+    ids=["loxodromic", "elliptic", "elliptic-within-tolerance", "parabolic", "undetermined"],
+)
+def test_classify_reads_the_displacement_track(track, expected):
+    assert _TrackOracle(track).classify(1, len(track)) is expected
+
+
+def test_classify_needs_a_budget_of_four():
+    with pytest.raises(InputError, match="^classification budget must be >= 4$"):
+        _TrackOracle([1.0] * 3).classify(1, 3)

@@ -67,6 +67,14 @@ def test_measure_weight_validation():
         FiniteMeasure(oracle, [("a", (1,), True)])
     with pytest.raises(ParamError, match="^attest_wpd: must be true or false$"):
         FiniteMeasure(oracle, [("a", (1,), Fraction(1))], attest_wpd="yes")
+    for weight in ("abc", "1/0", None, 1.5j, math.inf):
+        with pytest.raises(ParamError, match=r"^atoms\[0\]\.weight: not a rational number$"):
+            FiniteMeasure(oracle, [("a", (1,), weight)])
+    for atom in (("a", (1,)), "a", ("a", (1,), Fraction(1), "extra")):
+        with pytest.raises(
+            ParamError, match=r"^atoms\[0\]: must be a \(tag, element, weight\) triple$"
+        ):
+            FiniteMeasure(oracle, [atom])
 
 
 def test_alias_table_exact_distribution():
