@@ -84,7 +84,7 @@ from dataclasses import dataclass
 
 from .errors import BadPrimeSignal, InputError, ParamError, ResourceError
 from .errors import check_int, is_int
-from .geometry import ActionOracle, IsometryClass, isometry_class
+from .geometry import ActionOracle, IsometryClass
 from .polynomials import (
     DEFAULT_PRIME,
     SECOND_PRIME,
@@ -625,15 +625,13 @@ class CremonaModel(ActionOracle):
             raise InputError("budget must be >= 1")
         return [g.degree] + [self.power(g, m).degree for m in range(2, budget + 1)]
 
-    def translation_length_estimate(self, g: CremonaElement, budget: int) -> float:
-        """min over 1 <= m <= budget of log(deg g^m)/m.
-
-        ``log deg`` is subadditive along powers and converges to
-        ``log(dynamical degree)``, which equals the translation length on the
-        hyperboloid; the running minimum keeps the estimate one-sided.  The
-        cap raises :class:`~hypwalk.errors.ResourceError`, as in
-        :meth:`degree_sequence`, which also checks the budget."""
-        return _log_rate(self.degree_sequence(g, budget))
+    def power_track(self, g: CremonaElement, budget: int) -> list[float]:
+        """[log deg g, ..., log deg g^budget]: log deg increases with the
+        displacement arccosh(deg), is 0 exactly at degree 1, and its power
+        rate decreases to log(dynamical degree), the translation length on
+        the hyperboloid.  The cap raises :class:`~hypwalk.errors.ResourceError`
+        and :meth:`degree_sequence` checks the budget."""
+        return [math.log(d) for d in self.degree_sequence(g, budget)]
 
     def classify(self, g: CremonaElement, budget: int) -> IsometryClass:
         if budget < 4:
@@ -643,26 +641,16 @@ class CremonaModel(ActionOracle):
             # exact route: spectral radius of the exponent matrix decides
             return MonomialModel().classify(mono, budget)
         try:
-            seq = self.degree_sequence(g, budget)
+            return super().classify(g, budget)
         except ResourceError:
             # the degree blew past the cap: certainly unbounded, and the
             # partial estimate cannot certify loxodromic growth
             return IsometryClass.UNDETERMINED
-        if any(d == 1 for d in seq):
-            # some power is linear: the basepoint orbit is finite, hence bounded
-            return IsometryClass.ELLIPTIC
-        # the degree grows with the displacement arccosh(degree)
-        return isometry_class(_log_rate(seq), seq)
 
 
 def _state_bytes(state) -> int:
     """The bytes of the coefficient boxes of a (tracks, degree) state."""
     return sum(poly.box.nbytes for _, triple in state[0] for poly in triple)
-
-
-def _log_rate(seq) -> float:
-    """min over m of log(seq[m-1])/m, for the degree sequence of g's powers."""
-    return min(math.log(d) / (m + 1) for m, d in enumerate(seq))
 
 
 @dataclass(frozen=True)

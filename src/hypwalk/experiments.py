@@ -744,10 +744,12 @@ def _gate_shadow(result):
     slope = result.aggregates["decay_slope"]
     slope_rtol = tolerances["slope_rtol"]
     target_slope = -math.log(2 * params["rank"] - 1)
-    if slope is None or abs(slope - target_slope) > slope_rtol * abs(target_slope):
+    if slope is None:
+        failures.append("no decay slope: fewer than two m with positive frequency")
+    elif abs(slope - target_slope) > slope_rtol * abs(target_slope):
         failures.append(
-            f"fitted decay slope {slope} deviates more than {slope_rtol:.0%} "
-            f"from {target_slope:.4f}"
+            f"fitted decay slope {slope:.4f} deviates more than "
+            f"{slope_rtol * 100:g}% from {target_slope:.4f}"
         )
     return failures
 
@@ -1288,19 +1290,18 @@ def _lambda_rate(path, budget, degree_bound):
 
 
 def _aggregate_degree_growth(records, params):
-    marks = params["n_grid"]
-    n_max = marks[-1]
     per_n = {}
-    for n in marks:
-        rows = _untruncated(records, n)
+    for n in params["n_grid"]:
+        at_n = [r for r in records if r["n"] == n]
+        rows = [r for r in at_n if not r["truncated"]]
         rates = [r["log_deg_rate"] for r in rows]
         per_n[str(n)] = {
             "mean_log_deg_rate": stats.mean(rates) if rates else None,
             "rate_se": stats.standard_error(rates) if rates else None,
             "trials_used": len(rows),
         }
-    top_rows = _untruncated(records, n_max)
-    matched = [r for r in top_rows if "lambda_rate" in r]
+    # n_grid is sorted: at_n and rows are left holding the last mark's rows
+    matched = [r for r in rows if "lambda_rate" in r]
     lambda_track = {"subsample": len(matched)}
     if matched:
         deg_rates = [r["log_deg_rate"] for r in matched]
@@ -1312,20 +1313,12 @@ def _aggregate_degree_growth(records, params):
                 "gap": abs(stats.mean(deg_rates) - stats.mean(lam_rates)),
             }
         )
-    total = sum(1 for r in records if r["n"] == n_max)
-    truncated = sum(1 for r in records if r["n"] == n_max and r["truncated"])
-    retried = sum(
-        1
-        for r in records
-        if r["n"] == n_max and not r["truncated"] and r.get("prime_retries", 0) > 0
-    )
+    total = len(at_n)
+    truncated = total - len(rows)
+    retried = sum(1 for r in rows if r.get("prime_retries", 0) > 0)
     # the primes must agree on every composition, and a trial whose every
     # attempt met a disagreement (or another bad prime) is discarded
-    discarded = sum(
-        1
-        for r in records
-        if r["n"] == n_max and r.get("truncation_reason") == "discarded"
-    )
+    discarded = sum(1 for r in at_n if r.get("truncation_reason") == "discarded")
     return {
         "per_n": per_n,
         "lambda_track": lambda_track,

@@ -6,17 +6,18 @@ and inversion, a basepoint ``x``, and the displacement ``d(x, g.x)``.  All
 pairwise orbit distances derive from ``d(g.x, h.x) = d(x, (g^-1 h).x)``.
 
 Concrete models (the free-group tree, the degree metric on plane Cremona
-maps, monomial maps) plug in by subclassing the oracle; exact models override
-the budgeted estimators with closed forms.  Every budgeted classification,
-here and in the Cremona model, is the one trichotomy :func:`isometry_class`.
+maps, monomial maps) plug in by subclassing the oracle.  Every budgeted
+reading walks g, g^2, ..., g^budget once, in :meth:`ActionOracle.power_track`:
+the estimate is its :func:`power_rate`, the classification the one trichotomy
+:func:`isometry_class` of it; exact models override both with closed forms.
 """
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate, repeat
 
 from .errors import InputError
 
@@ -35,16 +36,24 @@ class IsometryClass(Enum):
     UNDETERMINED = "undetermined"
 
 
-def isometry_class(estimate: float, track) -> IsometryClass:
-    """Loxodromic at an estimate of at least the threshold, else elliptic if
-    the later half of the track (d(x, g^m.x), or a quantity increasing in
-    it, for m = 1..budget) peaks no higher than its earlier half, else
-    parabolic below half the threshold; the band between is UNDETERMINED."""
+def power_rate(track) -> float:
+    """min over m of track[m-1]/m, for a track along the powers g, g^2, ..."""
+    return min(d / (m + 1) for m, d in enumerate(track))
+
+
+def isometry_class(track) -> IsometryClass:
+    """Elliptic when some power fixes the basepoint (a value within
+    ``TOLERANCE`` of 0) or when the later half of the track (d(x, g^m.x),
+    or a quantity increasing in it and 0 at 0, for m = 1..budget) peaks no
+    higher than its earlier half; else loxodromic at a :func:`power_rate`
+    of at least the threshold, parabolic below half of it, and
+    UNDETERMINED between."""
+    half = len(track) // 2
+    if min(track) <= TOLERANCE or max(track[half:]) <= max(track[:half]) + TOLERANCE:
+        return IsometryClass.ELLIPTIC
+    estimate = power_rate(track)
     if estimate >= LOXODROMIC_THRESHOLD:
         return IsometryClass.LOXODROMIC
-    half = len(track) // 2
-    if max(track[half:]) <= max(track[:half]) + TOLERANCE:
-        return IsometryClass.ELLIPTIC
     if estimate < LOXODROMIC_THRESHOLD / 2:
         return IsometryClass.PARABOLIC
     return IsometryClass.UNDETERMINED
@@ -69,6 +78,13 @@ class ActionOracle(ABC):
     def pairwise_distance(self, g, h) -> float:
         return self.displacement(self.multiply(self.inverse(g), h))
 
+    def power_track(self, g, budget: int) -> list:
+        """[d(x, g.x), ..., d(x, g^budget.x)], from budget - 1 products."""
+        if budget < 1:
+            raise InputError("budget must be >= 1")
+        powers = accumulate(repeat(g, budget), self.multiply)
+        return [self.displacement(p) for p in powers]
+
     def translation_length_estimate(self, g, budget: int) -> float:
         """min over 1 <= m <= budget of d(x, g^m.x)/m.
 
@@ -76,28 +92,14 @@ class ActionOracle(ABC):
         running minimum decreases to the true translation length; the error
         is at most d(x, g.x)/budget.  Exact models override.
         """
-        if budget < 1:
-            raise InputError("budget must be >= 1")
-        best = math.inf
-        p = g
-        for m in range(1, budget + 1):
-            best = min(best, self.displacement(p) / m)
-            if m < budget:
-                p = self.multiply(p, g)
-        return best
+        return power_rate(self.power_track(g, budget))
 
     def classify(self, g, budget: int) -> IsometryClass:
-        """:func:`isometry_class` of the displacement track of g, g^2, ...,
-        g^budget; exact models override."""
+        """:func:`isometry_class` of the power track of g up to g^budget;
+        exact models override."""
         if budget < 4:
             raise InputError("classification budget must be >= 4")
-        track = []
-        p = g
-        for _ in range(budget):
-            track.append(self.displacement(p))
-            p = self.multiply(p, g)
-        estimate = min(d / (m + 1) for m, d in enumerate(track))
-        return isometry_class(estimate, track)
+        return isometry_class(self.power_track(g, budget))
 
 
 def gromov_product(d_xy: float, d_xz: float, d_yz: float) -> float:

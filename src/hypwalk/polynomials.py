@@ -41,9 +41,10 @@ returned, and the quotients of that division are handed back, so a triple
 :func:`normalize_triple` cancels has each coordinate divided at most once.
 A gcd that fails the check, after one retry through the PRS, raises
 :class:`~hypwalk.errors.BadPrimeSignal`.  A monomial gcd is checked by
-shifts, with no trial division.  Short univariate gcds (the certificate's,
-and the modular gcd's per point) run on Python ints, long ones on numpy
-rows.
+shifts, with no trial division.  Univariate quotients and remainders on
+Python ints come from :func:`_udivmod`, exact for every p: short gcds (the
+certificate's, and the modular gcd's per point) run on it, long ones on
+numpy rows.
 """
 
 from __future__ import annotations
@@ -58,10 +59,14 @@ DEFAULT_PRIME = 1000003
 SECOND_PRIME = 1000033
 
 # Fixed affine lines (X, Y, Z) = (t, b t + c, 1), stored as (b, c), used for
-# the coprimality certificate; a handful suffices since failure just falls
-# through to the modular gcd.  A shift t + a in X gives the same line:
-# (t + a, b t + c', 1) is (t, b t + c' - a b, 1) after t -> t - a.
-_CERT_LINES = ((2, 1), (7, -24), (17, -202), (29, -636))
+# the coprimality certificate; a group no line proves goes to the modular
+# gcd.  Of four lines, only two ever proved a group: ``degree-growth-cremona``
+# proved 730 groups on the first and 48 on the second (after a sound failure
+# on the first) and 268 on none; ``cremona-mixed`` (seeds 0-7) 52 a pass on
+# the first and 10 on none.  No restriction dropped degree.  A shift t + a
+# in X gives the same line: (t + a, b t + c', 1) is (t, b t + c' - a b, 1)
+# after t -> t - a.
+_CERT_LINES = ((2, 1), (7, -24))
 
 
 def _inv_mod(a: int, p: int) -> int:
@@ -530,12 +535,12 @@ def _utrim(vec: np.ndarray) -> np.ndarray:
 #   p ~ 2^31     51/24   277/241  519/705  780/1335 1295/3243
 # The crossover is near 40 at the default primes, where nearly every gcd
 # runs; the 31-bit retry primes cross over near 25.  The rows earn their
-# place on the larger degrees of the ``degree-growth-cremona`` preset: 438
-# of its 12,742 calls have 40 or more coefficients, and running those on
-# ints too made the preset about 7% slower (median of six alternating
-# runs, 2.39 s against 2.22 s).  The bench's Cremona workloads stay below
-# 40 (at most 25 coefficients on ``cremona-mixed``; ``cremona-henon``
-# makes no call).
+# place on the larger degrees of the ``degree-growth-cremona`` preset: 406
+# of its 9,674 calls have 40 or more coefficients, and all its calls,
+# recorded and replayed, take 462-481 ms on ints alone against 405-409 ms
+# through this dispatch (best of 5, same machine).  The bench's Cremona
+# workloads stay below 40 (at most 25 coefficients on ``cremona-mixed``;
+# ``cremona-henon`` makes no call).
 _SHORT_UGCD = 40
 
 
@@ -551,24 +556,32 @@ def _ugcd_ints(u: list, v: list, p: int) -> list:
     """:func:`_ugcd` on lists of Python ints (exact for every p), low
     coefficient first, without trailing zeros."""
     while v:
-        inv = _inv_mod(v[-1], p)
-        v = [c * inv % p for c in v]  # monic, so each step clears exactly
-        n = len(v) - 1
-        r = list(u)
-        for top in range(len(r) - 1, n - 1, -1):
-            factor = r[top]
-            if factor:
-                base = top - n
-                for k in range(n):
-                    r[base + k] = (r[base + k] - factor * v[k]) % p
-        del r[n:]  # the remainder, below the degree of v
-        while r and not r[-1]:
-            r.pop()
-        u, v = v, r
+        u, v = v, _udivmod(u, v, p)[1]
     if u and u[-1] != 1:
         inv = _inv_mod(u[-1], p)
         u = [c * inv % p for c in u]
     return u
+
+
+def _udivmod(u: list, v: list, p: int) -> tuple[list, list]:
+    """Quotient and remainder of u by v over GF(p), on lists of Python ints
+    (exact for every p), low coefficient first; v has no trailing zeros,
+    and neither has the remainder."""
+    n = len(v) - 1
+    inv = _inv_mod(v[-1], p)
+    r = list(u)
+    q = [0] * max(len(r) - n, 0)
+    for top in range(len(r) - 1, n - 1, -1):
+        factor = r[top] * inv % p
+        if factor:
+            base = top - n
+            q[base] = factor
+            for k in range(n):
+                r[base + k] = (r[base + k] - factor * v[k]) % p
+    del r[n:]  # each step clears its top coefficient exactly
+    while r and not r[-1]:
+        r.pop()
+    return q, r
 
 
 def _ugcd_rows(u: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
@@ -960,19 +973,8 @@ def _divexact_dense(
 
 def _udivexact(u: np.ndarray, g: np.ndarray, p: int) -> np.ndarray | None:
     """u / g for univariate polys when exact, else None."""
-    if g.size == 1:
-        return (u * _inv_mod(int(g[0]), p)) % p
-    u = u.copy()
-    q = np.zeros(u.size - g.size + 1, dtype=np.int64)
-    lc_inv = _inv_mod(int(g[-1]), p)
-    for k in range(q.size - 1, -1, -1):
-        c = (int(u[k + g.size - 1]) * lc_inv) % p
-        q[k] = c
-        if c:
-            u[k : k + g.size] = (u[k : k + g.size] - c * g) % p
-    if u.any():
-        return None
-    return q
+    q, r = _udivmod(u.tolist(), g.tolist(), p)
+    return None if r else np.array(q, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

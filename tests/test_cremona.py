@@ -21,6 +21,7 @@ from hypwalk.cremona import (
     dynamical_degree_estimate,
     monomial_dynamical_degree,
 )
+from hypwalk.config import build_measure, build_model
 from hypwalk.errors import BadPrimeSignal, InputError, ParamError, ResourceError
 from hypwalk.geometry import IsometryClass
 from hypwalk.polynomials import (
@@ -30,6 +31,7 @@ from hypwalk.polynomials import (
     normalize_triple,
     substitute,
 )
+from hypwalk.presets import preset_config
 from hypwalk.walk import FiniteMeasure, sample_path
 
 
@@ -233,6 +235,47 @@ def test_classification_reads_the_degree_sequence(monkeypatch, sequence, expecte
     model = CremonaModel()
     monkeypatch.setattr(model, "degree_sequence", lambda g, budget: list(sequence))
     assert model.classify(model.henon(2), len(sequence)) is expected
+
+
+def test_a_bounded_de_jonquieres_map_classifies_elliptic():
+    model = CremonaModel()
+    s = model.linear([0, 1, 0, 1, 0, 0, 0, 0, 1])
+    L = model.linear([1, 0, 0, 0, -1, 0, 0, 0, 1])
+    # (x, y) -> (x, y - x^2): degree 2 at every power
+    jonquieres = model.multiply(L, model.multiply(model.henon(2), s))
+    assert model.degree_sequence(jonquieres, 8) == [2] * 8
+    for budget in (4, 6, 13):
+        assert model.classify(jonquieres, budget) is IsometryClass.ELLIPTIC
+    h = model.henon(2)
+    for budget in range(4, 9):
+        assert model.classify(h, budget) is IsometryClass.LOXODROMIC
+        assert model.classify(model.inverse(h), budget) is IsometryClass.LOXODROMIC
+
+
+_MIXED = build_measure(
+    build_model({"type": "cremona"}),
+    preset_config("degree-growth-cremona")["measure"],
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    letters=st.lists(st.integers(0, len(_MIXED.atoms) - 1), min_size=1, max_size=2),
+    budget=st.integers(2, 4),
+)
+def test_translation_length_estimate_is_the_log_degree_rate(letters, budget):
+    model = _MIXED.oracle
+    g = model.identity()
+    for k in letters:
+        g = model.multiply(g, _MIXED.atoms[k].element)
+    try:
+        seq = model.degree_sequence(g, budget)
+    except ResourceError:
+        with pytest.raises(ResourceError):
+            model.translation_length_estimate(g, budget)
+        return
+    expected = min(math.log(d) / (m + 1) for m, d in enumerate(seq))
+    assert model.translation_length_estimate(g, budget).hex() == expected.hex()
 
 
 def test_classification_past_the_cap_and_below_budget_four():

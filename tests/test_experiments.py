@@ -464,6 +464,20 @@ def _henon_point_mass():
     return FiniteMeasure(model, [("h2", model.henon(2), 1)])
 
 
+def _shadow_result(hits_samples, slope_rtol):
+    """The uniform F2 shadow_decay gate on synthetic (hits, samples) at
+    m = 1, 2, ..., inside each Wilson band at z = 3."""
+    params = {"m_grid": list(range(1, len(hits_samples) + 1)), "rank": 2,
+              "uniform": True, "wilson_z": 3.0}
+    records = [
+        {"trial": 0, "n": m, "hits": hits, "samples": samples}
+        for m, (hits, samples) in enumerate(hits_samples, 1)
+    ]
+    return E._result(
+        "shadow_decay", params, 1, records, {"wilson_z": 3.0, "slope_rtol": slope_rtol}
+    )
+
+
 # Gates that fail on synthetic records only: a row holding pattern[:s] or its
 # inverse holds every shorter prefix too, so real non-match frequencies never
 # increase in s.
@@ -479,8 +493,16 @@ def _henon_point_mass():
                 "(0.232289, 0.232711)",
                 "m=2: exact measure 0.083333 outside the 0.01-sigma Wilson band "
                 "(0.094853, 0.095147)",
-                "fitted decay slope -0.89501333342687 deviates more than 1% from -1.0986",
+                "fitted decay slope -0.8950 deviates more than 1% from -1.0986",
             ],
+        ),
+        (
+            lambda: _shadow_result([(25, 100), (8, 100)], slope_rtol=0.001),
+            ["fitted decay slope -1.1394 deviates more than 0.1% from -1.0986"],
+        ),
+        (
+            lambda: _shadow_result([(0, 10), (0, 10)], slope_rtol=0.01),
+            ["no decay slope: fewer than two m with positive frequency"],
         ),
         (
             lambda: E.match_census(
@@ -535,7 +557,8 @@ def _henon_point_mass():
         ),
     ],
     ids=[
-        "shadow-band-and-slope", "match-non-threshold", "match-non-increasing",
+        "shadow-band-and-slope", "shadow-slope-tight", "shadow-no-slope",
+        "match-non-threshold", "match-non-increasing",
         "match-self-increasing", "char-index-central", "degree-rate-not-positive",
         "degree-subsample-empty",
     ],

@@ -222,11 +222,29 @@ class _TrackOracle(ActionOracle):
         ([0.5] * 39 + [0.5 + 1e-12], IsometryClass.ELLIPTIC),  # growth within tolerance
         ([0.5] * 39 + [0.6], IsometryClass.PARABOLIC),  # estimate 0.5/39 = 0.0128
         ([0.5] * 19 + [0.7], IsometryClass.UNDETERMINED),  # estimate 0.5/19 = 0.0263
+        ([1.0] * 4, IsometryClass.ELLIPTIC),  # bounded, though the estimate is 1/4
+        ([1.0, 2.0, 3.0, 0.0], IsometryClass.ELLIPTIC),  # g^4 fixes the basepoint
     ],
-    ids=["loxodromic", "elliptic", "elliptic-within-tolerance", "parabolic", "undetermined"],
+    ids=[
+        "loxodromic", "elliptic", "elliptic-within-tolerance", "parabolic",
+        "undetermined", "bounded-before-threshold", "fixed-basepoint",
+    ],
 )
 def test_classify_reads_the_displacement_track(track, expected):
     assert _TrackOracle(track).classify(1, len(track)) is expected
+
+
+def test_classify_composes_one_product_per_power_past_the_first():
+    calls = []
+
+    class Counting(_TrackOracle):
+        def multiply(self, g, h):
+            calls.append((g, h))
+            return super().multiply(g, h)
+
+    oracle = Counting([float(m) for m in range(1, 7)])
+    assert oracle.classify(1, 6) is IsometryClass.LOXODROMIC
+    assert calls == [(m, 1) for m in range(1, 6)]
 
 
 def test_classify_needs_a_budget_of_four():
