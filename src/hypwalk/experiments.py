@@ -805,7 +805,7 @@ def match_census(
         params = {"n": n, "L": L, "axis_core": W.word_to_str(core)}
         tolerances = {"axis_threshold": axis_threshold}
         factors = W.periodic_factors(W.cyclic_reduce(core)[1], L)
-        observe = partial(_obs_factor_match, {"match": (L, factors)})
+        observe = partial(_obs_factor_match, {"match": W.FactorCodes(factors)})
     elif kind == "non":
         s_grid = sorted(s_grid)
         if pattern_length < s_grid[-1]:
@@ -819,7 +819,10 @@ def match_census(
         marks = [n]
         params = {"n": n, "pattern": W.word_to_str(pattern), "s_grid": s_grid}
         tolerances = {"non_match_threshold": non_match_threshold}
-        patterns = {f"pattern_s{s}": (s, {pattern[:s], W.invert(pattern[:s])}) for s in s_grid}
+        patterns = {
+            f"pattern_s{s}": W.FactorCodes({pattern[:s], W.invert(pattern[:s])})
+            for s in s_grid
+        }
         observe = partial(_obs_factor_match, patterns)
     else:
         marks = sorted(n_grid)
@@ -850,10 +853,13 @@ def _fixed_test_pattern(measure, length: int, seed: int) -> tuple:
 
 
 def _obs_factor_match(fields, word, step) -> dict:
-    """Per field's (length, words) pair, 1 when the geodesic word holds one
-    of the words, else 0: the axis factors for kind "axis", a prefix of the
-    test pattern and its reversed inverse for kind "non"."""
-    return {name: int(W.holds_factor(word, factors, s)) for name, (s, factors) in fields.items()}
+    """Per field's :class:`~hypwalk.words.FactorCodes`, the words encoded
+    once per run, 1 when the geodesic word holds one of them, else 0: the
+    axis factors for kind "axis", a prefix of the test pattern and its
+    reversed inverse for kind "non".  The geodesic word is encoded once for
+    all fields."""
+    data, width = W.letter_bytes(word)
+    return {name: int(codes.held_in(data, width)) for name, codes in fields.items()}
 
 
 def _obs_self_match(fraction, word, step) -> dict:

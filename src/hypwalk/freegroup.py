@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -209,6 +210,17 @@ def stab_census(
     Counts elements g with d(x, g.x) <= K and d(w.x, g w.x) <= K.  In the
     semidirect model the kernel A fixes the tree pointwise, so the count is
     the free-group count times |A|.
+
+    The second distance is |w^-1 u w| for u = g, and it follows from
+    cancellation lengths, with no conjugate built.  w^-1 cancels the
+    a = lcp(w, u) letters it shares with u, leaving w[a:]^-1 u[a:], of
+    length |w| - a + m with m = |u| - a.  Against w that cancels c letters:
+    the run r of i < min(m, |w|) with u[|u|-1-i] = -w[i], and when the run
+    takes all of u[a:] (r = m), lcp(w[a:], w[m:]) more, where w[a:]^-1
+    meets w[m:].  So |w^-1 u w| = 2|w| - a + m - 2c.  The identity is
+    counted apart: for it that lcp is all of w, while for a reduced u != 1
+    with r = m, a != m and the lcp stops where w stops repeating with
+    period |a - m|.  The lcp is followed only until the length reaches K.
     """
     if K < 0:
         raise InputError("K must be >= 0")
@@ -217,13 +229,31 @@ def stab_census(
             f"census radius {K} above cap {cap} "
             f"(ball has {W.ball_size(rank, K)} words)",
         )
-    w_inv = W.invert(w_word)
-    count = 0
-    for u in W.ball_words(rank, K):
-        conjugate = W.multiply(W.multiply(w_inv, u), w_word)
-        if len(conjugate) <= K:
-            count += 1
+    w, n = w_word, len(w_word)
+    count = 1  # the identity
+    for u in _punctured_ball(rank, K):
+        k = len(u)
+        a = 0
+        while a < k and a < n and u[a] == w[a]:
+            a += 1
+        m = k - a
+        c = 0
+        while c < m and c < n and u[k - 1 - c] == -w[c]:
+            c += 1
+        length = 2 * n - a + m - 2 * c
+        if c == m:  # a != m, as u is reduced and not 1
+            i, j = a, m
+            while length > K and i < n and j < n and w[i] == w[j]:
+                i, j, length = i + 1, j + 1, length - 2
+        count += length <= K
     return count * torsion_order
+
+
+@lru_cache(maxsize=16)
+def _punctured_ball(rank: int, K: int) -> tuple[W.Word, ...]:
+    """The nontrivial reduced words of length <= K, enumerated once per
+    (rank, K) for every census word."""
+    return tuple(W.ball_words(rank, K))[1:]
 
 
 # ---------------------------------------------------------------------------

@@ -192,19 +192,78 @@ def periodic_factors(core: Word, length: int) -> set[Word]:
     return factors
 
 
+def letter_bytes(word) -> tuple[bytes, int]:
+    """``word`` as bytes, and the bytes per letter: one signed byte when
+    every letter lies in -127..127 (so that its inverse does too), else
+    eight.
+
+    Substring search on these bytes runs in C (two-way matching: Crochemore
+    and Perrin, "Two-way string-matching", J. ACM 1991).  At width 1 a byte
+    hit is a letter hit.  At width 8 a hit at a byte offset that is not a
+    multiple of 8 straddles two letters and is no match: :func:`_find`
+    searches past it.
+    """
+    try:
+        data = array("b", word).tobytes()
+        if b"\x80" not in data:  # -128, whose inverse needs eight bytes
+            return data, 1
+    except OverflowError:
+        pass
+    return array("q", word).tobytes(), 8
+
+
+#: byte -> the byte of the inverse letter, at one byte a letter
+_INVERSE_BYTE = bytes(-byte & 0xFF for byte in range(256))
+
+
+def _find(data: bytes, needle: bytes, width: int, start: int, stop: int) -> int:
+    """The least letter offset p >= ``start`` at which ``needle`` occurs in
+    ``data`` and ends by letter ``stop``, or -1; both encoded at ``width``."""
+    pos = data.find(needle, start * width, stop * width)
+    while pos % width and pos != -1:
+        pos = data.find(needle, pos + 1, stop * width)
+    return pos // width
+
+
+class FactorCodes:
+    """A set of words encoded once for byte search (:meth:`held_in`).
+
+    ``wide`` holds every word at eight bytes a letter; ``narrow`` holds the
+    words that :func:`letter_bytes` writes at one byte a letter, the only
+    ones that can occur in a word it writes so.
+    """
+
+    __slots__ = ("narrow", "wide")
+
+    def __init__(self, factors):
+        factors = tuple(factors)
+        self.wide = [array("q", factor).tobytes() for factor in factors]
+        codes = [letter_bytes(factor) for factor in factors]
+        self.narrow = [code for code, width in codes if width == 1]
+
+    def held_in(self, data: bytes, width: int) -> bool:
+        """Does the word that :func:`letter_bytes` encoded as ``data`` at
+        ``width`` hold one of the words as a factor?"""
+        if width == 1:
+            return any(code in data for code in self.narrow)
+        end = len(data) // 8
+        return any(_find(data, code, 8, 0, end) >= 0 for code in self.wide)
+
+
 def holds_factor(word: Word, factors: set[Word], length: int) -> bool:
     """Does ``word`` hold one of ``factors``, a set of length-``length``
-    words, as a factor (a contiguous subword)?
+    words, as a factor (a contiguous subword)?  A byte search, with
+    :func:`letter_bytes`'s alignment rule for letters past one byte.
 
     >>> holds_factor(str_to_word("abba"), {str_to_word("bb")}, 2)
     True
     >>> holds_factor(str_to_word("abba"), periodic_factors(str_to_word("ab"), 3), 3)
     False
+    >>> holds_factor((256, 256), {(1,)}, 1)  # 1's eight bytes sit at byte 1
+    False
     """
-    for i in range(len(word) - length + 1):
-        if word[i : i + length] in factors:
-            return True
-    return False
+    data, width = letter_bytes(word)
+    return FactorCodes([f for f in factors if len(f) == length]).held_in(data, width)
 
 
 def match_detect(path_word: Word, axis_core: Word, L: int) -> bool:
@@ -232,10 +291,20 @@ def self_match_detect(path_word: Word, L: int) -> bool:
     orientation, in which case the label of eta' is the reversed inverse of
     the label of eta.  Disjoint means the index intervals do not overlap.
 
-    Both relations are symmetric, so the later window of a pair finds the
-    earlier one: a pair exists exactly when some window j has its label, or
-    its reversed inverse, first occurring at j - L or earlier.  One pass
-    over the windows, keeping first occurrences, decides it.
+    Aligned blocks.  Let h = ceil(L/2).  Every length-L window [j, j+L)
+    holds an aligned block [b, b+h), b = t*h, at an offset b - j in
+    [0, L-h].  Both relations are symmetric, so take [j, j+L) the later
+    window of a pair and [i, i+L), i <= j - L, the earlier.  A same
+    orientation pair copies the block to p = b - (j - i) <= b - L; a
+    reversed-inverse pair puts the block's reversed inverse at
+    q = i + L - (b - j) - h, so q + h <= b.  So for each block with
+    L <= b <= n - h, a byte search finds every such p (in the path) and q
+    (in the inverted path, read backwards) and confirms the candidate
+    exactly: the pair exists when the letters that agree under that
+    translate (x with path[x] = path[x - (b - p)], or with
+    path[x] = -path[s - x] for s = b + q + h - 1 and x > s - x so the
+    windows stay disjoint) run on from the block for L letters.  No hash,
+    and no false positive; the search holds O(n) bytes.
 
     >>> self_match_detect(str_to_word("abcBA"), 2)  # ab, then its reversed inverse
     True
@@ -247,22 +316,43 @@ def self_match_detect(path_word: Word, L: int) -> bool:
     n = len(path_word)
     if n < 2 * L:
         return False
-
-    # Windows are read-only memoryview slices of one fixed-width letter
-    # encoding: they hash and compare by content, far faster than tuple
-    # slices, and as dict keys they share the buffer instead of copying
-    # L letters each.  The reversed inverse of window j is window n - L - j
-    # of the inverted path.
-    try:
-        letters, inverse = array("b", path_word), array("b", invert(path_word))
-    except OverflowError:
-        letters, inverse = array("q", path_word), array("q", invert(path_word))
-    width = letters.itemsize
-    data, rdata = memoryview(letters.tobytes()), memoryview(inverse.tobytes())
-    first: dict[memoryview, int] = {}
-    for j in range(n - L + 1):
-        window = data[j * width : (j + L) * width]
-        mirrored = rdata[(n - L - j) * width : (n - j) * width]
-        if first.setdefault(window, j) <= j - L or first.get(mirrored, j) <= j - L:
-            return True
+    data, width = letter_bytes(path_word)
+    if width == 1:
+        rdata = data[::-1].translate(_INVERSE_BYTE)
+    else:
+        rdata = array("q", invert(path_word)).tobytes()
+    h = (L + 1) // 2
+    for b in range(-(-L // h) * h, n - h + 1, h):
+        block = data[b * width : (b + h) * width]
+        for p in _occurrences(data, block, width, b - L + h):
+            if _run_spans(path_word, L, b, b + h, 1, p - b, b - p, n):
+                return True
+        mirrored = rdata[(n - b - h) * width : (n - b) * width]
+        for q in _occurrences(data, mirrored, width, b):
+            s = b + q + h - 1
+            if _run_spans(path_word, L, b, b + h, -1, s, s // 2 + 1, min(n, s + 1)):
+                return True
     return False
+
+
+def _occurrences(data: bytes, needle: bytes, width: int, stop: int):
+    """Yield, in order, every letter offset at which ``needle`` occurs in
+    ``data`` and ends by letter ``stop``."""
+    p = _find(data, needle, width, 0, stop)
+    while p >= 0:
+        yield p
+        p = _find(data, needle, width, p + 1, stop)
+
+
+def _run_spans(path, L: int, start: int, end: int, sign: int, pivot: int, lo: int, hi: int) -> bool:
+    """Do the x in [lo, hi) with path[x] == sign * path[pivot + sign * x]
+    run on from [start, end), where they hold, to L letters?"""
+
+    def agrees(x):
+        return path[x] == sign * path[pivot + sign * x]
+
+    while end < hi and end - start < L and agrees(end):
+        end += 1
+    while start > lo and end - start < L and agrees(start - 1):
+        start -= 1
+    return end - start >= L

@@ -290,6 +290,28 @@ def test_stab_census_monotone_and_cap():
         stab_census((1,), 5, rank=2, cap=4)
 
 
+def _stab_census_naive(w, K, rank):
+    # the literal ball enumeration: build every conjugate w^-1 u w
+    w_inv = W.invert(w)
+    return sum(
+        len(W.multiply(W.multiply(w_inv, u), w)) <= K for u in W.ball_words(rank, K)
+    )
+
+
+def test_stab_census_matches_the_ball_enumeration():
+    # powers of a word reach the branch where w^-1 cancels into w itself
+    rng = random.Random(37)
+    for rank in (2, 3):
+        letters = [s * g for g in range(1, rank + 1) for s in (1, -1)]
+        for _ in range(25):
+            base = W.reduce_letters([rng.choice(letters) for _ in range(rng.randrange(13))])
+            for w in (base, W.power(base, 2), W.power(base, 3)):
+                for K in range(5):
+                    expected = _stab_census_naive(w, K, rank)
+                    for torsion in (1, 3):
+                        assert stab_census(w, K, rank, torsion) == expected * torsion
+
+
 # ---------------------------------------------------------------------------
 # Axis overlaps and the fellow-travelling constant.
 

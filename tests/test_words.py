@@ -105,21 +105,36 @@ def test_match_detect_reads_the_axis_of_any_loxodromic_word():
 def test_match_detect_oracle():
     # Independent oracle: enumerate the factors of a long finite chunk.
     rng = random.Random(19)
-    core = W.str_to_word("aab")
-    chunk = core * 30
-    ichunk = W.invert(core) * 30
-    for _ in range(200):
-        path = W.reduce_letters(
-            [rng.choice([1, -1, 2, -2]) for _ in range(rng.randrange(1, 30))]
-        )
-        L = rng.randrange(1, 8)
-        expected = False
-        for i in range(len(path) - L + 1):
-            window = path[i : i + L]
-            for j in range(len(chunk) - L + 1):
-                if chunk[j : j + L] == window or ichunk[j : j + L] == window:
-                    expected = True
-        assert W.match_detect(path, core, L) is expected
+    for scale in (1, 100):  # letters past 127 take the wide byte encoding
+        core = tuple(scale * letter for letter in W.str_to_word("aab"))
+        chunk = core * 30
+        ichunk = W.invert(core) * 30
+        for _ in range(200):
+            path = W.reduce_letters(
+                [scale * rng.choice([1, -1, 2, -2]) for _ in range(rng.randrange(1, 30))]
+            )
+            L = rng.randrange(1, 8)
+            expected = False
+            for i in range(len(path) - L + 1):
+                window = path[i : i + L]
+                for j in range(len(chunk) - L + 1):
+                    if chunk[j : j + L] == window or ichunk[j : j + L] == window:
+                        expected = True
+            assert W.match_detect(path, core, L) is expected
+
+
+def test_byte_search_counts_only_letter_aligned_hits():
+    # In the eight-byte encoding, 1's bytes sit across the two letters of
+    # (256, 256) at byte offset 1, and across 256 and 512 in (256, 512, 1):
+    # neither is a letter of the word, so neither is a match.
+    assert W.holds_factor((256, 256), {(1,)}, 1) is False
+    assert W.holds_factor((256, 1, 256), {(1,)}, 1) is True
+    assert W.self_match_detect((256, 512, 1), 1) is False
+    assert W.self_match_detect((256, 512, 1, 7, 256), 1) is True
+    # -128 fits a byte but its inverse does not: the reversed inverse of
+    # (-128, 5) is (-5, 128), not (-5, -128)
+    assert W.self_match_detect((-128, 5, 7, -5, -128), 2) is False
+    assert W.self_match_detect((-128, 5, 7, -5, 128), 2) is True
 
 
 def test_self_match_examples():
@@ -133,7 +148,8 @@ def test_self_match_examples():
 
 
 def test_self_match_windows_share_the_path_buffer():
-    # each window used to be a bytes copy: 132.5 MB peak at this size
+    # the search holds the path's bytes and one block at a time, O(n);
+    # a bytes copy per window once peaked at 132.5 MB at this size
     rng = random.Random(29)
     n = 20_000
     path = [1]
@@ -164,8 +180,10 @@ def _self_match_naive(path, L):
 
 
 def _self_match_inputs(rng):
-    """Random reduced words, and powers of short roots between a reduced
-    prefix and suffix, whose only pairs may be adjacent windows."""
+    """Random reduced words; powers of short roots between a reduced
+    prefix and suffix, whose only pairs may be adjacent windows; and such
+    powers with one letter changed, where a block recurs at many shifts but
+    the translate it suggests breaks at the changed letter."""
     for rank in (2, 3):
         alphabet = [s * g for g in range(1, rank + 1) for s in (1, -1)]
 
@@ -177,6 +195,10 @@ def _self_match_inputs(rng):
             root = W.cyclic_reduce(word(rng.randrange(1, 5)))[1] or (1,)
             power = root * rng.randrange(1, 12)
             yield W.multiply(W.multiply(word(rng.randrange(0, 6)), power), word(rng.randrange(6)))
+            changed = list(power)
+            k = rng.randrange(len(changed))
+            changed[k] = rng.choice([x for x in alphabet if x != changed[k]])
+            yield W.reduce_letters(changed)
 
 
 def test_self_match_oracle_and_monotone():
