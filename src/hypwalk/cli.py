@@ -7,8 +7,9 @@
 
 Outputs: ``report.json`` (full result with the effective config, seed, and
 tool version) and one ``<observable>.csv`` per recorded track, rows sorted
-by (trial, n).  Exit status: 0 pass, 1 invalid configuration or ``--jobs``
-below 1, 2 a declared tolerance failed, 3 a resource cap dominated the run.
+by (trial, n).  Exit status: 0 pass, 1 invalid configuration, ``--jobs``
+below 1 or an ``--out`` that cannot be made or written (a regular file, say),
+2 a declared tolerance failed, 3 a resource cap dominated the run.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -136,7 +138,25 @@ def _csv_cell(value) -> str:
 _BARE_CELLS = frozenset({int, float, bool, type(None)})
 
 
+def _write_new(path: Path, text: str) -> None:
+    """Writes ``text`` to ``path`` as a new file, unlinking what was there."""
+    path.unlink(missing_ok=True)
+    path.write_text(text)
+
+
 def write_outputs(result: ExperimentResult, config: dict, out_dir: Path) -> None:
+    """Writes ``report.json`` and one ``<track>.csv`` per track into
+    ``out_dir``, creating it if need be.
+
+    Each output is a new file: the old one is unlinked first, never
+    truncated.  On ext4 with its default ``auto_da_alloc``, closing a file
+    that was truncated and rewritten starts its writeback at once, and the
+    next truncation of that file waits until the writeback is done; a rename
+    over the old file waits the same way.  So a rerun that truncated its
+    outputs would wait on the disk for each of them.  Each file holds the
+    bytes a write into an empty directory gives; a reader of an old file
+    keeps its bytes, and a symlink at an output path is replaced.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     report = {
         "report_version": 1,
@@ -144,7 +164,7 @@ def write_outputs(result: ExperimentResult, config: dict, out_dir: Path) -> None
         "config": config,
         "result": result.to_json_dict(),
     }
-    (out_dir / "report.json").write_text(serialize_report(report))
+    _write_new(out_dir / "report.json", serialize_report(report))
     for track, rows in result.csv_tracks().items():
         name = _csv_cell(track)
         lines = ["trial,n,observable,value"]
@@ -154,7 +174,7 @@ def write_outputs(result: ExperimentResult, config: dict, out_dir: Path) -> None
             else ",".join(map(_csv_cell, (trial, n, track, value)))
             for trial, n, _, value in rows
         ]
-        (out_dir / f"{track}.csv").write_text("\r\n".join(lines) + "\r\n")
+        _write_new(out_dir / f"{track}.csv", "\r\n".join(lines) + "\r\n")
 
 
 def _execute(config: dict, out_dir: Path, jobs: int) -> int:
@@ -162,15 +182,27 @@ def _execute(config: dict, out_dir: Path, jobs: int) -> int:
         # by hand: argparse's own usage error exits 2, the tolerance code
         print(f"invalid --jobs {jobs}: must be at least 1", file=sys.stderr)
         return EXIT_CONFIG
+    # the directories this run makes, deepest first: a run that writes
+    # nothing removes them again
+    made = list(takewhile(lambda path: not path.exists(), (out_dir, *out_dir.parents)))
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        return _unusable_out(out_dir, err)
     try:
         result = run_config(config, jobs=jobs)
-    except ResourceError as err:
-        print(f"resource failure: {err}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except InputError as err:  # ConfigError included
+    except (ResourceError, InputError) as err:  # ConfigError included
+        for path in made:
+            path.rmdir()
+        if isinstance(err, ResourceError):
+            print(f"resource failure: {err}", file=sys.stderr)
+            return EXIT_RESOURCE
         print(f"invalid config: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    write_outputs(result, config, out_dir)
+    try:
+        write_outputs(result, config, out_dir)
+    except OSError as err:
+        return _unusable_out(out_dir, err)
     status = "pass" if result.passed in (True, None) else "FAIL"
     print(f"{result.name}: {status} -> {out_dir / 'report.json'}")
     for failure in result.failures:
@@ -180,6 +212,11 @@ def _execute(config: dict, out_dir: Path, jobs: int) -> int:
     if any(f.startswith("resource:") for f in result.failures):
         return EXIT_RESOURCE
     return EXIT_TOLERANCE
+
+
+def _unusable_out(out_dir: Path, err: OSError) -> int:
+    print(f"invalid --out {out_dir}: {err}", file=sys.stderr)
+    return EXIT_CONFIG
 
 
 def main(argv=None) -> int:

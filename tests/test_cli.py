@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypwalk import experiments
+from hypwalk import cli, experiments
 from hypwalk.cli import main, serialize_report, write_outputs
 from hypwalk.config import ConfigError, run_config, validate_config
 from hypwalk.experiments import ExperimentResult
@@ -457,6 +457,65 @@ def test_jobs_below_one_exit_one(tmp_path, capsys, inline_pools, command, jobs):
     assert main(argv + ["--out", str(out), "--jobs", jobs]) == 1
     assert capsys.readouterr().err == f"invalid --jobs {jobs}: must be at least 1\n"
     assert not out.exists() and not inline_pools
+
+
+def _walk_not_expected(config, jobs=1):
+    raise AssertionError("the walk ran")
+
+
+@pytest.mark.parametrize("command", [["run", "CONFIG"], ["preset", "drift-f2"]])
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_a_file_as_out_exits_one_before_the_walk(tmp_path, capsys, monkeypatch, command, below):
+    # exit 1 like an invalid config, on one line, and the file is kept
+    monkeypatch.setattr(cli, "run_config", _walk_not_expected)
+    blocker = tmp_path / "o"
+    blocker.write_text("kept")
+    out = blocker / below if below else blocker
+    config = str(_write(tmp_path, SMALL_DRIFT))
+    argv = [config if arg == "CONFIG" else arg for arg in command]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid --out {out}: ") and err.count("\n") == 1
+    assert blocker.read_text() == "kept"
+
+
+def test_a_directory_at_report_json_exits_one(tmp_path, capsys):
+    out = tmp_path / "o"
+    (out / "report.json").mkdir(parents=True)
+    assert main(["run", str(_write(tmp_path, SMALL_DRIFT)), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid --out {out}: ") and err.count("\n") == 1
+    assert "report.json" in err
+
+
+def test_a_failed_run_removes_only_the_directories_it_made(tmp_path, capsys):
+    config = copy.deepcopy(SMALL_DRIFT)
+    config["params"]["bogus"] = 1
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    out = kept / "a" / "b"
+    assert main(["run", str(_write(tmp_path, config)), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("invalid config: ")
+    assert kept.is_dir() and not any(kept.iterdir())
+
+
+def _files(out_dir):
+    return {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+
+
+def test_a_rerun_writes_new_files_and_an_open_reader_keeps_its_bytes(tmp_path):
+    # every output is unlinked and written anew, never truncated in place
+    configs = [dict(SMALL_DRIFT, seed=seed) for seed in (1, 2)]
+    first, second = (run_config(config) for config in configs)
+    write_outputs(second, configs[1], tmp_path / "fresh")
+    out = tmp_path / "rerun"
+    write_outputs(first, configs[0], out)
+    before = _files(out)
+    with open(out / "report.json", "rb") as report, open(out / "d.csv", "rb") as csv:
+        write_outputs(second, configs[1], out)
+        assert report.read() == before["report.json"]
+        assert csv.read() == before["d.csv"]
+    assert _files(out) == _files(tmp_path / "fresh") != before
 
 
 def test_tolerance_failure_exit_two(tmp_path):
