@@ -234,12 +234,13 @@ def _sampled(
     read at the sorted ``marks``, in ``jobs`` blocks, then aggregated and
     gated; ``params`` gains the trial count and the measure.
 
-    A tree measure folds its trials through ``fold`` (by default to the
-    reduced word w_n) and reads ``tree(value, n)`` off the folded value;
-    any other walks each trial once and reads ``walk(path, n)`` off the
-    path.  An observer returns only its row's fields: the row is
-    ``{"trial": t, "n": n, **fields}``.  Observers and folds are
-    module-level functions or partials of them, so that a block pickles.
+    A tree measure folds its trials a block at a time through ``fold`` (by
+    default to the reduced words w_n) and reads ``tree(block, n)``, one
+    column per field, off each mark's folded block; any other walks each
+    trial once and reads ``walk(path, n)`` off the path.  An observer
+    returns only its rows' fields: the row is ``{"trial": t, "n": n,
+    **fields}``.  Observers and folds are module-level functions or
+    partials of them, so that a block pickles.
     """
     params = {**params, "trials": trials, "measure": describe_measure(measure)}
     if _is_tree(measure):
@@ -272,7 +273,7 @@ def _truncation_failures(aggregates) -> list:
 
 # ---------------------------------------------------------------------------
 # Tree experiments: trials fold in blocks, by default through
-# walk.fold_words, and an observer reads the folded value at each mark.
+# walk.fold_words, and an observer reads each mark's folded block once.
 
 
 # Trials folded as one block.  fold_words holds a (block x n) index array and
@@ -280,47 +281,78 @@ def _truncation_failures(aggregates) -> list:
 # trial count past this many trials.
 _FOLD_TRIALS = 2000
 
+# The first window of positions _symmetric_prefixes compares; the symmetric
+# prefix of a random walk's word is rarely longer.
+_PROBE = 8
+
 
 def _tree_trial_rows(measure, marks, seed, first, stop, observe, fold=None) -> list:
     """Fold trials first..stop-1, at most ``_FOLD_TRIALS`` together.
 
-    ``fold(indices, marks)`` takes the block's (trials x steps) atom
-    indices and returns one reader per mark; the row at mark n holds
-    ``observe(read(row), n)``, and rows come back trial-major.  The default
-    fold reads the reduced word w_n of each row as a tuple.
+    A block's (trials x steps) atom indices are drawn in one call, and
+    ``fold(indices, marks)`` returns one folded block per mark, by default
+    ``fold_words``'s ``(stack, length)``.  ``observe(block, n)`` returns
+    one column per field, a value per trial of the block; the row of a
+    trial at mark n holds its values, and rows come back trial-major.
     """
-    fold = fold or partial(_word_fold, measure)
+    fold = fold or partial(fold_words, measure)
     marks = sorted(set(marks))
     rows = []
     for lo in range(first, stop, _FOLD_TRIALS):
         trials = range(lo, min(lo + _FOLD_TRIALS, stop))
-        indices = np.empty(
-            (len(trials), marks[-1]), dtype=np.min_scalar_type(len(measure.atoms) - 1)
-        )
+        indices = measure.increment_indices(marks[-1], seed, trials)
+        per_mark = []
+        for n, block in zip(marks, fold(indices, marks)):
+            columns = observe(block, n)
+            per_mark.append(
+                (n, [dict(zip(columns, values)) for values in zip(*columns.values())])
+            )
+        del indices  # the rows below need only the observed fields
         for row, trial in enumerate(trials):
-            indices[row] = measure.increment_indices(marks[-1], seed, trial)
-        readers = fold(indices, marks)
-        del indices  # the rows below need only the folded values
-        for row, trial in enumerate(trials):
-            for n, read in zip(marks, readers):
-                rows.append({"trial": trial, "n": n, **observe(read(row), n)})
+            for n, fields in per_mark:
+                rows.append({"trial": trial, "n": n, **fields[row]})
     return rows
 
 
-def _word_fold(measure, indices, marks) -> list:
-    """Readers of each row's reduced word w_n, as a tuple, one per mark;
-    a word is copied out of the folded stack only when it is read."""
+def _each_word(observe, block, n) -> dict:
+    """The block observer of a word observer ``observe(word, n)``: it reads
+    each row's reduced word w_n off ``fold_words``'s block as a tuple."""
+    stack, length = block
+    found = [
+        observe(tuple(stack[row, :size].tolist()), n)
+        for row, size in enumerate(length.tolist())
+    ]
+    return {field: [fields[field] for fields in found] for field in found[0]}
 
-    def reader(stack, length):
-        return lambda row: tuple(stack[row, : length[row]].tolist())
 
-    return [reader(*snapshot) for snapshot in fold_words(measure, indices, marks)]
+def _symmetric_prefixes(stack, length) -> np.ndarray:
+    """Per row of ``fold_words``'s block, the symmetric Gromov product of
+    the reduced word w: its common prefix length with w^-1, the number of
+    leading i < |w|/2 with w[i] = -w[|w|-1-i].
+
+    The positions are compared a window at a time, starting with
+    ``_PROBE`` of them; only the rows that match through a window go on to
+    the next, which ends twice as far."""
+    prefix = np.zeros(len(length), dtype=np.int64)
+    rows = np.flatnonzero(length >= 2)
+    start, stop = 0, _PROBE
+    while len(rows):
+        live = length[rows, None]
+        half = live // 2
+        at = np.arange(start, min(stop, stack.shape[1] // 2))
+        mirror = np.maximum(live - 1 - at, 0)
+        matched = (at < half) & (stack[rows[:, None], at] == -stack[rows[:, None], mirror])
+        ended = ~matched.all(axis=1)
+        prefix[rows] = start + np.where(ended, (~matched).argmax(axis=1), len(at))
+        rows = rows[~ended & (start + len(at) < half[:, 0])]
+        start, stop = stop, 2 * stop
+    return prefix
 
 
-def _sym_gp_of_word(word, n) -> dict:
-    """The symmetric Gromov product of the reduced word w_n: the common
+def _sym_gp_of_word(block, n) -> dict:
+    """The symmetric Gromov product of each reduced word w_n: the common
     prefix length of w and w^-1."""
-    return {"sym_gp": W.symmetric_prefix(word)}
+    return {"sym_gp": _symmetric_prefixes(*block).tolist()}
 
 
 def _is_tree(measure: FiniteMeasure) -> bool:
@@ -456,8 +488,8 @@ def _gate_drift(result):
     return failures
 
 
-def _obs_tree_displacement(word, n) -> dict:
-    return {"d": len(word)}
+def _obs_tree_displacement(block, n) -> dict:
+    return {"d": block[1].tolist()}
 
 
 def _obs_degree(path, n) -> dict:
@@ -504,12 +536,14 @@ def translation_growth(
     )
 
 
-def _obs_tree_translation(word, n) -> dict:
+def _obs_tree_translation(block, n) -> dict:
     """d(x, w_n x), the exact translation length and the symmetric Gromov
-    product of the reduced word w_n: w = p c p^-1 for the cyclically reduced
-    core c and |p| the symmetric Gromov product, so tau = |w| - 2 |p|."""
-    sym_gp = W.symmetric_prefix(word)
-    return {"d": len(word), "tau": len(word) - 2 * sym_gp, "sym_gp": sym_gp}
+    product of each reduced word w_n: w = p c p^-1 for the cyclically
+    reduced core c and |p| the symmetric Gromov product, so tau = |w| - 2 |p|."""
+    length = block[1]
+    sym_gp = _symmetric_prefixes(*block)
+    tau = length - 2 * sym_gp
+    return {"d": length.tolist(), "tau": tau.tolist(), "sym_gp": sym_gp.tolist()}
 
 
 def _aggregate_translation(records, params):
@@ -831,7 +865,7 @@ def match_census(
         observe = partial(_obs_self_match, self_match_fraction)
     return _sampled(
         f"match_census_{kind}", measure, marks, seed, trials, jobs,
-        {"kind": kind, **params}, tolerances, tree=observe,
+        {"kind": kind, **params}, tolerances, tree=partial(_each_word, observe),
     )
 
 
@@ -952,7 +986,9 @@ def stab_acylindricity(
     params = {"K": K, "n_grid": marks, "quantile": quantile, "torsion_order": torsion}
     return _sampled(
         "stab_acylindricity", measure, marks, seed, trials, jobs, params,
-        tree=partial(_obs_census, K, measure.oracle.rank, torsion, census_cap),
+        tree=partial(
+            _each_word, partial(_obs_census, K, measure.oracle.rank, torsion, census_cap)
+        ),
     )
 
 
@@ -1041,7 +1077,7 @@ def small_cancellation_experiment(
     return _sampled(
         "small_cancellation", measure, [n], seed, trials, jobs,
         {"n": n, "epsilon": epsilon, "A": A}, {"pass_threshold": pass_threshold},
-        tree=partial(_obs_certificate, A, epsilon),
+        tree=partial(_each_word, partial(_obs_certificate, A, epsilon)),
     )
 
 
@@ -1143,20 +1179,20 @@ def _image_table(atom_images, kernel):
 
 
 def _table_fold(table, indices, marks) -> list:
-    """Readers of each row's image at each mark, as its row in ``table``:
-    the image starts at row 0 (the identity), and step j moves it to
+    """Each row's image at each mark, as its row in ``table``: the image
+    starts at row 0 (the identity), and step j moves it to
     ``table[image, indices[:, j]]``."""
     image = np.zeros(len(indices), dtype=table.dtype)
-    readers = []
+    images = []
     for start, stop in zip([0, *marks], marks):
         for step in range(start, stop):
             image = table[image, indices[:, step]]
-        readers.append(image.tolist().__getitem__)
-    return readers
+        images.append(image)
+    return images
 
 
 def _obs_image_trivial(image, n) -> dict:
-    return {"image_trivial": int(image == 0)}
+    return {"image_trivial": (image == 0).astype(int).tolist()}
 
 
 def _aggregate_char_index(records, params):

@@ -2,18 +2,21 @@
 
 Determinism contract: a path is a pure function of ``(measure, n, seed,
 trial)``.  Each trial owns a counter-based Philox stream keyed by
-``[seed, trial]`` (the scheme is part of the external contract, since
-reports embed seeds), so identical inputs give bit-identical paths no matter
-how trials are scheduled.  Sampling from the finite measure goes through an
-alias table built from the exact rational weights; the acceptance draw
-compares integers, never floats.
+``[seed, trial]``, exact as two unsigned 64-bit words (the scheme is part of
+the external contract, since reports embed seeds), so identical inputs give
+bit-identical paths no matter how trials are scheduled.  Sampling from the
+finite measure goes through an alias table built from the exact rational
+weights; the acceptance draw compares integers, never floats.
 
 Increment draws consume the stream as one vectorized block, so the batched
 tree fold (:func:`fold_words`, which reduces many walks' words together) and
-full path construction see the same increments.  :func:`sample_path` is the
-one path loop for every oracle: it composes the running inverse
-``w_j^-1 = g_j^-1 o w_{j-1}^-1`` through the oracle and keeps the
-displacement track and the endpoints at the requested marks, nothing more.
+full path construction see the same increments.  A block of trials is drawn
+from one Philox, re-keyed for each trial to the state of a fresh one keyed
+``[seed, trial]``: each trial still draws its own stream, and no generator
+is built per trial.  :func:`sample_path` is the one path loop for every
+oracle: it composes the running inverse ``w_j^-1 = g_j^-1 o w_{j-1}^-1``
+through the oracle and keeps the displacement track and the endpoints at
+the requested marks, nothing more.
 
 Bad coefficient primes (zero collapse or cross-prime degree disagreement)
 trigger a deterministic retry, and one function, :func:`at_trial_primes`,
@@ -28,6 +31,7 @@ row vocabulary: ``"degree_cap"`` or ``"discarded"``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -44,11 +48,20 @@ RETRY_SALT = 0xB5049E59F55AD7A3
 MAX_BAD_PRIME_ATTEMPTS = 3
 
 
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """The per-trial generator: Philox keyed by [seed, trial]."""
+def _philox_key(seed: int, trial: int) -> np.ndarray:
+    """The Philox key [seed, trial], exact as two unsigned 64-bit words.
+
+    Not a Python list: numpy reads a list holding an int >= 2^63 as
+    float64, which rounds the key to 53 bits (or wraps it to 0 near 2^64).
+    """
     if not (0 <= seed < 2**64 and 0 <= trial < 2**64):
         raise InputError("seed and trial index must be unsigned 64-bit integers")
-    return np.random.Generator(np.random.Philox(key=[seed, trial]))
+    return np.array([seed, trial], dtype=np.uint64)
+
+
+def trial_rng(seed: int, trial: int) -> np.random.Generator:
+    """The per-trial generator: Philox keyed by [seed, trial]."""
+    return np.random.Generator(np.random.Philox(key=_philox_key(seed, trial)))
 
 
 def retry_primes(seed: int, trial: int):
@@ -60,7 +73,8 @@ def retry_primes(seed: int, trial: int):
     estimate) continues past the pairs the walk used.  The two primes of a
     pair differ: a second prime equal to the first is drawn again.
     """
-    stream = np.random.Generator(np.random.Philox(key=[seed ^ RETRY_SALT, trial]))
+    # as a Python int: a numpy integer seed would overflow in the xor
+    stream = trial_rng(operator.index(seed) ^ RETRY_SALT, trial)
     while True:
         first = second = fresh_prime(stream)
         while second == first:
@@ -165,17 +179,33 @@ class FiniteMeasure:
         )
         self._alias = _build_alias([a.weight for a in self.atoms])
 
-    def increment_indices(self, n: int, seed: int, trial: int) -> np.ndarray:
-        """The trial's first n atom indices: the only consumer of the trial
-        stream, shared verbatim by every path-building code path."""
-        rng = trial_rng(seed, trial)
-        buckets = rng.integers(0, len(self.atoms), size=n)
-        if self._alias.trivial:
-            # every draw would accept its bucket; being the stream's last
-            # use, skipping it changes no index
-            return buckets
-        draws = rng.integers(0, self._alias.scale, size=n)
-        return self._alias.pick(buckets, draws)
+    def increment_indices(self, n: int, seed: int, trial) -> np.ndarray:
+        """The first n atom indices of ``trial``, or, for a range of trials,
+        a (len(trial) x n) array of them: the only consumer of the trial
+        streams, shared verbatim by every path-building code path.
+
+        One Philox serves the whole range: for each trial it is re-keyed to
+        [seed, trial] with the counter and buffer of a fresh one, so it
+        draws exactly the stream of :func:`trial_rng`, without building a
+        generator per trial.
+        """
+        block = trial if isinstance(trial, range) else range(trial, trial + 1)
+        out = np.empty((len(block), n), dtype=np.min_scalar_type(len(self.atoms) - 1))
+        bits = np.random.Philox(key=_philox_key(seed, 0))
+        rng = np.random.Generator(bits)
+        fresh = bits.state
+        for row, t in enumerate(block):
+            fresh["state"]["key"] = _philox_key(seed, t)
+            bits.state = fresh
+            buckets = rng.integers(0, len(self.atoms), size=n)
+            if self._alias.trivial:
+                # every draw would accept its bucket; being the stream's
+                # last use, skipping it changes no index
+                out[row] = buckets
+            else:
+                draws = rng.integers(0, self._alias.scale, size=n)
+                out[row] = self._alias.pick(buckets, draws)
+        return out if isinstance(trial, range) else out[0]
 
 
 @dataclass(frozen=True)
@@ -234,17 +264,28 @@ def fold_words(measure: FiniteMeasure, indices: np.ndarray, marks) -> list:
 
     ``indices`` is a (walks x steps) array of atom indices.  Returns one
     ``(stack, length)`` pair per mark: walk r's reduced word after ``mark``
-    increments is ``stack[r, :length[r]]``.  Every walk advances one letter
-    column at a time, cancelling where its top letter is the inverse of the
-    new one and pushing otherwise; atoms shorter than the longest are padded
-    with the no-op letter 0.
+    increments is ``stack[r, :length[r]]``, and ``stack`` has
+    ``length.max()`` columns.  Every walk advances one letter slot at a
+    time, cancelling where its top letter is the inverse of the new one and
+    pushing otherwise, so each slot moves every top by one.
 
-    Each walk's row of the stack starts with a floor letter, ``-largest-1``,
-    that no letter cancels, so an empty word needs no test; ``top`` indexes
-    every walk's top letter in the flat stack.  The letters, their negations
-    and the padding mask are gathered once per block of ``_FOLD_BLOCK`` = 64
-    steps, as (slot, step, walk) arrays, so each column step reads
-    contiguous rows and the gathers hold no (walks x steps) array.  No
+    The walks share one flat stack.  Each walk's row starts, at an even
+    offset ``base``, with a floor letter that no letter cancels, so an empty
+    word needs no test; row 0 is spare.  After s slots with c cancels a
+    walk's top letter is at ``base + s - 2c``, which is ``full[s::2][half]``
+    for ``half = base/2 - c``, and the spare row keeps every ``half``
+    non-negative.  A slot is one gather and compare against the negated
+    letters, one scatter just above the top (a cancel writes there too,
+    which leaves the word unchanged) and ``half -= cancel``.
+
+    Atoms of unequal length fold on squares: each letter x is written x x,
+    an injective map that keeps reduced words reduced, and each atom's
+    shortfall is filled with pairs z z^-1 of a fresh letter z.  The stack is
+    then read at every other letter, and the length halved.
+
+    The letters and their negations are gathered once per block of
+    ``_FOLD_BLOCK`` = 64 steps, as (slot, step, walk) arrays, so each slot
+    reads contiguous rows and the gathers hold no (walks x steps) array.  No
     snapshot is copied at the last step, which nothing overwrites.
     """
     words = [measure.oracle.tree_word(a.element) for a in measure.atoms]
@@ -253,44 +294,47 @@ def fold_words(measure: FiniteMeasure, indices: np.ndarray, marks) -> list:
         raise InputError(f"fold marks must lie in 1..{steps}")
     width = max(len(w) for w in words)
     largest = max((abs(letter) for w in words for letter in w), default=0)
+    stride = 1
+    if any(len(w) < width for w in words):
+        stride, fresh = 2, largest + 1
+        words = [
+            [x for letter in w for x in (letter, letter)]
+            + [fresh, -fresh] * (width - len(w))
+            for w in words
+        ]
+        width, largest = 2 * width, fresh
     floor = -largest - 1
     # the smallest signed dtype in which every letter can also be negated,
     # and which holds the floor letter
     dtype = np.min_scalar_type(floor)
-    table = np.zeros((width, len(words)), dtype=dtype)  # slot x atom
-    for column, w in enumerate(words):
-        table[: len(w), column] = w
-    padded = any(len(w) < width for w in words)
-    row_size = 1 + steps * width
-    full = np.empty(walks * row_size, dtype=dtype)
-    bases = np.arange(walks) * row_size  # each walk's floor letter
+    table = np.array(words, dtype=dtype).T  # slot x atom
+    row_size = 2 * (steps * width // 2 + 1)  # even, and room for every slot
+    full = np.empty((walks + 1) * row_size, dtype=dtype)
+    bases = np.arange(1, walks + 1) * row_size  # each walk's floor letter
     full[bases] = floor
-    above = full[1:]  # above[top] is the slot just over the top letter
-    top = bases.copy()
+    half = bases // 2
+    tops = full[0::2]  # tops[half] is each walk's top letter, after s slots
     cancel = np.empty(walks, dtype=bool)
     wanted = set(marks)
     snapshots = {}
+    s = 0
     for first in range(0, steps, _FOLD_BLOCK):
         block = np.ascontiguousarray(indices[:, first : first + _FOLD_BLOCK].T)
         letters = table[:, block]  # (slot, step, walk)
         negated = -letters
-        pushed = letters != 0 if padded else None
         for offset in range(len(block)):
             for slot in range(width):
-                np.equal(full[top], negated[slot, offset], out=cancel)
-                # a write above the top leaves the word unchanged, so
-                # cancels and the padding letter write there too
-                above[top] = letters[slot, offset]
-                if padded:
-                    top += pushed[slot, offset]
-                else:
-                    top += 1
-                top -= cancel
-                top -= cancel
+                s += 1
+                above = full[s::2]
+                np.equal(tops[half], negated[slot, offset], out=cancel)
+                above[half] = letters[slot, offset]
+                half -= cancel
+                tops = above
             step = first + offset + 1
             if step in wanted:
-                length = top - bases
-                kept = full.reshape(walks, row_size)[:, 1 : 1 + length.max(initial=0)]
+                length = (s + 2 * half - bases) // stride
+                rows = full.reshape(walks + 1, row_size)[1:]
+                kept = rows[:, 1 : 1 + stride * length.max(initial=0) : stride]
                 if step < steps:  # later steps overwrite the stack
                     kept = kept.copy()
                 snapshots[step] = (kept, length)

@@ -7,6 +7,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hypwalk import experiments as E
 from hypwalk import cremona, polynomials, stats
@@ -1201,6 +1203,67 @@ def test_tree_fold_in_blocks_matches_one_block(monkeypatch):
     blocked = E.translation_growth(measure, [20, 40], 10, seed=80).records
     monkeypatch.undo()
     assert E.translation_growth(measure, [20, 40], 10, seed=80).records == blocked
+
+
+def test_tree_runner_draws_once_per_block(monkeypatch):
+    # the draw is batched: one increment_indices call per _FOLD_TRIALS block
+    # of trials, never one per trial
+    draws = []
+    increments = FiniteMeasure.increment_indices
+
+    def recording(self, n, seed, trial):
+        draws.append(trial)
+        return increments(self, n, seed, trial)
+
+    monkeypatch.setattr(FiniteMeasure, "increment_indices", recording)
+    measure = uniform_free()
+    E.gromov_tail(measure, [10, 40], 30, seed=3)
+    assert draws == [range(0, 30)]
+    draws.clear()
+    monkeypatch.setattr(E, "_FOLD_TRIALS", 4)
+    E._tree_trial_rows(measure, [5, 30], 3, 2, 19, E._obs_tree_translation)
+    assert draws == [range(lo, min(lo + 4, 19)) for lo in range(2, 19, 4)]
+
+
+@st.composite
+def _conjugate_words(draw):
+    """Reduced words u c u^-1 over F_3; |u| up to 70 outruns the first
+    probe window of the symmetric prefix several times over."""
+    letters = st.sampled_from([1, -1, 2, -2, 3, -3])
+    u = W.reduce_letters(draw(st.lists(letters, max_size=70)))
+    c = W.reduce_letters(draw(st.lists(letters, max_size=12)))
+    return W.multiply(W.multiply(u, c), W.invert(u))
+
+
+@settings(max_examples=60, deadline=None)
+@given(words=st.lists(_conjugate_words(), min_size=1, max_size=8))
+@example(words=[()])
+@example(words=[(1,), (1, 2, -1), (1,) * 9 + (2,) + (-1,) * 9])
+def test_block_observers_match_the_word_observers(words):
+    # fold the words themselves, each padded with the empty atom to one
+    # length (so the fold runs on squares and reads a strided stack), then
+    # read the block with the block observers and each word with the words
+    # module
+    letters = [1, -1, 2, -2, 3, -3]
+    measure = FiniteMeasure(
+        FreeGroupOracle(3),
+        [(str(x), (x,), Fraction(1, 7)) for x in letters] + [("e", (), Fraction(1, 7))],
+    )
+    steps = max(1, *map(len, words))
+    indices = np.full((len(words), steps), len(letters))
+    for row, w in enumerate(words):
+        indices[row, : len(w)] = [letters.index(x) for x in w]
+    (block,) = fold_words(measure, indices, [steps])
+    prefixes = [W.symmetric_prefix(w) for w in words]
+    assert E._sym_gp_of_word(block, steps) == {"sym_gp": prefixes}
+    assert E._obs_tree_displacement(block, steps) == {"d": [len(w) for w in words]}
+    assert E._obs_tree_translation(block, steps) == {
+        "d": [len(w) for w in words],
+        "tau": [W.translation_length(w) for w in words],
+        "sym_gp": prefixes,
+    }
+    read = E._each_word(lambda word, n: {"word": word, "n": n}, block, steps)
+    assert read == {"word": [tuple(w) for w in words], "n": [steps] * len(words)}
 
 
 def test_csv_tracks_sorted():

@@ -55,14 +55,15 @@ STREAMS = {
         lambda: _skewed_f2().increment_indices(500, 5, 11),
         "2e735d08f9ee52d4aa1edb96ffddf2c5a949c1d3ac7d7db15935cf3516922fba",
     ),
-    # fresh_prime's scalar draws on the retry stream
+    # fresh_prime's scalar draws on the retry stream, keyed by the exact
+    # unsigned 64-bit seed ^ RETRY_SALT
     "retry primes, degree-growth-cremona trial 0": (
         lambda: itertools.chain(*itertools.islice(walk.retry_primes(20260810, 0), 3)),
-        "19fcbe477009bcf58408439ac833742531009bab7850ef1bb264f23b9987bb01",
+        "73f0814f683c2d9710689a420940c7ac5196a7cc20de47d767c5c893b6ff6b5d",
     ),
     "retry primes, degree-growth-cremona trial 41": (
         lambda: itertools.chain(*itertools.islice(walk.retry_primes(20260810, 41), 3)),
-        "0a2d7a3d4cacf2b807537e9921c1987d2abdace8e47d34f1162d4fb306f04050",
+        "09eb527cb1a23b4e0dafc571e4a097f977bb4c27dbe8b6cdf0f6c39d04bc7533",
     ),
     # the scalar letter and sign draws of the match-non test pattern
     "test pattern, rank 2": (

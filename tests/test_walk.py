@@ -1,5 +1,7 @@
 import itertools
 import math
+import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,11 +13,18 @@ from hypwalk import polynomials, walk
 from hypwalk import words as W
 from hypwalk.cremona import CremonaModel, MonomialMap, MonomialModel
 from hypwalk.errors import BadPrimeSignal, InputError, ParamError
-from hypwalk.experiments import _obs_tree_translation, _sym_gp_of_word
+from hypwalk.experiments import _FOLD_TRIALS, _obs_tree_translation, _sym_gp_of_word
 from hypwalk.finitegroups import Automorphism, FiniteGroup, cyclic_automorphism
 from hypwalk.freegroup import FreeGroupOracle, SemidirectOracle
 from hypwalk.geometry import orbit_gromov_product
-from hypwalk.walk import FiniteMeasure, _build_alias, retry_primes, sample_path, trial_rng
+from hypwalk.walk import (
+    FiniteMeasure,
+    _build_alias,
+    fold_words,
+    retry_primes,
+    sample_path,
+    trial_rng,
+)
 
 
 def _common_prefix_length(u, v) -> int:
@@ -98,13 +107,17 @@ def test_uniform_increments_are_the_bucket_draw():
         assert np.array_equal(measure.increment_indices(500, seed, trial), buckets)
 
 
-def test_weighted_increments_are_the_two_draw_alias_pick():
+def _skewed_f2():
     weights = [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)]
-    letters = [(1,), (-1,), (2,), (-2,)]
-    measure = FiniteMeasure(
-        FreeGroupOracle(2), [(str(w), w, p) for w, p in zip(letters, weights)]
+    return FiniteMeasure(
+        FreeGroupOracle(2),
+        [(str(w), w, p) for w, p in zip([(1,), (-1,), (2,), (-2,)], weights)],
     )
-    table = _build_alias(weights)
+
+
+def test_weighted_increments_are_the_two_draw_alias_pick():
+    measure = _skewed_f2()
+    table = _build_alias([a.weight for a in measure.atoms])
     assert not table.trivial and table.scale == 8
     rng = trial_rng(5, 11)
     buckets = rng.integers(0, 4, size=500)
@@ -119,6 +132,65 @@ def test_weighted_increments_are_the_two_draw_alias_pick():
 def test_increments_reject_keys_outside_64_bits(seed, trial):
     with pytest.raises(InputError, match="64-bit"):
         uniform_f2().increment_indices(10, seed, trial)
+
+
+def _fresh_draws(measure, n, seed, trial):
+    """The trial's indices from its own fresh ``trial_rng``: the bucket
+    draw, then, for unequal weights, the acceptance draw of the alias pick."""
+    table = _build_alias([a.weight for a in measure.atoms])
+    rng = trial_rng(seed, trial)
+    buckets = rng.integers(0, len(measure.atoms), size=n)
+    if table.trivial:
+        return buckets
+    return table.pick(buckets, rng.integers(0, table.scale, size=n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    skewed=st.booleans(),
+    seed=st.integers(0, 2**64 - 1),
+    first=st.one_of(
+        st.integers(_FOLD_TRIALS - 6, _FOLD_TRIALS + 1), st.integers(0, 2**64 - 6)
+    ),
+    count=st.integers(0, 5),
+    n=st.integers(0, 70),
+)
+@example(skewed=True, seed=2**64 - 1, first=2**64 - 6, count=5, n=9)
+def test_block_draws_are_the_fresh_per_trial_draws(skewed, seed, first, count, n):
+    # one re-keyed Philox per block draws what a fresh generator per trial
+    # draws, for ranges on both sides of the runner's block boundary and
+    # keys up to 2^64 - 1
+    measure = _skewed_f2() if skewed else uniform_f2()
+    trials = range(first, first + count)
+    block = measure.increment_indices(n, seed, trials)
+    assert block.shape == (count, n)
+    for row, trial in zip(block, trials):
+        expected = _fresh_draws(measure, n, seed, trial)
+        assert np.array_equal(row, expected)
+        assert np.array_equal(measure.increment_indices(n, seed, trial), expected)
+
+
+def test_philox_keys_are_exact_unsigned_64_bit():
+    # a key held as a list of Python ints went through float64: every retry
+    # key seed ^ RETRY_SALT (top bit set) lost its low 11 bits, so seeds 0-3
+    # shared one retry stream, and a seed near 2^64 wrapped to key [0, 0]
+    # with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in [0, 1, 2, 3, 2**63 + 1, 2**64 - 1]:
+            for trial in [0, 7, 2**64 - 1]:
+                key = trial_rng(seed, trial).bit_generator.state["state"]["key"]
+                assert key.dtype == np.uint64 and key.tolist() == [seed, trial]
+        retries = {tuple(itertools.islice(retry_primes(seed, 0), 3)) for seed in range(4)}
+        assert len(retries) == 4
+        # an entry point takes numpy integer seeds; the salted key of one
+        # overflowed int64 at the first retry
+        assert next(retry_primes(np.int64(1), 0)) == next(retry_primes(1, 0))
+        near = [
+            uniform_f2().increment_indices(40, seed, range(2)).tolist()
+            for seed in (2**63, 2**63 + 1, 2**64 - 1, 0)
+        ]
+        assert all(a != b for a, b in itertools.combinations(near, 2))
 
 
 def test_determinism_and_trial_independence():
@@ -271,17 +343,30 @@ def test_path_observable_examples():
     assert oracle.translation_length_estimate(w, 4) == 3.0
 
 
+def _block(words):
+    """The folded block ``(stack, length)`` of the reduced words ``words``,
+    as walk.fold_words returns one."""
+    length = np.array([len(w) for w in words], dtype=np.int64)
+    stack = np.zeros((len(words), length.max(initial=0)), dtype=np.int8)
+    for row, w in enumerate(words):
+        stack[row, : len(w)] = w
+    return stack, length
+
+
 def test_sym_gp_cross_check_with_word_prefix():
     # the tree fold's symmetric Gromov product of a reduced word is the
     # oracle's <w x, w^-1 x>_x at the walk's endpoint
     measure = uniform_f2()
     oracle = measure.oracle
+    words, products = [], []
     for trial in range(25):
         path = sample_path(measure, 40, seed=77, trial=trial)
         w, w_inverse = path.endpoints[40]
         got = orbit_gromov_product(oracle, w, w_inverse)
-        assert _sym_gp_of_word(np.array(w, dtype=np.int8), 40) == {"sym_gp": got}
         assert got == _common_prefix_length(w, W.invert(w))
+        words.append(w)
+        products.append(got)
+    assert _sym_gp_of_word(_block(words), 40) == {"sym_gp": products}
 
 
 @st.composite
@@ -302,7 +387,8 @@ def _reduced_words(draw):
 @example(w=(2, 1, -2))
 def test_tree_translation_reads_tau_off_the_symmetric_prefix(w):
     # tau = |w| - 2 sym_gp, as w = p c p^-1 with |p| = sym_gp and tau = |c|
-    row = _obs_tree_translation(w, len(w))
+    columns = _obs_tree_translation(_block([w]), len(w))
+    row = {field: column[0] for field, column in columns.items()}
     sym_gp = _common_prefix_length(w, W.invert(w))
     assert row == {"d": len(w), "tau": W.translation_length(w), "sym_gp": sym_gp}
     assert row["tau"] == len(W.power(w, 2)) - len(w)  # |w^2| = |w| + |c|
@@ -487,3 +573,72 @@ def test_displacement_bounded_by_step_count():
             d <= i * measure.bounded_displacement + 1e-12
             for i, d in enumerate(path.displacements)
         )
+
+
+def _stack_reduce(words):
+    """The free reduction of the concatenated ``words``, one letter at a
+    time on a Python stack."""
+    stack = []
+    for word in words:
+        for letter in word:
+            if stack and stack[-1] == -letter:
+                stack.pop()
+            else:
+                stack.append(letter)
+    return tuple(stack)
+
+
+@st.composite
+def _unequal_atoms(draw):
+    """Reduced atoms of 0-3 letters over ranks up to 300, so that some
+    letters need int16, with an empty and a 3-letter atom always present."""
+    rank = draw(st.sampled_from([2, 5, 126, 127, 300]))
+    letters = st.integers(1, rank).flatmap(lambda g: st.sampled_from([g, -g]))
+    atoms = draw(st.lists(st.lists(letters, max_size=3), min_size=1, max_size=5))
+    atoms = [W.reduce_letters(a) for a in atoms]
+    atoms += [(), W.reduce_letters([rank, rank, -1])]
+    return rank, atoms
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    spec=_unequal_atoms(),
+    walks=st.integers(1, 6),
+    steps=st.integers(1, 140),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_fold_on_squares_matches_a_stack_reduction(spec, walks, steps, seed, data):
+    # atoms of unequal length fold on squares (x -> x x, shortfalls filled
+    # with z z^-1 pairs of a fresh letter): the words read at every other
+    # letter are the free reductions, at any marks
+    rank, atoms = spec
+    weight = Fraction(1, len(atoms))
+    measure = FiniteMeasure(
+        FreeGroupOracle(rank), [(str(i), a, weight) for i, a in enumerate(atoms)]
+    )
+    indices = np.random.default_rng(seed).integers(0, len(atoms), size=(walks, steps))
+    marks = sorted(data.draw(st.sets(st.integers(1, steps), min_size=1, max_size=4)))
+    for mark, (stack, length) in zip(marks, fold_words(measure, indices, marks)):
+        assert stack.shape[1] == length.max()
+        for row in range(walks):
+            expected = _stack_reduce(atoms[i] for i in indices[row, :mark])
+            assert tuple(stack[row, : length[row]].tolist()) == expected
+
+
+def test_fold_views_copy_nothing():
+    # the stride-2 tops and the last mark's strided snapshot are views of
+    # the one flat stack: the fold's peak is near that stack, (walks + 1)
+    # rows of 2 * (steps // 2 + 1) letters
+    measure = uniform_f2()
+    walks = steps = 2000
+    indices = np.random.default_rng(5).integers(0, 4, size=(walks, steps)).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        ((stack, length),) = fold_words(measure, indices, [steps])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    full = (walks + 1) * 2 * (steps // 2 + 1)
+    assert full <= peak < 1.25 * full
+    assert stack.base is not None and length.max() > steps // 3
