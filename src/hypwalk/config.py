@@ -1,6 +1,6 @@
-"""Experiment configuration: a JSON document checked against a published
-schema and compiled, in the same pass, into a model, a measure, and an
-estimator call.
+"""Experiment configuration: a JSON document checked against the schema that
+README's command-line section spells out, and compiled, in the same pass,
+into a model, a measure, and an estimator call.
 
 The format is deliberately small and strict: unknown keys are rejected with
 the offending field path, weights are exact rational strings ("1/4"), and
@@ -48,49 +48,15 @@ _ENTRY_POINTS = {
     "cremona_exactness": "cremona_exactness",
 }
 
-#: The Cremona generator vocabulary: each name, and the one key its spec
-#: holds beside ``name``, with that key's value.
+#: The Cremona generator vocabulary: each name, and the keys its spec holds
+#: beside ``name`` (one at most).
 _GENERATORS = {
     "sigma": (),
-    "henon": ("n", "int >= 2"),
-    "linear": ("entries", "9 ints"),
-    "monomial": ("matrix", "4 ints"),
-    "compose": ("factors", "[specs]"),
-    "inverse": ("of", "spec"),
-}
-
-#: Human-readable schema contract (documentation; reports do not embed it).
-SCHEMA = {
-    "experiment": "one of: " + ", ".join(_ENTRY_POINTS),
-    "seed": "unsigned 64-bit integer",
-    "model": {
-        "type": "free | semidirect | cremona | monomial",
-        "rank": "free/semidirect: number of free generators (>= 2)",
-        "torsion": {"type": "cyclic", "order": "int >= 1"},
-        "actions": "semidirect: one action per generator: "
-        '{"type": "identity"} or {"type": "multiplier", "value": int}',
-        "primes": "cremona: nonempty list of distinct coefficient primes below 2^31",
-        "degree_cap": "cremona: composition degree cap",
-    },
-    "measure": {
-        "atoms": [
-            {
-                "word": "free/semidirect: reduced word string, e.g. 'aB'",
-                "torsion": "semidirect: torsion index (default 0)",
-                "gen": "cremona: generator spec {'name': NAME, KEY: VALUE}: "
-                + ", ".join(
-                    f"{name} ({arg[0]}: {arg[1]})" if arg else name
-                    for name, arg in _GENERATORS.items()
-                ),
-                "matrix": "monomial model: [a, b, c, d]",
-                "weight": "exact rational string, e.g. '1/4'",
-            }
-        ],
-        "attest_non_elementary": "bool (user attestation)",
-        "attest_wpd": "bool (user attestation)",
-    },
-    "params": "keyword arguments of the experiment's entry point in "
-    "hypwalk.experiments, less measure, seed and jobs",
+    "henon": ("n",),
+    "linear": ("entries",),
+    "monomial": ("matrix",),
+    "compose": ("factors",),
+    "inverse": ("of",),
 }
 
 _MODEL_KEYS = {
@@ -158,9 +124,10 @@ def validate_config(config: dict):
     # imported here: building a model or a measure alone does not need it
     from . import experiments
 
-    # looked up at call time, so that a wrapper installed there is called
+    # looked up at call time, so that a wrapper installed there is called;
+    # its signature, annotations evaluated, is the one experiments keeps
     entry = getattr(experiments, _ENTRY_POINTS[name])
-    parameters = inspect.signature(entry, eval_str=True).parameters
+    parameters = inspect.signature(entry).parameters
     seed = config["seed"]
     _require(
         is_int(seed, 0) and seed < 2**64,
@@ -298,7 +265,7 @@ def _generator(model: CremonaModel, spec, path: str):
         f"{path}.name",
         f"unknown generator {name!r} ({', '.join(_GENERATORS)})",
     )
-    _check_keys(spec, {"name", *_GENERATORS[name][:1]}, path)
+    _check_keys(spec, {"name", *_GENERATORS[name]}, path)
     if name == "sigma":
         return model.sigma(), name
     if name == "henon":

@@ -152,7 +152,7 @@ def linear_triple(entries, p: int) -> Triple:
 def linear_inverse_entries(entries, p: int) -> list[int]:
     m = [[entries[3 * r + c] % p for c in range(3)] for r in range(3)]
     det = _det3(m, p)
-    det_inv = pow(det, p - 2, p)
+    det_inv = pow(det, -1, p)
     cof = [
         [
             (m[(r + 1) % 3][(c + 1) % 3] * m[(r + 2) % 3][(c + 2) % 3]

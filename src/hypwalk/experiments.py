@@ -171,7 +171,8 @@ def _check_arguments(arguments: dict, parameters) -> None:
 
 def _checked(entry):
     """The entry point ``entry``, running :func:`_check_arguments` on the
-    arguments of each call before any walk."""
+    arguments of each call before any walk.  The wrapper's ``__signature__``
+    is the entry's, its annotations evaluated once, here."""
     signature = inspect.signature(entry, eval_str=True)
 
     @wraps(entry)
@@ -180,6 +181,7 @@ def _checked(entry):
         _check_arguments(arguments, signature.parameters)
         return entry(*args, **kwargs)
 
+    checked.__signature__ = signature
     return checked
 
 

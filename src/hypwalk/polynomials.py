@@ -15,7 +15,9 @@ per row of the operand with fewer rows, reduced mod p.  It and
 exact-product rule, stated next to them, that holds for every prime
 p < 2^31: the 31-bit primes drawn by the bad-prime retry policy are as safe
 as the default ones.  Exact division by a one-term divisor is a shift of
-the box, scaled by the inverse of the divisor's coefficient.
+the box, scaled by the inverse of the divisor's coefficient.  Every inverse
+mod p is Python's ``pow(a, -1, p)`` of a nonzero residue (a zero one raises
+``ValueError``).
 
 The gcd layer has a front and a core.  The front, :func:`group_gcds`,
 takes groups of polys by index: the pairs of a Cremona letter step (see
@@ -67,10 +69,6 @@ SECOND_PRIME = 1000033
 # in X gives the same line: (t + a, b t + c', 1) is (t, b t + c' - a b, 1)
 # after t -> t - a.
 _CERT_LINES = ((2, 1), (7, -24))
-
-
-def _inv_mod(a: int, p: int) -> int:
-    return pow(a, p - 2, p)
 
 
 # The exact-product rule.  Every product of residue arrays is a float64 BLAS
@@ -425,7 +423,7 @@ def divexact(f: HomPoly3, g: HomPoly3):
             return None  # some term of f has fewer Z than g
         q = _shift_exponents(f, (*g.corner, z))
         c = int(g.box[0, 0])
-        return q if c == 1 else q.scale(_inv_mod(c, f.p))
+        return q if c == 1 else q.scale(pow(c, -1, f.p))
     q = _divexact_dense(f.box, g.box, f.p, degree - sum(corner))
     if q is None:
         return None
@@ -558,7 +556,7 @@ def _ugcd_ints(u: list, v: list, p: int) -> list:
     while v:
         u, v = v, _udivmod(u, v, p)[1]
     if u and u[-1] != 1:
-        inv = _inv_mod(u[-1], p)
+        inv = pow(u[-1], -1, p)
         u = [c * inv % p for c in u]
     return u
 
@@ -568,7 +566,7 @@ def _udivmod(u: list, v: list, p: int) -> tuple[list, list]:
     (exact for every p), low coefficient first; v has no trailing zeros,
     and neither has the remainder."""
     n = len(v) - 1
-    inv = _inv_mod(v[-1], p)
+    inv = pow(v[-1], -1, p)
     r = list(u)
     q = [0] * max(len(r) - n, 0)
     for top in range(len(r) - 1, n - 1, -1):
@@ -592,7 +590,7 @@ def _ugcd_rows(u: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
         if u.size >= n:
             # u mod v: each step clears the top coefficient exactly, so the
             # remainder is trimmed once, below the degree of v
-            lc_inv = _inv_mod(int(v[-1]), p)
+            lc_inv = pow(int(v[-1]), -1, p)
             u = u.copy()
             for top in range(u.size - 1, n - 2, -1):
                 factor = int(u[top]) * lc_inv % p
@@ -603,7 +601,7 @@ def _ugcd_rows(u: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
             u = _utrim(u[: n - 1])
         u, v = v, u
     if u.size:
-        u = (u * _inv_mod(int(u[-1]), p)) % p
+        u = (u * pow(int(u[-1]), -1, p)) % p
     return u
 
 
@@ -715,7 +713,7 @@ def gcd3(p1: HomPoly3, p2: HomPoly3, p3: HomPoly3, quotients: list | None = None
     def monic(rest: np.ndarray) -> HomPoly3:
         """X^si Y^sj Z^sl times rest, with graded-lex leading coefficient 1."""
         gcd_poly = HomPoly3._from_array(_max_ij(rest) + sum(shift), rest, p, shift[:2])
-        return gcd_poly.scale(_inv_mod(gcd_poly._leading_coefficient(), p))
+        return gcd_poly.scale(pow(gcd_poly._leading_coefficient(), -1, p))
 
     gcd_poly = HomPoly3.monomial(*shift, 1, p)
     boxes = [q.box for q in polys] if all(q.num_terms() > 1 for q in polys) else None
@@ -760,7 +758,7 @@ def normalize_triple(p1: HomPoly3, p2: HomPoly3, p3: HomPoly3, coprime: bool = F
         ((common, *parts),) = group_gcds((p1, p2, p3), ((0, 1, 2),))
         gcd_degree = common.degree
     lead = next(q._leading_coefficient() for q in parts if not q.is_zero())
-    scale = _inv_mod(lead, p1.p)
+    scale = pow(lead, -1, p1.p)
     return tuple(q.scale(scale) for q in parts), gcd_degree
 
 
@@ -803,7 +801,7 @@ def _primitive(arr: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     gcd of its rows; the primitive part is cut."""
     content = _content_y(arr, p)
     if content.size == 1:
-        return content, _cut(arr * _inv_mod(int(content[0]), p) % p)
+        return content, _cut(arr * pow(int(content[0]), -1, p) % p)
     return content, _cut(_divexact_dense(arr, content[None, :], p, sum(arr.shape)))
 
 
@@ -915,7 +913,7 @@ def _newton_interpolate(nodes: np.ndarray, table: np.ndarray, p: int) -> np.ndar
     diffs = table.copy()
     for level in range(1, n):
         denom = (nodes[level:] - nodes[:-level]) % p
-        inv = np.array([_inv_mod(int(d), p) for d in denom], dtype=np.int64)
+        inv = np.array([pow(int(d), -1, p) for d in denom], dtype=np.int64)
         diffs[level:] = ((diffs[level:] - diffs[level - 1 : -1]) * inv[:, None]) % p
     # Horner expansion: G(y) = c_0 + (y - y_0)(c_1 + (y - y_1)(...))
     out = np.zeros((n, width), dtype=np.int64)

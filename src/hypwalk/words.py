@@ -96,23 +96,14 @@ def translation_length(w: Word) -> int:
 def primitive_root(core: Word) -> Word:
     """Smallest ``r`` with ``core == r^k`` (core must be cyclically reduced).
 
-    Uses the KMP failure function: the smallest period dividing the length.
+    A word equals its rotation by ``len(r)`` exactly when it is a power of
+    ``r``, so ``len(r)`` is the first letter offset past 0 at which ``core``
+    recurs in ``core + core``: one byte search (:func:`_find`).
     """
-    n = len(core)
-    if n == 0:
+    if not core:
         return core
-    fail = [0] * (n + 1)
-    k = 0
-    for i in range(1, n):
-        while k and core[i] != core[k]:
-            k = fail[k]
-        if core[i] == core[k]:
-            k += 1
-        fail[i + 1] = k
-    period = n - fail[n]
-    if n % period == 0:
-        return core[:period]
-    return core
+    data, width = letter_bytes(core)
+    return core[: _find(data + data, data, width, 1, 2 * len(core))]
 
 
 def word_to_str(w: Word) -> str:

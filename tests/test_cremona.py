@@ -468,6 +468,16 @@ def test_henon_power_at_a_31_bit_prime_matches_sympy():
 _ORACLE_PRIMES = (1000003, 2083116181, 2, 3, 5)
 
 
+@pytest.mark.parametrize("p", _ORACLE_PRIMES + (2**31 - 1,))
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-(2**40), 2**40), min_size=9, max_size=9))
+def test_linear_inverse_entries_invert_the_matrix_mod_p(p, entries):
+    m = sympy.Matrix(3, 3, entries)
+    assume(m.det() % p)
+    inverse = sympy.Matrix(3, 3, cremona.linear_inverse_entries(entries, p))
+    assert (m * inverse).applyfunc(lambda c: c % p) == sympy.eye(3)
+
+
 def _letter_triple(model, letter, prime):
     """The normalized triple of a generator letter, as its atom stores it."""
     atom = model._atoms[abs(letter) - 1]

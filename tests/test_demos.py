@@ -1,5 +1,6 @@
 """Every demo script, and every fenced ``python`` block of README.md, runs to
-completion against the source tree."""
+completion against the source tree; README's command-line section names
+every name the config layer accepts."""
 
 import os
 import re
@@ -8,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from hypwalk import config
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -32,3 +35,19 @@ def test_demo_exits_zero(demo):
 )
 def test_readme_python_block_exits_zero(block):
     _run([sys.executable, "-c", block])
+
+
+def test_readme_names_every_config_name():
+    text = (ROOT / "README.md").read_text()
+    section = text[text.index("## Command-line runner") : text.index("## Reproducibility")]
+    prose = re.sub(r"^```.*?^```", "", section, flags=re.M | re.S)
+    named = set(re.findall(r"`([^`]+)`", prose))
+    accepted = {"experiment", "seed", "model", "measure", "params", *config._ENTRY_POINTS}
+    for mtype, keys in config._MODEL_KEYS.items():
+        accepted |= {mtype, *keys}
+    for name, keys in config._GENERATORS.items():
+        accepted |= {name, *keys}
+    accepted |= {"cyclic", "order", "identity", "multiplier", "value"}  # torsion, actions
+    accepted |= {"atoms", "attest_non_elementary", "attest_wpd"}  # measure
+    accepted |= {"word", "torsion", "gen", "matrix", "weight", "name"}  # atoms, specs
+    assert sorted(accepted - named) == []

@@ -816,7 +816,7 @@ def test_normalize_triple_proves_a_coprime_triple_without_gcd3(monkeypatch):
     (q1, q2, q3), dropped = normalize_triple(*triple)
     assert dropped == 0 and calls["certificate"] == 1 and calls["gcd3"] == 0
     assert calls["restrictions"] and not any(calls["restrictions"])
-    lead = polynomials._inv_mod(triple[0]._leading_coefficient(), DEFAULT_PRIME)
+    lead = pow(triple[0]._leading_coefficient(), -1, DEFAULT_PRIME)
     assert (q1, q2, q3) == tuple(q.scale(lead) for q in triple)
 
 

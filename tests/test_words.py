@@ -2,6 +2,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypwalk import words as W
 from hypwalk.errors import InputError
@@ -64,6 +66,19 @@ def test_primitive_root():
     assert W.primitive_root(W.str_to_word("abab")) == W.str_to_word("ab")
     assert W.primitive_root(W.str_to_word("aab")) == W.str_to_word("aab")
     assert W.primitive_root(W.str_to_word("aaa")) == W.str_to_word("a")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from([1, -1, 2, -2, 127, -128, 300, -300]), max_size=8),
+    st.integers(1, 5),
+)
+def test_primitive_root_is_the_shortest_root(root, k):
+    # -128 and +-300 take eight bytes a letter in the byte search, the rest one
+    core = tuple(root) * k
+    n = len(core)
+    shortest = next((core[:d] for d in range(1, n + 1) if core[:d] * (n // d) == core), ())
+    assert W.primitive_root(core) == shortest
 
 
 def test_word_str_roundtrip():
