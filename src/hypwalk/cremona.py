@@ -21,9 +21,9 @@ polynomial work happens; the resulting map is identical, since the
 normalized coprime triple of a map is unique).  An inverse is its reversed
 word and the degree of the map it inverts (a plane Cremona map and its
 inverse have the same degree); its coordinates are composed from the word
-the first time something reads them.  An unlucky coefficient prime
-announces itself either as a composed triple collapsing to zero or as a
-degree disagreement between the tracked primes; both raise
+the first time something reads them, and so are a generator's.  An unlucky
+coefficient prime announces itself either as a composed triple collapsing
+to zero or as a degree disagreement between the tracked primes; both raise
 :class:`~hypwalk.errors.BadPrimeSignal` so that trial runners can retry at
 fresh primes.
 
@@ -56,30 +56,70 @@ the others (a group with a monomial coordinate, or one the certificate does
 not prove) through ``gcd3``.  Every other quotient goes through
 ``divexact`` (a shift for a monomial divisor), and an inexact one raises
 :class:`~hypwalk.errors.BadPrimeSignal`.  The normalized coprime triple of
-a map is unique, so the rule changes no result, only the work.
+a map is unique, so the rule changes no result, only the work.  The rule
+is algebra in a unique factorization domain, so it holds for triples of
+forms in two variables too, as the tracks on a line below are.
 
-The composition memo.  A reduced word is composed onto the identity one
+Tracks on a line.  A track is a map at one prime, composed onto that
+prime's frame, the identity's track (:func:`frame`).  From the prime
+``_LINE_PRIME_MIN`` = 2^16 on, the frame is the identity restricted to a
+line l_p(t:u) = t (a, b, 0) + u (c, d, 1): three linear forms in Y and Z,
+which stand for t and u, with a, b, c and d drawn from a generator seeded
+with p.  Below it the frame is the plane (X, Y, Z).  On a line every
+coordinate is a binary form, a one-row box of the polynomial layer, so a
+letter step's products are 1-D and its gcds univariate, through the same
+functions.  What a line track holds:
+
+* A letter step's normalized triple is the reduced restriction of the
+  reduced composite: (s o R) restricted to l is s o (R restricted to l),
+  and s o (e h) = e^(deg s) (s o h) for a form e, so the factor a track
+  has lost to an earlier step changes nothing later.
+* That restriction has the composite's degree unless l_p passes through one
+  of its base points (a miss).  A map of degree d has at most 3(d - 1) of
+  them, by Noether's equations (Alberich-Carraminana, 2002), and a line of
+  P^2(GF(p)) passes through a given point with probability below 1/p.
+* A miss lowers that one step's degree at one prime and leaves no trace on
+  later steps.  The two primes' agreement check turns it into
+  :class:`~hypwalk.errors.BadPrimeSignal`, and the retry policy walks again
+  at fresh primes, so on fresh lines.
+* ab != 0 and ad != bc keep l_p off [1:0:0], [0:1:0] and [0:0:1], the base
+  points of sigma, of the Henon letters and of the monomial maps, so no
+  generator's own track misses.
+
+The frame is a function of p alone, so a model is fixed by its primes, and
+:meth:`CremonaModel.respawn` at fresh primes gets fresh lines.  Below 2^16
+a line misses too often: GF(3) has 13 lines, and the compositions made
+while a measure is built, which no retry covers, met misses at p = 3 and
+5.  :meth:`CremonaElement.triple` returns a map's track at one prime: its
+coordinates on the plane, the forms of its restriction on a line.  Elements
+are equal when their degrees and tracks are.  Two maps of degree d that
+differ have a nonzero 2x2 minor f_i g_j - f_j g_i, a curve of degree 2d,
+and they agree on l_p only when l_p is one of the at most 2d lines in it,
+among the p^2 + p + 1 lines of the plane: a Schwartz-Zippel style identity
+test (Schwartz, J. ACM 1980).
+
+The composition memo.  A reduced word is composed onto the frames one
 letter at a time, last letter first, so the states on the way are the
 word's suffixes, whatever product, power or inverse reached the word.  Each
 model keeps the states it has composed in one dict keyed by reduced word
 (a self-inverse letter is written one way, so one map has one key), and
-every composition (a product, a power, a rebuilt element, a lazy inverse's
-coordinates) probes the suffixes of its word, longest first, and composes
-only the letters in front of the first one held, storing each new state.
-The identity is always held.  The words composed are short (at most 14
-letters in any preset), so the probes cost microseconds against the
-milliseconds of a letter step.  A state is stored only after its letter
-step has passed the degree cap (checked on the letter's raw degree, its
-degree times the running degree) and the primes have agreed on its degree,
-or, for a generator's own tracks, when the generator is made with a degree
-within the cap; the arithmetic is deterministic, so a stored state gives
-what composing again would, errors included.  The oldest state leaves the
-memo first, and a pickled model carries none.
+every composition (a product, a power, a rebuilt element, the tracks of a
+lazy inverse or a generator) probes the suffixes of its word, longest
+first, and composes only the letters in front of the first one held,
+storing each new state.  The identity, its frames, is always held.  The
+words composed are short (at most 14 letters in any preset), so the probes
+cost microseconds, less than a letter step.  A state is stored only after
+its letter step has passed the degree cap (checked on the letter's raw
+degree, its degree times the running degree) and the primes have agreed on
+its degree; the arithmetic is deterministic, so a stored state gives what
+composing again would, errors included.  The oldest state leaves the memo
+first, and a pickled model carries none.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 from .errors import BadPrimeSignal, InputError, ParamError, ResourceError
@@ -99,15 +139,51 @@ from .polynomials import (
 DEFAULT_DEGREE_CAP = 512
 
 #: The bytes of coefficient boxes one model's composition memo may hold,
-#: besides the identity's.  A state at the default degree cap is about 6 MB
-#: per prime.
+#: besides the identity's.  On a line a state at the default degree cap is
+#: at most three one-row boxes of 513 int64 per prime, 12 KB: Henon's h2^9,
+#: of degree 512, holds 6 KB per prime, and ``degree-growth-cremona`` stores
+#: 372 states of at most 7 KB, 327 KB in all.  On the plane a state at the
+#: cap is about 6 MB per prime.
 _MEMO_BYTES = 32 * 2**20
+
+#: The least prime whose frame is a line (see :func:`frame`); below it the
+#: frame is the plane.  A letter step of degree d misses at one prime with
+#: probability at most 3(d - 1)/p, 1533/p at the default cap: below 1/40
+#: from 2^16 on, the least power of two where that holds.  The primes a run
+#: takes by default (1000003, 1000033 and the 31-bit retry primes) are far
+#: above it, and the test primes 2, 3 and 5, where compositions made while
+#: a measure is built met misses, are below.
+_LINE_PRIME_MIN = 2**16
 
 Triple = tuple[HomPoly3, HomPoly3, HomPoly3]
 
 
 # ---------------------------------------------------------------------------
-# Generator coordinate triples.
+# Frames and generator coordinate triples.
+
+
+def frame(p: int) -> Triple:
+    """The identity map as a track at the prime p: the plane (X, Y, Z) below
+    ``_LINE_PRIME_MIN``, else the identity restricted to the line
+    l_p(t:u) = t (a, b, 0) + u (c, d, 1), written in (Y, Z) for (t, u), with
+    a, b, c and d drawn from a Mersenne Twister seeded with p.
+
+    ab != 0 and ad != bc keep l_p off [1:0:0], [0:1:0] and [0:0:1], the base
+    points of sigma, of the Henon letters and of the monomial maps, so that
+    no generator's own track misses."""
+    if p < _LINE_PRIME_MIN:
+        return tuple(HomPoly3.variable(k, p) for k in range(3))
+    draws = random.Random(p)
+    while True:
+        a, b, c, d = (draws.getrandbits(64) % p for _ in range(4))
+        if a * b * (a * d - b * c) % p:
+            break
+    forms = (
+        HomPoly3(1, {(0, 1, 0): a, (0, 0, 1): c}, p),
+        HomPoly3(1, {(0, 1, 0): b, (0, 0, 1): d}, p),
+        HomPoly3.variable(2, p),
+    )
+    return normalize_triple(*forms, coprime=True)[0]
 
 
 def sigma_triple(p: int) -> Triple:
@@ -330,13 +406,17 @@ class CremonaElement:
     ``word`` records the freely reduced generator word that built the map
     (positive letter = atom, negative = its inverse, and a self-inverse
     atom always positive), enough to rebuild the inverse map in closed
-    form.  Equality compares the maps themselves (the
-    normalized coordinate triples), not the words that built them.
+    form.  Equality compares the maps, not the words that built them: the
+    degrees and the normalized tracks, each the map composed onto its
+    prime's frame.  On a line frame that is the map's restriction, and two
+    distinct maps of degree d agree there only when the line lies on a
+    nonzero 2x2 minor of theirs, a curve of degree 2d (see the module
+    docstring).
 
     An element built without coordinates (``_tracks`` is None, as
-    :meth:`CremonaModel.inverse` builds them) holds its model and composes
-    ``tracks`` from ``word`` on first read.  That composition must give the
-    recorded degree; a disagreement raises
+    :meth:`CremonaModel.inverse` and the generators build them) holds its
+    model and composes ``tracks`` from ``word`` on first read.  That
+    composition must give the recorded degree; a disagreement raises
     :class:`~hypwalk.errors.BadPrimeSignal`, and the cap can raise
     :class:`~hypwalk.errors.ResourceError`.
     """
@@ -359,6 +439,9 @@ class CremonaElement:
         return self._tracks
 
     def triple(self, prime: int) -> Triple:
+        """The track at ``prime``: the map's coordinates when the prime's
+        frame is the plane, the forms in (Y, Z) of its restriction to the
+        prime's line otherwise."""
         for p, t in self.tracks:
             if p == prime:
                 return t
@@ -401,11 +484,9 @@ class CremonaModel(ActionOracle):
         self._atoms: list[GeneratorAtom] = []
         self._atom_index: dict[tuple, int] = {}
         # the composition memo: reduced word -> (tracks, degree), oldest
-        # first, and the bytes of its boxes besides the identity's
-        identity = tuple(
-            (p, tuple(HomPoly3.variable(k, p) for k in range(3))) for p in self.primes
-        )
-        self._memo = {(): (identity, 1)}
+        # first, and the bytes of its boxes besides the identity's, whose
+        # tracks are the frames every composition starts from
+        self._memo = {(): (tuple((p, frame(p)) for p in self.primes), 1)}
         self._memo_bytes = 0
 
     def __getstate__(self):
@@ -431,31 +512,22 @@ class CremonaModel(ActionOracle):
         self, spec, builder, inverse_builder, self_inverse, monomial=None
     ) -> CremonaElement:
         if spec not in self._atom_index:
-            # normalized like every composed triple, so that a map equals
-            # itself however it was built
+            # the outer triples of the letter's steps, which normalize what
+            # they compose
             triples, inverses = (
-                tuple(
-                    (p, normalize_triple(*build(p), coprime=True)[0])
-                    for p in self.primes
-                )
+                tuple((p, build(p)) for p in self.primes)
                 for build in (builder, inverse_builder)
             )
             degrees = {t[0].degree for _, t in triples}
             if len(degrees) != 1:
                 raise AssertionError("generator degree differs across primes")
-            atom = GeneratorAtom(
-                spec, triples, inverses, self_inverse, degrees.pop(), monomial
+            self._atoms.append(
+                GeneratorAtom(spec, triples, inverses, self_inverse, degrees.pop(), monomial)
             )
-            self._atoms.append(atom)
-            self._atom_index[spec] = index = len(self._atoms)
-            if atom.degree <= self.degree_cap:
-                # the generator's own tracks, which composing its letter onto
-                # the identity gives (the normalized triple is unique); past
-                # the cap that composition raises instead
-                self._store((index,), (triples, atom.degree))
+            self._atom_index[spec] = len(self._atoms)
         index = self._atom_index[spec]
-        atom = self._atoms[index - 1]
-        return CremonaElement((index,), atom.degree, atom.triples)
+        # its tracks are its letter composed onto the frames, on first read
+        return CremonaElement((index,), self._atoms[index - 1].degree, None, self)
 
     def sigma(self) -> CremonaElement:
         return self._intern(("sigma",), sigma_triple, sigma_triple, True)

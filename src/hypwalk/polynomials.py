@@ -299,8 +299,7 @@ class HomPoly3:
             raise InputError(
                 f"cannot add degrees {self.degree} and {other.degree}"
             )
-        out = (self._to_array() + other._to_array()) % self.p
-        return HomPoly3._from_array(self.degree, out, self.p)
+        return _sum_boxes(self.degree, [(1, q) for q in (self, other)], self.p)
 
     def neg(self) -> "HomPoly3":
         return self.scale(-1)
@@ -324,14 +323,6 @@ class HomPoly3:
         arr = _conv2d_mod(self.box, other.box, self.p)
         return HomPoly3._from_array(degree, arr, self.p, (ai + bi, aj + bj))
 
-    def _to_array(self) -> np.ndarray:
-        """Dense bivariate form: entry [i, j] is the coefficient of
-        X^i Y^j Z^(degree-i-j)."""
-        arr = np.zeros((self.degree + 1, self.degree + 1), dtype=np.int64)
-        (i0, j0), (rows, cols) = self.corner, self.box.shape
-        arr[i0 : i0 + rows, j0 : j0 + cols] = self.box
-        return arr
-
     def pow(self, n: int) -> "HomPoly3":
         if n < 0:
             raise InputError("negative power of a polynomial")
@@ -354,8 +345,8 @@ def substitute(poly: HomPoly3, triple) -> HomPoly3:
 
     The result is homogeneous of degree ``poly.degree * e``.  The powers of
     A, B and C that poly's monomials use, then each monomial's product of
-    them, are :meth:`HomPoly3.mul` products; the scaled terms are summed
-    into one array, cut to its box once.
+    them, are :meth:`HomPoly3.mul` products; the scaled terms are summed in
+    the union of their boxes, cut once.
     """
     a, b, c = triple
     if not (a.degree == b.degree == c.degree):
@@ -379,17 +370,31 @@ def substitute(poly: HomPoly3, triple) -> HomPoly3:
             ladder.append(ladder[-1].mul(base))
         ladders.append(ladder)
 
-    out = np.zeros((out_degree + 1, out_degree + 1), dtype=np.int64)
+    terms = []
     for key, coeff in zip(exponents.tolist(), poly.box[rows, cols].tolist()):
         if any(e > len(ladder) for e, ladder in zip(key, ladders)):
             continue  # a positive power of a zero coordinate
         factors = [ladder[e - 1] for e, ladder in zip(key, ladders) if e]
         term = reduce(HomPoly3.mul, factors) if factors else HomPoly3.monomial(0, 0, 0, 1, p)
-        (i0, j0), (height, width) = term.corner, term.box.shape
-        block = out[i0 : i0 + height, j0 : j0 + width]
-        block += coeff * term.box
+        terms.append((coeff, term))
+    return _sum_boxes(out_degree, terms, p)
+
+
+def _sum_boxes(degree: int, terms, p: int) -> HomPoly3:
+    """The sum of c q over ``terms``, pairs (c, q) of a residue and a poly of
+    ``degree``, added in the union of the nonzero boxes, cut once."""
+    terms = [(c, q) for c, q in terms if not q.is_zero()]
+    if not terms:
+        return HomPoly3.zero(degree, p)
+    low = [min(q.corner[k] for _, q in terms) for k in (0, 1)]
+    high = [max(q.corner[k] + q.box.shape[k] for _, q in terms) for k in (0, 1)]
+    out = np.zeros((high[0] - low[0], high[1] - low[1]), dtype=np.int64)
+    for c, q in terms:
+        (i0, j0), (rows, cols) = q.corner, q.box.shape
+        block = out[i0 - low[0] : i0 - low[0] + rows, j0 - low[1] : j0 - low[1] + cols]
+        block += c * q.box
         block %= p
-    return HomPoly3._from_array(out_degree, out, p)
+    return HomPoly3._from_array(degree, out, p, tuple(low))
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +504,8 @@ def _restrict_to_line(poly: HomPoly3, line: tuple[int, int]) -> np.ndarray:
     table that its Y-exponents cover: row r of ``W = box @ V`` is the part
     of the restriction from X^(i0+r), divided by t^(i0+r), so W[r, k] adds
     to the t^(i0+r+k) coefficient.  The antidiagonal sums of W, moved by
-    i0, are the coefficients; a row-skewed reshape lines each antidiagonal
-    up as a column.
+    i0, are the coefficients; a row-skewed reshape of the box's rows lines
+    each antidiagonal up as a column.
     """
     if poly.is_zero():
         return np.zeros(0, dtype=np.int64)
@@ -508,12 +513,14 @@ def _restrict_to_line(poly: HomPoly3, line: tuple[int, int]) -> np.ndarray:
     n = poly.degree + 1
     (i0, j0), (rows, cols) = poly.corner, poly.box.shape
     W = _matmul_mod(poly.box, _line_table(line, p, poly.degree)[j0 : j0 + cols], p)
-    # row m of the padded (n, 2n) matrix, read with row length 2n - 1,
-    # starts m places further right: entry (m, k) lands in column m + k
-    skewed = np.zeros((n, 2 * n), dtype=np.int64)
-    skewed[i0 : i0 + rows, :n] = W
-    sums = skewed.ravel()[: n * (2 * n - 1)].reshape(n, 2 * n - 1).sum(axis=0) % p
-    return _utrim(sums)
+    # row m of the padded (rows, n + rows) matrix, read with row length
+    # n + rows - 1, starts m places further right: entry (m, k) lands in
+    # column m + k; no column past n - 1 - i0 has a nonzero entry
+    width = n + rows - 1
+    skewed = np.zeros((rows, width + 1), dtype=np.int64)
+    skewed[:, :n] = W
+    sums = skewed.ravel()[: rows * width].reshape(rows, width).sum(axis=0) % p
+    return _utrim(np.concatenate((np.zeros(i0, dtype=np.int64), sums[: n - i0])))
 
 
 def _utrim(vec: np.ndarray) -> np.ndarray:

@@ -38,6 +38,13 @@ from hypwalk.walk import FiniteMeasure, sample_path
 GOLDEN3 = (3 + math.sqrt(5)) / 2  # spectral radius of [[2,1],[1,1]]
 
 
+def _plane_model(*args, **kwargs):
+    """A model whose tracks are its maps on the plane at every prime, for the
+    tests that read full coordinates."""
+    with mock.patch.object(cremona, "_LINE_PRIME_MIN", 2**31):
+        return CremonaModel(*args, **kwargs)
+
+
 @pytest.mark.parametrize(
     "primes", [(), (1000000, 1000002), (2305843009213693951, 1000003), (True, 1000003)]
 )
@@ -115,7 +122,7 @@ def test_self_inverse_letter_has_one_spelling(monkeypatch):
 
 
 def test_henon_generator_shape():
-    model = CremonaModel()
+    model = _plane_model()
     h = model.henon(2)
     assert h.degree == 2
     p = model.primes[0]
@@ -444,7 +451,7 @@ def test_henon_power_at_a_31_bit_prime_matches_sympy():
     # every product of this composition lies past the float64 bound at a
     # 31-bit retry prime, so the kernel runs on 16-bit halves throughout
     p = 2083116181
-    model = CremonaModel(primes=(p,))
+    model = _plane_model(primes=(p,))
     h64 = model.power(model.henon(2), 6)
     assert h64.degree == 64
     x, y, z = sympy.symbols("x y z")
@@ -479,7 +486,7 @@ def test_linear_inverse_entries_invert_the_matrix_mod_p(p, entries):
 
 
 def _letter_triple(model, letter, prime):
-    """The normalized triple of a generator letter, as its atom stores it."""
+    """The triple of a generator letter, as its atom stores it."""
     atom = model._atoms[abs(letter) - 1]
     return dict(atom.triples if letter > 0 else atom.inverse_triples)[prime]
 
@@ -543,7 +550,7 @@ def test_multiply_matches_substitution_into_the_inner_triple(p, data):
     # the outer words drop degree (their letter degrees multiply to more
     # than their degree), so the letter-by-letter fold of multiply is
     # checked against substituting the whole outer triple and gcd3
-    model = CremonaModel(primes=(p,))
+    model = _plane_model(primes=(p,))
     sigma, h2 = model.sigma(), model.henon(2)
     order = data.draw(st.permutations(range(3)))
     swap = model.linear([int(order[r] == c) for r in range(3) for c in range(3)])
@@ -652,17 +659,105 @@ def test_sigma_step_restricts_each_coordinate_once_per_line(monkeypatch):
     assert common.degree == 2 and divisors == [common] * 3  # that gcd3's check only
 
 
+# -- tracks on a line -----------------------------------------------------------
+
+
+def _line_test_atoms(model):
+    """Every letter kind: sigma, h2, h3, a linear map, a coordinate swap, the
+    shear and sigma's monomial matrix (the map sigma under another letter)."""
+    return [
+        model.sigma(),
+        model.henon(2),
+        model.henon(3),
+        model.linear([1, 2, 0, 0, 1, 3, 1, 0, 1]),
+        model.linear([0, 1, 0, 1, 0, 0, 0, 0, 1]),
+        model.monomial([1, 1, 0, 1]),
+        model.monomial([-1, 0, 0, -1]),
+    ]
+
+
+def _product_or_cap(model, atoms, letters):
+    """The product of the atoms ``letters`` names (an index and whether the
+    inverse is taken), or ResourceError when a letter step passes the cap."""
+    g = model.identity()
+    try:
+        for index, inverse in letters:
+            g = model.multiply(g, model.inverse(atoms[index]) if inverse else atoms[index])
+    except ResourceError:
+        return ResourceError
+    return g
+
+
+@pytest.mark.parametrize("primes", [(DEFAULT_PRIME, SECOND_PRIME), (2083116181, 2147483647)])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_line_tracks_give_the_plane_degrees_and_equalities(primes, data):
+    line, plane = CremonaModel(primes, degree_cap=64), _plane_model(primes, degree_cap=64)
+    assert all(t[0].box.shape[0] == 1 for _, t in line.identity().tracks)
+    letter = st.tuples(st.integers(0, 6), st.booleans())
+    words = [data.draw(st.lists(letter, max_size=6)) for _ in range(2)]
+    if data.draw(st.booleans()):
+        # the first word with sigma spelled by its monomial matrix: the same
+        # map, another word
+        words[1] = [(6 if index == 0 else index, inverse) for index, inverse in words[0]]
+    products = {}
+    for model in (line, plane):
+        atoms = _line_test_atoms(model)
+        products[model] = [_product_or_cap(model, atoms, word) for word in words]
+    for on_line, on_plane in zip(products[line], products[plane]):
+        if on_plane is ResourceError:
+            assert on_line is ResourceError
+        else:
+            assert on_line.word == on_plane.word and on_line.degree == on_plane.degree
+    if ResourceError not in products[plane]:
+        (u, v), (u_plane, v_plane) = products[line], products[plane]
+        assert (u == v) == (u_plane == v_plane)
+        assert (u == line.inverse(v)) == (u_plane == plane.inverse(v_plane))
+
+
+def test_a_line_through_a_base_point_drops_one_step_and_leaves_no_trace():
+    # the frame at P has ad = bc, so its line t (1, 2, 0) + u (3, 6, 1)
+    # passes through [0:0:1], a base point of sigma, at (t:u) = (-3:1)
+    P, Q = DEFAULT_PRIME, SECOND_PRIME
+    bad = normalize_triple(
+        HomPoly3(1, {(0, 1, 0): 1, (0, 0, 1): 3}, P),
+        HomPoly3(1, {(0, 1, 0): 2, (0, 0, 1): 6}, P),
+        HomPoly3.variable(2, P),
+        coprime=True,
+    )[0]
+    frame = cremona.frame
+    with mock.patch.object(cremona, "frame", lambda p: bad if p == P else frame(p)):
+        model = CremonaModel((P, Q))
+    frames = model.identity().tracks
+    sigma = model.sigma()
+    letter = sigma.word[0]
+    # sigma o l has the common factor Y + 3Z, so the step reads degree 1
+    missed = model._compose_letter(letter, 0, bad)
+    assert missed[0].degree == 1
+    assert model._compose_letter(letter, 1, frames[1][1])[0].degree == 2
+    # the other prime's line is good, so the step is a bad prime
+    with pytest.raises(BadPrimeSignal):
+        model._compose_tracks((letter,), frames, 1)
+    with pytest.raises(BadPrimeSignal):
+        sigma.tracks
+    # sigma o sigma is the identity, which has no base point: composed onto
+    # the missed track, sigma gives the frame back, at the identity's degree
+    # 1 on the plane
+    assert model._compose_letter(letter, 0, missed) == bad
+
+
 # -- the composition memo -------------------------------------------------------
 
 
 def _check_memo(model):
-    """The memo holds the identity, keys each state by its reduced word, and
-    counts exactly the box bytes of its other states, within the budget."""
+    """The memo holds the identity on each prime's frame (a line at these
+    primes: three linear forms in Y and Z), keys each state by its reduced
+    word, and counts exactly the box bytes of its other states, within the
+    budget."""
     memo = model._memo
-    identity = tuple(
-        (p, tuple(HomPoly3.variable(k, p) for k in range(3))) for p in model.primes
-    )
+    identity = tuple((p, cremona.frame(p)) for p in model.primes)
     assert memo[()] == (identity, 1)
+    assert all(q.corner[0] == 0 and q.box.shape[0] == 1 for _, t in identity for q in t)
     assert all(model._reduce_word(word) == word for word in memo)
     stored = sum(
         poly.box.nbytes for word in memo if word for _, t in memo[word][0] for poly in t
@@ -769,12 +864,20 @@ def test_memo_keeps_its_byte_budget_and_pickles_empty(monkeypatch):
 
 
 def test_memo_holds_each_generator_within_the_cap():
+    # a generator's tracks are its letter composed onto the frames when they
+    # are first read, and stored then, within the cap
     model = CremonaModel(degree_cap=4)
     h2, h8 = model.henon(2), model.henon(8)
-    assert list(model._memo.items())[1:] == [((1,), (h2.tracks, 2))]
-    # h8 is past the cap, so composing its letter still raises
+    assert list(model._memo) == [()]
+    tracks = h2.tracks
+    assert list(model._memo.items())[1:] == [((1,), (tracks, 2))]
+    # h8 is past the cap, so composing its letter still raises, and so does
+    # reading its tracks
     with pytest.raises(ResourceError):
         model.multiply(model.identity(), h8)
+    with pytest.raises(ResourceError):
+        h8.tracks
+    assert list(model._memo) == [(), (1,)]
 
 
 def test_memo_is_freed_with_its_model():

@@ -546,6 +546,14 @@ def test_matmul_mod_on_both_sides_of_the_float_bound(p, reductions):
         assert len(reductions) == (1 if p == DEFAULT_PRIME and n < 9008 else 4)
 
 
+def _dense(poly):
+    """Entry [i][j] is the coefficient of X^i Y^j Z^(degree-i-j)."""
+    arr = [[0] * (poly.degree + 1) for _ in range(poly.degree + 1)]
+    for (i, j, _), c in poly.terms():
+        arr[i][j] = c
+    return arr
+
+
 @pytest.mark.parametrize("p", _ORACLE_PRIMES)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
@@ -553,7 +561,7 @@ def test_mul_matches_integer_convolution(p, data):
     a = data.draw(_hompolys(p, 6))
     b = data.draw(_hompolys(p, 6))
     degree = a.degree + b.degree
-    expected = _conv2d_reference(a._to_array().tolist(), b._to_array().tolist(), p)
+    expected = _conv2d_reference(_dense(a), _dense(b), p)
     coeffs = {
         (i, j, degree - i - j): c
         for i, row in enumerate(expected)
@@ -669,6 +677,68 @@ def test_certificate_proves_what_the_shifted_lines_prove(p, data):
     groups = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 1, 2)]
     proved = polynomials.coprimality_certificate(polys, p, groups)
     assert proved == _proved_on_shifted_lines(polys, p, groups)
+
+
+@st.composite
+def _binary_forms(draw, p, max_degree, min_degree=0):
+    """A nonzero form in Y and Z alone, a one-row box, as the coordinates of
+    a Cremona track on a line are."""
+    degree = draw(st.integers(min_degree, max_degree))
+    coeffs = {
+        (0, j, degree - j): draw(st.sampled_from((0, 1, p - 1)) | st.integers(0, p - 1))
+        for j in range(degree + 1)
+    }
+    form = HomPoly3(degree, coeffs, p)
+    return HomPoly3.monomial(0, 0, degree, 1, p) if form.is_zero() else form
+
+
+def _sympy_gcd(polys):
+    return functools.reduce(sympy.Poly.gcd, [_to_sympy(q) for q in polys]).monic()
+
+
+@pytest.mark.parametrize("p", (DEFAULT_PRIME, P31))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_the_gcd_layer_is_exact_on_one_row_boxes(p, data):
+    # three forms in (Y, Z) with planted common factors and monomial
+    # contents: each rest keeps its degree on both certificate lines (it has
+    # a Y^d term, and both lines have b != 0), so the certificate proves a
+    # group exactly when the group's gcd is 1; the gcds, the quotients and
+    # the normalized triple are sympy's
+    planted = [data.draw(_binary_forms(p, 3, min_degree=1)) for _ in range(2)]
+    forms = []
+    for _ in range(3):
+        form = data.draw(_binary_forms(p, 4))
+        for common in planted:
+            if data.draw(st.booleans()):
+                form = form.mul(common)
+        y, z = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+        forms.append(form.mul(HomPoly3.monomial(0, y, z, 1, p)))
+    groups = [(0, 1), (0, 2), (1, 2), (0, 1, 2)]
+
+    rests = [polynomials._shift_exponents(f, polynomials._monomial_content([f])) for f in forms]
+    for rest in rests:
+        assert rest.box.shape[0] == 1
+        for line in polynomials._CERT_LINES:
+            assert _restrict_to_line(rest, line).size == rest.degree + 1
+    coprime = {g for g in groups if _sympy_gcd([rests[k] for k in g]).total_degree() == 0}
+    assert polynomials.coprimality_certificate(rests, p, groups) == coprime
+
+    for group, (common, *quotients) in zip(groups, polynomials.group_gcds(forms, groups)):
+        expected = _sympy_gcd([forms[k] for k in group])
+        assert common == _from_sympy(expected, expected.total_degree(), p)
+        for k, quotient in zip(group, quotients):
+            q = _to_sympy(forms[k]).exquo(expected)
+            assert quotient == _from_sympy(q, forms[k].degree - common.degree, p)
+
+    g = _sympy_gcd(forms)
+    quotients = [_to_sympy(f).exquo(g) for f in forms]
+    scale = pow(int(quotients[0].LC()) % p, -1, p)
+    expected = tuple(
+        _from_sympy(q * scale, f.degree - g.total_degree(), p)
+        for q, f in zip(quotients, forms)
+    )
+    assert normalize_triple(*forms) == (expected, g.total_degree())
 
 
 def _upolyval_many(rows, points, p):
