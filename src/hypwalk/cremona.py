@@ -61,14 +61,12 @@ is algebra in a unique factorization domain, so it holds for triples of
 forms in two variables too, as the tracks on a line below are.
 
 Tracks on a line.  A track is a map at one prime, composed onto that
-prime's frame, the identity's track (:func:`frame`).  From the prime
-``_LINE_PRIME_MIN`` = 2^16 on, the frame is the identity restricted to a
-line l_p(t:u) = t (a, b, 0) + u (c, d, 1): three linear forms in Y and Z,
-which stand for t and u, with a, b, c and d drawn from a generator seeded
-with p.  Below it the frame is the plane (X, Y, Z).  On a line every
-coordinate is a binary form, a one-row box of the polynomial layer, so a
-letter step's products are 1-D and its gcds univariate, through the same
-functions.  What a line track holds:
+prime's frame, the identity's track (:func:`frame`): the identity
+restricted to a line l_p(t:u) = t (a, b, 0) + u (c, d, 1), three linear
+forms in Y and Z, which stand for t and u, with a, b, c and d drawn from a
+generator seeded with p.  Every coordinate of a track is a binary form, a
+one-row box of the polynomial layer, so a letter step's products are 1-D
+and its gcds univariate.  What a line track holds:
 
 * A letter step's normalized triple is the reduced restriction of the
   reduced composite: (s o R) restricted to l is s o (R restricted to l),
@@ -87,16 +85,17 @@ functions.  What a line track holds:
   generator's own track misses.
 
 The frame is a function of p alone, so a model is fixed by its primes, and
-:meth:`CremonaModel.respawn` at fresh primes gets fresh lines.  Below 2^16
-a line misses too often: GF(3) has 13 lines, and the compositions made
-while a measure is built, which no retry covers, met misses at p = 3 and
-5.  :meth:`CremonaElement.triple` returns a map's track at one prime: its
-coordinates on the plane, the forms of its restriction on a line.  Elements
-are equal when their degrees and tracks are.  Two maps of degree d that
-differ have a nonzero 2x2 minor f_i g_j - f_j g_i, a curve of degree 2d,
-and they agree on l_p only when l_p is one of the at most 2d lines in it,
-among the p^2 + p + 1 lines of the plane: a Schwartz-Zippel style identity
-test (Schwartz, J. ACM 1980).
+:meth:`CremonaModel.respawn` at fresh primes gets fresh lines.  A model
+takes no prime below ``_LINE_PRIME_MIN`` = 2^16, where a line misses too
+often: GF(3) has 13 lines, so both tracked primes can miss the same base
+point and agree on a wrong degree, which the agreement check cannot see.
+:meth:`CremonaElement.triple` returns a map's track at one prime, the forms
+of its restriction to the prime's line.  Elements are equal when their
+degrees and tracks are.  Two maps of degree d that differ have a nonzero
+2x2 minor f_i g_j - f_j g_i, a curve of degree 2d, and they agree on l_p
+only when l_p is one of the at most 2d lines in it, among the p^2 + p + 1
+lines of the plane: a Schwartz-Zippel style identity test (Schwartz,
+J. ACM 1980).
 
 The composition memo.  A reduced word is composed onto the frames one
 letter at a time, last letter first, so the states on the way are the
@@ -142,17 +141,15 @@ DEFAULT_DEGREE_CAP = 512
 #: besides the identity's.  On a line a state at the default degree cap is
 #: at most three one-row boxes of 513 int64 per prime, 12 KB: Henon's h2^9,
 #: of degree 512, holds 6 KB per prime, and ``degree-growth-cremona`` stores
-#: 372 states of at most 7 KB, 327 KB in all.  On the plane a state at the
-#: cap is about 6 MB per prime.
+#: 372 states of at most 7 KB, 327 KB in all.
 _MEMO_BYTES = 32 * 2**20
 
-#: The least prime whose frame is a line (see :func:`frame`); below it the
-#: frame is the plane.  A letter step of degree d misses at one prime with
-#: probability at most 3(d - 1)/p, 1533/p at the default cap: below 1/40
-#: from 2^16 on, the least power of two where that holds.  The primes a run
-#: takes by default (1000003, 1000033 and the 31-bit retry primes) are far
-#: above it, and the test primes 2, 3 and 5, where compositions made while
-#: a measure is built met misses, are below.
+#: The least prime a :class:`CremonaModel` takes.  A letter step of degree
+#: d misses at one prime (its line passes through a base point of the
+#: composite) with probability at most 3(d - 1)/p, 1533/p at the default
+#: cap: below 1/40 from 2^16 on, the least power of two where that holds.
+#: The primes a run takes by default (1000003, 1000033 and the 31-bit retry
+#: primes) are far above it.
 _LINE_PRIME_MIN = 2**16
 
 Triple = tuple[HomPoly3, HomPoly3, HomPoly3]
@@ -163,16 +160,13 @@ Triple = tuple[HomPoly3, HomPoly3, HomPoly3]
 
 
 def frame(p: int) -> Triple:
-    """The identity map as a track at the prime p: the plane (X, Y, Z) below
-    ``_LINE_PRIME_MIN``, else the identity restricted to the line
-    l_p(t:u) = t (a, b, 0) + u (c, d, 1), written in (Y, Z) for (t, u), with
-    a, b, c and d drawn from a Mersenne Twister seeded with p.
+    """The identity map as a track at the prime p: its restriction to the
+    line l_p(t:u) = t (a, b, 0) + u (c, d, 1), written in (Y, Z) for (t, u),
+    with a, b, c and d drawn from a Mersenne Twister seeded with p.
 
     ab != 0 and ad != bc keep l_p off [1:0:0], [0:1:0] and [0:0:1], the base
     points of sigma, of the Henon letters and of the monomial maps, so that
     no generator's own track misses."""
-    if p < _LINE_PRIME_MIN:
-        return tuple(HomPoly3.variable(k, p) for k in range(3))
     draws = random.Random(p)
     while True:
         a, b, c, d = (draws.getrandbits(64) % p for _ in range(4))
@@ -439,9 +433,8 @@ class CremonaElement:
         return self._tracks
 
     def triple(self, prime: int) -> Triple:
-        """The track at ``prime``: the map's coordinates when the prime's
-        frame is the plane, the forms in (Y, Z) of its restriction to the
-        prime's line otherwise."""
+        """The track at ``prime``: the forms in (Y, Z) of the map's
+        restriction to the prime's line (see :func:`frame`)."""
         for p, t in self.tracks:
             if p == prime:
                 return t
@@ -469,13 +462,14 @@ class CremonaModel(ActionOracle):
         primes: tuple[int, ...] = (DEFAULT_PRIME, SECOND_PRIME),
         degree_cap: int = DEFAULT_DEGREE_CAP,
     ):
-        # below 2^31, the bound of the exact-product rule of hypwalk.polynomials
+        # from 2^16 (see _LINE_PRIME_MIN) and below 2^31, the bound of the
+        # exact-product rule of hypwalk.polynomials
         if not (
             isinstance(primes, (list, tuple))
             and primes
-            and all(is_int(p) and p < 2**31 and is_prime(p) for p in primes)
+            and all(is_int(p) and _LINE_PRIME_MIN <= p < 2**31 and is_prime(p) for p in primes)
         ):
-            raise ParamError("primes", "must be a nonempty list of primes below 2^31")
+            raise ParamError("primes", "must be a nonempty list of primes in [2^16, 2^31)")
         if len(set(primes)) != len(primes):
             raise ParamError("primes", "must not repeat a prime")
         check_int("degree_cap", degree_cap, 2)

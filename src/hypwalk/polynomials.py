@@ -7,45 +7,42 @@ coefficient of X^i Y^j Z^(d-i-j) for (i, j) = corner + (a, b); the
 Z-exponent follows from the degree.  The zero polynomial is an empty box
 that keeps its degree tag, so homogeneity bookkeeping survives sums.
 
-Every polynomial product -- :meth:`HomPoly3.mul`, the power ladders and
-terms of :func:`substitute`, the quotient rows of exact division -- is one
-2-D convolution, :func:`_conv2d_mod`, of two boxes: a float64 BLAS product
-per row of the operand with fewer rows, reduced mod p.  It and
-:func:`_matmul_mod` (line restriction, evaluation at many points) follow one
-exact-product rule, stated next to them, that holds for every prime
+Every polynomial product -- :meth:`HomPoly3.mul` and the power ladders and
+terms of :func:`substitute` -- is one 2-D convolution, :func:`_conv2d_mod`,
+of two boxes: a float64 BLAS product per row of the operand with fewer
+rows, reduced mod p.  It and :func:`_matmul_mod` (line restriction) follow
+one exact-product rule, stated next to them, that holds for every prime
 p < 2^31: the 31-bit primes drawn by the bad-prime retry policy are as safe
 as the default ones.  Exact division by a one-term divisor is a shift of
 the box, scaled by the inverse of the divisor's coefficient.  Every inverse
 mod p is Python's ``pow(a, -1, p)`` of a nonzero residue (a zero one raises
 ``ValueError``).
 
-The gcd layer has a front and a core.  The front, :func:`group_gcds`,
-takes groups of polys by index: the pairs of a Cremona letter step (see
-:mod:`hypwalk.cremona`) or the triple that :func:`normalize_triple`
-cancels.  It splits each poly's monomial content off once and tries every
-group whose rests have two or more terms with one coprimality
-certificate: a nonconstant common factor survives restriction to any
-fixed affine line it does not contain, so a trivial univariate gcd on one
-line proves coprimality.  Each line is (X, Y, Z) = (t, b t + c, 1), so a
-restriction is one matrix product against the powers of (b t + c), cached
-per (line, prime).  A proved group's gcd is a monomial, and its quotients
-are shifts.  Every other group goes to the core, :func:`gcd3`: the least
-monomial content times the gcd of the rests, whose boxes are their dense
-bivariate forms.  Each step of the fold over the boxes splits off the
-y-contents once, runs Brown's modular gcd on the primitive parts (a block
-of evaluation points with one matrix product, univariate gcds point by
-point, then interpolation), falls back to a pseudo-remainder sequence when
-the prime runs out of points, and multiplies the gcd of the contents back
-in.
+The gcd layer has a front and a core, and beyond a monomial gcd it works
+on one-row boxes: forms in Y and Z times a power of X, as the coordinates
+of a Cremona track on a line are (see :mod:`hypwalk.cremona`).  The front,
+:func:`group_gcds`, takes groups of polys by index: the pairs of a Cremona
+letter step or the triple that :func:`normalize_triple` cancels.  It splits
+each poly's monomial content off once and tries every group whose rests
+have two or more terms with one coprimality certificate: a nonconstant
+common factor survives restriction to any fixed affine line it does not
+contain, so a trivial univariate gcd on one line proves coprimality.  The
+line is (X, Y, Z) = (t, b t + c, 1), so a restriction is one matrix product
+against the powers of (b t + c), cached per prime.  A proved group's gcd is
+a monomial, and its quotients are shifts.  Every other group goes to the
+core, :func:`gcd3`: the least monomial content times the gcd of the rests,
+a fold of univariate gcds over the rows.  Exact division,
+:func:`divexact`, is a shift for a monomial divisor and a univariate
+division of the rows otherwise.  :func:`gcd3` and :func:`divexact` raise
+:class:`~hypwalk.errors.InputError` on a plane operand (a box of two or
+more rows) whose answer is not a monomial gcd or a shift.
 
 Every gcd of the core is verified by trial division before it is
 returned, and the quotients of that division are handed back, so a triple
 :func:`normalize_triple` cancels has each coordinate divided at most once.
-A gcd that fails the check, after one retry through the PRS, raises
-:class:`~hypwalk.errors.BadPrimeSignal`.  A monomial gcd is checked by
-shifts, with no trial division.  Univariate quotients and remainders on
-Python ints come from :func:`_udivmod`, exact for every p: short gcds (the
-certificate's, and the modular gcd's per point) run on it, long ones on
+A gcd that fails the check raises :class:`~hypwalk.errors.BadPrimeSignal`.
+Univariate quotients and remainders on Python ints come from
+:func:`_udivmod`, exact for every p: short gcds run on it, long ones on
 numpy rows.
 """
 
@@ -60,15 +57,16 @@ from .errors import BadPrimeSignal, InputError
 DEFAULT_PRIME = 1000003
 SECOND_PRIME = 1000033
 
-# Fixed affine lines (X, Y, Z) = (t, b t + c, 1), stored as (b, c), used for
-# the coprimality certificate; a group no line proves goes to the modular
-# gcd.  Of four lines, only two ever proved a group: ``degree-growth-cremona``
-# proved 730 groups on the first and 48 on the second (after a sound failure
-# on the first) and 268 on none; ``cremona-mixed`` (seeds 0-7) 52 a pass on
-# the first and 10 on none.  No restriction dropped degree.  A shift t + a
-# in X gives the same line: (t + a, b t + c', 1) is (t, b t + c' - a b, 1)
-# after t -> t - a.
-_CERT_LINES = ((2, 1), (7, -24))
+# The certificate's affine line (X, Y, Z) = (t, b t + c, 1), stored as
+# (b, c); a group it does not prove goes to gcd3.  A one-row rest with its
+# monomial content removed has a Y^d term, so while b != 0 mod p its
+# restriction keeps its degree, and Y -> b t + c is then an isomorphism:
+# the line decides every group of one-row rests exactly.  On the three
+# Cremona presets it tried 1,102 groups and proved 820; a second line,
+# (7, -24), proved none of the other 282 and cost 518 restrictions.  The
+# degree-drop check stays for p dividing b (b = 2 at p = 2) and for plane
+# operands.
+_CERT_LINES = ((2, 1),)
 
 
 # The exact-product rule.  Every product of residue arrays is a float64 BLAS
@@ -408,14 +406,20 @@ def divexact(f: HomPoly3, g: HomPoly3):
     the corners of a product add.  A one-term divisor c X^i Y^j Z^l (a
     constant included) is a shift: the quotient is f's box at that corner,
     scaled by 1/c unless c is 1, and exact when the corner is nonnegative
-    and every term of f has Z-exponent at least l.  Every other divisor goes
-    through the dense bivariate routine :func:`_divexact_dense` on the two
-    boxes, which is exact for every prime p < 2^31.
+    and every term of f has Z-exponent at least l.  Any other divisor, and
+    f with it, must be a one-row box, a form in Y and Z times a power of X,
+    as a Cremona track's coordinates are: the quotient's row is the
+    univariate quotient of the rows (:func:`_udivexact`, exact for every
+    p), and the division is exact when that has no remainder and leaves
+    every Z-exponent nonnegative.  Other operands raise
+    :class:`~hypwalk.errors.InputError`.
     """
     if g.is_zero():
         raise InputError("division by the zero polynomial")
     if f.is_zero():
         return HomPoly3.zero(max(f.degree - g.degree, 0), f.p)
+    if g.box.size > 1 and max(f.box.shape[0], g.box.shape[0]) > 1:
+        raise InputError("divexact by a polynomial of two or more terms takes one-row boxes")
     if f.degree < g.degree:
         return None
     degree = f.degree - g.degree
@@ -429,10 +433,10 @@ def divexact(f: HomPoly3, g: HomPoly3):
         q = _shift_exponents(f, (*g.corner, z))
         c = int(g.box[0, 0])
         return q if c == 1 else q.scale(pow(c, -1, f.p))
-    q = _divexact_dense(f.box, g.box, f.p, degree - sum(corner))
-    if q is None:
-        return None
-    return HomPoly3._from_array(degree, q, f.p, corner)
+    q = _udivexact(f.box[0], g.box[0], f.p)
+    if q is None or q.size - 1 > degree - sum(corner):
+        return None  # inexact, or some term of the quotient has a negative Z-exponent
+    return HomPoly3._from_array(degree, q[None, :], f.p, corner)
 
 
 def _max_ij(arr: np.ndarray) -> int:
@@ -539,13 +543,12 @@ def _utrim(vec: np.ndarray) -> np.ndarray:
 #   p = 1000003  45/14   249/155  480/492  544/678  839/1842
 #   p ~ 2^31     51/24   277/241  519/705  780/1335 1295/3243
 # The crossover is near 40 at the default primes, where nearly every gcd
-# runs; the 31-bit retry primes cross over near 25.  The rows earn their
-# place on the larger degrees of the ``degree-growth-cremona`` preset: 406
-# of its 9,674 calls have 40 or more coefficients, and all its calls,
-# recorded and replayed, take 462-481 ms on ints alone against 405-409 ms
-# through this dispatch (best of 5, same machine).  The bench's Cremona
-# workloads stay below 40 (at most 25 coefficients on ``cremona-mixed``;
-# ``cremona-henon`` makes no call).
+# runs; the 31-bit retry primes cross over near 25.  When the preset's
+# tracks were plane triples, 406 of the 9,674 calls of
+# ``degree-growth-cremona`` had 40 or more coefficients, and all its calls,
+# recorded and replayed, took 462-481 ms on ints alone against 405-409 ms
+# through this dispatch (best of 5, same machine).  On lines the preset
+# makes 1,394 calls, 46 of them with 40 or more coefficients (at most 89).
 _SHORT_UGCD = 40
 
 
@@ -587,6 +590,12 @@ def _udivmod(u: list, v: list, p: int) -> tuple[list, list]:
     while r and not r[-1]:
         r.pop()
     return q, r
+
+
+def _udivexact(u: np.ndarray, g: np.ndarray, p: int) -> np.ndarray | None:
+    """u / g for univariate polys when exact, else None."""
+    q, r = _udivmod(u.tolist(), g.tolist(), p)
+    return None if r else np.array(q, dtype=np.int64)
 
 
 def _ugcd_rows(u: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
@@ -698,16 +707,16 @@ def gcd3(p1: HomPoly3, p2: HomPoly3, p3: HomPoly3, quotients: list | None = None
 
     The gcd of the nonzero polys is the least of their monomial contents
     times the gcd of their rests.  When a rest is one term, that gcd is 1.
-    Otherwise each poly's box, with its corner at (0, 0), is its rest's
-    dense dehomogenized form, and :func:`_bivariate_gcd_list` folds the
-    boxes by the modular gcd on their primitive parts.  The result is
-    verified by trial division against all three inputs, and the fold's
-    first pairwise gcd against its pair.  A gcd of the rests that fails a
-    check (unlucky evaluation points) is computed once more by the
-    pseudo-remainder sequence alone; a failed check then
-    raises :class:`~hypwalk.errors.BadPrimeSignal`, which sends the caller
-    to the bad-prime retry policy.  When ``quotients`` is a list it is
-    filled with the three exact quotients the verification computed.
+    Otherwise every poly must be a one-row box, a form in Y and Z times a
+    power of X, as a Cremona track's coordinates are: its row, read from its
+    corner, is its rest with Z = 1, of the rest's full degree, and the gcd
+    of the rests is the fold of :func:`_ugcd` over the rows, monic in its
+    highest power of Y.  A plane operand (a box of two or more rows) raises
+    :class:`~hypwalk.errors.InputError`.  The result is verified by trial
+    division against all three inputs; a failed check raises
+    :class:`~hypwalk.errors.BadPrimeSignal`, which sends the caller to the
+    bad-prime retry policy.  When ``quotients`` is a list it is filled with
+    the three exact quotients the verification computed.
     """
     polys = [q for q in (p1, p2, p3) if not q.is_zero()]
     if not polys:
@@ -716,21 +725,15 @@ def gcd3(p1: HomPoly3, p2: HomPoly3, p3: HomPoly3, quotients: list | None = None
     if any(q.p != p for q in polys):
         raise InputError("gcd3 operands live over different primes")
     shift = _monomial_content(polys)
-
-    def monic(rest: np.ndarray) -> HomPoly3:
-        """X^si Y^sj Z^sl times rest, with graded-lex leading coefficient 1."""
-        gcd_poly = HomPoly3._from_array(_max_ij(rest) + sum(shift), rest, p, shift[:2])
-        return gcd_poly.scale(pow(gcd_poly._leading_coefficient(), -1, p))
-
     gcd_poly = HomPoly3.monomial(*shift, 1, p)
-    boxes = [q.box for q in polys] if all(q.num_terms() > 1 for q in polys) else None
-    if boxes:
-        rest = _bivariate_gcd_list(boxes, p, _modular_bivariate_gcd)
-        gcd_poly = None if rest is None else monic(rest)
-    exact = gcd_poly is not None and _divides_all(gcd_poly, (p1, p2, p3))
-    if not exact and boxes:
-        gcd_poly = monic(_bivariate_gcd_list(boxes, p, _prs_gcd))
-        exact = _divides_all(gcd_poly, (p1, p2, p3))
+    if all(q.num_terms() > 1 for q in polys):
+        if any(q.box.shape[0] > 1 for q in polys):
+            raise InputError("gcd3 of polynomials of two or more terms takes one-row boxes")
+        # folded from the zero polynomial, so that one poly's rest is made monic
+        rows = [q.box[0] for q in polys]
+        rest = reduce(lambda u, v: _ugcd(u, v, p), rows, np.zeros(0, dtype=np.int64))
+        gcd_poly = HomPoly3._from_array(rest.size - 1 + sum(shift), rest[None, :], p, shift[:2])
+    exact = _divides_all(gcd_poly, (p1, p2, p3))
     if not exact:
         raise BadPrimeSignal("gcd verification by trial division failed")
     if quotients is not None:
@@ -767,254 +770,6 @@ def normalize_triple(p1: HomPoly3, p2: HomPoly3, p3: HomPoly3, coprime: bool = F
     lead = next(q._leading_coefficient() for q in parts if not q.is_zero())
     scale = pow(lead, -1, p1.p)
     return tuple(q.scale(scale) for q in parts), gcd_degree
-
-
-# ---------------------------------------------------------------------------
-# Dense bivariate helpers (arrays M[i, j] = coefficient of x^i y^j; setting
-# Z = 1 in a homogeneous polynomial gives exactly its exponent array).  The
-# gcds take boxes: nonzero arrays cut to their last nonzero row and column.
-
-
-def _vandermonde(points: np.ndarray, width: int, p: int) -> np.ndarray:
-    """result[j, t] = points[t]^j mod p, for j < width."""
-    table = np.empty((width, points.size), dtype=np.int64)
-    table[0] = 1
-    for j in range(1, width):
-        table[j] = table[j - 1] * points % p
-    return table
-
-
-def _cut(arr: np.ndarray) -> np.ndarray:
-    """arr without trailing zero rows and columns."""
-    rows = np.flatnonzero(arr.any(axis=1))
-    cols = np.flatnonzero(arr.any(axis=0))
-    return arr[: rows[-1] + 1, : cols[-1] + 1] if rows.size else arr[:0, :0]
-
-
-def _content_y(rows, p: int) -> np.ndarray:
-    """gcd in F_p[y] of all row polynomials (the content w.r.t. x)."""
-    g = np.zeros(0, dtype=np.int64)
-    for row in rows:
-        row = _utrim(row)
-        if row.size:
-            g = row if g.size == 0 else _ugcd(g, row, p)
-            if g.size == 1:
-                break
-    return g
-
-
-def _primitive(arr: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(c, arr / c)`` for a nonzero arr and its content c in GF(p)[y], the
-    gcd of its rows; the primitive part is cut."""
-    content = _content_y(arr, p)
-    if content.size == 1:
-        return content, _cut(arr * pow(int(content[0]), -1, p) % p)
-    return content, _cut(_divexact_dense(arr, content[None, :], p, sum(arr.shape)))
-
-
-def _bivariate_gcd_list(boxes, p: int, primitive_gcd) -> np.ndarray | None:
-    """The gcd of the boxes, folded pairwise by :func:`_bivariate_gcd`, or
-    None when a fold result before the last does not divide the two boxes
-    it came from (trial division with no degree bound).  Unlucky evaluation points can make a pairwise gcd wrong,
-    and once folded with the next box a wrong one can come out too small:
-    1 passes the caller's trial division of the inputs.  A constant is
-    exact (no point gives a degree below the true gcd's)."""
-    g = boxes[0]
-    for k, box in enumerate(boxes[1:], 2):
-        fold = _bivariate_gcd(g, box, p, primitive_gcd)
-        if fold.shape == (1, 1):
-            return fold
-        if k < len(boxes) and any(
-            _divexact_dense(f, fold, p, sum(f.shape)) is None for f in (g, box)
-        ):
-            return None
-        g = fold
-    return g
-
-
-def _bivariate_gcd(a: np.ndarray, b: np.ndarray, p: int, primitive_gcd) -> np.ndarray:
-    """gcd(a, b) of two boxes: the gcd of their contents in GF(p)[y] times
-    ``primitive_gcd`` of their primitive parts, which is the modular gcd
-    (:func:`_prs_gcd` where it runs out of points) or the PRS itself."""
-    (content_a, a), (content_b, b) = _primitive(a, p), _primitive(b, p)
-    g = primitive_gcd(a, b, p)
-    if g is None:
-        g = _prs_gcd(a, b, p)
-    content = _ugcd(content_a, content_b, p)
-    return _conv2d_mod(g, content[None, :], p) if content.size > 1 else g
-
-
-def _modular_bivariate_gcd(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray | None:
-    """gcd of two primitive boxes by evaluation/interpolation, primitive and
-    cut.
-
-    Brown's modular gcd with y as the evaluation variable: specialize y at
-    the points 1, 2, 3, ... avoiding roots of both leading coefficients,
-    take monic univariate gcds, rescale by the gcd of the leading
-    coefficients, and interpolate back (Newton differences).  The points
-    come in blocks: one matrix product against a Vandermonde table
-    evaluates every row of A and B, and the leading-coefficient gcd, at a
-    whole block; only the univariate gcd runs per point.  Returns None when
-    the prime runs out of usable points (past ``8 * needed + 64`` points or
-    p); the caller keeps the pseudo-remainder fallback.  Results are
-    verified by trial division downstream, so an unlucky specialization
-    cannot corrupt a composition.
-    """
-    dxA, dxB = A.shape[0] - 1, B.shape[0] - 1
-    gamma = _ugcd(_utrim(A[dxA]), _utrim(B[dxB]), p)
-    needed = (gamma.size - 1) + min(A.shape[1], B.shape[1])
-    last_point = min(8 * needed + 64, p - 1)
-
-    # rows 0..dxA are A, the next dxB + 1 are B, the last is gamma
-    ywidth = max(A.shape[1], B.shape[1], gamma.size)
-    stacked = np.zeros((dxA + dxB + 3, ywidth), dtype=np.int64)
-    stacked[: dxA + 1, : A.shape[1]] = A
-    stacked[dxA + 1 : -1, : B.shape[1]] = B
-    stacked[-1, : gamma.size] = gamma
-    block = needed + 8
-
-    best_deg = None
-    nodes: list[int] = []
-    values: list[np.ndarray] = []
-    start = 1
-    while len(nodes) < needed:
-        if start > last_point:
-            return None
-        points = np.arange(start, min(start + block, last_point + 1), dtype=np.int64)
-        start += points.size
-        evaluated = _matmul_mod(stacked, _vandermonde(points, ywidth, p), p).T
-        for y, column in zip(points.tolist(), evaluated):
-            if column[dxA] == 0 or column[dxA + 1 + dxB] == 0:
-                continue  # y is a root of a leading coefficient
-            a_spec = _utrim(column[: dxA + 1])
-            b_spec = _utrim(column[dxA + 1 : -1])
-            g_spec = _ugcd(a_spec, b_spec, p)
-            deg = g_spec.size - 1
-            if best_deg is None or deg < best_deg:
-                best_deg = deg
-                nodes, values = [], []
-            if deg == best_deg:
-                if best_deg == 0:
-                    return np.ones((1, 1), dtype=np.int64)
-                nodes.append(y)
-                values.append((g_spec * int(column[-1])) % p)
-                if len(nodes) == needed:
-                    break
-
-    width = best_deg + 1
-    table = np.zeros((len(nodes), width), dtype=np.int64)
-    for t, vec in enumerate(values):
-        table[t, : vec.size] = vec
-    poly = _newton_interpolate(np.array(nodes, dtype=np.int64), table, p)
-    return _primitive(poly.T, p)[1]  # rows of poly.T are x-coefficients in y
-
-
-def _newton_interpolate(nodes: np.ndarray, table: np.ndarray, p: int) -> np.ndarray:
-    """Columnwise Newton interpolation: result[t] are y^t coefficient rows.
-
-    ``table[t]`` holds the vector value at ``nodes[t]``; the result has shape
-    (len(nodes), width) with row index = power of y, transposed relative to
-    the dense convention (callers transpose).
-    """
-    n, width = table.shape
-    diffs = table.copy()
-    for level in range(1, n):
-        denom = (nodes[level:] - nodes[:-level]) % p
-        inv = np.array([pow(int(d), -1, p) for d in denom], dtype=np.int64)
-        diffs[level:] = ((diffs[level:] - diffs[level - 1 : -1]) * inv[:, None]) % p
-    # Horner expansion: G(y) = c_0 + (y - y_0)(c_1 + (y - y_1)(...))
-    out = np.zeros((n, width), dtype=np.int64)
-    out[0] = diffs[n - 1]
-    degree = 0
-    for k in range(n - 2, -1, -1):
-        shifted = np.zeros_like(out)
-        shifted[1 : degree + 2] = out[: degree + 1]
-        shifted[: degree + 1] = (
-            shifted[: degree + 1] - nodes[k] * out[: degree + 1]
-        ) % p
-        shifted[0] = (shifted[0] + diffs[k]) % p
-        out = shifted
-        degree += 1
-    return out % p
-
-
-def _divexact_dense(
-    F: np.ndarray, G: np.ndarray, p: int, degree: int
-) -> np.ndarray | None:
-    """Exact division of dense bivariate polynomials in F_p[y][x].
-
-    F and G are boxes: nonzero arrays without zero outer rows or columns.
-    A quotient entry [i, j] with i + j above ``degree`` is rejected: ``divexact``
-    passes the bound that keeps the homogeneous quotient's Z-exponent
-    nonnegative, as G may carry a power of Z that F lacks.  A product row
-    wider than F lands outside F's box, so the division is inexact there.
-    """
-    dxF, dxG = F.shape[0] - 1, G.shape[0] - 1
-    if dxF < dxG:
-        return None
-    lcG = _utrim(G[dxG])
-    rem = F.copy()
-    q = np.zeros((dxF - dxG + 1, F.shape[1]), dtype=np.int64)
-    for i in range(dxF - dxG, -1, -1):
-        top = _utrim(rem[i + dxG])
-        if top.size == 0:
-            continue
-        if top.size < lcG.size or top.size - lcG.size > degree - i:
-            return None
-        qi = _udivexact(top, lcG, p)
-        if qi is None:
-            return None
-        q[i, : qi.size] = qi
-        product = _conv2d_mod(qi[None, :], G, p)
-        if product.shape[1] > rem.shape[1]:
-            return None
-        seg = rem[i : i + dxG + 1, : product.shape[1]]
-        seg -= product
-        seg %= p
-    if rem.any():
-        return None
-    return q
-
-
-def _udivexact(u: np.ndarray, g: np.ndarray, p: int) -> np.ndarray | None:
-    """u / g for univariate polys when exact, else None."""
-    q, r = _udivmod(u.tolist(), g.tolist(), p)
-    return None if r else np.array(q, dtype=np.int64)
-
-
-# ---------------------------------------------------------------------------
-# The bivariate PRS gcd on boxes (the fallback when the modular gcd runs out
-# of points, and the retry after a failed trial division).
-
-
-def _pseudo_rem(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Pseudo-remainder of a by b as polynomials in x over GF(p)[y]: while
-    deg r >= deg b, r becomes lc(b) r - lc(r) x^(deg r - deg b) b, whose
-    top row cancels."""
-    db = b.shape[0] - 1
-    lb = b[db:]
-    r = a
-    while r.shape[0] > db:
-        dr = r.shape[0] - 1
-        left = _conv2d_mod(r[:dr], lb, p)
-        right = _conv2d_mod(b[:db], r[dr:], p)
-        out = np.zeros((dr, max(left.shape[1], right.shape[1])), dtype=np.int64)
-        out[:, : left.shape[1]] = left
-        out[dr - db :, : right.shape[1]] -= right
-        r = _cut(out % p)
-    return r
-
-
-def _prs_gcd(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """The gcd of two primitive boxes by the primitive pseudo-remainder
-    sequence in x: it needs no evaluation points, so it works at every
-    prime.  The result is primitive."""
-    if a.shape[0] < b.shape[0]:
-        a, b = b, a
-    while b.size:
-        r = _pseudo_rem(a, b, p)
-        a, b = b, (_primitive(r, p)[1] if r.size else r)
-    return a
 
 
 # ---------------------------------------------------------------------------

@@ -177,17 +177,19 @@ def _run_invalid(tmp_path, capsys, config, message):
     assert not out.exists()
 
 
+_PRIMES_MESSAGE = "must be a nonempty list of primes in [2^16, 2^31)"
+
+
 @pytest.mark.parametrize(
     "primes",
-    [[1000000, 1000002], [2305843009213693951, 1000003], [True, 1000003], []],
+    [[1000000, 1000002], [2305843009213693951, 1000003], [True, 1000003], [], [3, 5], [65521]],
 )
 def test_bad_primes_exit_one(tmp_path, capsys, primes):
-    # composites, moduli past the exact-product bound 2^31 and booleans
+    # composites, moduli past the exact-product bound 2^31, booleans, and
+    # primes below 2^16 (65521 is the largest)
     config = preset_config("degree-growth-henon")
     config["model"]["primes"] = primes
-    _run_invalid(
-        tmp_path, capsys, config, "$.model.primes: must be a nonempty list of primes below 2^31"
-    )
+    _run_invalid(tmp_path, capsys, config, f"$.model.primes: {_PRIMES_MESSAGE}")
 
 
 def test_repeated_prime_exits_one(tmp_path, capsys):
@@ -200,7 +202,7 @@ def test_repeated_prime_exits_one(tmp_path, capsys):
 @pytest.mark.parametrize(
     "key, message",
     [
-        ("primes", "must be a nonempty list of primes below 2^31"),
+        ("primes", _PRIMES_MESSAGE),
         ("degree_cap", "must be an integer >= 2"),
     ],
 )
@@ -212,8 +214,9 @@ def test_null_cremona_fields_exit_one(tmp_path, capsys, key, message):
 
 
 def test_small_primes_stay_valid():
+    # the least prime a model takes, 2^16 + 1, and the largest, 2^31 - 1
     config = preset_config("degree-growth-henon")
-    config["model"]["primes"] = [2, 3, 5, 2147483647]
+    config["model"]["primes"] = [65537, 2147483647]
     validate_config(config)
 
 

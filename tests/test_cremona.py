@@ -1,3 +1,4 @@
+import functools
 import gc
 import math
 import pickle
@@ -38,18 +39,25 @@ from hypwalk.walk import FiniteMeasure, sample_path
 GOLDEN3 = (3 + math.sqrt(5)) / 2  # spectral radius of [[2,1],[1,1]]
 
 
-def _plane_model(*args, **kwargs):
-    """A model whose tracks are its maps on the plane at every prime, for the
-    tests that read full coordinates."""
-    with mock.patch.object(cremona, "_LINE_PRIME_MIN", 2**31):
-        return CremonaModel(*args, **kwargs)
+# The prime pairs of the line-track tests: the default pair, and two 31-bit
+# primes, where every product runs on 16-bit halves.
+_LINE_PRIME_PAIRS = [(DEFAULT_PRIME, SECOND_PRIME), (2083116181, 2147483647)]
 
 
 @pytest.mark.parametrize(
-    "primes", [(), (1000000, 1000002), (2305843009213693951, 1000003), (True, 1000003)]
+    "primes",
+    [
+        (),
+        (1000000, 1000002),
+        (2305843009213693951, 1000003),
+        (True, 1000003),
+        (3, 5),
+        (65521, 1000003),  # the largest prime below 2^16
+    ],
 )
 def test_model_rejects_bad_primes(primes):
-    with pytest.raises(ParamError, match="^primes: must be a nonempty list of primes below 2"):
+    message = r"^primes: must be a nonempty list of primes in \[2\^16, 2\^31\)$"
+    with pytest.raises(ParamError, match=message):
         CremonaModel(primes=primes)
 
 
@@ -92,7 +100,8 @@ def test_generators_name_a_bad_argument(build, message):
 
 
 def test_model_takes_small_and_31_bit_primes():
-    assert CremonaModel(primes=(2, 3, 5, 2147483647)).primes == (2, 3, 5, 2147483647)
+    # 65537 = 2^16 + 1 is the least prime a model takes, 2^31 - 1 the largest
+    assert CremonaModel(primes=(65537, 2147483647)).primes == (65537, 2147483647)
 
 
 def test_sigma_degree_and_involution():
@@ -122,7 +131,7 @@ def test_self_inverse_letter_has_one_spelling(monkeypatch):
 
 
 def test_henon_generator_shape():
-    model = _plane_model()
+    model = CremonaModel()
     h = model.henon(2)
     assert h.degree == 2
     p = model.primes[0]
@@ -131,7 +140,11 @@ def test_henon_generator_shape():
         HomPoly3(2, {(0, 2, 0): 1, (1, 0, 1): p - 1}, p),
         HomPoly3(2, {(0, 0, 2): 1}, p),
     )
-    assert h.triple(p) == expected
+    assert _letter_triple(model, h.word[0], p) == expected
+    # its track is that triple composed onto the frame, which no base point
+    # of h lies on
+    frame = cremona.frame(p)
+    assert h.triple(p) == normalize_triple(*(substitute(q, frame) for q in expected))[0]
     assert model.multiply(h, model.inverse(h)) == model.identity()
     assert model.multiply(model.inverse(h), h) == model.identity()
 
@@ -449,24 +462,41 @@ def test_respawn_reinterns_every_generator_kind():
 
 def test_henon_power_at_a_31_bit_prime_matches_sympy():
     # every product of this composition lies past the float64 bound at a
-    # 31-bit retry prime, so the kernel runs on 16-bit halves throughout
+    # 31-bit retry prime, so the kernel runs on 16-bit halves throughout;
+    # the track is sympy's h2^6 restricted to the frame's line
     p = 2083116181
-    model = _plane_model(primes=(p,))
+    model = CremonaModel(primes=(p,))
     h64 = model.power(model.henon(2), 6)
     assert h64.degree == 64
-    x, y, z = sympy.symbols("x y z")
+    x, y, t = sympy.symbols("x y t")
     u, v = sympy.Poly(x, x, y, modulus=p), sympy.Poly(y, x, y, modulus=p)
     for _ in range(6):
         u, v = v, v**2 - u
-    coords = [
-        q.homogenize(z) * sympy.Poly(z ** (64 - q.total_degree()), x, y, z, modulus=p)
-        for q in (u, v)
-    ]
-    coords.append(sympy.Poly(z**64, x, y, z, modulus=p))
-    lead = int(coords[0].LC()) % p  # normalization makes this coefficient 1
-    scale = pow(lead, -1, p)
-    for got, want in zip(h64.triple(p), coords):
-        expected = {m: int(c) * scale % p for m, c in want.terms() if int(c) % p}
+    # the frame (a Y + c Z, b Y + d Z, e Z) at (Y, Z) = (t, 1), in the chart
+    # Z = 1 of the plane: x = (a t + c) / e and y = (b t + d) / e
+    (a, c), (b, d), (_, e) = (
+        [form.coeffs.get((0, 1, 0), 0), form.coeffs.get((0, 0, 1), 0)]
+        for form in cremona.frame(p)
+    )
+    scale = pow(e, -1, p)
+    chart = [sympy.Poly([k * scale % p, m * scale % p], t, modulus=p) for k, m in ((a, c), (b, d))]
+
+    def restricted(poly):
+        powers = [[sympy.Poly(1, t, modulus=p)] for _ in range(2)]
+        for ladder, base in zip(powers, chart):
+            for _ in range(64):
+                ladder.append(ladder[-1] * base)
+        total = sympy.Poly(0, t, modulus=p)
+        for (i, j), coeff in poly.terms():
+            total += powers[0][i] * powers[1][j] * int(coeff)
+        return total
+
+    # (u, v, 1) on the line, as forms of degree 64 in (Y, Z) for (t, 1)
+    images = [restricted(u), restricted(v), sympy.Poly(1, t, modulus=p)]
+    lead = pow(int(images[0].LC()) % p, -1, p)  # normalization makes it 1
+    for got, image in zip(h64.triple(p), images):
+        coeffs = image.all_coeffs()[::-1]
+        expected = {(0, j, 64 - j): int(c) * lead % p for j, c in enumerate(coeffs) if int(c) % p}
         assert got.coeffs == expected
 
 
@@ -491,16 +521,41 @@ def _letter_triple(model, letter, prime):
     return dict(atom.triples if letter > 0 else atom.inverse_triples)[prime]
 
 
+def _normalized_by_sympy(forms, p):
+    """normalize_triple of three binary forms, by sympy's univariate gcd over
+    GF(p): a form F(Y, Z) is read as F(y, 1), which loses only its power of
+    Z, so the gcd is the gcd in y times the least power of Z.  Returns the
+    normalized triple and the gcd degree."""
+    y = sympy.Symbol("y")
+    rows = [
+        sympy.Poly([form.coeffs.get((0, j, form.degree - j), 0) for j in range(form.degree, -1, -1)], y, modulus=p)
+        for form in forms
+    ]
+    nonzero = [(form, row) for form, row in zip(forms, rows) if not row.is_zero]
+    common = functools.reduce(sympy.Poly.gcd, [row for _, row in nonzero]).monic()
+    z_power = min(form.degree - row.degree() for form, row in nonzero)
+    gcd_degree = common.degree() + z_power
+    quotients = [row.exquo(common) for row in rows]
+    lead = pow(int(next(q.LC() for q in quotients if not q.is_zero)) % p, -1, p)
+    triple = []
+    for form, q in zip(forms, quotients):
+        degree = form.degree - gcd_degree
+        coeffs = q.all_coeffs()[::-1] if not q.is_zero else []
+        triple.append(HomPoly3(degree, {(0, j, degree - j): int(c) * lead for j, c in enumerate(coeffs)}, p))
+    return tuple(triple), gcd_degree
+
+
 def _compose_against_oracle(model, letters, max_degree):
     """Compose ``letters`` onto the identity at the model's one prime, last
-    letter first, checking each step against substitution and gcd3 on the
-    composed triple; returns the oracle's gcd degree of each step."""
+    letter first, checking each step against substitution and sympy's gcd of
+    the composed binary forms; returns the oracle's gcd degree of each
+    step."""
     prime = model.primes[0]
     g = model.identity().triple(prime)
     dropped = []
     for letter in reversed(letters):
         outer = _letter_triple(model, letter, prime)
-        expected, gcd_degree = normalize_triple(*(substitute(q, g) for q in outer))
+        expected, gcd_degree = _normalized_by_sympy([substitute(q, g) for q in outer], prime)
         assert model._compose_letter(letter, 0, g) == expected
         dropped.append(gcd_degree)
         g = expected
@@ -509,7 +564,7 @@ def _compose_against_oracle(model, letters, max_degree):
     return dropped
 
 
-@pytest.mark.parametrize("p", _ORACLE_PRIMES)
+@pytest.mark.parametrize("p", (1000003, 2083116181, 65537))
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_letter_step_matches_gcd3_on_the_composed_triple(p, data):
@@ -529,44 +584,7 @@ def test_letter_step_matches_gcd3_on_the_composed_triple(p, data):
     )
     drawn = data.draw(st.lists(steps, min_size=1, max_size=8))
     word = [letter for step in drawn for letter in step]
-    _compose_against_oracle(model, word, max_degree=24 if p < 10 else 48)
-
-
-def _walk_word(model, draw, length):
-    """A product of up to ``length`` walk atoms (sigma, sigma o L, h2, h2^-1)."""
-    sigma, h2 = model.sigma(), model.henon(2)
-    lin = model.linear([1, 2, 0, 0, 1, 3, 1, 0, 1])
-    atoms = [sigma, model.multiply(sigma, lin), h2, model.inverse(h2)]
-    g = model.identity()
-    for index in draw(st.lists(st.integers(0, 3), max_size=length)):
-        g = model.multiply(g, atoms[index])
-    return g
-
-
-@pytest.mark.parametrize("p", _ORACLE_PRIMES)
-@settings(max_examples=15, deadline=None)
-@given(data=st.data())
-def test_multiply_matches_substitution_into_the_inner_triple(p, data):
-    # the outer words drop degree (their letter degrees multiply to more
-    # than their degree), so the letter-by-letter fold of multiply is
-    # checked against substituting the whole outer triple and gcd3
-    model = _plane_model(primes=(p,))
-    sigma, h2 = model.sigma(), model.henon(2)
-    order = data.draw(st.permutations(range(3)))
-    swap = model.linear([int(order[r] == c) for r in range(3) for c in range(3)])
-    kind = data.draw(st.sampled_from(["sigma.h", "sigma.P.sigma", "atoms"]))
-    if kind == "sigma.h":
-        g = model.multiply(sigma, h2)
-    elif kind == "sigma.P.sigma":
-        g = model.multiply(model.multiply(sigma, swap), sigma)
-    else:
-        g = _walk_word(model, data.draw, 4)
-    letter_degrees = (model._atoms[abs(letter) - 1].degree for letter in g.word)
-    assume(g.degree < math.prod(letter_degrees))
-    h = _walk_word(model, data.draw, 3)
-    outer, inner = g.triple(p), h.triple(p)
-    expected = normalize_triple(*(substitute(q, inner) for q in outer))[0]
-    assert model.multiply(g, h).triple(p) == expected
+    _compose_against_oracle(model, word, max_degree=48)
 
 
 def test_letter_step_takes_the_henon_gcd_route(monkeypatch):
@@ -651,10 +669,8 @@ def test_sigma_step_restricts_each_coordinate_once_per_line(monkeypatch):
     assert model._compose_letter(sigma, 0, g) == expected
 
     assert restricted and len(set(restricted)) == len(restricted)
-    # the uncertified pair is tried on every line, each rest at most once
-    lines = [key[0] for key in restricted]
-    assert set(lines) == set(polynomials._CERT_LINES)
-    assert max(lines.count(line) for line in lines) == 3
+    # each of the three rests is restricted once, on the certificate's line
+    assert [key[0] for key in restricted] == list(polynomials._CERT_LINES) * 3
     assert gcd_calls == [(g[0], g[2])]
     assert common.degree == 2 and divisors == [common] * 3  # that gcd3's check only
 
@@ -676,43 +692,202 @@ def _line_test_atoms(model):
     ]
 
 
-def _product_or_cap(model, atoms, letters):
+def _product(model, atoms, letters):
     """The product of the atoms ``letters`` names (an index and whether the
-    inverse is taken), or ResourceError when a letter step passes the cap."""
+    inverse is taken), left to right."""
     g = model.identity()
-    try:
-        for index, inverse in letters:
-            g = model.multiply(g, model.inverse(atoms[index]) if inverse else atoms[index])
-    except ResourceError:
-        return ResourceError
+    for index, inverse in letters:
+        g = model.multiply(g, model.inverse(atoms[index]) if inverse else atoms[index])
     return g
 
 
-@pytest.mark.parametrize("primes", [(DEFAULT_PRIME, SECOND_PRIME), (2083116181, 2147483647)])
+@st.composite
+def _reduced_words(draw, kinds, max_size, min_size=0):
+    """A word of letters (kind, inverse) over ``kinds`` with no letter next
+    to its inverse."""
+    word = []
+    for _ in range(draw(st.integers(min_size, max_size))):
+        letters = [(k, inverse) for k in kinds for inverse in (False, True)]
+        if word:
+            letters.remove((word[-1][0], not word[-1][1]))
+        word.append(draw(st.sampled_from(letters)))
+    return word
+
+
+def _henon_degree(word):
+    """The degree of the composite of a reduced word of Henon letters, pairs
+    (n, inverse) for h_n or h_n^-1, composed left to right as maps (the
+    first letter applied last), by the amalgam structure of Aut(A^2) (Jung
+    1942, van der Kulk 1953; Friedland and Milnor 1989).
+
+    h_n = t o e_n for the swap t(x, y) = (y, x) and the involution
+    e_n(x, y) = (y^n - x, y), so h_n^-1 = e_n o t.  Written in these atoms,
+    with each t o t cancelled, the word alternates single t's with runs of
+    e's.  A run e_{a_1} o ... o e_{a_m} is (x, y) -> (+-x + q(y), y) for
+    q = y^{a_1} - y^{a_2} + y^{a_3} - ..., and the degree is the product of
+    deg q over the runs.  The coefficients of q are sums of at most as many
+    +-1 as the word has letters, nonzero mod every prime a model takes at
+    the lengths tested.  A run whose q has degree below 2 would be affine
+    and merge with its neighbours; the formula refuses it.
+    """
+    atoms = []
+    for n, inverse in word:
+        for atom in (n, "t") if inverse else ("t", n):
+            if atom == "t" and atoms and atoms[-1] == "t":
+                atoms.pop()
+            else:
+                atoms.append(atom)
+    degree, run = 1, []
+    for atom in [*atoms, "t"]:
+        if atom != "t":
+            run.append(atom)
+        elif run:
+            q = {}
+            for m, n in enumerate(run):
+                q[n] = q.get(n, 0) + (-1) ** m
+            top = max((n for n, c in q.items() if c), default=0)
+            if top < 2:
+                raise ValueError(f"the run {run} is affine")
+            degree *= top
+            run = []
+    return degree
+
+
+def test_henon_degree_formula_examples():
+    assert _henon_degree([]) == 1
+    assert _henon_degree([(2, False)]) == _henon_degree([(2, True)]) == 2
+    assert _henon_degree([(3, True)]) == 3
+    assert _henon_degree([(2, False)] * 6) == 64
+    # h2^-1 o h3 = e2 o e3 is (x, y) -> (x + y^2 - y^3, y)
+    assert _henon_degree([(2, True), (3, False)]) == 3
+    # one run e2 e3 e2 e3 for alternating signs: q = 2 y^2 - 2 y^3
+    assert _henon_degree([(2, True), (3, False), (2, True), (3, False)]) == 3
+    assert _henon_degree([(3, False), (2, False), (3, True)]) == 9
+
+
+def _check_suffix_degrees(model, elements, degree_of_suffix):
+    """Compose the product of ``elements`` right to left, one left product
+    per letter, and check the degree of each suffix elements[k:] against
+    ``degree_of_suffix(k)``.  A step whose raw degree (the letter's degree
+    times the suffix's) passes the model's cap must raise ResourceError."""
+    g = model.identity()
+    for k in range(len(elements) - 1, -1, -1):
+        if elements[k].degree * g.degree > model.degree_cap:
+            with pytest.raises(ResourceError):
+                model.multiply(elements[k], g)
+            return
+        g = model.multiply(elements[k], g)
+        assert g.degree == degree_of_suffix(k)
+
+
+@pytest.mark.parametrize("primes", _LINE_PRIME_PAIRS)
+@settings(max_examples=30, deadline=None)
+@given(word=_reduced_words((2, 3), 12, min_size=1))
+def test_henon_words_have_the_amalgam_degree(primes, word):
+    # every suffix of a reduced word over h2^+-1 and h3^+-1 has the degree
+    # of the formula, up to the default cap of 512; a longer word's degree
+    # passes the cap at the step the formula says
+    model = CremonaModel(primes)
+    henon = {n: model.henon(n) for n in (2, 3)}
+    elements = [model.inverse(henon[n]) if inverse else henon[n] for n, inverse in word]
+    _check_suffix_degrees(model, elements, lambda k: _henon_degree(word[k:]))
+
+
+_x, _y, _z = sympy.symbols("x y z")
+
+
+def _plane_letter(spec, inverse, p):
+    """The plane triple of a generator letter as three sympy polynomials
+    over GF(p), from its atom's spec."""
+    x, y, z = _x, _y, _z
+    kind, *args = spec
+    if kind == "sigma":
+        exprs = (y * z, x * z, x * y)
+    elif kind == "henon":
+        n = args[0]
+        if inverse:
+            exprs = (x**n - y * z ** (n - 1), x * z ** (n - 1), z**n)
+        else:
+            exprs = (y * z ** (n - 1), y**n - x * z ** (n - 1), z**n)
+    elif kind == "linear":
+        matrix = sympy.Matrix(3, 3, list(args[0]))
+        exprs = tuple((matrix.inv_mod(p) if inverse else matrix) * sympy.Matrix([x, y, z]))
+    else:
+        mono = MonomialMap(*args[0])
+        mono = mono.inverse() if inverse else mono
+        # (x, y) -> (x^a y^b, x^c y^d) in the chart z = 1, denominators cleared
+        affine = [(x / z) ** mono.a * (y / z) ** mono.b, (x / z) ** mono.c * (y / z) ** mono.d, 1]
+        denominator = sympy.lcm([sympy.fraction(sympy.together(e))[1] for e in affine])
+        exprs = tuple(sympy.cancel(e * denominator) for e in affine)
+    return [sympy.Poly(e, x, y, z, modulus=p) for e in exprs]
+
+
+def _plane_map(model, atoms, word, p):
+    """The coprime plane triple of the product of ``word``'s letters,
+    composed letter by letter in sympy over GF(p)."""
+    gens = (_x, _y, _z)
+    triple = [sympy.Poly(v, *gens, modulus=p) for v in gens]
+    for index, inverse in reversed(word):
+        images = dict(zip(gens, (q.as_expr() for q in triple)))
+        composed = [
+            sympy.Poly(q.as_expr().subs(images, simultaneous=True), *gens, modulus=p)
+            for q in _plane_letter(model._atoms[atoms[index].word[0] - 1].spec, inverse, p)
+        ]
+        common = functools.reduce(sympy.Poly.gcd, composed)
+        triple = [q.exquo(common) for q in composed]
+    return triple
+
+
+def _same_plane_map(f, g):
+    """Whether two coprime plane triples are proportional: every 2x2 minor
+    vanishes."""
+    return all((f[i] * g[j] - f[j] * g[i]).is_zero for i in range(3) for j in range(i + 1, 3))
+
+
+@pytest.mark.parametrize("primes", _LINE_PRIME_PAIRS)
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_line_tracks_give_the_plane_degrees_and_equalities(primes, data):
-    line, plane = CremonaModel(primes, degree_cap=64), _plane_model(primes, degree_cap=64)
-    assert all(t[0].box.shape[0] == 1 for _, t in line.identity().tracks)
+    # each track's degree against an exact reference on the plane: the
+    # amalgam formula for Henon words, the exponent matrices for monomial
+    # words, and sympy's composition for mixed words of at most three
+    # letters, which also decides u == v and u == v^-1
+    model = CremonaModel(primes, degree_cap=64)
+    assert all(t[0].box.shape[0] == 1 for _, t in model.identity().tracks)
+    atoms = _line_test_atoms(model)
+    kind = data.draw(st.sampled_from(["henon", "monomial", "mixed"]))
+    if kind == "henon":
+        word = data.draw(_reduced_words((1, 2), 6))  # h2 and h3
+        elements = [model.inverse(atoms[k]) if inverse else atoms[k] for k, inverse in word]
+        henon = [(atoms[k].degree, inverse) for k, inverse in word]
+        _check_suffix_degrees(model, elements, lambda k: _henon_degree(henon[k:]))
+        return
+    if kind == "monomial":
+        word = data.draw(_reduced_words((5, 6), 6))  # the shear and sigma's matrix
+        elements = [model.inverse(atoms[k]) if inverse else atoms[k] for k, inverse in word]
+        maps = [model._as_monomial(g) for g in elements]
+        identity = MonomialMap(1, 0, 0, 1)
+        _check_suffix_degrees(
+            model, elements, lambda k: functools.reduce(MonomialMap.matmul, maps[k:], identity).degree
+        )
+        return
     letter = st.tuples(st.integers(0, 6), st.booleans())
-    words = [data.draw(st.lists(letter, max_size=6)) for _ in range(2)]
-    if data.draw(st.booleans()):
+    words = [data.draw(st.lists(letter, max_size=3)) for _ in range(2)]
+    respelling = data.draw(st.sampled_from(["none", "sigma", "inverse"]))
+    if respelling == "sigma":
         # the first word with sigma spelled by its monomial matrix: the same
         # map, another word
         words[1] = [(6 if index == 0 else index, inverse) for index, inverse in words[0]]
-    products = {}
-    for model in (line, plane):
-        atoms = _line_test_atoms(model)
-        products[model] = [_product_or_cap(model, atoms, word) for word in words]
-    for on_line, on_plane in zip(products[line], products[plane]):
-        if on_plane is ResourceError:
-            assert on_line is ResourceError
-        else:
-            assert on_line.word == on_plane.word and on_line.degree == on_plane.degree
-    if ResourceError not in products[plane]:
-        (u, v), (u_plane, v_plane) = products[line], products[plane]
-        assert (u == v) == (u_plane == v_plane)
-        assert (u == line.inverse(v)) == (u_plane == plane.inverse(v_plane))
+    elif respelling == "inverse":
+        words[1] = [(index, not inverse) for index, inverse in reversed(words[0])]
+    p = primes[0]
+    u, v = (_product(model, atoms, word) for word in words)
+    plane_u, plane_v = (_plane_map(model, atoms, word, p) for word in words)
+    for g, plane in ((u, plane_u), (v, plane_v)):
+        assert g.degree == max(q.total_degree() for q in plane)
+    inverse_v = [(index, not inverse) for index, inverse in reversed(words[1])]
+    assert (u == v) == _same_plane_map(plane_u, plane_v)
+    assert (u == model.inverse(v)) == _same_plane_map(plane_u, _plane_map(model, atoms, inverse_v, p))
 
 
 def test_a_line_through_a_base_point_drops_one_step_and_leaves_no_trace():

@@ -14,6 +14,7 @@ from hypwalk import experiments as E
 from hypwalk import cremona, polynomials, stats
 from hypwalk import words as W
 from hypwalk.cli import write_outputs
+from hypwalk import config as config_module
 from hypwalk.config import build_measure, build_model, run_config
 from hypwalk.cremona import CremonaModel, MonomialMap, MonomialModel
 from hypwalk.errors import BadPrimeSignal, InputError, ParamError, ResourceError
@@ -692,21 +693,46 @@ def test_degree_growth_point_mass_exact():
         assert agg["mean_log_deg_rate"] == pytest.approx(math.log(2), abs=1e-12)
 
 
-def test_degree_growth_retries_bad_primes():
-    # at the tiny primes 3 and 5 some compositions disagree in degree, so
-    # trials are respawned at fresh primes; the dynamical-degree subsample
-    # follows a retried trial to its primes, and an estimate that meets a
-    # bad prime is retried at fresh primes too, so every trial gets the
-    # lambda rate the default primes give
-    def run(primes):
-        config = preset_config("degree-growth-cremona")
-        config["params"].update({"n_grid": [2, 4], "trials": 6, "iterate_budget": 2})
-        if primes is not None:
-            config["model"]["primes"] = primes
-        return run_config(config)
+def _with_a_bad_line(measure):
+    """``measure`` with a bad prime injected after it was built: its model's
+    frame at the first prime becomes the line t (1, 2, 0) + u (3, 6, 1),
+    which passes through [0:0:1], a base point of sigma, and its memo keeps
+    only that identity, as a pickled model's does.  Letter steps at that
+    prime then miss, and their degrees disagree with the second prime's."""
+    model = measure.oracle
+    (p, _), *rest = model._memo[()][0]
+    bad = polynomials.normalize_triple(
+        HomPoly3(1, {(0, 1, 0): 1, (0, 0, 1): 3}, p),
+        HomPoly3(1, {(0, 1, 0): 2, (0, 0, 1): 6}, p),
+        HomPoly3.variable(2, p),
+        coprime=True,
+    )[0]
+    model._memo, model._memo_bytes = {(): (((p, bad), *rest), 1)}, 0
+    return measure
 
-    tiny = run([3, 5])
-    good = run(None)
+
+def _inject_a_bad_line(patch):
+    """Every measure a config builds gets :func:`_with_a_bad_line`."""
+    build = config_module.build_measure
+    patch.setattr(config_module, "build_measure", lambda m, spec: _with_a_bad_line(build(m, spec)))
+
+
+def _retried_config():
+    """The config of the retry-path tests: a short degree-growth-cremona."""
+    config = preset_config("degree-growth-cremona")
+    config["params"].update({"n_grid": [2, 4], "trials": 6, "iterate_budget": 2})
+    return config
+
+
+def test_degree_growth_retries_bad_primes(monkeypatch):
+    # with a bad prime injected after the measure is built, the trials'
+    # compositions disagree in degree, so they are respawned at fresh
+    # primes; the dynamical-degree subsample follows a retried trial to its
+    # primes, and an estimate that meets a bad prime is retried at fresh
+    # primes too, so every trial gets the lambda rate the default primes give
+    good = run_config(_retried_config())
+    _inject_a_bad_line(monkeypatch)
+    tiny = run_config(_retried_config())
     top = [r for r in tiny.records if r["n"] == 4]
     assert len(top) == 6 and not any(r["truncated"] for r in top)
     retried = {r["trial"] for r in tiny.records if r.get("prime_retries", 0) >= 1}
@@ -724,37 +750,34 @@ def test_degree_growth_retries_bad_primes():
 def _golden_configs():
     yield "sigma-involution", preset_config("sigma-involution")
     yield "degree-growth-henon", preset_config("degree-growth-henon")
-    # the config of test_degree_growth_retries_bad_primes at primes [3, 5]:
-    # it retries both walks and dynamical-degree estimates
-    config = preset_config("degree-growth-cremona")
-    config["params"].update({"n_grid": [2, 4], "trials": 6, "iterate_budget": 2})
-    config["model"]["primes"] = [3, 5]
-    yield "degree-growth-cremona-primes-3-5", config
+    # the run of test_degree_growth_retries_bad_primes, with a bad line
+    # injected: it retries every walk at fresh primes
+    yield "degree-growth-cremona-bad-line", _retried_config()
 
 
 # sha256 of each report.json: the retry path keeps these reports byte for byte
 _GOLDEN_REPORTS = {
     "sigma-involution": "a47cce48c4d4df99f4a4b2fac89f568a278b163591afd9db3198416c768e95ae",
     "degree-growth-henon": "2830b9977540c14e1170796b6383376943665aa54d6ad79b86c6ef1568860e09",
-    "degree-growth-cremona-primes-3-5": (
-        "480b71b3b367c13813cebc6bdd0d20bed9938dd98cda273a63de355d4af1186d"
+    "degree-growth-cremona-bad-line": (
+        "f35241410d8adc0a19d737af95c464e1f13a7cdbefb218d7ab345072a033b729"
     ),
 }
 
 
 @pytest.mark.parametrize("name, config", list(_golden_configs()))
-def test_retry_path_reports_keep_their_bytes(name, config, tmp_path):
+def test_retry_path_reports_keep_their_bytes(name, config, tmp_path, monkeypatch):
+    if name.endswith("bad-line"):
+        _inject_a_bad_line(monkeypatch)
     write_outputs(run_config(config), config, tmp_path)
     digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
     assert digest == _GOLDEN_REPORTS[name]
 
 
-def _cremona_measure(degree_cap=None, primes=None):
+def _cremona_measure(degree_cap=None):
     config = preset_config("degree-growth-cremona")
     if degree_cap is not None:
         config["model"]["degree_cap"] = degree_cap
-    if primes is not None:
-        config["model"]["primes"] = primes
     model = build_model(config["model"])
     return build_measure(model, config["measure"])
 
@@ -880,13 +903,20 @@ def test_degree_growth_lambda_at_degree_cap():
     assert result.aggregates["lambda_track"]["subsample"] > 0
 
 
-def test_gromov_tail_retries_bad_primes():
-    # at the primes 3 and 5, composing w^-1 w^-1 for the symmetric Gromov
-    # product of trial 0 meets a degree disagreement; the row is retried at
-    # fresh primes instead of aborting the run, and gives the default
-    # primes' value
-    tiny = E.gromov_tail(_cremona_measure(primes=[3, 5]), [2, 4], 2, seed=1)
+def test_gromov_tail_retries_bad_primes(monkeypatch):
+    # with a bad prime injected after the measure is built, the trials'
+    # compositions meet degree disagreements; the rows are retried at fresh
+    # primes instead of aborting the run, and give the default primes'
+    # values
+    respawned = []
+    respawn = CremonaModel.respawn
+    monkeypatch.setattr(
+        CremonaModel, "respawn", lambda self, primes: respawned.append(primes) or respawn(self, primes)
+    )
     good = E.gromov_tail(_cremona_measure(), [2, 4], 2, seed=1)
+    assert not respawned
+    tiny = E.gromov_tail(_with_a_bad_line(_cremona_measure()), [2, 4], 2, seed=1)
+    assert respawned
     assert not any(r["truncated"] for r in tiny.records)
     assert tiny.records == good.records
 

@@ -40,6 +40,17 @@ def _random_poly(rng, degree, density=0.5, p=DEFAULT_PRIME):
     return HomPoly3(degree, coeffs, p)
 
 
+def _random_form(rng, degree, density=0.5, p=DEFAULT_PRIME):
+    """A random form in Y and Z alone: a one-row box, as the coordinates of
+    a Cremona track on a line are."""
+    coeffs = {
+        (0, j, degree - j): rng.randrange(1, p)
+        for j in range(degree + 1)
+        if rng.random() < density
+    }
+    return HomPoly3(degree, coeffs, p)
+
+
 def test_ring_op_examples():
     assert X.add(Y).mul(X.sub(Y)) == X.mul(X).sub(Y.mul(Y))
     sq = X.add(Y).pow(2)
@@ -110,6 +121,10 @@ def test_substitute_degree_mismatch():
 
 def test_gcd3_examples():
     assert gcd3(X.mul(Y), X.mul(Z), X.mul(Y.add(Z))) == X
+    assert gcd3(Y.add(Z).mul(Y), Y.add(Z).mul(Z), Y.add(Z).mul(Y.add(Z.scale(2)))) == Y.add(Z)
+    # one nonzero poly: its gcd is the poly made monic
+    zero = HomPoly3.zero(1)
+    assert gcd3(Y.scale(3).add(Z), zero, zero) == Y.add(Z.scale(pow(3, -1, DEFAULT_PRIME)))
     xyz_monomials = (
         HomPoly3.monomial(2, 1, 1),
         HomPoly3.monomial(1, 2, 1),
@@ -122,10 +137,10 @@ def test_gcd3_examples():
 def test_gcd3_finds_planted_nonmonomial_factor():
     rng = random.Random(11)
     for _ in range(10):
-        common = X.add(Y)  # nonmonomial common factor
-        a = common.mul(_random_poly(rng, 2, 0.8))
-        b = common.mul(_random_poly(rng, 2, 0.8))
-        c = common.mul(_random_poly(rng, 3, 0.8))
+        common = Y.add(Z)  # nonmonomial common factor
+        a = common.mul(_random_form(rng, 2, 0.8))
+        b = common.mul(_random_form(rng, 2, 0.8))
+        c = common.mul(_random_form(rng, 3, 0.8))
         g = gcd3(a, b, c)
         assert divexact(g, common) is not None  # common divides the gcd
         for poly in (a, b, c):
@@ -135,9 +150,9 @@ def test_gcd3_finds_planted_nonmonomial_factor():
 def test_gcd3_divides_inputs_random():
     rng = random.Random(13)
     for _ in range(20):
-        a = _random_poly(rng, rng.randrange(1, 5), 0.6)
-        b = _random_poly(rng, rng.randrange(1, 5), 0.6)
-        c = _random_poly(rng, rng.randrange(1, 5), 0.6)
+        a = _random_form(rng, rng.randrange(1, 5), 0.6)
+        b = _random_form(rng, rng.randrange(1, 5), 0.6)
+        c = _random_form(rng, rng.randrange(1, 5), 0.6)
         if a.is_zero() and b.is_zero() and c.is_zero():
             continue
         g = gcd3(a, b, c)
@@ -148,8 +163,23 @@ def test_gcd3_divides_inputs_random():
 
 def test_divexact_detects_non_divisibility():
     assert divexact(X.mul(Y), X) == Y
-    assert divexact(X.add(Y).mul(X), X.add(Y)) == X
+    assert divexact(Y.add(Z).mul(Y), Y.add(Z)) == Y
+    assert divexact(Y.mul(Y).add(Z.mul(Z)), Y.add(Z)) is None  # remainder 2 Z^2
     assert divexact(X.mul(X).add(Y.mul(Z)), X) is None
+
+
+def test_gcd3_and_divexact_refuse_plane_operands():
+    # a gcd or quotient that is not a monomial or a shift needs one-row boxes
+    plane = X.add(Y).mul(Y.add(Z))
+    with pytest.raises(InputError, match="one-row boxes"):
+        gcd3(plane, X.add(Y).mul(Z.add(X)), HomPoly3.zero(2))
+    with pytest.raises(InputError, match="one-row boxes"):
+        divexact(plane, X.add(Y))
+    with pytest.raises(InputError, match="one-row boxes"):
+        divexact(Y.add(Z).mul(Y), X.add(Y))
+    # a monomial gcd and a monomial divisor read only corners and shifts
+    assert gcd3(plane, X.mul(Y), HomPoly3.zero(2)) == HomPoly3.monomial(0, 0, 0)
+    assert divexact(plane.mul(Z), Z) == plane
 
 
 def test_normalize_triple_sigma_squared():
@@ -185,9 +215,9 @@ def test_normalize_triple_rejects_zero():
 def test_normalize_degree_drop_iff_gcd():
     rng = random.Random(17)
     for _ in range(10):
-        a = _random_poly(rng, 3, 0.7)
-        b = _random_poly(rng, 3, 0.7)
-        c = _random_poly(rng, 3, 0.7)
+        a = _random_form(rng, 3, 0.7)
+        b = _random_form(rng, 3, 0.7)
+        c = _random_form(rng, 3, 0.7)
         (q1, q2, q3), dropped = normalize_triple(a, b, c)
         assert q1.degree == 3 - dropped
         follow_up = gcd3(q1, q2, q3)
@@ -215,23 +245,23 @@ def test_divexact_z_power_in_divisor():
     assert divexact(X.mul(Y), Z.mul(Y)) is None
     assert divexact(X.mul(Z), Z.mul(Z)) is None
     rng = random.Random(23)
-    h = _random_poly(rng, 12, density=1.0)
-    a = _random_poly(rng, 12, density=1.0)
+    h = _random_form(rng, 12, density=1.0)
+    a = _random_form(rng, 12, density=1.0)
     assert divexact(a.mul(h), Z.mul(h)) is None
     assert divexact(a.mul(h).mul(Z), Z.mul(h)) == a
 
 
 def test_divexact_exact_at_31_bit_prime():
     rng = random.Random(29)
-    a = _random_poly(rng, 20, density=0.9, p=P31)
-    g = _random_poly(rng, 20, density=0.9, p=P31)
+    a = _random_form(rng, 20, density=0.9, p=P31)
+    g = _random_form(rng, 20, density=0.9, p=P31)
     assert divexact(a.mul(g), g) == a
 
 
 def test_gcd3_finds_degree_20_factor_at_31_bit_prime():
     rng = random.Random(31)
-    common = _random_poly(rng, 20, density=0.9, p=P31)
-    polys = [common.mul(_random_poly(rng, d, density=0.9, p=P31)) for d in (3, 3, 4)]
+    common = _random_form(rng, 20, density=0.9, p=P31)
+    polys = [common.mul(_random_form(rng, d, density=0.9, p=P31)) for d in (3, 3, 4)]
     g = gcd3(*polys)
     assert g.degree == 20
     assert g == common.scale(pow(common.terms()[0][1], P31 - 2, P31))
@@ -275,6 +305,8 @@ def test_gcd_verification_failure_is_a_bad_prime(monkeypatch):
     monkeypatch.setattr(polynomials, "_divides_all", lambda g, polys: False)
     with pytest.raises(BadPrimeSignal):
         gcd3(X.mul(Y), X.mul(Z), X.mul(Y.add(Z)))
+    with pytest.raises(BadPrimeSignal):
+        gcd3(Y.add(Z).mul(Y), Y.add(Z).mul(Z), Y.add(Z).mul(Y.add(Z.scale(2))))
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +328,30 @@ def _hompolys(draw, p, max_degree, min_degree=0):
     return HomPoly3(degree, coeffs, p)
 
 
+@st.composite
+def _binary_forms(draw, p, max_degree, min_degree=0, nonzero=True):
+    """A form in Y and Z alone, a one-row box, as the coordinates of a
+    Cremona track on a line are; a zero form becomes Z^degree unless
+    ``nonzero`` is false."""
+    degree = draw(st.integers(min_degree, max_degree))
+    coeffs = {
+        (0, j, degree - j): draw(st.sampled_from((0, 1, p - 1)) | st.integers(0, p - 1))
+        for j in range(degree + 1)
+    }
+    form = HomPoly3(degree, coeffs, p)
+    if nonzero and form.is_zero():
+        return HomPoly3.monomial(0, 0, degree, 1, p)
+    return form
+
+
+@st.composite
+def _monomials(draw, p, x_max=1):
+    """X^i Y^j Z^l with i <= x_max and j, l <= 2: times a binary form, a
+    one-row box in another row, or with other monomial content."""
+    exps = [draw(st.integers(0, top)) for top in (x_max, 2, 2)]
+    return HomPoly3.monomial(*exps, 1, p)
+
+
 def _to_sympy(poly):
     return sympy.Poly.from_dict(
         dict(poly.coeffs) or {(0, 0, 0): 0}, _x, _y, _z, modulus=poly.p
@@ -310,15 +366,15 @@ def _from_sympy(poly, degree, p):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_divexact_matches_sympy(p, data):
-    a = data.draw(_hompolys(p, 3))
-    g = data.draw(_hompolys(p, 3))
-    e = data.draw(_hompolys(p, 6))
-    if g.is_zero():
-        return
+    a = data.draw(_binary_forms(p, 3, nonzero=False)).mul(data.draw(_monomials(p)))
+    g = data.draw(_binary_forms(p, 3)).mul(data.draw(_monomials(p)))
     f = a.mul(g)
     assert divexact(f, g) == a
-    if e.degree == f.degree and data.draw(st.booleans()):
-        f = f.add(e)
+    if data.draw(st.booleans()):
+        # plus a form in f's row, so that f stays a one-row box
+        d = f.degree - f.corner[0]
+        e = data.draw(_binary_forms(p, d, min_degree=d, nonzero=False))
+        f = f.add(e.mul(HomPoly3.monomial(f.corner[0], 0, 0, 1, p)))
     quotient, remainder = _to_sympy(f).div(_to_sympy(g))
     expected = (
         _from_sympy(quotient, f.degree - g.degree, p)
@@ -332,27 +388,17 @@ def test_divexact_matches_sympy(p, data):
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_gcd3_matches_sympy(p, data):
-    common = data.draw(_hompolys(p, 2))
-    polys = [common.mul(data.draw(_hompolys(p, 3))) for _ in range(3)]
+    common = data.draw(_binary_forms(p, 2)).mul(data.draw(_monomials(p)))
+    polys = [
+        common.mul(data.draw(_binary_forms(p, 3, nonzero=False))).mul(data.draw(_monomials(p)))
+        for _ in range(3)
+    ]
     nonzero = [_to_sympy(q) for q in polys if not q.is_zero()]
     if not nonzero:
         return
     expected = functools.reduce(sympy.Poly.gcd, nonzero).monic()
     g = gcd3(*polys)
     assert g == _from_sympy(expected, expected.total_degree(), p)
-
-
-def test_gcd3_checks_the_first_pairwise_gcd_at_p5():
-    # Three polys over GF(5) sharing X + Y.  Every nonzero point of GF(5) is
-    # unlucky for the first pair, so its modular gcd is wrong, and folded
-    # with the third poly it gave 1, which passes the final trial division.
-    p = 5
-    f1 = HomPoly3(3, {(3, 0, 0): 1, (2, 1, 0): 2, (1, 0, 2): 1, (0, 3, 0): 4, (0, 1, 2): 1}, p)
-    f2 = HomPoly3(3, {(2, 1, 0): 3, (1, 2, 0): 4, (1, 0, 2): 4, (0, 3, 0): 1, (0, 1, 2): 4}, p)
-    f3 = HomPoly3(2, {(2, 0, 0): 1, (1, 1, 0): 2, (1, 0, 1): 4, (0, 2, 0): 1, (0, 1, 1): 4}, p)
-    assert gcd3(f1, f2, f3) == HomPoly3(1, {(1, 0, 0): 1, (0, 1, 0): 1}, p)
-    boxes = [f.box for f in (f1, f2, f3)]
-    assert polynomials._bivariate_gcd_list(boxes, p, polynomials._modular_bivariate_gcd) is None
 
 
 def _dict_add(a, b, p):
@@ -588,9 +634,12 @@ def test_substitute_matches_sympy(p, data):
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_normalize_triple_matches_sympy(p, data):
-    common = data.draw(_hompolys(p, 2))
+    common = data.draw(_binary_forms(p, 2)).mul(data.draw(_monomials(p, x_max=0)))
     e = data.draw(st.integers(0, 3))
-    triple = [common.mul(data.draw(_hompolys(p, e, min_degree=e))) for _ in range(3)]
+    triple = [
+        common.mul(data.draw(_binary_forms(p, e, min_degree=e, nonzero=False)))
+        for _ in range(3)
+    ]
     nonzero = [_to_sympy(q) for q in triple if not q.is_zero()]
     if not nonzero:
         return  # the zero triple is test_normalize_triple_rejects_zero
@@ -636,13 +685,13 @@ def test_line_tables_keep_a_few_primes():
     assert list(polynomials._LINE_TABLES) == list(primes[-polynomials._LINE_TABLE_PRIMES :])
 
 
-# The certificate's lines as (a, b, c) for (t + a, b t + c, 1), before the
-# shift a was folded into c; _CERT_LINES holds the same two lines.
-_SHIFTED_CERT_LINES = ((1, 2, 3), (5, 7, 11))
+# The certificate's line as (a, b, c) for (t + a, b t + c, 1), before the
+# shift a was folded into c; _CERT_LINES holds the same line.
+_SHIFTED_CERT_LINES = ((1, 2, 3),)
 
 
 def _proved_on_shifted_lines(polys, p, groups):
-    """The groups whose restrictions to one of _SHIFTED_CERT_LINES all keep
+    """The groups whose restrictions to a line of _SHIFTED_CERT_LINES all keep
     their degree and have a constant gcd."""
     proved = set()
     for a, b, c in _SHIFTED_CERT_LINES:
@@ -679,19 +728,6 @@ def test_certificate_proves_what_the_shifted_lines_prove(p, data):
     assert proved == _proved_on_shifted_lines(polys, p, groups)
 
 
-@st.composite
-def _binary_forms(draw, p, max_degree, min_degree=0):
-    """A nonzero form in Y and Z alone, a one-row box, as the coordinates of
-    a Cremona track on a line are."""
-    degree = draw(st.integers(min_degree, max_degree))
-    coeffs = {
-        (0, j, degree - j): draw(st.sampled_from((0, 1, p - 1)) | st.integers(0, p - 1))
-        for j in range(degree + 1)
-    }
-    form = HomPoly3(degree, coeffs, p)
-    return HomPoly3.monomial(0, 0, degree, 1, p) if form.is_zero() else form
-
-
 def _sympy_gcd(polys):
     return functools.reduce(sympy.Poly.gcd, [_to_sympy(q) for q in polys]).monic()
 
@@ -701,10 +737,10 @@ def _sympy_gcd(polys):
 @given(data=st.data())
 def test_the_gcd_layer_is_exact_on_one_row_boxes(p, data):
     # three forms in (Y, Z) with planted common factors and monomial
-    # contents: each rest keeps its degree on both certificate lines (it has
-    # a Y^d term, and both lines have b != 0), so the certificate proves a
-    # group exactly when the group's gcd is 1; the gcds, the quotients and
-    # the normalized triple are sympy's
+    # contents: each rest keeps its degree on the certificate line (it has a
+    # Y^d term, and the line has b != 0), so the certificate proves a group
+    # exactly when the group's gcd is 1; the gcds, the quotients and the
+    # normalized triple are sympy's
     planted = [data.draw(_binary_forms(p, 3, min_degree=1)) for _ in range(2)]
     forms = []
     for _ in range(3):
@@ -741,93 +777,15 @@ def test_the_gcd_layer_is_exact_on_one_row_boxes(p, data):
     assert normalize_triple(*forms) == (expected, g.total_degree())
 
 
-def _upolyval_many(rows, points, p):
-    out = np.zeros((rows.shape[0], points.shape[0]), dtype=np.int64)
-    for j in range(rows.shape[1] - 1, -1, -1):
-        out = (out * points[None, :] + rows[:, j][:, None]) % p
-    return out
-
-
-def _modular_gcd_per_point(A, B, p):
-    """The evaluation/interpolation gcd of two primitive boxes, evaluating
-    one point at a time."""
-    ugcd, utrim = polynomials._ugcd, polynomials._utrim
-    lcA, lcB = utrim(A[-1]), utrim(B[-1])
-    gamma = ugcd(lcA, lcB, p)
-    needed = (gamma.size - 1) + min(A.shape[1], B.shape[1])
-    best_deg = None
-    nodes, values = [], []
-    point = 0
-    while len(nodes) < needed:
-        point += 1
-        if point > 8 * needed + 64 or point >= p:
-            return None
-        y = np.array([point])
-        if _upolyval_many(lcA[None, :], y, p)[0, 0] == 0:
-            continue
-        if _upolyval_many(lcB[None, :], y, p)[0, 0] == 0:
-            continue
-        a_spec = utrim(_upolyval_many(A, y, p)[:, 0])
-        b_spec = utrim(_upolyval_many(B, y, p)[:, 0])
-        g_spec = ugcd(a_spec, b_spec, p)
-        deg = g_spec.size - 1
-        if best_deg is None or deg < best_deg:
-            best_deg = deg
-            nodes, values = [], []
-        if deg == best_deg:
-            if best_deg == 0:
-                return np.ones((1, 1), dtype=np.int64)
-            scale = int(_upolyval_many(gamma[None, :], y, p)[0, 0])
-            nodes.append(point)
-            values.append((g_spec * scale) % p)
-    table = np.zeros((len(nodes), best_deg + 1), dtype=np.int64)
-    for t, vec in enumerate(values):
-        table[t, : vec.size] = vec
-    poly = polynomials._newton_interpolate(np.array(nodes, dtype=np.int64), table, p)
-    return polynomials._primitive(poly.T, p)[1]
-
-
-def _primitive_boxes(a, b, p):
-    """The primitive parts of a's and b's boxes, the modular gcd's inputs."""
-    return polynomials._primitive(a.box, p)[1], polynomials._primitive(b.box, p)[1]
-
-
-def _same_gcd(A, B, p):
-    got = polynomials._modular_bivariate_gcd(A, B, p)
-    expected = _modular_gcd_per_point(A, B, p)
-    if expected is None:
-        return got is None
-    return got is not None and np.array_equal(got, expected)
-
-
-@pytest.mark.parametrize("p", _ORACLE_PRIMES)
-@settings(max_examples=25, deadline=None)
-@given(data=st.data())
-def test_modular_gcd_matches_per_point_loop(p, data):
-    common = data.draw(_hompolys(p, 3))
-    a = common.mul(data.draw(_hompolys(p, 4)))
-    b = common.mul(data.draw(_hompolys(p, 4)))
-    if a.is_zero() or b.is_zero():
-        return
-    assert _same_gcd(*_primitive_boxes(a, b, p), p)
-
-
-def test_modular_gcd_runs_out_of_points_at_5():
-    # at p = 5 the points are 1..4, fewer than the 5 that a gcd of
-    # y-degree 4 needs
-    p = 5
-    g = HomPoly3(4, {(1, 3, 0): 1, (0, 4, 0): 2, (0, 0, 4): 1}, p)
-    a = g.mul(HomPoly3(1, {(1, 0, 0): 1, (0, 1, 0): 1}, p))
-    b = g.mul(HomPoly3(1, {(1, 0, 0): 1, (0, 0, 1): 3}, p))
-    A, B = _primitive_boxes(a, b, p)
-    assert polynomials._modular_bivariate_gcd(A, B, p) is None
-    assert _same_gcd(A, B, p)
-    assert gcd3(a, b, a) == g  # through the PRS fallback
+# Binary forms with the common factor (Y + 3 Z)(Z + 2 Y) and coprime cofactors
+_SHARED_TRIPLE = [
+    Y.add(Z.scale(3)).mul(Z.add(Y.scale(2))).mul(q)
+    for q in (Y.mul(Z), Y.mul(Y).add(Y.mul(Z)).add(Z.mul(Z)), Z.mul(Z))
+]
 
 
 def test_normalize_triple_divides_each_component_once(monkeypatch):
-    common = X.add(Y.scale(3)).mul(Z.add(Y))
-    triple = [common.mul(q) for q in (X.mul(Y), Y.mul(Z).add(X.mul(X)), Z.mul(Z))]
+    triple = _SHARED_TRIPLE
     expected = normalize_triple(*triple)
     quotients = []
     g = gcd3(*triple, quotients)
@@ -879,8 +837,9 @@ def _record_gcd_layer(monkeypatch):
 
 
 def test_normalize_triple_proves_a_coprime_triple_without_gcd3(monkeypatch):
-    # the quadratic Henon triple composed onto a linear one is coprime
-    A, B, C = X.add(Y.scale(2)).add(Z), Y.add(Z.scale(3)), X.add(Z)
+    # the quadratic Henon triple composed onto three binary linear forms is
+    # coprime
+    A, B, C = Y.scale(2).add(Z), Y.add(Z.scale(3)), Y.add(Z)
     triple = (B.mul(C), B.mul(B).sub(A.mul(C)), C.mul(C))
     calls = _record_gcd_layer(monkeypatch)
     (q1, q2, q3), dropped = normalize_triple(*triple)
@@ -891,8 +850,7 @@ def test_normalize_triple_proves_a_coprime_triple_without_gcd3(monkeypatch):
 
 
 def test_normalize_triple_sends_a_shared_factor_to_gcd3_once(monkeypatch):
-    common = X.add(Y.scale(3)).mul(Z.add(Y))
-    triple = [common.mul(q) for q in (X.mul(Y), Y.mul(Z).add(X.mul(X)), Z.mul(Z))]
+    triple = _SHARED_TRIPLE
     calls = _record_gcd_layer(monkeypatch)
     (q1, q2, q3), dropped = normalize_triple(*triple)
     assert dropped == 2 and calls["certificate"] == 1 and calls["gcd3"] == 1
@@ -907,21 +865,21 @@ def test_normalize_triple_sends_a_shared_factor_to_gcd3_once(monkeypatch):
 
 @st.composite
 def _pair_gcd_inputs(draw, p):
-    """Four polys for group gcds: some share a factor, some are a monomial
-    times a constant, the rest are free; each carries monomial content, and
-    one may be zero."""
-    common = draw(_hompolys(p, 2, min_degree=1))
+    """Four one-row polys for group gcds: some share a factor, some are a
+    monomial times a constant, the rest are free; each carries monomial
+    content, and one may be zero."""
+    common = draw(_binary_forms(p, 2, min_degree=1))
     polys = []
     for _ in range(4):
         exps = [draw(st.integers(0, 2)) for _ in range(3)]
         mono = HomPoly3.monomial(*exps, draw(st.integers(1, p - 1)), p)
         kind = draw(st.sampled_from(["shared", "shared", "monomial", "free", "zero"]))
         if kind == "shared":
-            polys.append(common.mul(draw(_hompolys(p, 2))).mul(mono))
+            polys.append(common.mul(draw(_binary_forms(p, 2, nonzero=False))).mul(mono))
         elif kind == "monomial":
             polys.append(mono)
         elif kind == "free":
-            polys.append(draw(_hompolys(p, 3)).mul(mono))
+            polys.append(draw(_binary_forms(p, 3, nonzero=False)).mul(mono))
         else:
             polys.append(HomPoly3.zero(draw(st.integers(0, 4)), p))
     return polys
@@ -950,13 +908,20 @@ def test_pair_gcds_match_gcd3_pair_by_pair(p, data):
 
 
 def _divexact_dense_path(f, g):
-    """f / g for a nonzero f through :func:`_divexact_dense`, whatever g."""
-    degree = f.degree - g.degree
-    corner = (f.corner[0] - g.corner[0], f.corner[1] - g.corner[1])
-    if degree < 0 or min(corner) < 0:
-        return None
-    q = polynomials._divexact_dense(f.box, g.box, f.p, degree - sum(corner))
-    return None if q is None else HomPoly3._from_array(degree, q, f.p, corner)
+    """f / g for a nonzero f and a monomial g, term by term on f's dense
+    exponent array: each exponent triple less g's, None when one goes
+    negative."""
+    ((shift, c),) = g.terms()
+    inverse = pow(c, -1, f.p)
+    coeffs = {}
+    for i, row in enumerate(_dense(f)):
+        for j, coeff in enumerate(row):
+            if coeff:
+                key = tuple(np.subtract((i, j, f.degree - i - j), shift).tolist())
+                if min(key) < 0:
+                    return None
+                coeffs[key] = coeff * inverse % f.p
+    return HomPoly3(f.degree - g.degree, coeffs, f.p)
 
 
 @pytest.mark.parametrize("p", _ORACLE_PRIMES)
