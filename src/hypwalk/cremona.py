@@ -51,12 +51,13 @@ and in that last Henon case when gcd(a, g3 / a) is nontrivial.  A letter
 step takes all its pairwise gcds from one call to
 ``polynomials.group_gcds``, the front of the gcd layer, and a composed
 triple's gcd from another (in ``normalize_triple``).  The front proves
-groups of non-monomial coordinates coprime by line restriction and sends
-the others (a group with a monomial coordinate, or one the certificate does
-not prove) through ``gcd3``.  Every other quotient goes through
-``divexact`` (a shift for a monomial divisor), and an inexact one raises
-:class:`~hypwalk.errors.BadPrimeSignal`.  The normalized coprime triple of
-a map is unique, so the rule changes no result, only the work.  The rule
+groups of non-monomial coordinates coprime by a univariate gcd of their
+rests' rows and sends the others (a group with a monomial coordinate, or
+one the certificate does not prove) through ``gcd3``.  Every other
+quotient goes through ``divexact`` (a shift for a monomial divisor), and
+an inexact one raises :class:`~hypwalk.errors.BadPrimeSignal`.  The
+normalized coprime triple of a map is unique, so the rule changes no
+result, only the work.  The rule
 is algebra in a unique factorization domain, so it holds for triples of
 forms in two variables too, as the tracks on a line below are.
 

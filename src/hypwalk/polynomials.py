@@ -10,32 +10,31 @@ that keeps its degree tag, so homogeneity bookkeeping survives sums.
 Every polynomial product -- :meth:`HomPoly3.mul` and the power ladders and
 terms of :func:`substitute` -- is one 2-D convolution, :func:`_conv2d_mod`,
 of two boxes: a float64 BLAS product per row of the operand with fewer
-rows, reduced mod p.  It and :func:`_matmul_mod` (line restriction) follow
-one exact-product rule, stated next to them, that holds for every prime
-p < 2^31: the 31-bit primes drawn by the bad-prime retry policy are as safe
-as the default ones.  Exact division by a one-term divisor is a shift of
-the box, scaled by the inverse of the divisor's coefficient.  Every inverse
-mod p is Python's ``pow(a, -1, p)`` of a nonzero residue (a zero one raises
-``ValueError``).
+rows, reduced mod p.  It follows one exact-product rule, stated next to
+it, that holds for every prime p < 2^31: the 31-bit primes drawn by the
+bad-prime retry policy are as safe as the default ones.  Exact division by
+a one-term divisor is a shift of the box, scaled by the inverse of the
+divisor's coefficient.  Every inverse mod p is Python's ``pow(a, -1, p)``
+of a nonzero residue (a zero one raises ``ValueError``).
 
-The gcd layer has a front and a core, and beyond a monomial gcd it works
-on one-row boxes: forms in Y and Z times a power of X, as the coordinates
-of a Cremona track on a line are (see :mod:`hypwalk.cremona`).  The front,
-:func:`group_gcds`, takes groups of polys by index: the pairs of a Cremona
-letter step or the triple that :func:`normalize_triple` cancels.  It splits
-each poly's monomial content off once and tries every group whose rests
-have two or more terms with one coprimality certificate: a nonconstant
-common factor survives restriction to any fixed affine line it does not
-contain, so a trivial univariate gcd on one line proves coprimality.  The
-line is (X, Y, Z) = (t, b t + c, 1), so a restriction is one matrix product
-against the powers of (b t + c), cached per prime.  A proved group's gcd is
-a monomial, and its quotients are shifts.  Every other group goes to the
-core, :func:`gcd3`: the least monomial content times the gcd of the rests,
-a fold of univariate gcds over the rows.  Exact division,
+The gcd layer has a front and a core, and beyond a monomial gcd or a shift
+it takes one-row boxes: forms in Y and Z times a power of X, as the
+coordinates of a Cremona track on a line are (see :mod:`hypwalk.cremona`).
+Such a box's row is the form with Z = 1, divided by the powers of X and Y
+at its corner, so every gcd of two or more terms is a fold of univariate
+gcds over the rows.  The front, :func:`group_gcds`, takes groups of polys
+by index: the pairs of a Cremona letter step or the triple that
+:func:`normalize_triple` cancels.  It splits each poly's monomial content
+off once and tries every group whose rests have two or more terms with one
+coprimality certificate, which proves a group exactly when the fold over
+its rests' rows is constant.  A proved group's gcd is a monomial, and its
+quotients are shifts.  Every other group goes to the core, :func:`gcd3`:
+the least monomial content times the gcd of the rests.  Exact division,
 :func:`divexact`, is a shift for a monomial divisor and a univariate
-division of the rows otherwise.  :func:`gcd3` and :func:`divexact` raise
-:class:`~hypwalk.errors.InputError` on a plane operand (a box of two or
-more rows) whose answer is not a monomial gcd or a shift.
+division of the rows otherwise.  :func:`coprimality_certificate` raises
+:class:`~hypwalk.errors.InputError` on any plane operand (a box of two or
+more rows), and :func:`gcd3` and :func:`divexact` on one whose answer is
+not a monomial gcd or a shift.
 
 Every gcd of the core is verified by trial division before it is
 returned, and the quotients of that division are handed back, so a triple
@@ -48,7 +47,7 @@ numpy rows.
 
 from __future__ import annotations
 
-from functools import partial, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -57,31 +56,19 @@ from .errors import BadPrimeSignal, InputError
 DEFAULT_PRIME = 1000003
 SECOND_PRIME = 1000033
 
-# The certificate's affine line (X, Y, Z) = (t, b t + c, 1), stored as
-# (b, c); a group it does not prove goes to gcd3.  A one-row rest with its
-# monomial content removed has a Y^d term, so while b != 0 mod p its
-# restriction keeps its degree, and Y -> b t + c is then an isomorphism:
-# the line decides every group of one-row rests exactly.  On the three
-# Cremona presets it tried 1,102 groups and proved 820; a second line,
-# (7, -24), proved none of the other 282 and cost 518 restrictions.  The
-# degree-drop check stays for p dividing b (b = 2 at p = 2) and for plane
-# operands.
-_CERT_LINES = ((2, 1),)
-
-
-# The exact-product rule.  Every product of residue arrays is a float64 BLAS
-# product reduced mod p afterwards.  Residues are nonnegative, so every
-# partial sum BLAS forms, in any order and with or without FMA, is an
-# integer no larger than the finished sum; a sum of K products of integers
-# in [0, t], on top of one residue below p, is exact while K t^2 + p <= 2^53.
-# With t = p - 1 that allows K up to 9007 at the default primes and no K
-# once p > 2^26.5, as at the 31-bit retry primes.  Past the bound both
-# operands are split into 16-bit halves (t = 2^16 - 1, exact for K < 2^21),
-# recombined mod p in int64 below 2^48.  K is the inner dimension of a
-# matrix product; a 2-D convolution puts at most min(cols) products on an
-# entry per row product and reduces mod p every floor(9007 / min(cols))
-# rows at the default primes.  Up to DEFAULT_DEGREE_CAP = 512 (cols <= 513)
-# every product is exact for every p < 2^31.
+# The exact-product rule.  A 2-D convolution of residue arrays is a float64
+# BLAS product per row of the operand with fewer rows, reduced mod p
+# afterwards.  Residues are nonnegative, so every partial sum BLAS forms, in
+# any order and with or without FMA, is an integer no larger than the
+# finished sum; a sum of K products of integers in [0, t], on top of one
+# residue below p, is exact while K t^2 + p <= 2^53.  A row product puts at
+# most K = min(cols) products on an entry.  With t = p - 1 that allows K up
+# to 9007 at the default primes and no K once p > 2^26.5, as at the 31-bit
+# retry primes.  Past the bound both operands are split into 16-bit halves
+# (t = 2^16 - 1, exact for K < 2^21), recombined mod p in int64 below 2^48.
+# The row products are reduced mod p every floor(9007 / min(cols)) rows at
+# the default primes.  Up to DEFAULT_DEGREE_CAP = 512 (cols <= 513) every
+# product is exact for every p < 2^31.
 
 
 def _exact_terms(top: int, p: int) -> int:
@@ -95,38 +82,22 @@ def _residues(values: np.ndarray, p: int) -> np.ndarray:
     return values.astype(np.int64) % p
 
 
-def _exact_mod(product, a: np.ndarray, b: np.ndarray, terms: int, p: int) -> np.ndarray:
-    """product(a, b, top) for residue operands, where ``product`` reduces mod
-    p a float64 product whose entries each sum at most ``terms`` products of
-    entries in [0, top]: in one pass when that is exact for top = p - 1,
-    else from the 16-bit halves of both operands."""
-    if terms <= _exact_terms(p - 1, p):
-        return product(a, b, p - 1)
+def _conv2d_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """The 2-D convolution of residue arrays mod p, exact for every p < 2^31:
+    entry [i, j] is the x^i y^j coefficient of the bivariate product.  It is
+    one pass when that is exact for entries up to p - 1, else it is put
+    together from the products of the 16-bit halves of both operands."""
+    if a.shape[0] > b.shape[0]:
+        a, b = b, a  # loop over the rows of the operand with fewer
+    if min(a.shape[1], b.shape[1]) <= _exact_terms(p - 1, p):
+        return _conv2d_float(a, b, p - 1, p)
 
     def half(u, v):
-        return product(u, v, 0xFFFF)
+        return _conv2d_float(u, v, 0xFFFF, p)
 
     a1, a0, b1, b0 = a >> 16, a & 0xFFFF, b >> 16, b & 0xFFFF
     mid = half(a1, b0) + half(a0, b1)
     return ((half(a1, b1) * 65536 + mid) % p * 65536 + half(a0, b0)) % p
-
-
-def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b % p for residue matrices, exact for every p < 2^31."""
-
-    def product(u, v, top):
-        return _residues(u.astype(np.float64) @ v.astype(np.float64), p)
-
-    return _exact_mod(product, a, b, a.shape[-1], p)
-
-
-def _conv2d_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """The 2-D convolution of residue arrays mod p, exact for every p < 2^31:
-    entry [i, j] is the x^i y^j coefficient of the bivariate product."""
-    if a.shape[0] > b.shape[0]:
-        a, b = b, a  # loop over the rows of the operand with fewer
-    terms = min(a.shape[1], b.shape[1])
-    return _exact_mod(partial(_conv2d_float, p=p), a, b, terms, p)
 
 
 def _conv2d_float(a: np.ndarray, b: np.ndarray, top: int, p: int) -> np.ndarray:
@@ -465,68 +436,6 @@ def _shift_exponents(poly: HomPoly3, shift: tuple[int, int, int]) -> HomPoly3:
     return HomPoly3._from_array(poly.degree - si - sj - sl, poly.box, poly.p, corner)
 
 
-def _power_table(root: int, lead: int, size: int, p: int) -> np.ndarray:
-    """Row k holds the coefficients of (lead t + root)^k, for k < size."""
-    table = np.zeros((size, size), dtype=np.int64)
-    table[0, 0] = 1
-    for k in range(1, size):
-        prev = table[k - 1]
-        table[k] = (prev * root) % p
-        table[k, 1:] = (table[k, 1:] + prev[:-1] * lead) % p
-    table.flags.writeable = False  # cached and shared by every restriction
-    return table
-
-
-# prime -> {line: powers of (b t + c)}, most recently used prime last.  The
-# power table of degree d is the top-left block of any larger one, so each
-# table grows on demand; the retry primes are drawn fresh, so only a few
-# primes are kept.
-_LINE_TABLES: dict[int, dict] = {}
-_LINE_TABLE_PRIMES = 4
-
-
-def _line_table(line: tuple[int, int], p: int, d: int) -> np.ndarray:
-    """The power table of (b t + c) for degrees up to d."""
-    tables = _LINE_TABLES.pop(p, None)
-    if tables is None:
-        tables = {}
-        while len(_LINE_TABLES) >= _LINE_TABLE_PRIMES:
-            del _LINE_TABLES[next(iter(_LINE_TABLES))]
-    _LINE_TABLES[p] = tables
-    cached = tables.get(line)
-    if cached is None or cached.shape[0] <= d:
-        size = max(d + 1, 2 * cached.shape[0]) if cached is not None else d + 1
-        b, c = line
-        cached = tables[line] = _power_table(c % p, b, size, p)
-    return cached[: d + 1, : d + 1]
-
-
-def _restrict_to_line(poly: HomPoly3, line: tuple[int, int]) -> np.ndarray:
-    """Coefficients of poly(t, b t + c, 1) as an int64 residue vector.
-
-    One matrix product of the box against the rows of the cached power
-    table that its Y-exponents cover: row r of ``W = box @ V`` is the part
-    of the restriction from X^(i0+r), divided by t^(i0+r), so W[r, k] adds
-    to the t^(i0+r+k) coefficient.  The antidiagonal sums of W, moved by
-    i0, are the coefficients; a row-skewed reshape of the box's rows lines
-    each antidiagonal up as a column.
-    """
-    if poly.is_zero():
-        return np.zeros(0, dtype=np.int64)
-    p = poly.p
-    n = poly.degree + 1
-    (i0, j0), (rows, cols) = poly.corner, poly.box.shape
-    W = _matmul_mod(poly.box, _line_table(line, p, poly.degree)[j0 : j0 + cols], p)
-    # row m of the padded (rows, n + rows) matrix, read with row length
-    # n + rows - 1, starts m places further right: entry (m, k) lands in
-    # column m + k; no column past n - 1 - i0 has a nonzero entry
-    width = n + rows - 1
-    skewed = np.zeros((rows, width + 1), dtype=np.int64)
-    skewed[:, :n] = W
-    sums = skewed.ravel()[: rows * width].reshape(rows, width).sum(axis=0) % p
-    return _utrim(np.concatenate((np.zeros(i0, dtype=np.int64), sums[: n - i0])))
-
-
 def _utrim(vec: np.ndarray) -> np.ndarray:
     nz = np.nonzero(vec)[0]
     if nz.size == 0:
@@ -543,12 +452,8 @@ def _utrim(vec: np.ndarray) -> np.ndarray:
 #   p = 1000003  45/14   249/155  480/492  544/678  839/1842
 #   p ~ 2^31     51/24   277/241  519/705  780/1335 1295/3243
 # The crossover is near 40 at the default primes, where nearly every gcd
-# runs; the 31-bit retry primes cross over near 25.  When the preset's
-# tracks were plane triples, 406 of the 9,674 calls of
-# ``degree-growth-cremona`` had 40 or more coefficients, and all its calls,
-# recorded and replayed, took 462-481 ms on ints alone against 405-409 ms
-# through this dispatch (best of 5, same machine).  On lines the preset
-# makes 1,394 calls, 46 of them with 40 or more coefficients (at most 89).
+# runs; the 31-bit retry primes cross over near 25.  ``degree-growth-cremona``
+# makes 1,676 calls, 60 of them with 40 or more coefficients (at most 89).
 _SHORT_UGCD = 40
 
 
@@ -622,43 +527,35 @@ def _ugcd_rows(u: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
 
 
 def coprimality_certificate(polys, p: int, groups) -> set:
-    """The groups of ``polys`` whose gcd restriction to a fixed line proves
-    constant: a group is a tuple of indices into ``polys`` (a list, or a
-    dict keyed by index), and the result is the set of groups proved
-    coprime (empty when none is).
+    """The groups of ``polys`` whose rows have a constant gcd: a group is a
+    tuple of indices into ``polys`` (a list, or a dict keyed by index), and
+    the result is the set of groups proved (empty when none is).
 
-    Sound provided no restriction drops degree: when
-    ``deg poly(L(t)) == deg poly`` for each poly of a group, every
-    factorization ``poly = G * cofactor`` restricts with full degrees on
-    both sides, so a common factor of positive degree restricts to a
-    nonconstant common divisor of the univariate restrictions.  A constant
-    univariate gcd then certifies coprimality.  A line on which some poly of
-    a group drops degree (the line meets it at its point at infinity) is
-    skipped for that group.  Each poly is restricted at most once per line,
-    and only while a group holding it is unproved.
+    Every poly of a group must be a one-row box, a form in Y and Z times a
+    power of X; a plane operand (a box of two or more rows) raises
+    :class:`~hypwalk.errors.InputError`.  Such a poly is its row, read from
+    its corner, times a monomial, so a group is proved exactly when its gcd
+    is a monomial: for the rests :func:`group_gcds` passes, whose monomial
+    content is split off, exactly when they are coprime.  The rows' gcd is
+    a fold of :func:`_ugcd`, stopped once it is constant.
+
+    >>> Y, Z = HomPoly3.variable(1, 7), HomPoly3.variable(2, 7)
+    >>> polys = [Y.mul(Y).add(Z.mul(Z)), Y.add(Z), Y.add(Z).mul(Y.sub(Z))]
+    >>> coprimality_certificate(polys, 7, [(0, 1), (1, 2)])
+    {(0, 1)}
     """
+    if any(polys[k].box.shape[0] > 1 for group in groups for k in group):
+        raise InputError("the coprimality certificate takes one-row boxes")
     proved: set = set()
-    for line in _CERT_LINES:
-        restricted: dict = {}  # index -> restriction, None on a degree drop
-        for group in groups:
-            if group in proved:
-                continue
-            for k in group:
-                if k not in restricted:
-                    r = _restrict_to_line(polys[k], line)
-                    restricted[k] = r if r.size == polys[k].degree + 1 else None
-            vectors = [restricted[k] for k in group]
-            if any(r is None for r in vectors):
-                continue  # degree drop: certificate not sound on this line
-            g = vectors[0]
-            for r in vectors[1:]:
-                g = _ugcd(g, r, p)
-                if g.size == 1:
-                    break
-            if g.size == 1:
-                proved.add(group)
-        if len(proved) == len(groups):
-            break
+    for group in groups:
+        rows = [polys[k].box.ravel() for k in group]  # a zero poly's is empty
+        gcd = rows[0]
+        for row in rows[1:]:
+            if gcd.size == 1:
+                break
+            gcd = _ugcd(gcd, row, p)
+        if gcd.size == 1:
+            proved.add(group)
     return proved
 
 
@@ -672,12 +569,12 @@ def group_gcds(polys, groups) -> list[tuple[HomPoly3, ...]]:
     :func:`coprimality_certificate`.  Each poly of a group whose polys all
     have two or more terms is split once into its own monomial content m
     and the rest r; gcd(m r, m' r') is gcd(m, m') gcd(r, r'), as X, Y and Z
-    are primes that divide no r.  One certificate call, restricting each r
-    at most once per line, tries every such group.  A proved group's gcd
-    is the least of its contents m, and its quotients are its polys moved
-    by that monomial, with no division.  Every other group goes to
-    :func:`gcd3`: a group with a zero poly or a unit rest (one term), whose
-    gcd is a monomial, and an unproved group.
+    are primes that divide no r.  One certificate call tries every such
+    group, each r a one-row box.  A proved group's gcd is the least of its
+    contents m, and its quotients are its polys moved by that monomial,
+    with no division.  Every other group goes to :func:`gcd3`: a group
+    with a zero poly or a unit rest (one term), whose gcd is a monomial,
+    and an unproved group.
     """
     tried = [group for group in groups if all(polys[k].num_terms() > 1 for k in group)]
     contents, rests = {}, {}  # index -> m and r of each poly the certificate tries

@@ -646,14 +646,15 @@ def test_sigma_step_restricts_each_coordinate_once_per_line(monkeypatch):
     expected = normalize_triple(*(substitute(q, g) for q in outer))[0]
     common = polynomials.gcd3(g[0], g[2], HomPoly3.zero(g[0].degree, p))
 
-    restricted, gcd_calls, divisors = [], [], []
-    restrict, gcd3, divexact = (
-        getattr(polynomials, name) for name in ("_restrict_to_line", "gcd3", "divexact")
+    certified, gcd_calls, divisors = [], [], []
+    certificate, gcd3, divexact = (
+        getattr(polynomials, name) for name in ("coprimality_certificate", "gcd3", "divexact")
     )
 
-    def recording_restrict(poly, line):
-        restricted.append((line, poly.degree, poly.corner, poly.box.tobytes()))
-        return restrict(poly, line)
+    def recording_certificate(polys, q, groups):
+        proved = certificate(polys, q, groups)
+        certified.append((sorted(polys), list(groups), proved))
+        return proved
 
     def recording_gcd3(*args, **kwargs):
         gcd_calls.append(args[:2])
@@ -663,14 +664,15 @@ def test_sigma_step_restricts_each_coordinate_once_per_line(monkeypatch):
         divisors.append(d)
         return divexact(f, d)
 
-    monkeypatch.setattr(polynomials, "_restrict_to_line", recording_restrict)
+    monkeypatch.setattr(polynomials, "coprimality_certificate", recording_certificate)
     monkeypatch.setattr(polynomials, "gcd3", recording_gcd3)
     monkeypatch.setattr(polynomials, "divexact", recording_divexact)
     assert model._compose_letter(sigma, 0, g) == expected
 
-    assert restricted and len(set(restricted)) == len(restricted)
-    # each of the three rests is restricted once, on the certificate's line
-    assert [key[0] for key in restricted] == list(polynomials._CERT_LINES) * 3
+    # one certificate call gets each of the three rests once and tries the
+    # three pairs; the pair (g1, g3) is the one it does not prove
+    pairs = [(1, 2), (0, 2), (0, 1)]
+    assert certified == [([0, 1, 2], pairs, {(1, 2), (0, 1)})]
     assert gcd_calls == [(g[0], g[2])]
     assert common.degree == 2 and divisors == [common] * 3  # that gcd3's check only
 

@@ -13,7 +13,6 @@ from hypwalk.errors import BadPrimeSignal, InputError
 from hypwalk.polynomials import (
     DEFAULT_PRIME,
     HomPoly3,
-    _restrict_to_line,
     divexact,
     fresh_prime,
     gcd3,
@@ -265,40 +264,6 @@ def test_gcd3_finds_degree_20_factor_at_31_bit_prime():
     g = gcd3(*polys)
     assert g.degree == 20
     assert g == common.scale(pow(common.terms()[0][1], P31 - 2, P31))
-
-
-def _restrict_reference(poly, line, a=0):
-    """poly(t + a, b t + c, 1) for the line (b, c), by Python-integer
-    polynomial products."""
-    b, c = line
-    p = poly.p
-
-    def times(u, v):
-        out = [0] * (len(u) + len(v) - 1)
-        for i, x in enumerate(u):
-            for j, y in enumerate(v):
-                out[i + j] = (out[i + j] + x * y) % p
-        return out
-
-    acc = [0] * (2 * poly.degree + 1)
-    for (i, j, _), coeff in poly.coeffs.items():
-        term = [coeff]
-        for _ in range(i):
-            term = times(term, [a, 1])
-        for _ in range(j):
-            term = times(term, [c, b])
-        for k, v in enumerate(term):
-            acc[k] = (acc[k] + v) % p
-    while acc and acc[-1] == 0:
-        acc.pop()
-    return acc
-
-
-def test_restrict_to_line_exact_at_31_bit_prime():
-    rng = random.Random(37)
-    poly = _random_poly(rng, 40, density=0.9, p=P31)
-    for line in polynomials._CERT_LINES:
-        assert _restrict_to_line(poly, line).tolist() == _restrict_reference(poly, line)
 
 
 def test_gcd_verification_failure_is_a_bad_prime(monkeypatch):
@@ -576,22 +541,6 @@ def test_conv2d_mod_on_both_sides_of_the_float_bound(p, reductions):
             assert len(reductions) == 1
 
 
-@pytest.mark.parametrize("p", (DEFAULT_PRIME, P31))
-def test_matmul_mod_on_both_sides_of_the_float_bound(p, reductions):
-    # at 1000003 an inner dimension of 9007 is the longest summed in one
-    # float64 pass and 9008 is split into 16-bit halves, as every product
-    # is at 2083116181
-    rng = random.Random(43)
-    for n in (1, 9007, 9008):
-        a, b = _full_array(2, n, p, rng), _full_array(n, 3, p, rng)
-        expected = [
-            [sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(3)] for i in range(2)
-        ]
-        reductions.clear()
-        assert polynomials._matmul_mod(np.array(a), np.array(b), p).tolist() == expected
-        assert len(reductions) == (1 if p == DEFAULT_PRIME and n < 9008 else 4)
-
-
 def _dense(poly):
     """Entry [i][j] is the coefficient of X^i Y^j Z^(degree-i-j)."""
     arr = [[0] * (poly.degree + 1) for _ in range(poly.degree + 1)]
@@ -658,78 +607,46 @@ def test_normalize_triple_matches_sympy(p, data):
 # The gcd kernels against their straightforward versions.
 
 
-@pytest.mark.parametrize("p", _ORACLE_PRIMES)
-@settings(max_examples=20, deadline=None)
-@given(data=st.data())
-def test_restrict_to_line_matches_reference(p, data):
-    line = data.draw(
-        st.sampled_from(polynomials._CERT_LINES)
-        | st.tuples(*[st.integers(0, p - 1)] * 2)
-    )
-    big = data.draw(_hompolys(p, 9, min_degree=5))
-    small = data.draw(_hompolys(p, 4))
-    other_p = data.draw(st.sampled_from([q for q in _ORACLE_PRIMES if q != p]))
-    elsewhere = data.draw(_hompolys(other_p, 6))
-    polynomials._LINE_TABLES.clear()
-    # the small restriction reads a prefix of the table the big one grew,
-    # and the same line at a second prime keeps a table of its own
-    for poly in (big, small, elsewhere, big):
-        assert _restrict_to_line(poly, line).tolist() == _restrict_reference(poly, line)
+def test_certificate_memory_is_a_few_rows():
+    # a coprime pair of one-row forms of degree 2,048: the fold works on
+    # copies of the 16 KiB rows; a dense (d + 1)^2 int64 table of the powers
+    # of a linear form would take 32 MiB
+    rng = random.Random(47)
+    polys = [_random_form(rng, 2048, density=1.0) for _ in range(2)]
+    row_bytes = sum(q.box.nbytes for q in polys)
+    tracemalloc.start()
+    try:
+        proved = polynomials.coprimality_certificate(polys, DEFAULT_PRIME, [(0, 1)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert proved == {(0, 1)}
+    assert peak < 4 * row_bytes
 
 
-def test_line_tables_keep_a_few_primes():
-    polynomials._LINE_TABLES.clear()
-    primes = (DEFAULT_PRIME, P31, 2, 3, 5, 7)
-    for p in primes:
-        _restrict_to_line(HomPoly3(3, {(1, 1, 1): 1}, p), (2, 1))
-    assert list(polynomials._LINE_TABLES) == list(primes[-polynomials._LINE_TABLE_PRIMES :])
-
-
-# The certificate's line as (a, b, c) for (t + a, b t + c, 1), before the
-# shift a was folded into c; _CERT_LINES holds the same line.
-_SHIFTED_CERT_LINES = ((1, 2, 3),)
-
-
-def _proved_on_shifted_lines(polys, p, groups):
-    """The groups whose restrictions to a line of _SHIFTED_CERT_LINES all keep
-    their degree and have a constant gcd."""
-    proved = set()
-    for a, b, c in _SHIFTED_CERT_LINES:
-        for group in groups:
-            vectors = [
-                np.array(_restrict_reference(polys[k], (b, c), a), dtype=np.int64)
-                for k in group
-            ]
-            if any(v.size != polys[k].degree + 1 for v, k in zip(vectors, group)):
-                continue
-            gcd = functools.reduce(lambda u, v: polynomials._ugcd(u, v, p), vectors)
-            if gcd.size == 1:
-                proved.add(group)
-    return proved
+def _sympy_gcd(polys):
+    return functools.reduce(sympy.Poly.gcd, [_to_sympy(q) for q in polys]).monic()
 
 
 @pytest.mark.parametrize("p", _ORACLE_PRIMES)
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
-def test_certificate_proves_what_the_shifted_lines_prove(p, data):
-    # (t, b t + c - a b, 1) is (t + a, b t + c, 1) reparametrized, so the
-    # restrictions are translates: same degree drops, same gcd degrees
-    assert [(b, c - a * b) for a, b, c in _SHIFTED_CERT_LINES] == list(
-        polynomials._CERT_LINES
-    )
-    common = data.draw(_hompolys(p, 2, min_degree=1))
-    polys = [
-        common.mul(data.draw(_hompolys(p, 2))) if data.draw(st.booleans())
-        else data.draw(_hompolys(p, 4))
-        for _ in range(4)
-    ]
+def test_certificate_proves_exactly_the_coprime_groups(p, data):
+    # one-row rests, some sharing a planted factor, at every prime, p = 2
+    # included: the certificate proves a group exactly when its gcd is 1
+    planted = data.draw(_binary_forms(p, 2, min_degree=1))
+    rests = []
+    for _ in range(4):
+        form = data.draw(_binary_forms(p, 3))
+        if data.draw(st.booleans()):
+            form = form.mul(planted)
+        rests.append(polynomials._shift_exponents(form, polynomials._monomial_content([form])))
     groups = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 1, 2)]
-    proved = polynomials.coprimality_certificate(polys, p, groups)
-    assert proved == _proved_on_shifted_lines(polys, p, groups)
-
-
-def _sympy_gcd(polys):
-    return functools.reduce(sympy.Poly.gcd, [_to_sympy(q) for q in polys]).monic()
+    coprime = {g for g in groups if _sympy_gcd([rests[k] for k in g]).total_degree() == 0}
+    assert polynomials.coprimality_certificate(rests, p, groups) == coprime
+    plane = HomPoly3(2, {(1, 1, 0): 1, (0, 0, 2): 1}, p)  # X Y + Z^2: two rows
+    with pytest.raises(InputError, match="one-row boxes"):
+        polynomials.coprimality_certificate([*rests, plane], p, [(0, 1), (0, 4)])
 
 
 @pytest.mark.parametrize("p", (DEFAULT_PRIME, P31))
@@ -737,8 +654,7 @@ def _sympy_gcd(polys):
 @given(data=st.data())
 def test_the_gcd_layer_is_exact_on_one_row_boxes(p, data):
     # three forms in (Y, Z) with planted common factors and monomial
-    # contents: each rest keeps its degree on the certificate line (it has a
-    # Y^d term, and the line has b != 0), so the certificate proves a group
+    # contents: each rest is a one-row box, so the certificate proves a group
     # exactly when the group's gcd is 1; the gcds, the quotients and the
     # normalized triple are sympy's
     planted = [data.draw(_binary_forms(p, 3, min_degree=1)) for _ in range(2)]
@@ -753,10 +669,7 @@ def test_the_gcd_layer_is_exact_on_one_row_boxes(p, data):
     groups = [(0, 1), (0, 2), (1, 2), (0, 1, 2)]
 
     rests = [polynomials._shift_exponents(f, polynomials._monomial_content([f])) for f in forms]
-    for rest in rests:
-        assert rest.box.shape[0] == 1
-        for line in polynomials._CERT_LINES:
-            assert _restrict_to_line(rest, line).size == rest.degree + 1
+    assert all(rest.box.shape[0] == 1 for rest in rests)
     coprime = {g for g in groups if _sympy_gcd([rests[k] for k in g]).total_degree() == 0}
     assert polynomials.coprimality_certificate(rests, p, groups) == coprime
 
@@ -804,19 +717,17 @@ def test_normalize_triple_divides_each_component_once(monkeypatch):
 
 
 def _record_gcd_layer(monkeypatch):
-    """Record the calls normalize_triple makes into the gcd layer: each
-    certificate call, each gcd3 call, and for each line restriction
-    whether it ran inside gcd3."""
-    calls = {"certificate": 0, "gcd3": 0, "restrictions": []}
+    """Record the calls normalize_triple makes into the gcd layer: for each
+    certificate call its groups, the groups it proved and whether it ran
+    inside gcd3, and the number of gcd3 calls."""
+    calls = {"certificate": [], "gcd3": 0}
     inside = []
-    certificate, gcd, restrict = (
-        getattr(polynomials, name)
-        for name in ("coprimality_certificate", "gcd3", "_restrict_to_line")
-    )
+    certificate, gcd = polynomials.coprimality_certificate, polynomials.gcd3
 
-    def recording_certificate(*args):
-        calls["certificate"] += 1
-        return certificate(*args)
+    def recording_certificate(polys, p, groups):
+        proved = certificate(polys, p, groups)
+        calls["certificate"].append((list(groups), proved, bool(inside)))
+        return proved
 
     def recording_gcd3(*args):
         calls["gcd3"] += 1
@@ -826,13 +737,8 @@ def _record_gcd_layer(monkeypatch):
         finally:
             inside.pop()
 
-    def recording_restrict(poly, line):
-        calls["restrictions"].append(bool(inside))
-        return restrict(poly, line)
-
     monkeypatch.setattr(polynomials, "coprimality_certificate", recording_certificate)
     monkeypatch.setattr(polynomials, "gcd3", recording_gcd3)
-    monkeypatch.setattr(polynomials, "_restrict_to_line", recording_restrict)
     return calls
 
 
@@ -843,8 +749,8 @@ def test_normalize_triple_proves_a_coprime_triple_without_gcd3(monkeypatch):
     triple = (B.mul(C), B.mul(B).sub(A.mul(C)), C.mul(C))
     calls = _record_gcd_layer(monkeypatch)
     (q1, q2, q3), dropped = normalize_triple(*triple)
-    assert dropped == 0 and calls["certificate"] == 1 and calls["gcd3"] == 0
-    assert calls["restrictions"] and not any(calls["restrictions"])
+    assert dropped == 0 and calls["gcd3"] == 0
+    assert calls["certificate"] == [([(0, 1, 2)], {(0, 1, 2)}, False)]
     lead = pow(triple[0]._leading_coefficient(), -1, DEFAULT_PRIME)
     assert (q1, q2, q3) == tuple(q.scale(lead) for q in triple)
 
@@ -853,9 +759,9 @@ def test_normalize_triple_sends_a_shared_factor_to_gcd3_once(monkeypatch):
     triple = _SHARED_TRIPLE
     calls = _record_gcd_layer(monkeypatch)
     (q1, q2, q3), dropped = normalize_triple(*triple)
-    assert dropped == 2 and calls["certificate"] == 1 and calls["gcd3"] == 1
-    # the certificate tried the triple; gcd3 restricts nothing
-    assert calls["restrictions"] and not any(calls["restrictions"])
+    assert dropped == 2 and calls["gcd3"] == 1
+    # the certificate tried the triple, outside gcd3, and did not prove it
+    assert calls["certificate"] == [([(0, 1, 2)], set(), False)]
     assert [q.degree for q in (q1, q2, q3)] == [2, 2, 2]
 
 
